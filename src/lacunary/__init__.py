@@ -3,8 +3,8 @@ that solve second-order linear ODEs with regular-growth coefficients.
 
 Subpackage map:
 
-- ``logdomain``      arbitrary-precision complex values in (log-magnitude, argument) form
 - ``product``        the lacunary product f, its schedules, zeros and derivatives
+                     (its log-domain arithmetic, ``logdomain``, is internal to it)
 - ``interpolation``  residue data, the rational series g, proximity-function quadrature
 - ``coefficients``   the coefficient pair (A0, B0), the perturbation H, residual and contour checks
 - ``growth``         max modulus, characteristic functions, order/indicator/witness scans
@@ -24,20 +24,6 @@ from .errors import (
     TailError,
     ZeroOnContourError,
 )
-from .logdomain import (
-    DEFAULT_DPS,
-    LOG_ONE,
-    LOG_ZERO,
-    LogComplex,
-    log_add,
-    log_add_ex,
-    log_div,
-    log_from_value,
-    log_mul,
-    log_neg,
-    log_pow_int,
-    to_value,
-)
 from .coefficients import (
     CoefficientSystem,
     HProduct,
@@ -50,7 +36,6 @@ from .coefficients import (
     residual,
 )
 from .growth import (
-    GrowthReport,
     crg_witness,
     indicator_scan,
     log_max_modulus,
@@ -67,6 +52,7 @@ from .interpolation import (
     residues_from_f,
 )
 from .product import (
+    DEFAULT_DPS,
     LacunaryConfig,
     config_from_blocks,
     config_from_dict,
@@ -92,17 +78,6 @@ __all__ = [
     "TailError",
     "ZeroOnContourError",
     "DEFAULT_DPS",
-    "LOG_ONE",
-    "LOG_ZERO",
-    "LogComplex",
-    "log_add",
-    "log_add_ex",
-    "log_div",
-    "log_from_value",
-    "log_mul",
-    "log_neg",
-    "log_pow_int",
-    "to_value",
     "LacunaryConfig",
     "config_from_blocks",
     "config_from_dict",
@@ -127,7 +102,6 @@ __all__ = [
     "eval_AB",
     "residual",
     "cauchy_ratio",
-    "GrowthReport",
     "log_max_modulus",
     "log_max_modulus_bound",
     "nevanlinna",

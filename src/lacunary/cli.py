@@ -47,7 +47,7 @@ from .growth import (
     indicator_scan,
     order_scan,
 )
-from .interpolation import RationalInterpolant, check_summability
+from .interpolation import RationalInterpolant, check_summability, config_interpolant
 from .product import (
     LacunaryConfig,
     config_from_dict,
@@ -209,33 +209,10 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
             f"artifact holds {len(entries)} residues, config has {zero_count(cfg)} zeros"
         )
     with mp.workdps(cfg.dps):
-        poles = []
-        residues = []
-        ids = []
-        total = mpf(0)
-        c_bound = mpf(0)
-        for e in entries:
-            p = mpc(mpf(e["pole"][0]), mpf(e["pole"][1]))
-            u = mpc(mpf(e["residue"][0]), mpf(e["residue"][1]))
-            poles.append(p)
-            residues.append(u)
-            ids.append((int(e["k"]), int(e["m"])))
-            total += abs(u) / abs(p)
-            c_bound = max(c_bound, abs(u))
-        from .interpolation import _schedule_tail_sums
-
-        tail_residue, harmonic = _schedule_tail_sums(cfg)
-        return RationalInterpolant(
-            poles=tuple(poles),
-            residues=tuple(residues),
-            pole_ids=tuple(ids),
-            dps=cfg.dps,
-            c_bound=c_bound,
-            sum_included=total,
-            tail_sum_bound=tail_residue * harmonic,
-            tail_residue_bound=tail_residue,
-            cfg=cfg,
-        )
+        poles = [mpc(mpf(e["pole"][0]), mpf(e["pole"][1])) for e in entries]
+        residues = [mpc(mpf(e["residue"][0]), mpf(e["residue"][1])) for e in entries]
+        ids = [(int(e["k"]), int(e["m"])) for e in entries]
+        return config_interpolant(cfg, poles, residues, ids)
 
 
 def cmd_verify(args) -> int:

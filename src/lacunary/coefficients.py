@@ -38,6 +38,8 @@ from .errors import (
     CancellationError,
     ConfigError,
     NearZeroError,
+    QuadratureError,
+    TailError,
     ZeroOnContourError,
 )
 from .interpolation import (
@@ -47,8 +49,8 @@ from .interpolation import (
     g_tail_bound,
     residues_from_f,
 )
-from .logdomain import LogComplex, to_value
 from .product import (
+    DEFAULT_DPS,
     LacunaryConfig,
     derivs_at_zero,
     eval_f,
@@ -85,10 +87,13 @@ class HProduct:
             inv = 1 / self.rho
             return mpf(radius) * mp.power(self.truncation, 1 - inv) / (inv - 1)
 
-    def eval(self, z, check_domain: bool = True) -> LogComplex:
-        from .errors import TailError
-        from .logdomain import LOG_ONE, log_add, log_from_value, log_mul
+    def eval(self, z, check_domain: bool = True) -> mpc:
+        """H(z) as a plain product of the factors 1 + z/a_m.
 
+        A factor that loses more than P-5 of the P digits of max(1, |z/a_m|)
+        to cancellation raises CancellationError; one below the rounding
+        level of that scale is the exact zero (z sits on a zero of H).
+        """
         with mp.workdps(self.dps):
             z = mpc(z)
             if check_domain and abs(z) > self.max_radius:
@@ -96,19 +101,30 @@ class HProduct:
                     f"|z| = {mp.nstr(abs(z), 8)} outside H validity radius "
                     f"{mp.nstr(self.max_radius, 8)}"
                 )
-            acc = LOG_ONE
+            lossy = mp.power(10, 5 - self.dps)
+            acc = mpc(1)
             for m in range(1, self.truncation + 1):
-                a_m = mp.power(m, 1 / self.rho)
-                acc = log_mul(acc, log_add(LOG_ONE, log_from_value(z / a_m)))
+                w = z / mp.power(m, 1 / self.rho)
+                factor = 1 + w
+                scale = max(1, abs(w))
+                mag = abs(factor)
+                if mag <= scale * mp.eps:
+                    factor = mpc(0)
+                elif mag < scale * lossy:
+                    digits_lost = float(mp.log(scale / mag, 10))
+                    raise CancellationError(
+                        f"H factor {m} cancelled {digits_lost:.1f} of {self.dps} digits",
+                        result=factor,
+                        digits_lost=digits_lost,
+                    )
+                acc *= factor
             return acc
 
-    def __call__(self, z) -> LogComplex:
+    def __call__(self, z) -> mpc:
         return self.eval(z)
 
 
 def build_H(rho_H, truncation: int, dps: int = None) -> HProduct:
-    from .logdomain import DEFAULT_DPS
-
     rho = mpf(rho_H)
     if not (0 < rho < mpf("0.5")):
         raise ConfigError(
@@ -185,13 +201,13 @@ def eval_A0(sys: CoefficientSystem, z) -> mpc:
         if rel < _pole_threshold(sys):
             i = sys.rat.pole_index(k, m)
             f1 = derivs_at_zero(sys.cfg, k, m, order=1)[0]
-            return sys.rat.residues[i] * to_value(f1)
-        return to_value(eval_f(sys.cfg, z)) * eval_g(sys.rat, z)
+            return sys.rat.residues[i] * f1
+        return eval_f(sys.cfg, z) * eval_g(sys.rat, z)
 
 
 def _f_with_derivatives(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc]:
     """(f, f', f'') away from zeros, assembled from the log-derivative sums."""
-    f = to_value(eval_f(sys.cfg, z))
+    f = eval_f(sys.cfg, z)
     l1 = log_derivative(sys.cfg, z, order=1)
     l2 = log_derivative(sys.cfg, z, order=2)
     return f, f * l1, f * (l1 * l1 + l2)
@@ -224,7 +240,7 @@ def eval_B0_series(sys: CoefficientSystem, z) -> mpc:
         xi = zero_point(sys.cfg, k, m)
         i = sys.rat.pole_index(k, m)
         u = sys.rat.residues[i]
-        f1, f2, f3, f4 = (to_value(v) for v in derivs_at_zero(sys.cfg, k, m, order=4))
+        f1, f2, f3, f4 = derivs_at_zero(sys.cfg, k, m, order=4)
         g_r, g_rp = g_regular_at(sys.rat, i)
         a0 = u * f1
         a0p = u * f2 / 2 + f1 * g_r
@@ -250,10 +266,10 @@ def eval_B0(sys: CoefficientSystem, z) -> mpc:
 def _f_fp_anywhere(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc]:
     k, m, _, rel = nearest_zero(sys.cfg, z)
     if rel < _pole_threshold(sys):
-        f = to_value(eval_f(sys.cfg, z, strict=False))
-        fp = to_value(derivs_at_zero(sys.cfg, k, m, order=1)[0])
+        f = eval_f(sys.cfg, z, strict=False)
+        fp = derivs_at_zero(sys.cfg, k, m, order=1)[0]
         return f, fp
-    f = to_value(eval_f(sys.cfg, z))
+    f = eval_f(sys.cfg, z)
     return f, f * log_derivative(sys.cfg, z, order=1)
 
 
@@ -263,7 +279,7 @@ def eval_AB(sys: CoefficientSystem, z) -> tuple[mpc, mpc]:
         raise ConfigError("no H configured: build the system with rho_H set")
     with mp.workdps(sys.dps):
         z = mpc(z)
-        hval = to_value(sys.h.eval(z))
+        hval = sys.h.eval(z)
         f, fp = _f_fp_anywhere(sys, z)
         a = eval_A0(sys, z) + sys.c_scale * hval * f
         b = eval_B0(sys, z) - sys.c_scale * hval * fp
@@ -298,7 +314,7 @@ def residual(sys: CoefficientSystem, z, which: str = "perturbed", c_scale=None) 
             if sys.h is None:
                 raise ConfigError("no H configured: build the system with rho_H set")
             c = sys.c_scale if c_scale is None else mpf(c_scale)
-            hval = to_value(sys.h.eval(z))
+            hval = sys.h.eval(z)
             a = a + c * hval * f
             b = b - c * hval * fp
         num = fpp + a * fp + b * f
@@ -344,7 +360,7 @@ def interpolation_identity_residuals(
             for m in indices:
                 i = sys.rat.pole_index(k, m)
                 u = sys.rat.residues[i]
-                f1, f2 = (to_value(v) for v in derivs_at_zero(sys.cfg, k, m, order=2))
+                f1, f2 = derivs_at_zero(sys.cfg, k, m, order=2)
                 value = abs(u * f1 * f1 + f2) / abs(f2)
                 out.append((k, m, value))
     return out
@@ -361,7 +377,7 @@ def reciprocal_derivative_fd(sys: CoefficientSystem, k: int, m: int) -> mpc:
         h = abs(xi) * mp.power(10, -mpf(sys.dps) / 3)
 
         def inv_fp(z):
-            f = to_value(eval_f(sys.cfg, z))
+            f = eval_f(sys.cfg, z)
             return 1 / (f * log_derivative(sys.cfg, z, order=1))
 
         return -(inv_fp(xi + h) - inv_fp(xi - h)) / (2 * h)
@@ -396,7 +412,7 @@ def _fprime_on_circle(cfg: LacunaryConfig, xi: mpc, radius: mpf, nodes: int) -> 
     for j in range(nodes):
         w = mp.expjpi((2 * mpf(j) + 1) / nodes)
         z = xi + radius * w
-        f = to_value(eval_f(cfg, z))
+        f = eval_f(cfg, z)
         fp = f * log_derivative(cfg, z, order=1)
         if fp == 0:
             raise ZeroOnContourError(
@@ -409,13 +425,10 @@ def _fprime_on_circle(cfg: LacunaryConfig, xi: mpc, radius: mpf, nodes: int) -> 
 def winding_number(values: list[mpc]) -> int:
     """Winding of a closed discrete loop; nodes must be dense enough that
     consecutive arguments move by less than pi/2."""
-    from .errors import QuadratureError
-    from .logdomain import principal_arg
-
     total = mpf(0)
     n = len(values)
     for i in range(n):
-        d = principal_arg(mp.arg(values[(i + 1) % n]) - mp.arg(values[i]))
+        d = mp.arg(values[(i + 1) % n] / values[i])
         if abs(d) > mp.pi / 2:
             raise QuadratureError(
                 "winding nodes too sparse: argument jumped by more than pi/2"
@@ -442,14 +455,12 @@ def cauchy_ratio(
     with mp.workdps(cfg.dps):
         r_k, n_k = cfg.block(k)
         xi = zero_point(cfg, k, m)
-        f1, f2 = (to_value(v) for v in derivs_at_zero(cfg, k, m, order=2))
+        f1, f2 = derivs_at_zero(cfg, k, m, order=2)
         direct = f2 / (f1 * f1)
 
         def winding_refined(radius: mpf) -> tuple[int, list[mpc] | None]:
             """Winding with node doubling; returns the f' samples when they
             were taken at exactly the quadrature node count."""
-            from .errors import QuadratureError
-
             n = nodes
             while True:
                 vals = _fprime_on_circle(cfg, xi, radius, n)

@@ -35,11 +35,8 @@ from mpmath import mp, mpc, mpf
 from .coefficients import HProduct, _fprime_on_circle, winding_number
 from .errors import ConfigError
 from .interpolation import proximity_m
-from .logdomain import LogComplex, log_div, log_from_value, to_value
 from .product import (
     LacunaryConfig,
-    _power_log,
-    _ratio_terms,
     eval_f,
     log_derivative,
     nearest_zero,
@@ -48,8 +45,6 @@ from .product import (
 
 
 def _logmag(value) -> mpf:
-    if isinstance(value, LogComplex):
-        return value.logmag
     mag = abs(mpc(value))
     return mp.log(mag) if mag > 0 else mpf("-inf")
 
@@ -335,83 +330,6 @@ def indicator_scan(fn, rho, thetas, radii, exclusion=None) -> IndicatorScan:
 
 
 # ---------------------------------------------------------------------------
-# composite report
-
-
-@dataclass(frozen=True)
-class GrowthSample:
-    r: mpf
-    log_max: mpf
-    m: mpf
-    N: mpf
-    T: mpf
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """One object holding everything a growth run measured: characteristic
-    samples, order ratios, indicator samples, the witness, and the flags
-    for the structural invariants (N nondecreasing, T = m + N)."""
-
-    samples: tuple[GrowthSample, ...]
-    order: OrderScan
-    witness: WitnessReport
-    indicator: IndicatorScan | None
-    pass_flags: dict
-
-
-def collect_growth_report(
-    cfg: LacunaryConfig,
-    rat,
-    radii_scales=(10, 100, 1000),
-    ks=None,
-    indicator: IndicatorScan | None = None,
-) -> GrowthReport:
-    """Assemble characteristic samples of g plus order/witness scans.
-
-    ``rat`` is the rational interpolant whose poles carry the counting
-    function; ``ks`` defaults to blocks 2..K (block 1 often has ln M < 1,
-    where the order ratio is undefined).
-    """
-    from .interpolation import eval_g
-
-    with mp.workdps(cfg.dps):
-        moduli = [abs(p) for p in rat.poles]
-        base = cfg.blocks[-1][0]
-        samples = []
-        for scale in radii_scales:
-            r = mpf(scale) * base
-            m, n, t = nevanlinna(
-                lambda z: eval_g(rat, z, check_domain=False), moduli, r
-            )
-            log_max, _ = log_max_modulus_bound(cfg, r)
-            samples.append(GrowthSample(r=r, log_max=log_max, m=m, N=n, T=t))
-        if ks is None:
-            ks = range(2, cfg.K + 1)
-        order = order_scan(cfg, ks)
-        witness = crg_witness(cfg, ks)
-        n_values = [s.N for s in samples]
-        flags = {
-            "counting_nonnegative": bool(all(s.N >= 0 for s in samples)),
-            "counting_nondecreasing": bool(
-                all(a <= b for a, b in zip(n_values, n_values[1:]))
-            ),
-            "characteristic_additive": bool(
-                all(abs(s.T - (s.m + s.N)) == 0 for s in samples)
-            ),
-        }
-        if indicator is not None:
-            flags["indicator_budget_ok"] = indicator.budget_ok
-        return GrowthReport(
-            samples=tuple(samples),
-            order=order,
-            witness=witness,
-            indicator=indicator,
-            pass_flags=flags,
-        )
-
-
-# ---------------------------------------------------------------------------
 # finite-level asymptotics of the product near its k-th circle
 
 
@@ -519,7 +437,7 @@ def verify_thm2_asymptotics(
         for z in points:
             full = eval_f(cfg, z)
             part = eval_f(cfg, z, upto=k)
-            dev_i = max(dev_i, abs(to_value(log_div(full, part)) - 1))
+            dev_i = max(dev_i, abs(full / part - 1))
         pass_i = bool(dev_i <= bound_i)
 
         # (ii) log-derivative two-term form; floored at the rounding level,
@@ -529,8 +447,8 @@ def verify_thm2_asymptotics(
         dev_ii = mpf(0)
         for z in points:
             lhs = z * log_derivative(cfg, z, order=1)
-            s_k, _, _ = _ratio_terms(_power_log(log_from_value(z), r_k, n_k))
-            rhs = mpf(sum_prev) + mpf(n_k) * s_k
+            w = mp.power(z / r_k, n_k)
+            rhs = mpf(sum_prev) + mpf(n_k) * (w / (w - 1))
             dev_ii = max(dev_ii, abs(lhs - rhs) / n_k)
         pass_ii = bool(dev_ii <= bound_ii)
 

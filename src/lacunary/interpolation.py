@@ -30,8 +30,8 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 
 from .errors import DivergenceError, NearPoleError, QuadratureError, TailError
-from .logdomain import LogComplex, log_div, log_mul, log_neg, to_value
 from .product import (
+    DEFAULT_DPS,
     LacunaryConfig,
     derivative_ratio_bound,
     derivs_at_zero,
@@ -103,29 +103,25 @@ def _schedule_tail_sums(cfg: LacunaryConfig) -> tuple[mpf, mpf]:
     return derivative_ratio_bound(cfg, cfg.K + 1), harmonic
 
 
-def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
-    """u = -f''/f'^2 at every zero up to level K, by factor extraction."""
+def config_interpolant(cfg: LacunaryConfig, poles, residues, pole_ids) -> RationalInterpolant:
+    """Interpolant for the zeros of ``cfg`` with their residues, certified.
+
+    C_bound and the included sum |u/z| run over the poles in the given
+    order; the tail bounds come from the schedule.  ``residues_from_f``
+    and the CLI's artifact loader both build their interpolant here, so
+    residues read back from disk get the same certificates.
+    """
     with mp.workdps(cfg.dps):
-        poles = []
-        residues = []
-        ids = []
         c_bound = mpf(0)
         total = mpf(0)
-        for k, (_, n) in enumerate(cfg.blocks, start=1):
-            for m in range(n):
-                xi = zero_point(cfg, k, m)
-                f1, f2 = derivs_at_zero(cfg, k, m, order=2)
-                u = to_value(log_neg(log_div(f2, log_mul(f1, f1))))
-                poles.append(xi)
-                residues.append(u)
-                ids.append((k, m))
-                c_bound = max(c_bound, abs(u))
-                total += abs(u) / abs(xi)
+        for p, u in zip(poles, residues):
+            c_bound = max(c_bound, abs(u))
+            total += abs(u) / abs(p)
         tail_residue, harmonic = _schedule_tail_sums(cfg)
         return RationalInterpolant(
             poles=tuple(poles),
             residues=tuple(residues),
-            pole_ids=tuple(ids),
+            pole_ids=tuple(pole_ids),
             dps=cfg.dps,
             c_bound=c_bound,
             sum_included=total,
@@ -135,10 +131,23 @@ def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
         )
 
 
+def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
+    """u = -f''/f'^2 at every zero up to level K, by factor extraction."""
+    with mp.workdps(cfg.dps):
+        poles = []
+        residues = []
+        ids = []
+        for k, (_, n) in enumerate(cfg.blocks, start=1):
+            for m in range(n):
+                f1, f2 = derivs_at_zero(cfg, k, m, order=2)
+                poles.append(zero_point(cfg, k, m))
+                residues.append(-f2 / (f1 * f1))
+                ids.append((k, m))
+        return config_interpolant(cfg, poles, residues, ids)
+
+
 def from_poles(pairs, dps: int | None = None) -> RationalInterpolant:
     """Raw (pole, residue) list; no analytic certificate attaches to it."""
-    from .logdomain import DEFAULT_DPS
-
     dps = dps or DEFAULT_DPS
     with mp.workdps(dps):
         poles = tuple(mpc(p) for p, _ in pairs)
@@ -307,9 +316,6 @@ def check_summability(rat: RationalInterpolant) -> SummabilityReport:
 
 
 def _log_plus(value) -> mpf:
-    if isinstance(value, LogComplex):
-        lm = value.logmag
-        return lm if lm > 0 else mpf(0)
     mag = abs(mpc(value))
     if mag <= 1:
         return mpf(0)

@@ -1,4 +1,7 @@
-"""Overflow-safe complex arithmetic in the log domain.
+"""Overflow-safe complex arithmetic in the log domain, internal to ``product``.
+
+Only :mod:`lacunary.product` imports this module; every value it hands
+to the rest of the package is a plain ``mpc``.
 
 A ``LogComplex`` stores a complex number w as ``(logmag, arg)`` with
 ``logmag = ln|w|`` and ``arg`` the principal argument in (-pi, pi].
@@ -28,9 +31,6 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .errors import CancellationError, PrecisionError
-
-DEFAULT_DPS = 100
-MIN_DPS = 30
 
 _NEG_INF = mpf("-inf")
 
@@ -121,28 +121,10 @@ def log_mul(*factors: LogComplex) -> LogComplex:
     return LogComplex(lm, principal_arg(ar))
 
 
-def log_div(a: LogComplex, b: LogComplex) -> LogComplex:
-    if b.is_zero:
-        raise ZeroDivisionError("log-domain division by exact zero")
-    if a.is_zero:
-        return LOG_ZERO
-    return LogComplex(a.logmag - b.logmag, principal_arg(a.arg - b.arg))
-
-
-def log_reciprocal(a: LogComplex) -> LogComplex:
-    return log_div(LOG_ONE, a)
-
-
 def log_neg(a: LogComplex) -> LogComplex:
     if a.is_zero:
         return LOG_ZERO
     return LogComplex(a.logmag, principal_arg(a.arg + mp.pi))
-
-
-def log_conj(a: LogComplex) -> LogComplex:
-    if a.is_zero:
-        return LOG_ZERO
-    return LogComplex(a.logmag, principal_arg(-a.arg))
 
 
 def log_pow_int(a: LogComplex, n: int) -> LogComplex:
@@ -208,11 +190,3 @@ def log_add(a: LogComplex, b: LogComplex) -> LogComplex:
     """Sum a+b; see log_add_ex for absorption/cancellation semantics."""
     result, _ = log_add_ex(a, b)
     return result
-
-
-def log_sub(a: LogComplex, b: LogComplex) -> LogComplex:
-    return log_add(a, log_neg(b))
-
-
-def log_abs(a: LogComplex) -> LogComplex:
-    return LogComplex(a.logmag, mpf(0))

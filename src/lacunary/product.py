@@ -14,10 +14,13 @@ of the infinite product, with a certified tail bound on the disk
 
 Evaluation is done factor-by-factor in the log domain, powers
 (z/r_k)^{n_k} as a single n*log multiplication, so block exponents up to
-2^60 and radii up to 2^5040 stay exact.  Derivatives at zeros use factor
-extraction: write f = q*P with q the vanishing factor; P and its
-derivatives come from termwise logarithmic differentiation of the
-remaining (nonvanishing) product.
+2^60 and radii up to 2^5040 stay exact.  The log-domain format
+(``logdomain.LogComplex``) is private to this module: every public
+evaluator returns a plain ``mpc``, whose unbounded exponent holds any
+magnitude the log domain produces, and an exact zero stays ``mpc(0)``.
+Derivatives at zeros use factor extraction: write f = q*P with q the
+vanishing factor; P and its derivatives come from termwise logarithmic
+differentiation of the remaining (nonvanishing) product.
 
 Configs and zero sets are immutable; every evaluation is a pure
 function, so points can be evaluated concurrently without locks.
@@ -30,12 +33,10 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .errors import ConfigError, NearZeroError, TailError
+from .errors import CancellationError, ConfigError, NearZeroError, TailError
 from .logdomain import (
-    DEFAULT_DPS,
     LOG_ONE,
     LogComplex,
-    MIN_DPS,
     log_add,
     log_from_value,
     log_mul,
@@ -43,6 +44,9 @@ from .logdomain import (
     log_pow_int,
     to_value,
 )
+
+DEFAULT_DPS = 100
+MIN_DPS = 30
 
 SCHEDULE_RULES = ("factorial", "doubly_exp")
 
@@ -266,8 +270,8 @@ def _check_domain(cfg: LacunaryConfig, z: mpc) -> None:
         )
 
 
-def eval_f(cfg: LacunaryConfig, z, strict: bool = True, upto: int | None = None) -> LogComplex:
-    """f(z) as a LogComplex, each factor formed as 1 + (-(z/r_k)^{n_k}) via log_add.
+def eval_f(cfg: LacunaryConfig, z, strict: bool = True, upto: int | None = None) -> mpc:
+    """f(z), each factor formed in the log domain as 1 + (-(z/r_k)^{n_k}) via log_add.
 
     Rule-based configs are truncations: the omitted factors are bounded by
     :func:`f_tail_log_bound`, certified on |z| < r_{K+1}/2 (TailError
@@ -276,8 +280,6 @@ def eval_f(cfg: LacunaryConfig, z, strict: bool = True, upto: int | None = None)
     diagnostics that only need the magnitude scale.  ``upto`` restricts to
     the first blocks.
     """
-    from .errors import CancellationError
-
     with mp.workdps(cfg.dps):
         z = mpc(z)
         if upto is None:
@@ -291,13 +293,15 @@ def eval_f(cfg: LacunaryConfig, z, strict: bool = True, upto: int | None = None)
                 factor = log_add(LOG_ONE, log_neg(w))
             except CancellationError as exc:
                 if strict:
-                    raise
+                    raise CancellationError(
+                        str(exc), result=to_value(exc.result), digits_lost=exc.digits_lost
+                    ) from None
                 factor = exc.result
             acc = log_mul(acc, factor)
-        return acc
+        return to_value(acc)
 
 
-def eval_f_scan(cfg: LacunaryConfig, z) -> LogComplex:
+def eval_f_scan(cfg: LacunaryConfig, z) -> mpc:
     """f(z) for growth scans: no domain restriction; rule-based schedules are
     extended with further blocks until the omitted factors are below 10^-40."""
     with mp.workdps(cfg.dps):
@@ -315,7 +319,7 @@ def eval_f_scan(cfg: LacunaryConfig, z) -> LogComplex:
             acc = log_mul(acc, log_add(LOG_ONE, log_neg(w)))
             if k >= cfg.K and w.logmag < threshold:
                 break
-        return acc
+        return to_value(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -443,23 +447,6 @@ def log_derivative(cfg: LacunaryConfig, z, order: int = 1) -> mpc:
         return total
 
 
-def _log_sums_excluding(cfg: LacunaryConfig, z: mpc, skip: int, order: int) -> list[mpc]:
-    """[L1, L1', L1''][:order] for the product with block ``skip`` removed."""
-    z_log = log_from_value(z)
-    sums = [mpc(0)] * order
-    for j, (r, n) in enumerate(cfg.blocks, start=1):
-        if j == skip:
-            continue
-        w = _power_log(z_log, r, n)
-        s, t, y = _ratio_terms(w)
-        sums[0] += (n / z) * s
-        if order >= 2:
-            sums[1] += -(n / (z * z)) * (s + n * t)
-        if order >= 3:
-            sums[2] += (2 * n * s + 3 * mpf(n) ** 2 * t + mpf(n) ** 3 * y) / (z * z * z)
-    return sums
-
-
 def derivative_ratio_bound(cfg: LacunaryConfig, k: int) -> mpf:
     """2e * prod_{j<k} (r_j/r_k)^{n_j}: the finite-k bound on |f''/f'^2| at block-k zeros.
 
@@ -475,13 +462,15 @@ def derivative_ratio_bound(cfg: LacunaryConfig, k: int) -> mpf:
         return 2 * mp.e * mp.exp(log_prod)
 
 
-def derivs_at_zero(cfg: LacunaryConfig, k: int, m: int, order: int = 3) -> tuple[LogComplex, ...]:
+def derivs_at_zero(cfg: LacunaryConfig, k: int, m: int, order: int = 3) -> tuple[mpc, ...]:
     """(f'(xi), f''(xi), f'''(xi)[, f''''(xi)]) at the zero xi by factor extraction.
 
     f = q*P with q = 1-(z/r_k)^{n_k}; at xi the power is exactly 1, so
     q^(i)(xi) = -n(n-1)...(n-i+1)/xi^i, and P, P', P'', P''' come from the
-    log-derivative sums of the remaining product, which cannot vanish at xi
-    (distinct block moduli).
+    log-derivative sums L1, L1', L1'' of the remaining product, which
+    cannot vanish at xi (distinct block moduli).  One pass over the other
+    blocks forms each power (xi/r_j)^{n_j} once and accumulates P and the
+    sums the requested order needs.
     """
     if order not in (1, 2, 3, 4):
         raise ConfigError(f"order must be in 1..4, got {order}")
@@ -495,24 +484,29 @@ def derivs_at_zero(cfg: LacunaryConfig, k: int, m: int, order: int = 3) -> tuple
             q.append(-fall / xi**i)
 
         p_log = LOG_ONE
+        L1 = L2 = L3 = mpc(0)
         z_log = log_from_value(xi)
         for j, (rj, nj) in enumerate(cfg.blocks, start=1):
             if j == k:
                 continue
             w = _power_log(z_log, rj, nj)
             p_log = log_mul(p_log, log_add(LOG_ONE, log_neg(w)))
+            s, t, y = _ratio_terms(w)
+            L1 += (nj / xi) * s
+            if order >= 3:
+                L2 += -(nj / (xi * xi)) * (s + nj * t)
+            if order == 4:
+                L3 += (2 * nj * s + 3 * mpf(nj) ** 2 * t + mpf(nj) ** 3 * y) / (xi * xi * xi)
         P = to_value(p_log)
 
-        ls = _log_sums_excluding(cfg, xi, k, max(order - 1, 1))
-        L1 = ls[0]
         P1 = P * L1
         derivs = [q[1] * P]
         if order >= 2:
             derivs.append(q[2] * P + 2 * q[1] * P1)
         if order >= 3:
-            P2 = P * (L1 * L1 + ls[1])
+            P2 = P * (L1 * L1 + L2)
             derivs.append(q[3] * P + 3 * q[2] * P1 + 3 * q[1] * P2)
         if order >= 4:
-            P3 = P * (L1**3 + 3 * L1 * ls[1] + ls[2])
+            P3 = P * (L1**3 + 3 * L1 * L2 + L3)
             derivs.append(q[4] * P + 4 * q[3] * P1 + 6 * q[2] * P2 + 4 * q[1] * P3)
-        return tuple(log_from_value(v) for v in derivs)
+        return tuple(derivs)

@@ -74,6 +74,9 @@ class TestNevanlinna:
         m, n, t = nevanlinna(lambda z: eval_g(rat, z, check_domain=False), moduli, r)
         assert n > 0
         assert abs(t - n) < mpf("0.05")
+        # N(r, g) grows strictly along the decades 10, 100, 1000 r_3
+        ns = [counting_N(moduli, scale * cfg.blocks[-1][0]) for scale in (10, 100, 1000)]
+        assert 0 < ns[0] < ns[1] < ns[2]
 
     def test_counting_nondecreasing(self):
         moduli = [1, 2, 4, 8]
@@ -244,21 +247,6 @@ class TestThm2Asymptotics:
     def test_anchor_config_passes(self):
         rep = verify_thm2_asymptotics(config_from_blocks([(1, 2)]), 1, seed=0, n_points=8)
         assert rep.passed
-
-
-class TestGrowthReport:
-    def test_composite_report_invariants(self):
-        from lacunary.growth import collect_growth_report
-
-        cfg = make_schedule(0.5, 3, "factorial")
-        rat = residues_from_f(cfg)
-        rep = collect_growth_report(cfg, rat)
-        assert all(rep.pass_flags.values())
-        assert len(rep.samples) == 3
-        ns = [s.N for s in rep.samples]
-        assert ns[0] < ns[1] < ns[2]
-        assert rep.witness.verdict in ("violation", "no violation")
-        assert rep.order.rows
 
 
 class TestMaxModulusAtPeakRadius:

@@ -51,26 +51,25 @@ class TestResidues:
         assert abs(rat.poles[i] - mp.conj(rat.poles[j])) < mpf("1e-90")
         assert abs(rat.residues[i] - mp.conj(rat.residues[j])) < mpf("1e-85")
 
-    def test_residues_shrink_blockwise(self):
+    def test_residues_shrink_blockwise(self, factorial_k4_rat):
         """max |u| per block decreases from block 2 on (visible o(1) decay)."""
-        cfg = make_schedule(0.5, 4, "factorial")
-        rat = residues_from_f(cfg)
+        rat = factorial_k4_rat
         buckets = {}
         for (k, _), u in zip(rat.pole_ids, rat.residues):
             buckets[k] = max(buckets.get(k, mpf(0)), abs(u))
         assert buckets[2] > buckets[3] > buckets[4]
         assert buckets[4] < mpf("1e-60")
 
-    def test_block_ratio_bound_honoured(self):
+    def test_block_ratio_bound_honoured(self, factorial_k4_rat):
         """|u| <= 2e prod_{j<k} (r_j/r_k)^{n_j} for k >= 2."""
-        cfg = make_schedule(0.5, 4, "factorial")
-        rat = residues_from_f(cfg)
+        rat = factorial_k4_rat
+        cfg = rat.cfg
         for (k, _), u in zip(rat.pole_ids, rat.residues):
             if k >= 2:
                 assert abs(u) <= derivative_ratio_bound(cfg, k)
 
-    def test_c_bound_covers_all(self):
-        rat = residues_from_f(make_schedule(0.5, 4, "factorial"))
+    def test_c_bound_covers_all(self, factorial_k4_rat):
+        rat = factorial_k4_rat
         assert all(abs(u) <= rat.c_bound for u in rat.residues)
 
 
@@ -133,9 +132,8 @@ class TestResidueRecoveryContour:
             got = recover_residue(rat, i)
             assert rel_err(got, rat.residues[i]) < tol
 
-    def test_tiny_block4_residue_recovered(self):
-        cfg = make_schedule(0.5, 4, "factorial")
-        rat = residues_from_f(cfg)
+    def test_tiny_block4_residue_recovered(self, factorial_k4_rat):
+        rat = factorial_k4_rat
         i = rat.pole_index(4, 17)
         got = recover_residue(rat, i)
         assert rel_err(got, rat.residues[i]) < mpf(10) ** (-rat.dps // 4)
@@ -152,9 +150,8 @@ class TestSummability:
         with pytest.raises(DivergenceError):
             check_summability(from_poles(pairs))
 
-    def test_factorial_certificate_finite_and_first_block_dominated(self):
-        cfg = make_schedule(0.5, 4, "factorial")
-        rep = check_summability(residues_from_f(cfg))
+    def test_factorial_certificate_finite_and_first_block_dominated(self, factorial_k4_rat):
+        rep = check_summability(factorial_k4_rat)
         assert rep.passed
         # frozen from exact-fraction differentiation of the 3-block truncation
         # (the block-4 factor shifts these below 10^-10000):

@@ -1,4 +1,5 @@
-"""Log-domain arithmetic: examples, round trips, and algebraic properties."""
+"""Log-domain arithmetic (internal to lacunary.product): examples, round trips,
+and algebraic properties."""
 
 import random
 
@@ -7,21 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from lacunary import (
-    CancellationError,
+from lacunary import CancellationError, PrecisionError
+from lacunary.logdomain import (
     LOG_ONE,
     LOG_ZERO,
     LogComplex,
-    PrecisionError,
     log_add,
     log_add_ex,
     log_from_value,
     log_mul,
     log_neg,
     log_pow_int,
+    principal_arg,
     to_value,
 )
-from lacunary.logdomain import principal_arg
 
 from helpers import rel_err
 
