@@ -176,14 +176,7 @@ def check_residual(sys: CoefficientSystem, seed: int, n_points: int = 200):
 
 
 def check_summability(sys: CoefficientSystem, seed: int):
-    try:
-        rep = summability_report(sys.rat)
-    except DivergenceError as exc:
-        return [
-            record(
-                "summability", "3x", None, None, False, extra={"error": str(exc)}
-            )
-        ]
+    rep = summability_report(sys.rat)
     return [
         record(
             "summability",

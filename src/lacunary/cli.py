@@ -54,6 +54,7 @@ from .product import (
     config_to_dict,
     eval_f_scan,
     zero_count,
+    zero_point,
     zeros,
 )
 
@@ -162,7 +163,7 @@ def _construct_at_precision(cfg: LacunaryConfig, data: dict, out: Path) -> int:
             "c_bound": _nstr(system.rat.c_bound),
             "summability": {
                 "included": _nstr(summ.included),
-                "tail": None if summ.tail is None else _nstr(summ.tail),
+                "tail": _nstr(summ.tail),
                 "total": _nstr(summ.total),
                 "passed": summ.passed,
             },
@@ -200,6 +201,12 @@ def _system_extras(data: dict) -> dict:
 
 
 def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpolant:
+    """Residues written by ``construct``, checked against the config.
+
+    Entries must come in the config's (block, index) order, and each pole
+    must be its zero to relative 10^(10-P).  The residues themselves are
+    not validated: catching a wrong residue is the checks' job.
+    """
     try:
         entries = json.loads((path / "residues.json").read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -208,10 +215,29 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
         raise ConfigError(
             f"artifact holds {len(entries)} residues, config has {zero_count(cfg)} zeros"
         )
+    ids = [(k, m) for k, (_, n) in enumerate(cfg.blocks, start=1) for m in range(n)]
     with mp.workdps(cfg.dps):
-        poles = [mpc(mpf(e["pole"][0]), mpf(e["pole"][1])) for e in entries]
-        residues = [mpc(mpf(e["residue"][0]), mpf(e["residue"][1])) for e in entries]
-        ids = [(int(e["k"]), int(e["m"])) for e in entries]
+        tol = mp.power(10, 10 - cfg.dps)
+        poles = []
+        residues = []
+        try:
+            for i, (e, (k, m)) in enumerate(zip(entries, ids)):
+                if (int(e["k"]), int(e["m"])) != (k, m):
+                    raise ConfigError(
+                        f"artifact entry {i} is zero ({e['k']}, {e['m']}); "
+                        f"config order expects ({k}, {m})"
+                    )
+                pole = mpc(mpf(e["pole"][0]), mpf(e["pole"][1]))
+                xi = zero_point(cfg, k, m)
+                if abs(pole - xi) > tol * abs(xi):
+                    raise ConfigError(
+                        f"artifact pole of zero ({k}, {m}) is {mp.nstr(abs(pole - xi), 5)} "
+                        f"away from the zero"
+                    )
+                poles.append(pole)
+                residues.append(mpc(mpf(e["residue"][0]), mpf(e["residue"][1])))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed residue entry in {path}: {exc!r}") from exc
         return config_interpolant(cfg, poles, residues, ids)
 
 

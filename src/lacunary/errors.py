@@ -54,7 +54,7 @@ class QuadratureError(LacunaryError):
 
 
 class DivergenceError(LacunaryError):
-    """The pole set admits no finite summability certificate (convergence exponent >= 1)."""
+    """A sampler ran out of attempts (annulus points starved by zero disks)."""
 
 
 class ZeroOnContourError(LacunaryError):

@@ -4,8 +4,10 @@ From the product f we build the meromorphic function
 
     g(z) = sum_k u_k / (z - z_k),        u_k = -f''(z_k) / f'(z_k)^2,
 
-with one simple pole at every zero of f.  The residues are produced by
-factor extraction (never by numerically dividing near the zeros), and
+with one simple pole at every zero of f, so that A0 = f g is entire.
+Every interpolant belongs to a configuration: its poles are the zeros of
+that configuration's product, in block order.  The residues are produced
+by factor extraction (never by numerically dividing near the zeros), and
 the interpolant carries two certificates:
 
 - summability: sum |u_k / z_k| over the included poles plus an analytic
@@ -29,39 +31,35 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .errors import DivergenceError, NearPoleError, QuadratureError, TailError
+from .errors import NearPoleError, QuadratureError, TailError
 from .product import (
-    DEFAULT_DPS,
     LacunaryConfig,
     derivative_ratio_bound,
     derivs_at_zero,
+    nearest_zero,
     zero_point,
 )
 
 
 @dataclass(frozen=True)
 class RationalInterpolant:
-    """Pole/residue pairs plus the certificates attached to them.
+    """The zeros of ``cfg`` as poles, their residues, and certificates.
 
-    ``pole_ids`` holds (block, index) labels for configuration-derived
-    poles, or (0, i) for raw lists.  ``tail_sum_bound`` bounds the
-    uncomputed part of sum |u/z| (None when no certificate exists, 0 for
-    finite explicit products).
+    ``pole_ids`` holds the (block, index) label of each pole, in the
+    config's block order.  ``tail_sum_bound`` bounds the uncomputed part
+    of sum |u/z| (0 for finite explicit products).  Build interpolants
+    with ``residues_from_f`` or ``config_interpolant``.
     """
 
     poles: tuple[mpc, ...]
     residues: tuple[mpc, ...]
     pole_ids: tuple[tuple[int, int], ...]
-    dps: int
     c_bound: mpf
     sum_included: mpf
-    tail_sum_bound: mpf | None
-    tail_residue_bound: mpf | None
-    cfg: LacunaryConfig | None
+    tail_sum_bound: mpf
+    cfg: LacunaryConfig
 
     def pole_index(self, k: int, m: int) -> int:
-        if self.cfg is None:
-            raise ValueError("pole_index needs a config-derived interpolant")
         offset = 0
         for j, (_, n) in enumerate(self.cfg.blocks, start=1):
             if j == k:
@@ -72,44 +70,37 @@ class RationalInterpolant:
         raise ValueError(f"block {k} outside config")
 
     def with_residue(self, index: int, value) -> "RationalInterpolant":
-        """Copy with one residue replaced (fault injection / diagnostics)."""
+        """Copy with one residue replaced and the certificates recomputed
+        (fault injection / diagnostics)."""
         residues = list(self.residues)
         residues[index] = mpc(value)
-        return RationalInterpolant(
-            poles=self.poles,
-            residues=tuple(residues),
-            pole_ids=self.pole_ids,
-            dps=self.dps,
-            c_bound=max(self.c_bound, abs(mpc(value))),
-            sum_included=self.sum_included,
-            tail_sum_bound=self.tail_sum_bound,
-            tail_residue_bound=self.tail_residue_bound,
-            cfg=self.cfg,
-        )
+        return config_interpolant(self.cfg, self.poles, residues, self.pole_ids)
 
 
-def _schedule_tail_sums(cfg: LacunaryConfig) -> tuple[mpf, mpf]:
-    """(residue bound for poles past K, bound on sum_{k>K} n_k / r_k).
+def _schedule_tail_sum(cfg: LacunaryConfig) -> mpf:
+    """Bound on sum_{k>K} |u/z| over the poles past K.
 
     Radii at least double at each step and n <= r^rho + 1.5, so the
-    harmonic block sum past K is dominated by a geometric series.
+    harmonic block sum past K is dominated by a geometric series; each
+    term carries the residue-ratio bound of block K+1.
     """
     if cfg.rule is None:
-        return mpf(0), mpf(0)
+        return mpf(0)
     rho = cfg.rho_f
     r_next = cfg.next_radius()
     geo = 1 / (1 - mp.power(2, rho - 1))
     harmonic = mp.power(r_next, rho - 1) * geo + 3 / r_next
-    return derivative_ratio_bound(cfg, cfg.K + 1), harmonic
+    return derivative_ratio_bound(cfg, cfg.K + 1) * harmonic
 
 
 def config_interpolant(cfg: LacunaryConfig, poles, residues, pole_ids) -> RationalInterpolant:
     """Interpolant for the zeros of ``cfg`` with their residues, certified.
 
     C_bound and the included sum |u/z| run over the poles in the given
-    order; the tail bounds come from the schedule.  ``residues_from_f``
-    and the CLI's artifact loader both build their interpolant here, so
-    residues read back from disk get the same certificates.
+    order; the tail bound comes from the schedule.  ``residues_from_f``,
+    ``with_residue`` and the CLI's artifact loader all build their
+    interpolant here, so every interpolant carries certificates for the
+    residues it holds.
     """
     with mp.workdps(cfg.dps):
         c_bound = mpf(0)
@@ -117,16 +108,13 @@ def config_interpolant(cfg: LacunaryConfig, poles, residues, pole_ids) -> Ration
         for p, u in zip(poles, residues):
             c_bound = max(c_bound, abs(u))
             total += abs(u) / abs(p)
-        tail_residue, harmonic = _schedule_tail_sums(cfg)
         return RationalInterpolant(
             poles=tuple(poles),
             residues=tuple(residues),
             pole_ids=tuple(pole_ids),
-            dps=cfg.dps,
             c_bound=c_bound,
             sum_included=total,
-            tail_sum_bound=tail_residue * harmonic,
-            tail_residue_bound=tail_residue,
+            tail_sum_bound=_schedule_tail_sum(cfg),
             cfg=cfg,
         )
 
@@ -146,62 +134,27 @@ def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
         return config_interpolant(cfg, poles, residues, ids)
 
 
-def from_poles(pairs, dps: int | None = None) -> RationalInterpolant:
-    """Raw (pole, residue) list; no analytic certificate attaches to it."""
-    dps = dps or DEFAULT_DPS
-    with mp.workdps(dps):
-        poles = tuple(mpc(p) for p, _ in pairs)
-        residues = tuple(mpc(u) for _, u in pairs)
-        if any(p == 0 for p in poles):
-            raise ValueError("poles must be nonzero")
-        if len(set((str(p) for p in poles))) != len(poles):
-            raise ValueError("poles must be distinct")
-        return RationalInterpolant(
-            poles=poles,
-            residues=residues,
-            pole_ids=tuple((0, i) for i in range(len(poles))),
-            dps=dps,
-            c_bound=max((abs(u) for u in residues), default=mpf(0)),
-            sum_included=sum((abs(u) / abs(p) for p, u in zip(poles, residues)), mpf(0)),
-            tail_sum_bound=None,
-            tail_residue_bound=None,
-            cfg=None,
-        )
-
-
 def g_tail_bound(rat: RationalInterpolant, radius) -> mpf:
     """Bound on the omitted pole contributions to g, valid for |z| <= r_{K+1}/2."""
-    if rat.cfg is None or rat.cfg.rule is None:
-        return mpf(0)
-    with mp.workdps(rat.dps):
-        radius = mpf(radius)
-        r_next = rat.cfg.next_radius()
-        if radius > r_next / 2:
+    cfg = rat.cfg
+    with mp.workdps(cfg.dps):
+        if cfg.rule is not None and mpf(radius) > cfg.next_radius() / 2:
             raise TailError("radius outside the certified domain |z| <= r_{K+1}/2")
-        tail_residue, harmonic = _schedule_tail_sums(rat.cfg)
-        return 2 * tail_residue * harmonic
-
-
-def _nearest_pole(rat: RationalInterpolant, z: mpc) -> tuple[int, mpf]:
-    best_i, best = 0, None
-    for i, p in enumerate(rat.poles):
-        d = abs(z - p)
-        if best is None or d < best:
-            best_i, best = i, d
-    return best_i, best
+        return 2 * rat.tail_sum_bound
 
 
 def eval_g(rat: RationalInterpolant, z, check_domain: bool = True) -> mpc:
     """Partial-fraction sum over the included poles, in stored order."""
-    with mp.workdps(rat.dps):
+    cfg = rat.cfg
+    with mp.workdps(cfg.dps):
         z = mpc(z)
-        if check_domain and rat.cfg is not None and rat.cfg.rule is not None:
-            if abs(z) > rat.cfg.next_radius() / 2:
+        if check_domain and cfg.rule is not None:
+            if abs(z) > cfg.next_radius() / 2:
                 raise TailError("z outside the certified domain of g")
-        i, dist = _nearest_pole(rat, z)
-        if dist < abs(rat.poles[i]) * mp.power(10, -mpf(rat.dps) / 2):
+        k, m, _, rel = nearest_zero(cfg, z)
+        if rel < mp.power(10, -mpf(cfg.dps) / 2):
             raise NearPoleError(
-                f"z within relative 10^-{rat.dps // 2} of pole {rat.pole_ids[i]}"
+                f"z within relative 10^-{cfg.dps // 2} of pole {(k, m)}"
             )
         total = mpc(0)
         for p, u in zip(rat.poles, rat.residues):
@@ -209,23 +162,9 @@ def eval_g(rat: RationalInterpolant, z, check_domain: bool = True) -> mpc:
         return total
 
 
-def eval_g_prime(rat: RationalInterpolant, z) -> mpc:
-    """g'(z) = -sum u_k/(z - z_k)^2."""
-    with mp.workdps(rat.dps):
-        z = mpc(z)
-        i, dist = _nearest_pole(rat, z)
-        if dist < abs(rat.poles[i]) * mp.power(10, -mpf(rat.dps) / 2):
-            raise NearPoleError("z too close to a pole for g'")
-        total = mpc(0)
-        for p, u in zip(rat.poles, rat.residues):
-            d = z - p
-            total -= u / (d * d)
-        return total
-
-
 def g_regular_at(rat: RationalInterpolant, index: int) -> tuple[mpc, mpc]:
     """(g_r(z_i), g_r'(z_i)) of the regular part g - u_i/(z - z_i) at its pole."""
-    with mp.workdps(rat.dps):
+    with mp.workdps(rat.cfg.dps):
         xi = rat.poles[index]
         val = mpc(0)
         der = mpc(0)
@@ -245,7 +184,7 @@ def recover_residue(rat: RationalInterpolant, index: int, nodes: int = 64) -> mp
     pole, so the regular part integrates to zero up to a spectrally small
     quadrature error.
     """
-    with mp.workdps(rat.dps):
+    with mp.workdps(rat.cfg.dps):
         xi = rat.poles[index]
         dist = min(
             (abs(xi - p) for i, p in enumerate(rat.poles) if i != index),
@@ -267,51 +206,26 @@ def recover_residue(rat: RationalInterpolant, index: int, nodes: int = 64) -> mp
 class SummabilityReport:
     per_block: dict
     included: mpf
-    tail: mpf | None
+    tail: mpf
     passed: bool
-    empirical_exponent: float | None
 
     @property
     def total(self) -> mpf:
-        return self.included + (self.tail or mpf(0))
+        return self.included + self.tail
 
 
 def check_summability(rat: RationalInterpolant) -> SummabilityReport:
-    """Certificate report for sum |u_k / z_k|.
-
-    Config-derived interpolants always certify: included partial sums
-    plus the analytic tail.  Raw pole lists are screened by a counting
-    estimate of the convergence exponent; density exponent >= 1 means no
-    finite certificate can exist (harmonic-type divergence).
-    """
-    with mp.workdps(rat.dps):
+    """Certificate report for sum |u_k / z_k|: included partial sums per
+    block plus the analytic tail.  Passes when the total is finite."""
+    with mp.workdps(rat.cfg.dps):
         per_block: dict = {}
         for (k, _), p, u in zip(rat.pole_ids, rat.poles, rat.residues):
             per_block[k] = per_block.get(k, mpf(0)) + abs(u) / abs(p)
-        if rat.cfg is not None:
-            return SummabilityReport(
-                per_block=per_block,
-                included=rat.sum_included,
-                tail=rat.tail_sum_bound,
-                passed=bool((rat.sum_included + (rat.tail_sum_bound or 0)) < mpf("inf")),
-                empirical_exponent=None,
-            )
-        moduli = sorted(abs(p) for p in rat.poles)
-        n = len(moduli)
-        exponent = None
-        if n >= 16 and moduli[n // 2] > 0 and moduli[-1] > moduli[n // 2]:
-            exponent = float(mp.log(2) / mp.log(moduli[-1] / moduli[n // 2]))
-            if exponent >= 0.98:
-                raise DivergenceError(
-                    f"pole counting exponent ~{exponent:.3f} >= 1: "
-                    "sum |u_k/z_k| admits no finite certificate"
-                )
         return SummabilityReport(
             per_block=per_block,
             included=rat.sum_included,
-            tail=None,
-            passed=bool(rat.sum_included < mpf("inf")),
-            empirical_exponent=exponent,
+            tail=rat.tail_sum_bound,
+            passed=bool(rat.sum_included + rat.tail_sum_bound < mpf("inf")),
         )
 
 

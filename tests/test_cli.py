@@ -122,15 +122,25 @@ class TestVerify:
         assert failed == [[3, 0]]
 
     def test_artifact_count_mismatch_exit_2(self, tmp_path):
+        """An artifact that does not hold the config's zeros, in the config's
+        order, is a configuration error: a missing entry, a pole moved off
+        its zero, the entries reversed, and an entry without its residue."""
         cfg = write_config(tmp_path, FACT3)
         art = tmp_path / "art"
         main(["construct", "--config", cfg, "--out", str(art)])
         entries = json.loads((art / "residues.json").read_text())
-        (art / "residues.json").write_text(json.dumps(entries[:-1]))
-        code = main(
-            ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--artifacts", str(art)]
-        )
-        assert code == 2
+        moved = json.loads(json.dumps(entries))
+        moved[3]["pole"][0] = str(float(moved[3]["pole"][0][:20]) + 0.5)
+        no_residue = [{"k": 1, "m": 0, "pole": entries[0]["pole"]}] + entries[1:]
+        for i, tampered in enumerate((entries[:-1], moved, entries[::-1], no_residue)):
+            (art / "residues.json").write_text(json.dumps(tampered))
+            code = main(
+                [
+                    "verify", "--config", cfg, "--out", str(tmp_path / f"v{i}"),
+                    "--artifacts", str(art), "--checks", "interpolation,residual",
+                ]
+            )
+            assert code == 2, i
 
 
 class TestScan:
