@@ -10,7 +10,8 @@ where "eq" is the label of the identity or bound being verified:
     3f  interpolation identity  A0(z_k) f'(z_k) + f''(z_k) = 0
     1c  base equation           f'' + A0 f' + B0 f = 0
     1d  perturbed equation      f'' + A f' + B f = 0
-    3x  residue summability     sum |u_k / z_k| finite
+    3x  residue summability     sum |u_k / z_k| finite, and max |u| per
+        block within the 1b bound
     1b  derivative-ratio bound  |f''(z_k)/f'(z_k)^2| <= C (and its
         finite-difference route through -(1/f')')
     2f  contour recovery        f''/f'^2 from the Cauchy integral of 1/f'
@@ -33,8 +34,8 @@ from .coefficients import (
     cauchy_ratio,
     interpolation_identity_residuals,
     reciprocal_derivative_fd,
-    residual,
     residual_tolerance,
+    residuals_at,
 )
 from .errors import DivergenceError, PrecisionInsufficient
 from .growth import nevanlinna, verify_thm2_asymptotics
@@ -155,12 +156,11 @@ def check_residual(sys: CoefficientSystem, seed: int, n_points: int = 200):
     for z in points:
         tol = residual_tolerance(sys, abs(z))
         bound = max(RESIDUAL_THRESHOLD, tol)
-        value = residual(sys, z, "base")
+        value, *perturbed = residuals_at(sys, z, scales)
         records.append(
             record("residual", "1c", value, bound, value < bound, point=z)
         )
-        for c in scales:
-            value = residual(sys, z, "perturbed", c_scale=c)
+        for c, value in zip(scales, perturbed):
             records.append(
                 record(
                     "residual",
@@ -188,6 +188,12 @@ def check_summability(sys: CoefficientSystem, seed: int):
                 "included": _num(rep.included),
                 "tail": _num(rep.tail),
                 "per_block": {str(k): _num(v) for k, v in sorted(rep.per_block.items())},
+                "per_block_max_residue": {
+                    str(k): _num(v) for k, v in sorted(rep.per_block_max.items())
+                },
+                "per_block_residue_bound": {
+                    str(k): _num(v) for k, v in sorted(rep.per_block_bound.items())
+                },
             },
         )
     ]

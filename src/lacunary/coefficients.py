@@ -300,6 +300,14 @@ def residual(sys: CoefficientSystem, z, which: str = "perturbed", c_scale=None) 
     """
     if which not in ("base", "perturbed"):
         raise ConfigError(f"which must be 'base' or 'perturbed', got {which!r}")
+    if which == "base":
+        return residuals_at(sys, z)[0]
+    return residuals_at(sys, z, (sys.c_scale if c_scale is None else c_scale,))[1]
+
+
+def residuals_at(sys: CoefficientSystem, z, c_scales=()) -> list[mpf]:
+    """The base residual, then the perturbed residual at each of ``c_scales``,
+    all from one evaluation of f, f', f'', g and H at z."""
     with mp.workdps(sys.dps):
         z = mpc(z)
         _, _, _, rel = nearest_zero(sys.cfg, z)
@@ -308,18 +316,23 @@ def residual(sys: CoefficientSystem, z, which: str = "perturbed", c_scale=None) 
                 "residual sampling point within near_zero_delta of a zero"
             )
         f, fp, fpp = _f_with_derivatives(sys, z)
-        a = f * eval_g(sys.rat, z)
-        b = -(fpp + a * fp) / f
-        if which == "perturbed":
+        a0 = f * eval_g(sys.rat, z)
+        b0 = -(fpp + a0 * fp) / f
+        if c_scales:
             if sys.h is None:
                 raise ConfigError("no H configured: build the system with rho_H set")
-            c = sys.c_scale if c_scale is None else mpf(c_scale)
             hval = sys.h.eval(z)
-            a = a + c * hval * f
-            b = b - c * hval * fp
-        num = fpp + a * fp + b * f
-        den = abs(fpp) + abs(a * fp) + abs(b * f)
-        return abs(num) / den
+        out = []
+        for c in (None, *c_scales):
+            a, b = a0, b0
+            if c is not None:
+                c = mpf(c)
+                a = a + c * hval * f
+                b = b - c * hval * fp
+            num = fpp + a * fp + b * f
+            den = abs(fpp) + abs(a * fp) + abs(b * f)
+            out.append(abs(num) / den)
+        return out
 
 
 def residual_tolerance(sys: CoefficientSystem, radius) -> mpf:

@@ -127,8 +127,9 @@ def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
         ids = []
         for k, (_, n) in enumerate(cfg.blocks, start=1):
             for m in range(n):
-                f1, f2 = derivs_at_zero(cfg, k, m, order=2)
-                poles.append(zero_point(cfg, k, m))
+                xi = zero_point(cfg, k, m)
+                f1, f2 = derivs_at_zero(cfg, k, m, order=2, xi=xi)
+                poles.append(xi)
                 residues.append(-f2 / (f1 * f1))
                 ids.append((k, m))
         return config_interpolant(cfg, poles, residues, ids)
@@ -205,6 +206,8 @@ def recover_residue(rat: RationalInterpolant, index: int, nodes: int = 64) -> mp
 @dataclass(frozen=True)
 class SummabilityReport:
     per_block: dict
+    per_block_max: dict
+    per_block_bound: dict
     included: mpf
     tail: mpf
     passed: bool
@@ -216,16 +219,25 @@ class SummabilityReport:
 
 def check_summability(rat: RationalInterpolant) -> SummabilityReport:
     """Certificate report for sum |u_k / z_k|: included partial sums per
-    block plus the analytic tail.  Passes when the total is finite."""
-    with mp.workdps(rat.cfg.dps):
+    block plus the analytic tail.  Passes when the total is finite and,
+    in every block k, the largest |u| stays within the residue-ratio
+    bound ``derivative_ratio_bound(cfg, k)``."""
+    cfg = rat.cfg
+    with mp.workdps(cfg.dps):
         per_block: dict = {}
+        per_block_max: dict = {}
         for (k, _), p, u in zip(rat.pole_ids, rat.poles, rat.residues):
             per_block[k] = per_block.get(k, mpf(0)) + abs(u) / abs(p)
+            per_block_max[k] = max(per_block_max.get(k, mpf(0)), abs(u))
+        per_block_bound = {k: derivative_ratio_bound(cfg, k) for k in per_block_max}
+        within = all(per_block_max[k] <= per_block_bound[k] for k in per_block_max)
         return SummabilityReport(
             per_block=per_block,
+            per_block_max=per_block_max,
+            per_block_bound=per_block_bound,
             included=rat.sum_included,
             tail=rat.tail_sum_bound,
-            passed=bool(rat.sum_included + rat.tail_sum_bound < mpf("inf")),
+            passed=bool(rat.sum_included + rat.tail_sum_bound < mpf("inf")) and within,
         )
 
 

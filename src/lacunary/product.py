@@ -12,7 +12,8 @@ working precision.  Rule-based schedules (``factorial``: r_k = 2^(k!),
 of the infinite product, with a certified tail bound on the disk
 |z| < r_{K+1}/2; explicit block lists define f as the finite product.
 
-Evaluation is done factor-by-factor in the log domain, powers
+At an arbitrary point (``eval_f``, ``eval_f_scan``, ``log_derivative``)
+evaluation is done factor-by-factor in the log domain, powers
 (z/r_k)^{n_k} as a single n*log multiplication, so block exponents up to
 2^60 and radii up to 2^5040 stay exact.  The log-domain format
 (``logdomain.LogComplex``) is private to this module: every public
@@ -20,7 +21,10 @@ evaluator returns a plain ``mpc``, whose unbounded exponent holds any
 magnitude the log domain produces, and an exact zero stays ``mpc(0)``.
 Derivatives at zeros use factor extraction: write f = q*P with q the
 vanishing factor; P and its derivatives come from termwise logarithmic
-differentiation of the remaining (nonvanishing) product.
+differentiation of the remaining (nonvanishing) product.  There the
+log domain is not needed: at xi = r_k omega^m every other block's power
+is a real power times an exact n_k-th root of unity, formed in plain
+``mpc``.
 
 Configs and zero sets are immutable; every evaluation is a pure
 function, so points can be evaluated concurrently without locks.
@@ -462,42 +466,85 @@ def derivative_ratio_bound(cfg: LacunaryConfig, k: int) -> mpf:
         return 2 * mp.e * mp.exp(log_prod)
 
 
-def derivs_at_zero(cfg: LacunaryConfig, k: int, m: int, order: int = 3) -> tuple[mpc, ...]:
+def derivs_at_zero(
+    cfg: LacunaryConfig, k: int, m: int, order: int = 3, xi: mpc | None = None
+) -> tuple[mpc, ...]:
     """(f'(xi), f''(xi), f'''(xi)[, f''''(xi)]) at the zero xi by factor extraction.
 
     f = q*P with q = 1-(z/r_k)^{n_k}; at xi the power is exactly 1, so
     q^(i)(xi) = -n(n-1)...(n-i+1)/xi^i, and P, P', P'', P''' come from the
     log-derivative sums L1, L1', L1'' of the remaining product, which
-    cannot vanish at xi (distinct block moduli).  One pass over the other
-    blocks forms each power (xi/r_j)^{n_j} once and accumulates P and the
-    sums the requested order needs.
+    cannot vanish at xi (distinct block moduli).
+
+    Each other block's power is formed from exact roots of unity: with
+    xi = r_k omega^m, omega = exp(2 pi i/n_k),
+
+        (xi/r_j)^{n_j} = (r_k/r_j)^{n_j} * omega^{(m n_j) mod n_k},
+
+    a real power times one root whose index is reduced in integers, so
+    the angle is exact for any n_j (2^60 included).  A factor 1 - w that
+    loses more than P-5 digits of max(1, |w|) raises CancellationError.
+    ``xi`` is the zero point when the caller has already formed it
+    (``zero_point(cfg, k, m)``).
     """
     if order not in (1, 2, 3, 4):
         raise ConfigError(f"order must be in 1..4, got {order}")
     r, n = _check_enumerable(cfg, k)
     with mp.workdps(cfg.dps):
-        xi = zero_point(cfg, k, m)
+        if xi is None:
+            xi = zero_point(cfg, k, m)
+        inv_xi = 1 / xi
         q = [None]  # q[i] = q^(i)(xi), i >= 1
         fall = mpf(1)
         for i in range(1, order + 1):
             fall *= n - (i - 1)
-            q.append(-fall / xi**i)
+            q.append(-fall * inv_xi**i)
 
-        p_log = LOG_ONE
+        lossy = mpf(10) ** (5 - cfg.dps)
+        P = mpc(1)
         L1 = L2 = L3 = mpc(0)
-        z_log = log_from_value(xi)
         for j, (rj, nj) in enumerate(cfg.blocks, start=1):
             if j == k:
                 continue
-            w = _power_log(z_log, rj, nj)
-            p_log = log_mul(p_log, log_add(LOG_ONE, log_neg(w)))
-            s, t, y = _ratio_terms(w)
-            L1 += (nj / xi) * s
+            with mp.extraprec(nj.bit_length() + 10):
+                a = mp.power(r / rj, nj)
+            index = m * nj % n
+            root = mp.expjpi(2 * mpf(index) / n) if index else mpc(1)
+            w = a * root
+            factor = 1 - w
+            # |1 - w| >= |1 - a|: the screen needs no complex abs
+            scale = max(1, a)
+            if abs(1 - a) < scale * lossy and abs(factor) < scale * lossy:
+                digits_lost = float(mp.log(scale / abs(factor), 10)) if factor else float(cfg.dps)
+                raise CancellationError(
+                    f"factor {j} at zero ({k}, {m}) cancelled {digits_lost:.1f} of {cfg.dps} digits",
+                    result=factor,
+                    digits_lost=digits_lost,
+                )
+            P *= factor
+            if order == 1:
+                continue
+            # s = w/(w-1), t = w/(w-1)^2, y = w(w+1)/(w-1)^3, through v = 1/w
+            # when |w| > 1 so that huge powers never meet subtraction head-on
+            if a > 1:
+                v = mp.conj(root) / a
+                inv = 1 / (1 - v)
+                s = inv
+            else:
+                v = w
+                inv = -1 / factor
+                s = w * inv
+            L1 += nj * s
             if order >= 3:
-                L2 += -(nj / (xi * xi)) * (s + nj * t)
+                t = v * inv * inv
+                L2 -= nj * (s + nj * t)
             if order == 4:
-                L3 += (2 * nj * s + 3 * mpf(nj) ** 2 * t + mpf(nj) ** 3 * y) / (xi * xi * xi)
-        P = to_value(p_log)
+                y = t * (1 + v) * inv
+                L3 += 2 * nj * s + 3 * mpf(nj) ** 2 * t + mpf(nj) ** 3 * y
+        # the sums above carry the factors 1/xi, 1/xi^2, 1/xi^3 outside
+        L1 *= inv_xi
+        L2 *= inv_xi * inv_xi
+        L3 *= inv_xi * inv_xi * inv_xi
 
         P1 = P * L1
         derivs = [q[1] * P]

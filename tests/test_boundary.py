@@ -8,11 +8,14 @@ mpmath.
 import ast
 from pathlib import Path
 
+import pytest
 from mpmath import mpc, mpf
 
 import lacunary
 from lacunary import config_from_blocks, make_schedule
+import lacunary.product
 from lacunary.coefficients import build_H
+from lacunary.interpolation import residues_from_f
 from lacunary.product import derivs_at_zero, eval_f, eval_f_scan
 
 PACKAGE = Path(lacunary.__file__).resolve().parent
@@ -79,3 +82,24 @@ def test_public_evaluators_return_mpc():
     ]
     for value in values:
         assert isinstance(value, mpc), type(value)
+
+
+def test_factor_extraction_runs_without_the_log_domain(monkeypatch):
+    """derivs_at_zero and residues_from_f use no log-domain name: with every
+    one bound in lacunary.product made to raise, both still run."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("log domain used")
+
+    for name, value in list(vars(lacunary.product).items()):
+        if name in LOG_DOMAIN_NAMES or getattr(value, "__module__", None) == "lacunary.logdomain":
+            monkeypatch.setattr(lacunary.product, name, refuse)
+    cfg = config_from_blocks([(4, 2), (16, 4)])
+    for order in (1, 2, 3, 4):
+        for k, m in ((1, 1), (2, 3)):
+            assert len(derivs_at_zero(cfg, k, m, order=order)) == order
+    rat = residues_from_f(cfg)
+    assert len(rat.residues) == 6
+    # the guard is live: the log-domain evaluators do hit it
+    with pytest.raises(AssertionError, match="log domain used"):
+        eval_f(cfg, 3)

@@ -4,12 +4,15 @@ import json
 import subprocess
 import sys
 
+from mpmath import mp, mpf
+
 from lacunary.cli import main
 
 ANCHOR = {"blocks": [[1, 2]], "rho_f": 0.5, "precision_digits": 100, "rho_H": 0.25}
 FACT3 = {"rho_f": 0.5, "rule": "factorial", "K": 3, "precision_digits": 100, "rho_H": 0.4}
 FACT7 = {"rho_f": 0.5, "rule": "factorial", "K": 7, "precision_digits": 100}
 SINGLE = {"blocks": [[4, 2]], "rho_f": 0.5, "precision_digits": 100}
+HEADLINE = {"rho_f": 0.5, "rule": "factorial", "K": 4, "precision_digits": 100}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -120,6 +123,30 @@ class TestVerify:
         ]
         failed = [r["zero"] for r in records if not r["pass"]]
         assert failed == [[3, 0]]
+
+    def test_summability_fails_on_finite_residue_beyond_block_bound(self, tmp_path):
+        """A block-4 residue scaled by 10^3 keeps sum |u/z| finite, but its
+        |u| passes the block's residue-ratio bound: 3x must fail."""
+        cfg = write_config(tmp_path, HEADLINE)
+        art = tmp_path / "art"
+        assert main(["construct", "--config", cfg, "--out", str(art)]) == 0
+        verify = ["verify", "--config", cfg, "--artifacts", str(art), "--checks", "summability"]
+        assert main([*verify, "--out", str(tmp_path / "v0")]) == 0
+        entries = json.loads((art / "residues.json").read_text())
+        i = next(i for i, e in enumerate(entries) if (e["k"], e["m"]) == (4, 1234))
+        with mp.workdps(110):
+            entries[i]["residue"] = [mp.nstr(1000 * mpf(x), 105) for x in entries[i]["residue"]]
+        (art / "residues.json").write_text(json.dumps(entries))
+        assert main([*verify, "--out", str(tmp_path / "v1")]) == 1
+        (rec,) = [
+            json.loads(line)
+            for line in (tmp_path / "v1" / "records.jsonl").read_text().splitlines()
+        ]
+        assert rec["eq"] == "3x" and rec["pass"] is False
+        assert rec["value"] < float("inf")
+        assert rec["per_block_max_residue"]["4"] > rec["per_block_residue_bound"]["4"]
+        for k in "123":
+            assert rec["per_block_max_residue"][k] <= rec["per_block_residue_bound"][k]
 
     def test_artifact_count_mismatch_exit_2(self, tmp_path):
         """An artifact that does not hold the config's zeros, in the config's

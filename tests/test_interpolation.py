@@ -177,6 +177,19 @@ class TestSummability:
         assert set(rep.per_block) == {1, 2, 3, 4}
         # dominated by the first blocks
         assert rep.per_block[1] + rep.per_block[2] > rep.per_block[3] + rep.per_block[4]
+        for k in (1, 2, 3, 4):
+            assert rep.per_block_bound[k] == derivative_ratio_bound(factorial_k4_rat.cfg, k)
+            assert rep.per_block_max[k] <= rep.per_block_bound[k]
+
+    def test_finite_residue_beyond_block_bound_fails(self, factorial_k4_rat):
+        """A finite but wrong residue: sum |u/z| stays finite, the block-4
+        residue bound does not hold."""
+        rat = factorial_k4_rat
+        i = rat.pole_index(4, 1234)
+        bad = check_summability(rat.with_residue(i, 1000 * rat.residues[i]))
+        assert bad.total < mpf("inf")
+        assert bad.per_block_max[4] > bad.per_block_bound[4]
+        assert not bad.passed
 
 
 class TestProximity:

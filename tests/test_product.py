@@ -347,6 +347,47 @@ class TestDerivsAtZero:
                 f1 = derivs_at_zero(cfg, k, m)[0]
                 assert f1 != 0
 
+    # one zero per block of the factorial K=4 headline schedule
+    HEADLINE_ZEROS = ((1, 0), (2, 1), (3, 5), (4, 1234))
+
+    def test_against_contour_integrals_of_f(self):
+        """Second route (Trefethen & Weideman, SIAM Review 56, 2014): the
+        64-node trapezoid rule for f^(p)(xi)/p! = (1/2 pi i) oint f/(z-xi)^(p+1)
+        on |z - xi| = r_k/(4 n_k), sampling the log-domain eval_f, which
+        shares no code with the root-of-unity factor extraction."""
+        cfg = make_schedule(0.5, 4, "factorial")
+        nodes = 64
+        tol = mpf(10) ** (10 - cfg.dps)
+        for k, m in self.HEADLINE_ZEROS:
+            r_k, n_k = cfg.blocks[k - 1]
+            xi = zero_point(cfg, k, m)
+            rho = r_k / (4 * n_k)
+            c1 = c2 = mpc(0)
+            for j in range(nodes):
+                h = rho * mp.expjpi(2 * mpf(j) / nodes)
+                fz = eval_f(cfg, xi + h)
+                c1 += fz / h
+                c2 += fz / (h * h)
+            f1, f2 = derivs_at_zero(cfg, k, m, order=2)
+            assert rel_err(f1, c1 / nodes) < tol, (k, m)
+            assert rel_err(f2, 2 * c2 / nodes) < tol, (k, m)
+
+    def test_extreme_exponent_block_matches_truncation(self):
+        """With n_5 = 2^60 in the product, block 5 contributes
+        (r_k/r_5)^{2^60}, far below the last digit: the derivatives equal
+        the K=4 ones.  Guards the kernel at that exponent (the reduction
+        (m n_5) mod n_k and the real power stay exact and finite); the
+        angle accuracy itself is checked by the contour route above."""
+        k5 = make_schedule(0.5, 5, "factorial")
+        k4 = make_schedule(0.5, 4, "factorial")
+        assert k5.blocks[4][1] == 2**60
+        tol = mpf(10) ** (10 - k5.dps)
+        for k, m in ((1, 0), (3, 5), (4, 1234)):
+            got = derivs_at_zero(k5, k, m, order=4)
+            want = derivs_at_zero(k4, k, m, order=4)
+            for a, b in zip(got, want):
+                assert rel_err(a, b) < tol, (k, m)
+
     def test_factorial_block4_magnitude(self):
         """f'(r_4) ~ (n_4/r_4) * prod_{j<4} (r_4/r_j)^{n_j} = 2^199 * (1+o(1))."""
         cfg = make_schedule(0.5, 4, "factorial")
