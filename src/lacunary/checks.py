@@ -109,9 +109,9 @@ def ensure_feasible(dps: int, checks) -> None:
         )
 
 
-def check_interpolation(sys: CoefficientSystem, seed: int, per_block_cap: int = 64):
+def check_interpolation(sys: CoefficientSystem, seed: int):
     records = []
-    rows = interpolation_identity_residuals(sys, per_block_cap=per_block_cap)
+    rows = interpolation_identity_residuals(sys)
     for k, m, value in rows:
         records.append(
             record(
@@ -199,13 +199,13 @@ def check_summability(sys: CoefficientSystem, seed: int):
     ]
 
 
-def check_cauchy(sys: CoefficientSystem, seed: int, nodes: int = 512):
+def check_cauchy(sys: CoefficientSystem, seed: int):
     cfg = sys.cfg
     records = []
     ratios = []
     fd_tol = mp.power(10, -mpf(sys.dps) / 4)
     for k in range(1, cfg.K + 1):
-        cr = cauchy_ratio(cfg, k, 0, nodes=nodes)
+        cr = cauchy_ratio(cfg, k, 0, nodes=512)
         ratios.append(abs(cr.direct))
         bound = derivative_ratio_bound(cfg, k)
         records.append(
@@ -254,10 +254,9 @@ def check_cauchy(sys: CoefficientSystem, seed: int, nodes: int = 512):
     return records
 
 
-def check_asymptotics(sys: CoefficientSystem, seed: int, k: int | None = None):
+def check_asymptotics(sys: CoefficientSystem, seed: int):
     cfg = sys.cfg
-    if k is None:
-        k = cfg.K - 1 if cfg.K >= 2 else 1
+    k = cfg.K - 1 if cfg.K >= 2 else 1
     rep = verify_thm2_asymptotics(cfg, k, seed=seed)
     records = [
         record("asymptotics", "2a", rep.partial_dev_max, rep.partial_bound, rep.partial_pass),

@@ -1,7 +1,10 @@
 """Coefficient reconstruction for f'' + A f' + B f = 0.
 
-Base pair:  A0 = f*g  and  B0 = -(f'' + A0 f')/f.  At every zero z_k of
-f the numerator of B0 vanishes by the interpolation identity
+Base pair:  A0 = f*g  and  B0 = -(f'' + A0 f')/f.  Away from the zeros
+f, f' and f'' come from one pass of ``product.f_jet``, and one quotient
+(``_base_pair``, which watches f'' + A0 f' for lost digits) serves
+``eval_B0_direct``, ``eval_AB`` and the residual check.  At every zero
+z_k of f the numerator of B0 vanishes by the interpolation identity
 A0(z_k) f'(z_k) + f''(z_k) = 0 (the residues were chosen exactly so),
 which makes B0 analytic there; near zeros we therefore switch from the
 direct quotient to the removable-singularity expansion
@@ -54,8 +57,8 @@ from .product import (
     LacunaryConfig,
     derivs_at_zero,
     eval_f,
+    f_jet,
     f_tail_log_bound,
-    log_derivative,
     nearest_zero,
     zero_point,
 )
@@ -87,7 +90,7 @@ class HProduct:
             inv = 1 / self.rho
             return mpf(radius) * mp.power(self.truncation, 1 - inv) / (inv - 1)
 
-    def eval(self, z, check_domain: bool = True) -> mpc:
+    def eval(self, z) -> mpc:
         """H(z) as a plain product of the factors 1 + z/a_m.
 
         A factor that loses more than P-5 of the P digits of max(1, |z/a_m|)
@@ -96,7 +99,7 @@ class HProduct:
         """
         with mp.workdps(self.dps):
             z = mpc(z)
-            if check_domain and abs(z) > self.max_radius:
+            if abs(z) > self.max_radius:
                 raise TailError(
                     f"|z| = {mp.nstr(abs(z), 8)} outside H validity radius "
                     f"{mp.nstr(self.max_radius, 8)}"
@@ -119,9 +122,6 @@ class HProduct:
                     )
                 acc *= factor
             return acc
-
-    def __call__(self, z) -> mpc:
-        return self.eval(z)
 
 
 def build_H(rho_H, truncation: int, dps: int = None) -> HProduct:
@@ -205,31 +205,29 @@ def eval_A0(sys: CoefficientSystem, z) -> mpc:
         return eval_f(sys.cfg, z) * eval_g(sys.rat, z)
 
 
-def _f_with_derivatives(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc]:
-    """(f, f', f'') away from zeros, assembled from the log-derivative sums."""
-    f = eval_f(sys.cfg, z)
-    l1 = log_derivative(sys.cfg, z, order=1)
-    l2 = log_derivative(sys.cfg, z, order=2)
-    return f, f * l1, f * (l1 * l1 + l2)
+def _base_pair(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc, mpc, mpc]:
+    """(f, f', f'', A0, B0) at z away from the zeros, B0 by the defining
+    quotient; raises CancellationError when f'' + A0 f' loses more than
+    P/2 digits (the near-zero switch radius is then too small)."""
+    f, fp, fpp = f_jet(sys.cfg, z, 2)
+    a0 = f * eval_g(sys.rat, z)
+    num = fpp + a0 * fp
+    scale = max(abs(fpp), abs(a0 * fp))
+    if scale > 0 and num != 0:
+        lost = mp.log(scale / abs(num), 10)
+        if lost > mpf(sys.dps) / 2:
+            raise CancellationError(
+                f"B0 quotient lost {float(lost):.1f} digits at z={z}; "
+                "the near-zero switch radius is too small",
+                digits_lost=float(lost),
+            )
+    return f, fp, fpp, a0, -num / f
 
 
 def eval_B0_direct(sys: CoefficientSystem, z) -> mpc:
     """B0 by the defining quotient; monitors the cancellation in f'' + A0 f'."""
     with mp.workdps(sys.dps):
-        z = mpc(z)
-        f, fp, fpp = _f_with_derivatives(sys, z)
-        a0 = f * eval_g(sys.rat, z)
-        num = fpp + a0 * fp
-        scale = max(abs(fpp), abs(a0 * fp))
-        if scale > 0 and num != 0:
-            lost = mp.log(scale / abs(num), 10)
-            if lost > mpf(sys.dps) / 2:
-                raise CancellationError(
-                    f"B0 quotient lost {float(lost):.1f} digits at z={z}; "
-                    "the near-zero switch radius is too small",
-                    digits_lost=float(lost),
-                )
-        return -num / f
+        return _base_pair(sys, mpc(z))[4]
 
 
 def eval_B0_series(sys: CoefficientSystem, z) -> mpc:
@@ -263,16 +261,6 @@ def eval_B0(sys: CoefficientSystem, z) -> mpc:
         return eval_B0_direct(sys, z)
 
 
-def _f_fp_anywhere(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc]:
-    k, m, _, rel = nearest_zero(sys.cfg, z)
-    if rel < _pole_threshold(sys):
-        f = eval_f(sys.cfg, z, strict=False)
-        fp = derivs_at_zero(sys.cfg, k, m, order=1)[0]
-        return f, fp
-    f = eval_f(sys.cfg, z)
-    return f, f * log_derivative(sys.cfg, z, order=1)
-
-
 def eval_AB(sys: CoefficientSystem, z) -> tuple[mpc, mpc]:
     """(A, B) = (A0 + c H f, B0 - c H f')."""
     if sys.h is None:
@@ -280,10 +268,17 @@ def eval_AB(sys: CoefficientSystem, z) -> tuple[mpc, mpc]:
     with mp.workdps(sys.dps):
         z = mpc(z)
         hval = sys.h.eval(z)
-        f, fp = _f_fp_anywhere(sys, z)
-        a = eval_A0(sys, z) + sys.c_scale * hval * f
-        b = eval_B0(sys, z) - sys.c_scale * hval * fp
-        return a, b
+        k, m, _, rel = nearest_zero(sys.cfg, z)
+        if rel >= sys.near_zero_delta:
+            f, fp, _, a0, b0 = _base_pair(sys, z)
+        elif rel >= _pole_threshold(sys):
+            f, fp = f_jet(sys.cfg, z, 1)
+            a0, b0 = eval_A0(sys, z), eval_B0_series(sys, z)
+        else:
+            f = eval_f(sys.cfg, z, strict=False)
+            fp = derivs_at_zero(sys.cfg, k, m, order=1)[0]
+            a0, b0 = eval_A0(sys, z), eval_B0_series(sys, z)
+        return a0 + sys.c_scale * hval * f, b0 - sys.c_scale * hval * fp
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +310,7 @@ def residuals_at(sys: CoefficientSystem, z, c_scales=()) -> list[mpf]:
             raise NearZeroError(
                 "residual sampling point within near_zero_delta of a zero"
             )
-        f, fp, fpp = _f_with_derivatives(sys, z)
-        a0 = f * eval_g(sys.rat, z)
-        b0 = -(fpp + a0 * fp) / f
+        f, fp, fpp, a0, b0 = _base_pair(sys, z)
         if c_scales:
             if sys.h is None:
                 raise ConfigError("no H configured: build the system with rho_H set")
@@ -390,14 +383,16 @@ def reciprocal_derivative_fd(sys: CoefficientSystem, k: int, m: int) -> mpc:
         h = abs(xi) * mp.power(10, -mpf(sys.dps) / 3)
 
         def inv_fp(z):
-            f = eval_f(sys.cfg, z)
-            return 1 / (f * log_derivative(sys.cfg, z, order=1))
+            return 1 / f_jet(sys.cfg, z, 1)[1]
 
         return -(inv_fp(xi + h) - inv_fp(xi - h)) / (2 * h)
 
 
 # ---------------------------------------------------------------------------
 # Cauchy contour cross-check
+
+
+MAX_HALVINGS = 8
 
 
 @dataclass(frozen=True)
@@ -425,8 +420,7 @@ def _fprime_on_circle(cfg: LacunaryConfig, xi: mpc, radius: mpf, nodes: int) -> 
     for j in range(nodes):
         w = mp.expjpi((2 * mpf(j) + 1) / nodes)
         z = xi + radius * w
-        f = eval_f(cfg, z)
-        fp = f * log_derivative(cfg, z, order=1)
+        fp = f_jet(cfg, z, 1)[1]
         if fp == 0:
             raise ZeroOnContourError(
                 f"f' vanishes on the contour around {mp.nstr(xi, 8)} at node {j}"
@@ -455,7 +449,6 @@ def cauchy_ratio(
     k: int,
     m: int,
     nodes: int = 256,
-    max_halvings: int = 8,
 ) -> CauchyRatio:
     """f''/f'^2 at a zero, directly and via the Cauchy integral for (1/f')'.
 
@@ -495,10 +488,10 @@ def cauchy_ratio(
             if w == 0:
                 break
             halvings += 1
-            if halvings > max_halvings:
+            if halvings > MAX_HALVINGS:
                 raise ZeroOnContourError(
                     f"no zero-free contour found around {mp.nstr(xi, 8)} after "
-                    f"{max_halvings} halvings"
+                    f"{MAX_HALVINGS} halvings"
                 )
             radius = radius / 2
         if vals is None:

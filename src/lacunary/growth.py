@@ -332,6 +332,9 @@ def indicator_scan(fn, rho, thetas, radii, exclusion=None) -> IndicatorScan:
 # ---------------------------------------------------------------------------
 # finite-level asymptotics of the product near its k-th circle
 
+# nodes on the circle of (iii); the zero-free disks of (iv) take 64
+CONTOUR_NODES = 32
+
 
 @dataclass(frozen=True)
 class DiskCheck:
@@ -405,7 +408,6 @@ def verify_thm2_asymptotics(
     k: int,
     seed: int = 0,
     n_points: int = 32,
-    contour_nodes: int = 32,
 ) -> AsymptoticsReport:
     """Finite-level checks of the near-circle behaviour of f at block k.
 
@@ -455,7 +457,7 @@ def verify_thm2_asymptotics(
         # (iii) |f'| on the disk boundary against the product form
         xi = zero_point(cfg, k, 0)
         radius = r_k / mpf(n_k)
-        vals = _fprime_on_circle(cfg, xi, radius, contour_nodes)
+        vals = _fprime_on_circle(cfg, xi, radius, CONTOUR_NODES)
         log_prefactor = sum(
             (mpf(n_j) * (mp.log(r_k) - mp.log(r_j)) for r_j, n_j in cfg.blocks[: k - 1]),
             mpf(0),
@@ -463,7 +465,7 @@ def verify_thm2_asymptotics(
         prefactor = mp.exp(log_prefactor) * n_k / r_k
         dev_iii = mpf(0)
         for j, fp in enumerate(vals):
-            zeta = mp.expjpi((2 * mpf(j) + 1) / contour_nodes)
+            zeta = mp.expjpi((2 * mpf(j) + 1) / CONTOUR_NODES)
             form = prefactor * mp.exp(zeta.real)
             dev_iii = max(dev_iii, abs(abs(fp) / form - 1))
         sum_ratios = sum(
@@ -495,7 +497,7 @@ def verify_thm2_asymptotics(
             any_applicable = True
             r_j, n_j = cfg.block(j)
             xi_j = zero_point(cfg, j, 0)
-            fp_vals = _fprime_on_circle(cfg, xi_j, r_j / mpf(n_j), max(contour_nodes, 64))
+            fp_vals = _fprime_on_circle(cfg, xi_j, r_j / mpf(n_j), 64)
             w = winding_number(fp_vals)
             min_fp = min(abs(v) for v in fp_vals)
             zero_free = bool(w == 0 and min_fp > 0)

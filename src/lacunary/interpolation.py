@@ -248,20 +248,13 @@ def _log_plus(value) -> mpf:
     return mp.log(mag)
 
 
-def proximity_m(
-    fn,
-    r,
-    abs_tol=mpf("1e-6"),
-    start_nodes: int = 32,
-    max_nodes: int = 1 << 14,
-    avoid_moduli=None,
-) -> mpf:
+def proximity_m(fn, r, avoid_moduli=None) -> mpf:
     """(1/2pi) integral of log+ |fn(r e^{i theta})| by node-doubling trapezoid rule.
 
-    Converged when two successive estimates differ by less than
-    ``abs_tol``; raises QuadratureError (carrying the last two estimates)
-    at the node cap.  ``avoid_moduli``: quadrature is refused within
-    relative 10^-3 of a pole modulus, where log+ spikes void the rule.
+    Starts at 32 nodes; converged when two successive estimates differ by
+    less than 10^-6; raises QuadratureError (carrying the last two
+    estimates) past 2^14 nodes.  ``avoid_moduli``: quadrature is refused
+    within relative 10^-3 of a pole modulus, where log+ spikes void the rule.
     """
     with mp.extraprec(10):
         r = mpf(r)
@@ -282,8 +275,10 @@ def proximity_m(
                 cache[key] = _log_plus(fn(z))
             return cache[key]
 
+        abs_tol = mpf("1e-6")
+        max_nodes = 1 << 14
         estimates = []
-        n = start_nodes
+        n = 32
         while n <= max_nodes:
             total = mpf(0)
             for j in range(n):

@@ -12,13 +12,14 @@ working precision.  Rule-based schedules (``factorial``: r_k = 2^(k!),
 of the infinite product, with a certified tail bound on the disk
 |z| < r_{K+1}/2; explicit block lists define f as the finite product.
 
-At an arbitrary point (``eval_f``, ``eval_f_scan``, ``log_derivative``)
-evaluation is done factor-by-factor in the log domain, powers
-(z/r_k)^{n_k} as a single n*log multiplication, so block exponents up to
-2^60 and radii up to 2^5040 stay exact.  The log-domain format
-(``logdomain.LogComplex``) is private to this module: every public
-evaluator returns a plain ``mpc``, whose unbounded exponent holds any
-magnitude the log domain produces, and an exact zero stays ``mpc(0)``.
+At an arbitrary point ``eval_f``, ``eval_f_scan``, ``log_derivative``
+and ``f_jet`` (f, f', f'') wrap one pass over the blocks that forms each
+power (z/r_k)^{n_k} once, in the log domain as a single n*log
+multiplication, so block exponents up to 2^60 and radii up to 2^5040
+stay exact.  The log-domain format (``logdomain.LogComplex``) is private
+to this module: every public evaluator returns a plain ``mpc``, whose
+unbounded exponent holds any magnitude the log domain produces, and an
+exact zero stays ``mpc(0)``.
 Derivatives at zeros use factor extraction: write f = q*P with q the
 vanishing factor; P and its derivatives come from termwise logarithmic
 differentiation of the remaining (nonvanishing) product.  There the
@@ -274,6 +275,54 @@ def _check_domain(cfg: LacunaryConfig, z: mpc) -> None:
         )
 
 
+# For w = (z/r)^n the term in f'/f is T = (n/z) * w/(w-1); differentiating,
+#   T'  = -(n/z^2) (s + n t)
+# with s = w/(w-1), t = w/(w-1)^2, evaluated through v = 1/w when |w| > 1
+# so that huge powers never meet subtraction head-on.
+
+
+def _ratio_terms(w_log: LogComplex) -> tuple[mpc, mpc]:
+    if w_log.logmag > 0:
+        v = to_value(log_pow_int(w_log, -1))
+        d = 1 - v
+        return 1 / d, v / (d * d)
+    w = to_value(w_log)
+    d = w - 1
+    return w / d, w / (d * d)
+
+
+def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
+    """(f, f'/f, (f'/f)') over ``blocks`` in one pass, the sums up to ``order``.
+
+    Each factor is 1 + (-w) via log_add; one losing more than P-5 digits
+    raises CancellationError carrying it (strict) or is kept (strict=False).
+    At z = 0 the sums are their termwise limits (n = 1, n <= 2 blocks).
+    """
+    z_log = log_from_value(z)
+    acc = LOG_ONE
+    l1 = l2 = mpc(0)
+    for r, n in blocks:
+        w = _power_log(z_log, r, n)
+        try:
+            factor = log_add(LOG_ONE, log_neg(w))
+        except CancellationError as exc:
+            if strict:
+                raise CancellationError(
+                    str(exc), result=to_value(exc.result), digits_lost=exc.digits_lost
+                ) from None
+            factor = exc.result
+        acc = log_mul(acc, factor)
+        if order and z != 0:
+            s, t = _ratio_terms(w)
+            l1 += (n / z) * s
+            if order == 2:
+                l2 += -(n / (z * z)) * (s + n * t)
+    if order and z == 0:
+        l1 = mpc(sum(-1 / r for r, n in blocks if n == 1))
+        l2 = mpc(sum(-mpf(n) / (r * r) for r, n in blocks if n <= 2))
+    return to_value(acc), l1, l2
+
+
 def eval_f(cfg: LacunaryConfig, z, strict: bool = True, upto: int | None = None) -> mpc:
     """f(z), each factor formed in the log domain as 1 + (-(z/r_k)^{n_k}) via log_add.
 
@@ -289,20 +338,7 @@ def eval_f(cfg: LacunaryConfig, z, strict: bool = True, upto: int | None = None)
         if upto is None:
             _check_domain(cfg, z)
             upto = cfg.K
-        z_log = log_from_value(z)
-        acc = LOG_ONE
-        for r, n in cfg.blocks[:upto]:
-            w = _power_log(z_log, r, n)
-            try:
-                factor = log_add(LOG_ONE, log_neg(w))
-            except CancellationError as exc:
-                if strict:
-                    raise CancellationError(
-                        str(exc), result=to_value(exc.result), digits_lost=exc.digits_lost
-                    ) from None
-                factor = exc.result
-            acc = log_mul(acc, factor)
-        return to_value(acc)
+        return _jet(cfg.blocks[:upto], z, 0, strict)[0]
 
 
 def eval_f_scan(cfg: LacunaryConfig, z) -> mpc:
@@ -310,20 +346,14 @@ def eval_f_scan(cfg: LacunaryConfig, z) -> mpc:
     extended with further blocks until the omitted factors are below 10^-40."""
     with mp.workdps(cfg.dps):
         z = mpc(z)
-        z_log = log_from_value(z)
-        acc = LOG_ONE
-        k = 0
-        threshold = -mpf(40) * mp.log(10)
-        while True:
-            k += 1
-            if cfg.rule is None and k > cfg.K:
-                break
-            r, n = cfg.block(k)
-            w = _power_log(z_log, r, n)
-            acc = log_mul(acc, log_add(LOG_ONE, log_neg(w)))
-            if k >= cfg.K and w.logmag < threshold:
-                break
-        return to_value(acc)
+        blocks = list(cfg.blocks)
+        if cfg.rule is not None and z != 0:
+            # ln|z/r|^n exactly as _power_log forms it for the last block taken
+            log_abs = mp.log(abs(z))
+            threshold = -mpf(40) * mp.log(10)
+            while mpf(blocks[-1][1]) * (log_abs - mp.log(blocks[-1][0])) >= threshold:
+                blocks.append(cfg.block(len(blocks) + 1))
+        return _jet(blocks, z, 0, True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -392,30 +422,6 @@ def nearest_zero(cfg: LacunaryConfig, z) -> tuple[int, int, mpf, mpf]:
 # ---------------------------------------------------------------------------
 # logarithmic derivatives
 
-# For w = (z/r)^n the term in f'/f is T = (n/z) * w/(w-1); differentiating,
-#   T'  = -(n/z^2) (s + n t)
-#   T'' = (1/z^3) (2 n s + 3 n^2 t + n^3 y)
-# with s = w/(w-1), t = w/(w-1)^2, y = w(w+1)/(w-1)^3, all evaluated through
-# v = 1/w when |w| > 1 so that huge powers never meet subtraction head-on.
-
-
-def _ratio_terms(w_log: LogComplex) -> tuple[mpc, mpc, mpc]:
-    if w_log.is_zero:
-        return mpc(0), mpc(0), mpc(0)
-    if w_log.logmag > 0:
-        v = to_value(log_pow_int(w_log, -1))
-        d = 1 - v
-        s = 1 / d
-        t = v / (d * d)
-        y = v * (1 + v) / (d * d * d)
-    else:
-        w = to_value(w_log)
-        d = w - 1
-        s = w / d
-        t = w / (d * d)
-        y = w * (w + 1) / (d * d * d)
-    return s, t, y
-
 
 def _near_zero_guard(cfg: LacunaryConfig, z: mpc) -> None:
     k, m, _, rel = nearest_zero(cfg, z)
@@ -426,29 +432,32 @@ def _near_zero_guard(cfg: LacunaryConfig, z: mpc) -> None:
         )
 
 
-def log_derivative(cfg: LacunaryConfig, z, order: int = 1) -> mpc:
-    """f'/f (order 1) or (f'/f)' (order 2), summed termwise over blocks."""
+def _jet_at(cfg: LacunaryConfig, z, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
+    """_jet over the K blocks, behind the guards of eval_f and log_derivative."""
     if order not in (1, 2):
         raise ConfigError(f"order must be 1 or 2, got {order}")
+    z = mpc(z)
+    _check_domain(cfg, z)
+    _near_zero_guard(cfg, z)
+    return _jet(cfg.blocks, z, order, strict)
+
+
+def f_jet(cfg: LacunaryConfig, z, order: int) -> tuple[mpc, ...]:
+    """(f, f') (order 1) or (f, f', f'') (order 2) from one pass:
+    f' = f L1 and f'' = f (L1^2 + L1') with L1 = f'/f.  TailError and
+    NearZeroError as log_derivative, CancellationError as eval_f."""
     with mp.workdps(cfg.dps):
-        z = mpc(z)
-        _check_domain(cfg, z)
-        if z == 0:
-            # termwise limits: only n=1 blocks reach order 1, n<=2 reach order 2
-            if order == 1:
-                return mpc(sum(-1 / r for r, n in cfg.blocks if n == 1))
-            return mpc(sum(-mpf(n) / (r * r) for r, n in cfg.blocks if n <= 2))
-        _near_zero_guard(cfg, z)
-        z_log = log_from_value(z)
-        total = mpc(0)
-        for r, n in cfg.blocks:
-            w = _power_log(z_log, r, n)
-            s, t, _ = _ratio_terms(w)
-            if order == 1:
-                total += (n / z) * s
-            else:
-                total += -(n / (z * z)) * (s + n * t)
-        return total
+        f, l1, l2 = _jet_at(cfg, z, order, True)
+        if order == 1:
+            return f, f * l1
+        return f, f * l1, f * (l1 * l1 + l2)
+
+
+def log_derivative(cfg: LacunaryConfig, z, order: int = 1) -> mpc:
+    """f'/f (order 1) or (f'/f)' (order 2), summed termwise over blocks."""
+    with mp.workdps(cfg.dps):
+        # f itself is dropped here, so a lossy factor of it is harmless
+        return _jet_at(cfg, z, order, False)[order]
 
 
 def derivative_ratio_bound(cfg: LacunaryConfig, k: int) -> mpf:

@@ -2,7 +2,8 @@
 
 Only ``product.py`` may import ``logdomain``; everything the package
 hands across a module boundary, and everything it exports, is plain
-mpmath.
+mpmath.  Away from the zeros, ``coefficients.py`` takes f' and f'' from
+``product.f_jet`` rather than assembling them from ``log_derivative``.
 """
 
 import ast
@@ -12,7 +13,7 @@ import pytest
 from mpmath import mpc, mpf
 
 import lacunary
-from lacunary import config_from_blocks, make_schedule
+from lacunary import CancellationError, config_from_blocks, make_schedule
 import lacunary.product
 from lacunary.coefficients import build_H
 from lacunary.interpolation import residues_from_f
@@ -103,3 +104,24 @@ def test_factor_extraction_runs_without_the_log_domain(monkeypatch):
     # the guard is live: the log-domain evaluators do hit it
     with pytest.raises(AssertionError, match="log domain used"):
         eval_f(cfg, 3)
+
+
+def test_scan_cancellation_carries_mpc():
+    """eval_f_scan raises the same CancellationError as eval_f near a zero,
+    carrying the lossy factor as an mpc."""
+    cfg = config_from_blocks([(4, 2), (16, 4)])
+    z = 4 * (1 + mpf(10) ** -98)
+    for evaluate in (eval_f, eval_f_scan):
+        with pytest.raises(CancellationError) as info:
+            evaluate(cfg, z)
+        assert isinstance(info.value.result, mpc), evaluate.__name__
+
+
+def test_coefficients_does_not_use_log_derivative():
+    tree = ast.parse((PACKAGE / "coefficients.py").read_text(encoding="utf-8"))
+    names = {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for node in ast.walk(tree)
+    }
+    assert "log_derivative" not in names
+    assert "f_jet" in names

@@ -1,11 +1,14 @@
 """CLI: artifact construction, verification exit codes, scans, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from mpmath import mp, mpf
 
+import lacunary
 from lacunary.cli import main
 
 ANCHOR = {"blocks": [[1, 2]], "rho_f": 0.5, "precision_digits": 100, "rho_H": 0.25}
@@ -287,11 +290,15 @@ class TestDeterminism:
 def test_module_entry_point(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
+    # the child finds the package where this process found it, installed or not
+    src = str(Path(lacunary.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "lacunary", "construct", "--config", str(bad),
          "--out", str(tmp_path / "o")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2
     assert "config error" in proc.stderr

@@ -19,6 +19,7 @@ from lacunary.product import (
     derivs_at_zero,
     eval_f,
     eval_f_scan,
+    f_jet,
     f_tail_log_bound,
     log_derivative,
     nearest_zero,
@@ -250,6 +251,74 @@ class TestLogDerivative:
         cfg = config_from_blocks([(4, 2)])
         with pytest.raises(NearZeroError):
             log_derivative(cfg, mpf(4) + mpf(10) ** -60)
+
+
+class TestFJet:
+    """(f, f', f'') from the one-pass kernel against routes that share no
+    code with it: exact polynomial coefficients, and Cauchy integrals of
+    eval_f."""
+
+    # f as exact coefficients, lowest degree first
+    POLYNOMIALS = (
+        (
+            [(4, 2), (16, 4)],
+            [1, 0, Fraction(-1, 16), 0, Fraction(-1, 65536), 0, Fraction(1, 1048576)],
+        ),
+        ([(1, 2)], [1, 0, -1]),
+    )
+
+    def test_against_exact_polynomials(self):
+        rng = random.Random(20261018)
+        for blocks, coeffs in self.POLYNOMIALS:
+            cfg = config_from_blocks(blocks)
+            tol = mpf(10) ** (10 - cfg.dps)
+            jets = [coeffs, poly_diff(coeffs), poly_diff(poly_diff(coeffs))]
+            # at z = 0 the kernel takes the termwise limits of its sums
+            at_zero = tuple(mpf(p[0].numerator) / p[0].denominator for p in jets)
+            assert f_jet(cfg, 0, 2) == at_zero
+            count = 0
+            while count < 10:
+                z = mpc(rng.uniform(-20, 20), rng.uniform(-20, 20))
+                if nearest_zero(cfg, z)[3] < mpf("0.1"):
+                    continue
+                got = f_jet(cfg, z, 2)
+                for value, poly in zip(got, jets):
+                    want = mp.polyval([mpf(c.numerator) / c.denominator for c in reversed(poly)], z)
+                    assert rel_err(value, want) < tol, (blocks, z)
+                assert f_jet(cfg, z, 1) == got[:2]
+                count += 1
+
+    def test_against_contour_integrals_of_f(self):
+        """64-node trapezoid rule for f^(p)(z0)/p! on |z - z0| = r_k/(4 n_k),
+        z0 halfway in angle between two zeros of block k, off their circle."""
+        cfg = make_schedule(0.5, 4, "factorial")
+        nodes = 64
+        tol = mpf(10) ** (10 - cfg.dps)
+        for k, m in TestDerivsAtZero.HEADLINE_ZEROS:
+            r_k, n_k = cfg.blocks[k - 1]
+            z0 = zero_point(cfg, k, m) * mp.expjpi(mpf(1) / n_k) * (1 + mpf(1) / (4 * n_k))
+            rho = r_k / (4 * n_k)
+            c0 = c1 = c2 = mpc(0)
+            for j in range(nodes):
+                h = rho * mp.expjpi(2 * mpf(j) / nodes)
+                fz = eval_f(cfg, z0 + h)
+                c0 += fz
+                c1 += fz / h
+                c2 += fz / (h * h)
+            f, f1, f2 = f_jet(cfg, z0, 2)
+            assert rel_err(f, c0 / nodes) < tol, (k, m)
+            assert rel_err(f1, c1 / nodes) < tol, (k, m)
+            assert rel_err(f2, 2 * c2 / nodes) < tol, (k, m)
+
+    def test_guards(self):
+        from lacunary import NearZeroError
+
+        with pytest.raises(NearZeroError):
+            f_jet(config_from_blocks([(4, 2)]), mpf(4) + mpf(10) ** -60, 2)
+        with pytest.raises(TailError):
+            f_jet(make_schedule(0.5, 2, "factorial"), 40, 1)
+        with pytest.raises(ConfigError):
+            f_jet(config_from_blocks([(4, 2)]), 1, 3)
 
 
 class TestZeros:
