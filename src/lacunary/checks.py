@@ -30,6 +30,7 @@ import random
 from mpmath import mp, mpc, mpf
 
 from .coefficients import (
+    CONTOUR_AGREEMENT_THRESHOLD,
     CoefficientSystem,
     cauchy_ratio,
     interpolation_identity_residuals,
@@ -55,7 +56,6 @@ CHECK_NAMES = (
 
 INTERPOLATION_THRESHOLD = mpf("1e-40")
 RESIDUAL_THRESHOLD = mpf("1e-40")
-CONTOUR_AGREEMENT_THRESHOLD = mpf("1e-20")
 PROXIMITY_FINAL_THRESHOLD = mpf("0.01")
 CHARACTERISTIC_THRESHOLD = mpf("0.05")
 
@@ -205,7 +205,7 @@ def check_cauchy(sys: CoefficientSystem, seed: int):
     ratios = []
     fd_tol = mp.power(10, -mpf(sys.dps) / 4)
     for k in range(1, cfg.K + 1):
-        cr = cauchy_ratio(cfg, k, 0, nodes=512)
+        cr = cauchy_ratio(cfg, k, 0)
         ratios.append(abs(cr.direct))
         bound = derivative_ratio_bound(cfg, k)
         records.append(
@@ -230,6 +230,8 @@ def check_cauchy(sys: CoefficientSystem, seed: int):
                     "full_radius_zero_free": cr.full_radius_zero_free,
                     "halvings": cr.halvings,
                     "chain_bound_ok": bool(cr.chain_bound >= abs(cr.direct)),
+                    "nodes": cr.nodes,
+                    "agreement_half": _num(cr.agreement_half),
                 },
             )
         )

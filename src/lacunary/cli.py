@@ -459,17 +459,18 @@ def cmd_report(args) -> int:
         failed = sum(e["failed"] for e in by_check.values())
         report["verify"] = {"by_check": by_check, "failed": failed}
         report["passed"] = report["passed"] and failed == 0
-    for name in ("order", "witness", "indicator"):
+    # summary fields that must all be true for a scan to pass
+    gates = {
+        "order": ("peaks_in_band", "dips_strictly_decreasing"),
+        "witness": (),
+        "indicator": ("budget_ok", "all_positive"),
+    }
+    for name, keys in gates.items():
         p = out / f"{name}_summary.json"
         if p.exists():
             summary = json.loads(p.read_text(encoding="utf-8"))
             report["scans"][name] = summary
-            if name == "order":
-                report["passed"] = report["passed"] and bool(
-                    summary["peaks_in_band"] and summary["dips_strictly_decreasing"]
-                )
-            if name == "indicator":
-                report["passed"] = report["passed"] and bool(summary["budget_ok"])
+            report["passed"] = report["passed"] and all(summary[key] for key in keys)
     _write_json(out / "report.json", report)
     if report["verify"] is not None:
         for name, entry in report["verify"]["by_check"].items():

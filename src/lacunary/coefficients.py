@@ -393,18 +393,19 @@ def reciprocal_derivative_fd(sys: CoefficientSystem, k: int, m: int) -> mpc:
 
 
 MAX_HALVINGS = 8
+MAX_NODES = 4096
+CONTOUR_AGREEMENT_THRESHOLD = mpf("1e-20")
 
 
 @dataclass(frozen=True)
 class CauchyRatio:
     direct: mpc
     contour: mpc
+    contour_half: mpc
     radius: mpf
-    nominal_radius: mpf
     full_radius_zero_free: bool
     winding_at_full_radius: int
     halvings: int
-    min_abs_fprime: mpf
     chain_bound: mpf
     nodes: int
 
@@ -412,15 +413,22 @@ class CauchyRatio:
     def agreement(self) -> mpf:
         return abs(self.direct - self.contour) / abs(self.direct)
 
+    @property
+    def agreement_half(self) -> mpf:
+        return abs(self.direct - self.contour_half) / abs(self.direct)
 
-def _fprime_on_circle(cfg: LacunaryConfig, xi: mpc, radius: mpf, nodes: int) -> list[mpc]:
-    """f' at half-step-offset uniform nodes (offset keeps nodes off the real
-    zeros that neighbouring blocks may place exactly on the circle)."""
+
+def _half_step_directions(n: int, indices) -> list[mpc]:
+    """e^{i pi (2j+1)/n} for j in ``indices``; the half-step offset keeps nodes
+    off the real zeros that neighbouring blocks may place on the circle."""
+    return [mp.expjpi(mpf(2 * j + 1) / n) for j in indices]
+
+
+def _fprime_on_circle(cfg: LacunaryConfig, xi: mpc, radius: mpf, directions) -> list[mpc]:
+    """f' at xi + radius * w for each unit direction w."""
     vals = []
-    for j in range(nodes):
-        w = mp.expjpi((2 * mpf(j) + 1) / nodes)
-        z = xi + radius * w
-        fp = f_jet(cfg, z, 1)[1]
+    for j, w in enumerate(directions):
+        fp = f_jet(cfg, xi + radius * w, 1)[1]
         if fp == 0:
             raise ZeroOnContourError(
                 f"f' vanishes on the contour around {mp.nstr(xi, 8)} at node {j}"
@@ -444,78 +452,68 @@ def winding_number(values: list[mpc]) -> int:
     return int(mp.nint(total / (2 * mp.pi)))
 
 
-def cauchy_ratio(
-    cfg: LacunaryConfig,
-    k: int,
-    m: int,
-    nodes: int = 256,
-) -> CauchyRatio:
+def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> CauchyRatio:
     """f''/f'^2 at a zero, directly and via the Cauchy integral for (1/f')'.
 
-    The quadrature contour starts at the nominal disk radius r_k/n_k and
-    is halved until the argument-principle winding of f' along it is
-    zero (no zeros of f' enclosed), which is exactly the hypothesis the
-    integral identity needs.  The result records whether the nominal
-    radius already satisfied it.
+    The radius starts at r_k/n_k and halves while the winding of f' along
+    the circle is nonzero (see the module docstring).  On each radius the
+    node count starts at ``nodes`` and doubles, keeping every node taken
+    (count n uses every (MAX_NODES/n)-th half-step node of MAX_NODES),
+    until the trapezoid estimates from n and n/2 nodes differ by less
+    than CONTOUR_AGREEMENT_THRESHOLD/10 of the direct value, or n reaches
+    MAX_NODES.  A winding argument jump over pi/2 also doubles n.
     """
+    if nodes < 2 or MAX_NODES % nodes:
+        raise ConfigError(f"nodes must divide {MAX_NODES} and exceed 1, got {nodes}")
     with mp.workdps(cfg.dps):
         r_k, n_k = cfg.block(k)
         xi = zero_point(cfg, k, m)
         f1, f2 = derivs_at_zero(cfg, k, m, order=2)
         direct = f2 / (f1 * f1)
-
-        def winding_refined(radius: mpf) -> tuple[int, list[mpc] | None]:
-            """Winding with node doubling; returns the f' samples when they
-            were taken at exactly the quadrature node count."""
-            n = nodes
-            while True:
-                vals = _fprime_on_circle(cfg, xi, radius, n)
-                try:
-                    return winding_number(vals), (vals if n == nodes else None)
-                except QuadratureError:
-                    n *= 2
-                    if n > max(1024, 4 * nodes):
-                        raise
-
-        nominal = r_k / n_k
-        radius = nominal
+        tol = CONTOUR_AGREEMENT_THRESHOLD / 10 * abs(direct)
+        radius = r_k / n_k
         winding_full = None
         halvings = 0
+        n, samples = nodes, {}  # index on the MAX_NODES grid -> (direction, f')
         while True:
-            w, vals = winding_refined(radius)
+            grid = range(0, MAX_NODES, MAX_NODES // n)
+            fresh = [i for i in grid if i not in samples]
+            dirs = _half_step_directions(MAX_NODES, fresh)
+            samples.update(zip(fresh, zip(dirs, _fprime_on_circle(cfg, xi, radius, dirs))))
+            ws, vals = zip(*(samples[i] for i in grid))
+            try:
+                w = winding_number(vals)
+            except QuadratureError:
+                if n == MAX_NODES:
+                    raise
+                n *= 2
+                continue
             if winding_full is None:
                 winding_full = w
-            if w == 0:
+            if w != 0:
+                halvings += 1
+                if halvings > MAX_HALVINGS:
+                    raise ZeroOnContourError(
+                        f"no zero-free contour found around {mp.nstr(xi, 8)} after "
+                        f"{MAX_HALVINGS} halvings"
+                    )
+                radius = radius / 2
+                n, samples = nodes, {}
+                continue
+            terms = [1 / (radius * w_j * fp) for w_j, fp in zip(ws, vals)]
+            integral = mp.fsum(terms) / n
+            integral_half = mp.fsum(terms[::2]) * 2 / n
+            if abs(integral - integral_half) < tol or n == MAX_NODES:
                 break
-            halvings += 1
-            if halvings > MAX_HALVINGS:
-                raise ZeroOnContourError(
-                    f"no zero-free contour found around {mp.nstr(xi, 8)} after "
-                    f"{MAX_HALVINGS} halvings"
-                )
-            radius = radius / 2
-        if vals is None:
-            vals = _fprime_on_circle(cfg, xi, radius, nodes)
-
-        total = mpc(0)
-        inv_max = mpf(0)
-        inv_min = mpf("inf")
-        for j, fp in enumerate(vals):
-            w_dir = mp.expjpi((2 * mpf(j) + 1) / nodes)
-            total += 1 / (radius * w_dir * fp)
-            mag = abs(fp)
-            inv_max = max(inv_max, 1 / mag)
-            inv_min = min(inv_min, mag)
-        integral = total / nodes
+            n *= 2
         return CauchyRatio(
             direct=direct,
             contour=-integral,
+            contour_half=-integral_half,
             radius=radius,
-            nominal_radius=nominal,
             full_radius_zero_free=(winding_full == 0),
             winding_at_full_radius=winding_full,
             halvings=halvings,
-            min_abs_fprime=inv_min,
-            chain_bound=inv_max / radius,
-            nodes=nodes,
+            chain_bound=max(1 / abs(fp) for fp in vals) / radius,
+            nodes=n,
         )

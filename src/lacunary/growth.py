@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .coefficients import HProduct, _fprime_on_circle, winding_number
+from .coefficients import HProduct, _fprime_on_circle, _half_step_directions, winding_number
 from .errors import ConfigError
 from .interpolation import proximity_m
 from .product import (
@@ -49,7 +49,7 @@ def _logmag(value) -> mpf:
     return mp.log(mag) if mag > 0 else mpf("-inf")
 
 
-def log_max_modulus(fn, r, n_theta: int = 64, angle_tol=mpf("1e-6")) -> tuple[mpf, mpf]:
+def log_max_modulus(fn, r, n_theta: int = 64) -> tuple[mpf, mpf]:
     """(max_theta ln|fn(r e^{i theta})|, argmax theta) by grid + golden section."""
     r = mpf(r)
     best_j = 0
@@ -71,7 +71,7 @@ def log_max_modulus(fn, r, n_theta: int = 64, angle_tol=mpf("1e-6")) -> tuple[mp
     x1 = hi - phi * (hi - lo)
     x2 = lo + phi * (hi - lo)
     f1, f2 = h(x1), h(x2)
-    while hi - lo > angle_tol:
+    while hi - lo > mpf("1e-6"):
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + phi * (hi - lo)
@@ -198,7 +198,7 @@ class WitnessReport:
         return self.verdict == "violation"
 
 
-def crg_witness(cfg: LacunaryConfig, ks, rho=None, threshold_factor=mpf(3)) -> WitnessReport:
+def crg_witness(cfg: LacunaryConfig, ks) -> WitnessReport:
     """Dip/peak comparison of ln M(r)/r^rho.
 
     Verdict 'violation' when max(a) < min(b)/3: along r_k the normalized
@@ -206,7 +206,7 @@ def crg_witness(cfg: LacunaryConfig, ks, rho=None, threshold_factor=mpf(3)) -> W
     e r_k, so it cannot converge to any indicator value.
     """
     with mp.workdps(cfg.dps):
-        rho = cfg.rho_f if rho is None else mpf(rho)
+        threshold_factor = mpf(3)
         ks = tuple(ks)
         a = []
         b = []
@@ -214,8 +214,8 @@ def crg_witness(cfg: LacunaryConfig, ks, rho=None, threshold_factor=mpf(3)) -> W
             r_k, _ = cfg.block(k)
             dip, _ = log_max_modulus_bound(cfg, r_k)
             peak, _ = log_max_modulus_bound(cfg, mp.e * r_k)
-            a.append(dip / mp.power(r_k, rho))
-            b.append(peak / mp.power(mp.e * r_k, rho))
+            a.append(dip / mp.power(r_k, cfg.rho_f))
+            b.append(peak / mp.power(mp.e * r_k, cfg.rho_f))
         verdict = "violation" if max(a) < min(b) / threshold_factor else "no violation"
         return WitnessReport(
             ks=ks, a=tuple(a), b=tuple(b), threshold_factor=threshold_factor, verdict=verdict
@@ -229,35 +229,33 @@ def crg_witness(cfg: LacunaryConfig, ks, rho=None, threshold_factor=mpf(3)) -> W
 class ZeroDiskFamily:
     """Disks of radius r_k/n_k around every zero of the product."""
 
-    def __init__(self, cfg: LacunaryConfig, scale=mpf(1)):
+    def __init__(self, cfg: LacunaryConfig):
         self.cfg = cfg
-        self.scale = mpf(scale)
 
     def excluded(self, z) -> bool:
         k, _, dist, _ = nearest_zero(self.cfg, z)
         r_k, n_k = self.cfg.blocks[k - 1]
-        return dist <= self.scale * r_k / n_k
+        return dist <= r_k / n_k
 
     def radii_sum(self, r) -> mpf:
         r = mpf(r)
         total = mpf(0)
         for r_k, n_k in self.cfg.blocks:
             if r_k <= r:
-                total += self.scale * n_k * (r_k / mpf(n_k))
+                total += n_k * (r_k / mpf(n_k))
         return total
 
 
 class HZeroDiskFamily:
-    """Disks around the negative-axis zeros of H, sized as a fraction of the
-    local zero spacing (sum of radii ~ frac * r, so frac <= 1/10 keeps the
-    exceptional budget)."""
+    """Disks around the negative-axis zeros of H, each 1/20 of the local
+    zero spacing (sum of radii ~ r/20, inside the r/10 exceptional
+    budget)."""
 
-    def __init__(self, h: HProduct, frac=mpf("0.05")):
+    def __init__(self, h: HProduct):
         self.h = h
-        self.frac = mpf(frac)
 
     def _radius(self, m: int) -> mpf:
-        return self.frac * (self.h.zero_modulus(m + 1) - self.h.zero_modulus(m))
+        return mpf("0.05") * (self.h.zero_modulus(m + 1) - self.h.zero_modulus(m))
 
     def excluded(self, z) -> bool:
         z = mpc(z)
@@ -292,8 +290,8 @@ class IndicatorScan:
     budget: dict
     budget_ok: bool
 
-    def min_ratio(self, include_excluded: bool = False):
-        vals = [s.ratio for s in self.samples if include_excluded or not s.excluded]
+    def min_ratio(self):
+        vals = [s.ratio for s in self.samples if not s.excluded]
         return min(vals) if vals else None
 
 
@@ -457,15 +455,15 @@ def verify_thm2_asymptotics(
         # (iii) |f'| on the disk boundary against the product form
         xi = zero_point(cfg, k, 0)
         radius = r_k / mpf(n_k)
-        vals = _fprime_on_circle(cfg, xi, radius, CONTOUR_NODES)
+        zetas = _half_step_directions(CONTOUR_NODES, range(CONTOUR_NODES))
+        vals = _fprime_on_circle(cfg, xi, radius, zetas)
         log_prefactor = sum(
             (mpf(n_j) * (mp.log(r_k) - mp.log(r_j)) for r_j, n_j in cfg.blocks[: k - 1]),
             mpf(0),
         )
         prefactor = mp.exp(log_prefactor) * n_k / r_k
         dev_iii = mpf(0)
-        for j, fp in enumerate(vals):
-            zeta = mp.expjpi((2 * mpf(j) + 1) / CONTOUR_NODES)
+        for zeta, fp in zip(zetas, vals):
             form = prefactor * mp.exp(zeta.real)
             dev_iii = max(dev_iii, abs(abs(fp) / form - 1))
         sum_ratios = sum(
@@ -480,6 +478,7 @@ def verify_thm2_asymptotics(
         disks = []
         any_applicable = False
         all_zero_free = True
+        disk_dirs = _half_step_directions(64, range(64))
         for j in range(1, k + 1):
             ok, reason = _disk_separation(cfg, j)
             if not ok:
@@ -497,7 +496,7 @@ def verify_thm2_asymptotics(
             any_applicable = True
             r_j, n_j = cfg.block(j)
             xi_j = zero_point(cfg, j, 0)
-            fp_vals = _fprime_on_circle(cfg, xi_j, r_j / mpf(n_j), 64)
+            fp_vals = _fprime_on_circle(cfg, xi_j, r_j / mpf(n_j), disk_dirs)
             w = winding_number(fp_vals)
             min_fp = min(abs(v) for v in fp_vals)
             zero_free = bool(w == 0 and min_fp > 0)

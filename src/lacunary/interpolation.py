@@ -178,12 +178,12 @@ def g_regular_at(rat: RationalInterpolant, index: int) -> tuple[mpc, mpc]:
         return val, der
 
 
-def recover_residue(rat: RationalInterpolant, index: int, nodes: int = 64) -> mpc:
+def recover_residue(rat: RationalInterpolant, index: int) -> mpc:
     """Independent residue recovery: (1/2pi i) of g around pole ``index``.
 
     The contour radius is a quarter of the distance to the nearest other
-    pole, so the regular part integrates to zero up to a spectrally small
-    quadrature error.
+    pole, so the regular part integrates to zero, on 64 nodes, up to a
+    spectrally small quadrature error.
     """
     with mp.workdps(rat.cfg.dps):
         xi = rat.poles[index]
@@ -192,6 +192,7 @@ def recover_residue(rat: RationalInterpolant, index: int, nodes: int = 64) -> mp
             default=abs(xi),
         )
         radius = dist / 4
+        nodes = 64
         total = mpc(0)
         for j in range(nodes):
             w = mp.expjpi(2 * mpf(j) / nodes)

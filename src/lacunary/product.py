@@ -386,12 +386,10 @@ def zero_point(cfg: LacunaryConfig, k: int, m: int) -> mpc:
         return r * mp.expjpi(2 * mpf(m) / n)
 
 
-def zeros(cfg: LacunaryConfig, k: int, indices=None) -> list[mpc]:
-    """All n_k zeros of block k (or the requested subset)."""
+def zeros(cfg: LacunaryConfig, k: int) -> list[mpc]:
+    """All n_k zeros of block k."""
     _, n = _check_enumerable(cfg, k)
-    if indices is None:
-        indices = range(n)
-    return [zero_point(cfg, k, m) for m in indices]
+    return [zero_point(cfg, k, m) for m in range(n)]
 
 
 def nearest_zero(cfg: LacunaryConfig, z) -> tuple[int, int, mpf, mpf]:

@@ -252,6 +252,17 @@ class TestReport:
               "--checks", "interpolation"])
         assert main(["report", "--out", str(out)]) == 1
 
+    def test_report_flags_nonpositive_indicator(self, tmp_path):
+        """An indicator scan within its disk budget still fails the report
+        when a nonexcluded ratio is not positive."""
+        out = tmp_path / "run"
+        out.mkdir()
+        summary = {"scan": "indicator", "target": "f", "min_ratio_nonexcluded": -0.5,
+                   "all_positive": False, "excluded_samples": 0, "budget_ok": True}
+        (out / "indicator_summary.json").write_text(json.dumps(summary))
+        assert main(["report", "--out", str(out)]) == 1
+        assert json.loads((out / "report.json").read_text())["passed"] is False
+
 
 class TestDeterminism:
     def test_identical_bytes_across_runs(self, tmp_path):

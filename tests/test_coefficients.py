@@ -12,6 +12,8 @@ from lacunary import (
     config_from_blocks,
     make_schedule,
 )
+from lacunary import coefficients
+from lacunary.checks import check_cauchy
 from lacunary.coefficients import (
     build_H,
     cauchy_ratio,
@@ -281,6 +283,70 @@ class TestCauchyRatio:
         # blocks 3 and 4 are far enough apart for the nominal disk itself
         cr3 = cauchy_ratio(cfg, 3, 0, nodes=64)
         assert cr3.full_radius_zero_free
+
+
+@pytest.fixture(scope="module")
+def headline_block1():
+    """cauchy_ratio at zero (1, 0) of factorial K=4 from 32 nodes, with the
+    number of f' evaluations counted at the sampler."""
+    mp.dps = 100
+    cfg = make_schedule(0.5, 4, "factorial")
+    real = coefficients._fprime_on_circle
+    count = [0]
+
+    def counting(cfg, xi, radius, directions):
+        count[0] += len(directions)
+        return real(cfg, xi, radius, directions)
+
+    coefficients._fprime_on_circle = counting
+    try:
+        cr = cauchy_ratio(cfg, 1, 0, nodes=32)
+    finally:
+        coefficients._fprime_on_circle = real
+    return cr, count[0]
+
+
+class TestContourNodeDoubling:
+    def test_block_one_agrees(self, headline_block1):
+        """At a fixed 512 nodes block 1 agreed only to 8e-16; doubling until
+        two estimates agree reaches the 1e-20 threshold."""
+        cr, _ = headline_block1
+        assert cr.agreement < mpf("1e-20")
+        assert cr.nodes > 512
+        assert cr.agreement_half > cr.agreement
+
+    def test_no_level_sampled_twice(self, headline_block1):
+        """Each radius is sampled from 32 nodes up, keeping the nodes it has:
+        a discarded radius costs its 32 starting nodes, the accepted one
+        exactly its final node count."""
+        cr, evaluations = headline_block1
+        assert cr.halvings >= 1
+        assert evaluations == 32 * cr.halvings + cr.nodes
+
+    def test_rejects_node_counts_off_the_grid(self):
+        cfg = config_from_blocks([(1, 2)])
+        for nodes in (1, 100, 2 * coefficients.MAX_NODES):
+            with pytest.raises(ConfigError):
+                cauchy_ratio(cfg, 1, 0, nodes=nodes)
+
+    def test_wrong_second_derivative_fails_every_contour_record(
+        self, factorial_system, monkeypatch
+    ):
+        """Mutation gate: f'' off by one part in 10^15 at every zero must fail
+        every 2f record of the cauchy check."""
+        real = coefficients.derivs_at_zero
+
+        def mutated(cfg, k, m, order=3, xi=None):
+            f1, f2, *rest = real(cfg, k, m, order=order, xi=xi)
+            return (f1, f2 * (1 + mpf(10) ** -15), *rest)
+
+        monkeypatch.setattr(coefficients, "derivs_at_zero", mutated)
+        contour = [r for r in check_cauchy(factorial_system, 0) if r["eq"] == "2f"]
+        assert len(contour) == factorial_system.cfg.K + 1
+        assert not any(r["pass"] for r in contour)
+        for r in contour[:-1]:
+            assert 32 <= r["nodes"] <= coefficients.MAX_NODES
+            assert r["agreement_half"] > 0
 
 
 class TestSystemConstruction:
