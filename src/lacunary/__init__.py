@@ -3,14 +3,17 @@ that solve second-order linear ODEs with regular-growth coefficients.
 
 Subpackage map:
 
-- ``product``        the lacunary product f, its schedules, zeros and derivatives
-                     (its log-domain arithmetic, ``logdomain``, is internal to it)
+- ``product``        the lacunary product f, its schedules, zeros and derivatives,
+                     all in plain ``mpc`` with guard bits for the large powers
 - ``interpolation``  residue data, the rational series g, proximity-function quadrature
 - ``coefficients``   the coefficient pair (A0, B0), the perturbation H, residual and contour checks
 - ``growth``         max modulus, characteristic functions, order/indicator/witness scans
 - ``checks`` / ``cli``  named verification procedures and the command-line front end
 """
 
+# unused: kept loaded for the benchmark's traced run, which looks the
+# module up in sys.modules; both go once the benchmark drops its layers
+from . import logdomain  # noqa: F401
 from .errors import (
     CancellationError,
     ConfigError,

@@ -55,6 +55,8 @@ from .interpolation import (
 from .product import (
     DEFAULT_DPS,
     LacunaryConfig,
+    _fprime_on_circle,
+    _half_step_directions,
     derivs_at_zero,
     eval_f,
     f_jet,
@@ -345,24 +347,22 @@ def residual_tolerance(sys: CoefficientSystem, radius) -> mpf:
 # interpolation identity (the removable-singularity certificate)
 
 
-def interpolation_identity_residuals(
-    sys: CoefficientSystem, per_block_cap: int = 64
-) -> list[tuple[int, int, mpf]]:
+IDENTITY_ZEROS_PER_BLOCK = 64
+
+
+def interpolation_identity_residuals(sys: CoefficientSystem) -> list[tuple[int, int, mpf]]:
     """|A0(z_k) f'(z_k) + f''(z_k)| / |f''(z_k)| at every (subsampled) zero.
 
     A0 at a zero is its removable value u_k f'(z_k) with the *stored*
     residue, while f' and f'' are recomputed fresh by factor extraction,
     so a corrupted residue shows up directly.  Blocks larger than
-    ``per_block_cap`` are strided down to at most that many zeros.
+    IDENTITY_ZEROS_PER_BLOCK are strided down to that many zeros.
     """
+    cap = IDENTITY_ZEROS_PER_BLOCK
     out = []
     with mp.workdps(sys.dps):
         for k, (_, n) in enumerate(sys.cfg.blocks, start=1):
-            if n <= per_block_cap:
-                indices = range(n)
-            else:
-                stride = n // per_block_cap
-                indices = list(range(0, n, stride))[:per_block_cap]
+            indices = range(n) if n <= cap else list(range(0, n, n // cap))[:cap]
             for m in indices:
                 i = sys.rat.pole_index(k, m)
                 u = sys.rat.residues[i]
@@ -418,38 +418,27 @@ class CauchyRatio:
         return abs(self.direct - self.contour_half) / abs(self.direct)
 
 
-def _half_step_directions(n: int, indices) -> list[mpc]:
-    """e^{i pi (2j+1)/n} for j in ``indices``; the half-step offset keeps nodes
-    off the real zeros that neighbouring blocks may place on the circle."""
-    return [mp.expjpi(mpf(2 * j + 1) / n) for j in indices]
-
-
-def _fprime_on_circle(cfg: LacunaryConfig, xi: mpc, radius: mpf, directions) -> list[mpc]:
-    """f' at xi + radius * w for each unit direction w."""
-    vals = []
-    for j, w in enumerate(directions):
-        fp = f_jet(cfg, xi + radius * w, 1)[1]
-        if fp == 0:
-            raise ZeroOnContourError(
-                f"f' vanishes on the contour around {mp.nstr(xi, 8)} at node {j}"
-            )
-        vals.append(fp)
-    return vals
-
-
-def winding_number(values: list[mpc]) -> int:
-    """Winding of a closed discrete loop; nodes must be dense enough that
-    consecutive arguments move by less than pi/2."""
-    total = mpf(0)
-    n = len(values)
-    for i in range(n):
-        d = mp.arg(values[(i + 1) % n] / values[i])
-        if abs(d) > mp.pi / 2:
-            raise QuadratureError(
-                "winding nodes too sparse: argument jumped by more than pi/2"
-            )
-        total += d
-    return int(mp.nint(total / (2 * mp.pi)))
+def sample_winding(
+    cfg: LacunaryConfig, zero: tuple[int, int], radius, n: int, samples: dict
+) -> tuple[int, int]:
+    """(n, winding of f') on the circle of ``radius`` around ``zero`` = (k, m),
+    from n nodes of the nested grid: every (MAX_NODES/n)-th half-step node
+    of MAX_NODES.  n doubles, up to MAX_NODES, while consecutive arguments
+    jump by more than pi/2.  ``samples`` maps grid index -> (direction, f')
+    and keeps every node taken, so no node is sampled twice.
+    """
+    while True:
+        grid = range(0, MAX_NODES, MAX_NODES // n)
+        fresh = [i for i in grid if i not in samples]
+        dirs = _half_step_directions(MAX_NODES, fresh)
+        samples.update(zip(fresh, zip(dirs, _fprime_on_circle(cfg, zero, radius, dirs))))
+        vals = [samples[i][1] for i in grid]
+        steps = [mp.arg(b / a) for a, b in zip(vals, vals[1:] + vals[:1])]
+        if all(abs(d) <= mp.pi / 2 for d in steps):
+            return n, int(mp.nint(mp.fsum(steps) / (2 * mp.pi)))
+        if n == MAX_NODES:
+            raise QuadratureError("winding nodes too sparse: argument jumped by more than pi/2")
+        n *= 2
 
 
 def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> CauchyRatio:
@@ -457,49 +446,37 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> Cauchy
 
     The radius starts at r_k/n_k and halves while the winding of f' along
     the circle is nonzero (see the module docstring).  On each radius the
-    node count starts at ``nodes`` and doubles, keeping every node taken
-    (count n uses every (MAX_NODES/n)-th half-step node of MAX_NODES),
-    until the trapezoid estimates from n and n/2 nodes differ by less
-    than CONTOUR_AGREEMENT_THRESHOLD/10 of the direct value, or n reaches
-    MAX_NODES.  A winding argument jump over pi/2 also doubles n.
+    node count starts at ``nodes`` and doubles on the nested grid of
+    :func:`sample_winding` until the trapezoid estimates from n and n/2
+    nodes differ by less than CONTOUR_AGREEMENT_THRESHOLD/10 of the direct
+    value, or n reaches MAX_NODES.
     """
     if nodes < 2 or MAX_NODES % nodes:
         raise ConfigError(f"nodes must divide {MAX_NODES} and exceed 1, got {nodes}")
     with mp.workdps(cfg.dps):
         r_k, n_k = cfg.block(k)
-        xi = zero_point(cfg, k, m)
         f1, f2 = derivs_at_zero(cfg, k, m, order=2)
         direct = f2 / (f1 * f1)
         tol = CONTOUR_AGREEMENT_THRESHOLD / 10 * abs(direct)
         radius = r_k / n_k
         winding_full = None
         halvings = 0
-        n, samples = nodes, {}  # index on the MAX_NODES grid -> (direction, f')
+        n, samples = nodes, {}
         while True:
-            grid = range(0, MAX_NODES, MAX_NODES // n)
-            fresh = [i for i in grid if i not in samples]
-            dirs = _half_step_directions(MAX_NODES, fresh)
-            samples.update(zip(fresh, zip(dirs, _fprime_on_circle(cfg, xi, radius, dirs))))
-            ws, vals = zip(*(samples[i] for i in grid))
-            try:
-                w = winding_number(vals)
-            except QuadratureError:
-                if n == MAX_NODES:
-                    raise
-                n *= 2
-                continue
+            n, w = sample_winding(cfg, (k, m), radius, n, samples)
             if winding_full is None:
                 winding_full = w
             if w != 0:
                 halvings += 1
                 if halvings > MAX_HALVINGS:
                     raise ZeroOnContourError(
-                        f"no zero-free contour found around {mp.nstr(xi, 8)} after "
+                        f"no zero-free contour found around zero ({k}, {m}) after "
                         f"{MAX_HALVINGS} halvings"
                     )
                 radius = radius / 2
                 n, samples = nodes, {}
                 continue
+            ws, vals = zip(*(samples[i] for i in range(0, MAX_NODES, MAX_NODES // n)))
             terms = [1 / (radius * w_j * fp) for w_j, fp in zip(ws, vals)]
             integral = mp.fsum(terms) / n
             integral_half = mp.fsum(terms[::2]) * 2 / n

@@ -32,15 +32,16 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .coefficients import HProduct, _fprime_on_circle, _half_step_directions, winding_number
+from .coefficients import HProduct, sample_winding
 from .errors import ConfigError
 from .interpolation import proximity_m
 from .product import (
     LacunaryConfig,
+    _fprime_on_circle,
+    _half_step_directions,
     eval_f,
     log_derivative,
     nearest_zero,
-    zero_point,
 )
 
 
@@ -330,8 +331,10 @@ def indicator_scan(fn, rho, thetas, radii, exclusion=None) -> IndicatorScan:
 # ---------------------------------------------------------------------------
 # finite-level asymptotics of the product near its k-th circle
 
-# nodes on the circle of (iii); the zero-free disks of (iv) take 64
+# points near the circle in (i)-(ii), nodes on it in (iii), first nodes in (iv)
+ANNULUS_POINTS = 32
 CONTOUR_NODES = 32
+DISK_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -401,12 +404,7 @@ def _disk_separation(cfg: LacunaryConfig, j: int) -> tuple[bool, str]:
     return True, ""
 
 
-def verify_thm2_asymptotics(
-    cfg: LacunaryConfig,
-    k: int,
-    seed: int = 0,
-    n_points: int = 32,
-) -> AsymptoticsReport:
+def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> AsymptoticsReport:
     """Finite-level checks of the near-circle behaviour of f at block k.
 
     (i)   f agrees with its k-block partial product, to the truncation
@@ -419,13 +417,13 @@ def verify_thm2_asymptotics(
           finite-level error scale of that product form;
     (iv)  for every block whose disk sits strictly between the
           neighbouring circles, the argument-principle winding of f'
-          confirms the disk holds no zero of f'.
+          confirms the disk holds no zero of f' (``sample_winding``).
     """
     if not 1 <= k <= cfg.K:
         raise ConfigError(f"k must be within 1..{cfg.K}")
     with mp.workdps(cfg.dps):
         r_k, n_k = cfg.block(k)
-        points = _annulus_points(cfg, k, n_points, seed)
+        points = _annulus_points(cfg, k, ANNULUS_POINTS, seed)
 
         # (i) partial product
         if cfg.rule is None and k == cfg.K:
@@ -453,10 +451,9 @@ def verify_thm2_asymptotics(
         pass_ii = bool(dev_ii <= bound_ii)
 
         # (iii) |f'| on the disk boundary against the product form
-        xi = zero_point(cfg, k, 0)
         radius = r_k / mpf(n_k)
         zetas = _half_step_directions(CONTOUR_NODES, range(CONTOUR_NODES))
-        vals = _fprime_on_circle(cfg, xi, radius, zetas)
+        vals = _fprime_on_circle(cfg, (k, 0), radius, zetas)
         log_prefactor = sum(
             (mpf(n_j) * (mp.log(r_k) - mp.log(r_j)) for r_j, n_j in cfg.blocks[: k - 1]),
             mpf(0),
@@ -478,7 +475,6 @@ def verify_thm2_asymptotics(
         disks = []
         any_applicable = False
         all_zero_free = True
-        disk_dirs = _half_step_directions(64, range(64))
         for j in range(1, k + 1):
             ok, reason = _disk_separation(cfg, j)
             if not ok:
@@ -495,10 +491,9 @@ def verify_thm2_asymptotics(
                 continue
             any_applicable = True
             r_j, n_j = cfg.block(j)
-            xi_j = zero_point(cfg, j, 0)
-            fp_vals = _fprime_on_circle(cfg, xi_j, r_j / mpf(n_j), disk_dirs)
-            w = winding_number(fp_vals)
-            min_fp = min(abs(v) for v in fp_vals)
+            samples = {}
+            _, w = sample_winding(cfg, (j, 0), r_j / mpf(n_j), DISK_NODES, samples)
+            min_fp = min(abs(fp) for _, fp in samples.values())
             zero_free = bool(w == 0 and min_fp > 0)
             all_zero_free = all_zero_free and zero_free
             disks.append(

@@ -14,18 +14,16 @@ of the infinite product, with a certified tail bound on the disk
 
 At an arbitrary point ``eval_f``, ``eval_f_scan``, ``log_derivative``
 and ``f_jet`` (f, f', f'') wrap one pass over the blocks that forms each
-power (z/r_k)^{n_k} once, in the log domain as a single n*log
-multiplication, so block exponents up to 2^60 and radii up to 2^5040
-stay exact.  The log-domain format (``logdomain.LogComplex``) is private
-to this module: every public evaluator returns a plain ``mpc``, whose
-unbounded exponent holds any magnitude the log domain produces, and an
-exact zero stays ``mpc(0)``.
+power (z/r_k)^{n_k} once, as one ``mp.power`` in plain ``mpc`` whose
+n_k.bit_length() + 20 guard bits absorb the n_k-fold growth of rounding
+errors, so block exponents up to 2^60 and radii up to 2^5040 stay exact;
+an exact zero stays ``mpc(0)``.
 Derivatives at zeros use factor extraction: write f = q*P with q the
 vanishing factor; P and its derivatives come from termwise logarithmic
-differentiation of the remaining (nonvanishing) product.  There the
-log domain is not needed: at xi = r_k omega^m every other block's power
-is a real power times an exact n_k-th root of unity, formed in plain
-``mpc``.
+differentiation of the remaining (nonvanishing) product, where every
+other block's power is a real power times an exact root of unity.  Both
+passes hand each power w to one kernel, ``_block_terms``, for the factor
+1 - w, its cancellation screen and its terms in the log-derivative sums.
 
 Configs and zero sets are immutable; every evaluation is a pure
 function, so points can be evaluated concurrently without locks.
@@ -38,17 +36,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .errors import CancellationError, ConfigError, NearZeroError, TailError
-from .logdomain import (
-    LOG_ONE,
-    LogComplex,
-    log_add,
-    log_from_value,
-    log_mul,
-    log_neg,
-    log_pow_int,
-    to_value,
-)
+from .errors import CancellationError, ConfigError, NearZeroError, TailError, ZeroOnContourError
 
 DEFAULT_DPS = 100
 MIN_DPS = 30
@@ -239,12 +227,6 @@ def config_to_dict(cfg: LacunaryConfig) -> dict:
 # evaluation
 
 
-def _power_log(z_log: LogComplex, r: mpf, n: int) -> LogComplex:
-    """(z/r)^n in the log domain."""
-    base = LogComplex(z_log.logmag - mp.log(r), z_log.arg)
-    return log_pow_int(base, n)
-
-
 def f_tail_log_bound(cfg: LacunaryConfig, radius) -> mpf:
     """ln of the truncation tail bound: sum_{k>K} |z/r_k|^{n_k} <= 2|z/r_{K+1}|^{n_{K+1}}.
 
@@ -277,54 +259,71 @@ def _check_domain(cfg: LacunaryConfig, z: mpc) -> None:
 
 # For w = (z/r)^n the term in f'/f is T = (n/z) * w/(w-1); differentiating,
 #   T'  = -(n/z^2) (s + n t)
-# with s = w/(w-1), t = w/(w-1)^2, evaluated through v = 1/w when |w| > 1
-# so that huge powers never meet subtraction head-on.
+# with s = w/(w-1), t = w/(w-1)^2; the next derivative adds y = w(w+1)/(w-1)^3.
 
 
-def _ratio_terms(w_log: LogComplex) -> tuple[mpc, mpc]:
-    if w_log.logmag > 0:
-        v = to_value(log_pow_int(w_log, -1))
-        d = 1 - v
-        return 1 / d, v / (d * d)
-    w = to_value(w_log)
-    d = w - 1
-    return w / d, w / (d * d)
+def _block_terms(w: mpc, a: mpf, v: mpc | None, terms: int, lossy: mpf | None) -> tuple:
+    """(1 - w, s, t, y) for one block's power w with a = |w|: its factor of f
+    and its first ``terms`` terms in the log-derivative sums (the rest None).
+
+    A factor below ``lossy`` = 10^(5-P) times max(1, a) (more than P-5
+    digits lost) raises CancellationError carrying it; with ``lossy`` None
+    it is kept, and an exact zero always is.  When a > 1 the terms go
+    through v = 1/w (``v``, or formed here when None) so that huge powers
+    never meet subtraction head-on.
+    """
+    factor = 1 - w
+    scale = max(1, a)
+    # |1 - w| >= |1 - a|: the screen needs no complex abs
+    if lossy and factor and abs(1 - a) < scale * lossy and abs(factor) < scale * lossy:
+        digits_lost = float(mp.log(scale / abs(factor), 10))
+        message = f"factor cancelled {digits_lost:.1f} of {mp.dps} digits"
+        raise CancellationError(message, result=factor, digits_lost=digits_lost)
+    if not terms:
+        return factor, None, None, None
+    if a > 1:
+        v = 1 / w if v is None else v
+        inv = 1 / (1 - v)
+        s = inv
+    else:
+        v, inv = w, -1 / factor
+        s = w * inv
+    t = v * inv * inv if terms >= 2 else None
+    return factor, s, t, t * (1 + v) * inv if terms == 3 else None
 
 
 def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
     """(f, f'/f, (f'/f)') over ``blocks`` in one pass, the sums up to ``order``.
 
-    Each factor is 1 + (-w) via log_add; one losing more than P-5 digits
-    raises CancellationError carrying it (strict) or is kept (strict=False).
+    Each power (z/r_k)^{n_k} is one ``mp.power`` with n_k.bit_length() + 20
+    guard bits, so the rounding of z/r_k, amplified n_k-fold by the power,
+    stays below the working precision.  The factors and terms come from
+    :func:`_block_terms`; a lossy factor raises (strict) or is kept.
     At z = 0 the sums are their termwise limits (n = 1, n <= 2 blocks).
     """
-    z_log = log_from_value(z)
-    acc = LOG_ONE
+    terms = order if z != 0 else 0
+    lossy = mpf(10) ** (5 - mp.dps) if strict else None
+    f = mpc(1)
     l1 = l2 = mpc(0)
     for r, n in blocks:
-        w = _power_log(z_log, r, n)
-        try:
-            factor = log_add(LOG_ONE, log_neg(w))
-        except CancellationError as exc:
-            if strict:
-                raise CancellationError(
-                    str(exc), result=to_value(exc.result), digits_lost=exc.digits_lost
-                ) from None
-            factor = exc.result
-        acc = log_mul(acc, factor)
-        if order and z != 0:
-            s, t = _ratio_terms(w)
-            l1 += (n / z) * s
-            if order == 2:
-                l2 += -(n / (z * z)) * (s + n * t)
-    if order and z == 0:
+        with mp.extraprec(n.bit_length() + 20):
+            w = mp.power(z / r, n)
+        factor, s, t, _ = _block_terms(w, abs(w), None, terms, lossy)
+        f *= factor
+        if terms:
+            l1 += n * s
+            if terms == 2:
+                l2 -= n * (s + n * t)
+    if terms:
+        l1, l2 = l1 / z, l2 / (z * z)
+    elif order:
         l1 = mpc(sum(-1 / r for r, n in blocks if n == 1))
         l2 = mpc(sum(-mpf(n) / (r * r) for r, n in blocks if n <= 2))
-    return to_value(acc), l1, l2
+    return f, l1, l2
 
 
 def eval_f(cfg: LacunaryConfig, z, strict: bool = True, upto: int | None = None) -> mpc:
-    """f(z), each factor formed in the log domain as 1 + (-(z/r_k)^{n_k}) via log_add.
+    """f(z) as the product of the factors 1 - (z/r_k)^{n_k}.
 
     Rule-based configs are truncations: the omitted factors are bounded by
     :func:`f_tail_log_bound`, certified on |z| < r_{K+1}/2 (TailError
@@ -348,7 +347,7 @@ def eval_f_scan(cfg: LacunaryConfig, z) -> mpc:
         z = mpc(z)
         blocks = list(cfg.blocks)
         if cfg.rule is not None and z != 0:
-            # ln|z/r|^n exactly as _power_log forms it for the last block taken
+            # ln|z/r|^n of the last block taken
             log_abs = mp.log(abs(z))
             threshold = -mpf(40) * mp.log(10)
             while mpf(blocks[-1][1]) * (log_abs - mp.log(blocks[-1][0])) >= threshold:
@@ -451,6 +450,52 @@ def f_jet(cfg: LacunaryConfig, z, order: int) -> tuple[mpc, ...]:
         return f, f * l1, f * (l1 * l1 + l2)
 
 
+def _half_step_directions(n: int, indices) -> list[mpc]:
+    """e^{i pi (2j+1)/n} for j in ``indices``; the half-step offset keeps nodes
+    off the real zeros that neighbouring blocks may place on the circle."""
+    return [mp.expjpi(mpf(2 * j + 1) / n) for j in indices]
+
+
+def _fprime_on_circle(cfg: LacunaryConfig, zero: tuple[int, int], radius, directions) -> list[mpc]:
+    """f' at xi + radius * w for the zero xi of ``zero`` = (k, m) and each unit
+    direction w: the f' of ``f_jet``, with its guards checked once per circle.
+
+    10^(-P/2) r_k <= radius <= r_k/n_k (ConfigError otherwise), and
+    r_k + radius < r_{K+1}/2 (TailError) bounds every node.  The near-zero
+    guard then cannot fire: xi is ``radius`` away, the other zeros of block
+    k at least 2 r_k sin(pi/n_k) - radius >= 3 r_k/n_k, and every other
+    block's circle at least 10^(-P/2) of its radius while the annulus
+    ||z| - r_k| <= radius keeps that margin.  A circle that reaches a
+    neighbouring one (nominal disks of the smallest blocks) keeps the guard.
+    """
+    k, m = zero
+    with mp.workdps(cfg.dps):
+        r_k, n_k = cfg.block(k)
+        radius = mpf(radius)
+        margin = mp.power(10, -mpf(cfg.dps) / 2)
+        if not margin * r_k <= radius <= r_k / n_k:
+            bounds = f"[10^-{cfg.dps // 2} r_{k}, r_{k}/n_{k}]"
+            raise ConfigError(f"contour radius {mp.nstr(radius, 8)} outside {bounds}")
+        _check_domain(cfg, mpc(r_k + radius))
+        clear = (k == 1 or r_k - radius >= (1 + margin) * cfg.blocks[k - 2][0]) and (
+            k == cfg.K or r_k + radius <= (1 - margin) * cfg.blocks[k][0]
+        )
+        xi = zero_point(cfg, k, m)
+        vals = []
+        for j, w in enumerate(directions):
+            z = xi + radius * w
+            if not clear:
+                _near_zero_guard(cfg, z)
+            f, l1, _ = _jet(cfg.blocks, z, 1, True)
+            fp = f * l1
+            if fp == 0:
+                raise ZeroOnContourError(
+                    f"f' vanishes on the contour around {mp.nstr(xi, 8)} at node {j}"
+                )
+            vals.append(fp)
+        return vals
+
+
 def log_derivative(cfg: LacunaryConfig, z, order: int = 1) -> mpc:
     """f'/f (order 1) or (f'/f)' (order 2), summed termwise over blocks."""
     with mp.workdps(cfg.dps):
@@ -489,10 +534,8 @@ def derivs_at_zero(
         (xi/r_j)^{n_j} = (r_k/r_j)^{n_j} * omega^{(m n_j) mod n_k},
 
     a real power times one root whose index is reduced in integers, so
-    the angle is exact for any n_j (2^60 included).  A factor 1 - w that
-    loses more than P-5 digits of max(1, |w|) raises CancellationError.
-    ``xi`` is the zero point when the caller has already formed it
-    (``zero_point(cfg, k, m)``).
+    the angle is exact for any n_j (2^60 included).  ``xi`` is the zero
+    point when the caller has already formed it (``zero_point(cfg, k, m)``).
     """
     if order not in (1, 2, 3, 4):
         raise ConfigError(f"order must be in 1..4, got {order}")
@@ -517,36 +560,14 @@ def derivs_at_zero(
                 a = mp.power(r / rj, nj)
             index = m * nj % n
             root = mp.expjpi(2 * mpf(index) / n) if index else mpc(1)
-            w = a * root
-            factor = 1 - w
-            # |1 - w| >= |1 - a|: the screen needs no complex abs
-            scale = max(1, a)
-            if abs(1 - a) < scale * lossy and abs(factor) < scale * lossy:
-                digits_lost = float(mp.log(scale / abs(factor), 10)) if factor else float(cfg.dps)
-                raise CancellationError(
-                    f"factor {j} at zero ({k}, {m}) cancelled {digits_lost:.1f} of {cfg.dps} digits",
-                    result=factor,
-                    digits_lost=digits_lost,
-                )
+            v = mp.conj(root) / a if a > 1 else None
+            factor, s, t, y = _block_terms(a * root, a, v, order - 1, lossy)
             P *= factor
-            if order == 1:
-                continue
-            # s = w/(w-1), t = w/(w-1)^2, y = w(w+1)/(w-1)^3, through v = 1/w
-            # when |w| > 1 so that huge powers never meet subtraction head-on
-            if a > 1:
-                v = mp.conj(root) / a
-                inv = 1 / (1 - v)
-                s = inv
-            else:
-                v = w
-                inv = -1 / factor
-                s = w * inv
-            L1 += nj * s
+            if order >= 2:
+                L1 += nj * s
             if order >= 3:
-                t = v * inv * inv
                 L2 -= nj * (s + nj * t)
             if order == 4:
-                y = t * (1 + v) * inv
                 L3 += 2 * nj * s + 3 * mpf(nj) ** 2 * t + mpf(nj) ** 3 * y
         # the sums above carry the factors 1/xi, 1/xi^2, 1/xi^3 outside
         L1 *= inv_xi

@@ -67,7 +67,7 @@ def test_criterion_2_interpolation_identity():
     start = time.perf_counter()
     cfg = make_schedule(0.5, 4, "factorial", dps=100)
     sys4 = make_system(cfg)
-    rows = interpolation_identity_residuals(sys4, per_block_cap=64)
+    rows = interpolation_identity_residuals(sys4)
     worst = max(value for _, _, value in rows)
     elapsed = time.perf_counter() - start
     passed = len(rows) == 11 + 64 and worst < mpf("1e-40") and elapsed < 120
@@ -253,7 +253,7 @@ def test_criterion_9_library_level_per_block():
         i = clean.rat.pole_index(k, 0)
         bad = clean.rat.with_residue(i, clean.rat.residues[i] + mpf("1e-3"))
         sys_bad = make_system(cfg, rat=bad)
-        rows = interpolation_identity_residuals(sys_bad, per_block_cap=8)
+        rows = interpolation_identity_residuals(sys_bad)
         worst = max(value for _, _, value in rows)
         all_detected = all_detected and worst > mpf("1e-40")
     elapsed = time.perf_counter() - start

@@ -1,12 +1,15 @@
-"""The log-domain number format stays behind lacunary.product.
+"""No library code uses the log-domain number format.
 
-Only ``product.py`` may import ``logdomain``; everything the package
-hands across a module boundary, and everything it exports, is plain
-mpmath.  Away from the zeros, ``coefficients.py`` takes f' and f'' from
-``product.f_jet`` rather than assembling them from ``log_derivative``.
+``logdomain`` is imported only by the package ``__init__.py``, as a
+module that binds none of its names; every evaluator runs with its
+functions made to raise.  Everything the package hands across a module
+boundary, and everything it exports, is plain mpmath.  Away from the
+zeros, ``coefficients.py`` takes f' and f'' from ``product.f_jet``
+rather than assembling them from ``log_derivative``.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,10 +17,16 @@ from mpmath import mpc, mpf
 
 import lacunary
 from lacunary import CancellationError, config_from_blocks, make_schedule
-import lacunary.product
+import lacunary.logdomain
 from lacunary.coefficients import build_H
 from lacunary.interpolation import residues_from_f
-from lacunary.product import derivs_at_zero, eval_f, eval_f_scan
+from lacunary.product import (
+    derivs_at_zero,
+    eval_f,
+    eval_f_scan,
+    f_jet,
+    log_derivative,
+)
 
 PACKAGE = Path(lacunary.__file__).resolve().parent
 
@@ -50,13 +59,23 @@ def _imports_logdomain(tree: ast.AST) -> bool:
     return False
 
 
+def _binds_logdomain_names(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("logdomain"):
+            return True
+    return False
+
+
 def test_only_product_imports_logdomain():
-    importers = {
-        path.name
+    """Only __init__.py imports logdomain, as a module, binding none of its
+    names (the benchmark's traced run looks the module up)."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
-        if _imports_logdomain(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert importers == {"product.py"}
+    importers = {name for name, tree in trees.items() if _imports_logdomain(tree)}
+    assert importers == {"__init__.py"}
+    assert not any(_binds_logdomain_names(tree) for tree in trees.values())
 
 
 def test_package_exports_no_log_domain_name():
@@ -86,26 +105,35 @@ def test_public_evaluators_return_mpc():
 
 
 def test_factor_extraction_runs_without_the_log_domain(monkeypatch):
-    """derivs_at_zero and residues_from_f use no log-domain name: with every
-    one bound in lacunary.product made to raise, both still run."""
+    """Every evaluator of f runs while each function of lacunary.logdomain
+    is patched to raise, under every name that binds it in the package."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("log domain used")
 
-    for name, value in list(vars(lacunary.product).items()):
-        if name in LOG_DOMAIN_NAMES or getattr(value, "__module__", None) == "lacunary.logdomain":
-            monkeypatch.setattr(lacunary.product, name, refuse)
+    functions = {
+        id(value)
+        for value in vars(lacunary.logdomain).values()
+        if callable(value) and getattr(value, "__module__", None) == "lacunary.logdomain"
+    }
+    assert len(functions) >= len(LOG_DOMAIN_NAMES) - 2  # all but the two constants
+    modules = [m for n, m in sys.modules.items() if n == "lacunary" or n.startswith("lacunary.")]
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if id(value) in functions:
+                monkeypatch.setattr(module, name, refuse)
     cfg = config_from_blocks([(4, 2), (16, 4)])
+    rule_cfg = make_schedule(0.5, 5, "factorial")
     for order in (1, 2, 3, 4):
         for k, m in ((1, 1), (2, 3)):
             assert len(derivs_at_zero(cfg, k, m, order=order)) == order
     rat = residues_from_f(cfg)
     assert len(rat.residues) == 6
-    # the guard is live: the log-domain evaluators do hit it
-    with pytest.raises(AssertionError, match="log domain used"):
-        eval_f(cfg, 3)
-
-
+    z = mpc(3, 1)
+    assert eval_f(cfg, z) == f_jet(cfg, z, 2)[0]
+    assert len(f_jet(rule_cfg, z, 2)) == 3
+    assert log_derivative(rule_cfg, z, order=2) != 0
+    assert eval_f_scan(rule_cfg, mpc(40, 1)) != 0
 def test_scan_cancellation_carries_mpc():
     """eval_f_scan raises the same CancellationError as eval_f near a zero,
     carrying the lossy factor as an mpc."""

@@ -28,7 +28,7 @@ from lacunary.coefficients import (
     residual,
     residual_tolerance,
 )
-from lacunary.product import derivative_ratio_bound, nearest_zero, zero_point
+from lacunary.product import derivative_ratio_bound, derivs_at_zero, nearest_zero, zero_point
 
 from helpers import rel_err
 
@@ -216,7 +216,7 @@ class TestResidual:
 
 class TestInterpolationIdentity:
     def test_residual_identity_below_model(self, factorial_system):
-        rows = interpolation_identity_residuals(factorial_system, per_block_cap=8)
+        rows = interpolation_identity_residuals(factorial_system)
         model = mpf(10) ** (-factorial_system.dps / 2)
         assert rows
         for _, _, value in rows:
@@ -229,18 +229,23 @@ class TestInterpolationIdentity:
         sys_bad = make_system(
             factorial_system.cfg, rho_H=mpf("0.4"), rat=bad
         )
-        rows = interpolation_identity_residuals(sys_bad, per_block_cap=8)
+        rows = interpolation_identity_residuals(sys_bad)
         worst = max(value for _, _, value in rows)
         assert worst > mpf("1e-5")
 
 
 class TestReciprocalDerivativeIdentity:
     def test_matches_direct_ratio(self, factorial_system):
+        """The finite difference against f''/f'^2 by factor extraction, the
+        value cauchy_ratio reports as ``direct``."""
+        cfg = factorial_system.cfg
         tol = mpf(10) ** (-factorial_system.dps / 4)
         for k, m in ((1, 0), (2, 1), (3, 0), (3, 5)):
             fd = reciprocal_derivative_fd(factorial_system, k, m)
-            cr = cauchy_ratio(factorial_system.cfg, k, m, nodes=32)
-            assert rel_err(fd, cr.direct) < tol
+            with mp.workdps(cfg.dps):
+                f1, f2 = derivs_at_zero(cfg, k, m, order=2)
+                direct = f2 / (f1 * f1)
+            assert rel_err(fd, direct) < tol
 
 
 class TestCauchyRatio:
@@ -328,6 +333,16 @@ class TestContourNodeDoubling:
         for nodes in (1, 100, 2 * coefficients.MAX_NODES):
             with pytest.raises(ConfigError):
                 cauchy_ratio(cfg, 1, 0, nodes=nodes)
+
+    def test_winding_doubles_on_an_argument_jump(self):
+        """From 8 nodes the argument of f' around block 2 of doubly_exp
+        rho=0.55 K=3 (r=16, n=5) jumps by more than pi/2; the sampler
+        doubles to 16 nodes, sampling none of the first 8 again."""
+        cfg = make_schedule(0.55, 3, "doubly_exp")
+        r, n = cfg.blocks[1]
+        samples = {}
+        assert coefficients.sample_winding(cfg, (2, 0), r / n, 8, samples) == (16, 0)
+        assert len(samples) == 16
 
     def test_wrong_second_derivative_fails_every_contour_record(
         self, factorial_system, monkeypatch

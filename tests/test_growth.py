@@ -222,14 +222,14 @@ class TestThm2Asymptotics:
         assert by_block[3].min_abs_fprime > 0
 
     def test_factorial_k4_passes(self, factorial_cfg):
-        rep = verify_thm2_asymptotics(factorial_cfg, 4, seed=2, n_points=8)
+        rep = verify_thm2_asymptotics(factorial_cfg, 4, seed=2)
         assert rep.passed
         by_block = {d.block: d for d in rep.disks}
         assert by_block[4].applicable and by_block[4].zero_free
 
     def test_two_block_exact_partial_product(self):
         cfg = config_from_blocks([(4, 2), (16, 4)])
-        rep = verify_thm2_asymptotics(cfg, 2, seed=1, n_points=8)
+        rep = verify_thm2_asymptotics(cfg, 2, seed=1)
         assert rep.partial_dev_max == 0
         assert rep.partial_pass
 
@@ -237,15 +237,28 @@ class TestThm2Asymptotics:
         """At this scale block 2's disk does contain a zero of f' (the
         asymptotic claim has not kicked in); the check must say so."""
         cfg = config_from_blocks([(4, 2), (16, 4)])
-        rep = verify_thm2_asymptotics(cfg, 2, seed=1, n_points=8)
+        rep = verify_thm2_asymptotics(cfg, 2, seed=1)
         by_block = {d.block: d for d in rep.disks}
         assert by_block[1].applicable and by_block[1].zero_free
         assert by_block[2].applicable and by_block[2].zero_free is False
         assert by_block[2].winding == 1
         assert not rep.disks_pass
 
+    def test_doubly_exp_disks_confirmed(self):
+        """doubly_exp rho=0.55 K=3: a fixed 64-node winding of the disks
+        raised QuadratureError (the argument of f' around block 2, r=16,
+        n=5, jumped by more than pi/2); the nested grid, which doubles on
+        such a jump, confirms both disks zero-free."""
+        cfg = make_schedule(0.55, 3, "doubly_exp")
+        rep = verify_thm2_asymptotics(cfg, 2)
+        by_block = {d.block: d for d in rep.disks}
+        for j in (1, 2):
+            assert by_block[j].applicable and by_block[j].zero_free, j
+            assert by_block[j].winding == 0
+        assert rep.disks_pass
+
     def test_anchor_config_passes(self):
-        rep = verify_thm2_asymptotics(config_from_blocks([(1, 2)]), 1, seed=0, n_points=8)
+        rep = verify_thm2_asymptotics(config_from_blocks([(1, 2)]), 1, seed=0)
         assert rep.passed
 
 

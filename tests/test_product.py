@@ -310,6 +310,30 @@ class TestFJet:
             assert rel_err(f1, c1 / nodes) < tol, (k, m)
             assert rel_err(f2, 2 * c2 / nodes) < tol, (k, m)
 
+    def test_agrees_with_twice_the_precision_near_huge_blocks(self):
+        """f, f' and f'' within 10^-18 relative of |z| = r_5 of factorial
+        K=5 (n_5 = 2^60) and near r_4 of K=4 agree with the same call at
+        2P to 10^(10-P): the power keeps its n-fold amplified rounding
+        below the working precision."""
+        points = []
+        for K in (5, 4):
+            cfg = make_schedule(0.5, K, "factorial")
+            r, n = cfg.blocks[K - 1]
+            if K == 5:
+                # generic angles: the power's rounding grows with |ln(z/r)|
+                near = [("3e-19", "1"), ("-7e-19", "2.5"), ("9e-19", "-0.7")]
+                zs = [r * (1 + mpf(a)) * mp.expj(mpf(b)) for a, b in near]
+            else:
+                near = [("0.25", "1"), ("-0.3", "0.5"), ("0.1", "-1.7")]
+                zs = [r * (1 + mpf(a) / n) * mp.expjpi(mpf(b) / n) for a, b in near]
+            points += [(K, z) for z in zs]
+        tol = mpf(10) ** (10 - mp.dps)
+        for K, z in points:
+            got = f_jet(make_schedule(0.5, K, "factorial"), z, 2)
+            want = f_jet(make_schedule(0.5, K, "factorial", dps=2 * mp.dps), z, 2)
+            for a, b in zip(got, want):
+                assert rel_err(a, b) < tol, (K, z)
+
     def test_guards(self):
         from lacunary import NearZeroError
 
