@@ -31,12 +31,13 @@ from mpmath import mp, mpc, mpf
 
 from .coefficients import (
     CONTOUR_AGREEMENT_THRESHOLD,
+    NEAR_ZERO_DELTA,
     CoefficientSystem,
     cauchy_ratio,
     interpolation_identity_residuals,
     reciprocal_derivative_fd,
+    residual,
     residual_tolerance,
-    residuals_at,
 )
 from .errors import DivergenceError, PrecisionInsufficient
 from .growth import nevanlinna, verify_thm2_asymptotics
@@ -143,7 +144,7 @@ def sample_annulus_points(sys: CoefficientSystem, n_points: int, seed: int):
         z = radius * mp.exp(mpc(0, 2 * mp.pi * mpf(rng.random())))
         k, _, dist, rel = nearest_zero(cfg, z)
         r_k, n_k = cfg.blocks[k - 1]
-        if dist <= r_k / mpf(n_k) or rel < 10 * sys.near_zero_delta:
+        if dist <= r_k / mpf(n_k) or rel < 10 * NEAR_ZERO_DELTA:
             continue
         points.append(z)
     return points
@@ -154,22 +155,18 @@ def check_residual(sys: CoefficientSystem, seed: int, n_points: int = 200):
     points = sample_annulus_points(sys, n_points, seed)
     scales = (1, 10) if sys.h is not None else ()
     for z in points:
-        tol = residual_tolerance(sys, abs(z))
-        bound = max(RESIDUAL_THRESHOLD, tol)
-        value, *perturbed = residuals_at(sys, z, scales)
-        records.append(
-            record("residual", "1c", value, bound, value < bound, point=z)
-        )
-        for c, value in zip(scales, perturbed):
+        bound = max(RESIDUAL_THRESHOLD, residual_tolerance(sys, abs(z)))
+        # the base residual (1c), then one per perturbation scale (1d)
+        for c, value in zip((None, *scales), residual(sys, z, scales)):
             records.append(
                 record(
                     "residual",
-                    "1d",
+                    "1c" if c is None else "1d",
                     value,
                     bound,
                     value < bound,
                     point=z,
-                    extra={"c_scale": c},
+                    extra=None if c is None else {"c_scale": c},
                 )
             )
     return records

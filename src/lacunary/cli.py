@@ -10,9 +10,11 @@ Config schema (JSON object):
     {"rho_f": 0.5, "rule": "factorial", "K": 4, "precision_digits": 100}
     {"blocks": [[4, 2], [16, 4]], "rho_f": 0.5, "precision_digits": 100}
 
-optionally extended with "rho_H", "H_truncation", "c_scale",
-"near_zero_delta".  With a fixed (config, seed, precision) triple every
-output file is byte-identical across runs.
+optionally extended with "rho_H" (H then has H_TRUNCATION = 64 factors).
+The keys "H_truncation", "c_scale" and "near_zero_delta" are no longer
+read; a config that sets one is rejected (exit 2).  With a fixed
+(config, seed, precision) triple every output file is byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 from mpmath import mp, mpc, mpf
 
 from . import checks as checks_mod
-from .coefficients import make_system
+from .coefficients import H_TRUNCATION, build_H, make_system
 from .errors import (
     CancellationError,
     ConfigError,
@@ -55,10 +57,10 @@ from .product import (
     eval_f_scan,
     zero_count,
     zero_point,
-    zeros,
 )
 
 CONSTRUCT_ENUMERATION_CAP = 8192
+REMOVED_CONFIG_KEYS = ("H_truncation", "c_scale", "near_zero_delta")
 
 
 def _nstr(x, digits: int = 25) -> str:
@@ -74,44 +76,32 @@ def _cstr(z, digits: int = 25) -> list[str]:
     return [_nstr(z.real, digits), _nstr(z.imag, digits)]
 
 
-def _load_config(path: str) -> dict:
+def _load(args) -> tuple[LacunaryConfig, dict, Path]:
+    """(config, its JSON object with --precision applied, output directory)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    return data
-
-
-def _build(data: dict, precision: int | None):
-    if precision is not None:
-        data = {**data, "precision_digits": precision}
+    for key in REMOVED_CONFIG_KEYS:
+        if key in data:
+            raise ConfigError(f"config key {key!r} is no longer supported; remove it")
+    if args.precision is not None:
+        data = {**data, "precision_digits": args.precision}
     cfg = config_from_dict(data)
-    return cfg, data
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return cfg, data, out
 
 
-def _build_system(cfg: LacunaryConfig, data: dict, rat=None):
-    kwargs = {}
-    if "rho_H" in data and data["rho_H"] is not None:
-        kwargs["rho_H"] = mpf(str(data["rho_H"]))
-        kwargs["h_truncation"] = int(data.get("H_truncation", 64))
-    if "c_scale" in data:
-        kwargs["c_scale"] = mpf(str(data["c_scale"]))
-    if "near_zero_delta" in data:
-        kwargs["near_zero_delta"] = mpf(str(data["near_zero_delta"]))
-    return make_system(cfg, rat=rat, **kwargs)
+def _rho_H(data: dict):
+    return None if data.get("rho_H") is None else mpf(str(data["rho_H"]))
 
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=1, sort_keys=False) + "\n", encoding="utf-8")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -119,23 +109,23 @@ def _out_dir(args) -> Path:
 
 
 def cmd_construct(args) -> int:
-    data = _load_config(args.config)
-    cfg, data = _build(data, args.precision)
-    out = _out_dir(args)
+    cfg, data, out = _load(args)
     with mp.workdps(cfg.dps):
         return _construct_at_precision(cfg, data, out)
 
 
 def _construct_at_precision(cfg: LacunaryConfig, data: dict, out: Path) -> int:
-    system = _build_system(cfg, data)
+    system = make_system(cfg, rho_H=_rho_H(data))
 
-    _write_json(out / "config.json", {**config_to_dict(cfg), **_system_extras(data)})
+    extras = {"rho_H": data["rho_H"]} if "rho_H" in data else {}
+    _write_json(out / "config.json", {**config_to_dict(cfg), **extras})
 
     blocks_payload = []
     for k, (r, n) in enumerate(cfg.blocks, start=1):
         entry = {"k": k, "r": _nstr(r), "n": n}
         if n <= CONSTRUCT_ENUMERATION_CAP:
-            entry["zeros"] = [_cstr(z, cfg.dps + 5) for z in zeros(cfg, k)]
+            start = system.rat.pole_index(k, 0)  # the poles are the zeros, in block order
+            entry["zeros"] = [_cstr(z, cfg.dps + 5) for z in system.rat.poles[start : start + n]]
         else:
             entry["enumerated"] = False
         blocks_payload.append(entry)
@@ -179,21 +169,12 @@ def _construct_at_precision(cfg: LacunaryConfig, data: dict, out: Path) -> int:
                 "rho_H": _nstr(system.h.rho),
                 "truncation": system.h.truncation,
                 "max_radius": _nstr(system.h.max_radius),
-                "c_scale": _nstr(system.c_scale),
                 "theorem_hypothesis_met": system.theorem_hypothesis_met,
             },
         },
     )
     print(f"constructed {zero_count(cfg)} zeros / residues into {out}")
     return 0
-
-
-def _system_extras(data: dict) -> dict:
-    extras = {}
-    for key in ("rho_H", "H_truncation", "c_scale", "near_zero_delta"):
-        if key in data:
-            extras[key] = data[key]
-    return extras
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +223,7 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
 
 
 def cmd_verify(args) -> int:
-    data = _load_config(args.config)
-    cfg, data = _build(data, args.precision)
-    out = _out_dir(args)
+    cfg, data, out = _load(args)
     names = _parse_checks(args.checks)
 
     checks_mod.ensure_feasible(cfg.dps, names)
@@ -257,7 +236,7 @@ def _verify_at_precision(cfg, data, out, names, args) -> int:
     rat = None
     if args.artifacts:
         rat = _load_artifact_residues(cfg, Path(args.artifacts))
-    system = _build_system(cfg, data, rat=rat)
+    system = make_system(cfg, rho_H=_rho_H(data), rat=rat)
 
     records, all_passed = checks_mod.run_checks(
         system, names, args.seed, residual_points=args.points
@@ -314,9 +293,7 @@ def _scan_ks(cfg: LacunaryConfig):
 
 
 def cmd_scan(args) -> int:
-    data = _load_config(args.config)
-    cfg, data = _build(data, args.precision)
-    out = _out_dir(args)
+    cfg, data, out = _load(args)
     with mp.workdps(cfg.dps):
         return _scan_at_precision(cfg, data, out, args)
 
@@ -387,12 +364,9 @@ def _scan_at_precision(cfg, data, out, args) -> int:
         return 0
 
     if kind == "indicator":
-        if "rho_H" in data and data["rho_H"] is not None:
-            from .coefficients import build_H
-
-            h = build_H(
-                mpf(str(data["rho_H"])), int(data.get("H_truncation", 64)), dps=cfg.dps
-            )
+        rho_H = _rho_H(data)
+        if rho_H is not None:
+            h = build_H(rho_H, H_TRUNCATION, dps=cfg.dps)
             target = "H"
             fn = h.eval
             rho = h.rho

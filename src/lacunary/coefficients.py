@@ -1,25 +1,26 @@
 """Coefficient reconstruction for f'' + A f' + B f = 0.
 
-Base pair:  A0 = f*g  and  B0 = -(f'' + A0 f')/f.  Away from the zeros
-f, f' and f'' come from one pass of ``product.f_jet``, and one quotient
-(``_base_pair``, which watches f'' + A0 f' for lost digits) serves
-``eval_B0_direct``, ``eval_AB`` and the residual check.  At every zero
-z_k of f the numerator of B0 vanishes by the interpolation identity
+Base pair:  A0 = f*g  and  B0 = -(f'' + A0 f')/f.  At every zero z_k of
+f the numerator of B0 vanishes by the interpolation identity
 A0(z_k) f'(z_k) + f''(z_k) = 0 (the residues were chosen exactly so),
-which makes B0 analytic there; near zeros we therefore switch from the
-direct quotient to the removable-singularity expansion
+which makes B0 analytic there.  One nearest-zero scan per point
+(``_route``) picks how to evaluate the pair from the relative distance
+rel to the nearest zero xi: the defining quotient (``_direct``, which
+watches f'' + A0 f' for lost digits) at rel >= NEAR_ZERO_DELTA, and
+closer in the removable-singularity expansion
 
     B0(xi)  = -(f''' + A0' f' + A0 f'')/f'        (L'Hopital at xi)
     B0(z)  ~= B0(xi) + (z - xi) B0'(xi),
 
 with A0(xi) = u f', A0'(xi) = u f''/2 + f' g_r, A0''(xi) = u f'''/3
 + 2 f' g_r' + f'' g_r (g_r the regular part of g at the pole) and
-B0'(xi) = N''/(2f') - N' f''/(2 f'^2) for N = -(f'' + A0 f').
+B0'(xi) = N''/(2f') - N' f''/(2 f'^2) for N = -(f'' + A0 f'); below
+rel = 10^(-P/2) A0 takes its removable value u f'(xi) as well.
 
-Perturbed pair:  A = A0 + c*H*f,  B = B0 - c*H*f', where H is a product
+Perturbed pair:  A = A0 + H*f,  B = B0 - H*f', where H is a product
 with zeros spread along the negative real axis at -m^{1/rho_H}; the
 c*H*f*f' contributions cancel identically in the residual, so the ODE
-survives the perturbation for any scale c.
+survives the perturbation c*H for any scale c.
 
 The contour check recovers f''/f'^2 at a zero through the derivative of
 1/f' as a Cauchy integral over a circle around the zero.  That identity
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .interpolation import (
     RationalInterpolant,
-    eval_g,
+    _g_sum,
     g_regular_at,
     g_tail_bound,
     residues_from_f,
@@ -55,8 +56,11 @@ from .interpolation import (
 from .product import (
     DEFAULT_DPS,
     LacunaryConfig,
+    _check_domain,
+    _f_jet,
     _fprime_on_circle,
     _half_step_directions,
+    _near_zero_margin,
     derivs_at_zero,
     eval_f,
     f_jet,
@@ -65,27 +69,33 @@ from .product import (
     zero_point,
 )
 
+# Relative distance from a zero inside which B0 comes from the series.
+NEAR_ZERO_DELTA = mpf("1e-8")
+H_TRUNCATION = 64
+
 
 @dataclass(frozen=True)
 class HProduct:
-    """H(z) = prod_{m<=M} (1 + z / m^{1/rho}); zeros at -m^{1/rho}.
+    """H(z) = prod_{m<=M} (1 + z / a_m) with a_m = m^{1/rho}; zeros at -a_m.
 
-    The truncation is certified on |z| <= M^{1/rho}/2, where the omitted
-    log-factors sum to at most |z| * M^{1-1/rho} / (1/rho - 1).
+    ``moduli`` holds a_1, ..., a_{M+1} (a_{M+1} for the exclusion disks),
+    formed once by :func:`build_H`.  The truncation is certified on
+    |z| <= a_M/2, where the omitted log-factors sum to at most
+    |z| * M^{1-1/rho} / (1/rho - 1).
     """
 
     rho: mpf
     truncation: int
     dps: int
+    moduli: tuple[mpf, ...]
 
     def zero_modulus(self, m: int) -> mpf:
-        with mp.workdps(self.dps):
-            return mp.power(m, 1 / self.rho)
+        return self.moduli[m - 1]
 
     @property
     def max_radius(self) -> mpf:
         with mp.workdps(self.dps):
-            return mp.power(self.truncation, 1 / self.rho) / 2
+            return self.moduli[self.truncation - 1] / 2
 
     def tail_log_bound(self, radius) -> mpf:
         with mp.workdps(self.dps):
@@ -108,8 +118,8 @@ class HProduct:
                 )
             lossy = mp.power(10, 5 - self.dps)
             acc = mpc(1)
-            for m in range(1, self.truncation + 1):
-                w = z / mp.power(m, 1 / self.rho)
+            for m, a in enumerate(self.moduli[: self.truncation], start=1):
+                w = z / a
                 factor = 1 + w
                 scale = max(1, abs(w))
                 mag = abs(factor)
@@ -135,7 +145,10 @@ def build_H(rho_H, truncation: int, dps: int = None) -> HProduct:
         )
     if truncation < 1:
         raise ConfigError("H truncation must be >= 1")
-    return HProduct(rho=rho, truncation=int(truncation), dps=dps or DEFAULT_DPS)
+    truncation, dps = int(truncation), dps or DEFAULT_DPS
+    with mp.workdps(dps):
+        moduli = tuple(mp.power(m, 1 / rho) for m in range(1, truncation + 2))
+    return HProduct(rho=rho, truncation=truncation, dps=dps, moduli=moduli)
 
 
 @dataclass(frozen=True)
@@ -143,8 +156,6 @@ class CoefficientSystem:
     cfg: LacunaryConfig
     rat: RationalInterpolant
     h: HProduct | None
-    c_scale: mpf
-    near_zero_delta: mpf
     # Order of H above the convergence exponent of the zeros is what the
     # regular-growth conclusion needs; recorded, not enforced (the ODE
     # residual identity holds either way).
@@ -156,63 +167,56 @@ class CoefficientSystem:
 
 
 def make_system(
-    cfg: LacunaryConfig,
-    rho_H=None,
-    h_truncation: int = 64,
-    c_scale=1,
-    near_zero_delta=mpf("1e-8"),
-    rat: RationalInterpolant | None = None,
+    cfg: LacunaryConfig, rho_H=None, rat: RationalInterpolant | None = None
 ) -> CoefficientSystem:
+    """The residues of ``cfg`` (or ``rat``), and H when ``rho_H`` is set."""
     with mp.workdps(cfg.dps):
-        delta = mpf(near_zero_delta)
-        lo = mp.power(10, -mpf(cfg.dps) / 2)
-        if not (lo <= delta <= mpf("1e-4")):
-            raise ConfigError(
-                f"near_zero_delta must lie in [10^-{cfg.dps // 2}, 1e-4], got {delta}"
-            )
         h = None
         hypothesis = None
         if rho_H is not None:
-            h = build_H(rho_H, h_truncation, dps=cfg.dps)
+            h = build_H(rho_H, H_TRUNCATION, dps=cfg.dps)
             hypothesis = bool(mpf(rho_H) > cfg.rho_f)
         if rat is None:
             rat = residues_from_f(cfg)
-        return CoefficientSystem(
-            cfg=cfg,
-            rat=rat,
-            h=h,
-            c_scale=mpf(c_scale),
-            near_zero_delta=delta,
-            theorem_hypothesis_met=hypothesis,
-        )
+        return CoefficientSystem(cfg=cfg, rat=rat, h=h, theorem_hypothesis_met=hypothesis)
 
 
 # ---------------------------------------------------------------------------
 # A0 and B0
 
 
-def _pole_threshold(sys: CoefficientSystem) -> mpf:
-    return mp.power(10, -mpf(sys.dps) / 2)
+def _route(sys: CoefficientSystem, z: mpc) -> tuple[str, int, int]:
+    """("direct" | "series" | "at-pole", k, m) for z from one nearest-zero
+    scan, (k, m) the zero it found.  The direct route needs no other guard:
+    NEAR_ZERO_DELTA exceeds f_jet's 10^(-P/2), and g's poles are f's zeros."""
+    k, m, _, rel = nearest_zero(sys.cfg, z)
+    if rel >= NEAR_ZERO_DELTA:
+        return "direct", k, m
+    return ("series" if rel >= _near_zero_margin(sys.cfg) else "at-pole"), k, m
+
+
+def _removable_A0(sys: CoefficientSystem, k: int, m: int, f1: mpc) -> mpc:
+    """A0 at the zero (k, m): u f'(xi), with f1 = f'(xi)."""
+    return sys.rat.residues[sys.rat.pole_index(k, m)] * f1
 
 
 def eval_A0(sys: CoefficientSystem, z) -> mpc:
     """A0(z) = f(z) g(z); at zeros of f the removable value u_k f'(z_k)."""
     with mp.workdps(sys.dps):
         z = mpc(z)
-        k, m, _, rel = nearest_zero(sys.cfg, z)
-        if rel < _pole_threshold(sys):
-            i = sys.rat.pole_index(k, m)
-            f1 = derivs_at_zero(sys.cfg, k, m, order=1)[0]
-            return sys.rat.residues[i] * f1
-        return eval_f(sys.cfg, z) * eval_g(sys.rat, z)
+        route, k, m = _route(sys, z)
+        if route == "at-pole":
+            return _removable_A0(sys, k, m, derivs_at_zero(sys.cfg, k, m, order=1)[0])
+        return eval_f(sys.cfg, z) * _g_sum(sys.rat, z)  # f's domain check covers g's
 
 
-def _base_pair(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc, mpc, mpc]:
-    """(f, f', f'', A0, B0) at z away from the zeros, B0 by the defining
-    quotient; raises CancellationError when f'' + A0 f' loses more than
-    P/2 digits (the near-zero switch radius is then too small)."""
-    f, fp, fpp = f_jet(sys.cfg, z, 2)
-    a0 = f * eval_g(sys.rat, z)
+def _direct(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc, mpc, mpc]:
+    """(f, f', A0, B0, f'') at z at least 10^(-P/2) (relative) from every
+    zero, B0 by the defining quotient; raises CancellationError when
+    f'' + A0 f' loses more than P/2 digits (the switch radius is too small)."""
+    _check_domain(sys.cfg, z)  # f's domain lies inside g's
+    f, fp, fpp = _f_jet(sys.cfg, z, 2)
+    a0 = f * _g_sum(sys.rat, z)
     num = fpp + a0 * fp
     scale = max(abs(fpp), abs(a0 * fp))
     if scale > 0 and num != 0:
@@ -223,111 +227,101 @@ def _base_pair(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc, mpc, mpc]
                 "the near-zero switch radius is too small",
                 digits_lost=float(lost),
             )
-    return f, fp, fpp, a0, -num / f
+    return f, fp, a0, -num / f, fpp
+
+
+def _series(sys: CoefficientSystem, z: mpc, k: int, m: int) -> tuple[mpc, mpc]:
+    """(B0, f'(xi)) near the zero xi = (k, m): B0's removable value plus one
+    Taylor step, from one ``derivs_at_zero`` call."""
+    xi = zero_point(sys.cfg, k, m)
+    i = sys.rat.pole_index(k, m)
+    u = sys.rat.residues[i]
+    f1, f2, f3, f4 = derivs_at_zero(sys.cfg, k, m, order=4)
+    g_r, g_rp = g_regular_at(sys.rat, i)
+    a0 = u * f1
+    a0p = u * f2 / 2 + f1 * g_r
+    a0pp = u * f3 / 3 + 2 * f1 * g_rp + f2 * g_r
+    n1 = -(f3 + a0p * f1 + a0 * f2)
+    n2 = -(f4 + a0pp * f1 + 2 * a0p * f2 + a0 * f3)
+    b0 = n1 / f1
+    b0p = n2 / (2 * f1) - n1 * f2 / (2 * f1 * f1)
+    return b0 + (z - xi) * b0p, f1
+
+
+def _base(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc, mpc]:
+    """(f, f', A0, B0) at z by the route of its one scan."""
+    route, k, m = _route(sys, z)
+    if route == "direct":
+        return _direct(sys, z)[:4]
+    b0, f1 = _series(sys, z, k, m)
+    if route == "series":
+        _check_domain(sys.cfg, z)
+        f, fp = _f_jet(sys.cfg, z, 1)
+        return f, fp, f * _g_sum(sys.rat, z), b0
+    return eval_f(sys.cfg, z, strict=False), f1, _removable_A0(sys, k, m, f1), b0
 
 
 def eval_B0_direct(sys: CoefficientSystem, z) -> mpc:
-    """B0 by the defining quotient; monitors the cancellation in f'' + A0 f'."""
+    """B0 by the defining quotient (NearZeroError within 10^(-P/2) of a zero)."""
     with mp.workdps(sys.dps):
-        return _base_pair(sys, mpc(z))[4]
+        z = mpc(z)
+        route, k, m = _route(sys, z)
+        if route == "at-pole":
+            raise NearZeroError(f"z within relative 10^-{sys.dps // 2} of zero {(k, m)}")
+        return _direct(sys, z)[3]
 
 
 def eval_B0_series(sys: CoefficientSystem, z) -> mpc:
-    """B0 near a zero: removable value at the nearest zero plus one Taylor step."""
+    """B0 by the expansion at the nearest zero."""
     with mp.workdps(sys.dps):
         z = mpc(z)
         k, m, _, _ = nearest_zero(sys.cfg, z)
-        xi = zero_point(sys.cfg, k, m)
-        i = sys.rat.pole_index(k, m)
-        u = sys.rat.residues[i]
-        f1, f2, f3, f4 = derivs_at_zero(sys.cfg, k, m, order=4)
-        g_r, g_rp = g_regular_at(sys.rat, i)
-        a0 = u * f1
-        a0p = u * f2 / 2 + f1 * g_r
-        a0pp = u * f3 / 3 + 2 * f1 * g_rp + f2 * g_r
-        n1 = -(f3 + a0p * f1 + a0 * f2)
-        n2 = -(f4 + a0pp * f1 + 2 * a0p * f2 + a0 * f3)
-        b0 = n1 / f1
-        b0p = n2 / (2 * f1) - n1 * f2 / (2 * f1 * f1)
-        return b0 + (z - xi) * b0p
+        return _series(sys, z, k, m)[0]
 
 
 def eval_B0(sys: CoefficientSystem, z) -> mpc:
-    """B0(z), switching to the removable-singularity series within
-    ``near_zero_delta`` (relative) of a zero."""
+    """B0(z), from the series within NEAR_ZERO_DELTA (relative) of a zero."""
     with mp.workdps(sys.dps):
-        z = mpc(z)
-        _, _, _, rel = nearest_zero(sys.cfg, z)
-        if rel < sys.near_zero_delta:
-            return eval_B0_series(sys, z)
-        return eval_B0_direct(sys, z)
+        return _base(sys, mpc(z))[3]
 
 
 def eval_AB(sys: CoefficientSystem, z) -> tuple[mpc, mpc]:
-    """(A, B) = (A0 + c H f, B0 - c H f')."""
+    """(A, B) = (A0 + H f, B0 - H f')."""
     if sys.h is None:
         raise ConfigError("no H configured: build the system with rho_H set")
     with mp.workdps(sys.dps):
         z = mpc(z)
         hval = sys.h.eval(z)
-        k, m, _, rel = nearest_zero(sys.cfg, z)
-        if rel >= sys.near_zero_delta:
-            f, fp, _, a0, b0 = _base_pair(sys, z)
-        elif rel >= _pole_threshold(sys):
-            f, fp = f_jet(sys.cfg, z, 1)
-            a0, b0 = eval_A0(sys, z), eval_B0_series(sys, z)
-        else:
-            f = eval_f(sys.cfg, z, strict=False)
-            fp = derivs_at_zero(sys.cfg, k, m, order=1)[0]
-            a0, b0 = eval_A0(sys, z), eval_B0_series(sys, z)
-        return a0 + sys.c_scale * hval * f, b0 - sys.c_scale * hval * fp
+        f, fp, a0, b0 = _base(sys, z)
+        return a0 + hval * f, b0 - hval * fp
 
 
 # ---------------------------------------------------------------------------
 # residual
 
 
-def residual(sys: CoefficientSystem, z, which: str = "perturbed", c_scale=None) -> mpf:
-    """Relative ODE residual |f'' + A f' + B f| / (|f''| + |A f'| + |B f|).
-
-    ``which`` = 'base' uses (A0, B0); 'perturbed' uses (A, B) with the
-    system's (or an overriding) c_scale.  Exact zero is unattainable;
-    the honest target is the rounding floor quantified by
-    :func:`residual_tolerance`.
+def residual(sys: CoefficientSystem, z, c_scales=()) -> list[mpf]:
+    """[base, *perturbed]: |f'' + A f' + B f| / (|f''| + |A f'| + |B f|) for
+    (A0, B0), then for (A0 + c H f, B0 - c H f') at each c of ``c_scales``,
+    from one evaluation of f, f', f'', g and H at z (NearZeroError within
+    NEAR_ZERO_DELTA of a zero).  Exact zero is unattainable; the honest
+    target is the rounding floor quantified by :func:`residual_tolerance`.
     """
-    if which not in ("base", "perturbed"):
-        raise ConfigError(f"which must be 'base' or 'perturbed', got {which!r}")
-    if which == "base":
-        return residuals_at(sys, z)[0]
-    return residuals_at(sys, z, (sys.c_scale if c_scale is None else c_scale,))[1]
-
-
-def residuals_at(sys: CoefficientSystem, z, c_scales=()) -> list[mpf]:
-    """The base residual, then the perturbed residual at each of ``c_scales``,
-    all from one evaluation of f, f', f'', g and H at z."""
     with mp.workdps(sys.dps):
         z = mpc(z)
-        _, _, _, rel = nearest_zero(sys.cfg, z)
-        if rel < sys.near_zero_delta:
-            raise NearZeroError(
-                "residual sampling point within near_zero_delta of a zero"
-            )
-        f, fp, fpp, a0, b0 = _base_pair(sys, z)
+        route, k, m = _route(sys, z)
+        if route != "direct":
+            raise NearZeroError(f"residual point within NEAR_ZERO_DELTA of zero {(k, m)}")
+        f, fp, a0, b0, fpp = _direct(sys, z)
+        pairs = [(a0, b0)]
         if c_scales:
             if sys.h is None:
                 raise ConfigError("no H configured: build the system with rho_H set")
             hval = sys.h.eval(z)
-        out = []
-        for c in (None, *c_scales):
-            a, b = a0, b0
-            if c is not None:
-                c = mpf(c)
-                a = a + c * hval * f
-                b = b - c * hval * fp
-            num = fpp + a * fp + b * f
-            den = abs(fpp) + abs(a * fp) + abs(b * f)
-            out.append(abs(num) / den)
-        return out
+            pairs += [(a0 + c * hval * f, b0 - c * hval * fp) for c in map(mpf, c_scales)]
+        return [
+            abs(fpp + a * fp + b * f) / (abs(fpp) + abs(a * fp) + abs(b * f)) for a, b in pairs
+        ]
 
 
 def residual_tolerance(sys: CoefficientSystem, radius) -> mpf:

@@ -33,12 +33,14 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .coefficients import HProduct, sample_winding
-from .errors import ConfigError
+from .errors import CancellationError, ConfigError
 from .interpolation import proximity_m
 from .product import (
     LacunaryConfig,
     _fprime_on_circle,
     _half_step_directions,
+    _nearest_in,
+    _scan_blocks,
     eval_f,
     log_derivative,
     nearest_zero,
@@ -228,20 +230,23 @@ def crg_witness(cfg: LacunaryConfig, ks) -> WitnessReport:
 
 
 class ZeroDiskFamily:
-    """Disks of radius r_k/n_k around every zero of the product."""
+    """Disks of radius r_k/n_k around every zero of the blocks that
+    ``eval_f_scan`` takes at the sample's radius, past K too."""
 
     def __init__(self, cfg: LacunaryConfig):
         self.cfg = cfg
 
     def excluded(self, z) -> bool:
-        k, _, dist, _ = nearest_zero(self.cfg, z)
-        r_k, n_k = self.cfg.blocks[k - 1]
-        return dist <= r_k / n_k
+        with mp.workdps(self.cfg.dps):
+            z = mpc(z)
+            blocks = _scan_blocks(self.cfg, abs(z))
+            k, _, dist, _ = _nearest_in(blocks, z)
+            return dist <= blocks[k - 1][0] / blocks[k - 1][1]
 
     def radii_sum(self, r) -> mpf:
         r = mpf(r)
         total = mpf(0)
-        for r_k, n_k in self.cfg.blocks:
+        for r_k, n_k in _scan_blocks(self.cfg, r):
             if r_k <= r:
                 total += n_k * (r_k / mpf(n_k))
         return total
@@ -301,7 +306,9 @@ def indicator_scan(fn, rho, thetas, radii, exclusion=None) -> IndicatorScan:
 
     Samples inside the exceptional disks are kept but marked excluded;
     the per-radius disk budget (sum of radii of disks centered within r,
-    vs r/10) is reported and flagged, never silently trusted.
+    vs r/10) is reported and flagged, never silently trusted.  Exclusion
+    is decided first: an excluded sample whose evaluation cancels (it sits
+    on a zero) keeps the lossy value its CancellationError carries.
     """
     rho = mpf(rho)
     samples = []
@@ -318,8 +325,13 @@ def indicator_scan(fn, rho, thetas, radii, exclusion=None) -> IndicatorScan:
         for theta in thetas:
             theta = mpf(theta)
             z = r * mp.exp(mpc(0, 1) * theta)
-            value = _logmag(fn(z))
             excluded = bool(exclusion.excluded(z)) if exclusion is not None else False
+            try:
+                value = _logmag(fn(z))
+            except CancellationError as exc:
+                if not excluded:
+                    raise
+                value = _logmag(exc.result)
             samples.append(
                 IndicatorSample(
                     r=r, theta=theta, log_abs=value, ratio=value / scale, excluded=excluded

@@ -34,6 +34,7 @@ from mpmath import mp, mpc, mpf
 from .errors import NearPoleError, QuadratureError, TailError
 from .product import (
     LacunaryConfig,
+    _near_zero_margin,
     derivative_ratio_bound,
     derivs_at_zero,
     nearest_zero,
@@ -153,14 +154,19 @@ def eval_g(rat: RationalInterpolant, z, check_domain: bool = True) -> mpc:
             if abs(z) > cfg.next_radius() / 2:
                 raise TailError("z outside the certified domain of g")
         k, m, _, rel = nearest_zero(cfg, z)
-        if rel < mp.power(10, -mpf(cfg.dps) / 2):
+        if rel < _near_zero_margin(cfg):
             raise NearPoleError(
                 f"z within relative 10^-{cfg.dps // 2} of pole {(k, m)}"
             )
-        total = mpc(0)
-        for p, u in zip(rat.poles, rat.residues):
-            total += u / (z - p)
-        return total
+        return _g_sum(rat, z)
+
+
+def _g_sum(rat: RationalInterpolant, z: mpc) -> mpc:
+    """:func:`eval_g` without its guards, at the working precision."""
+    total = mpc(0)
+    for p, u in zip(rat.poles, rat.residues):
+        total += u / (z - p)
+    return total
 
 
 def g_regular_at(rat: RationalInterpolant, index: int) -> tuple[mpc, mpc]:
@@ -196,11 +202,7 @@ def recover_residue(rat: RationalInterpolant, index: int) -> mpc:
         total = mpc(0)
         for j in range(nodes):
             w = mp.expjpi(2 * mpf(j) / nodes)
-            z = xi + radius * w
-            gz = mpc(0)
-            for p, u in zip(rat.poles, rat.residues):
-                gz += u / (z - p)
-            total += gz * w
+            total += _g_sum(rat, xi + radius * w) * w
         return total * radius / nodes
 
 

@@ -340,19 +340,25 @@ def eval_f(cfg: LacunaryConfig, z, strict: bool = True, upto: int | None = None)
         return _jet(cfg.blocks[:upto], z, 0, strict)[0]
 
 
-def eval_f_scan(cfg: LacunaryConfig, z) -> mpc:
-    """f(z) for growth scans: no domain restriction; rule-based schedules are
-    extended with further blocks until the omitted factors are below 10^-40."""
+def _scan_blocks(cfg: LacunaryConfig, radius) -> list[tuple[mpf, int]]:
+    """The blocks ``eval_f_scan`` takes on |z| = radius: rule-based schedules
+    are extended past K until the omitted factors are below 10^-40."""
     with mp.workdps(cfg.dps):
-        z = mpc(z)
         blocks = list(cfg.blocks)
-        if cfg.rule is not None and z != 0:
+        if cfg.rule is not None and radius != 0:
             # ln|z/r|^n of the last block taken
-            log_abs = mp.log(abs(z))
+            log_abs = mp.log(radius)
             threshold = -mpf(40) * mp.log(10)
             while mpf(blocks[-1][1]) * (log_abs - mp.log(blocks[-1][0])) >= threshold:
                 blocks.append(cfg.block(len(blocks) + 1))
-        return _jet(blocks, z, 0, True)[0]
+        return blocks
+
+
+def eval_f_scan(cfg: LacunaryConfig, z) -> mpc:
+    """f(z) for growth scans over :func:`_scan_blocks`: no domain restriction."""
+    with mp.workdps(cfg.dps):
+        z = mpc(z)
+        return _jet(_scan_blocks(cfg, abs(z)), z, 0, True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,44 +405,62 @@ def nearest_zero(cfg: LacunaryConfig, z) -> tuple[int, int, mpf, mpf]:
     sqrt((|z|-r_k)^2 + 4 |z| r_k sin^2(dtheta/2)).
     """
     with mp.workdps(cfg.dps):
-        z = mpc(z)
-        a = abs(z)
-        if a == 0:
-            r1, _ = cfg.blocks[0]
-            return 1, 0, mpf(r1), mpf(1)
-        theta = mp.arg(z)
-        best = None
-        for k, (r, n) in enumerate(cfg.blocks, start=1):
-            m = int(mp.nint(theta * n / (2 * mp.pi)))
-            dtheta = theta - 2 * mp.pi * mpf(m) / n
-            chord2 = (a - r) ** 2 + 4 * a * r * mp.sin(dtheta / 2) ** 2
-            dist = mp.sqrt(chord2)
-            if best is None or dist < best[2]:
-                best = (k, m % n, dist, dist / r)
-        return best
+        return _nearest_in(cfg.blocks, mpc(z))
+
+
+def _nearest_in(blocks, z: mpc) -> tuple[int, int, mpf, mpf]:
+    """:func:`nearest_zero` over ``blocks`` at the working precision."""
+    a = abs(z)
+    if a == 0:
+        r1, _ = blocks[0]
+        return 1, 0, mpf(r1), mpf(1)
+    theta = mp.arg(z)
+    best = None
+    for k, (r, n) in enumerate(blocks, start=1):
+        m = int(mp.nint(theta * n / (2 * mp.pi)))
+        dtheta = theta - 2 * mp.pi * mpf(m) / n
+        chord2 = (a - r) ** 2 + 4 * a * r * mp.sin(dtheta / 2) ** 2
+        dist = mp.sqrt(chord2)
+        if best is None or dist < best[2]:
+            best = (k, m % n, dist, dist / r)
+    return best
 
 
 # ---------------------------------------------------------------------------
 # logarithmic derivatives
 
 
+def _near_zero_margin(cfg: LacunaryConfig) -> mpf:
+    """10^(-P/2), the relative distance to a zero that the guards require."""
+    return mp.power(10, -mpf(cfg.dps) / 2)
+
+
 def _near_zero_guard(cfg: LacunaryConfig, z: mpc) -> None:
     k, m, _, rel = nearest_zero(cfg, z)
-    if rel < mp.power(10, -mpf(cfg.dps) / 2):
+    if rel < _near_zero_margin(cfg):
         raise NearZeroError(
             f"z within relative {mp.nstr(rel, 5)} of zero (block {k}, index {m}); "
             f"threshold 10^-{cfg.dps // 2}"
         )
 
 
-def _jet_at(cfg: LacunaryConfig, z, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
-    """_jet over the K blocks, behind the guards of eval_f and log_derivative."""
+def _guarded(cfg: LacunaryConfig, z, order: int) -> mpc:
+    """z as mpc, past the guards of f_jet and log_derivative."""
     if order not in (1, 2):
         raise ConfigError(f"order must be 1 or 2, got {order}")
     z = mpc(z)
     _check_domain(cfg, z)
     _near_zero_guard(cfg, z)
-    return _jet(cfg.blocks, z, order, strict)
+    return z
+
+
+def _f_jet(cfg: LacunaryConfig, z: mpc, order: int) -> tuple[mpc, ...]:
+    """:func:`f_jet` without its guards, for callers that have checked the
+    domain and found z at least 10^(-P/2) (relative) from every zero."""
+    f, l1, l2 = _jet(cfg.blocks, z, order, True)
+    if order == 1:
+        return f, f * l1
+    return f, f * l1, f * (l1 * l1 + l2)
 
 
 def f_jet(cfg: LacunaryConfig, z, order: int) -> tuple[mpc, ...]:
@@ -444,10 +468,7 @@ def f_jet(cfg: LacunaryConfig, z, order: int) -> tuple[mpc, ...]:
     f' = f L1 and f'' = f (L1^2 + L1') with L1 = f'/f.  TailError and
     NearZeroError as log_derivative, CancellationError as eval_f."""
     with mp.workdps(cfg.dps):
-        f, l1, l2 = _jet_at(cfg, z, order, True)
-        if order == 1:
-            return f, f * l1
-        return f, f * l1, f * (l1 * l1 + l2)
+        return _f_jet(cfg, _guarded(cfg, z, order), order)
 
 
 def _half_step_directions(n: int, indices) -> list[mpc]:
@@ -472,7 +493,7 @@ def _fprime_on_circle(cfg: LacunaryConfig, zero: tuple[int, int], radius, direct
     with mp.workdps(cfg.dps):
         r_k, n_k = cfg.block(k)
         radius = mpf(radius)
-        margin = mp.power(10, -mpf(cfg.dps) / 2)
+        margin = _near_zero_margin(cfg)
         if not margin * r_k <= radius <= r_k / n_k:
             bounds = f"[10^-{cfg.dps // 2} r_{k}, r_{k}/n_{k}]"
             raise ConfigError(f"contour radius {mp.nstr(radius, 8)} outside {bounds}")
@@ -486,8 +507,7 @@ def _fprime_on_circle(cfg: LacunaryConfig, zero: tuple[int, int], radius, direct
             z = xi + radius * w
             if not clear:
                 _near_zero_guard(cfg, z)
-            f, l1, _ = _jet(cfg.blocks, z, 1, True)
-            fp = f * l1
+            fp = _f_jet(cfg, z, 1)[1]
             if fp == 0:
                 raise ZeroOnContourError(
                     f"f' vanishes on the contour around {mp.nstr(xi, 8)} at node {j}"
@@ -500,7 +520,7 @@ def log_derivative(cfg: LacunaryConfig, z, order: int = 1) -> mpc:
     """f'/f (order 1) or (f'/f)' (order 2), summed termwise over blocks."""
     with mp.workdps(cfg.dps):
         # f itself is dropped here, so a lossy factor of it is harmless
-        return _jet_at(cfg, z, order, False)[order]
+        return _jet(cfg.blocks, _guarded(cfg, z, order), order, False)[order]
 
 
 def derivative_ratio_bound(cfg: LacunaryConfig, k: int) -> mpf:

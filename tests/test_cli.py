@@ -97,6 +97,17 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_removed_config_keys_exit_2(self, tmp_path, capsys):
+        """H's truncation, the perturbation scale and the series switch
+        radius are constants; a config that sets one is refused by name."""
+        for key, value in (("H_truncation", 64), ("c_scale", 1), ("near_zero_delta", 1e-8)):
+            cfg = write_config(tmp_path, {**ANCHOR, key: value})
+            code = main(
+                ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--checks", "summability"]
+            )
+            assert code == 2
+            assert key in capsys.readouterr().err
+
     def test_fault_injection_detected(self, tmp_path):
         """Perturbing one stored residue by 1e-3 must fail the interpolation
         identity for exactly that zero and flip the exit code to 1."""
@@ -224,6 +235,25 @@ class TestScan:
         summary = json.loads((out / "indicator_summary.json").read_text())
         assert summary["target"] == "f"
         assert summary["budget_ok"] is True
+
+    def test_indicator_scan_on_zeros_past_k(self, tmp_path):
+        """factorial K=2 scans at 16 r_2 = 64 = r_3: the samples at theta = 0
+        and pi sit on zeros of block 3, which the scan's f takes.  They are
+        excluded with the 28 other samples within r_3/n_3 = 8 of a block-3
+        zero, and block 3's disks (sum 64) break the r/10 budget."""
+        cfg = write_config(tmp_path, {"rho_f": 0.5, "rule": "factorial", "K": 2})
+        out = tmp_path / "s"
+        code = main(
+            ["scan", "--config", cfg, "--out", str(out), "--scan", "indicator", "--angles", "90"]
+        )
+        assert code == 0
+        summary = json.loads((out / "indicator_summary.json").read_text())
+        assert summary["excluded_samples"] == 30
+        assert summary["budget_ok"] is False
+        rows = [row.split(",") for row in (out / "indicator.csv").read_text().splitlines()[1:]]
+        on_zeros = [row for row in rows if float(row[1]) in (0.0, float(mp.pi))]
+        assert len(on_zeros) == 2
+        assert all(row[4] == "True" for row in on_zeros)
 
 
 class TestReport:

@@ -12,7 +12,7 @@ from lacunary import (
     config_from_blocks,
     make_schedule,
 )
-from lacunary import coefficients
+from lacunary import coefficients, interpolation, product
 from lacunary.checks import check_cauchy
 from lacunary.coefficients import (
     build_H,
@@ -28,7 +28,13 @@ from lacunary.coefficients import (
     residual,
     residual_tolerance,
 )
-from lacunary.product import derivative_ratio_bound, derivs_at_zero, nearest_zero, zero_point
+from lacunary.product import (
+    derivative_ratio_bound,
+    derivs_at_zero,
+    f_jet,
+    nearest_zero,
+    zero_point,
+)
 
 from helpers import rel_err
 
@@ -44,7 +50,7 @@ def anchor_system():
 def factorial_system(factorial_k4_rat):
     mp.dps = 100
     cfg = factorial_k4_rat.cfg
-    return make_system(cfg, rho_H=mpf("0.4"), h_truncation=64, rat=factorial_k4_rat)
+    return make_system(cfg, rho_H=mpf("0.4"), rat=factorial_k4_rat)
 
 
 class TestA0:
@@ -75,8 +81,7 @@ class TestB0:
 
     def test_branch_agreement_just_outside_switch(self, anchor_system):
         """Both evaluation routes agree far below the 10^(-P/3) contract."""
-        delta = anchor_system.near_zero_delta
-        z = 1 + 2 * delta
+        z = 1 + 2 * coefficients.NEAR_ZERO_DELTA
         d = eval_B0_direct(anchor_system, z)
         s = eval_B0_series(anchor_system, z)
         assert abs(d - s) < mpf(10) ** (-anchor_system.dps / 3)
@@ -84,18 +89,12 @@ class TestB0:
     def test_branch_agreement_nontrivial_config(self, factorial_system):
         """Same cross-validation where B0 is not constant.  The series
         branch carries one Taylor step, so its error is quadratic in the
-        switch radius: delta = 1e-20 puts both routes far below 10^(-P/3)."""
-        sys_tight = make_system(
-            factorial_system.cfg,
-            rho_H=mpf("0.4"),
-            rat=factorial_system.rat,
-            near_zero_delta=mpf("1e-20"),
-        )
+        offset: 2e-20 puts both routes far below 10^(-P/3)."""
         for base in (mpf(2), mpf(4)):
-            z = base * (1 + 2 * sys_tight.near_zero_delta)
-            d = eval_B0_direct(sys_tight, z)
-            s = eval_B0_series(sys_tight, z)
-            assert abs(d - s) / abs(d) < mpf(10) ** (-sys_tight.dps / 3)
+            z = base * (1 + mpf("2e-20"))
+            d = eval_B0_direct(factorial_system, z)
+            s = eval_B0_series(factorial_system, z)
+            assert abs(d - s) / abs(d) < mpf(10) ** (-factorial_system.dps / 3)
 
     def test_direct_branch_refuses_too_close_points(self):
         """Inside the guard band the direct branch must signal, never return
@@ -168,25 +167,67 @@ class TestEvalAB:
         assert abs(b - b0) > 1
         assert rel_err(abs(b - b0), h4 * f1) < mpf("1e-6")
 
-    def test_zero_scale_reduces_to_base(self):
+    def test_perturbation_is_h_times_f(self):
+        """A - A0 = H f and B - B0 = -H f' away from the zeros."""
         cfg = config_from_blocks([(4, 2), (16, 4)])
-        sys0 = make_system(cfg, rho_H=mpf("0.25"), c_scale=0)
+        sys1 = make_system(cfg, rho_H=mpf("0.25"))
         z = mpc(3, 5)
-        a, b = eval_AB(sys0, z)
-        assert abs(a - eval_A0(sys0, z)) == 0
-        assert abs(b - eval_B0(sys0, z)) == 0
+        a, b = eval_AB(sys1, z)
+        hval = sys1.h.eval(z)
+        f, fp = f_jet(cfg, z, 1)
+        assert rel_err(a - eval_A0(sys1, z), hval * f) < mpf("1e-95")
+        assert rel_err(b - eval_B0(sys1, z), -hval * fp) < mpf("1e-95")
 
     def test_requires_h(self, anchor_system):
         with pytest.raises(ConfigError):
             eval_AB(anchor_system, 2)
 
 
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Counts nearest_zero scans and derivs_at_zero calls, patched under every
+    name by which the coefficient layer and its guards reach them."""
+    counts = {"nearest_zero": 0, "derivs_at_zero": 0}
+    for name in counts:
+        real = getattr(product, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (product, interpolation, coefficients):
+            monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+class TestOneScanPerPoint:
+    """The route of each point comes from one nearest-zero scan."""
+
+    def test_residual_point(self, factorial_system, call_counts):
+        residual(factorial_system, mpc(30, 7), (1, 10))
+        assert call_counts["nearest_zero"] == 1
+
+    def test_eval_ab_away_from_zeros(self, factorial_system, call_counts):
+        eval_AB(factorial_system, mpc(30, 7))
+        assert call_counts["nearest_zero"] == 1
+
+    def test_eval_ab_near_a_zero(self, factorial_system, call_counts):
+        eval_AB(factorial_system, 4 * (1 + mpf("1e-20")))
+        assert call_counts["nearest_zero"] == 1
+        assert call_counts["derivs_at_zero"] == 1
+
+    def test_eval_ab_at_a_zero(self, factorial_system, call_counts):
+        eval_AB(factorial_system, zero_point(factorial_system.cfg, 2, 0))
+        assert call_counts["nearest_zero"] == 1
+        assert call_counts["derivs_at_zero"] == 1
+
+
 class TestResidual:
     def test_base_residual_symbolic(self, anchor_system):
         # -2 + (-z)(-2z) + 2(1 - z^2) = 0 identically
         tol = mpf(10) ** (-anchor_system.dps + 5)
-        assert residual(anchor_system, 3, "base") <= tol
-        assert residual(anchor_system, mpc(2, 2), "base") <= tol
+        assert residual(anchor_system, 3)[0] <= tol
+        assert residual(anchor_system, mpc(2, 2))[0] <= tol
 
     def test_perturbed_residual_and_scale_invariance(self, factorial_system):
         rng = random.Random(11)
@@ -198,9 +239,9 @@ class TestResidual:
                 continue
             if nearest_zero(factorial_system.cfg, z)[3] < mpf("0.01"):
                 continue
-            for c in (1, 2, 10):
-                assert residual(factorial_system, z, "perturbed", c_scale=c) <= tol
-            assert residual(factorial_system, z, "base") <= tol
+            values = residual(factorial_system, z, (1, 2, 10))
+            assert len(values) == 4
+            assert all(value <= tol for value in values)
             tested += 1
 
     def test_tolerance_model(self, factorial_system):
@@ -211,7 +252,7 @@ class TestResidual:
         from lacunary import NearZeroError
 
         with pytest.raises(NearZeroError):
-            residual(factorial_system, 4 * (1 + mpf(10) ** -9), "base")
+            residual(factorial_system, 4 * (1 + mpf(10) ** -9))
 
 
 class TestInterpolationIdentity:
@@ -365,13 +406,6 @@ class TestContourNodeDoubling:
 
 
 class TestSystemConstruction:
-    def test_near_zero_delta_range(self):
-        cfg = config_from_blocks([(1, 2)])
-        with pytest.raises(ConfigError):
-            make_system(cfg, near_zero_delta=mpf("1e-3"))
-        with pytest.raises(ConfigError):
-            make_system(cfg, near_zero_delta=mpf("1e-80"))
-
     def test_hypothesis_flag(self):
         cfg = make_schedule(0.5, 2, "factorial")
         sys = make_system(cfg, rho_H=mpf("0.4"))
