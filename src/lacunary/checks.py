@@ -295,7 +295,7 @@ def check_asymptotics(sys: CoefficientSystem, seed: int):
 def check_proximity(sys: CoefficientSystem, seed: int):
     cfg = sys.cfg
     rat = sys.rat
-    moduli = sorted({abs(p) for p in rat.poles})
+    moduli = [r for r, _ in cfg.blocks]  # the poles' moduli, once each
     r_base = cfg.blocks[-1][0]
     values = []
     records = []
@@ -333,7 +333,7 @@ def check_proximity(sys: CoefficientSystem, seed: int):
 def check_characteristic(sys: CoefficientSystem, seed: int):
     cfg = sys.cfg
     rat = sys.rat
-    moduli = [abs(p) for p in rat.poles]
+    moduli = [r for r, n in cfg.blocks for _ in range(n)]  # one per pole
     r = 100 * cfg.blocks[-1][0]
     m, n, t = nevanlinna(
         lambda z: eval_g(rat, z, check_domain=False), moduli, r

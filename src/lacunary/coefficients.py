@@ -106,8 +106,9 @@ class HProduct:
         """H(z) as a plain product of the factors 1 + z/a_m.
 
         A factor that loses more than P-5 of the P digits of max(1, |z/a_m|)
-        to cancellation raises CancellationError; one below the rounding
-        level of that scale is the exact zero (z sits on a zero of H).
+        to cancellation raises CancellationError, carrying the product
+        finished with the lossy factor; one below the rounding level of
+        that scale is the exact zero (z sits on a zero of H).
         """
         with mp.workdps(self.dps):
             z = mpc(z)
@@ -118,6 +119,7 @@ class HProduct:
                 )
             lossy = mp.power(10, 5 - self.dps)
             acc = mpc(1)
+            error = None
             for m, a in enumerate(self.moduli[: self.truncation], start=1):
                 w = z / a
                 factor = 1 + w
@@ -125,14 +127,16 @@ class HProduct:
                 mag = abs(factor)
                 if mag <= scale * mp.eps:
                     factor = mpc(0)
-                elif mag < scale * lossy:
+                elif mag < scale * lossy and error is None:
                     digits_lost = float(mp.log(scale / mag, 10))
-                    raise CancellationError(
+                    error = CancellationError(
                         f"H factor {m} cancelled {digits_lost:.1f} of {self.dps} digits",
-                        result=factor,
                         digits_lost=digits_lost,
                     )
                 acc *= factor
+            if error is not None:
+                error.result = acc
+                raise error
             return acc
 
 
@@ -282,7 +286,11 @@ def eval_B0_series(sys: CoefficientSystem, z) -> mpc:
 def eval_B0(sys: CoefficientSystem, z) -> mpc:
     """B0(z), from the series within NEAR_ZERO_DELTA (relative) of a zero."""
     with mp.workdps(sys.dps):
-        return _base(sys, mpc(z))[3]
+        z = mpc(z)
+        route, k, m = _route(sys, z)
+        if route == "direct":
+            return _direct(sys, z)[3]
+        return _series(sys, z, k, m)[0]
 
 
 def eval_AB(sys: CoefficientSystem, z) -> tuple[mpc, mpc]:

@@ -28,6 +28,7 @@ scan computes and flags it per radius rather than assuming it.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
@@ -134,19 +135,19 @@ def log_max_modulus_bound(cfg: LacunaryConfig, r) -> tuple[mpf, mpf]:
 
 
 def counting_N(pole_moduli, r) -> mpf:
-    """N(r) = sum_{|z_k| <= r} ln(r / |z_k|) for simple poles, finite at 0."""
+    """N(r) = sum_{|z_k| <= r} ln(r / |z_k|) for simple poles, finite at 0:
+    one logarithm per distinct modulus, times its count."""
     r = mpf(r)
     total = mpf(0)
-    for mod in pole_moduli:
-        mod = mpf(mod)
+    for mod, count in Counter(map(mpf, pole_moduli)).items():
         if mod <= r:
-            total += mp.log(r / mod)
+            total += count * mp.log(r / mod)
     return total
 
 
 def nevanlinna(fn, pole_moduli, r) -> tuple[mpf, mpf, mpf]:
     """(m, N, T) at radius r: proximity by quadrature, counting in closed form."""
-    m = proximity_m(fn, r, avoid_moduli=pole_moduli)
+    m = proximity_m(fn, r, avoid_moduli=dict.fromkeys(pole_moduli))
     n = counting_N(pole_moduli, r)
     return m, n, m + n
 

@@ -10,10 +10,26 @@ that configuration's product, in block order.  The residues are produced
 by factor extraction (never by numerically dividing near the zeros), and
 the interpolant carries two certificates:
 
-- summability: sum |u_k / z_k| over the included poles plus an analytic
-  tail bound derived from the residue-ratio bound at block K+1 and the
-  geometric radius growth of the schedule;
+- summability: sum |u_k / z_k| over the included poles (also per block)
+  plus an analytic tail bound derived from the residue-ratio bound at
+  block K+1 and the geometric radius growth of the schedule;
 - C_bound: max |u_k|, finite by construction.
+
+g is summed block by block.  All n_k poles xi_m = r_k omega^m of block k
+lie on |z| = r_k, so away from that circle the block's part of g is a
+power series in its moments T_e = sum_m u_m omega^(m e):
+
+    inside  (|z| < r_k):  -(1/r_k) sum_p T_(-p-1) (z/r_k)^p,
+    outside (|z| > r_k):   (1/z)   sum_p T_p (r_k/z)^p
+
+(the multipole expansion of Greengard & Rokhlin, J. Comput. Phys. 73,
+1987).  With q = min(|z|, r_k)/max(|z|, r_k) and U_k = sum |u| over the
+block, the terms past P sum to at most (U_k/max(|z|, r_k)) q^P/(1 - q).
+P is the least count that puts this under eps * sum_j U_j/(|z| + r_j),
+the rounding level the direct sum already has; the series replaces the
+direct sum when q <= 1/2 and P < n_k (``_series_terms``).  On the
+headline schedule that is block 4 (4096 poles) away from its circle,
+with 7 terms at |z| <= r_3 and 21 at 100 r_4 (100 digits).
 
 ``proximity_m`` is the (1/2pi) integral of log+ |fn| over a circle,
 computed by node-doubling trapezoid quadrature (spectrally accurate for
@@ -21,12 +37,17 @@ the periodic integrand away from poles).
 
 Interpolants are immutable and evaluation is pure: quadrature nodes can
 be evaluated concurrently, and sums run in stored pole order so results
-are deterministic.
+are deterministic.  The moments are filled lazily into a private cache
+on the interpolant the first time a block takes the series; each one is
+a fixed sum over the stored residues and poles (the root omega^(m e) is
+the stored pole of index m e mod n_k, over r_k), so its value does not
+depend on which points were evaluated first.  A copy made by
+``with_residue`` starts with an empty cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
@@ -48,7 +69,8 @@ class RationalInterpolant:
 
     ``pole_ids`` holds the (block, index) label of each pole, in the
     config's block order.  ``tail_sum_bound`` bounds the uncomputed part
-    of sum |u/z| (0 for finite explicit products).  Build interpolants
+    of sum |u/z| (0 for finite explicit products); ``block_sums`` holds
+    the included sum |u/z| of each block.  Build interpolants
     with ``residues_from_f`` or ``config_interpolant``.
     """
 
@@ -57,8 +79,11 @@ class RationalInterpolant:
     pole_ids: tuple[tuple[int, int], ...]
     c_bound: mpf
     sum_included: mpf
+    block_sums: tuple[mpf, ...]
     tail_sum_bound: mpf
     cfg: LacunaryConfig
+    # moment T_e of block k under the key (k, e), filled by ``_moment``
+    _moments: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def pole_index(self, k: int, m: int) -> int:
         offset = 0
@@ -97,24 +122,28 @@ def _schedule_tail_sum(cfg: LacunaryConfig) -> mpf:
 def config_interpolant(cfg: LacunaryConfig, poles, residues, pole_ids) -> RationalInterpolant:
     """Interpolant for the zeros of ``cfg`` with their residues, certified.
 
-    C_bound and the included sum |u/z| run over the poles in the given
-    order; the tail bound comes from the schedule.  ``residues_from_f``,
-    ``with_residue`` and the CLI's artifact loader all build their
-    interpolant here, so every interpolant carries certificates for the
-    residues it holds.
+    C_bound and the included sum |u/z|, in total and per block, run over
+    the poles in the given order; the tail bound comes from the schedule.
+    ``residues_from_f``, ``with_residue`` and the CLI's artifact loader
+    all build their interpolant here, so every interpolant carries
+    certificates for the residues it holds.
     """
     with mp.workdps(cfg.dps):
         c_bound = mpf(0)
         total = mpf(0)
-        for p, u in zip(poles, residues):
+        block_sums = [mpf(0)] * cfg.K
+        for (k, _), p, u in zip(pole_ids, poles, residues):
             c_bound = max(c_bound, abs(u))
-            total += abs(u) / abs(p)
+            term = abs(u) / abs(p)
+            total += term
+            block_sums[k - 1] += term
         return RationalInterpolant(
             poles=tuple(poles),
             residues=tuple(residues),
             pole_ids=tuple(pole_ids),
             c_bound=c_bound,
             sum_included=total,
+            block_sums=tuple(block_sums),
             tail_sum_bound=_schedule_tail_sum(cfg),
             cfg=cfg,
         )
@@ -162,11 +191,73 @@ def eval_g(rat: RationalInterpolant, z, check_domain: bool = True) -> mpc:
 
 
 def _g_sum(rat: RationalInterpolant, z: mpc) -> mpc:
-    """:func:`eval_g` without its guards, at the working precision."""
+    """:func:`eval_g` without its guards, at the working precision: each
+    block by its direct sum or by its moment series (``_series_terms``)."""
     total = mpc(0)
-    for p, u in zip(rat.poles, rat.residues):
-        total += u / (z - p)
+    start = 0
+    for k, ((r, n), terms) in enumerate(zip(rat.cfg.blocks, _series_terms(rat, z)), start=1):
+        if terms is None:
+            for p, u in zip(rat.poles[start : start + n], rat.residues[start : start + n]):
+                total += u / (z - p)
+        elif abs(z) < r:
+            s, acc = z / r, mpc(0)
+            for e in range(-terms, 0):
+                acc = acc * s + _moment(rat, k, e)
+            total -= acc / r
+        else:
+            t, acc = r / z, mpc(0)
+            for e in reversed(range(terms)):
+                acc = acc * t + _moment(rat, k, e)
+            total += acc / z
+        start += n
     return total
+
+
+def _series_terms(rat: RationalInterpolant, z: mpc) -> list[int | None]:
+    """Per block, the number of moment-series terms that sum its part of g
+    at z, or None where the block is summed directly (the tail rule of the
+    module docstring).  U_k is r_k times the block's certified sum |u/xi|,
+    raised by a rounding allowance."""
+    a = abs(z)
+    blocks = rat.cfg.blocks
+    masses = [r * s * (1 + 4 * n * mp.eps) for (r, n), s in zip(blocks, rat.block_sums)]
+    target = mp.eps * mp.fsum(mass / (a + r) for (r, _), mass in zip(blocks, masses))
+    plan = []
+    for (r, n), mass in zip(blocks, masses):
+        big = max(a, r)
+        q = min(a, r) / big
+        terms = None
+        if q <= 0.5:
+            tail, terms = mass / (big * (1 - q)), 0
+            while tail > target and terms < n:
+                tail, terms = tail * q, terms + 1
+            if terms == n:
+                terms = None
+        plan.append(terms)
+    return plan
+
+
+# Pole products per fdot call: bounds the memory of one exact dot product.
+MOMENT_CHUNK = 256
+
+
+def _moment(rat: RationalInterpolant, k: int, e: int) -> mpc:
+    """T_e = sum_m u_m omega^(m e) over block k, omega = exp(2 pi i/n_k),
+    formed once per interpolant: omega^(m e) is the stored pole of index
+    m e mod n_k (reduced in integers) over r_k."""
+    key = (k, e)
+    if key not in rat._moments:
+        r, n = rat.cfg.blocks[k - 1]
+        start = rat.pole_index(k, 0)
+        poles = rat.poles[start : start + n]
+        residues = rat.residues[start : start + n]
+        with mp.workdps(rat.cfg.dps):
+            total = mpc(0)
+            for c in range(0, n, MOMENT_CHUNK):
+                chunk = range(c, min(n, c + MOMENT_CHUNK))
+                total += mp.fdot((residues[m], poles[m * e % n]) for m in chunk)
+            rat._moments[key] = total / r
+    return rat._moments[key]
 
 
 def g_regular_at(rat: RationalInterpolant, index: int) -> tuple[mpc, mpc]:
@@ -227,10 +318,9 @@ def check_summability(rat: RationalInterpolant) -> SummabilityReport:
     bound ``derivative_ratio_bound(cfg, k)``."""
     cfg = rat.cfg
     with mp.workdps(cfg.dps):
-        per_block: dict = {}
+        per_block = dict(enumerate(rat.block_sums, start=1))
         per_block_max: dict = {}
-        for (k, _), p, u in zip(rat.pole_ids, rat.poles, rat.residues):
-            per_block[k] = per_block.get(k, mpf(0)) + abs(u) / abs(p)
+        for (k, _), u in zip(rat.pole_ids, rat.residues):
             per_block_max[k] = max(per_block_max.get(k, mpf(0)), abs(u))
         per_block_bound = {k: derivative_ratio_bound(cfg, k) for k in per_block_max}
         within = all(per_block_max[k] <= per_block_bound[k] for k in per_block_max)

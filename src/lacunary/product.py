@@ -298,22 +298,30 @@ def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
     Each power (z/r_k)^{n_k} is one ``mp.power`` with n_k.bit_length() + 20
     guard bits, so the rounding of z/r_k, amplified n_k-fold by the power,
     stays below the working precision.  The factors and terms come from
-    :func:`_block_terms`; a lossy factor raises (strict) or is kept.
+    :func:`_block_terms`; a lossy factor is kept, and when ``strict`` the
+    first one raises once the product is finished, carrying that lossy f.
     At z = 0 the sums are their termwise limits (n = 1, n <= 2 blocks).
     """
     terms = order if z != 0 else 0
     lossy = mpf(10) ** (5 - mp.dps) if strict else None
+    error = None
     f = mpc(1)
     l1 = l2 = mpc(0)
     for r, n in blocks:
         with mp.extraprec(n.bit_length() + 20):
             w = mp.power(z / r, n)
-        factor, s, t, _ = _block_terms(w, abs(w), None, terms, lossy)
+        try:
+            factor, s, t, _ = _block_terms(w, abs(w), None, terms, lossy)
+        except CancellationError as exc:
+            error, lossy, terms, factor = exc, None, 0, exc.result
         f *= factor
         if terms:
             l1 += n * s
             if terms == 2:
                 l2 -= n * (s + n * t)
+    if error is not None:
+        error.result = f
+        raise error
     if terms:
         l1, l2 = l1 / z, l2 / (z * z)
     elif order:

@@ -135,6 +135,19 @@ class TestH:
         direct = mp.exp(mp.fsum(mp.log(1 + mpf(m) ** -4) for m in range(1, 65)))
         assert rel_err(v, direct) < mpf("1e-90")
 
+    def test_cancellation_carries_the_whole_product(self):
+        """A factor that cancels to 10^-97 raises, carrying H itself: the
+        product of all 64 factors, the lossy one included."""
+        h = build_H(0.25, 64)
+        z = -h.zero_modulus(20) * (1 + mpf(10) ** -97)
+        with pytest.raises(CancellationError) as info:
+            h.eval(z)
+        whole = mpc(1)
+        for a in h.moduli[: h.truncation]:
+            whole *= 1 + z / a
+        assert info.value.result == whole
+        assert abs(whole) < mpf(10) ** -50
+
     def test_rho_range_enforced(self):
         with pytest.raises(ConfigError):
             build_H(0.5, 64)

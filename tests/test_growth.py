@@ -1,7 +1,7 @@
 """Growth scans: max modulus, characteristic functions, order/witness/indicator."""
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from lacunary import config_from_blocks, make_schedule
 from lacunary.coefficients import build_H
@@ -18,7 +18,8 @@ from lacunary.growth import (
     verify_thm2_asymptotics,
 )
 from lacunary.interpolation import eval_g, residues_from_f
-from lacunary.product import eval_f, eval_f_scan
+from lacunary.errors import CancellationError
+from lacunary.product import _jet, _scan_blocks, eval_f, eval_f_scan
 
 from helpers import rel_err
 
@@ -199,6 +200,29 @@ class TestIndicatorScan:
             exclusion=fam,
         )
         assert scan_far.budget_ok
+
+    def test_excluded_cancelling_samples_record_the_whole_product(self):
+        """On zeros of factorial K=2's rule-extended block 3 the scan keeps
+        log|f| of the lossy product over every scanned block, not of the
+        one factor that cancelled."""
+        cfg = make_schedule(0.5, 2, "factorial")
+        r = 16 * cfg.blocks[-1][0]
+        thetas = [2 * mp.pi * j / 8 for j in range(8)]
+        fn = lambda z: eval_f_scan(cfg, z)
+        scan = indicator_scan(fn, cfg.rho_f, thetas, [r], exclusion=ZeroDiskFamily(cfg))
+        cancelling = 0
+        for s in scan.samples:
+            z = s.r * mp.exp(mpc(0, 1) * s.theta)
+            try:
+                fn(z)
+                continue
+            except CancellationError:
+                cancelling += 1
+            assert s.excluded
+            with mp.workdps(cfg.dps):
+                whole = _jet(_scan_blocks(cfg, s.r), z, 0, False)[0]
+            assert s.log_abs == mp.log(abs(whole))
+        assert cancelling >= 2  # theta = 0 and theta = pi sit on zeros
 
     def test_dip_vs_peak_along_zero_direction(self, factorial_cfg):
         """ln M at r_k vs e r_k differ by a factor > 5 from k = 5 on."""

@@ -7,6 +7,8 @@ from mpmath import mp, mpc, mpf
 
 from lacunary import NearPoleError, QuadratureError, config_from_blocks, make_schedule
 from lacunary.interpolation import (
+    _g_sum,
+    _series_terms,
     check_summability,
     config_interpolant,
     eval_g,
@@ -18,7 +20,7 @@ from lacunary.interpolation import (
 )
 from lacunary.product import derivative_ratio_bound, zero_point
 
-from helpers import rel_err
+from helpers import direct_g, rel_err
 
 
 def one_minus_z_squared():
@@ -190,6 +192,106 @@ class TestSummability:
         assert bad.total < mpf("inf")
         assert bad.per_block_max[4] > bad.per_block_bound[4]
         assert not bad.passed
+
+
+def _agrees_with_direct(rat, z):
+    """_g_sum(z) within 10^(10-P) of the plain partial-fraction sum."""
+    with mp.workdps(rat.cfg.dps):
+        z = mpc(z)
+        ref = direct_g(rat, z)
+        return abs(_g_sum(rat, z) - ref) <= mp.power(10, 10 - rat.cfg.dps) * abs(ref)
+
+
+def _series_points(r3, r4):
+    """Seeded points with |z| <= r_3, z = 0, and 10, 100, 1000 r_4."""
+    rng = random.Random(9)
+    points = [mpc(0)]
+    for _ in range(4):
+        points.append(r3 * mpf(rng.random()) * mp.expjpi(2 * mpf(rng.random())))
+    for scale, angle in ((10, "0.13"), (100, "0.71"), (1000, "-0.4")):
+        points.append(scale * r4 * mp.expjpi(mpf(angle)))
+    return points
+
+
+@pytest.fixture(scope="module")
+def factorial_k4_rat_200():
+    with mp.workdps(200):
+        return residues_from_f(make_schedule(0.5, 4, "factorial", dps=200))
+
+
+class TestMomentSeries:
+    """The block-4 moment series against the direct sum (tests/helpers.py)."""
+
+    def test_agrees_with_direct_sum_at_100_digits(self, factorial_k4_rat):
+        rat = factorial_k4_rat
+        r3, r4 = rat.cfg.blocks[2][0], rat.cfg.blocks[3][0]
+        for z in _series_points(r3, r4):
+            assert _series_terms(rat, z)[3] is not None
+            assert _agrees_with_direct(rat, z), z
+
+    def test_agrees_with_direct_sum_at_200_digits(self, factorial_k4_rat_200):
+        rat = factorial_k4_rat_200
+        r3, r4 = rat.cfg.blocks[2][0], rat.cfg.blocks[3][0]
+        with mp.workdps(200):
+            for z in _series_points(r3, r4):
+                assert _series_terms(rat, z)[3] is not None
+                assert _agrees_with_direct(rat, z), z
+
+    def test_both_sides_of_the_ratio_one_half(self, factorial_k4_rat):
+        """Outside r_4: q = r_4/|z| just below 1/2 takes the series (with
+        its longest tail), just above sums block 4 directly."""
+        rat = factorial_k4_rat
+        r4 = rat.cfg.blocks[3][0]
+        below = 2 * r4 * mpf("1.01") * mp.expjpi(mpf("0.3"))
+        above = 2 * r4 * mpf("0.99") * mp.expjpi(mpf("0.3"))
+        assert _series_terms(rat, below)[3] is not None
+        assert _series_terms(rat, above)[3] is None
+        assert _agrees_with_direct(rat, below)
+        assert _agrees_with_direct(rat, above)
+
+    def test_explicit_blocks(self):
+        """A finite product whose 256-pole block takes the series inside
+        and outside its circle, at 100 and 200 digits (the single pole at 2
+        keeps g(0) away from 0)."""
+        blocks = [(2, 1), (4, 2), (64, 8), (65536, 256)]
+        for dps in (100, 200):
+            with mp.workdps(dps):
+                rat = residues_from_f(config_from_blocks(blocks, dps=dps))
+                for z in (mpc(0), mpc(90, 40), mpc(-3e8, 2e8)):
+                    assert _series_terms(rat, z)[3] is not None
+                    assert _agrees_with_direct(rat, z), (dps, z)
+
+    def test_with_residue_reaches_far_field(self, factorial_k4_rat):
+        """A replaced block-4 residue moves g at 100 r_4 by (u' - u)/(z - xi):
+        the copy forms its own moments, and the original keeps its own."""
+        rat = factorial_k4_rat
+        i = rat.pole_index(4, 1234)
+        z = 100 * rat.cfg.blocks[3][0] * mp.expjpi(mpf("0.71"))
+        before = _g_sum(rat, z)
+        delta = mpf("1e-40")
+        bad = rat.with_residue(i, rat.residues[i] + delta)
+        assert _series_terms(bad, z)[3] is not None
+        after = _g_sum(bad, z)
+        change = delta / (z - rat.poles[i])
+        assert abs(after - before - change) <= mpf("1e-90") * abs(after)
+        assert _g_sum(rat, z) == before
+
+
+class TestSeriesRoute:
+    """Guards the per-block route on the headline schedule: a silent fall
+    back to the 4096-pole direct sum fails here."""
+
+    def test_block_four_route(self, factorial_k4_rat):
+        rat = factorial_k4_rat
+        r4 = rat.cfg.blocks[3][0]
+        near = _series_terms(rat, mpc(30))
+        far = _series_terms(rat, 100 * r4 * mp.expjpi(mpf("0.71")))
+        on = _series_terms(rat, mpf("0.9") * r4 * mp.expjpi(mpf("0.01")))
+        assert near[3] is not None and near[3] <= 8
+        assert far[3] is not None and far[3] <= 22
+        assert on[3] is None
+        for plan in (near, far, on):
+            assert plan[:3] == [None, None, None]
 
 
 class TestProximity:
