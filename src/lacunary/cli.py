@@ -120,28 +120,29 @@ def _construct_at_precision(cfg: LacunaryConfig, data: dict, out: Path) -> int:
     extras = {"rho_H": data["rho_H"]} if "rho_H" in data else {}
     _write_json(out / "config.json", {**config_to_dict(cfg), **extras})
 
+    # full-precision serialization: the verify-from-artifact path must
+    # round-trip residues without disturbing the interpolation identity;
+    # each pole is formatted once, for zeros.json and residues.json
+    rat = system.rat
+    pole_strs = [_cstr(p, cfg.dps + 5) for p in rat.poles]
     blocks_payload = []
     for k, (r, n) in enumerate(cfg.blocks, start=1):
         entry = {"k": k, "r": _nstr(r), "n": n}
         if n <= CONSTRUCT_ENUMERATION_CAP:
-            start = system.rat.pole_index(k, 0)  # the poles are the zeros, in block order
-            entry["zeros"] = [_cstr(z, cfg.dps + 5) for z in system.rat.poles[start : start + n]]
+            start = rat.pole_index(k, 0)  # the poles are the zeros, in block order
+            entry["zeros"] = pole_strs[start : start + n]
         else:
             entry["enumerated"] = False
         blocks_payload.append(entry)
     _write_json(out / "zeros.json", {"count": zero_count(cfg), "blocks": blocks_payload})
 
-    # full-precision serialization: the verify-from-artifact path must
-    # round-trip residues without disturbing the interpolation identity
     residues_payload = [
-        {"k": k, "m": m, "pole": _cstr(p, cfg.dps + 5), "residue": _cstr(u, cfg.dps + 5)}
-        for (k, m), p, u in zip(
-            system.rat.pole_ids, system.rat.poles, system.rat.residues
-        )
+        {"k": k, "m": m, "pole": p, "residue": _cstr(u, cfg.dps + 5)}
+        for (k, m), p, u in zip(rat.pole_ids, pole_strs, rat.residues)
     ]
     _write_json(out / "residues.json", residues_payload)
 
-    summ = check_summability(system.rat)
+    summ = check_summability(rat)
     cert = cfg.sigma_certificate
     _write_json(
         out / "system.json",
@@ -150,7 +151,7 @@ def _construct_at_precision(cfg: LacunaryConfig, data: dict, out: Path) -> int:
             "rho_f": _nstr(cfg.rho_f),
             "K": cfg.K,
             "zero_count": zero_count(cfg),
-            "c_bound": _nstr(system.rat.c_bound),
+            "c_bound": _nstr(rat.c_bound),
             "summability": {
                 "included": _nstr(summ.included),
                 "tail": _nstr(summ.tail),

@@ -356,9 +356,13 @@ def interpolation_identity_residuals(sys: CoefficientSystem) -> list[tuple[int, 
     """|A0(z_k) f'(z_k) + f''(z_k)| / |f''(z_k)| at every (subsampled) zero.
 
     A0 at a zero is its removable value u_k f'(z_k) with the *stored*
-    residue, while f' and f'' are recomputed fresh by factor extraction,
-    so a corrupted residue shows up directly.  Blocks larger than
-    IDENTITY_ZEROS_PER_BLOCK are strided down to that many zeros.
+    residue, while f' and f'' are recomputed fresh by ``derivs_at_zero``,
+    so a corrupted residue shows up directly.  The stored residues come
+    from another route, the block pass of ``residues_from_f`` (closed
+    form, no ``derivs_at_zero`` call), so a wrong f' or f'' shows up too;
+    both routes still share ``product._block_terms`` and the product over
+    the other blocks.  Blocks larger than IDENTITY_ZEROS_PER_BLOCK are
+    strided down to that many zeros.
     """
     cap = IDENTITY_ZEROS_PER_BLOCK
     out = []

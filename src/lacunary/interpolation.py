@@ -7,8 +7,8 @@ From the product f we build the meromorphic function
 with one simple pole at every zero of f, so that A0 = f g is entire.
 Every interpolant belongs to a configuration: its poles are the zeros of
 that configuration's product, in block order.  The residues are produced
-by factor extraction (never by numerically dividing near the zeros), and
-the interpolant carries two certificates:
+by factor extraction (never by numerically dividing near the zeros), one
+block at a time, and the interpolant carries two certificates:
 
 - summability: sum |u_k / z_k| over the included poles (also per block)
   plus an analytic tail bound derived from the residue-ratio bound at
@@ -55,11 +55,11 @@ from mpmath import mp, mpc, mpf
 from .errors import NearPoleError, QuadratureError, TailError
 from .product import (
     LacunaryConfig,
+    _block_residues,
     _near_zero_margin,
     derivative_ratio_bound,
-    derivs_at_zero,
     nearest_zero,
-    zero_point,
+    zeros,
 )
 
 
@@ -133,8 +133,9 @@ def config_interpolant(cfg: LacunaryConfig, poles, residues, pole_ids) -> Ration
         total = mpf(0)
         block_sums = [mpf(0)] * cfg.K
         for (k, _), p, u in zip(pole_ids, poles, residues):
-            c_bound = max(c_bound, abs(u))
-            term = abs(u) / abs(p)
+            size = abs(u)
+            c_bound = max(c_bound, size)
+            term = size / abs(p)
             total += term
             block_sums[k - 1] += term
         return RationalInterpolant(
@@ -150,18 +151,26 @@ def config_interpolant(cfg: LacunaryConfig, poles, residues, pole_ids) -> Ration
 
 
 def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
-    """u = -f''/f'^2 at every zero up to level K, by factor extraction."""
+    """u = -f''/f'^2 at every zero up to level K, by factor extraction,
+    one block at a time.
+
+    Each block's zeros are formed once, and ``product._block_residues``
+    takes every residue of the block from them in closed form, with the
+    other blocks' real powers formed once per block.  This route shares
+    its per-block kernel ``_block_terms`` (factor, cancellation screen,
+    terms) with ``derivs_at_zero``, but not the derivatives themselves:
+    the interpolation check compares the stored residues with the f' and
+    f'' of ``derivs_at_zero``.
+    """
     with mp.workdps(cfg.dps):
         poles = []
         residues = []
         ids = []
         for k, (_, n) in enumerate(cfg.blocks, start=1):
-            for m in range(n):
-                xi = zero_point(cfg, k, m)
-                f1, f2 = derivs_at_zero(cfg, k, m, order=2, xi=xi)
-                poles.append(xi)
-                residues.append(-f2 / (f1 * f1))
-                ids.append((k, m))
+            block = zeros(cfg, k)
+            poles += block
+            residues += _block_residues(cfg, k, block)
+            ids += [(k, m) for m in range(n)]
         return config_interpolant(cfg, poles, residues, ids)
 
 

@@ -21,9 +21,18 @@ an exact zero stays ``mpc(0)``.
 Derivatives at zeros use factor extraction: write f = q*P with q the
 vanishing factor; P and its derivatives come from termwise logarithmic
 differentiation of the remaining (nonvanishing) product, where every
-other block's power is a real power times an exact root of unity.  Both
-passes hand each power w to one kernel, ``_block_terms``, for the factor
-1 - w, its cancellation screen and its terms in the log-derivative sums.
+other block's power is a real power times an exact root of unity.  Two
+routes reach the zeros.  ``derivs_at_zero`` serves one zero and returns
+its derivatives up to the fourth.  ``_block_residues`` serves a whole
+block and returns only the residues u = -f''/f'^2, in closed form: it
+forms the other blocks' real powers once per block and takes each root
+from the block's zeros.  They share the real powers (``_other_blocks``)
+and the product over the other blocks (``_extracted``), but not the step
+from there to the derivatives, so the interpolation check, which holds
+the stored residues against the f' and f'' of ``derivs_at_zero``,
+compares two routes.  All passes hand each power w to one kernel,
+``_block_terms``, for the factor 1 - w, its cancellation screen and its
+terms in the log-derivative sums.
 
 Configs and zero sets are immutable; every evaluation is a pure
 function, so points can be evaluated concurrently without locks.
@@ -546,6 +555,74 @@ def derivative_ratio_bound(cfg: LacunaryConfig, k: int) -> mpf:
         return 2 * mp.e * mp.exp(log_prod)
 
 
+def _other_blocks(cfg: LacunaryConfig, k: int) -> list[tuple[int, mpf]]:
+    """(n_j, (r_k/r_j)^{n_j}) for every block j != k: the real part of that
+    block's power at any zero of block k, one ``mp.power`` each with
+    n_j.bit_length() + 10 guard bits."""
+    r = cfg.blocks[k - 1][0]
+    others = []
+    for j, (rj, nj) in enumerate(cfg.blocks, start=1):
+        if j != k:
+            with mp.extraprec(nj.bit_length() + 10):
+                others.append((nj, mp.power(r / rj, nj)))
+    return others
+
+
+def _extracted(others, m: int, n: int, root, order: int, lossy: mpf) -> tuple[mpc, ...]:
+    """(P, S1, S2, S3): P is the product of the other blocks at the zero
+    xi = r_k omega^m of a block with n zeros, and S1, S2, S3 are xi L1,
+    xi^2 L1' and xi^3 L1'' for its log-derivative L1 = P'/P, formed up to
+    ``order`` - 1 (the rest stay 0).
+
+    ``others`` comes from :func:`_other_blocks`, and ``root(i)`` returns
+    omega^i: block j's power is (r_k/r_j)^{n_j} omega^{(m n_j) mod n_k},
+    its index reduced in integers, so the angle is exact for any n_j.
+    Every factor passes the cancellation screen of :func:`_block_terms`.
+    """
+    P = mpc(1)
+    S1 = S2 = S3 = mpc(0)
+    for nj, a in others:
+        index = m * nj % n
+        rt = root(index) if index else mpc(1)
+        v = mp.conj(rt) / a if a > 1 else None
+        factor, s, t, y = _block_terms(a * rt, a, v, order - 1, lossy)
+        P *= factor
+        if order >= 2:
+            S1 += nj * s
+        if order >= 3:
+            S2 -= nj * (s + nj * t)
+        if order == 4:
+            S3 += 2 * nj * s + 3 * mpf(nj) ** 2 * t + mpf(nj) ** 3 * y
+    return P, S1, S2, S3
+
+
+def _block_residues(cfg: LacunaryConfig, k: int, poles) -> list[mpc]:
+    """u = -f''/f'^2 at every zero of block k, in the order of ``poles``,
+    the block's zeros as :func:`zero_point` forms them.
+
+    With f = q P as in :func:`derivs_at_zero`, q' = -n/xi,
+    q'' = -n(n-1)/xi^2 and xi P'/P = S1 = sum_j n_j s_j, the residue is
+
+        u = (n_k - 1 + 2 S1) / (n_k P),
+
+    free of xi.  The other blocks' real powers are formed once for the
+    block, and omega^i is the stored pole of index i over r_k.
+    """
+    r, n = _check_enumerable(cfg, k)
+    with mp.workdps(cfg.dps):
+        others = _other_blocks(cfg, k)
+        lossy = mpf(10) ** (5 - cfg.dps)
+
+        def root(i):
+            return poles[i] / r
+
+        residues = []
+        for m in range(n):
+            P, S1, _, _ = _extracted(others, m, n, root, 2, lossy)
+            residues.append((n - 1 + 2 * S1) / (n * P))
+        return residues
+
+
 def derivs_at_zero(
     cfg: LacunaryConfig, k: int, m: int, order: int = 3, xi: mpc | None = None
 ) -> tuple[mpc, ...]:
@@ -567,7 +644,7 @@ def derivs_at_zero(
     """
     if order not in (1, 2, 3, 4):
         raise ConfigError(f"order must be in 1..4, got {order}")
-    r, n = _check_enumerable(cfg, k)
+    _, n = _check_enumerable(cfg, k)
     with mp.workdps(cfg.dps):
         if xi is None:
             xi = zero_point(cfg, k, m)
@@ -579,25 +656,12 @@ def derivs_at_zero(
             q.append(-fall * inv_xi**i)
 
         lossy = mpf(10) ** (5 - cfg.dps)
-        P = mpc(1)
-        L1 = L2 = L3 = mpc(0)
-        for j, (rj, nj) in enumerate(cfg.blocks, start=1):
-            if j == k:
-                continue
-            with mp.extraprec(nj.bit_length() + 10):
-                a = mp.power(r / rj, nj)
-            index = m * nj % n
-            root = mp.expjpi(2 * mpf(index) / n) if index else mpc(1)
-            v = mp.conj(root) / a if a > 1 else None
-            factor, s, t, y = _block_terms(a * root, a, v, order - 1, lossy)
-            P *= factor
-            if order >= 2:
-                L1 += nj * s
-            if order >= 3:
-                L2 -= nj * (s + nj * t)
-            if order == 4:
-                L3 += 2 * nj * s + 3 * mpf(nj) ** 2 * t + mpf(nj) ** 3 * y
-        # the sums above carry the factors 1/xi, 1/xi^2, 1/xi^3 outside
+
+        def root(i):
+            return mp.expjpi(2 * mpf(i) / n)
+
+        P, L1, L2, L3 = _extracted(_other_blocks(cfg, k), m, n, root, order, lossy)
+        # the sums carry the factors 1/xi, 1/xi^2, 1/xi^3 outside
         L1 *= inv_xi
         L2 *= inv_xi * inv_xi
         L3 *= inv_xi * inv_xi * inv_xi

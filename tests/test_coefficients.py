@@ -1,6 +1,7 @@
 """Coefficient pair (A0, B0), perturbation H, residuals, contour cross-checks."""
 
 import random
+import sys
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -13,7 +14,7 @@ from lacunary import (
     make_schedule,
 )
 from lacunary import coefficients, interpolation, product
-from lacunary.checks import check_cauchy
+from lacunary.checks import check_cauchy, check_interpolation
 from lacunary.coefficients import (
     build_H,
     cauchy_ratio,
@@ -209,7 +210,8 @@ def call_counts(monkeypatch):
             return _real(*args, **kwargs)
 
         for module in (product, interpolation, coefficients):
-            monkeypatch.setattr(module, name, counting)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
     return counts
 
 
@@ -286,6 +288,30 @@ class TestInterpolationIdentity:
         rows = interpolation_identity_residuals(sys_bad)
         worst = max(value for _, _, value in rows)
         assert worst > mpf("1e-5")
+
+    def test_wrong_second_derivative_fails_every_record(self, monkeypatch):
+        """Mutation gate: f'' off by one part in 10^30 in ``derivs_at_zero``,
+        patched under every name before the system is built, must fail every
+        3f record.  The stored residues come from the block pass, which makes
+        no ``derivs_at_zero`` call, so only the check's f'' is wrong."""
+        real = product.derivs_at_zero
+        calls = []
+
+        def mutated(cfg, k, m, order=3, xi=None):
+            calls.append((k, m))
+            f1, f2, *rest = real(cfg, k, m, order=order, xi=xi)
+            return (f1, f2 * (1 + mpf(10) ** -30), *rest)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("lacunary") and hasattr(
+                module, "derivs_at_zero"
+            ):
+                monkeypatch.setattr(module, "derivs_at_zero", mutated)
+        sys_mut = make_system(make_schedule(0.5, 4, "factorial", dps=100), rho_H=mpf("0.4"))
+        assert calls == []
+        records = check_interpolation(sys_mut, 0)
+        assert len(records) == len(calls) == 75
+        assert all(r["eq"] == "3f" and not r["pass"] for r in records)
 
 
 class TestReciprocalDerivativeIdentity:

@@ -5,7 +5,7 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf
 
-from lacunary import NearPoleError, QuadratureError, config_from_blocks, make_schedule
+from lacunary import NearPoleError, QuadratureError, config_from_blocks, make_schedule, product
 from lacunary.interpolation import (
     _g_sum,
     _series_terms,
@@ -18,7 +18,7 @@ from lacunary.interpolation import (
     recover_residue,
     residues_from_f,
 )
-from lacunary.product import derivative_ratio_bound, zero_point
+from lacunary.product import derivative_ratio_bound, derivs_at_zero, zero_point
 
 from helpers import direct_g, rel_err
 
@@ -217,6 +217,67 @@ def _series_points(r3, r4):
 def factorial_k4_rat_200():
     with mp.workdps(200):
         return residues_from_f(make_schedule(0.5, 4, "factorial", dps=200))
+
+
+# The configs of the residue comparison: the headline schedule, two other
+# rules and densities, and an explicit list whose block sizes share no factor.
+RESIDUE_CONFIGS = {
+    "factorial-0.5-K4": lambda dps: make_schedule(0.5, 4, "factorial", dps=dps),
+    "doubly_exp-0.55-K3": lambda dps: make_schedule(0.55, 3, "doubly_exp", dps=dps),
+    "factorial-0.45-K4": lambda dps: make_schedule(0.45, 4, "factorial", dps=dps),
+    "explicit": lambda dps: config_from_blocks([[4, 2], [16, 4], [300, 17]], dps=dps),
+}
+
+
+@pytest.fixture(scope="module")
+def residue_rats(factorial_k4_rat, factorial_k4_rat_200):
+    """(name, dps) -> the interpolant that ``residues_from_f`` builds."""
+    built = {("factorial-0.5-K4", 100): factorial_k4_rat, ("factorial-0.5-K4", 200): factorial_k4_rat_200}
+
+    def get(name, dps):
+        if (name, dps) not in built:
+            with mp.workdps(dps):
+                built[name, dps] = residues_from_f(RESIDUE_CONFIGS[name](dps))
+        return built[name, dps]
+
+    return get
+
+
+class TestBlockResidues:
+    """The block-by-block residue pass against the per-zero route: -f''/f'^2
+    from ``derivs_at_zero(order=2)`` at each zero."""
+
+    @pytest.mark.parametrize("dps", [100, 200])
+    @pytest.mark.parametrize("name", sorted(RESIDUE_CONFIGS))
+    def test_agrees_with_per_zero_route(self, residue_rats, name, dps):
+        rat = residue_rats(name, dps)
+        cfg = rat.cfg
+        tol = mpf(10) ** (10 - dps)
+        with mp.workdps(dps):
+            for k, (_, n) in enumerate(cfg.blocks, start=1):
+                # every zero of small blocks; a prime stride (and the last
+                # zero) through large ones still meets many root indices
+                for m in sorted({*range(0, n, 1 if n <= 64 else 37), n - 1}):
+                    f1, f2 = derivs_at_zero(cfg, k, m, order=2)
+                    want = -f2 / (f1 * f1)
+                    got = rat.residues[rat.pole_index(k, m)]
+                    assert abs(got - want) <= tol * abs(want), (k, m)
+
+    def test_every_factor_is_screened(self, monkeypatch):
+        """Each factor 1 - w of the pass goes through ``_block_terms`` with
+        the cancellation screen at 10^(5-P): n_k (K - 1) factors per block."""
+        cfg = RESIDUE_CONFIGS["explicit"](100)
+        real = product._block_terms
+        screens = []
+
+        def screened(w, a, v, terms, lossy):
+            screens.append(lossy)
+            return real(w, a, v, terms, lossy)
+
+        monkeypatch.setattr(product, "_block_terms", screened)
+        residues_from_f(cfg)
+        assert len(screens) == sum(n for _, n in cfg.blocks) * (cfg.K - 1)
+        assert set(screens) == {mpf(10) ** -95}
 
 
 class TestMomentSeries:
