@@ -41,7 +41,6 @@ from .coefficients import (
 from .growth import (
     crg_witness,
     indicator_scan,
-    log_max_modulus,
     log_max_modulus_bound,
     nevanlinna,
     order_scan,
@@ -105,7 +104,6 @@ __all__ = [
     "eval_AB",
     "residual",
     "cauchy_ratio",
-    "log_max_modulus",
     "log_max_modulus_bound",
     "nevanlinna",
     "order_scan",

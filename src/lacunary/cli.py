@@ -335,22 +335,12 @@ def _scan_at_precision(cfg, data, out, args) -> int:
 
     if kind == "witness":
         rep = crg_witness(cfg, _scan_ks(cfg))
-        rows = []
-        for k, a_k, b_k in zip(rep.ks, rep.a, rep.b):
-            r_k, _ = cfg.block(k)
-            dip_log = a_k * mp.power(r_k, cfg.rho_f)
-            rows.append((_nstr(r_k), "", _nstr(dip_log), _nstr(a_k), False, True))
-            peak_r = mp.e * r_k
-            rows.append(
-                (
-                    _nstr(peak_r),
-                    "",
-                    _nstr(b_k * mp.power(peak_r, cfg.rho_f)),
-                    _nstr(b_k),
-                    False,
-                    True,
-                )
-            )
+        # the order scan's rows alternate dip and peak, as a and b interleave
+        normalized = [x for pair in zip(rep.a, rep.b) for x in pair]
+        rows = [
+            (_nstr(row.r), "", _nstr(row.log_max), _nstr(x), False, True)
+            for row, x in zip(rep.rows, normalized)
+        ]
         _write_csv(out / "witness.csv", rows)
         summary = {
             "scan": "witness",

@@ -265,24 +265,6 @@ def _base(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc, mpc]:
     return eval_f(sys.cfg, z, strict=False), f1, _removable_A0(sys, k, m, f1), b0
 
 
-def eval_B0_direct(sys: CoefficientSystem, z) -> mpc:
-    """B0 by the defining quotient (NearZeroError within 10^(-P/2) of a zero)."""
-    with mp.workdps(sys.dps):
-        z = mpc(z)
-        route, k, m = _route(sys, z)
-        if route == "at-pole":
-            raise NearZeroError(f"z within relative 10^-{sys.dps // 2} of zero {(k, m)}")
-        return _direct(sys, z)[3]
-
-
-def eval_B0_series(sys: CoefficientSystem, z) -> mpc:
-    """B0 by the expansion at the nearest zero."""
-    with mp.workdps(sys.dps):
-        z = mpc(z)
-        k, m, _, _ = nearest_zero(sys.cfg, z)
-        return _series(sys, z, k, m)[0]
-
-
 def eval_B0(sys: CoefficientSystem, z) -> mpc:
     """B0(z), from the series within NEAR_ZERO_DELTA (relative) of a zero."""
     with mp.workdps(sys.dps):

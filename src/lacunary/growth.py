@@ -3,9 +3,8 @@ indicator scans, and the regular-growth violation witness.
 
 Two evaluation regimes coexist:
 
-- direct evaluation of f (or any callable) on circles inside the
-  certified domain, with golden-section refinement of the maximizing
-  angle;
+- direct evaluation of a callable on circles: the proximity quadrature
+  of ``nevanlinna`` and the (theta, r) grid of ``indicator_scan``;
 - the term-sum formula ln M(r) ~= sum_j ln(1 + (r/r_j)^{n_j}), valid at
   any radius, used for the order/witness scans whose interesting radii
   (r_k up to 2^5040) are far beyond direct evaluation.  The formula is
@@ -14,10 +13,14 @@ Two evaluation regimes coexist:
   inequality to the rest, so at lacunary spacings dip and peak radii
   carry corrections far below one percent.
 
-The witness compares a_k = ln M(r_k)/r_k^rho (dips, which sink to 0)
-with b_k = ln M(e r_k)/(e r_k)^rho (peaks, which stabilize near
-e^{-rho}); a persistent gap between them is exactly the failure of
-ln|f| / r^rho to converge, outside any admissible exceptional disks.
+The max modulus by direct evaluation (an angle grid refined by
+golden-section search) is a test oracle for the formula, kept in tests.
+
+The witness reads the order scan's rows and compares a_k =
+ln M(r_k)/r_k^rho (dips, which sink to 0) with b_k = ln M(e r_k)/(e r_k)^rho
+(peaks, which stabilize near e^{-rho}); a persistent gap between them is
+exactly the failure of ln|f| / r^rho to converge, outside any admissible
+exceptional disks.
 
 Exceptional-disk bookkeeping: scans mark samples inside the per-zero
 disks of radius r_k/n_k (the scale on which derivative estimates
@@ -40,6 +43,7 @@ from .product import (
     LacunaryConfig,
     _fprime_on_circle,
     _half_step_directions,
+    _jet,
     _nearest_in,
     _scan_blocks,
     eval_f,
@@ -51,41 +55,6 @@ from .product import (
 def _logmag(value) -> mpf:
     mag = abs(mpc(value))
     return mp.log(mag) if mag > 0 else mpf("-inf")
-
-
-def log_max_modulus(fn, r, n_theta: int = 64) -> tuple[mpf, mpf]:
-    """(max_theta ln|fn(r e^{i theta})|, argmax theta) by grid + golden section."""
-    r = mpf(r)
-    best_j = 0
-    best = mpf("-inf")
-    values = []
-    for j in range(n_theta):
-        theta = 2 * mp.pi * j / n_theta
-        v = _logmag(fn(r * mp.expjpi(2 * mpf(j) / n_theta)))
-        values.append(v)
-        if v > best:
-            best, best_j = v, j
-    lo = 2 * mp.pi * (best_j - 1) / n_theta
-    hi = 2 * mp.pi * (best_j + 1) / n_theta
-    phi = (mp.sqrt(5) - 1) / 2
-
-    def h(theta):
-        return _logmag(fn(r * mp.exp(mpc(0, 1) * theta)))
-
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1, f2 = h(x1), h(x2)
-    while hi - lo > mpf("1e-6"):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = h(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = h(x1)
-    theta_star = (lo + hi) / 2
-    return max(best, f1, f2), theta_star
 
 
 def _softplus(y: mpf) -> mpf:
@@ -196,6 +165,7 @@ class WitnessReport:
     b: tuple[mpf, ...]  # ln M(e r_k) / (e r_k)^rho
     threshold_factor: mpf
     verdict: str
+    rows: tuple[OrderScanRow, ...]  # the order scan that a and b come from
 
     @property
     def violation(self) -> bool:
@@ -203,26 +173,22 @@ class WitnessReport:
 
 
 def crg_witness(cfg: LacunaryConfig, ks) -> WitnessReport:
-    """Dip/peak comparison of ln M(r)/r^rho.
+    """Dip/peak comparison of ln M(r)/r^rho over ``order_scan(cfg, ks)``.
 
     Verdict 'violation' when max(a) < min(b)/3: along r_k the normalized
     log-maximum provably stays a factor-3 gap below its value along
     e r_k, so it cannot converge to any indicator value.
     """
+    ks = tuple(ks)
+    rows = order_scan(cfg, ks).rows
     with mp.workdps(cfg.dps):
+        # the rows alternate dip (r_k) and peak (e r_k)
+        normalized = [row.log_max / mp.power(row.r, cfg.rho_f) for row in rows]
+        a, b = tuple(normalized[::2]), tuple(normalized[1::2])
         threshold_factor = mpf(3)
-        ks = tuple(ks)
-        a = []
-        b = []
-        for k in ks:
-            r_k, _ = cfg.block(k)
-            dip, _ = log_max_modulus_bound(cfg, r_k)
-            peak, _ = log_max_modulus_bound(cfg, mp.e * r_k)
-            a.append(dip / mp.power(r_k, cfg.rho_f))
-            b.append(peak / mp.power(mp.e * r_k, cfg.rho_f))
         verdict = "violation" if max(a) < min(b) / threshold_factor else "no violation"
         return WitnessReport(
-            ks=ks, a=tuple(a), b=tuple(b), threshold_factor=threshold_factor, verdict=verdict
+            ks=ks, a=a, b=b, threshold_factor=threshold_factor, verdict=verdict, rows=rows
         )
 
 
@@ -302,7 +268,7 @@ class IndicatorScan:
         return min(vals) if vals else None
 
 
-def indicator_scan(fn, rho, thetas, radii, exclusion=None) -> IndicatorScan:
+def indicator_scan(fn, rho, thetas, radii, exclusion) -> IndicatorScan:
     """ln|fn(r e^{i theta})| / r^rho over a (theta, r) grid.
 
     Samples inside the exceptional disks are kept but marked excluded;
@@ -317,16 +283,15 @@ def indicator_scan(fn, rho, thetas, radii, exclusion=None) -> IndicatorScan:
     budget_ok = True
     for r in radii:
         r = mpf(r)
-        if exclusion is not None:
-            s = exclusion.radii_sum(r)
-            ok = bool(s < r / 10)
-            budget[str(r)] = (s, ok)
-            budget_ok = budget_ok and ok
+        s = exclusion.radii_sum(r)
+        ok = bool(s < r / 10)
+        budget[str(r)] = (s, ok)
+        budget_ok = budget_ok and ok
         scale = mp.power(r, rho)
         for theta in thetas:
             theta = mpf(theta)
             z = r * mp.exp(mpc(0, 1) * theta)
-            excluded = bool(exclusion.excluded(z)) if exclusion is not None else False
+            excluded = bool(exclusion.excluded(z))
             try:
                 value = _logmag(fn(z))
             except CancellationError as exc:
@@ -447,7 +412,7 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
         dev_i = mpf(0)
         for z in points:
             full = eval_f(cfg, z)
-            part = eval_f(cfg, z, upto=k)
+            part = _jet(cfg.blocks[:k], z, 0, True)[0]
             dev_i = max(dev_i, abs(full / part - 1))
         pass_i = bool(dev_i <= bound_i)
 

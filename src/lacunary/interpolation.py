@@ -52,10 +52,11 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .errors import NearPoleError, QuadratureError, TailError
+from .errors import NearPoleError, QuadratureError
 from .product import (
     LacunaryConfig,
     _block_residues,
+    _check_domain,
     _near_zero_margin,
     derivative_ratio_bound,
     nearest_zero,
@@ -175,22 +176,22 @@ def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
 
 
 def g_tail_bound(rat: RationalInterpolant, radius) -> mpf:
-    """Bound on the omitted pole contributions to g, valid for |z| <= r_{K+1}/2."""
+    """Bound on the omitted pole contributions to g on the certified domain
+    of f, |z| < r_{K+1}/2 (TailError beyond)."""
     cfg = rat.cfg
     with mp.workdps(cfg.dps):
-        if cfg.rule is not None and mpf(radius) > cfg.next_radius() / 2:
-            raise TailError("radius outside the certified domain |z| <= r_{K+1}/2")
+        _check_domain(cfg, mpc(radius))
         return 2 * rat.tail_sum_bound
 
 
 def eval_g(rat: RationalInterpolant, z, check_domain: bool = True) -> mpc:
-    """Partial-fraction sum over the included poles, in stored order."""
+    """Partial-fraction sum over the included poles, in stored order; with
+    ``check_domain``, TailError outside the certified domain of f."""
     cfg = rat.cfg
     with mp.workdps(cfg.dps):
         z = mpc(z)
-        if check_domain and cfg.rule is not None:
-            if abs(z) > cfg.next_radius() / 2:
-                raise TailError("z outside the certified domain of g")
+        if check_domain:
+            _check_domain(cfg, z)
         k, m, _, rel = nearest_zero(cfg, z)
         if rel < _near_zero_margin(cfg):
             raise NearPoleError(
@@ -282,28 +283,6 @@ def g_regular_at(rat: RationalInterpolant, index: int) -> tuple[mpc, mpc]:
             val += u / d
             der -= u / (d * d)
         return val, der
-
-
-def recover_residue(rat: RationalInterpolant, index: int) -> mpc:
-    """Independent residue recovery: (1/2pi i) of g around pole ``index``.
-
-    The contour radius is a quarter of the distance to the nearest other
-    pole, so the regular part integrates to zero, on 64 nodes, up to a
-    spectrally small quadrature error.
-    """
-    with mp.workdps(rat.cfg.dps):
-        xi = rat.poles[index]
-        dist = min(
-            (abs(xi - p) for i, p in enumerate(rat.poles) if i != index),
-            default=abs(xi),
-        )
-        radius = dist / 4
-        nodes = 64
-        total = mpc(0)
-        for j in range(nodes):
-            w = mp.expjpi(2 * mpf(j) / nodes)
-            total += _g_sum(rat, xi + radius * w) * w
-        return total * radius / nodes
 
 
 @dataclass(frozen=True)

@@ -246,16 +246,15 @@ def f_tail_log_bound(cfg: LacunaryConfig, radius) -> mpf:
     with mp.workdps(cfg.dps):
         r_next, n_next = cfg.block(cfg.K + 1)
         radius = mpf(radius)
-        if radius >= r_next / 2:
-            raise TailError(
-                f"radius {mp.nstr(radius, 8)} outside certified domain |z| < r_{{K+1}}/2"
-            )
+        _check_domain(cfg, mpc(radius))
         if radius == 0:
             return mpf("-inf")
         return mp.log(2) + mpf(n_next) * (mp.log(radius) - mp.log(r_next))
 
 
 def _check_domain(cfg: LacunaryConfig, z: mpc) -> None:
+    """TailError unless |z| < r_{K+1}/2, the certified domain that f, its
+    tail bound, g and g's tail bound share (explicit configs: everywhere)."""
     if cfg.rule is None:
         return
     r_next = cfg.next_radius()
@@ -339,22 +338,19 @@ def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
     return f, l1, l2
 
 
-def eval_f(cfg: LacunaryConfig, z, strict: bool = True, upto: int | None = None) -> mpc:
+def eval_f(cfg: LacunaryConfig, z, strict: bool = True) -> mpc:
     """f(z) as the product of the factors 1 - (z/r_k)^{n_k}.
 
     Rule-based configs are truncations: the omitted factors are bounded by
     :func:`f_tail_log_bound`, certified on |z| < r_{K+1}/2 (TailError
     beyond).  strict=False downgrades per-factor CancellationError
     (evaluation very near a zero) to the lossy value it carries, for
-    diagnostics that only need the magnitude scale.  ``upto`` restricts to
-    the first blocks.
+    diagnostics that only need the magnitude scale.
     """
     with mp.workdps(cfg.dps):
         z = mpc(z)
-        if upto is None:
-            _check_domain(cfg, z)
-            upto = cfg.K
-        return _jet(cfg.blocks[:upto], z, 0, strict)[0]
+        _check_domain(cfg, z)
+        return _jet(cfg.blocks, z, 0, strict)[0]
 
 
 def _scan_blocks(cfg: LacunaryConfig, radius) -> list[tuple[mpf, int]]:
@@ -623,9 +619,7 @@ def _block_residues(cfg: LacunaryConfig, k: int, poles) -> list[mpc]:
         return residues
 
 
-def derivs_at_zero(
-    cfg: LacunaryConfig, k: int, m: int, order: int = 3, xi: mpc | None = None
-) -> tuple[mpc, ...]:
+def derivs_at_zero(cfg: LacunaryConfig, k: int, m: int, order: int = 3) -> tuple[mpc, ...]:
     """(f'(xi), f''(xi), f'''(xi)[, f''''(xi)]) at the zero xi by factor extraction.
 
     f = q*P with q = 1-(z/r_k)^{n_k}; at xi the power is exactly 1, so
@@ -639,16 +633,13 @@ def derivs_at_zero(
         (xi/r_j)^{n_j} = (r_k/r_j)^{n_j} * omega^{(m n_j) mod n_k},
 
     a real power times one root whose index is reduced in integers, so
-    the angle is exact for any n_j (2^60 included).  ``xi`` is the zero
-    point when the caller has already formed it (``zero_point(cfg, k, m)``).
+    the angle is exact for any n_j (2^60 included).
     """
     if order not in (1, 2, 3, 4):
         raise ConfigError(f"order must be in 1..4, got {order}")
     _, n = _check_enumerable(cfg, k)
     with mp.workdps(cfg.dps):
-        if xi is None:
-            xi = zero_point(cfg, k, m)
-        inv_xi = 1 / xi
+        inv_xi = 1 / zero_point(cfg, k, m)
         q = [None]  # q[i] = q^(i)(xi), i >= 1
         fall = mpf(1)
         for i in range(1, order + 1):

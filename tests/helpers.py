@@ -1,5 +1,11 @@
 import mpmath
 
+from lacunary import NearZeroError
+from lacunary.coefficients import _direct, _route, _series
+from lacunary.growth import _logmag
+from lacunary.interpolation import eval_g
+from lacunary.product import nearest_zero
+
 
 def rel_err(a, b):
     """|a - b| / |b| as an mpf; b must be nonzero."""
@@ -16,3 +22,85 @@ def direct_g(rat, z):
     for p, u in zip(rat.poles, rat.residues):
         total += u / (z - p)
     return total
+
+
+# ---------------------------------------------------------------------------
+# second routes that only the tests run
+
+
+def log_max_modulus(fn, r, n_theta: int = 64):
+    """(max_theta ln|fn(r e^{i theta})|, argmax theta) by grid + golden section:
+    the direct-evaluation route for the term-sum formula of
+    ``growth.log_max_modulus_bound``."""
+    mp = mpmath.mp
+    r = mpmath.mpf(r)
+    best_j = 0
+    best = mpmath.mpf("-inf")
+    for j in range(n_theta):
+        v = _logmag(fn(r * mp.expjpi(2 * mpmath.mpf(j) / n_theta)))
+        if v > best:
+            best, best_j = v, j
+    lo = 2 * mp.pi * (best_j - 1) / n_theta
+    hi = 2 * mp.pi * (best_j + 1) / n_theta
+    phi = (mp.sqrt(5) - 1) / 2
+
+    def h(theta):
+        return _logmag(fn(r * mp.exp(mpmath.mpc(0, 1) * theta)))
+
+    x1 = hi - phi * (hi - lo)
+    x2 = lo + phi * (hi - lo)
+    f1, f2 = h(x1), h(x2)
+    while hi - lo > mpmath.mpf("1e-6"):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + phi * (hi - lo)
+            f2 = h(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - phi * (hi - lo)
+            f1 = h(x1)
+    theta_star = (lo + hi) / 2
+    return max(best, f1, f2), theta_star
+
+
+def recover_residue(rat, index):
+    """(1/2pi i) of g around pole ``index``: residue recovery independent
+    of factor extraction.
+
+    The contour radius is a quarter of the distance to the nearest other
+    pole, so the regular part integrates to zero, on 64 nodes, up to a
+    spectrally small quadrature error.  Every node is that far from every
+    pole, so ``eval_g``'s guards pass.
+    """
+    mp = mpmath.mp
+    with mp.workdps(rat.cfg.dps):
+        xi = rat.poles[index]
+        dist = min(
+            (abs(xi - p) for i, p in enumerate(rat.poles) if i != index),
+            default=abs(xi),
+        )
+        radius = dist / 4
+        nodes = 64
+        total = mpmath.mpc(0)
+        for j in range(nodes):
+            w = mp.expjpi(2 * mpmath.mpf(j) / nodes)
+            total += eval_g(rat, xi + radius * w) * w
+        return total * radius / nodes
+
+
+def eval_B0_direct(sys, z):
+    """B0 by the defining quotient (NearZeroError within 10^(-P/2) of a zero)."""
+    with mpmath.mp.workdps(sys.dps):
+        z = mpmath.mpc(z)
+        route, k, m = _route(sys, z)
+        if route == "at-pole":
+            raise NearZeroError(f"z within relative 10^-{sys.dps // 2} of zero {(k, m)}")
+        return _direct(sys, z)[3]
+
+
+def eval_B0_series(sys, z):
+    """B0 by the expansion at the nearest zero."""
+    with mpmath.mp.workdps(sys.dps):
+        z = mpmath.mpc(z)
+        k, m, _, _ = nearest_zero(sys.cfg, z)
+        return _series(sys, z, k, m)[0]

@@ -1,4 +1,6 @@
-"""No library code uses the log-domain number format.
+"""Module boundaries: no library code uses the log-domain number format,
+f and g share one certified domain, and the benchmark's traced names
+exist.
 
 ``logdomain`` is imported only by the package ``__init__.py``, as a
 module that binds none of its names; every evaluator runs with its
@@ -16,19 +18,22 @@ import pytest
 from mpmath import mpc, mpf
 
 import lacunary
-from lacunary import CancellationError, config_from_blocks, make_schedule
+import lacunary.cli
+from lacunary import CancellationError, TailError, config_from_blocks, make_schedule
 import lacunary.logdomain
 from lacunary.coefficients import build_H
-from lacunary.interpolation import residues_from_f
+from lacunary.interpolation import eval_g, g_tail_bound, residues_from_f
 from lacunary.product import (
     derivs_at_zero,
     eval_f,
     eval_f_scan,
     f_jet,
+    f_tail_log_bound,
     log_derivative,
 )
 
 PACKAGE = Path(lacunary.__file__).resolve().parent
+BENCHMARK_RUNNER = Path(__file__).resolve().parent.parent / "benchmarks" / "run.py"
 
 LOG_DOMAIN_NAMES = (
     "LOG_ONE",
@@ -153,3 +158,51 @@ def test_coefficients_does_not_use_log_derivative():
     }
     assert "log_derivative" not in names
     assert "f_jet" in names
+
+
+def test_f_and_g_share_one_certified_domain():
+    """factorial K=2 is certified on |z| < r_3/2 = 32: at |z| = 32 f, f_jet,
+    the tail bound of f, g and the tail bound of g all raise TailError."""
+    cfg = make_schedule(0.5, 2, "factorial")
+    rat = residues_from_f(cfg)
+    edge = cfg.next_radius() / 2
+    assert edge == 32
+    for z in (edge, mpc(0, edge)):
+        for evaluate in (
+            lambda: eval_f(cfg, z),
+            lambda: f_jet(cfg, z, 1),
+            lambda: f_tail_log_bound(cfg, abs(z)),
+            lambda: eval_g(rat, z),
+            lambda: g_tail_bound(rat, abs(z)),
+        ):
+            with pytest.raises(TailError):
+                evaluate()
+    inside = edge * (1 - mpf(10) ** -20)
+    assert eval_g(rat, inside) != 0 and g_tail_bound(rat, inside) > 0
+
+
+def _benchmark_layers():
+    """The LAYERS tuple of the benchmark runner, read with ast (the runner
+    is not imported)."""
+    tree = ast.parse(BENCHMARK_RUNNER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no LAYERS in {BENCHMARK_RUNNER}")
+
+
+def test_benchmark_layers_resolve():
+    """Every traced name, module.function or module.Class.method, is a
+    callable of a lacunary module loaded by importing the CLI."""
+    layers = _benchmark_layers()
+    assert layers
+    for qualname in layers:
+        module, *path = qualname.split(".")
+        owner = sys.modules.get(f"lacunary.{module}")
+        assert owner is not None, qualname
+        for part in path:
+            owner = getattr(owner, part, None)
+            assert owner is not None, qualname
+        assert callable(owner), qualname

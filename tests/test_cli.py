@@ -1,14 +1,18 @@
 """CLI: artifact construction, verification exit codes, scans, determinism."""
 
+import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from mpmath import mp, mpf
 
 import lacunary
+from lacunary import config_from_blocks, growth
 from lacunary.cli import main
 
 ANCHOR = {"blocks": [[1, 2]], "rho_f": 0.5, "precision_digits": 100, "rho_H": 0.25}
@@ -292,6 +296,88 @@ class TestReport:
         (out / "indicator_summary.json").write_text(json.dumps(summary))
         assert main(["report", "--out", str(out)]) == 1
         assert json.loads((out / "report.json").read_text())["passed"] is False
+
+
+def _off_by_one_n3(monkeypatch, art):
+    """growth.log_derivative evaluates the headline product with n_3 = 9
+    instead of 8, a config that still passes the schedule's validation."""
+    blocks = config_from_blocks([(2, 1), (4, 2), (64, 9), (2**24, 4096)]).blocks
+    real = growth.log_derivative
+
+    def wrong(cfg, z, order=1):
+        return real(dataclasses.replace(cfg, blocks=blocks), z, order)
+
+    monkeypatch.setattr(growth, "log_derivative", wrong)
+
+
+def _residues_off_by_1e30(monkeypatch, art):
+    """The stored residues (2, 1), (3, 5) and (4, 1234) scaled by 1 + 1e-30."""
+    path = art / "residues.json"
+    entries = json.loads(path.read_text())
+    for e in entries:
+        if (e["k"], e["m"]) in ((2, 1), (3, 5), (4, 1234)):
+            with mp.workdps(110):
+                scale = 1 + mpf(10) ** -30
+                e["residue"] = [mp.nstr(scale * mpf(x), 105) for x in e["residue"]]
+    path.write_text(json.dumps(entries))
+
+
+@pytest.fixture(scope="module")
+def headline_artifacts(tmp_path_factory):
+    """The headline config with H, and its construct output, made once."""
+    root = tmp_path_factory.mktemp("headline")
+    cfg = write_config(root, {**HEADLINE, "rho_H": 0.4})
+    assert main(["construct", "--config", cfg, "--out", str(root / "art")]) == 0
+    return cfg, root / "art"
+
+
+class TestFaultMatrix:
+    """Each row plants one targeted fault in a verify run on the headline
+    config: the target check must pass clean and fail a record of the
+    target identity with the fault in place (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "check, eq, extra, fault",
+        [
+            pytest.param("asymptotics", "2c", (), _off_by_one_n3, id="asymptotics-wrong-n3"),
+            pytest.param(
+                "residual",
+                "1c",
+                ("--points", "20"),
+                _residues_off_by_1e30,
+                id="residual-wrong-residue",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason="B0 is defined as -(f'' + A0 f')/f on the direct route, so "
+                    "f'' + A f' + B f cancels whatever the residues are",
+                ),
+            ),
+        ],
+    )
+    def test_fault_fails_its_check(
+        self, tmp_path, monkeypatch, headline_artifacts, check, eq, extra, fault
+    ):
+        cfg, built = headline_artifacts
+        art = tmp_path / "art"
+        art.mkdir()
+        shutil.copy(built / "residues.json", art / "residues.json")
+
+        def verify(name):
+            out = tmp_path / name
+            code = main(
+                ["verify", "--config", cfg, "--out", str(out), "--artifacts", str(art),
+                 "--checks", check, *extra]
+            )
+            lines = (out / "records.jsonl").read_text().splitlines()
+            return code, [json.loads(line) for line in lines]
+
+        code, records = verify("clean")
+        assert code == 0 and all(r["pass"] for r in records)
+        fault(monkeypatch, art)
+        code, records = verify("fault")
+        assert code == 1
+        assert any(r["check"] == check and r["eq"] == eq and not r["pass"] for r in records)
 
 
 class TestDeterminism:

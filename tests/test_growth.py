@@ -11,7 +11,6 @@ from lacunary.growth import (
     counting_N,
     crg_witness,
     indicator_scan,
-    log_max_modulus,
     log_max_modulus_bound,
     nevanlinna,
     order_scan,
@@ -21,7 +20,7 @@ from lacunary.interpolation import eval_g, residues_from_f
 from lacunary.errors import CancellationError
 from lacunary.product import _jet, _scan_blocks, eval_f, eval_f_scan
 
-from helpers import rel_err
+from helpers import log_max_modulus, rel_err
 
 
 @pytest.fixture(scope="module")

@@ -15,12 +15,11 @@ from lacunary.interpolation import (
     g_regular_at,
     g_tail_bound,
     proximity_m,
-    recover_residue,
     residues_from_f,
 )
 from lacunary.product import derivative_ratio_bound, derivs_at_zero, zero_point
 
-from helpers import direct_g, rel_err
+from helpers import direct_g, recover_residue, rel_err
 
 
 def one_minus_z_squared():
