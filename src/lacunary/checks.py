@@ -31,8 +31,8 @@ from mpmath import mp, mpc, mpf
 
 from .coefficients import (
     CONTOUR_AGREEMENT_THRESHOLD,
-    NEAR_ZERO_DELTA,
     CoefficientSystem,
+    _switch,
     cauchy_ratio,
     interpolation_identity_residuals,
     reciprocal_derivative_fd,
@@ -129,7 +129,8 @@ def check_interpolation(sys: CoefficientSystem, seed: int):
 
 def sample_annulus_points(sys: CoefficientSystem, n_points: int, seed: int):
     """Uniform over the annulus r_1/2 <= |z| <= r_min(K,3), rejecting the
-    per-zero disks of radius r_k/n_k (and a relative conditioning margin)."""
+    per-zero disks of radius r_k/n_k (and ten times the switch s of
+    ``residual``, relative, inside which it refuses)."""
     cfg = sys.cfg
     r_lo = cfg.blocks[0][0] / 2
     r_hi = cfg.blocks[min(cfg.K, 3) - 1][0]
@@ -144,7 +145,7 @@ def sample_annulus_points(sys: CoefficientSystem, n_points: int, seed: int):
         z = radius * mp.exp(mpc(0, 2 * mp.pi * mpf(rng.random())))
         k, _, dist, rel = nearest_zero(cfg, z)
         r_k, n_k = cfg.blocks[k - 1]
-        if dist <= r_k / mpf(n_k) or rel < 10 * NEAR_ZERO_DELTA:
+        if dist <= r_k / mpf(n_k) or rel < 10 * _switch(cfg):
             continue
         points.append(z)
     return points
@@ -301,9 +302,7 @@ def check_proximity(sys: CoefficientSystem, seed: int):
     records = []
     for scale in (10, 100, 1000):
         r = scale * r_base
-        m = proximity_m(
-            lambda z: eval_g(rat, z, check_domain=False), r, avoid_moduli=moduli
-        )
+        m = proximity_m(lambda z: eval_g(rat, z), r, avoid_moduli=moduli)
         values.append(m)
         records.append(
             record(
@@ -335,9 +334,7 @@ def check_characteristic(sys: CoefficientSystem, seed: int):
     rat = sys.rat
     moduli = [r for r, n in cfg.blocks for _ in range(n)]  # one per pole
     r = 100 * cfg.blocks[-1][0]
-    m, n, t = nevanlinna(
-        lambda z: eval_g(rat, z, check_domain=False), moduli, r
-    )
+    m, n, t = nevanlinna(lambda z: eval_g(rat, z), moduli, r)
     gap = abs(t - n)
     return [
         record(

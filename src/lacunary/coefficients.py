@@ -4,18 +4,21 @@ Base pair:  A0 = f*g  and  B0 = -(f'' + A0 f')/f.  At every zero z_k of
 f the numerator of B0 vanishes by the interpolation identity
 A0(z_k) f'(z_k) + f''(z_k) = 0 (the residues were chosen exactly so),
 which makes B0 analytic there.  One nearest-zero scan per point
-(``_route``) picks how to evaluate the pair from the relative distance
-rel to the nearest zero xi: the defining quotient (``_direct``, which
-watches f'' + A0 f' for lost digits) at rel >= NEAR_ZERO_DELTA, and
-closer in the removable-singularity expansion
+(``_route``) picks one of two routes from the relative distance rel to
+the nearest zero xi and the switch s = 10^(-P/4): at rel >= s the
+defining quotient (``_direct``, which watches f'' + A0 f' for lost
+digits), and inside s the zero's Taylor jet (``_zero_jet``) in h = z - xi,
 
-    B0(xi)  = -(f''' + A0' f' + A0 f'')/f'        (L'Hopital at xi)
-    B0(z)  ~= B0(xi) + (z - xi) B0'(xi),
+    f  ~= h (f1 + h f2/2 + h^2 f3/6 + h^3 f4/24),
+    f' ~= f1 + h f2 + h^2 f3/2 + h^3 f4/6,
+    A0 ~= a0 + h a0' + h^2 a0''/2,        B0 ~= b0 + h b0',
 
-with A0(xi) = u f', A0'(xi) = u f''/2 + f' g_r, A0''(xi) = u f'''/3
-+ 2 f' g_r' + f'' g_r (g_r the regular part of g at the pole) and
-B0'(xi) = N''/(2f') - N' f''/(2 f'^2) for N = -(f'' + A0 f'); below
-rel = 10^(-P/2) A0 takes its removable value u f'(xi) as well.
+from fi = f^(i)(xi) and the regular part g_r of g at the pole:
+a0 = u f1, a0' = u f2/2 + f1 g_r, a0'' = u f3/3 + 2 f1 g_r' + f2 g_r,
+b0 = -(f3 + a0' f1 + a0 f2)/f1 (L'Hopital at xi) and
+b0' = N''/(2 f1) - N' f2/(2 f1^2) for N = -(f'' + A0 f').  The quotient
+loses about 10^-P/rel^2 (z is rounded against the stored zero) and the
+jet truncates at about (n_k rel)^2; s balances the two.
 
 Perturbed pair:  A = A0 + H*f,  B = B0 - H*f', where H is a product
 with zeros spread along the negative real axis at -m^{1/rho_H}; the
@@ -56,21 +59,18 @@ from .interpolation import (
 from .product import (
     DEFAULT_DPS,
     LacunaryConfig,
+    _block_terms,
     _check_domain,
     _f_jet,
     _fprime_on_circle,
     _half_step_directions,
-    _near_zero_margin,
     derivs_at_zero,
-    eval_f,
     f_jet,
     f_tail_log_bound,
     nearest_zero,
     zero_point,
 )
 
-# Relative distance from a zero inside which B0 comes from the series.
-NEAR_ZERO_DELTA = mpf("1e-8")
 H_TRUNCATION = 64
 
 
@@ -103,12 +103,12 @@ class HProduct:
             return mpf(radius) * mp.power(self.truncation, 1 - inv) / (inv - 1)
 
     def eval(self, z) -> mpc:
-        """H(z) as a plain product of the factors 1 + z/a_m.
+        """H(z) as a plain product of the factors 1 + z/a_m, each formed by
+        f's factor kernel ``product._block_terms`` with w = -z/a_m.
 
         A factor that loses more than P-5 of the P digits of max(1, |z/a_m|)
         to cancellation raises CancellationError, carrying the product
-        finished with the lossy factor; one below the rounding level of
-        that scale is the exact zero (z sits on a zero of H).
+        finished with the lossy factor; an exact zero stays 0.
         """
         with mp.workdps(self.dps):
             z = mpc(z)
@@ -120,19 +120,12 @@ class HProduct:
             lossy = mp.power(10, 5 - self.dps)
             acc = mpc(1)
             error = None
-            for m, a in enumerate(self.moduli[: self.truncation], start=1):
-                w = z / a
-                factor = 1 + w
-                scale = max(1, abs(w))
-                mag = abs(factor)
-                if mag <= scale * mp.eps:
-                    factor = mpc(0)
-                elif mag < scale * lossy and error is None:
-                    digits_lost = float(mp.log(scale / mag, 10))
-                    error = CancellationError(
-                        f"H factor {m} cancelled {digits_lost:.1f} of {self.dps} digits",
-                        digits_lost=digits_lost,
-                    )
+            for a in self.moduli[: self.truncation]:
+                w = -z / a
+                try:
+                    factor = _block_terms(w, abs(w), None, 0, lossy)[0]
+                except CancellationError as exc:
+                    error, lossy, factor = exc, None, exc.result
                 acc *= factor
             if error is not None:
                 error.result = acc
@@ -189,35 +182,25 @@ def make_system(
 # A0 and B0
 
 
-def _route(sys: CoefficientSystem, z: mpc) -> tuple[str, int, int]:
-    """("direct" | "series" | "at-pole", k, m) for z from one nearest-zero
-    scan, (k, m) the zero it found.  The direct route needs no other guard:
-    NEAR_ZERO_DELTA exceeds f_jet's 10^(-P/2), and g's poles are f's zeros."""
+def _switch(cfg: LacunaryConfig) -> mpf:
+    """s = 10^(-P/4), the relative distance to a zero inside which A0 and B0
+    come from the zero's jet (see the module docstring)."""
+    return mp.power(10, -mpf(cfg.dps) / 4)
+
+
+def _route(sys: CoefficientSystem, z: mpc) -> tuple[bool, int, int]:
+    """(direct, k, m) for z from one nearest-zero scan, (k, m) the zero it
+    found and ``direct`` whether z lies at least s (relative) from it.  The
+    direct route needs no other guard: s exceeds f_jet's 10^(-P/2), and
+    g's poles are f's zeros."""
     k, m, _, rel = nearest_zero(sys.cfg, z)
-    if rel >= NEAR_ZERO_DELTA:
-        return "direct", k, m
-    return ("series" if rel >= _near_zero_margin(sys.cfg) else "at-pole"), k, m
-
-
-def _removable_A0(sys: CoefficientSystem, k: int, m: int, f1: mpc) -> mpc:
-    """A0 at the zero (k, m): u f'(xi), with f1 = f'(xi)."""
-    return sys.rat.residues[sys.rat.pole_index(k, m)] * f1
-
-
-def eval_A0(sys: CoefficientSystem, z) -> mpc:
-    """A0(z) = f(z) g(z); at zeros of f the removable value u_k f'(z_k)."""
-    with mp.workdps(sys.dps):
-        z = mpc(z)
-        route, k, m = _route(sys, z)
-        if route == "at-pole":
-            return _removable_A0(sys, k, m, derivs_at_zero(sys.cfg, k, m, order=1)[0])
-        return eval_f(sys.cfg, z) * _g_sum(sys.rat, z)  # f's domain check covers g's
+    return rel >= _switch(sys.cfg), k, m
 
 
 def _direct(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc, mpc, mpc]:
     """(f, f', A0, B0, f'') at z at least 10^(-P/2) (relative) from every
     zero, B0 by the defining quotient; raises CancellationError when
-    f'' + A0 f' loses more than P/2 digits (the switch radius is too small)."""
+    f'' + A0 f' loses more than P/2 digits (the switch s is too small)."""
     _check_domain(sys.cfg, z)  # f's domain lies inside g's
     f, fp, fpp = _f_jet(sys.cfg, z, 2)
     a0 = f * _g_sum(sys.rat, z)
@@ -234,9 +217,10 @@ def _direct(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc, mpc, mpc]:
     return f, fp, a0, -num / f, fpp
 
 
-def _series(sys: CoefficientSystem, z: mpc, k: int, m: int) -> tuple[mpc, mpc]:
-    """(B0, f'(xi)) near the zero xi = (k, m): B0's removable value plus one
-    Taylor step, from one ``derivs_at_zero`` call."""
+def _zero_jet(sys: CoefficientSystem, z: mpc, k: int, m: int) -> tuple[mpc, mpc, mpc, mpc]:
+    """(f, f', A0, B0) at z from the Taylor jet of the zero xi = (k, m) (the
+    module docstring), from one ``derivs_at_zero`` and one ``g_regular_at``
+    call."""
     xi = zero_point(sys.cfg, k, m)
     i = sys.rat.pole_index(k, m)
     u = sys.rat.residues[i]
@@ -249,30 +233,30 @@ def _series(sys: CoefficientSystem, z: mpc, k: int, m: int) -> tuple[mpc, mpc]:
     n2 = -(f4 + a0pp * f1 + 2 * a0p * f2 + a0 * f3)
     b0 = n1 / f1
     b0p = n2 / (2 * f1) - n1 * f2 / (2 * f1 * f1)
-    return b0 + (z - xi) * b0p, f1
+    h = z - xi
+    f = h * (f1 + h * (f2 / 2 + h * (f3 / 6 + h * f4 / 24)))
+    fp = f1 + h * (f2 + h * (f3 / 2 + h * f4 / 6))
+    return f, fp, a0 + h * (a0p + h * a0pp / 2), b0 + h * b0p
 
 
 def _base(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc, mpc]:
     """(f, f', A0, B0) at z by the route of its one scan."""
-    route, k, m = _route(sys, z)
-    if route == "direct":
+    direct, k, m = _route(sys, z)
+    if direct:
         return _direct(sys, z)[:4]
-    b0, f1 = _series(sys, z, k, m)
-    if route == "series":
-        _check_domain(sys.cfg, z)
-        f, fp = _f_jet(sys.cfg, z, 1)
-        return f, fp, f * _g_sum(sys.rat, z), b0
-    return eval_f(sys.cfg, z, strict=False), f1, _removable_A0(sys, k, m, f1), b0
+    return _zero_jet(sys, z, k, m)
+
+
+def eval_A0(sys: CoefficientSystem, z) -> mpc:
+    """A0(z) = f(z) g(z), from the zero's jet within s (relative) of a zero."""
+    with mp.workdps(sys.dps):
+        return _base(sys, mpc(z))[2]
 
 
 def eval_B0(sys: CoefficientSystem, z) -> mpc:
-    """B0(z), from the series within NEAR_ZERO_DELTA (relative) of a zero."""
+    """B0(z), from the zero's jet within s (relative) of a zero."""
     with mp.workdps(sys.dps):
-        z = mpc(z)
-        route, k, m = _route(sys, z)
-        if route == "direct":
-            return _direct(sys, z)[3]
-        return _series(sys, z, k, m)[0]
+        return _base(sys, mpc(z))[3]
 
 
 def eval_AB(sys: CoefficientSystem, z) -> tuple[mpc, mpc]:
@@ -294,14 +278,16 @@ def residual(sys: CoefficientSystem, z, c_scales=()) -> list[mpf]:
     """[base, *perturbed]: |f'' + A f' + B f| / (|f''| + |A f'| + |B f|) for
     (A0, B0), then for (A0 + c H f, B0 - c H f') at each c of ``c_scales``,
     from one evaluation of f, f', f'', g and H at z (NearZeroError within
-    NEAR_ZERO_DELTA of a zero).  Exact zero is unattainable; the honest
+    s = 10^(-P/4), relative, of a zero).  Exact zero is unattainable; the honest
     target is the rounding floor quantified by :func:`residual_tolerance`.
     """
     with mp.workdps(sys.dps):
         z = mpc(z)
-        route, k, m = _route(sys, z)
-        if route != "direct":
-            raise NearZeroError(f"residual point within NEAR_ZERO_DELTA of zero {(k, m)}")
+        direct, k, m = _route(sys, z)
+        if not direct:
+            raise NearZeroError(
+                f"residual point within relative 10^-{sys.dps / 4:g} of zero {(k, m)}"
+            )
         f, fp, a0, b0, fpp = _direct(sys, z)
         pairs = [(a0, b0)]
         if c_scales:

@@ -48,7 +48,6 @@ depend on which points were evaluated first.  A copy made by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
@@ -184,14 +183,14 @@ def g_tail_bound(rat: RationalInterpolant, radius) -> mpf:
         return 2 * rat.tail_sum_bound
 
 
-def eval_g(rat: RationalInterpolant, z, check_domain: bool = True) -> mpc:
-    """Partial-fraction sum over the included poles, in stored order; with
-    ``check_domain``, TailError outside the certified domain of f."""
+def eval_g(rat: RationalInterpolant, z) -> mpc:
+    """g(z) over the included poles (:func:`_g_sum`).  TailError outside
+    the certified domain of f, where the omitted poles are not bounded;
+    NearPoleError within 10^(-P/2) (relative) of a pole."""
     cfg = rat.cfg
     with mp.workdps(cfg.dps):
         z = mpc(z)
-        if check_domain:
-            _check_domain(cfg, z)
+        _check_domain(cfg, z)
         k, m, _, rel = nearest_zero(cfg, z)
         if rel < _near_zero_margin(cfg):
             raise NearPoleError(
@@ -347,27 +346,23 @@ def proximity_m(fn, r, avoid_moduli=None) -> mpf:
                         f"radius {mp.nstr(r, 8)} within relative 1e-3 of pole modulus "
                         f"{mp.nstr(m, 8)}"
                     )
-        cache: dict[Fraction, mpf] = {}
-
-        def node_value(j: int, n: int) -> mpf:
-            key = Fraction(j, n)
-            if key not in cache:
-                z = r * mp.expjpi(2 * mpf(key.numerator) / key.denominator)
-                cache[key] = _log_plus(fn(z))
-            return cache[key]
-
         abs_tol = mpf("1e-6")
         max_nodes = 1 << 14
         estimates = []
-        n = 32
+        # log+ at the nodes j/n of the turn, in angle order: each doubling
+        # evaluates only the n/2 new odd-index nodes and interleaves them
+        n, nodes, samples = 32, range(32), []
         while n <= max_nodes:
+            fresh = [_log_plus(fn(r * mp.expjpi(2 * mpf(j) / n))) for j in nodes]
+            samples = [v for pair in zip(samples, fresh) for v in pair] if samples else fresh
             total = mpf(0)
-            for j in range(n):
-                total += node_value(j, n)
+            for v in samples:
+                total += v
             estimates.append(total / n)
             if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < abs_tol:
                 return estimates[-1]
             n *= 2
+            nodes = range(1, n, 2)
         raise QuadratureError(
             f"proximity quadrature did not converge below {abs_tol} within "
             f"{max_nodes} nodes",

@@ -1,10 +1,10 @@
 import mpmath
 
 from lacunary import NearZeroError
-from lacunary.coefficients import _direct, _route, _series
+from lacunary.coefficients import _direct, _zero_jet
 from lacunary.growth import _logmag
 from lacunary.interpolation import eval_g
-from lacunary.product import nearest_zero
+from lacunary.product import _near_zero_margin, nearest_zero
 
 
 def rel_err(a, b):
@@ -92,8 +92,8 @@ def eval_B0_direct(sys, z):
     """B0 by the defining quotient (NearZeroError within 10^(-P/2) of a zero)."""
     with mpmath.mp.workdps(sys.dps):
         z = mpmath.mpc(z)
-        route, k, m = _route(sys, z)
-        if route == "at-pole":
+        k, m, _, rel = nearest_zero(sys.cfg, z)
+        if rel < _near_zero_margin(sys.cfg):
             raise NearZeroError(f"z within relative 10^-{sys.dps // 2} of zero {(k, m)}")
         return _direct(sys, z)[3]
 
@@ -103,4 +103,4 @@ def eval_B0_series(sys, z):
     with mpmath.mp.workdps(sys.dps):
         z = mpmath.mpc(z)
         k, m, _, _ = nearest_zero(sys.cfg, z)
-        return _series(sys, z, k, m)[0]
+        return _zero_jet(sys, z, k, m)[3]

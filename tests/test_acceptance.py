@@ -131,7 +131,7 @@ def test_criterion_5_proximity_and_characteristic():
     cfg = make_schedule(0.5, 3, "factorial")
     rat = residues_from_f(cfg)
     moduli = sorted({abs(p) for p in rat.poles})
-    g = lambda z: eval_g(rat, z, check_domain=False)
+    g = lambda z: eval_g(rat, z)
     r3 = cfg.blocks[-1][0]
     values = [proximity_m(g, scale * r3, avoid_moduli=moduli) for scale in (10, 100, 1000)]
     monotone = values[0] >= values[1] >= values[2]

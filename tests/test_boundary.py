@@ -1,6 +1,6 @@
 """Module boundaries: no library code uses the log-domain number format,
-f and g share one certified domain, and the benchmark's traced names
-exist.
+f and g share one certified domain, one kernel screens factors for
+cancellation, and the benchmark's traced names exist.
 
 ``logdomain`` is imported only by the package ``__init__.py``, as a
 module that binds none of its names; every evaluator runs with its
@@ -179,6 +179,39 @@ def test_f_and_g_share_one_certified_domain():
                 evaluate()
     inside = edge * (1 - mpf(10) ** -20)
     assert eval_g(rat, inside) != 0 and g_tail_bound(rat, inside) > 0
+
+
+def _call_sites(tree: ast.AST, name: str) -> list[str]:
+    """Dotted names of the functions (and classes) whose bodies call
+    ``name``; a call at module level has the empty name."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    sites.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return sites
+
+
+def test_one_cancellation_screen():
+    """CancellationError is constructed by f's factor kernel, which H's
+    factors pass through too, and by the B0 quotient, nowhere else
+    (``logdomain`` is excepted until it is deleted)."""
+    sites = sorted(
+        f"{path.stem}.{site}"
+        for path in PACKAGE.glob("*.py")
+        if path.name != "logdomain.py"
+        for site in _call_sites(ast.parse(path.read_text(encoding="utf-8")), "CancellationError")
+    )
+    assert sites == ["coefficients._direct", "product._block_terms"]
 
 
 def _benchmark_layers():

@@ -112,6 +112,19 @@ class TestVerify:
             assert code == 2
             assert key in capsys.readouterr().err
 
+    def test_g_checks_stay_on_the_certified_domain(self, tmp_path, capsys):
+        """factorial K=2 is certified on |z| < r_3/2 = 32.  proximity samples
+        g from 10 r_2 = 40 on and characteristic at 100 r_2 = 400, where the
+        8 omitted poles of block 3 (r_3 = 64) would add 8 ln(400/64) to N:
+        each check exits 3 with TailError instead of reporting a value."""
+        cfg = write_config(tmp_path, {"rho_f": 0.5, "rule": "factorial", "K": 2})
+        for check in ("proximity", "characteristic"):
+            code = main(
+                ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--checks", check]
+            )
+            assert code == 3
+            assert "TailError" in capsys.readouterr().err
+
     def test_fault_injection_detected(self, tmp_path):
         """Perturbing one stored residue by 1e-3 must fail the interpolation
         identity for exactly that zero and flip the exit code to 1."""

@@ -80,7 +80,7 @@ class TestB0:
 
     def test_branch_agreement_just_outside_switch(self, anchor_system):
         """Both evaluation routes agree far below the 10^(-P/3) contract."""
-        z = 1 + 2 * coefficients.NEAR_ZERO_DELTA
+        z = 1 + 2 * coefficients._switch(anchor_system.cfg)
         d = eval_B0_direct(anchor_system, z)
         s = eval_B0_series(anchor_system, z)
         assert abs(d - s) < mpf(10) ** (-anchor_system.dps / 3)
@@ -106,6 +106,31 @@ class TestB0:
         for eps in (mpf(10) ** -40, mpf(10) ** -31):
             with pytest.raises((NearZeroError, CancellationError)):
                 eval_B0_direct(sys60, 1 + eps)
+
+
+@pytest.fixture(scope="module")
+def reference_system():
+    """The headline schedule at 200 digits, twice the working precision."""
+    return make_system(make_schedule(0.5, 4, "factorial", dps=200))
+
+
+class TestNearZeroAccuracy:
+    def test_against_the_quotient_at_twice_the_precision(self, factorial_system, reference_system):
+        """eval_A0 and eval_B0 within 10^(-P/3) of the defining quotient at
+        2P, on both sides of the switch s = 10^(-P/4) and far inside it.  At
+        0.99e-8 one Taylor step of B0 would truncate at about (n_k rel)^2;
+        at 1e-60 next to (4, 1234) the term h f' g_r outweighs A0's value
+        u f' at the zero."""
+        cfg = factorial_system.cfg
+        s = coefficients._switch(cfg)
+        tol = mpf(10) ** (-cfg.dps / 3)
+        for k, m in ((1, 0), (3, 5), (4, 1234)):
+            for rel in (mpf("0.99e-8"), mpf("1.01") * s, mpf("0.99") * s, mpf(10) ** -60):
+                z = zero_point(cfg, k, m) + rel * cfg.blocks[k - 1][0] * mp.expjpi(mpf("0.3"))
+                with mp.workdps(reference_system.dps):
+                    _, _, a0, b0, _ = coefficients._direct(reference_system, z)
+                assert rel_err(eval_A0(factorial_system, z), a0) < tol, (k, m, rel)
+                assert rel_err(eval_B0(factorial_system, z), b0) < tol, (k, m, rel)
 
 
 class TestH:
@@ -225,7 +250,7 @@ class TestOneScanPerPoint:
         assert call_counts["nearest_zero"] == 1
 
     def test_eval_ab_near_a_zero(self, factorial_system, call_counts):
-        eval_AB(factorial_system, 4 * (1 + mpf("1e-20")))
+        eval_AB(factorial_system, 4 * (1 + mpf("1e-30")))
         assert call_counts["nearest_zero"] == 1
         assert call_counts["derivs_at_zero"] == 1
 
@@ -265,7 +290,7 @@ class TestResidual:
         from lacunary import NearZeroError
 
         with pytest.raises(NearZeroError):
-            residual(factorial_system, 4 * (1 + mpf(10) ** -9))
+            residual(factorial_system, 4 * (1 + mpf(10) ** -30))
 
 
 class TestInterpolationIdentity:

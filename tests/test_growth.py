@@ -71,7 +71,7 @@ class TestNevanlinna:
         rat = residues_from_f(cfg)
         moduli = [abs(p) for p in rat.poles]
         r = 100 * cfg.blocks[-1][0]
-        m, n, t = nevanlinna(lambda z: eval_g(rat, z, check_domain=False), moduli, r)
+        m, n, t = nevanlinna(lambda z: eval_g(rat, z), moduli, r)
         assert n > 0
         assert abs(t - n) < mpf("0.05")
         # N(r, g) grows strictly along the decades 10, 100, 1000 r_3

@@ -396,7 +396,7 @@ class TestProximity:
         rat = residues_from_f(cfg)
         r3 = cfg.blocks[-1][0]
         values = [
-            proximity_m(lambda z: eval_g(rat, z, check_domain=False), scale * r3)
+            proximity_m(lambda z: eval_g(rat, z), scale * r3)
             for scale in (10, 100, 1000)
         ]
         assert values[0] >= values[1] >= values[2]
