@@ -228,7 +228,9 @@ def check_cauchy(sys: CoefficientSystem, seed: int):
                     "full_radius_zero_free": cr.full_radius_zero_free,
                     "halvings": cr.halvings,
                     "chain_bound_ok": bool(cr.chain_bound >= abs(cr.direct)),
+                    "winding_nodes": cr.winding_nodes,
                     "nodes": cr.nodes,
+                    "quad_radius": _num(cr.quad_radius),
                     "agreement_half": _num(cr.agreement_half),
                 },
             )

@@ -26,13 +26,16 @@ c*H*f*f' contributions cancel identically in the residual, so the ODE
 survives the perturbation c*H for any scale c.
 
 The contour check recovers f''/f'^2 at a zero through the derivative of
-1/f' as a Cauchy integral over a circle around the zero.  That identity
-requires 1/f' analytic in the punctured disk, which at small block index
-can fail at the nominal radius r_k/n_k (the claim behind that radius is
-asymptotic in k): the contour is validated by an argument-principle
-winding count and halved until the enclosed disk is free of zeros of
-f'.  Whether the full-size disk was already zero-free is reported as a
-finding, never silently patched.
+1/f' as a Cauchy integral on two concentric circles around the zero.  On
+the winding circle an argument-principle winding count shows the disk of
+radius R free of zeros of f'; R starts at the nominal r_k/n_k and halves
+while the count is nonzero (at small block index that disk can hold one:
+the claim behind its radius is asymptotic in k), and whether the
+full-size disk was zero-free is reported, never silently patched.  The
+integral is taken on the quadrature circle of radius R/2: 1/f' is
+analytic on the disk of radius R, so the trapezoid error there falls at
+least like 2^-n in the node count n (on the winding circle a zero of f'
+just outside it slows convergence), and rounding grows only by R/(R/2).
 """
 
 from __future__ import annotations
@@ -377,10 +380,12 @@ class CauchyRatio:
     contour: mpc
     contour_half: mpc
     radius: mpf
+    quad_radius: mpf
     full_radius_zero_free: bool
     winding_at_full_radius: int
     halvings: int
     chain_bound: mpf
+    winding_nodes: int
     nodes: int
 
     @property
@@ -392,21 +397,25 @@ class CauchyRatio:
         return abs(self.direct - self.contour_half) / abs(self.direct)
 
 
+def _grid_samples(cfg: LacunaryConfig, zero, radius, n: int, samples: dict) -> list:
+    """[(direction, f')] at every (MAX_NODES/n)-th half-step node of MAX_NODES
+    on the circle of ``radius`` around ``zero``.  ``samples`` maps grid index
+    -> (direction, f'); only nodes not yet in it are sampled, then added."""
+    grid = range(0, MAX_NODES, MAX_NODES // n)
+    fresh = [i for i in grid if i not in samples]
+    dirs = _half_step_directions(MAX_NODES, fresh)
+    samples.update(zip(fresh, zip(dirs, _fprime_on_circle(cfg, zero, radius, dirs))))
+    return [samples[i] for i in grid]
+
+
 def sample_winding(
     cfg: LacunaryConfig, zero: tuple[int, int], radius, n: int, samples: dict
 ) -> tuple[int, int]:
-    """(n, winding of f') on the circle of ``radius`` around ``zero`` = (k, m),
-    from n nodes of the nested grid: every (MAX_NODES/n)-th half-step node
-    of MAX_NODES.  n doubles, up to MAX_NODES, while consecutive arguments
-    jump by more than pi/2.  ``samples`` maps grid index -> (direction, f')
-    and keeps every node taken, so no node is sampled twice.
-    """
+    """(n, winding of f') on the circle of ``radius`` around ``zero`` = (k, m)
+    from n nodes of :func:`_grid_samples`, keeping every node in ``samples``;
+    n doubles, up to MAX_NODES, while consecutive arguments jump by > pi/2."""
     while True:
-        grid = range(0, MAX_NODES, MAX_NODES // n)
-        fresh = [i for i in grid if i not in samples]
-        dirs = _half_step_directions(MAX_NODES, fresh)
-        samples.update(zip(fresh, zip(dirs, _fprime_on_circle(cfg, zero, radius, dirs))))
-        vals = [samples[i][1] for i in grid]
+        vals = [fp for _, fp in _grid_samples(cfg, zero, radius, n, samples)]
         steps = [mp.arg(b / a) for a, b in zip(vals, vals[1:] + vals[:1])]
         if all(abs(d) <= mp.pi / 2 for d in steps):
             return n, int(mp.nint(mp.fsum(steps) / (2 * mp.pi)))
@@ -418,12 +427,12 @@ def sample_winding(
 def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> CauchyRatio:
     """f''/f'^2 at a zero, directly and via the Cauchy integral for (1/f')'.
 
-    The radius starts at r_k/n_k and halves while the winding of f' along
-    the circle is nonzero (see the module docstring).  On each radius the
-    node count starts at ``nodes`` and doubles on the nested grid of
-    :func:`sample_winding` until the trapezoid estimates from n and n/2
-    nodes differ by less than CONTOUR_AGREEMENT_THRESHOLD/10 of the direct
-    value, or n reaches MAX_NODES.
+    The winding circle of radius R (the module docstring) is sampled by
+    :func:`sample_winding` from ``nodes`` up.  The quadrature circle of
+    radius R/2 has its own nested grid: n starts at ``nodes`` and doubles
+    until the trapezoid estimates from n and n/2 nodes differ by less than
+    CONTOUR_AGREEMENT_THRESHOLD/10 of the direct value, or n reaches
+    MAX_NODES.  ``chain_bound`` is max 1/|f'| on the winding circle over R.
     """
     if nodes < 2 or MAX_NODES % nodes:
         raise ConfigError(f"nodes must divide {MAX_NODES} and exceed 1, got {nodes}")
@@ -432,26 +441,26 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> Cauchy
         f1, f2 = derivs_at_zero(cfg, k, m, order=2)
         direct = f2 / (f1 * f1)
         tol = CONTOUR_AGREEMENT_THRESHOLD / 10 * abs(direct)
-        radius = r_k / n_k
-        winding_full = None
-        halvings = 0
-        n, samples = nodes, {}
+        radius, halvings = r_k / n_k, 0
         while True:
-            n, w = sample_winding(cfg, (k, m), radius, n, samples)
-            if winding_full is None:
+            winding = {}
+            winding_nodes, w = sample_winding(cfg, (k, m), radius, nodes, winding)
+            if halvings == 0:
                 winding_full = w
-            if w != 0:
-                halvings += 1
-                if halvings > MAX_HALVINGS:
-                    raise ZeroOnContourError(
-                        f"no zero-free contour found around zero ({k}, {m}) after "
-                        f"{MAX_HALVINGS} halvings"
-                    )
-                radius = radius / 2
-                n, samples = nodes, {}
-                continue
-            ws, vals = zip(*(samples[i] for i in range(0, MAX_NODES, MAX_NODES // n)))
-            terms = [1 / (radius * w_j * fp) for w_j, fp in zip(ws, vals)]
+            if w == 0:
+                break
+            halvings += 1
+            if halvings > MAX_HALVINGS:
+                raise ZeroOnContourError(
+                    f"no zero-free contour found around zero ({k}, {m}) after "
+                    f"{MAX_HALVINGS} halvings"
+                )
+            radius = radius / 2
+        quad_radius = radius / 2
+        n, quad = nodes, {}
+        while True:
+            vals = _grid_samples(cfg, (k, m), quad_radius, n, quad)
+            terms = [1 / (quad_radius * w_j * fp) for w_j, fp in vals]
             integral = mp.fsum(terms) / n
             integral_half = mp.fsum(terms[::2]) * 2 / n
             if abs(integral - integral_half) < tol or n == MAX_NODES:
@@ -462,9 +471,11 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> Cauchy
             contour=-integral,
             contour_half=-integral_half,
             radius=radius,
+            quad_radius=quad_radius,
             full_radius_zero_free=(winding_full == 0),
             winding_at_full_radius=winding_full,
             halvings=halvings,
-            chain_bound=max(1 / abs(fp) for fp in vals) / radius,
+            chain_bound=max(1 / abs(fp) for _, fp in winding.values()) / radius,
+            winding_nodes=winding_nodes,
             nodes=n,
         )

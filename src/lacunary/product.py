@@ -338,19 +338,18 @@ def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
     return f, l1, l2
 
 
-def eval_f(cfg: LacunaryConfig, z, strict: bool = True) -> mpc:
+def eval_f(cfg: LacunaryConfig, z) -> mpc:
     """f(z) as the product of the factors 1 - (z/r_k)^{n_k}.
 
     Rule-based configs are truncations: the omitted factors are bounded by
     :func:`f_tail_log_bound`, certified on |z| < r_{K+1}/2 (TailError
-    beyond).  strict=False downgrades per-factor CancellationError
-    (evaluation very near a zero) to the lossy value it carries, for
-    diagnostics that only need the magnitude scale.
+    beyond).  A factor cancelled near a zero raises CancellationError,
+    which carries the lossy value.
     """
     with mp.workdps(cfg.dps):
         z = mpc(z)
         _check_domain(cfg, z)
-        return _jet(cfg.blocks, z, 0, strict)[0]
+        return _jet(cfg.blocks, z, 0, True)[0]
 
 
 def _scan_blocks(cfg: LacunaryConfig, radius) -> list[tuple[mpf, int]]:

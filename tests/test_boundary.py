@@ -20,6 +20,7 @@ from mpmath import mpc, mpf
 import lacunary
 import lacunary.cli
 from lacunary import CancellationError, TailError, config_from_blocks, make_schedule
+from lacunary import product
 import lacunary.logdomain
 from lacunary.coefficients import build_H
 from lacunary.interpolation import eval_g, g_tail_bound, residues_from_f
@@ -99,7 +100,7 @@ def test_public_evaluators_return_mpc():
         eval_f(cfg, 2),
         eval_f(cfg, 0),
         eval_f(cfg, 4),
-        eval_f(cfg, 4 * (1 + mpf(10) ** -98), strict=False),  # the lossy value
+        product._jet(cfg.blocks, mpc(4 * (1 + mpf(10) ** -98)), 0, False)[0],  # the lossy value
         eval_f(rule_cfg, mpc(3, 1)),
         eval_f_scan(rule_cfg, mpc(40, 1)),
         *derivs_at_zero(cfg, 2, 1, order=4),

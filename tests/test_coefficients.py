@@ -376,9 +376,10 @@ class TestCauchyRatio:
         assert cr.chain_bound >= abs(cr.direct)
 
     def test_factorial_ratios_decreasing_and_bounded(self):
-        """Node counts follow the contour's analyticity margin: the nearest
-        zero of f' sits at radius ratio ~1.7 (k=2, after two halvings),
-        ~1.2 (k=3) and ~5.9 (k=4) from the used contour."""
+        """The ratios decrease over k = 2..4 and each 2f route agrees: the
+        quadrature circle has half the radius of the zero-free winding
+        circle, so its trapezoid error falls at least like 2^-n from any
+        starting node count."""
         cfg = make_schedule(0.5, 4, "factorial")
         ratios = []
         for k, nodes in ((2, 256), (3, 512), (4, 64)):
@@ -416,20 +417,22 @@ def headline_block1():
 
 class TestContourNodeDoubling:
     def test_block_one_agrees(self, headline_block1):
-        """At a fixed 512 nodes block 1 agreed only to 8e-16; doubling until
-        two estimates agree reaches the 1e-20 threshold."""
+        """On the winding circle block 1 needed 2048 nodes (a zero of f' lies
+        just outside it); on the quadrature circle of half its radius the
+        1e-20 threshold is met from at most 128."""
         cr, _ = headline_block1
         assert cr.agreement < mpf("1e-20")
-        assert cr.nodes > 512
+        assert cr.nodes <= 128
         assert cr.agreement_half > cr.agreement
 
     def test_no_level_sampled_twice(self, headline_block1):
-        """Each radius is sampled from 32 nodes up, keeping the nodes it has:
-        a discarded radius costs its 32 starting nodes, the accepted one
-        exactly its final node count."""
+        """Each circle is sampled from 32 nodes up, keeping the nodes it has:
+        a discarded winding radius costs its 32 starting nodes, the accepted
+        one its winding node count and the quadrature circle exactly its
+        final node count."""
         cr, evaluations = headline_block1
         assert cr.halvings >= 1
-        assert evaluations == 32 * cr.halvings + cr.nodes
+        assert evaluations == 32 * cr.halvings + cr.winding_nodes + cr.nodes
 
     def test_rejects_node_counts_off_the_grid(self):
         cfg = config_from_blocks([(1, 2)])
@@ -465,6 +468,43 @@ class TestContourNodeDoubling:
         for r in contour[:-1]:
             assert 32 <= r["nodes"] <= coefficients.MAX_NODES
             assert r["agreement_half"] > 0
+
+
+class TestContourAtTwoPrecisions:
+    @pytest.mark.parametrize("dps", [100, 200])
+    @pytest.mark.parametrize(
+        "rho_f, rho_H, budget",
+        [("0.5", "0.4", 700), ("0.45", "0.48", None)],
+        ids=["headline", "theorem"],
+    )
+    def test_every_block_passes_on_half_the_winding_radius(
+        self, rho_f, rho_H, budget, dps, monkeypatch
+    ):
+        """Every per-block 2f record passes on the quadrature circle of half
+        the winding radius, with the chain bound holding on the winding
+        circle.  On the headline the check samples f' at most 700 times
+        (3488 times when it integrated on the winding circle itself)."""
+        real = coefficients._fprime_on_circle
+        count = [0]
+
+        def counting(cfg, xi, radius, directions):
+            count[0] += len(directions)
+            return real(cfg, xi, radius, directions)
+
+        monkeypatch.setattr(coefficients, "_fprime_on_circle", counting)
+        cfg = make_schedule(mpf(rho_f), 4, "factorial", dps=dps)
+        system = make_system(cfg, rho_H=mpf(rho_H))
+        records = [r for r in check_cauchy(system, 0) if r["eq"] == "2f" and r["zero"]]
+        assert len(records) == cfg.K
+        for r in records:
+            assert r["pass"], r
+            assert r["chain_bound_ok"]
+            r_k, n_k = cfg.block(r["zero"][0])
+            with mp.workdps(dps):
+                radius = r_k / n_k / 2 ** r["halvings"]
+                assert r["quad_radius"] == float(radius / 2)
+        if budget is not None:
+            assert count[0] <= budget
 
 
 class TestSystemConstruction:
