@@ -21,6 +21,7 @@ from .errors import (
     LacunaryError,
     NearPoleError,
     NearZeroError,
+    NumericalError,
     PrecisionError,
     PrecisionInsufficient,
     QuadratureError,
@@ -74,6 +75,7 @@ __all__ = [
     "LacunaryError",
     "NearPoleError",
     "NearZeroError",
+    "NumericalError",
     "PrecisionError",
     "PrecisionInsufficient",
     "QuadratureError",

@@ -1,9 +1,12 @@
 """Command-line front end: construct, verify, scan, report.
 
-Exit codes: 0 all checks passed, 1 a verification check failed, 2 bad
-configuration or unreadable input, 3 numerical failure (insufficient
-precision, non-convergent quadrature), with a suggested precision
-printed when one can be computed.
+Exit codes: 0 all checks passed, 1 a verification check failed, 2 a
+ConfigError: bad configuration, --points or --angles below 1, or
+unreadable input (a config, an artifact, or a file ``report`` reads),
+3 a NumericalError (insufficient precision, non-convergent quadrature,
+a point off the certified domain), with a suggested precision printed
+when one can be computed.  ``main`` alone loads the config, enters its
+precision and maps errors to these codes.
 
 Config schema (JSON object):
 
@@ -23,25 +26,14 @@ import argparse
 import csv
 import json
 import sys as _sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from mpmath import mp, mpc, mpf
 
 from . import checks as checks_mod
 from .coefficients import H_TRUNCATION, build_H, make_system
-from .errors import (
-    CancellationError,
-    ConfigError,
-    DivergenceError,
-    LacunaryError,
-    NearPoleError,
-    NearZeroError,
-    PrecisionError,
-    PrecisionInsufficient,
-    QuadratureError,
-    TailError,
-    ZeroOnContourError,
-)
+from .errors import ConfigError, NumericalError, PrecisionInsufficient
 from .growth import (
     HZeroDiskFamily,
     ZeroDiskFamily,
@@ -108,13 +100,7 @@ def _write_json(path: Path, obj) -> None:
 # construct
 
 
-def cmd_construct(args) -> int:
-    cfg, data, out = _load(args)
-    with mp.workdps(cfg.dps):
-        return _construct_at_precision(cfg, data, out)
-
-
-def _construct_at_precision(cfg: LacunaryConfig, data: dict, out: Path) -> int:
+def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
     system = make_system(cfg, rho_H=_rho_H(data))
 
     extras = {"rho_H": data["rho_H"]} if "rho_H" in data else {}
@@ -198,42 +184,36 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
             f"artifact holds {len(entries)} residues, config has {zero_count(cfg)} zeros"
         )
     ids = [(k, m) for k, (_, n) in enumerate(cfg.blocks, start=1) for m in range(n)]
-    with mp.workdps(cfg.dps):
-        tol = mp.power(10, 10 - cfg.dps)
-        poles = []
-        residues = []
-        try:
-            for i, (e, (k, m)) in enumerate(zip(entries, ids)):
-                if (int(e["k"]), int(e["m"])) != (k, m):
-                    raise ConfigError(
-                        f"artifact entry {i} is zero ({e['k']}, {e['m']}); "
-                        f"config order expects ({k}, {m})"
-                    )
-                pole = mpc(mpf(e["pole"][0]), mpf(e["pole"][1]))
-                xi = zero_point(cfg, k, m)
-                if abs(pole - xi) > tol * abs(xi):
-                    raise ConfigError(
-                        f"artifact pole of zero ({k}, {m}) is {mp.nstr(abs(pole - xi), 5)} "
-                        f"away from the zero"
-                    )
-                poles.append(pole)
-                residues.append(mpc(mpf(e["residue"][0]), mpf(e["residue"][1])))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed residue entry in {path}: {exc!r}") from exc
-        return config_interpolant(cfg, poles, residues, ids)
+    tol = mp.power(10, 10 - cfg.dps)
+    poles = []
+    residues = []
+    try:
+        for i, (e, (k, m)) in enumerate(zip(entries, ids)):
+            if (int(e["k"]), int(e["m"])) != (k, m):
+                raise ConfigError(
+                    f"artifact entry {i} is zero ({e['k']}, {e['m']}); "
+                    f"config order expects ({k}, {m})"
+                )
+            pole = mpc(mpf(e["pole"][0]), mpf(e["pole"][1]))
+            xi = zero_point(cfg, k, m)
+            if abs(pole - xi) > tol * abs(xi):
+                raise ConfigError(
+                    f"artifact pole of zero ({k}, {m}) is {mp.nstr(abs(pole - xi), 5)} "
+                    f"away from the zero"
+                )
+            poles.append(pole)
+            residues.append(mpc(mpf(e["residue"][0]), mpf(e["residue"][1])))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed residue entry in {path}: {exc!r}") from exc
+    return config_interpolant(cfg, poles, residues, ids)
 
 
-def cmd_verify(args) -> int:
-    cfg, data, out = _load(args)
+def cmd_verify(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
     names = _parse_checks(args.checks)
-
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     checks_mod.ensure_feasible(cfg.dps, names)
 
-    with mp.workdps(cfg.dps):
-        return _verify_at_precision(cfg, data, out, names, args)
-
-
-def _verify_at_precision(cfg, data, out, names, args) -> int:
     rat = None
     if args.artifacts:
         rat = _load_artifact_residues(cfg, Path(args.artifacts))
@@ -293,13 +273,9 @@ def _scan_ks(cfg: LacunaryConfig):
     return range(1, cfg.K + 1)
 
 
-def cmd_scan(args) -> int:
-    cfg, data, out = _load(args)
-    with mp.workdps(cfg.dps):
-        return _scan_at_precision(cfg, data, out, args)
-
-
-def _scan_at_precision(cfg, data, out, args) -> int:
+def cmd_scan(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
+    if args.angles < 1:
+        raise ConfigError(f"--angles must be at least 1, got {args.angles}")
     kind = args.scan
 
     if kind == "order":
@@ -354,73 +330,71 @@ def _scan_at_precision(cfg, data, out, args) -> int:
         print(f"witness scan: verdict {rep.verdict}")
         return 0
 
-    if kind == "indicator":
-        rho_H = _rho_H(data)
-        if rho_H is not None:
-            h = build_H(rho_H, H_TRUNCATION, dps=cfg.dps)
-            target = "H"
-            fn = h.eval
-            rho = h.rho
-            radii = [mpf(10) ** 6]
-            exclusion = HZeroDiskFamily(h)
-        else:
-            target = "f"
-            fn = lambda z: eval_f_scan(cfg, z)
-            rho = cfg.rho_f
-            radii = [16 * cfg.blocks[-1][0]]
-            exclusion = ZeroDiskFamily(cfg)
-        thetas = [2 * mp.pi * j / args.angles for j in range(args.angles)]
-        scan = indicator_scan(fn, rho, thetas, radii, exclusion=exclusion)
-        rows = [
-            (
-                _nstr(s.r),
-                _nstr(s.theta),
-                _nstr(s.log_abs),
-                _nstr(s.ratio),
-                s.excluded,
-                True,
-            )
-            for s in scan.samples
-        ]
-        _write_csv(out / "indicator.csv", rows)
-        min_ratio = scan.min_ratio()
-        summary = {
-            "scan": "indicator",
-            "target": target,
-            "angles": args.angles,
-            "radii": [float(r) for r in radii],
-            "min_ratio_nonexcluded": None if min_ratio is None else float(min_ratio),
-            "all_positive": bool(min_ratio is not None and min_ratio > 0),
-            "excluded_samples": sum(1 for s in scan.samples if s.excluded),
-            "budget_ok": scan.budget_ok,
-        }
-        _write_json(out / "indicator_summary.json", summary)
-        print(f"indicator scan of {target}: min nonexcluded ratio {summary['min_ratio_nonexcluded']}")
-        return 0
-
-    raise ConfigError(f"unknown scan type {kind!r}")
+    # indicator: argparse admits no other kind
+    rho_H = _rho_H(data)
+    if rho_H is not None:
+        h = build_H(rho_H, H_TRUNCATION, dps=cfg.dps)
+        target = "H"
+        fn = h.eval
+        rho = h.rho
+        radii = [mpf(10) ** 6]
+        exclusion = HZeroDiskFamily(h)
+    else:
+        target = "f"
+        fn = lambda z: eval_f_scan(cfg, z)
+        rho = cfg.rho_f
+        radii = [16 * cfg.blocks[-1][0]]
+        exclusion = ZeroDiskFamily(cfg)
+    thetas = [2 * mp.pi * j / args.angles for j in range(args.angles)]
+    scan = indicator_scan(fn, rho, thetas, radii, exclusion=exclusion)
+    rows = [
+        (_nstr(s.r), _nstr(s.theta), _nstr(s.log_abs), _nstr(s.ratio), s.excluded, True)
+        for s in scan.samples
+    ]
+    _write_csv(out / "indicator.csv", rows)
+    min_ratio = scan.min_ratio()
+    summary = {
+        "scan": "indicator",
+        "target": target,
+        "angles": args.angles,
+        "radii": [float(r) for r in radii],
+        "min_ratio_nonexcluded": None if min_ratio is None else float(min_ratio),
+        "all_positive": bool(min_ratio is not None and min_ratio > 0),
+        "excluded_samples": sum(1 for s in scan.samples if s.excluded),
+        "budget_ok": scan.budget_ok,
+    }
+    _write_json(out / "indicator_summary.json", summary)
+    print(f"indicator scan of {target}: min nonexcluded ratio {summary['min_ratio_nonexcluded']}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # report
 
 
-def cmd_report(args) -> int:
-    out = Path(args.out)
+@contextmanager
+def _reading(path: Path):
+    """Report an unreadable, truncated or incomplete output file as a
+    ConfigError that names it."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc!r}") from exc
+
+
+def cmd_report(out: Path) -> int:
     report = {"verify": None, "scans": {}, "passed": True}
     records_path = out / "records.jsonl"
     if records_path.exists():
-        records = [
-            json.loads(line)
-            for line in records_path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
         by_check: dict = {}
-        for rec in records:
-            entry = by_check.setdefault(rec["check"], {"records": 0, "failed": 0})
-            entry["records"] += 1
-            if not rec["pass"]:
-                entry["failed"] += 1
+        with _reading(records_path):
+            for line in records_path.read_text(encoding="utf-8").splitlines():
+                if line.strip():
+                    rec = json.loads(line)
+                    entry = by_check.setdefault(rec["check"], {"records": 0, "failed": 0})
+                    entry["records"] += 1
+                    if not rec["pass"]:
+                        entry["failed"] += 1
         failed = sum(e["failed"] for e in by_check.values())
         report["verify"] = {"by_check": by_check, "failed": failed}
         report["passed"] = report["passed"] and failed == 0
@@ -433,9 +407,12 @@ def cmd_report(args) -> int:
     for name, keys in gates.items():
         p = out / f"{name}_summary.json"
         if p.exists():
-            summary = json.loads(p.read_text(encoding="utf-8"))
-            report["scans"][name] = summary
-            report["passed"] = report["passed"] and all(summary[key] for key in keys)
+            with _reading(p):
+                summary = json.loads(p.read_text(encoding="utf-8"))
+                if not isinstance(summary, dict):
+                    raise TypeError("not a JSON object")
+                report["scans"][name] = summary
+                report["passed"] = report["passed"] and all(summary[key] for key in keys)
     _write_json(out / "report.json", report)
     if report["verify"] is not None:
         for name, entry in report["verify"]["by_check"].items():
@@ -457,9 +434,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="JSON config path")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--precision", type=int, default=None, help="override precision digits")
         p.add_argument("--seed", type=int, default=0, help="seed for sample-point generation")
@@ -491,15 +467,17 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="aggregate verification records and scan summaries")
     p.add_argument("--out", required=True, help="directory with prior outputs")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "report":
+            return cmd_report(Path(args.out))
+        cfg, data, out = _load(args)
+        with mp.workdps(cfg.dps):
+            return args.func(cfg, data, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
@@ -509,21 +487,9 @@ def main(argv=None) -> int:
             file=_sys.stderr,
         )
         return 3
-    except (
-        CancellationError,
-        QuadratureError,
-        ZeroOnContourError,
-        NearZeroError,
-        NearPoleError,
-        TailError,
-        DivergenceError,
-        PrecisionError,
-    ) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 3
-    except LacunaryError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

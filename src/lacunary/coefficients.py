@@ -100,11 +100,6 @@ class HProduct:
         with mp.workdps(self.dps):
             return self.moduli[self.truncation - 1] / 2
 
-    def tail_log_bound(self, radius) -> mpf:
-        with mp.workdps(self.dps):
-            inv = 1 / self.rho
-            return mpf(radius) * mp.power(self.truncation, 1 - inv) / (inv - 1)
-
     def eval(self, z) -> mpc:
         """H(z) as a plain product of the factors 1 + z/a_m, each formed by
         f's factor kernel ``product._block_terms`` with w = -z/a_m.

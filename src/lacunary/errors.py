@@ -2,7 +2,8 @@
 
 Every error that a verification run can recover from (by reporting a
 finding, retrying at higher precision, or rejecting a config) gets its
-own class so that the CLI can map failures onto distinct exit codes.
+own class.  The CLI maps ``ConfigError`` to exit 2 and every
+``NumericalError`` to exit 3.
 """
 
 from __future__ import annotations
@@ -16,11 +17,16 @@ class ConfigError(LacunaryError):
     """Invalid configuration: bad parameters or violated schedule invariants."""
 
 
-class PrecisionError(LacunaryError):
+class NumericalError(LacunaryError):
+    """Base class for numerical failures: lost digits, a point off the
+    certified domain, or a quadrature or sampler that did not converge."""
+
+
+class PrecisionError(NumericalError):
     """A non-finite value (NaN/inf component) appeared where it must not."""
 
 
-class CancellationError(LacunaryError):
+class CancellationError(NumericalError):
     """A sum lost more significant digits than the working precision affords.
 
     Carries the lossy partial result so diagnostic callers can still
@@ -33,19 +39,19 @@ class CancellationError(LacunaryError):
         self.digits_lost = digits_lost
 
 
-class TailError(LacunaryError):
+class TailError(NumericalError):
     """Evaluation point outside the domain where the truncation tail is certified."""
 
 
-class NearZeroError(LacunaryError):
+class NearZeroError(NumericalError):
     """Evaluation point too close to a zero of the product for the requested operation."""
 
 
-class NearPoleError(LacunaryError):
+class NearPoleError(NumericalError):
     """Evaluation point too close to a pole of the rational interpolant."""
 
 
-class QuadratureError(LacunaryError):
+class QuadratureError(NumericalError):
     """Quadrature failed to converge, or its validity precondition was violated."""
 
     def __init__(self, message: str, estimates=None):
@@ -53,15 +59,15 @@ class QuadratureError(LacunaryError):
         self.estimates = estimates
 
 
-class DivergenceError(LacunaryError):
+class DivergenceError(NumericalError):
     """A sampler ran out of attempts (annulus points starved by zero disks)."""
 
 
-class ZeroOnContourError(LacunaryError):
+class ZeroOnContourError(NumericalError):
     """The derivative vanishes on an integration contour that must avoid its zeros."""
 
 
-class PrecisionInsufficient(LacunaryError):
+class PrecisionInsufficient(NumericalError):
     """Working precision cannot certify the requested check; retry with more digits."""
 
     def __init__(self, message: str, suggested_dps: int):

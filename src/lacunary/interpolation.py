@@ -70,8 +70,9 @@ class RationalInterpolant:
     ``pole_ids`` holds the (block, index) label of each pole, in the
     config's block order.  ``tail_sum_bound`` bounds the uncomputed part
     of sum |u/z| (0 for finite explicit products); ``block_sums`` holds
-    the included sum |u/z| of each block.  Build interpolants
-    with ``residues_from_f`` or ``config_interpolant``.
+    the included sum |u/z| of each block and ``block_max`` its largest
+    |u|.  Build interpolants with ``residues_from_f`` or
+    ``config_interpolant``.
     """
 
     poles: tuple[mpc, ...]
@@ -80,6 +81,7 @@ class RationalInterpolant:
     c_bound: mpf
     sum_included: mpf
     block_sums: tuple[mpf, ...]
+    block_max: tuple[mpf, ...]
     tail_sum_bound: mpf
     cfg: LacunaryConfig
     # moment T_e of block k under the key (k, e), filled by ``_moment``
@@ -122,29 +124,32 @@ def _schedule_tail_sum(cfg: LacunaryConfig) -> mpf:
 def config_interpolant(cfg: LacunaryConfig, poles, residues, pole_ids) -> RationalInterpolant:
     """Interpolant for the zeros of ``cfg`` with their residues, certified.
 
-    C_bound and the included sum |u/z|, in total and per block, run over
-    the poles in the given order; the tail bound comes from the schedule.
+    One pass over the residues in the given order forms the largest |u|
+    per block (C_bound is their max) and the included sum |u/z|, in
+    total and per block, with |z| = r_k for every pole of block k; the
+    tail bound comes from the schedule.
     ``residues_from_f``, ``with_residue`` and the CLI's artifact loader
     all build their interpolant here, so every interpolant carries
     certificates for the residues it holds.
     """
     with mp.workdps(cfg.dps):
-        c_bound = mpf(0)
         total = mpf(0)
         block_sums = [mpf(0)] * cfg.K
-        for (k, _), p, u in zip(pole_ids, poles, residues):
+        block_max = [mpf(0)] * cfg.K
+        for (k, _), u in zip(pole_ids, residues):
             size = abs(u)
-            c_bound = max(c_bound, size)
-            term = size / abs(p)
+            block_max[k - 1] = max(block_max[k - 1], size)
+            term = size / cfg.blocks[k - 1][0]
             total += term
             block_sums[k - 1] += term
         return RationalInterpolant(
             poles=tuple(poles),
             residues=tuple(residues),
             pole_ids=tuple(pole_ids),
-            c_bound=c_bound,
+            c_bound=max(block_max),
             sum_included=total,
             block_sums=tuple(block_sums),
+            block_max=tuple(block_max),
             tail_sum_bound=_schedule_tail_sum(cfg),
             cfg=cfg,
         )
@@ -306,9 +311,7 @@ def check_summability(rat: RationalInterpolant) -> SummabilityReport:
     cfg = rat.cfg
     with mp.workdps(cfg.dps):
         per_block = dict(enumerate(rat.block_sums, start=1))
-        per_block_max: dict = {}
-        for (k, _), u in zip(rat.pole_ids, rat.residues):
-            per_block_max[k] = max(per_block_max.get(k, mpf(0)), abs(u))
+        per_block_max = dict(enumerate(rat.block_max, start=1))
         per_block_bound = {k: derivative_ratio_bound(cfg, k) for k in per_block_max}
         within = all(per_block_max[k] <= per_block_bound[k] for k in per_block_max)
         return SummabilityReport(

@@ -104,3 +104,11 @@ def eval_B0_series(sys, z):
         z = mpmath.mpc(z)
         k, m, _, _ = nearest_zero(sys.cfg, z)
         return _zero_jet(sys, z, k, m)[3]
+
+
+def h_tail_log_bound(h, radius):
+    """Bound on the omitted log-factors of H at |z| = radius:
+    radius * M^{1-1/rho} / (1/rho - 1)."""
+    with mpmath.mp.workdps(h.dps):
+        inv = 1 / h.rho
+        return mpmath.mpf(radius) * mpmath.mp.power(h.truncation, 1 - inv) / (inv - 1)

@@ -1,6 +1,7 @@
 """Module boundaries: no library code uses the log-domain number format,
 f and g share one certified domain, one kernel screens factors for
-cancellation, and the benchmark's traced names exist.
+cancellation, every error but ConfigError is numerical, and the
+benchmark's traced names exist.
 
 ``logdomain`` is imported only by the package ``__init__.py``, as a
 module that binds none of its names; every evaluator runs with its
@@ -180,6 +181,24 @@ def test_f_and_g_share_one_certified_domain():
                 evaluate()
     inside = edge * (1 - mpf(10) ** -20)
     assert eval_g(rat, inside) != 0 and g_tail_bound(rat, inside) > 0
+
+
+def test_every_error_but_config_is_numerical():
+    """The CLI maps ConfigError to exit 2 and NumericalError to exit 3, so
+    every other class in errors.py must derive from NumericalError."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def numerical(name):
+        return name == "NumericalError" or any(numerical(b) for b in bases.get(name, ()))
+
+    others = sorted(set(bases) - {"LacunaryError", "ConfigError"})
+    assert "NumericalError" in others and len(others) > 1
+    assert [name for name in others if not numerical(name)] == []
 
 
 def _call_sites(tree: ast.AST, name: str) -> list[str]:

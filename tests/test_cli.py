@@ -12,7 +12,7 @@ import pytest
 from mpmath import mp, mpf
 
 import lacunary
-from lacunary import config_from_blocks, growth
+from lacunary import cli, config_from_blocks, errors, growth
 from lacunary.cli import main
 
 ANCHOR = {"blocks": [[1, 2]], "rho_f": 0.5, "precision_digits": 100, "rho_H": 0.25}
@@ -111,6 +111,19 @@ class TestVerify:
             )
             assert code == 2
             assert key in capsys.readouterr().err
+
+    def test_count_below_one_exit_2(self, tmp_path, capsys):
+        """A residual check over no points would pass with no records, and an
+        indicator scan over no angles would judge nothing: both exit 2."""
+        cfg = write_config(tmp_path, ANCHOR)
+        out = str(tmp_path / "v")
+        for argv in (
+            ["verify", "--checks", "residual", "--points", "0"],
+            ["scan", "--scan", "indicator", "--angles", "0"],
+        ):
+            assert main([*argv, "--config", cfg, "--out", out]) == 2
+            assert f"{argv[-2]} must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "v" / "records.jsonl").exists()
 
     def test_g_checks_stay_on_the_certified_domain(self, tmp_path, capsys):
         """factorial K=2 is certified on |z| < r_3/2 = 32.  proximity samples
@@ -309,6 +322,60 @@ class TestReport:
         (out / "indicator_summary.json").write_text(json.dumps(summary))
         assert main(["report", "--out", str(out)]) == 1
         assert json.loads((out / "report.json").read_text())["passed"] is False
+
+
+    def test_truncated_records_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "records.jsonl").write_text('{"check": "residual", "pass": true}\n{"check": "res')
+        assert main(["report", "--out", str(out)]) == 2
+        assert "records.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, summary, reason",
+        [
+            ("order", {"scan": "order", "dips_strictly_decreasing": True}, "peaks_in_band"),
+            ("witness", ["violation"], "not a JSON object"),
+        ],
+        ids=["order-without-gate-field", "witness-not-an-object"],
+    )
+    def test_incomplete_summary_exit_2(self, tmp_path, capsys, name, summary, reason):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / f"{name}_summary.json").write_text(json.dumps(summary))
+        assert main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{name}_summary.json" in err and reason in err
+
+
+ERROR_CLASSES = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.LacunaryError)
+    and cls is not errors.LacunaryError
+]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_of_each_error(tmp_path, monkeypatch, capsys, cls):
+    """main maps ConfigError to 2 and every NumericalError to 3, printing
+    the suggested precision of PrecisionInsufficient."""
+    kwargs = {"suggested_dps": 321} if cls is errors.PrecisionInsufficient else {}
+
+    def fail(*args, **kw):
+        raise cls("planted", **kwargs)
+
+    monkeypatch.setattr(cli, "make_system", fail)
+    cfg = write_config(tmp_path, ANCHOR)
+    code = main(["construct", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert "planted" in err
+    if cls is errors.ConfigError:
+        assert code == 2
+    else:
+        assert issubclass(cls, errors.NumericalError) and code == 3
+    if cls is errors.PrecisionInsufficient:
+        assert "suggested precision: 321" in err
 
 
 def _off_by_one_n3(monkeypatch, art):
