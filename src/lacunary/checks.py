@@ -32,7 +32,6 @@ from mpmath import mp, mpc, mpf
 from .coefficients import (
     CONTOUR_AGREEMENT_THRESHOLD,
     CoefficientSystem,
-    _switch,
     cauchy_ratio,
     interpolation_identity_residuals,
     reciprocal_derivative_fd,
@@ -129,8 +128,7 @@ def check_interpolation(sys: CoefficientSystem, seed: int):
 
 def sample_annulus_points(sys: CoefficientSystem, n_points: int, seed: int):
     """Uniform over the annulus r_1/2 <= |z| <= r_min(K,3), rejecting the
-    per-zero disks of radius r_k/n_k (and ten times the switch s of
-    ``residual``, relative, inside which it refuses)."""
+    per-zero disks of radius r_k/n_k."""
     cfg = sys.cfg
     r_lo = cfg.blocks[0][0] / 2
     r_hi = cfg.blocks[min(cfg.K, 3) - 1][0]
@@ -143,9 +141,9 @@ def sample_annulus_points(sys: CoefficientSystem, n_points: int, seed: int):
             raise DivergenceError("annulus sampling starved by zero disks")
         radius = mp.sqrt(r_lo**2 + mpf(rng.random()) * (r_hi**2 - r_lo**2))
         z = radius * mp.exp(mpc(0, 2 * mp.pi * mpf(rng.random())))
-        k, _, dist, rel = nearest_zero(cfg, z)
+        k, _, dist, _ = nearest_zero(cfg, z)
         r_k, n_k = cfg.blocks[k - 1]
-        if dist <= r_k / mpf(n_k) or rel < 10 * _switch(cfg):
+        if dist <= r_k / mpf(n_k):
             continue
         points.append(z)
     return points
@@ -361,9 +359,9 @@ CHECK_FUNCTIONS = {
 }
 
 
-def run_checks(sys: CoefficientSystem, checks, seed: int, residual_points: int = 200):
-    """Run the named checks; returns (records, all_passed)."""
-    ensure_feasible(sys.dps, checks)
+def run_checks(sys: CoefficientSystem, checks, seed: int, residual_points: int):
+    """Run the named checks, whose precision ``ensure_feasible`` has
+    already admitted; returns (records, all_passed)."""
     records = []
     for name in checks:
         if name == "residual":

@@ -48,7 +48,7 @@ from .product import (
     config_to_dict,
     eval_f_scan,
     zero_count,
-    zero_point,
+    zeros,
 )
 
 CONSTRUCT_ENUMERATION_CAP = 8192
@@ -107,25 +107,25 @@ def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
     _write_json(out / "config.json", {**config_to_dict(cfg), **extras})
 
     # full-precision serialization: the verify-from-artifact path must
-    # round-trip residues without disturbing the interpolation identity;
-    # each pole is formatted once, for zeros.json and residues.json
+    # round-trip residues without disturbing the interpolation identity.
+    # The poles are the zeros, in block order: residues.json holds only
+    # their (k, m) labels, and verify takes the poles from the config
     rat = system.rat
-    pole_strs = [_cstr(p, cfg.dps + 5) for p in rat.poles]
     blocks_payload = []
+    residues_payload = []
     for k, (r, n) in enumerate(cfg.blocks, start=1):
+        start = rat.pole_index(k, 0)
         entry = {"k": k, "r": _nstr(r), "n": n}
         if n <= CONSTRUCT_ENUMERATION_CAP:
-            start = rat.pole_index(k, 0)  # the poles are the zeros, in block order
-            entry["zeros"] = pole_strs[start : start + n]
+            entry["zeros"] = [_cstr(p, cfg.dps + 5) for p in rat.poles[start : start + n]]
         else:
             entry["enumerated"] = False
         blocks_payload.append(entry)
+        residues_payload += [
+            {"k": k, "m": m, "residue": _cstr(u, cfg.dps + 5)}
+            for m, u in enumerate(rat.residues[start : start + n])
+        ]
     _write_json(out / "zeros.json", {"count": zero_count(cfg), "blocks": blocks_payload})
-
-    residues_payload = [
-        {"k": k, "m": m, "pole": p, "residue": _cstr(u, cfg.dps + 5)}
-        for (k, m), p, u in zip(rat.pole_ids, pole_strs, rat.residues)
-    ]
     _write_json(out / "residues.json", residues_payload)
 
     summ = check_summability(rat)
@@ -169,11 +169,12 @@ def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
 
 
 def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpolant:
-    """Residues written by ``construct``, checked against the config.
+    """Residues written by ``construct``, on the zeros of the config.
 
-    Entries must come in the config's (block, index) order, and each pole
-    must be its zero to relative 10^(10-P).  The residues themselves are
-    not validated: catching a wrong residue is the checks' job.
+    Entries must come in the config's (block, index) order; the poles are
+    the config's zeros, and any key of an entry besides k, m and residue
+    is ignored.  The residues themselves are not validated: catching a
+    wrong residue is the checks' job.
     """
     try:
         entries = json.loads((path / "residues.json").read_text(encoding="utf-8"))
@@ -184,8 +185,6 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
             f"artifact holds {len(entries)} residues, config has {zero_count(cfg)} zeros"
         )
     ids = [(k, m) for k, (_, n) in enumerate(cfg.blocks, start=1) for m in range(n)]
-    tol = mp.power(10, 10 - cfg.dps)
-    poles = []
     residues = []
     try:
         for i, (e, (k, m)) in enumerate(zip(entries, ids)):
@@ -194,18 +193,11 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
                     f"artifact entry {i} is zero ({e['k']}, {e['m']}); "
                     f"config order expects ({k}, {m})"
                 )
-            pole = mpc(mpf(e["pole"][0]), mpf(e["pole"][1]))
-            xi = zero_point(cfg, k, m)
-            if abs(pole - xi) > tol * abs(xi):
-                raise ConfigError(
-                    f"artifact pole of zero ({k}, {m}) is {mp.nstr(abs(pole - xi), 5)} "
-                    f"away from the zero"
-                )
-            poles.append(pole)
             residues.append(mpc(mpf(e["residue"][0]), mpf(e["residue"][1])))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed residue entry in {path}: {exc!r}") from exc
-    return config_interpolant(cfg, poles, residues, ids)
+    poles = [p for k in range(1, cfg.K + 1) for p in zeros(cfg, k)]
+    return config_interpolant(cfg, poles, residues)
 
 
 def cmd_verify(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:

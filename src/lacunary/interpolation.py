@@ -67,8 +67,8 @@ from .product import (
 class RationalInterpolant:
     """The zeros of ``cfg`` as poles, their residues, and certificates.
 
-    ``pole_ids`` holds the (block, index) label of each pole, in the
-    config's block order.  ``tail_sum_bound`` bounds the uncomputed part
+    The poles come in the config's block order, so pole (k, m) sits at
+    ``pole_index(k, m)``.  ``tail_sum_bound`` bounds the uncomputed part
     of sum |u/z| (0 for finite explicit products); ``block_sums`` holds
     the included sum |u/z| of each block and ``block_max`` its largest
     |u|.  Build interpolants with ``residues_from_f`` or
@@ -77,7 +77,6 @@ class RationalInterpolant:
 
     poles: tuple[mpc, ...]
     residues: tuple[mpc, ...]
-    pole_ids: tuple[tuple[int, int], ...]
     c_bound: mpf
     sum_included: mpf
     block_sums: tuple[mpf, ...]
@@ -102,7 +101,7 @@ class RationalInterpolant:
         (fault injection / diagnostics)."""
         residues = list(self.residues)
         residues[index] = mpc(value)
-        return config_interpolant(self.cfg, self.poles, residues, self.pole_ids)
+        return config_interpolant(self.cfg, self.poles, residues)
 
 
 def _schedule_tail_sum(cfg: LacunaryConfig) -> mpf:
@@ -121,10 +120,11 @@ def _schedule_tail_sum(cfg: LacunaryConfig) -> mpf:
     return derivative_ratio_bound(cfg, cfg.K + 1) * harmonic
 
 
-def config_interpolant(cfg: LacunaryConfig, poles, residues, pole_ids) -> RationalInterpolant:
-    """Interpolant for the zeros of ``cfg`` with their residues, certified.
+def config_interpolant(cfg: LacunaryConfig, poles, residues) -> RationalInterpolant:
+    """Interpolant for the zeros of ``cfg``, in block order, with their
+    residues, certified.
 
-    One pass over the residues in the given order forms the largest |u|
+    One pass over the residues, block by block, forms the largest |u|
     per block (C_bound is their max) and the included sum |u/z|, in
     total and per block, with |z| = r_k for every pole of block k; the
     tail bound comes from the schedule.
@@ -136,16 +136,16 @@ def config_interpolant(cfg: LacunaryConfig, poles, residues, pole_ids) -> Ration
         total = mpf(0)
         block_sums = [mpf(0)] * cfg.K
         block_max = [mpf(0)] * cfg.K
-        for (k, _), u in zip(pole_ids, residues):
+        blocks = (j for j, (_, n) in enumerate(cfg.blocks) for _ in range(n))
+        for j, u in zip(blocks, residues):
             size = abs(u)
-            block_max[k - 1] = max(block_max[k - 1], size)
-            term = size / cfg.blocks[k - 1][0]
+            block_max[j] = max(block_max[j], size)
+            term = size / cfg.blocks[j][0]
             total += term
-            block_sums[k - 1] += term
+            block_sums[j] += term
         return RationalInterpolant(
             poles=tuple(poles),
             residues=tuple(residues),
-            pole_ids=tuple(pole_ids),
             c_bound=max(block_max),
             sum_included=total,
             block_sums=tuple(block_sums),
@@ -170,13 +170,11 @@ def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
     with mp.workdps(cfg.dps):
         poles = []
         residues = []
-        ids = []
-        for k, (_, n) in enumerate(cfg.blocks, start=1):
+        for k in range(1, cfg.K + 1):
             block = zeros(cfg, k)
             poles += block
             residues += _block_residues(cfg, k, block)
-            ids += [(k, m) for m in range(n)]
-        return config_interpolant(cfg, poles, residues, ids)
+        return config_interpolant(cfg, poles, residues)
 
 
 def g_tail_bound(rat: RationalInterpolant, radius) -> mpf:

@@ -194,16 +194,14 @@ class TestVerify:
 
     def test_artifact_count_mismatch_exit_2(self, tmp_path):
         """An artifact that does not hold the config's zeros, in the config's
-        order, is a configuration error: a missing entry, a pole moved off
-        its zero, the entries reversed, and an entry without its residue."""
+        order, is a configuration error: a missing entry, the entries
+        reversed, and an entry without its residue."""
         cfg = write_config(tmp_path, FACT3)
         art = tmp_path / "art"
         main(["construct", "--config", cfg, "--out", str(art)])
         entries = json.loads((art / "residues.json").read_text())
-        moved = json.loads(json.dumps(entries))
-        moved[3]["pole"][0] = str(float(moved[3]["pole"][0][:20]) + 0.5)
-        no_residue = [{"k": 1, "m": 0, "pole": entries[0]["pole"]}] + entries[1:]
-        for i, tampered in enumerate((entries[:-1], moved, entries[::-1], no_residue)):
+        no_residue = [{"k": 1, "m": 0}] + entries[1:]
+        for i, tampered in enumerate((entries[:-1], entries[::-1], no_residue)):
             (art / "residues.json").write_text(json.dumps(tampered))
             code = main(
                 [
@@ -409,6 +407,27 @@ def headline_artifacts(tmp_path_factory):
     cfg = write_config(root, {**HEADLINE, "rho_H": 0.4})
     assert main(["construct", "--config", cfg, "--out", str(root / "art")]) == 0
     return cfg, root / "art"
+
+
+class TestArtifactRoundTrip:
+    def test_residues_only_and_records_unchanged(self, tmp_path, headline_artifacts):
+        """residues.json holds (k, m) and the residue of each zero, nothing
+        else, and verifying from it writes the records that verifying from
+        a fresh construction writes, byte for byte."""
+        cfg, built = headline_artifacts
+        entries = json.loads((built / "residues.json").read_text())
+        assert len(entries) == 4107
+        assert all(sorted(e) == ["k", "m", "residue"] for e in entries)
+        outs = []
+        for name, extra in (("fresh", ()), ("artifact", ("--artifacts", str(built)))):
+            out = tmp_path / name
+            code = main(
+                ["verify", "--config", cfg, "--out", str(out), "--points", "5",
+                 "--checks", "interpolation,summability,residual", *extra]
+            )
+            assert code == 0
+            outs.append((out / "records.jsonl").read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestFaultMatrix:
