@@ -321,7 +321,6 @@ class DiskCheck:
     applicable: bool
     reason: str
     winding: int | None
-    min_abs_fprime: mpf | None
     zero_free: bool | None
 
 
@@ -451,40 +450,16 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
 
         # (iv) zero-free disks, block by block where the separation holds
         disks = []
-        any_applicable = False
-        all_zero_free = True
         for j in range(1, k + 1):
-            ok, reason = _disk_separation(cfg, j)
-            if not ok:
-                disks.append(
-                    DiskCheck(
-                        block=j,
-                        applicable=False,
-                        reason=reason,
-                        winding=None,
-                        min_abs_fprime=None,
-                        zero_free=None,
-                    )
-                )
-                continue
-            any_applicable = True
-            r_j, n_j = cfg.block(j)
-            samples = {}
-            _, w = sample_winding(cfg, (j, 0), r_j / mpf(n_j), DISK_NODES, samples)
-            min_fp = min(abs(fp) for _, fp in samples.values())
-            zero_free = w == 0
-            all_zero_free = all_zero_free and zero_free
-            disks.append(
-                DiskCheck(
-                    block=j,
-                    applicable=True,
-                    reason="",
-                    winding=w,
-                    min_abs_fprime=min_fp,
-                    zero_free=zero_free,
-                )
-            )
-        disks_pass = bool(any_applicable and all_zero_free)
+            applicable, reason = _disk_separation(cfg, j)
+            w = None
+            if applicable:
+                r_j, n_j = cfg.block(j)
+                _, w = sample_winding(cfg, (j, 0), r_j / mpf(n_j), DISK_NODES, {})
+            zero_free = None if w is None else w == 0
+            disks.append(DiskCheck(j, applicable, reason, w, zero_free))
+        checked = [d.zero_free for d in disks if d.applicable]
+        disks_pass = bool(checked and all(checked))
 
         return AsymptoticsReport(
             k=k,

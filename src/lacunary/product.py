@@ -33,6 +33,9 @@ the stored residues against the f' and f'' of ``derivs_at_zero``,
 compares two routes.  All passes hand each power w to one kernel,
 ``_block_terms``, for the factor 1 - w, its cancellation screen and its
 terms in the log-derivative sums.
+f has real Taylor coefficients, so zero and residue n_k - m are the
+conjugates of zero and residue m: for index m > n_k/2 ``zero_point``,
+``zeros`` and ``_block_residues`` take the exact conjugate.
 
 Configs and zero sets are immutable; every evaluation is a pure
 function, so points can be evaluated concurrently without locks.
@@ -393,20 +396,26 @@ def _check_enumerable(cfg: LacunaryConfig, k: int) -> tuple[mpf, int]:
 
 
 def zero_point(cfg: LacunaryConfig, k: int, m: int) -> mpc:
-    """The zero omega * r_k with omega = exp(2 pi i m / n_k)."""
+    """The zero omega * r_k with omega = exp(2 pi i m / n_k); for m > n_k/2 it
+    is the exact conjugate of the zero of index n_k - m."""
     r, n = _check_enumerable(cfg, k)
     if not 0 <= m < n:
         raise ConfigError(f"zero index {m} outside 0..{n - 1}")
     with mp.workdps(cfg.dps):
         if m == 0:
             return mpc(r)
+        if 2 * m > n:
+            return mp.conj(zero_point(cfg, k, n - m))
         return r * mp.expjpi(2 * mpf(m) / n)
 
 
 def zeros(cfg: LacunaryConfig, k: int) -> list[mpc]:
-    """All n_k zeros of block k."""
+    """All n_k zeros of block k, as :func:`zero_point` forms them: indices
+    0..n_k/2 directly, each m > n_k/2 as the conjugate of zero n_k - m."""
     _, n = _check_enumerable(cfg, k)
-    return [zero_point(cfg, k, m) for m in range(n)]
+    block = [zero_point(cfg, k, m) for m in range(n // 2 + 1)]
+    with mp.workdps(cfg.dps):
+        return block + [mp.conj(block[n - m]) for m in range(n // 2 + 1, n)]
 
 
 def nearest_zero(cfg: LacunaryConfig, z) -> tuple[int, int, mpf, mpf]:
@@ -593,7 +602,7 @@ def _extracted(others, m: int, n: int, root, order: int, lossy: mpf) -> tuple[mp
 
 def _block_residues(cfg: LacunaryConfig, k: int, poles) -> list[mpc]:
     """u = -f''/f'^2 at every zero of block k, in the order of ``poles``,
-    the block's zeros as :func:`zero_point` forms them.
+    the block's zeros as :func:`zeros` forms them.
 
     With f = q P as in :func:`derivs_at_zero`, q' = -n/xi,
     q'' = -n(n-1)/xi^2 and xi P'/P = S1 = sum_j n_j s_j, the residue is
@@ -601,7 +610,9 @@ def _block_residues(cfg: LacunaryConfig, k: int, poles) -> list[mpc]:
         u = (n_k - 1 + 2 S1) / (n_k P),
 
     free of xi.  The other blocks' real powers are formed once for the
-    block, and omega^i is the stored pole of index i over r_k.
+    block, and omega^i is the stored pole of index i over r_k.  Pole
+    m > n_k/2 is the exact conjugate of pole n_k - m, and every step
+    commutes with conjugation: its residue is the conjugate, bit for bit.
     """
     r, n = _check_enumerable(cfg, k)
     with mp.workdps(cfg.dps):
@@ -612,10 +623,10 @@ def _block_residues(cfg: LacunaryConfig, k: int, poles) -> list[mpc]:
             return poles[i] / r
 
         residues = []
-        for m in range(n):
+        for m in range(n // 2 + 1):
             P, S1, _, _ = _extracted(others, m, n, root, 2, lossy)
             residues.append((n - 1 + 2 * S1) / (n * P))
-        return residues
+        return residues + [mp.conj(residues[n - m]) for m in range(n // 2 + 1, n)]
 
 
 def derivs_at_zero(cfg: LacunaryConfig, k: int, m: int, order: int = 3) -> tuple[mpc, ...]:

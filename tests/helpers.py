@@ -4,7 +4,7 @@ from lacunary import NearZeroError
 from lacunary.coefficients import _direct, _zero_jet
 from lacunary.growth import _logmag
 from lacunary.interpolation import eval_g
-from lacunary.product import _near_zero_margin, nearest_zero
+from lacunary.product import _extracted, _near_zero_margin, _other_blocks, nearest_zero
 
 
 def rel_err(a, b):
@@ -61,6 +61,22 @@ def log_max_modulus(fn, r, n_theta: int = 64):
             f1 = h(x1)
     theta_star = (lo + hi) / 2
     return max(best, f1, f2), theta_star
+
+
+def block_residues_per_zero(cfg, k, poles):
+    """u = -f''/f'^2 at every zero of block k by the closed form of
+    ``product._block_residues``, run on every index m of ``poles`` with
+    no use of conjugate symmetry: the second route for the mirrored half."""
+    mp = mpmath.mp
+    r, n = cfg.blocks[k - 1]
+    with mp.workdps(cfg.dps):
+        others = _other_blocks(cfg, k)
+        lossy = mpmath.mpf(10) ** (5 - cfg.dps)
+        residues = []
+        for m in range(n):
+            P, S1, _, _ = _extracted(others, m, n, lambda i: poles[i] / r, 2, lossy)
+            residues.append((n - 1 + 2 * S1) / (n * P))
+        return residues
 
 
 def recover_residue(rat, index):

@@ -17,8 +17,16 @@ from lacunary.growth import (
     verify_thm2_asymptotics,
 )
 from lacunary.interpolation import eval_g, residues_from_f
-from lacunary.errors import CancellationError
-from lacunary.product import _jet, _scan_blocks, eval_f, eval_f_scan
+from lacunary import product
+from lacunary.errors import CancellationError, ZeroOnContourError
+from lacunary.product import (
+    _fprime_on_circle,
+    _half_step_directions,
+    _jet,
+    _scan_blocks,
+    eval_f,
+    eval_f_scan,
+)
 
 from helpers import log_max_modulus, rel_err
 
@@ -242,7 +250,24 @@ class TestThm2Asymptotics:
         assert not by_block[2].applicable
         assert by_block[3].applicable and by_block[3].zero_free
         assert by_block[3].winding == 0
-        assert by_block[3].min_abs_fprime > 0
+
+    def test_zero_fprime_on_contour_raises(self, factorial_cfg, monkeypatch):
+        """A node where f' is exactly 0 stops the disk check: the winding of
+        f' is undefined there, so ``_fprime_on_circle`` raises."""
+        real = product._f_jet
+        nodes = []
+
+        def vanishing_at_node_2(cfg, z, order):
+            nodes.append(z)
+            f, fp = real(cfg, z, order)
+            return f, (mpc(0) if len(nodes) == 3 else fp)
+
+        monkeypatch.setattr(product, "_f_jet", vanishing_at_node_2)
+        r_3, n_3 = factorial_cfg.block(3)
+        directions = _half_step_directions(8, range(8))
+        with pytest.raises(ZeroOnContourError, match="at node 2"):
+            _fprime_on_circle(factorial_cfg, (3, 0), r_3 / n_3, directions)
+        assert len(nodes) == 3
 
     def test_factorial_k4_passes(self, factorial_cfg):
         rep = verify_thm2_asymptotics(factorial_cfg, 4, seed=2)

@@ -17,9 +17,9 @@ from lacunary.interpolation import (
     proximity_m,
     residues_from_f,
 )
-from lacunary.product import derivative_ratio_bound, derivs_at_zero, zero_point
+from lacunary.product import derivative_ratio_bound, derivs_at_zero, zero_point, zeros
 
-from helpers import direct_g, recover_residue, rel_err
+from helpers import block_residues_per_zero, direct_g, recover_residue, rel_err
 
 
 def pole_labels(cfg):
@@ -248,8 +248,9 @@ def residue_rats(factorial_k4_rat, factorial_k4_rat_200):
 
 
 class TestBlockResidues:
-    """The block-by-block residue pass against the per-zero route: -f''/f'^2
-    from ``derivs_at_zero(order=2)`` at each zero."""
+    """The block-by-block residue pass against the per-zero route, -f''/f'^2
+    from ``derivs_at_zero(order=2)`` at each zero, and its conjugate half
+    against its own closed form run on every zero."""
 
     @pytest.mark.parametrize("dps", [100, 200])
     @pytest.mark.parametrize("name", sorted(RESIDUE_CONFIGS))
@@ -267,9 +268,36 @@ class TestBlockResidues:
                     got = rat.residues[rat.pole_index(k, m)]
                     assert abs(got - want) <= tol * abs(want), (k, m)
 
+    @pytest.mark.parametrize("dps", [100, 200])
+    @pytest.mark.parametrize("name", sorted(RESIDUE_CONFIGS))
+    def test_zeros_are_exact_conjugate_pairs(self, name, dps):
+        """``zeros`` is ``zero_point`` index by index, and zero n_k - m is
+        the conjugate of zero m, bit for bit."""
+        cfg = RESIDUE_CONFIGS[name](dps)
+        with mp.workdps(dps):
+            for k, (_, n) in enumerate(cfg.blocks, start=1):
+                block = zeros(cfg, k)
+                assert len(block) == n
+                for m in range(n):
+                    assert block[m] == zero_point(cfg, k, m), (k, m)
+                    assert block[-m % n] == mp.conj(block[m]), (k, m)
+
+    @pytest.mark.parametrize("dps", [100, 200])
+    @pytest.mark.parametrize("name", sorted(RESIDUE_CONFIGS))
+    def test_mirrored_half_equals_full_loop(self, residue_rats, name, dps):
+        """Residues of m > n_k/2, taken as conjugates, are bit for bit the
+        closed form run on every zero of the same poles (tests/helpers.py)."""
+        rat = residue_rats(name, dps)
+        for k, (_, n) in enumerate(rat.cfg.blocks, start=1):
+            start = rat.pole_index(k, 0)
+            got = rat.residues[start : start + n]
+            want = block_residues_per_zero(rat.cfg, k, rat.poles[start : start + n])
+            assert [m for m in range(n) if got[m] != want[m]] == [], k
+
     def test_every_factor_is_screened(self, monkeypatch):
         """Each factor 1 - w of the pass goes through ``_block_terms`` with
-        the cancellation screen at 10^(5-P): n_k (K - 1) factors per block."""
+        the cancellation screen at 10^(5-P): (n_k//2 + 1)(K - 1) factors per
+        block, the other residues being conjugates."""
         cfg = RESIDUE_CONFIGS["explicit"](100)
         real = product._block_terms
         screens = []
@@ -280,7 +308,7 @@ class TestBlockResidues:
 
         monkeypatch.setattr(product, "_block_terms", screened)
         residues_from_f(cfg)
-        assert len(screens) == sum(n for _, n in cfg.blocks) * (cfg.K - 1)
+        assert len(screens) == sum(n // 2 + 1 for _, n in cfg.blocks) * (cfg.K - 1)
         assert set(screens) == {mpf(10) ** -95}
 
 
