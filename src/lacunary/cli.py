@@ -83,13 +83,17 @@ def _load(args) -> tuple[LacunaryConfig, dict, Path]:
     if args.precision is not None:
         data = {**data, "precision_digits": args.precision}
     cfg = config_from_dict(data)
+    _rho_H(data)  # a malformed rho_H fails here, before any command starts
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return cfg, data, out
 
 
 def _rho_H(data: dict):
-    return None if data.get("rho_H") is None else mpf(str(data["rho_H"]))
+    try:
+        return None if data.get("rho_H") is None else mpf(str(data["rho_H"]))
+    except ValueError as exc:
+        raise ConfigError(f"rho_H must be a number: {exc}") from exc
 
 
 def _write_json(path: Path, obj) -> None:
@@ -180,6 +184,8 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
         entries = json.loads((path / "residues.json").read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read residues from {path}: {exc}") from exc
+    if not isinstance(entries, list):
+        raise ConfigError(f"residues in {path} must be a JSON list")
     if len(entries) != zero_count(cfg):
         raise ConfigError(
             f"artifact holds {len(entries)} residues, config has {zero_count(cfg)} zeros"

@@ -15,21 +15,19 @@ block at a time, and the interpolant carries two certificates:
   block K+1 and the geometric radius growth of the schedule;
 - C_bound: max |u_k|, finite by construction.
 
-g is summed block by block.  All n_k poles xi_m = r_k omega^m of block k
-lie on |z| = r_k, so away from that circle the block's part of g is a
-power series in its moments T_e = sum_m u_m omega^(m e):
-
-    inside  (|z| < r_k):  -(1/r_k) sum_p T_(-p-1) (z/r_k)^p,
-    outside (|z| > r_k):   (1/z)   sum_p T_p (r_k/z)^p
-
-(the multipole expansion of Greengard & Rokhlin, J. Comput. Phys. 73,
-1987).  With q = min(|z|, r_k)/max(|z|, r_k) and U_k = sum |u| over the
-block, the terms past P sum to at most (U_k/max(|z|, r_k)) q^P/(1 - q).
-P is the least count that puts this under eps * sum_j U_j/(|z| + r_j),
-the rounding level the direct sum already has; the series replaces the
-direct sum when q <= 1/2 and P < n_k (``_series_terms``).  On the
-headline schedule that is block 4 (4096 poles) away from its circle,
-with 7 terms at |z| <= r_3 and 21 at 100 r_4 (100 digits).
+g is summed block by block: blocks 1..K-1 directly, and the top block K
+in closed form where that is certified.  Every residue of block K is one
+function sampled at the roots of unity, u_m = U(omega^m): the closed form
+of ``_block_residues`` at xi = r_K zeta,
+U(zeta) = (n - 1 + 2 sum_{j<K} n_j s_j) / (n prod_{j<K} (1 - w_j)).
+So the trapezoid aliasing formula (Trefethen & Weideman, SIAM Review
+56, 2014) gives the block's part of g as C(z) = U(z/r_K) (n/z) w/(w - 1),
+w = (z/r_K)^n, up to an error that the contour |zeta| = rho bounds for
+r_(K-1)/r_K < rho < 1 (``_aliasing_bound``).  C replaces the direct sum
+where that bound is below the rounding level the direct sum already
+has: on the headline schedule, block 4 (4096 poles) away from the zeros
+of blocks 1-3.  There block K's part of g comes from the config, not
+from the stored residues.
 
 ``proximity_m`` is the (1/2pi) integral of log+ |fn| over a circle,
 computed by node-doubling trapezoid quadrature (spectrally accurate for
@@ -37,17 +35,12 @@ the periodic integrand away from poles).
 
 Interpolants are immutable and evaluation is pure: quadrature nodes can
 be evaluated concurrently, and sums run in stored pole order so results
-are deterministic.  The moments are filled lazily into a private cache
-on the interpolant the first time a block takes the series; each one is
-a fixed sum over the stored residues and poles (the root omega^(m e) is
-the stored pole of index m e mod n_k, over r_k), so its value does not
-depend on which points were evaluated first.  A copy made by
-``with_residue`` starts with an empty cache.
+are deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
@@ -56,6 +49,7 @@ from .product import (
     LacunaryConfig,
     _block_residues,
     _check_domain,
+    _jet,
     _near_zero_margin,
     derivative_ratio_bound,
     nearest_zero,
@@ -83,8 +77,6 @@ class RationalInterpolant:
     block_max: tuple[mpf, ...]
     tail_sum_bound: mpf
     cfg: LacunaryConfig
-    # moment T_e of block k under the key (k, e), filled by ``_moment``
-    _moments: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def pole_index(self, k: int, m: int) -> int:
         offset = 0
@@ -187,7 +179,8 @@ def g_tail_bound(rat: RationalInterpolant, radius) -> mpf:
 
 
 def eval_g(rat: RationalInterpolant, z) -> mpc:
-    """g(z) over the included poles (:func:`_g_sum`).  TailError outside
+    """g(z) over the included poles: the direct sum, with the top block in
+    closed form where certified (:func:`_g_sum`).  TailError outside
     the certified domain of f, where the omitted poles are not bounded;
     NearPoleError within 10^(-P/2) (relative) of a pole."""
     cfg = rat.cfg
@@ -203,73 +196,68 @@ def eval_g(rat: RationalInterpolant, z) -> mpc:
 
 
 def _g_sum(rat: RationalInterpolant, z: mpc) -> mpc:
-    """:func:`eval_g` without its guards, at the working precision: each
-    block by its direct sum or by its moment series (``_series_terms``)."""
+    """:func:`eval_g` without its guards, at the working precision: blocks
+    1..K-1 by their direct sum, block K by its closed form where
+    :func:`_top_block` takes it and by its direct sum elsewhere."""
+    top = _top_block(rat, z)
+    count = len(rat.poles) - (0 if top is None else rat.cfg.blocks[-1][1])
     total = mpc(0)
-    start = 0
-    for k, ((r, n), terms) in enumerate(zip(rat.cfg.blocks, _series_terms(rat, z)), start=1):
-        if terms is None:
-            for p, u in zip(rat.poles[start : start + n], rat.residues[start : start + n]):
-                total += u / (z - p)
-        elif abs(z) < r:
-            s, acc = z / r, mpc(0)
-            for e in range(-terms, 0):
-                acc = acc * s + _moment(rat, k, e)
-            total -= acc / r
-        else:
-            t, acc = r / z, mpc(0)
-            for e in reversed(range(terms)):
-                acc = acc * t + _moment(rat, k, e)
-            total += acc / z
-        start += n
-    return total
+    for p, u in zip(rat.poles[:count], rat.residues[:count]):
+        total += u / (z - p)
+    return total if top is None else total + top
 
 
-def _series_terms(rat: RationalInterpolant, z: mpc) -> list[int | None]:
-    """Per block, the number of moment-series terms that sum its part of g
-    at z, or None where the block is summed directly (the tail rule of the
-    module docstring).  U_k is r_k times the block's certified sum |u/xi|,
-    raised by a rounding allowance."""
-    a = abs(z)
+def _top_block(rat: RationalInterpolant, z: mpc) -> mpc | None:
+    """Block K's part of g at z in closed form,
+
+        C(z) = (n - 1 + 2 z L) (w/z) / ((w - 1) P),   w = (z/r_K)^n,
+
+    with (P, L) = (f, f'/f) over blocks 1..K-1: U(z/r_K) (n/z) w/(w - 1)
+    of the module docstring.  None where its aliasing bound is not below
+    eps * sum_j U_j/(|z| + r_j), the rounding level of the direct sum, with
+    U_j = r_j times the block's certified sum |u/xi|, raised by a rounding
+    allowance.  w and w/z = (z/r_K)^(n-1)/r_K take the guard bits of
+    ``product._jet``, so C(0) is the limit."""
     blocks = rat.cfg.blocks
-    masses = [r * s * (1 + 4 * n * mp.eps) for (r, n), s in zip(blocks, rat.block_sums)]
-    target = mp.eps * mp.fsum(mass / (a + r) for (r, _), mass in zip(blocks, masses))
-    plan = []
-    for (r, n), mass in zip(blocks, masses):
-        big = max(a, r)
-        q = min(a, r) / big
-        terms = None
-        if q <= 0.5:
-            tail, terms = mass / (big * (1 - q)), 0
-            while tail > target and terms < n:
-                tail, terms = tail * q, terms + 1
-            if terms == n:
-                terms = None
-        plan.append(terms)
-    return plan
+    r, n = blocks[-1]
+    P, L, _ = _jet(blocks[:-1], z, 1, False)
+    with mp.extraprec(n.bit_length() + 20):
+        zeta = z / r
+        head = mp.power(zeta, n - 1)
+        w = head * zeta
+    closed = (n - 1 + 2 * z * L) * head / (r * (w - 1) * P)
+    a = abs(z)
+    masses = [rj * s * (1 + 4 * nj * mp.eps) for (rj, nj), s in zip(blocks, rat.block_sums)]
+    target = mp.eps * mp.fsum(mass / (a + rj) for (rj, _), mass in zip(blocks, masses))
+    return closed if _aliasing_bound(blocks, a / r, abs(closed)) < target else None
 
 
-# Pole products per fdot call: bounds the memory of one exact dot product.
-MOMENT_CHUNK = 256
+def _aliasing_bound(blocks, x, size) -> mpf:
+    """Bound on |G_K - C| at |z| = x r_K, G_K the direct sum over block K
+    and |C| = ``size``.  On the contour |zeta| = rho, r_(K-1)/r_K < rho < 1,
 
+        |G_K - C| <= n rho^n M / (r_K (1 - rho^n) |x - rho|),
 
-def _moment(rat: RationalInterpolant, k: int, e: int) -> mpc:
-    """T_e = sum_m u_m omega^(m e) over block k, omega = exp(2 pi i/n_k),
-    formed once per interpolant: omega^(m e) is the stored pole of index
-    m e mod n_k (reduced in integers) over r_k."""
-    key = (k, e)
-    if key not in rat._moments:
-        r, n = rat.cfg.blocks[k - 1]
-        start = rat.pole_index(k, 0)
-        poles = rat.poles[start : start + n]
-        residues = rat.residues[start : start + n]
-        with mp.workdps(rat.cfg.dps):
-            total = mpc(0)
-            for c in range(0, n, MOMENT_CHUNK):
-                chunk = range(c, min(n, c + MOMENT_CHUNK))
-                total += mp.fdot((residues[m], poles[m * e % n]) for m in chunk)
-            rat._moments[key] = total / r
-    return rat._moments[key]
+    plus |C| when x < rho (the pole of C at zeta = x then lies inside),
+    where M = (n - 1 + 2 sum n_j a_j/(a_j - 1)) / (n prod (a_j - 1)) bounds
+    |U| there, a_j = (rho r_K/r_j)^{n_j} > 1.  rho is 2 and 4 times
+    r_(K-1)/r_K, and the smaller bound counts (inf when neither rho is
+    below 1 and apart from x); for K = 1, U is constant and C exact."""
+    (r, n), lower = blocks[-1], blocks[:-1]
+    if not lower:
+        return mpf(0)
+    best = mpf("inf")
+    for c in (2, 4):
+        rho = c * lower[-1][0] / r
+        if rho >= 1 or rho == x:
+            continue
+        powers = [(nj, mp.power(rho * r / rj, nj)) for rj, nj in lower]
+        numerator = n - 1 + 2 * mp.fsum(nj * aj / (aj - 1) for nj, aj in powers)
+        M = numerator / (n * mp.fprod(aj - 1 for _, aj in powers))
+        rn = mp.power(rho, n)
+        bound = n * rn * M / (r * (1 - rn) * abs(x - rho))
+        best = min(best, bound + size if x < rho else bound)
+    return best
 
 
 def g_regular_at(rat: RationalInterpolant, index: int) -> tuple[mpc, mpc]:

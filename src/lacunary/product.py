@@ -194,7 +194,10 @@ def config_from_blocks(blocks, rho_f=mpf("0.5"), dps: int = DEFAULT_DPS) -> Lacu
     if dps < MIN_DPS:
         raise ConfigError(f"precision must be at least {MIN_DPS} digits, got {dps}")
     with mp.workdps(dps):
-        blks = tuple((mpf(r), int(n)) for r, n in blocks)
+        try:
+            blks = tuple((mpf(r), int(n)) for r, n in blocks)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"blocks must be a list of [r, n] pairs: {exc}") from exc
         _validate_blocks(rho, blks, dps)
         cert = _certificate(rho, blks, None, dps)
         return LacunaryConfig(rho_f=rho, blocks=blks, dps=dps, rule=None, sigma_certificate=cert)
@@ -208,15 +211,16 @@ def config_from_dict(d: dict) -> LacunaryConfig:
     """
     if not isinstance(d, dict):
         raise ConfigError("config must be a JSON object")
-    dps = int(d.get("precision_digits", DEFAULT_DPS))
-    rho = mpf(str(d.get("rho_f", "0.5")))
-    if "blocks" in d:
-        return config_from_blocks(d["blocks"], rho_f=rho, dps=dps)
     try:
-        rule = d["rule"]
-        K = int(d["K"])
+        dps = int(d.get("precision_digits", DEFAULT_DPS))
+        rho = mpf(str(d.get("rho_f", "0.5")))
+        rule, K = (None, None) if "blocks" in d else (d["rule"], int(d["K"]))
     except KeyError as exc:
         raise ConfigError(f"config missing required key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed config value: {exc}") from exc
+    if "blocks" in d:
+        return config_from_blocks(d["blocks"], rho_f=rho, dps=dps)
     return make_schedule(rho, K, rule=rule, dps=dps)
 
 

@@ -16,7 +16,7 @@ def rel_err(a, b):
 
 def direct_g(rat, z):
     """g(z) as the plain partial-fraction sum over every pole, in stored
-    order: the second route for the library's block-moment series."""
+    order: the second route for the library's closed form of the top block."""
     z = mpmath.mpc(z)
     total = mpmath.mpc(0)
     for p, u in zip(rat.poles, rat.residues):
@@ -81,7 +81,10 @@ def block_residues_per_zero(cfg, k, poles):
 
 def recover_residue(rat, index):
     """(1/2pi i) of g around pole ``index``: residue recovery independent
-    of factor extraction.
+    of factor extraction where g is the direct sum over the stored poles.
+    Around a zero of the top block, where ``_g_sum`` takes the closed form
+    from the config, the contour integrates that closed form, so the
+    stored residue is held against the closed form's own residue there.
 
     The contour radius is a quarter of the distance to the nearest other
     pole, so the regular part integrates to zero, on 64 nodes, up to a

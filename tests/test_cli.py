@@ -64,9 +64,25 @@ class TestConstruct:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_invalid_rho_exit_2(self, tmp_path):
-        cfg = write_config(tmp_path, {"rho_f": 1.2, "rule": "factorial", "K": 3})
-        assert main(["construct", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    def test_invalid_rho_exit_2(self, tmp_path, capsys):
+        """An out-of-range rho_f and values of the wrong type are config
+        errors, never a traceback."""
+        rule = {"rho_f": 0.5, "rule": "factorial", "K": 3}
+        for i, payload in enumerate(
+            (
+                {**rule, "rho_f": 1.2},
+                {**rule, "K": "four"},
+                {**rule, "rho_f": "abc"},
+                {**rule, "precision_digits": "x"},
+                {**rule, "rho_H": "x"},
+                {"blocks": [[4, 2], ["a", 4]], "rho_f": 0.5},
+                {"blocks": 5, "rho_f": 0.5},
+            )
+        ):
+            cfg = write_config(tmp_path, payload, name=f"config{i}.json")
+            code = main(["construct", "--config", cfg, "--out", str(tmp_path / f"o{i}")])
+            assert code == 2, payload
+            assert "config error" in capsys.readouterr().err, payload
 
 
 class TestVerify:
@@ -192,17 +208,19 @@ class TestVerify:
         for k in "123":
             assert rec["per_block_max_residue"][k] <= rec["per_block_residue_bound"][k]
 
-    def test_artifact_count_mismatch_exit_2(self, tmp_path):
+    def test_artifact_count_mismatch_exit_2(self, tmp_path, capsys):
         """An artifact that does not hold the config's zeros, in the config's
         order, is a configuration error: a missing entry, the entries
-        reversed, and an entry without its residue."""
+        reversed, an entry without its residue, and a file that holds no
+        list."""
         cfg = write_config(tmp_path, FACT3)
         art = tmp_path / "art"
         main(["construct", "--config", cfg, "--out", str(art)])
         entries = json.loads((art / "residues.json").read_text())
         no_residue = [{"k": 1, "m": 0}] + entries[1:]
-        for i, tampered in enumerate((entries[:-1], entries[::-1], no_residue)):
+        for i, tampered in enumerate((entries[:-1], entries[::-1], no_residue, 5, None)):
             (art / "residues.json").write_text(json.dumps(tampered))
+            capsys.readouterr()
             code = main(
                 [
                     "verify", "--config", cfg, "--out", str(tmp_path / f"v{i}"),
@@ -210,6 +228,7 @@ class TestVerify:
                 ]
             )
             assert code == 2, i
+            assert "config error" in capsys.readouterr().err, i
 
 
 class TestScan:

@@ -8,7 +8,7 @@ from mpmath import mp, mpc, mpf
 from lacunary import NearPoleError, QuadratureError, config_from_blocks, make_schedule, product
 from lacunary.interpolation import (
     _g_sum,
-    _series_terms,
+    _top_block,
     check_summability,
     config_interpolant,
     eval_g,
@@ -153,6 +153,8 @@ class TestResidueRecoveryContour:
             assert rel_err(got, rat.residues[i]) < tol
 
     def test_tiny_block4_residue_recovered(self, factorial_k4_rat):
+        """Around zero (4, 17) the contour integrates block 4's closed form
+        from the config: its residue there is the stored residue."""
         rat = factorial_k4_rat
         i = rat.pole_index(4, 17)
         got = recover_residue(rat, i)
@@ -199,21 +201,31 @@ class TestSummability:
 
 
 def _agrees_with_direct(rat, z):
-    """_g_sum(z) within 10^(10-P) of the plain partial-fraction sum."""
+    """_g_sum(z) within 10^(10-P) of the plain partial-fraction sum over the
+    stored poles and residues, summed at 2P digits."""
     with mp.workdps(rat.cfg.dps):
         z = mpc(z)
-        ref = direct_g(rat, z)
-        return abs(_g_sum(rat, z) - ref) <= mp.power(10, 10 - rat.cfg.dps) * abs(ref)
+        got = _g_sum(rat, z)
+        with mp.workdps(2 * rat.cfg.dps):
+            ref = direct_g(rat, z)
+        return abs(got - ref) <= mp.power(10, 10 - rat.cfg.dps) * abs(ref)
 
 
-def _series_points(r3, r4):
-    """Seeded points with |z| <= r_3, z = 0, and 10, 100, 1000 r_4."""
+def _top_block_points(cfg):
+    """Seeded points with |z| <= r_(K-1), z = 0, 10, 100 and 1000 r_K,
+    0.5, 1.0001 and 2 r_K, and a quarter of the pole spacing from zero
+    (K, 5 mod n_K), along the circle."""
+    r_low, r = cfg.blocks[-2][0], cfg.blocks[-1][0]
+    n = cfg.blocks[-1][1]
     rng = random.Random(9)
     points = [mpc(0)]
     for _ in range(4):
-        points.append(r3 * mpf(rng.random()) * mp.expjpi(2 * mpf(rng.random())))
-    for scale, angle in ((10, "0.13"), (100, "0.71"), (1000, "-0.4")):
-        points.append(scale * r4 * mp.expjpi(mpf(angle)))
+        points.append(r_low * mpf(rng.random()) * mp.expjpi(2 * mpf(rng.random())))
+    for scale, angle in ((10, "0.13"), (100, "0.71"), (1000, "-0.4"), ("0.5", "0.3")):
+        points.append(mpf(scale) * r * mp.expjpi(mpf(angle)))
+    points.append(mpf("1.0001") * r * mp.expjpi(mpf("0.7")))
+    points.append(2 * r * mp.expjpi(mpf("-0.2")))
+    points.append(zero_point(cfg, cfg.K, 5 % n) * (1 + 1j * mp.pi / (2 * n)))
     return points
 
 
@@ -312,79 +324,71 @@ class TestBlockResidues:
         assert set(screens) == {mpf(10) ** -95}
 
 
-class TestMomentSeries:
-    """The block-4 moment series against the direct sum (tests/helpers.py)."""
+# Configs whose top block takes the closed form at every point of
+# ``_top_block_points``, and configs where its aliasing bound sits above
+# rounding, so that block K is summed directly.
+CLOSED_FORM_CONFIGS = ("factorial-0.5-K4", "factorial-0.45-K4")
+DIRECT_CONFIGS = {
+    "doubly_exp-0.55-K3": lambda dps: make_schedule(0.55, 3, "doubly_exp", dps=dps),
+    "factorial-0.5-K3": lambda dps: make_schedule(0.5, 3, "factorial", dps=dps),
+    "explicit-two-blocks": lambda dps: config_from_blocks([[4, 2], [16, 4]], dps=dps),
+}
 
-    def test_agrees_with_direct_sum_at_100_digits(self, factorial_k4_rat):
-        rat = factorial_k4_rat
-        r3, r4 = rat.cfg.blocks[2][0], rat.cfg.blocks[3][0]
-        for z in _series_points(r3, r4):
-            assert _series_terms(rat, z)[3] is not None
-            assert _agrees_with_direct(rat, z), z
 
-    def test_agrees_with_direct_sum_at_200_digits(self, factorial_k4_rat_200):
-        rat = factorial_k4_rat_200
-        r3, r4 = rat.cfg.blocks[2][0], rat.cfg.blocks[3][0]
-        with mp.workdps(200):
-            for z in _series_points(r3, r4):
-                assert _series_terms(rat, z)[3] is not None
+class TestTopBlockClosedForm:
+    """Block K's part of g in closed form against the 2P-digit direct sum
+    (tests/helpers.py), and the route its aliasing bound picks."""
+
+    @staticmethod
+    def _check_closed_form(rat):
+        with mp.workdps(rat.cfg.dps):
+            for z in _top_block_points(rat.cfg):
+                assert _top_block(rat, mpc(z)) is not None, z
                 assert _agrees_with_direct(rat, z), z
 
-    def test_both_sides_of_the_ratio_one_half(self, factorial_k4_rat):
-        """Outside r_4: q = r_4/|z| just below 1/2 takes the series (with
-        its longest tail), just above sums block 4 directly."""
-        rat = factorial_k4_rat
-        r4 = rat.cfg.blocks[3][0]
-        below = 2 * r4 * mpf("1.01") * mp.expjpi(mpf("0.3"))
-        above = 2 * r4 * mpf("0.99") * mp.expjpi(mpf("0.3"))
-        assert _series_terms(rat, below)[3] is not None
-        assert _series_terms(rat, above)[3] is None
-        assert _agrees_with_direct(rat, below)
-        assert _agrees_with_direct(rat, above)
+    def test_agrees_with_direct_sum_at_100_digits(self, residue_rats):
+        for name in CLOSED_FORM_CONFIGS:
+            self._check_closed_form(residue_rats(name, 100))
+
+    def test_agrees_with_direct_sum_at_200_digits(self, residue_rats):
+        for name in CLOSED_FORM_CONFIGS:
+            self._check_closed_form(residue_rats(name, 200))
 
     def test_explicit_blocks(self):
-        """A finite product whose 256-pole block takes the series inside
-        and outside its circle, at 100 and 200 digits (the single pole at 2
-        keeps g(0) away from 0)."""
+        """A finite product whose 256-pole top block takes the closed form
+        inside and outside its circle, at 100 and 200 digits (the single
+        pole at 2 keeps g(0) away from 0)."""
         blocks = [(2, 1), (4, 2), (64, 8), (65536, 256)]
         for dps in (100, 200):
             with mp.workdps(dps):
-                rat = residues_from_f(config_from_blocks(blocks, dps=dps))
-                for z in (mpc(0), mpc(90, 40), mpc(-3e8, 2e8)):
-                    assert _series_terms(rat, z)[3] is not None
-                    assert _agrees_with_direct(rat, z), (dps, z)
+                self._check_closed_form(residues_from_f(config_from_blocks(blocks, dps=dps)))
+
+    @pytest.mark.parametrize("dps", [100, 200])
+    def test_direct_sum_where_bound_is_above_rounding(self, dps):
+        """Top blocks too close to the block below for the bound: block K
+        joins the direct sum (z = 0 left out where g(0) = 0 by symmetry)."""
+        for name, make in DIRECT_CONFIGS.items():
+            with mp.workdps(dps):
+                rat = residues_from_f(make(dps))
+                for z in _top_block_points(rat.cfg)[1:]:
+                    assert _top_block(rat, mpc(z)) is None, (name, z)
+                    assert _agrees_with_direct(rat, z), (name, z)
 
     def test_with_residue_reaches_far_field(self, factorial_k4_rat):
-        """A replaced block-4 residue moves g at 100 r_4 by (u' - u)/(z - xi):
-        the copy forms its own moments, and the original keeps its own."""
+        """A replaced residue of a directly summed block moves g at 100 r_4
+        by (u' - u)/(z - xi), and the original keeps its value.  Block 4's
+        part comes from the config, so only blocks 1..K-1 are reached."""
         rat = factorial_k4_rat
-        i = rat.pole_index(4, 1234)
+        i = rat.pole_index(3, 5)
         z = 100 * rat.cfg.blocks[3][0] * mp.expjpi(mpf("0.71"))
         before = _g_sum(rat, z)
         delta = mpf("1e-40")
         bad = rat.with_residue(i, rat.residues[i] + delta)
-        assert _series_terms(bad, z)[3] is not None
+        assert _top_block(bad, z) is not None
         after = _g_sum(bad, z)
         change = delta / (z - rat.poles[i])
         assert abs(after - before - change) <= mpf("1e-90") * abs(after)
         assert _g_sum(rat, z) == before
-
-
-class TestSeriesRoute:
-    """Guards the per-block route on the headline schedule: a silent fall
-    back to the 4096-pole direct sum fails here."""
-
-    def test_block_four_route(self, factorial_k4_rat):
-        rat = factorial_k4_rat
-        r4 = rat.cfg.blocks[3][0]
-        near = _series_terms(rat, mpc(30))
-        far = _series_terms(rat, 100 * r4 * mp.expjpi(mpf("0.71")))
-        on = _series_terms(rat, mpf("0.9") * r4 * mp.expjpi(mpf("0.01")))
-        assert near[3] is not None and near[3] <= 8
-        assert far[3] is not None and far[3] <= 22
-        assert on[3] is None
-        for plan in (near, far, on):
-            assert plan[:3] == [None, None, None]
 
 
 class TestProximity:
