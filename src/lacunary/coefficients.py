@@ -32,10 +32,11 @@ radius R free of zeros of f'; R starts at the nominal r_k/n_k and halves
 while the count is nonzero (at small block index that disk can hold one:
 the claim behind its radius is asymptotic in k), and whether the
 full-size disk was zero-free is reported, never silently patched.  The
-integral is taken on the quadrature circle of radius R/2: 1/f' is
+integral is taken on the quadrature circle of radius R/32: 1/f' is
 analytic on the disk of radius R, so the trapezoid error there falls at
-least like 2^-n in the node count n (on the winding circle a zero of f'
-just outside it slows convergence), and rounding grows only by R/(R/2).
+least like 32^-n in the node count n (on the winding circle a zero of f'
+just outside it slows convergence), and rounding grows only by
+R/(R/32) = 32, about 1.5 digits.
 """
 
 from __future__ import annotations
@@ -424,10 +425,19 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> Cauchy
 
     The winding circle of radius R (the module docstring) is sampled by
     :func:`sample_winding` from ``nodes`` up.  The quadrature circle of
-    radius R/2 has its own nested grid: n starts at ``nodes`` and doubles
+    radius R/32 has its own nested grid: n starts at ``nodes`` and doubles
     until the trapezoid estimates from n and n/2 nodes differ by less than
     CONTOUR_AGREEMENT_THRESHOLD/10 of the direct value, or n reaches
     MAX_NODES.  ``chain_bound`` is max 1/|f'| on the winding circle over R.
+
+    Why R/32: 1/f' is analytic on the disk of radius R, so the trapezoid
+    rule with n nodes on the circle of radius rho < R errs by about
+    (rho/R)^n relative (Trefethen and Weideman, SIAM Review 56, 2014).
+    At rho = R/32 and the starting 32 nodes the half-count estimate errs
+    by about 32^-16 = 2^-80, or 8e-25, below the 1e-21 stopping tolerance
+    (R/16 gives 2^-64, or 5e-20, and needs 64 nodes on some blocks).  The
+    terms 1/(rho w f') grow by R/rho = 32 against the winding circle, so
+    rounding grows by about 1.5 digits.
     """
     if nodes < 2 or MAX_NODES % nodes:
         raise ConfigError(f"nodes must divide {MAX_NODES} and exceed 1, got {nodes}")
@@ -451,7 +461,7 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> Cauchy
                     f"{MAX_HALVINGS} halvings"
                 )
             radius = radius / 2
-        quad_radius = radius / 2
+        quad_radius = radius / 32
         n, quad = nodes, {}
         while True:
             vals = _grid_samples(cfg, (k, m), quad_radius, n, quad)

@@ -36,17 +36,15 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .coefficients import HProduct, sample_winding
+from .coefficients import HProduct, _grid_samples, sample_winding
 from .errors import CancellationError, ConfigError
 from .interpolation import proximity_m
 from .product import (
     LacunaryConfig,
-    _fprime_on_circle,
-    _half_step_directions,
+    _check_domain,
     _jet,
     _nearest_in,
     _scan_blocks,
-    eval_f,
     log_derivative,
     nearest_zero,
 )
@@ -309,7 +307,9 @@ def indicator_scan(fn, rho, thetas, radii, exclusion) -> IndicatorScan:
 # ---------------------------------------------------------------------------
 # finite-level asymptotics of the product near its k-th circle
 
-# points near the circle in (i)-(ii), nodes on it in (iii), first nodes in (iv)
+# points near the circle in (i)-(ii); nodes on it in (iii), from the nested
+# grid of ``coefficients._grid_samples``; first nodes in (iv), whose winding
+# on block k's circle extends (iii)'s nodes
 ANNULUS_POINTS = 32
 CONTOUR_NODES = 32
 DISK_NODES = 64
@@ -385,16 +385,20 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
     """Finite-level checks of the near-circle behaviour of f at block k.
 
     (i)   f agrees with its k-block partial product, to the truncation
-          tail scale (exactly, when there are no further blocks);
+          tail scale (exactly, when there are no further blocks): f/part - 1
+          is formed as the product of the blocks past k, minus 1;
     (ii)  z f'/f agrees with sum_{j<k} n_j plus the k-th term, to the
           scale 2 sum_{j<k} n_j / n_k (deviation measured relative to n_k);
-    (iii) |f'| on the boundary of the zero-centered disk of radius
-          r_k/n_k matches (n_k/r_k) prod_{j<k} (r_k/r_j)^{n_j} |e^zeta|
+    (iii) |f'| at CONTOUR_NODES nodes of :func:`_grid_samples` on the
+          boundary of the zero-centered disk of radius r_k/n_k, at the
+          unit direction zeta, matches
+          (n_k/r_k) prod_{j<k} (r_k/r_j)^{n_j} |e^zeta|
           within 5*(sum n_j/n_k + sum (r_j/r_k)^{n_j} + 1/n_k), the
           finite-level error scale of that product form;
     (iv)  for every block whose disk sits strictly between the
           neighbouring circles, the argument-principle winding of f'
-          confirms the disk holds no zero of f' (``sample_winding``).
+          confirms the disk holds no zero of f' (``sample_winding``); on
+          block k's circle it starts from the nodes of (iii).
     """
     if not 1 <= k <= cfg.K:
         raise ConfigError(f"k must be within 1..{cfg.K}")
@@ -410,9 +414,8 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
             bound_i = 2 * mp.exp(mpf(n_next) * (mp.log(mpf("1.1") * r_k) - mp.log(r_next)))
         dev_i = mpf(0)
         for z in points:
-            full = eval_f(cfg, z)
-            part = _jet(cfg.blocks[:k], z, 0, True)[0]
-            dev_i = max(dev_i, abs(full / part - 1))
+            _check_domain(cfg, z)
+            dev_i = max(dev_i, abs(_jet(cfg.blocks[k:], z, 0, True)[0] - 1))
         pass_i = bool(dev_i <= bound_i)
 
         # (ii) log-derivative two-term form; floored at the rounding level,
@@ -427,17 +430,17 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
             dev_ii = max(dev_ii, abs(lhs - rhs) / n_k)
         pass_ii = bool(dev_ii <= bound_ii)
 
-        # (iii) |f'| on the disk boundary against the product form
-        radius = r_k / mpf(n_k)
-        zetas = _half_step_directions(CONTOUR_NODES, range(CONTOUR_NODES))
-        vals = _fprime_on_circle(cfg, (k, 0), radius, zetas)
+        # (iii) |f'| on the disk boundary against the product form, on the
+        # nodes that (iv) then extends on the same circle
+        circle = {}
+        vals = _grid_samples(cfg, (k, 0), r_k / mpf(n_k), CONTOUR_NODES, circle)
         log_prefactor = sum(
             (mpf(n_j) * (mp.log(r_k) - mp.log(r_j)) for r_j, n_j in cfg.blocks[: k - 1]),
             mpf(0),
         )
         prefactor = mp.exp(log_prefactor) * n_k / r_k
         dev_iii = mpf(0)
-        for zeta, fp in zip(zetas, vals):
+        for zeta, fp in vals:
             form = prefactor * mp.exp(zeta.real)
             dev_iii = max(dev_iii, abs(abs(fp) / form - 1))
         sum_ratios = sum(
@@ -455,7 +458,8 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
             w = None
             if applicable:
                 r_j, n_j = cfg.block(j)
-                _, w = sample_winding(cfg, (j, 0), r_j / mpf(n_j), DISK_NODES, {})
+                samples = circle if j == k else {}
+                _, w = sample_winding(cfg, (j, 0), r_j / mpf(n_j), DISK_NODES, samples)
             zero_free = None if w is None else w == 0
             disks.append(DiskCheck(j, applicable, reason, w, zero_free))
         checked = [d.zero_free for d in disks if d.applicable]

@@ -576,7 +576,9 @@ def _other_blocks(cfg: LacunaryConfig, k: int) -> list[tuple[int, mpf]]:
     return others
 
 
-def _extracted(others, m: int, n: int, root, order: int, lossy: mpf) -> tuple[mpc, ...]:
+def _extracted(
+    others, m: int, n: int, root, order: int, lossy: mpf, memo: dict, last: int
+) -> tuple[mpc, ...]:
     """(P, S1, S2, S3): P is the product of the other blocks at the zero
     xi = r_k omega^m of a block with n zeros, and S1, S2, S3 are xi L1,
     xi^2 L1' and xi^3 L1'' for its log-derivative L1 = P'/P, formed up to
@@ -586,14 +588,24 @@ def _extracted(others, m: int, n: int, root, order: int, lossy: mpf) -> tuple[mp
     omega^i: block j's power is (r_k/r_j)^{n_j} omega^{(m n_j) mod n_k},
     its index reduced in integers, so the angle is exact for any n_j.
     Every factor passes the cancellation screen of :func:`_block_terms`.
+
+    A pass m = 0, 1, ..., ``last`` over one block's zeros forms each
+    distinct factor once: block j's index recurs every n/gcd(n_j, n) zeros,
+    and ``memo`` keeps the kernel's output under (j, index) only while a
+    zero up to ``last`` still needs it.
     """
     P = mpc(1)
     S1 = S2 = S3 = mpc(0)
-    for nj, a in others:
+    for j, (nj, a) in enumerate(others):
         index = m * nj % n
-        rt = root(index) if index else mpc(1)
-        v = mp.conj(rt) / a if a > 1 else None
-        factor, s, t, y = _block_terms(a * rt, a, v, order - 1, lossy)
+        terms = memo.pop((j, index), None)
+        if terms is None:
+            rt = root(index) if index else mpc(1)
+            v = mp.conj(rt) / a if a > 1 else None
+            terms = _block_terms(a * rt, a, v, order - 1, lossy)
+        if m + n // math.gcd(nj, n) <= last:
+            memo[j, index] = terms
+        factor, s, t, y = terms
         P *= factor
         if order >= 2:
             S1 += nj * s
@@ -614,8 +626,9 @@ def _block_residues(cfg: LacunaryConfig, k: int, poles) -> list[mpc]:
         u = (n_k - 1 + 2 S1) / (n_k P),
 
     free of xi.  The other blocks' real powers are formed once for the
-    block, and omega^i is the stored pole of index i over r_k.  Pole
-    m > n_k/2 is the exact conjugate of pole n_k - m, and every step
+    block, and each other block's factor and terms once per distinct root
+    index (m n_j) mod n_k; omega^i is the stored pole of index i over r_k.
+    Pole m > n_k/2 is the exact conjugate of pole n_k - m, and every step
     commutes with conjugation: its residue is the conjugate, bit for bit.
     """
     r, n = _check_enumerable(cfg, k)
@@ -626,9 +639,9 @@ def _block_residues(cfg: LacunaryConfig, k: int, poles) -> list[mpc]:
         def root(i):
             return poles[i] / r
 
-        residues = []
+        residues, memo = [], {}
         for m in range(n // 2 + 1):
-            P, S1, _, _ = _extracted(others, m, n, root, 2, lossy)
+            P, S1, _, _ = _extracted(others, m, n, root, 2, lossy, memo, n // 2)
             residues.append((n - 1 + 2 * S1) / (n * P))
         return residues + [mp.conj(residues[n - m]) for m in range(n // 2 + 1, n)]
 
@@ -665,7 +678,7 @@ def derivs_at_zero(cfg: LacunaryConfig, k: int, m: int, order: int = 3) -> tuple
         def root(i):
             return mp.expjpi(2 * mpf(i) / n)
 
-        P, L1, L2, L3 = _extracted(_other_blocks(cfg, k), m, n, root, order, lossy)
+        P, L1, L2, L3 = _extracted(_other_blocks(cfg, k), m, n, root, order, lossy, {}, m)
         # the sums carry the factors 1/xi, 1/xi^2, 1/xi^3 outside
         L1 *= inv_xi
         L2 *= inv_xi * inv_xi

@@ -66,7 +66,8 @@ def log_max_modulus(fn, r, n_theta: int = 64):
 def block_residues_per_zero(cfg, k, poles):
     """u = -f''/f'^2 at every zero of block k by the closed form of
     ``product._block_residues``, run on every index m of ``poles`` with
-    no use of conjugate symmetry: the second route for the mirrored half."""
+    no use of conjugate symmetry and each factor formed afresh: the second
+    route for the mirrored half and for the shared factors."""
     mp = mpmath.mp
     r, n = cfg.blocks[k - 1]
     with mp.workdps(cfg.dps):
@@ -74,7 +75,7 @@ def block_residues_per_zero(cfg, k, poles):
         lossy = mpmath.mpf(10) ** (5 - cfg.dps)
         residues = []
         for m in range(n):
-            P, S1, _, _ = _extracted(others, m, n, lambda i: poles[i] / r, 2, lossy)
+            P, S1, _, _ = _extracted(others, m, n, lambda i: poles[i] / r, 2, lossy, {}, m)
             residues.append((n - 1 + 2 * S1) / (n * P))
         return residues
 

@@ -13,7 +13,7 @@ from lacunary import (
     config_from_blocks,
     make_schedule,
 )
-from lacunary import coefficients, interpolation, product
+from lacunary import checks, coefficients, interpolation, product
 from lacunary.checks import check_cauchy, check_interpolation
 from lacunary.coefficients import (
     build_H,
@@ -377,8 +377,8 @@ class TestCauchyRatio:
 
     def test_factorial_ratios_decreasing_and_bounded(self):
         """The ratios decrease over k = 2..4 and each 2f route agrees: the
-        quadrature circle has half the radius of the zero-free winding
-        circle, so its trapezoid error falls at least like 2^-n from any
+        quadrature circle has 1/32 the radius of the zero-free winding
+        circle, so its trapezoid error falls at least like 32^-n from any
         starting node count."""
         cfg = make_schedule(0.5, 4, "factorial")
         ratios = []
@@ -418,11 +418,11 @@ def headline_block1():
 class TestContourNodeDoubling:
     def test_block_one_agrees(self, headline_block1):
         """On the winding circle block 1 needed 2048 nodes (a zero of f' lies
-        just outside it); on the quadrature circle of half its radius the
-        1e-20 threshold is met from at most 128."""
+        just outside it); on the quadrature circle of 1/32 its radius the
+        1e-20 threshold is met from the first 32."""
         cr, _ = headline_block1
         assert cr.agreement < mpf("1e-20")
-        assert cr.nodes <= 128
+        assert cr.nodes == 32
         assert cr.agreement_half > cr.agreement
 
     def test_no_level_sampled_twice(self, headline_block1):
@@ -470,41 +470,56 @@ class TestContourNodeDoubling:
             assert r["agreement_half"] > 0
 
 
-class TestContourAtTwoPrecisions:
-    @pytest.mark.parametrize("dps", [100, 200])
+class TestContourAtThreePrecisions:
+    @pytest.mark.parametrize("dps", [40, 100, 200])
     @pytest.mark.parametrize(
-        "rho_f, rho_H, budget",
-        [("0.5", "0.4", 700), ("0.45", "0.48", None)],
+        "rho_f, rho_H, samples",
+        [("0.5", "0.4", 352), ("0.45", "0.48", None)],
         ids=["headline", "theorem"],
     )
-    def test_every_block_passes_on_half_the_winding_radius(
-        self, rho_f, rho_H, budget, dps, monkeypatch
+    def test_every_block_converges_on_its_first_nodes(
+        self, rho_f, rho_H, samples, dps, monkeypatch
     ):
-        """Every per-block 2f record passes on the quadrature circle of half
-        the winding radius, with the chain bound holding on the winding
-        circle.  On the headline the check samples f' at most 700 times
-        (3488 times when it integrated on the winding circle itself)."""
+        """Every per-block 2f record passes on the quadrature circle of
+        1/32 the winding radius from its first 32 nodes, with the chain
+        bound holding on the winding circle.  On the headline the check
+        samples f' exactly 352 times: winding circles of 64, 96, 32 and 32
+        nodes, 32 for the discarded winding radius of block 1, and 32
+        quadrature nodes per block (672 on half the winding radius, 3488
+        on the winding circle itself)."""
         real = coefficients._fprime_on_circle
+        real_ratio = checks.cauchy_ratio
         count = [0]
+        per_block = []
 
         def counting(cfg, xi, radius, directions):
             count[0] += len(directions)
             return real(cfg, xi, radius, directions)
 
+        def ratio(cfg, k, m):
+            before = count[0]
+            cr = real_ratio(cfg, k, m)
+            per_block.append((cr, count[0] - before))
+            return cr
+
         monkeypatch.setattr(coefficients, "_fprime_on_circle", counting)
+        monkeypatch.setattr(checks, "cauchy_ratio", ratio)
         cfg = make_schedule(mpf(rho_f), 4, "factorial", dps=dps)
         system = make_system(cfg, rho_H=mpf(rho_H))
         records = [r for r in check_cauchy(system, 0) if r["eq"] == "2f" and r["zero"]]
-        assert len(records) == cfg.K
+        assert len(records) == len(per_block) == cfg.K
         for r in records:
             assert r["pass"], r
             assert r["chain_bound_ok"]
+            assert r["nodes"] == 32
             r_k, n_k = cfg.block(r["zero"][0])
             with mp.workdps(dps):
                 radius = r_k / n_k / 2 ** r["halvings"]
-                assert r["quad_radius"] == float(radius / 2)
-        if budget is not None:
-            assert count[0] <= budget
+                assert r["quad_radius"] == float(radius / 32)
+        if samples is not None:
+            for cr, evaluations in per_block:
+                assert evaluations == 32 * cr.halvings + cr.winding_nodes + cr.nodes
+            assert count[0] == samples
 
 
 class TestSystemConstruction:

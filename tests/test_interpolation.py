@@ -307,9 +307,11 @@ class TestBlockResidues:
             assert [m for m in range(n) if got[m] != want[m]] == [], k
 
     def test_every_factor_is_screened(self, monkeypatch):
-        """Each factor 1 - w of the pass goes through ``_block_terms`` with
-        the cancellation screen at 10^(5-P): (n_k//2 + 1)(K - 1) factors per
-        block, the other residues being conjugates."""
+        """Each distinct factor 1 - w of the pass goes through
+        ``_block_terms`` once, with the cancellation screen at 10^(5-P):
+        for block k and each other block j, one factor per distinct root
+        index (m n_j) mod n_k over m <= n_k/2, the other residues being
+        conjugates."""
         cfg = RESIDUE_CONFIGS["explicit"](100)
         real = product._block_terms
         screens = []
@@ -320,7 +322,13 @@ class TestBlockResidues:
 
         monkeypatch.setattr(product, "_block_terms", screened)
         residues_from_f(cfg)
-        assert len(screens) == sum(n // 2 + 1 for _, n in cfg.blocks) * (cfg.K - 1)
+        distinct = sum(
+            len({m * nj % n for m in range(n // 2 + 1)})
+            for k, (_, n) in enumerate(cfg.blocks)
+            for j, (_, nj) in enumerate(cfg.blocks)
+            if j != k
+        )
+        assert len(screens) == distinct
         assert set(screens) == {mpf(10) ** -95}
 
 
