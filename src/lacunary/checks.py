@@ -19,6 +19,9 @@ where "eq" is the label of the identity or bound being verified:
     3a  proximity decay         m(r, g) -> 0 along growing radii
     3h  characteristic          T(r, g) = N(r, g) + o(1)
 
+A nonzero value or bound too small for a float reads 0.0, and the record
+also carries its log10 as "log10_value" or "log10_bound", before "pass".
+
 Checks whose pass threshold cannot be certified at the configured
 precision abort the run with a suggested precision instead of reporting
 unearned failures (or unearned passes).
@@ -26,8 +29,7 @@ unearned failures (or unearned passes).
 
 from __future__ import annotations
 
-import random
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .coefficients import (
     CONTOUR_AGREEMENT_THRESHOLD,
@@ -38,11 +40,11 @@ from .coefficients import (
     residual,
     residual_tolerance,
 )
-from .errors import DivergenceError, PrecisionInsufficient
-from .growth import nevanlinna, verify_thm2_asymptotics
+from .errors import PrecisionInsufficient
+from .growth import annulus_points, nevanlinna, verify_thm2_asymptotics
 from .interpolation import check_summability as summability_report
 from .interpolation import eval_g, proximity_m
-from .product import derivative_ratio_bound, nearest_zero
+from .product import derivative_ratio_bound
 
 CHECK_NAMES = (
     "interpolation",
@@ -76,8 +78,11 @@ def record(check, eq, value, bound, passed, zero=None, point=None, extra=None):
         "point": [float(point.real), float(point.imag)] if point is not None else None,
         "value": _num(value),
         "bound": _num(bound),
-        "pass": bool(passed),
     }
+    for key, x in (("value", value), ("bound", bound)):
+        if x and rec[key] == 0:
+            rec[f"log10_{key}"] = float(mp.log10(abs(x)))
+    rec["pass"] = bool(passed)
     if extra:
         rec.update(extra)
     return rec
@@ -128,25 +133,13 @@ def check_interpolation(sys: CoefficientSystem, seed: int):
 
 def sample_annulus_points(sys: CoefficientSystem, n_points: int, seed: int):
     """Uniform over the annulus r_1/2 <= |z| <= r_min(K,3), rejecting the
-    per-zero disks of radius r_k/n_k."""
+    per-zero disks of radius r_k/n_k (``growth.annulus_points``)."""
     cfg = sys.cfg
     r_lo = cfg.blocks[0][0] / 2
     r_hi = cfg.blocks[min(cfg.K, 3) - 1][0]
-    rng = random.Random(seed)
-    points = []
-    attempts = 0
-    while len(points) < n_points:
-        attempts += 1
-        if attempts > 500 * n_points:
-            raise DivergenceError("annulus sampling starved by zero disks")
-        radius = mp.sqrt(r_lo**2 + mpf(rng.random()) * (r_hi**2 - r_lo**2))
-        z = radius * mp.exp(mpc(0, 2 * mp.pi * mpf(rng.random())))
-        k, _, dist, _ = nearest_zero(cfg, z)
-        r_k, n_k = cfg.blocks[k - 1]
-        if dist <= r_k / mpf(n_k):
-            continue
-        points.append(z)
-    return points
+    return annulus_points(
+        cfg, n_points, seed, lambda u: mp.sqrt(r_lo**2 + u * (r_hi**2 - r_lo**2)), 1
+    )
 
 
 def check_residual(sys: CoefficientSystem, seed: int, n_points: int = 200):

@@ -177,8 +177,9 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
 
     Entries must come in the config's (block, index) order; the poles are
     the config's zeros, and any key of an entry besides k, m and residue
-    is ignored.  The residues themselves are not validated: catching a
-    wrong residue is the checks' job.
+    is ignored.  Each residue is a list of two strings, its real and
+    imaginary parts.  Their values are not validated: catching a wrong
+    residue is the checks' job.
     """
     try:
         entries = json.loads((path / "residues.json").read_text(encoding="utf-8"))
@@ -199,7 +200,12 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
                     f"artifact entry {i} is zero ({e['k']}, {e['m']}); "
                     f"config order expects ({k}, {m})"
                 )
-            residues.append(mpc(mpf(e["residue"][0]), mpf(e["residue"][1])))
+            re_im = e["residue"]
+            if not isinstance(re_im, list) or [type(x) for x in re_im] != [str, str]:
+                raise ConfigError(
+                    f"artifact entry {i}: residue must be a list of two strings, got {re_im!r}"
+                )
+            residues.append(mpc(mpf(re_im[0]), mpf(re_im[1])))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed residue entry in {path}: {exc!r}") from exc
     poles = [p for k in range(1, cfg.K + 1) for p in zeros(cfg, k)]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .coefficients import HProduct, _grid_samples, sample_winding
-from .errors import CancellationError, ConfigError
+from .errors import CancellationError, ConfigError, DivergenceError
 from .interpolation import proximity_m
 from .product import (
     LacunaryConfig,
@@ -65,8 +65,9 @@ def _softplus(y: mpf) -> mpf:
 def log_max_modulus_bound(cfg: LacunaryConfig, r) -> tuple[mpf, mpf]:
     """Term-sum formula for ln M(r) with a two-sided correction bound.
 
-    Returns (sum_j ln(1+(r/r_j)^{n_j}), correction); the true ln M(r)
-    lies within [formula - correction, formula].
+    Returns (sum_j ln(1+(r/r_j)^{n_j}), correction) over the blocks of
+    ``product._scan_blocks``; the true ln M(r) lies within
+    [formula - correction, formula].
     """
     with mp.workdps(cfg.dps):
         r = mpf(r)
@@ -75,18 +76,10 @@ def log_max_modulus_bound(cfg: LacunaryConfig, r) -> tuple[mpf, mpf]:
         log_r = mp.log(r)
         total = mpf(0)
         ms = []
-        k = 0
-        cutoff = -mpf(90) * mp.log(10)
-        while True:
-            k += 1
-            if cfg.rule is None and k > cfg.K:
-                break
-            r_k, n_k = cfg.block(k)
+        for r_k, n_k in _scan_blocks(cfg, r):
             y = mpf(n_k) * (log_r - mp.log(r_k))
             total += _softplus(y)
             ms.append(mp.exp(-abs(y)) if y != 0 else mpf(1))
-            if k >= cfg.K and y < cutoff:
-                break
         # alignment correction: the dominant block can always be rotated to
         # its maximizing angle; every other block then contributes at worst
         # ln((1+m)/(1-m)) of slack around its modulus term
@@ -211,9 +204,9 @@ class ZeroDiskFamily:
     def radii_sum(self, r) -> mpf:
         r = mpf(r)
         total = mpf(0)
-        for r_k, n_k in _scan_blocks(self.cfg, r):
+        for r_k, _ in _scan_blocks(self.cfg, r):
             if r_k <= r:
-                total += n_k * (r_k / mpf(n_k))
+                total += r_k
         return total
 
 
@@ -258,7 +251,6 @@ class IndicatorSample:
 @dataclass(frozen=True)
 class IndicatorScan:
     samples: tuple[IndicatorSample, ...]
-    budget: dict
     budget_ok: bool
 
     def min_ratio(self):
@@ -277,14 +269,10 @@ def indicator_scan(fn, rho, thetas, radii, exclusion) -> IndicatorScan:
     """
     rho = mpf(rho)
     samples = []
-    budget = {}
     budget_ok = True
     for r in radii:
         r = mpf(r)
-        s = exclusion.radii_sum(r)
-        ok = bool(s < r / 10)
-        budget[str(r)] = (s, ok)
-        budget_ok = budget_ok and ok
+        budget_ok = budget_ok and bool(exclusion.radii_sum(r) < r / 10)
         scale = mp.power(r, rho)
         for theta in thetas:
             theta = mpf(theta)
@@ -301,18 +289,20 @@ def indicator_scan(fn, rho, thetas, radii, exclusion) -> IndicatorScan:
                     r=r, theta=theta, log_abs=value, ratio=value / scale, excluded=excluded
                 )
             )
-    return IndicatorScan(samples=tuple(samples), budget=budget, budget_ok=budget_ok)
+    return IndicatorScan(samples=tuple(samples), budget_ok=budget_ok)
 
 
 # ---------------------------------------------------------------------------
 # finite-level asymptotics of the product near its k-th circle
 
 # points near the circle in (i)-(ii); nodes on it in (iii), from the nested
-# grid of ``coefficients._grid_samples``; first nodes in (iv), whose winding
-# on block k's circle extends (iii)'s nodes
+# grid of ``coefficients._grid_samples``, and the first nodes of every
+# winding in (iv), which on block k's circle are (iii)'s own
 ANNULUS_POINTS = 32
 CONTOUR_NODES = 32
-DISK_NODES = 64
+
+# draws per requested point before an annulus sampler gives up
+ANNULUS_ATTEMPTS = 500
 
 
 @dataclass(frozen=True)
@@ -327,7 +317,6 @@ class DiskCheck:
 @dataclass(frozen=True)
 class AsymptoticsReport:
     k: int
-    seed: int
     partial_dev_max: mpf
     partial_bound: mpf
     partial_pass: bool
@@ -347,23 +336,23 @@ class AsymptoticsReport:
         )
 
 
-def _annulus_points(cfg: LacunaryConfig, k: int, n_points: int, seed: int) -> list[mpc]:
-    r_k, _ = cfg.block(k)
+def annulus_points(cfg: LacunaryConfig, n_points: int, seed: int, radius, margin) -> list[mpc]:
+    """n_points seeded points radius(u) e^{2 pi i v}, u and v uniform on
+    [0, 1) and drawn in that order, rejecting those within ``margin``
+    r_k/n_k of their nearest zero; DivergenceError after ANNULUS_ATTEMPTS
+    draws per point."""
     rng = random.Random(seed)
     points = []
-    attempts = 0
-    while len(points) < n_points:
-        attempts += 1
-        if attempts > 200 * n_points:
-            raise ConfigError("annulus sampling kept hitting zero disks")
-        radius = r_k * (mpf("0.9") + mpf("0.2") * mpf(rng.random()))
-        theta = 2 * mp.pi * mpf(rng.random())
-        z = radius * mp.exp(mpc(0, 1) * theta)
-        kb, _, dist, _ = nearest_zero(cfg, z)
-        r_b, n_b = cfg.blocks[kb - 1]
-        if dist <= mpf("1.2") * r_b / n_b:
-            continue
-        points.append(z)
+    for _ in range(ANNULUS_ATTEMPTS * n_points):
+        if len(points) == n_points:
+            break
+        z = radius(mpf(rng.random())) * mp.exp(mpc(0, 2 * mp.pi * mpf(rng.random())))
+        k, _, dist, _ = nearest_zero(cfg, z)
+        r_k, n_k = cfg.blocks[k - 1]
+        if dist > margin * r_k / n_k:
+            points.append(z)
+    if len(points) < n_points:
+        raise DivergenceError("annulus sampling starved by zero disks")
     return points
 
 
@@ -404,7 +393,9 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
         raise ConfigError(f"k must be within 1..{cfg.K}")
     with mp.workdps(cfg.dps):
         r_k, n_k = cfg.block(k)
-        points = _annulus_points(cfg, k, ANNULUS_POINTS, seed)
+        points = annulus_points(
+            cfg, ANNULUS_POINTS, seed, lambda u: r_k * (mpf("0.9") + mpf("0.2") * u), mpf("1.2")
+        )
 
         # (i) partial product
         if cfg.rule is None and k == cfg.K:
@@ -459,7 +450,7 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
             if applicable:
                 r_j, n_j = cfg.block(j)
                 samples = circle if j == k else {}
-                _, w = sample_winding(cfg, (j, 0), r_j / mpf(n_j), DISK_NODES, samples)
+                _, w = sample_winding(cfg, (j, 0), r_j / mpf(n_j), CONTOUR_NODES, samples)
             zero_free = None if w is None else w == 0
             disks.append(DiskCheck(j, applicable, reason, w, zero_free))
         checked = [d.zero_free for d in disks if d.applicable]
@@ -467,7 +458,6 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
 
         return AsymptoticsReport(
             k=k,
-            seed=seed,
             partial_dev_max=dev_i,
             partial_bound=bound_i,
             partial_pass=pass_i,

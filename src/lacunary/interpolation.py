@@ -50,9 +50,9 @@ from .product import (
     _block_residues,
     _check_domain,
     _jet,
-    _near_zero_margin,
+    _near_zero_guard,
+    _schedule_tail,
     derivative_ratio_bound,
-    nearest_zero,
     zeros,
 )
 
@@ -97,19 +97,11 @@ class RationalInterpolant:
 
 
 def _schedule_tail_sum(cfg: LacunaryConfig) -> mpf:
-    """Bound on sum_{k>K} |u/z| over the poles past K.
-
-    Radii at least double at each step and n <= r^rho + 1.5, so the
-    harmonic block sum past K is dominated by a geometric series; each
-    term carries the residue-ratio bound of block K+1.
-    """
+    """Bound on sum_{k>K} |u/z| over the poles past K: the residue-ratio
+    bound of block K+1 times the schedule's bound on sum_{k>K} n_k/r_k."""
     if cfg.rule is None:
         return mpf(0)
-    rho = cfg.rho_f
-    r_next = cfg.next_radius()
-    geo = 1 / (1 - mp.power(2, rho - 1))
-    harmonic = mp.power(r_next, rho - 1) * geo + 3 / r_next
-    return derivative_ratio_bound(cfg, cfg.K + 1) * harmonic
+    return derivative_ratio_bound(cfg, cfg.K + 1) * _schedule_tail(cfg.rho_f, cfg.next_radius(), 1)
 
 
 def config_interpolant(cfg: LacunaryConfig, poles, residues) -> RationalInterpolant:
@@ -187,11 +179,7 @@ def eval_g(rat: RationalInterpolant, z) -> mpc:
     with mp.workdps(cfg.dps):
         z = mpc(z)
         _check_domain(cfg, z)
-        k, m, _, rel = nearest_zero(cfg, z)
-        if rel < _near_zero_margin(cfg):
-            raise NearPoleError(
-                f"z within relative 10^-{cfg.dps // 2} of pole {(k, m)}"
-            )
+        _near_zero_guard(cfg, z, NearPoleError)
         return _g_sum(rat, z)
 
 

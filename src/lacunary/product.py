@@ -48,7 +48,9 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .errors import CancellationError, ConfigError, NearZeroError, TailError, ZeroOnContourError
+from .errors import (
+    CancellationError, ConfigError, NearPoleError, NearZeroError, TailError, ZeroOnContourError
+)
 
 DEFAULT_DPS = 100
 MIN_DPS = 30
@@ -120,13 +122,24 @@ def _rule_block(rule: str, rho, k: int) -> tuple[mpf, int]:
     return mpf(r), _round_power(r, rho)
 
 
-def _certificate(rho, blocks, rule, dps) -> SummabilityCertificate:
-    """Convergence-exponent surrogate: bound sum_k n_k/r_k^s at s=(1+rho)/2.
+def _schedule_tail(rho, r_next, s) -> mpf:
+    """Bound on sum_{k>K} n_k r_k^-s past block K of a rule schedule, s > rho,
+    r_next = r_{K+1}.
 
-    Both rules double the radius at every step, so the tail past r_{K+1}
-    is dominated by a geometric series; with n_k <= r_k^rho + 1.5 this
-    gives tail <= (r^(rho-s) + 1.5 r^(-s)) / (1 - 2^(rho-s)) at r = r_{K+1}.
-    Explicit lists are finite products: zero tail.
+    Both rules at least double the radius at every step and keep
+    n_k <= r_k^rho + 1.5, so the sum is at most two geometric series:
+    r^(rho-s) / (1 - 2^(rho-s)) + 1.5 r^-s / (1 - 2^-s) at r = r_next.
+    """
+    geo = 1 / (1 - mp.power(2, rho - s))
+    return mp.power(r_next, rho - s) * geo + mpf("1.5") * mp.power(r_next, -s) / (
+        1 - mp.power(2, -s)
+    )
+
+
+def _certificate(rho, blocks, rule, dps) -> SummabilityCertificate:
+    """Convergence-exponent surrogate: bound sum_k n_k/r_k^s at s=(1+rho)/2,
+    the tail past K by :func:`_schedule_tail`.  Explicit lists are
+    finite products: zero tail.
     """
     with mp.workdps(dps):
         s = (1 + mpf(rho)) / 2
@@ -137,8 +150,7 @@ def _certificate(rho, blocks, rule, dps) -> SummabilityCertificate:
             tail = mpf(0)
         else:
             r_next = mpf(_rule_radius(rule, len(blocks) + 1))
-            geo = 1 / (1 - mp.power(2, mpf(rho) - s))
-            tail = (mp.power(r_next, mpf(rho) - s) + mpf("1.5") * mp.power(r_next, -s)) * geo
+            tail = _schedule_tail(mpf(rho), r_next, s)
         return SummabilityCertificate(s=s, partial=partial, tail=tail)
 
 
@@ -460,10 +472,15 @@ def _near_zero_margin(cfg: LacunaryConfig) -> mpf:
     return mp.power(10, -mpf(cfg.dps) / 2)
 
 
-def _near_zero_guard(cfg: LacunaryConfig, z: mpc) -> None:
+def _near_zero_guard(cfg: LacunaryConfig, z: mpc, error: type) -> None:
+    """Raise ``error`` within 10^(-P/2), relative, of a zero of f:
+    NearZeroError for f's own guards, NearPoleError for g, whose poles
+    they are."""
     k, m, _, rel = nearest_zero(cfg, z)
     if rel < _near_zero_margin(cfg):
-        raise NearZeroError(
+        if error is NearPoleError:
+            raise error(f"z within relative 10^-{cfg.dps // 2} of pole {(k, m)}")
+        raise error(
             f"z within relative {mp.nstr(rel, 5)} of zero (block {k}, index {m}); "
             f"threshold 10^-{cfg.dps // 2}"
         )
@@ -475,7 +492,7 @@ def _guarded(cfg: LacunaryConfig, z, order: int) -> mpc:
         raise ConfigError(f"order must be 1 or 2, got {order}")
     z = mpc(z)
     _check_domain(cfg, z)
-    _near_zero_guard(cfg, z)
+    _near_zero_guard(cfg, z, NearZeroError)
     return z
 
 
@@ -531,7 +548,7 @@ def _fprime_on_circle(cfg: LacunaryConfig, zero: tuple[int, int], radius, direct
         for j, w in enumerate(directions):
             z = xi + radius * w
             if not clear:
-                _near_zero_guard(cfg, z)
+                _near_zero_guard(cfg, z, NearZeroError)
             fp = _f_jet(cfg, z, 1)[1]
             if fp == 0:
                 raise ZeroOnContourError(

@@ -154,6 +154,19 @@ class TestVerify:
             assert code == 3
             assert "TailError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("check", ["residual", "asymptotics"])
+    def test_starved_sampler_exit_3(self, tmp_path, monkeypatch, capsys, check):
+        """Both annulus samplers share one rejection loop: with every draw
+        inside a zero disk each run ends in DivergenceError, exit 3."""
+        monkeypatch.setattr(growth, "nearest_zero", lambda cfg, z: (1, 0, mpf(0), mpf(0)))
+        cfg = write_config(tmp_path, FACT3)
+        code = main(
+            ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--checks", check,
+             "--points", "2"]
+        )
+        assert code == 3
+        assert "DivergenceError: annulus sampling starved" in capsys.readouterr().err
+
     def test_fault_injection_detected(self, tmp_path):
         """Perturbing one stored residue by 1e-3 must fail the interpolation
         identity for exactly that zero and flip the exit code to 1."""
@@ -211,14 +224,16 @@ class TestVerify:
     def test_artifact_count_mismatch_exit_2(self, tmp_path, capsys):
         """An artifact that does not hold the config's zeros, in the config's
         order, is a configuration error: a missing entry, the entries
-        reversed, an entry without its residue, and a file that holds no
-        list."""
+        reversed, an entry without its residue, a file that holds no list,
+        and a residue that is not a list of two strings."""
         cfg = write_config(tmp_path, FACT3)
         art = tmp_path / "art"
         main(["construct", "--config", cfg, "--out", str(art)])
         entries = json.loads((art / "residues.json").read_text())
         no_residue = [{"k": 1, "m": 0}] + entries[1:]
-        for i, tampered in enumerate((entries[:-1], entries[::-1], no_residue, 5, None)):
+        # a string would index as its characters: "12" read as 1 + 2i
+        bad = [[{**entries[0], "residue": r}] + entries[1:] for r in ("12", ["1", "2", "3"])]
+        for i, tampered in enumerate((entries[:-1], entries[::-1], no_residue, 5, None, *bad)):
             (art / "residues.json").write_text(json.dumps(tampered))
             capsys.readouterr()
             code = main(
@@ -363,6 +378,20 @@ class TestReport:
         assert main(["report", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{name}_summary.json" in err and reason in err
+
+
+def test_record_keeps_the_log10_of_an_underflowing_value():
+    """2a compares mpf values like 9.5e-22027 against 3.2e-22025: both read
+    0.0 as floats, and the record also carries their log10."""
+    from lacunary.checks import record
+
+    rec = record("asymptotics", "2a", mpf("9.5e-22027"), mpf("3.2e-22025"), True)
+    assert (rec["value"], rec["bound"]) == (0.0, 0.0)
+    assert abs(rec["log10_value"] + 22026.0223) < 1e-3
+    assert abs(rec["log10_bound"] + 22024.4949) < 1e-3
+    assert list(rec)[-3:] == ["log10_value", "log10_bound", "pass"]
+    for value, bound in ((mpf(0), mpf("1e-40")), (mpf("1e-300"), None)):
+        assert not any(key.startswith("log10") for key in record("c", "1c", value, bound, True))
 
 
 ERROR_CLASSES = [

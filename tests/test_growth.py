@@ -8,6 +8,7 @@ from lacunary.coefficients import build_H
 from lacunary.growth import (
     HZeroDiskFamily,
     ZeroDiskFamily,
+    _softplus,
     counting_N,
     crg_witness,
     indicator_scan,
@@ -59,6 +60,39 @@ class TestLogMaxModulus:
         assert abs(formula - direct) / direct < mpf("0.01")
         assert direct <= formula
         assert formula - direct <= corr
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        make_schedule(0.5, 4, "factorial"),
+        make_schedule(0.55, 3, "doubly_exp"),
+        make_schedule(0.5, 2, "factorial"),
+        config_from_blocks([(4, 2), (16, 4)]),
+    ],
+    ids=["factorial-K4", "doubly_exp-K3", "factorial-K2", "explicit"],
+)
+def test_term_sum_runs_over_scan_blocks(cfg):
+    """At every dip and peak radius the formula is the term sum over
+    ``_scan_blocks``, bit for bit, and so is the sum taken past K until a
+    term falls below 10^-90: the blocks that the 10^-40 cutoff of
+    ``_scan_blocks`` leaves out do not reach the working precision."""
+
+    def exponent(block, r):  # ln (r/r_j)^{n_j}
+        return mpf(block[1]) * (mp.log(r) - mp.log(block[0]))
+
+    def term_sum(blocks, r):
+        return sum((_softplus(exponent(b, r)) for b in blocks), mpf(0))
+
+    with mp.workdps(cfg.dps):
+        for r_k, _ in cfg.blocks:
+            for r in (r_k, mp.e * r_k):
+                formula, _ = log_max_modulus_bound(cfg, r)
+                assert formula == term_sum(_scan_blocks(cfg, r), r), r
+                blocks = list(cfg.blocks)
+                while cfg.rule is not None and exponent(blocks[-1], r) >= -90 * mp.log(10):
+                    blocks.append(cfg.block(len(blocks) + 1))
+                assert formula == term_sum(blocks, r), r
 
 
 class TestNevanlinna:

@@ -140,6 +140,21 @@ class TestEvalG:
         bound = g_tail_bound(rat, 1000)
         assert 0 < bound < mpf("1e-60")
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [make_schedule(0.5, 4, "factorial"), make_schedule(0.45, 4, "factorial"),
+         make_schedule(0.55, 3, "doubly_exp")],
+        ids=["headline", "theorem", "doubly_exp"],
+    )
+    def test_tail_sum_keeps_its_arithmetic(self, cfg):
+        """The shared schedule tail at s = 1 is geo r^(rho-1) + 3/r, bit for
+        bit: r_{K+1} is a power of 2, so 1.5 r^-1 / (1 - 2^-1) is 3/r exactly."""
+        r = cfg.next_radius()
+        geo = 1 / (1 - mp.power(2, cfg.rho_f - 1))
+        harmonic = mp.power(r, cfg.rho_f - 1) * geo + 3 / r
+        expected = derivative_ratio_bound(cfg, cfg.K + 1) * harmonic
+        assert config_interpolant(cfg, [], []).tail_sum_bound == expected
+
 
 class TestResidueRecoveryContour:
     def test_all_poles_recovered(self):

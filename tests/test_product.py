@@ -115,6 +115,24 @@ class TestSchedules:
         assert 0 < cert.tail < cert.partial
         assert cert.total < 2
 
+    @pytest.mark.parametrize(
+        "rho, K, rule",
+        [(0.5, 4, "factorial"), (0.45, 4, "factorial"), (0.5, 3, "factorial"),
+         (0.55, 3, "doubly_exp")],
+    )
+    def test_certificate_tail_bounds_the_next_blocks(self, rho, K, rule):
+        """The tail bound of sum_{k>K} n_k/r_k^s is positive, below the partial
+        sum, at least its first two terms, and below the bound that let the
+        1.5 r^-s term decay only like 2^(rho-s)."""
+        cfg = make_schedule(rho, K, rule)
+        cert = cfg.sigma_certificate
+        s = cert.s
+        first_two = sum(mpf(n) * mp.power(r, -s) for r, n in (cfg.block(K + 1), cfg.block(K + 2)))
+        assert 0 < first_two <= cert.tail < cert.partial
+        r = cfg.next_radius()
+        geo = 1 / (1 - mp.power(2, cfg.rho_f - s))
+        assert cert.tail < (mp.power(r, cfg.rho_f - s) + mpf("1.5") * mp.power(r, -s)) * geo
+
 
 class TestEvalF:
     def test_f_at_origin_is_exactly_one(self):
