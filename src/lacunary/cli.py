@@ -1,12 +1,14 @@
 """Command-line front end: construct, verify, scan, report.
 
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 a
-ConfigError: bad configuration, --points or --angles below 1, or
-unreadable input (a config, an artifact, or a file ``report`` reads),
-3 a NumericalError (insufficient precision, non-convergent quadrature,
-a point off the certified domain), with a suggested precision printed
-when one can be computed.  ``main`` alone loads the config, enters its
-precision and maps errors to these codes.
+ConfigError: bad configuration, a --checks list that names no check,
+--points or --angles below 1, or unreadable input (a config, an
+artifact, or a file ``report`` reads), 3 a NumericalError (insufficient
+precision, non-convergent quadrature, a point off the certified domain),
+with a suggested precision printed when one can be computed.  ``main``
+alone loads the config, enters its precision and maps errors to these
+codes.  ``verify`` and ``scan`` first delete the files they write, so a
+run that exits 2 or 3 leaves none of them behind.
 
 Config schema (JSON object):
 
@@ -249,6 +251,8 @@ def _parse_checks(raw: str | None):
     if not raw or raw == "all":
         return checks_mod.CHECK_NAMES
     names = tuple(s.strip() for s in raw.split(",") if s.strip())
+    if not names:
+        raise ConfigError(f"--checks {raw!r} names no check")
     for name in names:
         if name not in checks_mod.CHECK_NAMES:
             raise ConfigError(
@@ -474,8 +478,21 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _own_outputs(args) -> tuple[str, ...]:
+    """The files ``verify`` or ``scan`` writes into --out."""
+    if args.command == "verify":
+        return ("records.jsonl", "verify_summary.json")
+    if args.command == "scan":
+        return (f"{args.scan}.csv", f"{args.scan}_summary.json")
+    return ()
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # a run that exits 2 or 3 must leave no earlier run's output for
+    # ``report`` to read as its own
+    for name in _own_outputs(args):
+        (Path(args.out) / name).unlink(missing_ok=True)
     try:
         if args.command == "report":
             return cmd_report(Path(args.out))

@@ -106,7 +106,11 @@ def counting_N(pole_moduli, r) -> mpf:
 
 
 def nevanlinna(fn, pole_moduli, r) -> tuple[mpf, mpf, mpf]:
-    """(m, N, T) at radius r: proximity by quadrature, counting in closed form."""
+    """(m, N, T) at radius r: proximity by quadrature, counting in closed form.
+
+    The characteristic check takes m(r, g) from ``interpolation.g_proximity``
+    and N from the blocks; this route for any callable is the tests' oracle,
+    kept here while ``benchmarks/run.py`` traces it by name."""
     m = proximity_m(fn, r, avoid_moduli=dict.fromkeys(pole_moduli))
     n = counting_N(pole_moduli, r)
     return m, n, m + n

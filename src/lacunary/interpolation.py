@@ -31,7 +31,11 @@ from the stored residues.
 
 ``proximity_m`` is the (1/2pi) integral of log+ |fn| over a circle,
 computed by node-doubling trapezoid quadrature (spectrally accurate for
-the periodic integrand away from poles).
+the periodic integrand away from poles).  ``g_proximity`` gives m(r, g)
+for an interpolant: the per-block sums bound |g| on |z| = r by
+B(r) = sum_k r_k S_k (1 + 4 n_k eps)/|r - r_k|, and where B < 1 the
+integrand vanishes and m is exactly 0 without a sample of g; elsewhere
+it runs the quadrature.
 
 Interpolants are immutable and evaluation is pure: quadrature nodes can
 be evaluated concurrently, and sums run in stored pole order so results
@@ -203,9 +207,8 @@ def _top_block(rat: RationalInterpolant, z: mpc) -> mpc | None:
     with (P, L) = (f, f'/f) over blocks 1..K-1: U(z/r_K) (n/z) w/(w - 1)
     of the module docstring.  None where its aliasing bound is not below
     eps * sum_j U_j/(|z| + r_j), the rounding level of the direct sum, with
-    U_j = r_j times the block's certified sum |u/xi|, raised by a rounding
-    allowance.  w and w/z = (z/r_K)^(n-1)/r_K take the guard bits of
-    ``product._jet``, so C(0) is the limit."""
+    U_j the block's sum |u| of :func:`_masses`.  w and w/z = (z/r_K)^(n-1)/r_K
+    take the guard bits of ``product._jet``, so C(0) is the limit."""
     blocks = rat.cfg.blocks
     r, n = blocks[-1]
     P, L, _ = _jet(blocks[:-1], z, 1, False)
@@ -215,9 +218,15 @@ def _top_block(rat: RationalInterpolant, z: mpc) -> mpc | None:
         w = head * zeta
     closed = (n - 1 + 2 * z * L) * head / (r * (w - 1) * P)
     a = abs(z)
-    masses = [rj * s * (1 + 4 * nj * mp.eps) for (rj, nj), s in zip(blocks, rat.block_sums)]
-    target = mp.eps * mp.fsum(mass / (a + rj) for (rj, _), mass in zip(blocks, masses))
+    target = mp.eps * mp.fsum(mass / (a + rj) for (rj, _), mass in zip(blocks, _masses(rat)))
     return closed if _aliasing_bound(blocks, a / r, abs(closed)) < target else None
+
+
+def _masses(rat: RationalInterpolant) -> list[mpf]:
+    """U_k = r_k S_k (1 + 4 n_k eps) per block: sum |u| over block k's
+    poles, all of modulus r_k, from its certified sum S_k of |u/z|,
+    raised by a rounding allowance for the n_k-term sum."""
+    return [rj * s * (1 + 4 * nj * mp.eps) for (rj, nj), s in zip(rat.cfg.blocks, rat.block_sums)]
 
 
 def _aliasing_bound(blocks, x, size) -> mpf:
@@ -345,3 +354,30 @@ def proximity_m(fn, r, avoid_moduli=None) -> mpf:
             f"{max_nodes} nodes",
             estimates=estimates[-2:],
         )
+
+
+def g_proximity(rat: RationalInterpolant, r) -> tuple[mpf, mpf]:
+    """(m(r, g), B(r)) on the circle |z| = r, B of :func:`_sup_bound`.
+
+    TailError first, as in :func:`eval_g`.  Where B < 1, log+ |g|
+    vanishes on the whole circle and m is exactly 0, with no sample of g;
+    elsewhere m is :func:`proximity_m` of :func:`eval_g`, which refuses a
+    radius near a pole modulus."""
+    cfg = rat.cfg
+    with mp.workdps(cfg.dps):
+        _check_domain(cfg, mpc(r))
+        bound = _sup_bound(rat, r)
+    if bound < 1:
+        return mpf(0), bound
+    moduli = [rj for rj, _ in cfg.blocks]
+    return proximity_m(lambda z: eval_g(rat, z), r, avoid_moduli=moduli), bound
+
+
+def _sup_bound(rat: RationalInterpolant, r) -> mpf:
+    """B(r) = sum_k U_k / |r - r_k| >= max |g| on |z| = r, with U_k the
+    block masses of :func:`_masses`: every pole p of block k has modulus
+    r_k, so |z - p| >= |r - r_k| there (inf on a pole circle)."""
+    return mp.fsum(
+        mass / abs(r - rj) if r != rj else mp.inf
+        for (rj, _), mass in zip(rat.cfg.blocks, _masses(rat))
+    )

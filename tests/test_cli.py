@@ -12,7 +12,15 @@ import pytest
 from mpmath import mp, mpf
 
 import lacunary
-from lacunary import cli, config_from_blocks, errors, growth
+from lacunary import (
+    checks,
+    cli,
+    coefficients,
+    config_from_blocks,
+    errors,
+    growth,
+    interpolation,
+)
 from lacunary.cli import main
 
 ANCHOR = {"blocks": [[1, 2]], "rho_f": 0.5, "precision_digits": 100, "rho_H": 0.25}
@@ -116,6 +124,55 @@ class TestVerify:
             ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--checks", "nope"]
         )
         assert code == 2
+
+    def test_check_list_naming_no_check_exit_2(self, tmp_path, capsys):
+        """A --checks list of separators alone would run nothing and pass."""
+        cfg = write_config(tmp_path, ANCHOR)
+        for raw in (",", " , "):
+            code = main(
+                ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--checks", raw]
+            )
+            assert code == 2
+            assert "names no check" in capsys.readouterr().err
+        assert not (tmp_path / "v" / "verify_summary.json").exists()
+
+    def test_failed_run_leaves_no_stale_outputs(self, tmp_path, capsys):
+        """A verify that exits 3 and a scan that exits 2 delete the outputs of
+        the passing run before them, so ``report`` sees neither."""
+        cfg = write_config(tmp_path, {"rho_f": 0.55, "rule": "doubly_exp", "K": 3})
+        out = tmp_path / "run"
+        verify = ["verify", "--config", cfg, "--out", str(out), "--checks"]
+        scan = ["scan", "--config", cfg, "--out", str(out), "--scan", "indicator", "--angles"]
+        assert main([*verify, "summability"]) == 0
+        assert main([*scan, "4"]) == 0
+        assert (out / "verify_summary.json").exists() and (out / "indicator.csv").exists()
+        assert main([*verify, "proximity"]) == 3
+        assert "TailError" in capsys.readouterr().err
+        assert main([*scan, "0"]) == 2
+        for name in ("records.jsonl", "verify_summary.json", "indicator.csv",
+                     "indicator_summary.json"):
+            assert not (out / name).exists(), name
+        assert main(["report", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["verify"] is None and report["scans"] == {}
+
+    def test_g_checks_never_sample_g_where_certified(self, tmp_path, monkeypatch):
+        """On the headline, B(r) < 1 at every radius of proximity and
+        characteristic, so both pass from the block sums alone."""
+
+        def unreachable(*args):
+            raise AssertionError("g sampled")
+
+        for module in (checks, coefficients, interpolation):
+            for name in ("eval_g", "_g_sum"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, unreachable)
+        cfg = write_config(tmp_path, HEADLINE)
+        code = main(
+            ["verify", "--config", cfg, "--out", str(tmp_path / "v"),
+             "--checks", "proximity,characteristic"]
+        )
+        assert code == 0
 
     def test_removed_config_keys_exit_2(self, tmp_path, capsys):
         """H's truncation, the perturbation scale and the series switch
@@ -448,6 +505,24 @@ def _residues_off_by_1e30(monkeypatch, art):
     path.write_text(json.dumps(entries))
 
 
+def _residue_2_1_times_1e12(monkeypatch, art):
+    """The stored residue (2, 1), |u| = 0.39, scaled by 10^12.
+
+    On 10..1000 r_K (r_K = 2^24) the block sums bound |g| by 2.8e-8, so
+    a residue fault reaches m(r, g) only once |u| exceeds about r - r_2:
+    1.7e8 at 10 r_K and 1.7e10 at 1000 r_K, where the final 3a record
+    judges m.  Faults of the size the other rows plant leave |g| < 1 on
+    every circle, and m = 0 is then the right answer.  This one lifts the
+    final m to 3.14 (bound 0.01) and the 3h gap at 100 r_K to 5.45
+    (bound 0.05), both through the quadrature."""
+    path = art / "residues.json"
+    entries = json.loads(path.read_text())
+    (e,) = [e for e in entries if (e["k"], e["m"]) == (2, 1)]
+    with mp.workdps(110):
+        e["residue"] = [mp.nstr(mpf(10) ** 12 * mpf(x), 105) for x in e["residue"]]
+    path.write_text(json.dumps(entries))
+
+
 @pytest.fixture(scope="module")
 def headline_artifacts(tmp_path_factory):
     """The headline config with H, and its construct output, made once."""
@@ -488,6 +563,16 @@ class TestFaultMatrix:
         [
             pytest.param("asymptotics", "2c", (), _off_by_one_n3, id="asymptotics-wrong-n3"),
             pytest.param(
+                "proximity", "3a", (), _residue_2_1_times_1e12, id="proximity-large-residue"
+            ),
+            pytest.param(
+                "characteristic",
+                "3h",
+                (),
+                _residue_2_1_times_1e12,
+                id="characteristic-large-residue",
+            ),
+            pytest.param(
                 "residual",
                 "1c",
                 ("--points", "20"),
@@ -521,10 +606,15 @@ class TestFaultMatrix:
 
         code, records = verify("clean")
         assert code == 0 and all(r["pass"] for r in records)
+        # g's checks pass clean from the certificate B < 1 ...
+        assert all(r.get("sup_g_bound", 0) < 1 for r in records)
         fault(monkeypatch, art)
         code, records = verify("fault")
         assert code == 1
-        assert any(r["check"] == check and r["eq"] == eq and not r["pass"] for r in records)
+        failed = [r for r in records if r["check"] == check and r["eq"] == eq and not r["pass"]]
+        assert failed
+        # ... and fail a fault through the quadrature
+        assert all(r.get("sup_g_bound", 1) >= 1 for r in failed)
 
 
 class TestDeterminism:

@@ -5,13 +5,22 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf
 
-from lacunary import NearPoleError, QuadratureError, config_from_blocks, make_schedule, product
+from lacunary import (
+    NearPoleError,
+    QuadratureError,
+    config_from_blocks,
+    interpolation,
+    make_schedule,
+    product,
+)
 from lacunary.interpolation import (
     _g_sum,
+    _sup_bound,
     _top_block,
     check_summability,
     config_interpolant,
     eval_g,
+    g_proximity,
     g_regular_at,
     g_tail_bound,
     proximity_m,
@@ -461,3 +470,73 @@ class TestProximity:
         ]
         assert values[0] >= values[1] >= values[2]
         assert values[2] < mpf("0.01")
+
+
+def max_abs_g(rat, r, n=64):
+    """max |g| over n equispaced nodes of the circle |z| = r."""
+    return max(abs(eval_g(rat, r * mp.expjpi(2 * mpf(j) / n))) for j in range(n))
+
+
+class TestProximityCertificate:
+    """``g_proximity``: m(r, g) = 0 from B(r) = sum_k U_k/|r - r_k| >= max |g|
+    where B < 1, the quadrature of ``proximity_m`` elsewhere."""
+
+    @pytest.fixture(scope="class")
+    def rats(self, residue_rats):
+        return {
+            "headline": residue_rats("factorial-0.5-K4", 100),
+            "theorem": residue_rats("factorial-0.45-K4", 100),
+            "two-block": residues_from_f(config_from_blocks([[4, 2], [16, 4]])),
+        }
+
+    @pytest.mark.parametrize("name", ["headline", "theorem", "two-block"])
+    def test_bound_dominates_g_in_the_far_field(self, rats, name):
+        rat = rats[name]
+        r_top = rat.cfg.blocks[-1][0]
+        for scale in (10, 100, 1000):
+            r = scale * r_top
+            m, bound = g_proximity(rat, r)
+            assert m == 0 and bound < 1
+            assert max_abs_g(rat, r) <= bound
+
+    @pytest.mark.parametrize("name", ["headline", "theorem", "two-block"])
+    def test_bound_dominates_g_next_to_each_circle(self, rats, name):
+        """At 10^-6 r_k off pole (k, 0), that pole's term outweighs the rest
+        of B, so B without block k's term would fall below |g| there: for
+        both blocks of two-block and blocks 1-3 of the headline (block 4's
+        residues are about 10^-64)."""
+        rat = rats[name]
+        for k in range(1, rat.cfg.K + 1):
+            z = rat.poles[rat.pole_index(k, 0)] * (1 + mpf("1e-6"))
+            assert abs(eval_g(rat, z)) <= _sup_bound(rat, abs(z)), k
+
+    def test_quadrature_where_bound_reaches_one(self):
+        """factorial K=3 at r = 6 (between r_2 = 4 and r_3 = 64): B is about
+        1.9, and m is the quadrature's, bit for bit."""
+        cfg = make_schedule(0.5, 3, "factorial")
+        rat = residues_from_f(cfg)
+        m, bound = g_proximity(rat, 6)
+        assert 1 < bound < 2
+        assert max_abs_g(rat, 6) <= bound
+        moduli = [r for r, _ in cfg.blocks]
+        assert m == proximity_m(lambda z: eval_g(rat, z), 6, avoid_moduli=moduli)
+        assert m > 0
+
+    def test_bound_within_rounding_of_one_takes_the_quadrature(self, monkeypatch):
+        """Two residues 2 - 4 eps at r_1 = 4 give S_1 = 1 - 2 eps, so at r = 8
+        r_1 S_1/|r - r_1| is one rounding step below 1.  The allowance
+        (1 + 8 eps) lifts B above 1, and the quadrature decides: m = 0,
+        since |g| <= 2/3 on that circle."""
+        cfg = config_from_blocks([[4, 2]])
+        rat = config_interpolant(cfg, zeros(cfg, 1), [2 - 4 * mp.eps] * 2)
+        assert rat.block_sums[0] == 1 - 2 * mp.eps
+        calls = []
+        quadrature = interpolation.proximity_m
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return quadrature(*args, **kwargs)
+
+        monkeypatch.setattr(interpolation, "proximity_m", spy)
+        m, bound = g_proximity(rat, 8)
+        assert bound >= 1 and calls == [8] and m == 0
