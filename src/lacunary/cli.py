@@ -7,8 +7,10 @@ artifact, or a file ``report`` reads), 3 a NumericalError (insufficient
 precision, non-convergent quadrature, a point off the certified domain),
 with a suggested precision printed when one can be computed.  ``main``
 alone loads the config, enters its precision and maps errors to these
-codes.  ``verify`` and ``scan`` first delete the files they write, so a
-run that exits 2 or 3 leaves none of them behind.
+codes.  ``construct``, ``verify`` and ``scan`` first delete the files
+they write, so a run that exits 2 or 3 leaves none of them behind; only a
+``config.json`` that is the --config being read is kept.  Every JSON
+output is streamed to its file with ``json.dump``.
 
 Config schema (JSON object):
 
@@ -50,10 +52,8 @@ from .product import (
     config_to_dict,
     eval_f_scan,
     zero_count,
-    zeros,
 )
 
-CONSTRUCT_ENUMERATION_CAP = 8192
 REMOVED_CONFIG_KEYS = ("H_truncation", "c_scale", "near_zero_delta")
 
 
@@ -99,7 +99,15 @@ def _rho_H(data: dict):
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=1, sort_keys=False) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1)
+        fh.write("\n")
+
+
+def _pole_labels(cfg: LacunaryConfig):
+    """(k, m) of every zero of ``cfg`` in block order, the order of its
+    residues in residues.json."""
+    return ((k, m) for k, (_, n) in enumerate(cfg.blocks, start=1) for m in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -114,25 +122,18 @@ def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
 
     # full-precision serialization: the verify-from-artifact path must
     # round-trip residues without disturbing the interpolation identity.
-    # The poles are the zeros, in block order: residues.json holds only
-    # their (k, m) labels, and verify takes the poles from the config
+    # The config fixes every zero: zeros.json holds each block's r and n,
+    # and residues.json only the (k, m) label of each residue's pole
     rat = system.rat
-    blocks_payload = []
-    residues_payload = []
-    for k, (r, n) in enumerate(cfg.blocks, start=1):
-        start = rat.pole_index(k, 0)
-        entry = {"k": k, "r": _nstr(r), "n": n}
-        if n <= CONSTRUCT_ENUMERATION_CAP:
-            entry["zeros"] = [_cstr(p, cfg.dps + 5) for p in rat.poles[start : start + n]]
-        else:
-            entry["enumerated"] = False
-        blocks_payload.append(entry)
-        residues_payload += [
+    blocks = [{"k": k, "r": _nstr(r), "n": n} for k, (r, n) in enumerate(cfg.blocks, start=1)]
+    _write_json(out / "zeros.json", {"count": zero_count(cfg), "blocks": blocks})
+    _write_json(
+        out / "residues.json",
+        [
             {"k": k, "m": m, "residue": _cstr(u, cfg.dps + 5)}
-            for m, u in enumerate(rat.residues[start : start + n])
-        ]
-    _write_json(out / "zeros.json", {"count": zero_count(cfg), "blocks": blocks_payload})
-    _write_json(out / "residues.json", residues_payload)
+            for (k, m), u in zip(_pole_labels(cfg), rat.residues)
+        ],
+    )
 
     summ = check_summability(rat)
     cert = cfg.sigma_certificate
@@ -178,10 +179,10 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
     """Residues written by ``construct``, on the zeros of the config.
 
     Entries must come in the config's (block, index) order; the poles are
-    the config's zeros, and any key of an entry besides k, m and residue
-    is ignored.  Each residue is a list of two strings, its real and
-    imaginary parts.  Their values are not validated: catching a wrong
-    residue is the checks' job.
+    the config's zeros, which the interpolant forms only if a check sums
+    g, and any key of an entry besides k, m and residue is ignored.  Each
+    residue is a list of two strings, its real and imaginary parts.  Their
+    values are not validated: catching a wrong residue is the checks' job.
     """
     try:
         entries = json.loads((path / "residues.json").read_text(encoding="utf-8"))
@@ -193,10 +194,9 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
         raise ConfigError(
             f"artifact holds {len(entries)} residues, config has {zero_count(cfg)} zeros"
         )
-    ids = [(k, m) for k, (_, n) in enumerate(cfg.blocks, start=1) for m in range(n)]
     residues = []
     try:
-        for i, (e, (k, m)) in enumerate(zip(entries, ids)):
+        for i, (e, (k, m)) in enumerate(zip(entries, _pole_labels(cfg))):
             if (int(e["k"]), int(e["m"])) != (k, m):
                 raise ConfigError(
                     f"artifact entry {i} is zero ({e['k']}, {e['m']}); "
@@ -210,8 +210,7 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
             residues.append(mpc(mpf(re_im[0]), mpf(re_im[1])))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed residue entry in {path}: {exc!r}") from exc
-    poles = [p for k in range(1, cfg.K + 1) for p in zeros(cfg, k)]
-    return config_interpolant(cfg, poles, residues)
+    return config_interpolant(cfg, None, residues)
 
 
 def cmd_verify(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
@@ -479,7 +478,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _own_outputs(args) -> tuple[str, ...]:
-    """The files ``verify`` or ``scan`` writes into --out."""
+    """The files ``construct``, ``verify`` or ``scan`` writes into --out,
+    less a ``config.json`` that is the --config ``construct`` reads."""
+    if args.command == "construct":
+        names = ("zeros.json", "residues.json", "system.json")
+        if Path(args.out, "config.json").resolve() == Path(args.config).resolve():
+            return names
+        return ("config.json", *names)
     if args.command == "verify":
         return ("records.jsonl", "verify_summary.json")
     if args.command == "scan":

@@ -6,9 +6,15 @@ From the product f we build the meromorphic function
 
 with one simple pole at every zero of f, so that A0 = f g is entire.
 Every interpolant belongs to a configuration: its poles are the zeros of
-that configuration's product, in block order.  The residues are produced
-by factor extraction (never by numerically dividing near the zeros), one
-block at a time, and the interpolant carries two certificates:
+that configuration's product, in block order.  An interpolant is built
+from its residues alone: ``residues_from_f`` also hands over the zeros it
+forms for its roots, and otherwise (the CLI's artifact loader) the poles
+are formed from the config on first read of ``poles``, which only the
+sums over g (:func:`_g_sum`, :func:`g_regular_at`) do.
+
+The residues are produced by factor extraction (never by numerically
+dividing near the zeros), one block at a time, and the interpolant
+carries two certificates:
 
 - summability: sum |u_k / z_k| over the included poles (also per block)
   plus an analytic tail bound derived from the residue-ratio bound at
@@ -69,11 +75,11 @@ class RationalInterpolant:
     ``pole_index(k, m)``.  ``tail_sum_bound`` bounds the uncomputed part
     of sum |u/z| (0 for finite explicit products); ``block_sums`` holds
     the included sum |u/z| of each block and ``block_max`` its largest
-    |u|.  Build interpolants with ``residues_from_f`` or
-    ``config_interpolant``.
+    |u|.  ``_poles`` holds the poles once formed (None until then).  Build
+    interpolants with ``residues_from_f`` or ``config_interpolant``.
     """
 
-    poles: tuple[mpc, ...]
+    _poles: tuple[mpc, ...] | None
     residues: tuple[mpc, ...]
     c_bound: mpf
     sum_included: mpf
@@ -81,6 +87,16 @@ class RationalInterpolant:
     block_max: tuple[mpf, ...]
     tail_sum_bound: mpf
     cfg: LacunaryConfig
+
+    @property
+    def poles(self) -> tuple[mpc, ...]:
+        """The zeros of ``cfg`` in block order, formed on first read unless
+        ``config_interpolant`` was handed them.  Keeping them changes no
+        value: the config fixes every zero."""
+        if self._poles is None:
+            formed = tuple(p for k in range(1, self.cfg.K + 1) for p in zeros(self.cfg, k))
+            object.__setattr__(self, "_poles", formed)
+        return self._poles
 
     def pole_index(self, k: int, m: int) -> int:
         offset = 0
@@ -97,7 +113,7 @@ class RationalInterpolant:
         (fault injection / diagnostics)."""
         residues = list(self.residues)
         residues[index] = mpc(value)
-        return config_interpolant(self.cfg, self.poles, residues)
+        return config_interpolant(self.cfg, self._poles, residues)
 
 
 def _schedule_tail_sum(cfg: LacunaryConfig) -> mpf:
@@ -110,7 +126,8 @@ def _schedule_tail_sum(cfg: LacunaryConfig) -> mpf:
 
 def config_interpolant(cfg: LacunaryConfig, poles, residues) -> RationalInterpolant:
     """Interpolant for the zeros of ``cfg``, in block order, with their
-    residues, certified.
+    residues, certified.  ``poles`` is those zeros, already formed, or
+    None, and the interpolant then forms them on first read.
 
     One pass over the residues, block by block, forms the largest |u|
     per block (C_bound is their max) and the included sum |u/z|, in
@@ -132,7 +149,7 @@ def config_interpolant(cfg: LacunaryConfig, poles, residues) -> RationalInterpol
             total += term
             block_sums[j] += term
         return RationalInterpolant(
-            poles=tuple(poles),
+            _poles=None if poles is None else tuple(poles),
             residues=tuple(residues),
             c_bound=max(block_max),
             sum_included=total,
@@ -149,9 +166,10 @@ def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
 
     Each block's zeros are formed once, and ``product._block_residues``
     takes every residue of the block from them in closed form, with the
-    other blocks' real powers formed once per block.  This route shares
-    its per-block kernel ``_block_terms`` (factor, cancellation screen,
-    terms) with ``derivs_at_zero``, but not the derivatives themselves:
+    other blocks' real powers formed once per block; the zeros become the
+    interpolant's poles.  This route shares its per-block kernel
+    ``_block_terms`` (factor, cancellation screen, terms) with
+    ``derivs_at_zero``, but not the derivatives themselves:
     the interpolation check compares the stored residues with the f' and
     f'' of ``derivs_at_zero``.
     """

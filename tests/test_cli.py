@@ -20,6 +20,7 @@ from lacunary import (
     errors,
     growth,
     interpolation,
+    product,
 )
 from lacunary.cli import main
 
@@ -46,6 +47,27 @@ class TestConstruct:
         assert [b["n"] for b in zeros["blocks"]] == [1, 2, 8]
         residues = json.loads((out / "residues.json").read_text())
         assert len(residues) == 11
+
+    def test_failed_run_leaves_no_stale_artifacts(self, tmp_path, capsys):
+        """A construct that exits 2 first deletes the four files of the
+        passing construct before it, so ``verify --artifacts`` cannot read
+        them as its own; a config.json that is the --config being read
+        stays, and construct from it still runs."""
+        rule = {"rho_f": 0.5, "rule": "factorial", "K": 3}
+        out = tmp_path / "out"
+        construct = ["construct", "--out", str(out), "--config"]
+        names = ("config.json", "zeros.json", "residues.json", "system.json")
+        assert main([*construct, write_config(tmp_path, rule)]) == 0
+        assert all((out / name).exists() for name in names)
+        assert main([*construct, write_config(tmp_path, {**rule, "rho_H": 0.7}, "bad.json")]) == 2
+        assert "config error" in capsys.readouterr().err
+        for name in names:
+            assert not (out / name).exists(), name
+        verify = ["verify", "--config", write_config(tmp_path, rule), "--out", str(tmp_path / "v")]
+        assert main([*verify, "--artifacts", str(out), "--checks", "summability"]) == 2
+        assert main([*construct, write_config(tmp_path, rule)]) == 0
+        assert main([*construct, str(out / "config.json")]) == 0
+        assert all((out / name).exists() for name in names)
 
     def test_anchor_residues_are_half(self, tmp_path):
         cfg = write_config(tmp_path, {"blocks": [[1, 2]], "precision_digits": 100})
@@ -505,6 +527,17 @@ def _residues_off_by_1e30(monkeypatch, art):
     path.write_text(json.dumps(entries))
 
 
+def _residue_4_1234_times_10(monkeypatch, art):
+    """The stored residue (4, 1234) scaled by 10: block 4's largest |u|
+    then reads 3.05e-63, against the residue-ratio bound 1.65e-63."""
+    path = art / "residues.json"
+    entries = json.loads(path.read_text())
+    (e,) = [e for e in entries if (e["k"], e["m"]) == (4, 1234)]
+    with mp.workdps(110):
+        e["residue"] = [mp.nstr(10 * mpf(x), 105) for x in e["residue"]]
+    path.write_text(json.dumps(entries))
+
+
 def _residue_2_1_times_1e12(monkeypatch, art):
     """The stored residue (2, 1), |u| = 0.39, scaled by 10^12.
 
@@ -552,6 +585,46 @@ class TestArtifactRoundTrip:
             outs.append((out / "records.jsonl").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_artifact_checks_form_no_pole(self, monkeypatch, tmp_path, headline_artifacts):
+        """No check of the contour route sums g, so verifying from the
+        artifacts forms no zero of the config: it exits 1 on the known
+        cauchy record, as it does with the zeros in reach."""
+
+        def unreachable(cfg, k):
+            raise AssertionError(f"zeros of block {k} formed")
+
+        monkeypatch.setattr(interpolation, "zeros", unreachable)
+        cfg, built = headline_artifacts
+        code = main(
+            ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--artifacts", str(built),
+             "--checks", "interpolation,summability,cauchy,asymptotics"]
+        )
+        assert code == 1
+
+    def test_top_block_zeros_formed_once(self, monkeypatch, tmp_path, headline_artifacts):
+        """construct and a plain verify that sums g form the 4096 zeros of
+        block 4 once each: the interpolant keeps the ones its residues
+        came from."""
+        calls = []
+        real = product.zeros
+
+        def counting(cfg, k):
+            calls.append(k)
+            return real(cfg, k)
+
+        for module in (product, interpolation, cli):
+            if hasattr(module, "zeros"):
+                monkeypatch.setattr(module, "zeros", counting)
+        cfg, _ = headline_artifacts
+        common = ["--config", cfg]
+        assert main(["construct", *common, "--out", str(tmp_path / "art")]) == 0
+        assert calls.count(4) == 1
+        code = main(
+            ["verify", *common, "--out", str(tmp_path / "v"), "--points", "2",
+             "--checks", "interpolation,residual"]
+        )
+        assert code == 0 and calls.count(4) == 2
+
 
 class TestFaultMatrix:
     """Each row plants one targeted fault in a verify run on the headline
@@ -562,6 +635,9 @@ class TestFaultMatrix:
         "check, eq, extra, fault",
         [
             pytest.param("asymptotics", "2c", (), _off_by_one_n3, id="asymptotics-wrong-n3"),
+            pytest.param(
+                "summability", "3x", (), _residue_4_1234_times_10, id="summability-large-residue"
+            ),
             pytest.param(
                 "proximity", "3a", (), _residue_2_1_times_1e12, id="proximity-large-residue"
             ),
@@ -639,6 +715,27 @@ class TestDeterminism:
             "art/system.json",
         ):
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
+    def test_json_outputs_keep_their_layout(self, tmp_path):
+        """Every JSON file that construct, verify, scan and report write is
+        ``json.dumps(obj, indent=1)`` plus a newline, whatever the writer."""
+        cfg = write_config(tmp_path, ANCHOR)
+        out = tmp_path / "run"
+        common = ["--config", cfg, "--out", str(out)]
+        main(["construct", *common])
+        main(["verify", *common, "--points", "2", "--checks", "interpolation,summability"])
+        for kind in ("order", "witness", "indicator"):
+            main(["scan", *common, "--scan", kind, "--angles", "8"])
+        main(["report", "--out", str(out)])
+        names = sorted(path.name for path in out.glob("*.json"))
+        assert names == [
+            "config.json", "indicator_summary.json", "order_summary.json", "report.json",
+            "residues.json", "system.json", "verify_summary.json", "witness_summary.json",
+            "zeros.json",
+        ]
+        for name in names:
+            text = (out / name).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=1) + "\n", name
 
     def test_seed_changes_sample_points(self, tmp_path):
         cfg = write_config(tmp_path, ANCHOR)

@@ -101,6 +101,17 @@ class TestResidues:
         assert bad.c_bound == fresh.c_bound
         assert bad.tail_sum_bound == fresh.tail_sum_bound
 
+    def test_poles_formed_from_the_config_on_first_read(self):
+        """An interpolant built from residues alone forms no pole until one
+        is read; then it forms the zeros that ``residues_from_f`` handed
+        over, bit for bit.  ``with_residue`` forms none either."""
+        cfg = make_schedule(0.5, 3, "factorial")
+        rat = residues_from_f(cfg)
+        lazy = config_interpolant(cfg, None, rat.residues)
+        assert lazy._poles is None and lazy.with_residue(0, 1)._poles is None
+        assert eval_g(lazy, 5) == eval_g(rat, 5)
+        assert lazy._poles == rat.poles
+
 
 class TestEvalG:
     def test_partial_fraction_oracle(self):
