@@ -3,22 +3,12 @@
 Base pair:  A0 = f*g  and  B0 = -(f'' + A0 f')/f.  At every zero z_k of
 f the numerator of B0 vanishes by the interpolation identity
 A0(z_k) f'(z_k) + f''(z_k) = 0 (the residues were chosen exactly so),
-which makes B0 analytic there.  One nearest-zero scan per point
-(``_route``) picks one of two routes from the relative distance rel to
-the nearest zero xi and the switch s = 10^(-P/4): at rel >= s the
-defining quotient (``_direct``, which watches f'' + A0 f' for lost
-digits), and inside s the zero's Taylor jet (``_zero_jet``) in h = z - xi,
-
-    f  ~= h (f1 + h f2/2 + h^2 f3/6 + h^3 f4/24),
-    f' ~= f1 + h f2 + h^2 f3/2 + h^3 f4/6,
-    A0 ~= a0 + h a0' + h^2 a0''/2,        B0 ~= b0 + h b0',
-
-from fi = f^(i)(xi) and the regular part g_r of g at the pole:
-a0 = u f1, a0' = u f2/2 + f1 g_r, a0'' = u f3/3 + 2 f1 g_r' + f2 g_r,
-b0 = -(f3 + a0' f1 + a0 f2)/f1 (L'Hopital at xi) and
-b0' = N''/(2 f1) - N' f2/(2 f1^2) for N = -(f'' + A0 f').  The quotient
-loses about 10^-P/rel^2 (z is rounded against the stored zero) and the
-jet truncates at about (n_k rel)^2; s balances the two.
+which makes B0 analytic there; the interpolation check certifies that
+identity at the zeros.  Away from them B0 is the defining quotient
+(``_direct``, which watches f'' + A0 f' for lost digits).  The quotient
+loses about 10^-P/rel^2 at relative distance rel from the nearest zero
+(z is rounded against the stored zero), so one nearest-zero scan per
+point refuses every z within s = 10^(-P/4) of a zero with NearZeroError.
 
 Perturbed pair:  A = A0 + H*f,  B = B0 - H*f', where H is a product
 with zeros spread along the negative real axis at -m^{1/rho_H}; the
@@ -53,13 +43,7 @@ from .errors import (
     TailError,
     ZeroOnContourError,
 )
-from .interpolation import (
-    RationalInterpolant,
-    _g_sum,
-    g_regular_at,
-    g_tail_bound,
-    residues_from_f,
-)
+from .interpolation import RationalInterpolant, _g_sum, g_tail_bound, residues_from_f
 from .product import (
     DEFAULT_DPS,
     LacunaryConfig,
@@ -181,25 +165,16 @@ def make_system(
 # A0 and B0
 
 
-def _switch(cfg: LacunaryConfig) -> mpf:
-    """s = 10^(-P/4), the relative distance to a zero inside which A0 and B0
-    come from the zero's jet (see the module docstring)."""
-    return mp.power(10, -mpf(cfg.dps) / 4)
-
-
-def _route(sys: CoefficientSystem, z: mpc) -> tuple[bool, int, int]:
-    """(direct, k, m) for z from one nearest-zero scan, (k, m) the zero it
-    found and ``direct`` whether z lies at least s (relative) from it.  The
-    direct route needs no other guard: s exceeds f_jet's 10^(-P/2), and
-    g's poles are f's zeros."""
-    k, m, _, rel = nearest_zero(sys.cfg, z)
-    return rel >= _switch(sys.cfg), k, m
-
-
 def _direct(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc, mpc, mpc]:
-    """(f, f', A0, B0, f'') at z at least 10^(-P/2) (relative) from every
-    zero, B0 by the defining quotient; raises CancellationError when
-    f'' + A0 f' loses more than P/2 digits (the switch s is too small)."""
+    """(f, f', A0, B0, f'') at z, B0 by the defining quotient.
+
+    One nearest-zero scan raises NearZeroError within s = 10^(-P/4)
+    (relative) of a zero; z needs no other guard: s exceeds f_jet's
+    10^(-P/2), and g's poles are f's zeros.  Raises CancellationError when
+    f'' + A0 f' loses more than P/2 digits (s is too small)."""
+    k, m, _, rel = nearest_zero(sys.cfg, z)
+    if rel < mp.power(10, -mpf(sys.dps) / 4):
+        raise NearZeroError(f"z within relative 10^-{sys.dps / 4:g} of zero {(k, m)}")
     _check_domain(sys.cfg, z)  # f's domain lies inside g's
     f, fp, fpp = _f_jet(sys.cfg, z, 2)
     a0 = f * _g_sum(sys.rat, z)
@@ -210,52 +185,22 @@ def _direct(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc, mpc, mpc]:
         if lost > mpf(sys.dps) / 2:
             raise CancellationError(
                 f"B0 quotient lost {float(lost):.1f} digits at z={z}; "
-                "the near-zero switch radius is too small",
+                "the near-zero radius is too small",
                 digits_lost=float(lost),
             )
     return f, fp, a0, -num / f, fpp
 
 
-def _zero_jet(sys: CoefficientSystem, z: mpc, k: int, m: int) -> tuple[mpc, mpc, mpc, mpc]:
-    """(f, f', A0, B0) at z from the Taylor jet of the zero xi = (k, m) (the
-    module docstring), from one ``derivs_at_zero`` and one ``g_regular_at``
-    call."""
-    xi = zero_point(sys.cfg, k, m)
-    i = sys.rat.pole_index(k, m)
-    u = sys.rat.residues[i]
-    f1, f2, f3, f4 = derivs_at_zero(sys.cfg, k, m, order=4)
-    g_r, g_rp = g_regular_at(sys.rat, i)
-    a0 = u * f1
-    a0p = u * f2 / 2 + f1 * g_r
-    a0pp = u * f3 / 3 + 2 * f1 * g_rp + f2 * g_r
-    n1 = -(f3 + a0p * f1 + a0 * f2)
-    n2 = -(f4 + a0pp * f1 + 2 * a0p * f2 + a0 * f3)
-    b0 = n1 / f1
-    b0p = n2 / (2 * f1) - n1 * f2 / (2 * f1 * f1)
-    h = z - xi
-    f = h * (f1 + h * (f2 / 2 + h * (f3 / 6 + h * f4 / 24)))
-    fp = f1 + h * (f2 + h * (f3 / 2 + h * f4 / 6))
-    return f, fp, a0 + h * (a0p + h * a0pp / 2), b0 + h * b0p
-
-
-def _base(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc, mpc]:
-    """(f, f', A0, B0) at z by the route of its one scan."""
-    direct, k, m = _route(sys, z)
-    if direct:
-        return _direct(sys, z)[:4]
-    return _zero_jet(sys, z, k, m)
-
-
 def eval_A0(sys: CoefficientSystem, z) -> mpc:
-    """A0(z) = f(z) g(z), from the zero's jet within s (relative) of a zero."""
+    """A0(z) = f(z) g(z); NearZeroError within s (relative) of a zero."""
     with mp.workdps(sys.dps):
-        return _base(sys, mpc(z))[2]
+        return _direct(sys, mpc(z))[2]
 
 
 def eval_B0(sys: CoefficientSystem, z) -> mpc:
-    """B0(z), from the zero's jet within s (relative) of a zero."""
+    """B0(z); NearZeroError within s (relative) of a zero."""
     with mp.workdps(sys.dps):
-        return _base(sys, mpc(z))[3]
+        return _direct(sys, mpc(z))[3]
 
 
 def eval_AB(sys: CoefficientSystem, z) -> tuple[mpc, mpc]:
@@ -265,7 +210,7 @@ def eval_AB(sys: CoefficientSystem, z) -> tuple[mpc, mpc]:
     with mp.workdps(sys.dps):
         z = mpc(z)
         hval = sys.h.eval(z)
-        f, fp, a0, b0 = _base(sys, z)
+        f, fp, a0, b0, _ = _direct(sys, z)
         return a0 + hval * f, b0 - hval * fp
 
 
@@ -282,11 +227,6 @@ def residual(sys: CoefficientSystem, z, c_scales=()) -> list[mpf]:
     """
     with mp.workdps(sys.dps):
         z = mpc(z)
-        direct, k, m = _route(sys, z)
-        if not direct:
-            raise NearZeroError(
-                f"residual point within relative 10^-{sys.dps / 4:g} of zero {(k, m)}"
-            )
         f, fp, a0, b0, fpp = _direct(sys, z)
         pairs = [(a0, b0)]
         if c_scales:
@@ -339,7 +279,7 @@ def interpolation_identity_residuals(sys: CoefficientSystem) -> list[tuple[int, 
             for m in indices:
                 i = sys.rat.pole_index(k, m)
                 u = sys.rat.residues[i]
-                f1, f2 = derivs_at_zero(sys.cfg, k, m, order=2)
+                f1, f2 = derivs_at_zero(sys.cfg, k, m)
                 value = abs(u * f1 * f1 + f2) / abs(f2)
                 out.append((k, m, value))
     return out
@@ -443,7 +383,7 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> Cauchy
         raise ConfigError(f"nodes must divide {MAX_NODES} and exceed 1, got {nodes}")
     with mp.workdps(cfg.dps):
         r_k, n_k = cfg.block(k)
-        f1, f2 = derivs_at_zero(cfg, k, m, order=2)
+        f1, f2 = derivs_at_zero(cfg, k, m)
         direct = f2 / (f1 * f1)
         tol = CONTOUR_AGREEMENT_THRESHOLD / 10 * abs(direct)
         radius, halvings = r_k / n_k, 0

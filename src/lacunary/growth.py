@@ -419,7 +419,7 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
         bound_ii = 2 * mpf(sum_prev) / n_k + mp.power(10, -(mpf(cfg.dps) - 10))
         dev_ii = mpf(0)
         for z in points:
-            lhs = z * log_derivative(cfg, z, order=1)
+            lhs = z * log_derivative(cfg, z)
             w = mp.power(z / r_k, n_k)
             rhs = mpf(sum_prev) + mpf(n_k) * (w / (w - 1))
             dev_ii = max(dev_ii, abs(lhs - rhs) / n_k)

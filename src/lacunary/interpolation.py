@@ -10,7 +10,7 @@ that configuration's product, in block order.  An interpolant is built
 from its residues alone: ``residues_from_f`` also hands over the zeros it
 forms for its roots, and otherwise (the CLI's artifact loader) the poles
 are formed from the config on first read of ``poles``, which only the
-sums over g (:func:`_g_sum`, :func:`g_regular_at`) do.
+sum over g (:func:`_g_sum`) does.
 
 The residues are produced by factor extraction (never by numerically
 dividing near the zeros), one block at a time, and the interpolant
@@ -273,21 +273,6 @@ def _aliasing_bound(blocks, x, size) -> mpf:
         bound = n * rn * M / (r * (1 - rn) * abs(x - rho))
         best = min(best, bound + size if x < rho else bound)
     return best
-
-
-def g_regular_at(rat: RationalInterpolant, index: int) -> tuple[mpc, mpc]:
-    """(g_r(z_i), g_r'(z_i)) of the regular part g - u_i/(z - z_i) at its pole."""
-    with mp.workdps(rat.cfg.dps):
-        xi = rat.poles[index]
-        val = mpc(0)
-        der = mpc(0)
-        for i, (p, u) in enumerate(zip(rat.poles, rat.residues)):
-            if i == index:
-                continue
-            d = xi - p
-            val += u / d
-            der -= u / (d * d)
-        return val, der
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,16 @@ power (z/r_k)^{n_k} once, as one ``mp.power`` in plain ``mpc`` whose
 n_k.bit_length() + 20 guard bits absorb the n_k-fold growth of rounding
 errors, so block exponents up to 2^60 and radii up to 2^5040 stay exact;
 an exact zero stays ``mpc(0)``.
-Derivatives at zeros use factor extraction: write f = q*P with q the
-vanishing factor; P and its derivatives come from termwise logarithmic
-differentiation of the remaining (nonvanishing) product, where every
-other block's power is a real power times an exact root of unity.  Two
-routes reach the zeros.  ``derivs_at_zero`` serves one zero and returns
-its derivatives up to the fourth.  ``_block_residues`` serves a whole
-block and returns only the residues u = -f''/f'^2, in closed form: it
-forms the other blocks' real powers once per block and takes each root
-from the block's zeros.  They share the real powers (``_other_blocks``)
-and the product over the other blocks (``_extracted``), but not the step
+At the zeros, f' and f'' come from factor extraction: write f = q*P with
+q the vanishing factor; P' comes from the logarithmic derivative of the
+remaining (nonvanishing) product, where every other block's power is a
+real power times an exact root of unity.  Two routes reach the zeros.
+``derivs_at_zero`` serves one zero and returns (f', f'').
+``_block_residues`` serves a whole block and returns only the residues
+u = -f''/f'^2, in closed form: it forms the other blocks' real powers
+once per block and takes each root from the block's zeros.  They share
+the real powers (``_other_blocks``) and the product over the other
+blocks with its log-derivative sum (``_extracted``), but not the step
 from there to the derivatives, so the interpolation check, which holds
 the stored residues against the f' and f'' of ``derivs_at_zero``,
 compares two routes.  All passes hand each power w to one kernel,
@@ -164,7 +164,7 @@ def _validate_blocks(rho, blocks, dps) -> None:
             raise ConfigError(f"block {k}: radius must be positive, got {r}")
         if r <= prev_r:
             raise ConfigError(f"block {k}: radii must be strictly increasing")
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ConfigError(f"block {k}: multiplicity must be a positive integer, got {n!r}")
         target = _round_power(r, rho)
         if abs(n - target) > 1:
@@ -207,12 +207,19 @@ def config_from_blocks(blocks, rho_f=mpf("0.5"), dps: int = DEFAULT_DPS) -> Lacu
         raise ConfigError(f"precision must be at least {MIN_DPS} digits, got {dps}")
     with mp.workdps(dps):
         try:
-            blks = tuple((mpf(r), int(n)) for r, n in blocks)
+            blks = tuple((mpf(r), n) for r, n in blocks)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"blocks must be a list of [r, n] pairs: {exc}") from exc
         _validate_blocks(rho, blks, dps)
         cert = _certificate(rho, blks, None, dps)
         return LacunaryConfig(rho_f=rho, blocks=blks, dps=dps, rule=None, sigma_certificate=cert)
+
+
+def _integer(value, key: str) -> int:
+    """``value`` if it is an int: a JSON 4.5, true or Infinity is no count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def config_from_dict(d: dict) -> LacunaryConfig:
@@ -224,9 +231,9 @@ def config_from_dict(d: dict) -> LacunaryConfig:
     if not isinstance(d, dict):
         raise ConfigError("config must be a JSON object")
     try:
-        dps = int(d.get("precision_digits", DEFAULT_DPS))
+        dps = _integer(d.get("precision_digits", DEFAULT_DPS), "precision_digits")
         rho = mpf(str(d.get("rho_f", "0.5")))
-        rule, K = (None, None) if "blocks" in d else (d["rule"], int(d["K"]))
+        rule, K = (None, None) if "blocks" in d else (d["rule"], _integer(d["K"], "K"))
     except KeyError as exc:
         raise ConfigError(f"config missing required key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -286,11 +293,11 @@ def _check_domain(cfg: LacunaryConfig, z: mpc) -> None:
 
 # For w = (z/r)^n the term in f'/f is T = (n/z) * w/(w-1); differentiating,
 #   T'  = -(n/z^2) (s + n t)
-# with s = w/(w-1), t = w/(w-1)^2; the next derivative adds y = w(w+1)/(w-1)^3.
+# with s = w/(w-1), t = w/(w-1)^2.
 
 
 def _block_terms(w: mpc, a: mpf, v: mpc | None, terms: int, lossy: mpf | None) -> tuple:
-    """(1 - w, s, t, y) for one block's power w with a = |w|: its factor of f
+    """(1 - w, s, t) for one block's power w with a = |w|: its factor of f
     and its first ``terms`` terms in the log-derivative sums (the rest None).
 
     A factor below ``lossy`` = 10^(5-P) times max(1, a) (more than P-5
@@ -307,7 +314,7 @@ def _block_terms(w: mpc, a: mpf, v: mpc | None, terms: int, lossy: mpf | None) -
         message = f"factor cancelled {digits_lost:.1f} of {mp.dps} digits"
         raise CancellationError(message, result=factor, digits_lost=digits_lost)
     if not terms:
-        return factor, None, None, None
+        return factor, None, None
     if a > 1:
         v = 1 / w if v is None else v
         inv = 1 / (1 - v)
@@ -315,8 +322,7 @@ def _block_terms(w: mpc, a: mpf, v: mpc | None, terms: int, lossy: mpf | None) -
     else:
         v, inv = w, -1 / factor
         s = w * inv
-    t = v * inv * inv if terms >= 2 else None
-    return factor, s, t, t * (1 + v) * inv if terms == 3 else None
+    return factor, s, v * inv * inv if terms == 2 else None
 
 
 def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
@@ -338,7 +344,7 @@ def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
         with mp.extraprec(n.bit_length() + 20):
             w = mp.power(z / r, n)
         try:
-            factor, s, t, _ = _block_terms(w, abs(w), None, terms, lossy)
+            factor, s, t = _block_terms(w, abs(w), None, terms, lossy)
         except CancellationError as exc:
             error, lossy, terms, factor = exc, None, 0, exc.result
         f *= factor
@@ -558,11 +564,11 @@ def _fprime_on_circle(cfg: LacunaryConfig, zero: tuple[int, int], radius, direct
         return vals
 
 
-def log_derivative(cfg: LacunaryConfig, z, order: int = 1) -> mpc:
-    """f'/f (order 1) or (f'/f)' (order 2), summed termwise over blocks."""
+def log_derivative(cfg: LacunaryConfig, z) -> mpc:
+    """f'/f, summed termwise over blocks."""
     with mp.workdps(cfg.dps):
         # f itself is dropped here, so a lossy factor of it is harmless
-        return _jet(cfg.blocks, _guarded(cfg, z, order), order, False)[order]
+        return _jet(cfg.blocks, _guarded(cfg, z, 1), 1, False)[1]
 
 
 def derivative_ratio_bound(cfg: LacunaryConfig, k: int) -> mpf:
@@ -594,12 +600,11 @@ def _other_blocks(cfg: LacunaryConfig, k: int) -> list[tuple[int, mpf]]:
 
 
 def _extracted(
-    others, m: int, n: int, root, order: int, lossy: mpf, memo: dict, last: int
-) -> tuple[mpc, ...]:
-    """(P, S1, S2, S3): P is the product of the other blocks at the zero
-    xi = r_k omega^m of a block with n zeros, and S1, S2, S3 are xi L1,
-    xi^2 L1' and xi^3 L1'' for its log-derivative L1 = P'/P, formed up to
-    ``order`` - 1 (the rest stay 0).
+    others, m: int, n: int, root, lossy: mpf, memo: dict, last: int
+) -> tuple[mpc, mpc]:
+    """(P, S1): P is the product of the other blocks at the zero
+    xi = r_k omega^m of a block with n zeros, and S1 = xi P'/P the sum
+    of its log-derivative terms.
 
     ``others`` comes from :func:`_other_blocks`, and ``root(i)`` returns
     omega^i: block j's power is (r_k/r_j)^{n_j} omega^{(m n_j) mod n_k},
@@ -612,25 +617,20 @@ def _extracted(
     zero up to ``last`` still needs it.
     """
     P = mpc(1)
-    S1 = S2 = S3 = mpc(0)
+    S1 = mpc(0)
     for j, (nj, a) in enumerate(others):
         index = m * nj % n
         terms = memo.pop((j, index), None)
         if terms is None:
             rt = root(index) if index else mpc(1)
             v = mp.conj(rt) / a if a > 1 else None
-            terms = _block_terms(a * rt, a, v, order - 1, lossy)
+            terms = _block_terms(a * rt, a, v, 1, lossy)
         if m + n // math.gcd(nj, n) <= last:
             memo[j, index] = terms
-        factor, s, t, y = terms
+        factor, s, _ = terms
         P *= factor
-        if order >= 2:
-            S1 += nj * s
-        if order >= 3:
-            S2 -= nj * (s + nj * t)
-        if order == 4:
-            S3 += 2 * nj * s + 3 * mpf(nj) ** 2 * t + mpf(nj) ** 3 * y
-    return P, S1, S2, S3
+        S1 += nj * s
+    return P, S1
 
 
 def _block_residues(cfg: LacunaryConfig, k: int, poles) -> list[mpc]:
@@ -658,18 +658,18 @@ def _block_residues(cfg: LacunaryConfig, k: int, poles) -> list[mpc]:
 
         residues, memo = [], {}
         for m in range(n // 2 + 1):
-            P, S1, _, _ = _extracted(others, m, n, root, 2, lossy, memo, n // 2)
+            P, S1 = _extracted(others, m, n, root, lossy, memo, n // 2)
             residues.append((n - 1 + 2 * S1) / (n * P))
         return residues + [mp.conj(residues[n - m]) for m in range(n // 2 + 1, n)]
 
 
-def derivs_at_zero(cfg: LacunaryConfig, k: int, m: int, order: int = 3) -> tuple[mpc, ...]:
-    """(f'(xi), f''(xi), f'''(xi)[, f''''(xi)]) at the zero xi by factor extraction.
+def derivs_at_zero(cfg: LacunaryConfig, k: int, m: int) -> tuple[mpc, mpc]:
+    """(f'(xi), f''(xi)) at the zero xi by factor extraction.
 
     f = q*P with q = 1-(z/r_k)^{n_k}; at xi the power is exactly 1, so
-    q^(i)(xi) = -n(n-1)...(n-i+1)/xi^i, and P, P', P'', P''' come from the
-    log-derivative sums L1, L1', L1'' of the remaining product, which
-    cannot vanish at xi (distinct block moduli).
+    q'(xi) = -n/xi and q''(xi) = -n(n-1)/xi^2, and P' = P L1 comes from
+    the log-derivative sum L1 of the remaining product, which cannot
+    vanish at xi (distinct block moduli).
 
     Each other block's power is formed from exact roots of unity: with
     xi = r_k omega^m, omega = exp(2 pi i/n_k),
@@ -679,36 +679,18 @@ def derivs_at_zero(cfg: LacunaryConfig, k: int, m: int, order: int = 3) -> tuple
     a real power times one root whose index is reduced in integers, so
     the angle is exact for any n_j (2^60 included).
     """
-    if order not in (1, 2, 3, 4):
-        raise ConfigError(f"order must be in 1..4, got {order}")
     _, n = _check_enumerable(cfg, k)
     with mp.workdps(cfg.dps):
         inv_xi = 1 / zero_point(cfg, k, m)
-        q = [None]  # q[i] = q^(i)(xi), i >= 1
-        fall = mpf(1)
-        for i in range(1, order + 1):
-            fall *= n - (i - 1)
-            q.append(-fall * inv_xi**i)
-
+        fall = mpf(n)
+        q1 = -fall * inv_xi
+        q2 = -(fall * (n - 1)) * inv_xi**2
         lossy = mpf(10) ** (5 - cfg.dps)
 
         def root(i):
             return mp.expjpi(2 * mpf(i) / n)
 
-        P, L1, L2, L3 = _extracted(_other_blocks(cfg, k), m, n, root, order, lossy, {}, m)
-        # the sums carry the factors 1/xi, 1/xi^2, 1/xi^3 outside
-        L1 *= inv_xi
-        L2 *= inv_xi * inv_xi
-        L3 *= inv_xi * inv_xi * inv_xi
-
-        P1 = P * L1
-        derivs = [q[1] * P]
-        if order >= 2:
-            derivs.append(q[2] * P + 2 * q[1] * P1)
-        if order >= 3:
-            P2 = P * (L1 * L1 + L2)
-            derivs.append(q[3] * P + 3 * q[2] * P1 + 3 * q[1] * P2)
-        if order >= 4:
-            P3 = P * (L1**3 + 3 * L1 * L2 + L3)
-            derivs.append(q[4] * P + 4 * q[3] * P1 + 6 * q[2] * P2 + 4 * q[1] * P3)
-        return tuple(derivs)
+        P, S1 = _extracted(_other_blocks(cfg, k), m, n, root, lossy, {}, m)
+        # S1 carries the factor 1/xi outside
+        P1 = P * (S1 * inv_xi)
+        return q1 * P, q2 * P + 2 * q1 * P1

@@ -1,10 +1,8 @@
 import mpmath
 
-from lacunary import NearZeroError
-from lacunary.coefficients import _direct, _zero_jet
 from lacunary.growth import _logmag
 from lacunary.interpolation import eval_g
-from lacunary.product import _extracted, _near_zero_margin, _other_blocks, nearest_zero
+from lacunary.product import _extracted, _other_blocks
 
 
 def rel_err(a, b):
@@ -75,7 +73,7 @@ def block_residues_per_zero(cfg, k, poles):
         lossy = mpmath.mpf(10) ** (5 - cfg.dps)
         residues = []
         for m in range(n):
-            P, S1, _, _ = _extracted(others, m, n, lambda i: poles[i] / r, 2, lossy, {}, m)
+            P, S1 = _extracted(others, m, n, lambda i: poles[i] / r, lossy, {}, m)
             residues.append((n - 1 + 2 * S1) / (n * P))
         return residues
 
@@ -106,24 +104,6 @@ def recover_residue(rat, index):
             w = mp.expjpi(2 * mpmath.mpf(j) / nodes)
             total += eval_g(rat, xi + radius * w) * w
         return total * radius / nodes
-
-
-def eval_B0_direct(sys, z):
-    """B0 by the defining quotient (NearZeroError within 10^(-P/2) of a zero)."""
-    with mpmath.mp.workdps(sys.dps):
-        z = mpmath.mpc(z)
-        k, m, _, rel = nearest_zero(sys.cfg, z)
-        if rel < _near_zero_margin(sys.cfg):
-            raise NearZeroError(f"z within relative 10^-{sys.dps // 2} of zero {(k, m)}")
-        return _direct(sys, z)[3]
-
-
-def eval_B0_series(sys, z):
-    """B0 by the expansion at the nearest zero."""
-    with mpmath.mp.workdps(sys.dps):
-        z = mpmath.mpc(z)
-        k, m, _, _ = nearest_zero(sys.cfg, z)
-        return _zero_jet(sys, z, k, m)[3]
 
 
 def h_tail_log_bound(h, radius):

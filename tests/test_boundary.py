@@ -104,7 +104,7 @@ def test_public_evaluators_return_mpc():
         product._jet(cfg.blocks, mpc(4 * (1 + mpf(10) ** -98)), 0, False)[0],  # the lossy value
         eval_f(rule_cfg, mpc(3, 1)),
         eval_f_scan(rule_cfg, mpc(40, 1)),
-        *derivs_at_zero(cfg, 2, 1, order=4),
+        *derivs_at_zero(cfg, 2, 1),
         build_H(0.25, 64).eval(mpc(1, 2)),
     ]
     for value in values:
@@ -131,15 +131,14 @@ def test_factor_extraction_runs_without_the_log_domain(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     cfg = config_from_blocks([(4, 2), (16, 4)])
     rule_cfg = make_schedule(0.5, 5, "factorial")
-    for order in (1, 2, 3, 4):
-        for k, m in ((1, 1), (2, 3)):
-            assert len(derivs_at_zero(cfg, k, m, order=order)) == order
+    for k, m in ((1, 1), (2, 3)):
+        assert len(derivs_at_zero(cfg, k, m)) == 2
     rat = residues_from_f(cfg)
     assert len(rat.residues) == 6
     z = mpc(3, 1)
     assert eval_f(cfg, z) == f_jet(cfg, z, 2)[0]
     assert len(f_jet(rule_cfg, z, 2)) == 3
-    assert log_derivative(rule_cfg, z, order=2) != 0
+    assert log_derivative(rule_cfg, z) != 0
     assert eval_f_scan(rule_cfg, mpc(40, 1)) != 0
 def test_scan_cancellation_carries_mpc():
     """eval_f_scan raises the same CancellationError as eval_f near a zero,

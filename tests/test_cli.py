@@ -29,6 +29,7 @@ FACT3 = {"rho_f": 0.5, "rule": "factorial", "K": 3, "precision_digits": 100, "rh
 FACT7 = {"rho_f": 0.5, "rule": "factorial", "K": 7, "precision_digits": 100}
 SINGLE = {"blocks": [[4, 2]], "rho_f": 0.5, "precision_digits": 100}
 HEADLINE = {"rho_f": 0.5, "rule": "factorial", "K": 4, "precision_digits": 100}
+THEOREM = {"rho_f": 0.45, "rule": "factorial", "K": 4, "precision_digits": 100, "rho_H": 0.48}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -96,7 +97,8 @@ class TestConstruct:
 
     def test_invalid_rho_exit_2(self, tmp_path, capsys):
         """An out-of-range rho_f and values of the wrong type are config
-        errors, never a traceback."""
+        errors, never a traceback; a count (K, precision_digits, a block's
+        n) that is a float, a bool or Infinity is never truncated to an int."""
         rule = {"rho_f": 0.5, "rule": "factorial", "K": 3}
         for i, payload in enumerate(
             (
@@ -107,6 +109,10 @@ class TestConstruct:
                 {**rule, "rho_H": "x"},
                 {"blocks": [[4, 2], ["a", 4]], "rho_f": 0.5},
                 {"blocks": 5, "rho_f": 0.5},
+                {**rule, "K": 4.5},
+                {**rule, "K": True},
+                {"blocks": [[4, 2.7], [16, 4]], "rho_f": 0.5},
+                {**rule, "precision_digits": float("inf")},
             )
         ):
             cfg = write_config(tmp_path, payload, name=f"config{i}.json")
@@ -130,6 +136,50 @@ class TestVerify:
         assert all("eq" in r for r in records)
         eqs = {r["eq"] for r in records}
         assert {"3f", "1c", "1d", "3x", "1b", "2f", "2a", "2c", "2e", "3a", "3h"} <= eqs
+
+    CAUCHY_2F = ("cauchy", "2f", None, "blockwise ratios strictly decreasing", None)
+
+    @pytest.mark.parametrize(
+        "payload, count, failing",
+        [
+            pytest.param({**HEADLINE, "rho_H": 0.4}, 701, [CAUCHY_2F], id="headline"),
+            pytest.param(
+                THEOREM,
+                699,
+                [
+                    CAUCHY_2F,
+                    ("asymptotics", "2c", [3, 0], "disk free of zeros of f'", 1),
+                    (
+                        "asymptotics",
+                        "2c",
+                        None,
+                        "zero-free disk confirmed for every applicable block",
+                        None,
+                    ),
+                ],
+                id="theorem",
+            ),
+        ],
+    )
+    def test_all_checks_fail_only_the_known_records(self, tmp_path, payload, count, failing):
+        """``verify --checks all`` exits 1 on the headline and theorem
+        configs, failing exactly the records that ROADMAP.md item 2 leaves
+        open: the blockwise-ratio record of 2(a) (the step from block 1 to
+        block 2) and, on the theorem config, the zero-free disk of block 3
+        (winding 1) and its summary, 2(b).  When item 2 lands both runs exit
+        0 and this test changes with it."""
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "all"]) == 1
+        lines = (out / "records.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert len(records) == count
+        failed = [
+            (r["check"], r["eq"], r["zero"], r["property"], r.get("winding"))
+            for r in records
+            if not r["pass"]
+        ]
+        assert failed == failing
 
     def test_low_precision_exit_3_with_suggestion(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FACT3)
@@ -509,8 +559,8 @@ def _off_by_one_n3(monkeypatch, art):
     blocks = config_from_blocks([(2, 1), (4, 2), (64, 9), (2**24, 4096)]).blocks
     real = growth.log_derivative
 
-    def wrong(cfg, z, order=1):
-        return real(dataclasses.replace(cfg, blocks=blocks), z, order)
+    def wrong(cfg, z):
+        return real(dataclasses.replace(cfg, blocks=blocks), z)
 
     monkeypatch.setattr(growth, "log_derivative", wrong)
 

@@ -9,6 +9,7 @@ from mpmath import mp, mpc, mpf
 from lacunary import (
     CancellationError,
     ConfigError,
+    NearZeroError,
     TailError,
     config_from_blocks,
     make_schedule,
@@ -35,7 +36,7 @@ from lacunary.product import (
     zero_point,
 )
 
-from helpers import eval_B0_direct, eval_B0_series, h_tail_log_bound, rel_err
+from helpers import h_tail_log_bound, rel_err
 
 
 @pytest.fixture(scope="module")
@@ -57,12 +58,17 @@ class TestA0:
         assert rel_err(eval_A0(anchor_system, 2), -2) < mpf("1e-95")
         assert rel_err(eval_A0(anchor_system, mpc(1, 1)), mpc(-1, -1)) < mpf("1e-95")
 
-    def test_removable_value_at_pole(self, anchor_system):
-        # A0(1) = u f'(1) = 0.5 * (-2) = -1 = -f''(1)/f'(1)
-        assert rel_err(eval_A0(anchor_system, 1), -1) < mpf("1e-95")
-
     def test_origin_symmetry(self, anchor_system):
         assert abs(eval_A0(anchor_system, 0)) < mpf("1e-95")
+
+    def test_removable_value_next_to_pole(self, anchor_system):
+        """A0 = f g just outside s = 10^(-P/4) of the pole z = 1 of g meets
+        -z, whose value -1 at the pole is u f'(1) = 0.5 * (-2); at the pole
+        itself A0 raises NearZeroError."""
+        z = 1 + 2 * mp.power(10, -mpf(anchor_system.dps) / 4)
+        assert rel_err(eval_A0(anchor_system, z), -z) < mpf("1e-70")
+        with pytest.raises(NearZeroError):
+            eval_A0(anchor_system, 1)
 
 
 class TestB0:
@@ -74,38 +80,22 @@ class TestB0:
                 continue
             assert rel_err(eval_B0(anchor_system, z), 2) < mpf("1e-90")
 
-    def test_removable_branch_at_zero(self, anchor_system):
-        assert rel_err(eval_B0_series(anchor_system, 1), 2) < mpf("1e-90")
-        assert rel_err(eval_B0(anchor_system, 1), 2) < mpf("1e-90")
+    def test_removable_value_next_to_zero(self, anchor_system):
+        """The quotient -(f'' + A0 f')/f just outside s of the zero z = 1
+        loses about 10^-P/s^2 = 10^(-P/2) and still meets B0 = 2 within
+        10^(-P/3); at the zero itself B0 raises NearZeroError."""
+        z = 1 + 2 * mp.power(10, -mpf(anchor_system.dps) / 4)
+        assert rel_err(eval_B0(anchor_system, z), 2) < mpf(10) ** (-anchor_system.dps / 3)
+        with pytest.raises(NearZeroError):
+            eval_B0(anchor_system, 1)
 
-    def test_branch_agreement_just_outside_switch(self, anchor_system):
-        """Both evaluation routes agree far below the 10^(-P/3) contract."""
-        z = 1 + 2 * coefficients._switch(anchor_system.cfg)
-        d = eval_B0_direct(anchor_system, z)
-        s = eval_B0_series(anchor_system, z)
-        assert abs(d - s) < mpf(10) ** (-anchor_system.dps / 3)
-
-    def test_branch_agreement_nontrivial_config(self, factorial_system):
-        """Same cross-validation where B0 is not constant.  The series
-        branch carries one Taylor step, so its error is quadratic in the
-        offset: 2e-20 puts both routes far below 10^(-P/3)."""
-        for base in (mpf(2), mpf(4)):
-            z = base * (1 + mpf("2e-20"))
-            d = eval_B0_direct(factorial_system, z)
-            s = eval_B0_series(factorial_system, z)
-            assert abs(d - s) / abs(d) < mpf(10) ** (-factorial_system.dps / 3)
-
-    def test_direct_branch_refuses_too_close_points(self):
-        """Inside the guard band the direct branch must signal, never return
-        a silently cancelled value.  The near-zero precondition (relative
-        10^(-P/2)) and the digit-loss monitor (P/2 digits) overlap by
-        design; either refusal is correct."""
-        from lacunary import NearZeroError
-
+    def test_refuses_too_close_points(self):
+        """Within s = 10^(-P/4) (relative) of a zero B0 must signal, never
+        return a silently cancelled quotient: s is 1e-15 at 60 digits."""
         sys60 = make_system(config_from_blocks([(1, 2)], dps=60))
-        for eps in (mpf(10) ** -40, mpf(10) ** -31):
-            with pytest.raises((NearZeroError, CancellationError)):
-                eval_B0_direct(sys60, 1 + eps)
+        for eps in (mpf(10) ** -40, mpf(10) ** -31, mpf(10) ** -16):
+            with pytest.raises(NearZeroError):
+                eval_B0(sys60, 1 + eps)
 
 
 @pytest.fixture(scope="module")
@@ -117,20 +107,47 @@ def reference_system():
 class TestNearZeroAccuracy:
     def test_against_the_quotient_at_twice_the_precision(self, factorial_system, reference_system):
         """eval_A0 and eval_B0 within 10^(-P/3) of the defining quotient at
-        2P, on both sides of the switch s = 10^(-P/4) and far inside it.  At
-        0.99e-8 one Taylor step of B0 would truncate at about (n_k rel)^2;
-        at 1e-60 next to (4, 1234) the term h f' g_r outweighs A0's value
-        u f' at the zero."""
+        2P at relative distance 0.99e-8 and just outside s = 10^(-P/4) from
+        a zero, where the quotient loses about 10^-P/rel^2; inside s (0.99 s
+        and 1e-60) both raise NearZeroError."""
         cfg = factorial_system.cfg
-        s = coefficients._switch(cfg)
+        s = mp.power(10, -mpf(cfg.dps) / 4)
         tol = mpf(10) ** (-cfg.dps / 3)
         for k, m in ((1, 0), (3, 5), (4, 1234)):
             for rel in (mpf("0.99e-8"), mpf("1.01") * s, mpf("0.99") * s, mpf(10) ** -60):
                 z = zero_point(cfg, k, m) + rel * cfg.blocks[k - 1][0] * mp.expjpi(mpf("0.3"))
+                if rel < s:
+                    for evaluate in (eval_A0, eval_B0):
+                        with pytest.raises(NearZeroError):
+                            evaluate(factorial_system, z)
+                    continue
                 with mp.workdps(reference_system.dps):
                     _, _, a0, b0, _ = coefficients._direct(reference_system, z)
                 assert rel_err(eval_A0(factorial_system, z), a0) < tol, (k, m, rel)
                 assert rel_err(eval_B0(factorial_system, z), b0) < tol, (k, m, rel)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            eval_A0,
+            eval_B0,
+            eval_AB,
+            lambda sys, z: residual(sys, z, (1,)),
+        ],
+        ids=["eval_A0", "eval_B0", "eval_AB", "residual"],
+    )
+    def test_one_guard_radius_for_every_evaluator(self, factorial_system, evaluate):
+        """Every public evaluator of the coefficients refuses inside the same
+        relative radius s = 10^(-P/4) of a zero and answers just outside it."""
+        cfg = factorial_system.cfg
+        s = mp.power(10, -mpf(cfg.dps) / 4)
+        for k, m in ((1, 0), (3, 5)):  # inside H's validity radius
+            step = cfg.blocks[k - 1][0] * mp.expjpi(mpf("0.3"))
+            with pytest.raises(NearZeroError):
+                evaluate(factorial_system, zero_point(cfg, k, m) + mpf("0.99") * s * step)
+            outside = evaluate(factorial_system, zero_point(cfg, k, m) + mpf("1.01") * s * step)
+            values = outside if isinstance(outside, (list, tuple)) else [outside]
+            assert all(mp.isfinite(v) for v in values), (k, m)
 
 
 class TestH:
@@ -188,21 +205,28 @@ class TestH:
 
 
 class TestEvalAB:
-    def test_a_equals_a0_at_zeros(self, factorial_system):
-        for k, m in ((1, 0), (2, 0), (3, 3)):
-            xi = zero_point(factorial_system.cfg, k, m)
-            a, _ = eval_AB(factorial_system, xi)
-            a0 = eval_A0(factorial_system, xi)
-            assert abs(a - a0) <= mpf("1e-80") * max(1, abs(a0))
-
-    def test_b_differs_from_b0_at_zeros(self, factorial_system):
-        xi = zero_point(factorial_system.cfg, 2, 0)
-        _, b = eval_AB(factorial_system, xi)
-        b0 = eval_B0(factorial_system, xi)
+    def test_b_differs_from_b0_near_zeros(self, factorial_system):
+        """B - B0 = -H f' stays of order one next to a zero, where f vanishes
+        and A - A0 = H f does not show H."""
+        z = 4 * (1 + mpf("1e-20"))
+        _, b = eval_AB(factorial_system, z)
+        b0 = eval_B0(factorial_system, z)
         f1 = mpf("0.5")  # f'(4) for the factorial config, up to 2^-32 corrections
         h4 = factorial_system.h.eval(4).real
         assert abs(b - b0) > 1
         assert rel_err(abs(b - b0), h4 * f1) < mpf("1e-6")
+
+    def test_a_meets_a0_near_zeros(self, factorial_system):
+        """A - A0 = H f shrinks with f next to a zero: at relative distance
+        1e-20 it is below 10^-10 |A0| and still equals H f to 60 digits."""
+        cfg = factorial_system.cfg
+        for k, m in ((1, 0), (2, 0), (3, 3)):
+            z = zero_point(cfg, k, m) * (1 + mpf("1e-20"))
+            a, _ = eval_AB(factorial_system, z)
+            a0 = eval_A0(factorial_system, z)
+            hf = factorial_system.h.eval(z) * f_jet(cfg, z, 1)[0]
+            assert abs(a - a0) <= mpf("1e-10") * max(1, abs(a0)), (k, m)
+            assert rel_err(a - a0, hf) < mpf("1e-60"), (k, m)
 
     def test_perturbation_is_h_times_f(self):
         """A - A0 = H f and B - B0 = -H f' away from the zeros."""
@@ -250,14 +274,16 @@ class TestOneScanPerPoint:
         assert call_counts["nearest_zero"] == 1
 
     def test_eval_ab_near_a_zero(self, factorial_system, call_counts):
-        eval_AB(factorial_system, 4 * (1 + mpf("1e-30")))
+        with pytest.raises(NearZeroError):
+            eval_AB(factorial_system, 4 * (1 + mpf("1e-30")))
         assert call_counts["nearest_zero"] == 1
-        assert call_counts["derivs_at_zero"] == 1
+        assert call_counts["derivs_at_zero"] == 0
 
     def test_eval_ab_at_a_zero(self, factorial_system, call_counts):
-        eval_AB(factorial_system, zero_point(factorial_system.cfg, 2, 0))
+        with pytest.raises(NearZeroError):
+            eval_AB(factorial_system, zero_point(factorial_system.cfg, 2, 0))
         assert call_counts["nearest_zero"] == 1
-        assert call_counts["derivs_at_zero"] == 1
+        assert call_counts["derivs_at_zero"] == 0
 
 
 class TestResidual:
@@ -287,8 +313,6 @@ class TestResidual:
         assert mpf("1e-61") < tol < mpf("1e-59")
 
     def test_near_zero_sampling_rejected(self, factorial_system):
-        from lacunary import NearZeroError
-
         with pytest.raises(NearZeroError):
             residual(factorial_system, 4 * (1 + mpf(10) ** -30))
 
@@ -320,10 +344,10 @@ class TestInterpolationIdentity:
         real = product.derivs_at_zero
         calls = []
 
-        def mutated(cfg, k, m, order=3):
+        def mutated(cfg, k, m):
             calls.append((k, m))
-            f1, f2, *rest = real(cfg, k, m, order=order)
-            return (f1, f2 * (1 + mpf(10) ** -30), *rest)
+            f1, f2 = real(cfg, k, m)
+            return f1, f2 * (1 + mpf(10) ** -30)
 
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("lacunary") and hasattr(
@@ -346,7 +370,7 @@ class TestReciprocalDerivativeIdentity:
         for k, m in ((1, 0), (2, 1), (3, 0), (3, 5)):
             fd = reciprocal_derivative_fd(factorial_system, k, m)
             with mp.workdps(cfg.dps):
-                f1, f2 = derivs_at_zero(cfg, k, m, order=2)
+                f1, f2 = derivs_at_zero(cfg, k, m)
                 direct = f2 / (f1 * f1)
             assert rel_err(fd, direct) < tol
 
@@ -457,9 +481,9 @@ class TestContourNodeDoubling:
         every 2f record of the cauchy check."""
         real = coefficients.derivs_at_zero
 
-        def mutated(cfg, k, m, order=3):
-            f1, f2, *rest = real(cfg, k, m, order=order)
-            return (f1, f2 * (1 + mpf(10) ** -15), *rest)
+        def mutated(cfg, k, m):
+            f1, f2 = real(cfg, k, m)
+            return f1, f2 * (1 + mpf(10) ** -15)
 
         monkeypatch.setattr(coefficients, "derivs_at_zero", mutated)
         contour = [r for r in check_cauchy(factorial_system, 0) if r["eq"] == "2f"]

@@ -21,7 +21,6 @@ from lacunary.interpolation import (
     config_interpolant,
     eval_g,
     g_proximity,
-    g_regular_at,
     g_tail_bound,
     proximity_m,
     residues_from_f,
@@ -146,12 +145,6 @@ class TestEvalG:
         for _ in range(10):
             z = mpc(rng.uniform(-50, 50), rng.uniform(5, 50))
             assert abs(eval_g(rat, mp.conj(z)) - mp.conj(eval_g(rat, z))) < mpf("1e-85")
-
-    def test_g_regular_part(self):
-        rat = one_minus_z_squared()
-        val, der = g_regular_at(rat, 0)  # at pole z=1: 0.5/(1+1), -0.5/(1+1)^2
-        assert rel_err(val, mpf("0.25")) < mpf("1e-95")
-        assert rel_err(der, mpf("-0.125")) < mpf("1e-95")
 
     def test_tail_bound_finite_and_small(self):
         cfg = make_schedule(0.5, 3, "factorial")
@@ -296,7 +289,7 @@ def residue_rats(factorial_k4_rat, factorial_k4_rat_200):
 
 class TestBlockResidues:
     """The block-by-block residue pass against the per-zero route, -f''/f'^2
-    from ``derivs_at_zero(order=2)`` at each zero, and its conjugate half
+    from ``derivs_at_zero`` at each zero, and its conjugate half
     against its own closed form run on every zero."""
 
     @pytest.mark.parametrize("dps", [100, 200])
@@ -310,7 +303,7 @@ class TestBlockResidues:
                 # every zero of small blocks; a prime stride (and the last
                 # zero) through large ones still meets many root indices
                 for m in sorted({*range(0, n, 1 if n <= 64 else 37), n - 1}):
-                    f1, f2 = derivs_at_zero(cfg, k, m, order=2)
+                    f1, f2 = derivs_at_zero(cfg, k, m)
                     want = -f2 / (f1 * f1)
                     got = rat.residues[rat.pole_index(k, m)]
                     assert abs(got - want) <= tol * abs(want), (k, m)
