@@ -151,7 +151,7 @@ def sample_annulus_points(sys: CoefficientSystem, n_points: int, seed: int):
     )
 
 
-def check_residual(sys: CoefficientSystem, seed: int, n_points: int = 200):
+def check_residual(sys: CoefficientSystem, seed: int, n_points: int):
     records = []
     points = sample_annulus_points(sys, n_points, seed)
     scales = (1, 10) if sys.h is not None else ()

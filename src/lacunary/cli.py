@@ -48,6 +48,7 @@ from .growth import (
 from .interpolation import RationalInterpolant, check_summability, config_interpolant
 from .product import (
     LacunaryConfig,
+    _integer,
     config_from_dict,
     config_to_dict,
     eval_f_scan,
@@ -104,12 +105,6 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _pole_labels(cfg: LacunaryConfig):
-    """(k, m) of every zero of ``cfg`` in block order, the order of its
-    residues in residues.json."""
-    return ((k, m) for k, (_, n) in enumerate(cfg.blocks, start=1) for m in range(n))
-
-
 # ---------------------------------------------------------------------------
 # construct
 
@@ -131,7 +126,8 @@ def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
         out / "residues.json",
         [
             {"k": k, "m": m, "residue": _cstr(u, cfg.dps + 5)}
-            for (k, m), u in zip(_pole_labels(cfg), rat.residues)
+            for k, block in enumerate(rat.residues, start=1)
+            for m, u in enumerate(block)
         ],
     )
 
@@ -194,23 +190,28 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
         raise ConfigError(
             f"artifact holds {len(entries)} residues, config has {zero_count(cfg)} zeros"
         )
-    residues = []
+    entry = iter(entries)
     try:
-        for i, (e, (k, m)) in enumerate(zip(entries, _pole_labels(cfg))):
-            if (int(e["k"]), int(e["m"])) != (k, m):
-                raise ConfigError(
-                    f"artifact entry {i} is zero ({e['k']}, {e['m']}); "
-                    f"config order expects ({k}, {m})"
-                )
-            re_im = e["residue"]
-            if not isinstance(re_im, list) or [type(x) for x in re_im] != [str, str]:
-                raise ConfigError(
-                    f"artifact entry {i}: residue must be a list of two strings, got {re_im!r}"
-                )
-            residues.append(mpc(mpf(re_im[0]), mpf(re_im[1])))
+        residues = [
+            [_entry_residue(next(entry), k, m) for m in range(n)]
+            for k, (_, n) in enumerate(cfg.blocks, start=1)
+        ]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed residue entry in {path}: {exc!r}") from exc
     return config_interpolant(cfg, None, residues)
+
+
+def _entry_residue(e, k: int, m: int) -> mpc:
+    """The residue of the residues.json entry that must be zero (k, m)."""
+    label = (_integer(e["k"], "entry k"), _integer(e["m"], "entry m"))
+    if label != (k, m):
+        raise ConfigError(f"artifact entry is zero {label}; config order expects ({k}, {m})")
+    re_im = e["residue"]
+    if not isinstance(re_im, list) or [type(x) for x in re_im] != [str, str]:
+        raise ConfigError(
+            f"artifact entry ({k}, {m}): residue must be a list of two strings, got {re_im!r}"
+        )
+    return mpc(mpf(re_im[0]), mpf(re_im[1]))
 
 
 def cmd_verify(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:

@@ -277,8 +277,7 @@ def interpolation_identity_residuals(sys: CoefficientSystem) -> list[tuple[int, 
         for k, (_, n) in enumerate(sys.cfg.blocks, start=1):
             indices = range(n) if n <= cap else list(range(0, n, n // cap))[:cap]
             for m in indices:
-                i = sys.rat.pole_index(k, m)
-                u = sys.rat.residues[i]
+                u = sys.rat.residues[k - 1][m]
                 f1, f2 = derivs_at_zero(sys.cfg, k, m)
                 value = abs(u * f1 * f1 + f2) / abs(f2)
                 out.append((k, m, value))

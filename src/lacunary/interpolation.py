@@ -6,7 +6,8 @@ From the product f we build the meromorphic function
 
 with one simple pole at every zero of f, so that A0 = f g is entire.
 Every interpolant belongs to a configuration: its poles are the zeros of
-that configuration's product, in block order.  An interpolant is built
+that configuration's product, kept with their residues one tuple per
+block: residue (k, m) is ``residues[k - 1][m]``.  An interpolant is built
 from its residues alone: ``residues_from_f`` also hands over the zeros it
 forms for its roots, and otherwise (the CLI's artifact loader) the poles
 are formed from the config on first read of ``poles``, which only the
@@ -71,17 +72,17 @@ from .product import (
 class RationalInterpolant:
     """The zeros of ``cfg`` as poles, their residues, and certificates.
 
-    The poles come in the config's block order, so pole (k, m) sits at
-    ``pole_index(k, m)``.  ``tail_sum_bound`` bounds the uncomputed part
-    of sum |u/z| (0 for finite explicit products); ``block_sums`` holds
-    the included sum |u/z| of each block and ``block_max`` its largest
-    |u|.  ``_poles`` holds the poles once formed (None until then).  Build
-    interpolants with ``residues_from_f`` or ``config_interpolant``.
+    ``residues`` and ``poles`` hold one tuple per block, in block order:
+    residue (k, m) is ``residues[k - 1][m]``.  ``block_sums`` holds the
+    included sum |u/z| of each block, ``block_max`` its largest |u|, and
+    ``tail_sum_bound`` bounds the uncomputed part of sum |u/z| (0 for
+    finite explicit products).  ``_poles`` holds the poles once formed
+    (None until then).  Build with ``residues_from_f`` or
+    ``config_interpolant``.
     """
 
-    _poles: tuple[mpc, ...] | None
-    residues: tuple[mpc, ...]
-    c_bound: mpf
+    _poles: tuple[tuple[mpc, ...], ...] | None
+    residues: tuple[tuple[mpc, ...], ...]
     sum_included: mpf
     block_sums: tuple[mpf, ...]
     block_max: tuple[mpf, ...]
@@ -89,30 +90,26 @@ class RationalInterpolant:
     cfg: LacunaryConfig
 
     @property
-    def poles(self) -> tuple[mpc, ...]:
-        """The zeros of ``cfg`` in block order, formed on first read unless
-        ``config_interpolant`` was handed them.  Keeping them changes no
-        value: the config fixes every zero."""
+    def c_bound(self) -> mpf:
+        return max(self.block_max)
+
+    @property
+    def poles(self) -> tuple[tuple[mpc, ...], ...]:
+        """The zeros of ``cfg``, one tuple per block, formed on first read
+        unless ``config_interpolant`` was handed them.  Keeping them
+        changes no value: the config fixes every zero."""
         if self._poles is None:
-            formed = tuple(p for k in range(1, self.cfg.K + 1) for p in zeros(self.cfg, k))
+            formed = tuple(tuple(zeros(self.cfg, k)) for k in range(1, self.cfg.K + 1))
             object.__setattr__(self, "_poles", formed)
         return self._poles
 
-    def pole_index(self, k: int, m: int) -> int:
-        offset = 0
-        for j, (_, n) in enumerate(self.cfg.blocks, start=1):
-            if j == k:
-                if not 0 <= m < n:
-                    raise ValueError(f"index {m} outside block {k}")
-                return offset + m
-            offset += n
-        raise ValueError(f"block {k} outside config")
-
-    def with_residue(self, index: int, value) -> "RationalInterpolant":
-        """Copy with one residue replaced and the certificates recomputed
-        (fault injection / diagnostics)."""
-        residues = list(self.residues)
-        residues[index] = mpc(value)
+    def with_residue(self, k: int, m: int, value) -> "RationalInterpolant":
+        """Copy with residue (k, m) replaced and the certificates
+        recomputed (fault injection / diagnostics)."""
+        if not (1 <= k <= self.cfg.K and 0 <= m < self.cfg.blocks[k - 1][1]):
+            raise ValueError(f"no zero ({k}, {m}) in the config")
+        residues = [list(block) for block in self.residues]
+        residues[k - 1][m] = mpc(value)
         return config_interpolant(self.cfg, self._poles, residues)
 
 
@@ -125,33 +122,35 @@ def _schedule_tail_sum(cfg: LacunaryConfig) -> mpf:
 
 
 def config_interpolant(cfg: LacunaryConfig, poles, residues) -> RationalInterpolant:
-    """Interpolant for the zeros of ``cfg``, in block order, with their
-    residues, certified.  ``poles`` is those zeros, already formed, or
-    None, and the interpolant then forms them on first read.
+    """Interpolant for the zeros of ``cfg`` with their residues, one list
+    per block in block order, certified.  ``poles`` is those zeros,
+    already formed, or None, and the interpolant then forms them on
+    first read.
 
     One pass over the residues, block by block, forms the largest |u|
-    per block (C_bound is their max) and the included sum |u/z|, in
-    total and per block, with |z| = r_k for every pole of block k; the
-    tail bound comes from the schedule.
-    ``residues_from_f``, ``with_residue`` and the CLI's artifact loader
-    all build their interpolant here, so every interpolant carries
-    certificates for the residues it holds.
+    per block and the included sum |u/z|, in total and per block, with
+    |z| = r_k for every pole of block k; the tail bound comes from the
+    schedule.  ``residues_from_f``, ``with_residue`` and the CLI's
+    artifact loader all build their interpolant here, so every
+    interpolant carries certificates for the residues it holds.
     """
     with mp.workdps(cfg.dps):
         total = mpf(0)
-        block_sums = [mpf(0)] * cfg.K
-        block_max = [mpf(0)] * cfg.K
-        blocks = (j for j, (_, n) in enumerate(cfg.blocks) for _ in range(n))
-        for j, u in zip(blocks, residues):
-            size = abs(u)
-            block_max[j] = max(block_max[j], size)
-            term = size / cfg.blocks[j][0]
-            total += term
-            block_sums[j] += term
+        block_sums, block_max = [], []
+        for (r, _), block in zip(cfg.blocks, residues):
+            # a running max from 0 skips a NaN |u|; the total keeps it
+            top = block_sum = mpf(0)
+            for u in block:
+                size = abs(u)
+                top = max(top, size)
+                term = size / r
+                total += term
+                block_sum += term
+            block_sums.append(block_sum)
+            block_max.append(top)
         return RationalInterpolant(
-            _poles=None if poles is None else tuple(poles),
-            residues=tuple(residues),
-            c_bound=max(block_max),
+            _poles=None if poles is None else tuple(map(tuple, poles)),
+            residues=tuple(map(tuple, residues)),
             sum_included=total,
             block_sums=tuple(block_sums),
             block_max=tuple(block_max),
@@ -174,12 +173,10 @@ def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
     f'' of ``derivs_at_zero``.
     """
     with mp.workdps(cfg.dps):
-        poles = []
-        residues = []
+        poles, residues = [], []
         for k in range(1, cfg.K + 1):
-            block = zeros(cfg, k)
-            poles += block
-            residues += _block_residues(cfg, k, block)
+            poles.append(zeros(cfg, k))
+            residues.append(_block_residues(cfg, k, poles[-1]))
         return config_interpolant(cfg, poles, residues)
 
 
@@ -210,10 +207,11 @@ def _g_sum(rat: RationalInterpolant, z: mpc) -> mpc:
     1..K-1 by their direct sum, block K by its closed form where
     :func:`_top_block` takes it and by its direct sum elsewhere."""
     top = _top_block(rat, z)
-    count = len(rat.poles) - (0 if top is None else rat.cfg.blocks[-1][1])
+    direct = rat.cfg.K if top is None else rat.cfg.K - 1
     total = mpc(0)
-    for p, u in zip(rat.poles[:count], rat.residues[:count]):
-        total += u / (z - p)
+    for poles, residues in zip(rat.poles[:direct], rat.residues[:direct]):
+        for p, u in zip(poles, residues):
+            total += u / (z - p)
     return total if top is None else total + top
 
 

@@ -251,9 +251,10 @@ def config_to_dict(cfg: LacunaryConfig) -> dict:
             "K": cfg.K,
             "precision_digits": cfg.dps,
         }
+    # dps + 3 digits read back to the same radius at the config's precision
     return {
         "rho_f": float(cfg.rho_f),
-        "blocks": [[mp.nstr(r, 17), n] for r, n in cfg.blocks],
+        "blocks": [[mp.nstr(r, cfg.dps + 3), n] for r, n in cfg.blocks],
         "precision_digits": cfg.dps,
     }
 

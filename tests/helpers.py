@@ -13,12 +13,14 @@ def rel_err(a, b):
 
 
 def direct_g(rat, z):
-    """g(z) as the plain partial-fraction sum over every pole, in stored
-    order: the second route for the library's closed form of the top block."""
+    """g(z) as the plain partial-fraction sum over every pole, block by
+    block in stored order: the second route for the library's closed form
+    of the top block."""
     z = mpmath.mpc(z)
     total = mpmath.mpc(0)
-    for p, u in zip(rat.poles, rat.residues):
-        total += u / (z - p)
+    for poles, residues in zip(rat.poles, rat.residues):
+        for p, u in zip(poles, residues):
+            total += u / (z - p)
     return total
 
 
@@ -78,8 +80,8 @@ def block_residues_per_zero(cfg, k, poles):
         return residues
 
 
-def recover_residue(rat, index):
-    """(1/2pi i) of g around pole ``index``: residue recovery independent
+def recover_residue(rat, k, m):
+    """(1/2pi i) of g around pole (k, m): residue recovery independent
     of factor extraction where g is the direct sum over the stored poles.
     Around a zero of the top block, where ``_g_sum`` takes the closed form
     from the config, the contour integrates that closed form, so the
@@ -92,9 +94,14 @@ def recover_residue(rat, index):
     """
     mp = mpmath.mp
     with mp.workdps(rat.cfg.dps):
-        xi = rat.poles[index]
+        xi = rat.poles[k - 1][m]
         dist = min(
-            (abs(xi - p) for i, p in enumerate(rat.poles) if i != index),
+            (
+                abs(xi - p)
+                for j, block in enumerate(rat.poles, start=1)
+                for i, p in enumerate(block)
+                if (j, i) != (k, m)
+            ),
             default=abs(xi),
         )
         radius = dist / 4

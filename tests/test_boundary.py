@@ -134,7 +134,7 @@ def test_factor_extraction_runs_without_the_log_domain(monkeypatch):
     for k, m in ((1, 1), (2, 3)):
         assert len(derivs_at_zero(cfg, k, m)) == 2
     rat = residues_from_f(cfg)
-    assert len(rat.residues) == 6
+    assert sum(map(len, rat.residues)) == 6
     z = mpc(3, 1)
     assert eval_f(cfg, z) == f_jet(cfg, z, 2)[0]
     assert len(f_jet(rule_cfg, z, 2)) == 3

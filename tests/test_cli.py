@@ -354,7 +354,8 @@ class TestVerify:
         """An artifact that does not hold the config's zeros, in the config's
         order, is a configuration error: a missing entry, the entries
         reversed, an entry without its residue, a file that holds no list,
-        and a residue that is not a list of two strings."""
+        a residue that is not a list of two strings, and a label that is
+        no integer, even one that int() would read as the right one."""
         cfg = write_config(tmp_path, FACT3)
         art = tmp_path / "art"
         main(["construct", "--config", cfg, "--out", str(art)])
@@ -362,6 +363,9 @@ class TestVerify:
         no_residue = [{"k": 1, "m": 0}] + entries[1:]
         # a string would index as its characters: "12" read as 1 + 2i
         bad = [[{**entries[0], "residue": r}] + entries[1:] for r in ("12", ["1", "2", "3"])]
+        # entry 1 is zero (2, 0)
+        labels = ({"k": 2.5}, {"k": "2"}, {"m": False})
+        bad += [entries[:1] + [{**entries[1], **label}] + entries[2:] for label in labels]
         for i, tampered in enumerate((entries[:-1], entries[::-1], no_residue, 5, None, *bad)):
             (art / "residues.json").write_text(json.dumps(tampered))
             capsys.readouterr()
@@ -588,6 +592,16 @@ def _residue_4_1234_times_10(monkeypatch, art):
     path.write_text(json.dumps(entries))
 
 
+def _residue_4_1234_nan(monkeypatch, art):
+    """The stored residue (4, 1234) read as NaN: sum |u/z| is then no
+    finite number."""
+    path = art / "residues.json"
+    entries = json.loads(path.read_text())
+    (e,) = [e for e in entries if (e["k"], e["m"]) == (4, 1234)]
+    e["residue"] = ["nan", "0"]
+    path.write_text(json.dumps(entries))
+
+
 def _residue_2_1_times_1e12(monkeypatch, art):
     """The stored residue (2, 1), |u| = 0.39, scaled by 10^12.
 
@@ -676,6 +690,26 @@ class TestArtifactRoundTrip:
         assert code == 0 and calls.count(4) == 2
 
 
+    @pytest.mark.parametrize(
+        "blocks",
+        [[[4, 1], [2**100, 32]], [[3.3, 1], [1e30, 32]]],
+        ids=["integer-radius", "float-radius"],
+    )
+    def test_verify_through_the_written_config(self, tmp_path, blocks):
+        """The config.json that construct writes holds the radii it read,
+        bit for bit: verifying the artifacts through it passes, as it does
+        through the config construct read."""
+        cfg = write_config(tmp_path, {"blocks": blocks, "rho_f": 0.05})
+        art = tmp_path / "art"
+        assert main(["construct", "--config", cfg, "--out", str(art)]) == 0
+        for i, config in enumerate((cfg, str(art / "config.json"))):
+            code = main(
+                ["verify", "--config", config, "--out", str(tmp_path / f"v{i}"),
+                 "--artifacts", str(art), "--checks", "interpolation,summability"]
+            )
+            assert code == 0, config
+
+
 class TestFaultMatrix:
     """Each row plants one targeted fault in a verify run on the headline
     config: the target check must pass clean and fail a record of the
@@ -687,6 +721,9 @@ class TestFaultMatrix:
             pytest.param("asymptotics", "2c", (), _off_by_one_n3, id="asymptotics-wrong-n3"),
             pytest.param(
                 "summability", "3x", (), _residue_4_1234_times_10, id="summability-large-residue"
+            ),
+            pytest.param(
+                "summability", "3x", (), _residue_4_1234_nan, id="summability-nonfinite-residue"
             ),
             pytest.param(
                 "proximity", "3a", (), _residue_2_1_times_1e12, id="proximity-large-residue"

@@ -327,8 +327,7 @@ class TestInterpolationIdentity:
 
     def test_detects_corrupted_residue(self, factorial_system):
         rat = factorial_system.rat
-        i = rat.pole_index(2, 0)
-        bad = rat.with_residue(i, rat.residues[i] + mpf("1e-3"))
+        bad = rat.with_residue(2, 0, rat.residues[1][0] + mpf("1e-3"))
         sys_bad = make_system(
             factorial_system.cfg, rho_H=mpf("0.4"), rat=bad
         )

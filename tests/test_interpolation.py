@@ -30,11 +30,6 @@ from lacunary.product import derivative_ratio_bound, derivs_at_zero, zero_point,
 from helpers import block_residues_per_zero, direct_g, recover_residue, rel_err
 
 
-def pole_labels(cfg):
-    """(k, m) of every zero of ``cfg``, in the interpolant's pole order."""
-    return [(k, m) for k, (_, n) in enumerate(cfg.blocks, start=1) for m in range(n)]
-
-
 def one_minus_z_squared():
     """f = 1 - z^2: residue 0.5 at +-1, so g(z) = z/(z^2 - 1)."""
     return residues_from_f(config_from_blocks([(1, 2)]))
@@ -44,37 +39,37 @@ class TestResidues:
     def test_one_minus_z_squared(self):
         """f = 1 - z^2: u = 1/(2 z^2) at z = +-1, i.e. 0.5 at both poles."""
         rat = one_minus_z_squared()
-        assert len(rat.poles) == 2
-        for u in rat.residues:
+        assert len(rat.poles[0]) == 2
+        for u in rat.residues[0]:
             assert rel_err(u, mpf("0.5")) < mpf("1e-95")
 
     def test_linear_factor_zero_residue(self):
         """f = 1 - z: f'' vanishes identically, so u = 0."""
         rat = residues_from_f(config_from_blocks([(1, 1)]))
-        assert abs(rat.residues[0]) < mpf("1e-95")
+        assert abs(rat.residues[0][0]) < mpf("1e-95")
         assert rat.c_bound < mpf("1e-95")
 
     def test_two_block_value(self):
         """xi = 16 in [[4,2],[16,4]]: u = -f''/f'^2 = -1.703125/14.0625."""
         rat = residues_from_f(config_from_blocks([(4, 2), (16, 4)]))
-        i = rat.pole_index(2, 0)
-        assert rel_err(rat.poles[i], 16) < mpf("1e-95")
-        assert rel_err(rat.residues[i], mpf("-1.703125") / mpf("14.0625")) < mpf("1e-90")
+        assert rel_err(rat.poles[1][0], 16) < mpf("1e-95")
+        assert rel_err(rat.residues[1][0], mpf("-1.703125") / mpf("14.0625")) < mpf("1e-90")
 
     def test_conjugate_zero_pairs_have_conjugate_residues(self):
         cfg = make_schedule(0.5, 3, "factorial")
         rat = residues_from_f(cfg)
-        i = rat.pole_index(3, 1)
-        j = rat.pole_index(3, 7)  # conjugate of index 1 in an 8-block
-        assert abs(rat.poles[i] - mp.conj(rat.poles[j])) < mpf("1e-90")
-        assert abs(rat.residues[i] - mp.conj(rat.residues[j])) < mpf("1e-85")
+        poles, residues = rat.poles[2], rat.residues[2]
+        # index 7 is the conjugate of index 1 in an 8-block
+        assert abs(poles[1] - mp.conj(poles[7])) < mpf("1e-90")
+        assert abs(residues[1] - mp.conj(residues[7])) < mpf("1e-85")
 
     def test_residues_shrink_blockwise(self, factorial_k4_rat):
         """max |u| per block decreases from block 2 on (visible o(1) decay)."""
         rat = factorial_k4_rat
         buckets = {}
-        for (k, _), u in zip(pole_labels(rat.cfg), rat.residues):
-            buckets[k] = max(buckets.get(k, mpf(0)), abs(u))
+        for k, block in enumerate(rat.residues, start=1):
+            for u in block:
+                buckets[k] = max(buckets.get(k, mpf(0)), abs(u))
         assert buckets[2] > buckets[3] > buckets[4]
         assert buckets[4] < mpf("1e-60")
 
@@ -82,23 +77,28 @@ class TestResidues:
         """|u| <= 2e prod_{j<k} (r_j/r_k)^{n_j} for k >= 2."""
         rat = factorial_k4_rat
         cfg = rat.cfg
-        for (k, _), u in zip(pole_labels(cfg), rat.residues):
-            if k >= 2:
+        for k, block in enumerate(rat.residues[1:], start=2):
+            for u in block:
                 assert abs(u) <= derivative_ratio_bound(cfg, k)
 
     def test_c_bound_covers_all(self, factorial_k4_rat):
         rat = factorial_k4_rat
-        assert all(abs(u) <= rat.c_bound for u in rat.residues)
+        assert all(abs(u) <= rat.c_bound for block in rat.residues for u in block)
 
     def test_with_residue_recertifies(self):
         """A replaced residue carries the certificates a fresh build gives it."""
         rat = residues_from_f(make_schedule(0.5, 3, "factorial"))
-        i = rat.pole_index(2, 0)
-        bad = rat.with_residue(i, rat.residues[i] + mpf("1e-3"))
+        bad = rat.with_residue(2, 0, rat.residues[1][0] + mpf("1e-3"))
         fresh = config_interpolant(rat.cfg, rat.poles, bad.residues)
         assert bad.sum_included == fresh.sum_included != rat.sum_included
         assert bad.c_bound == fresh.c_bound
         assert bad.tail_sum_bound == fresh.tail_sum_bound
+
+    def test_with_residue_refuses_a_zero_outside_the_config(self):
+        rat = one_minus_z_squared()
+        for k, m in ((0, 0), (2, 0), (1, 2), (1, -1)):
+            with pytest.raises(ValueError):
+                rat.with_residue(k, m, 1)
 
     def test_poles_formed_from_the_config_on_first_read(self):
         """An interpolant built from residues alone forms no pole until one
@@ -107,7 +107,7 @@ class TestResidues:
         cfg = make_schedule(0.5, 3, "factorial")
         rat = residues_from_f(cfg)
         lazy = config_interpolant(cfg, None, rat.residues)
-        assert lazy._poles is None and lazy.with_residue(0, 1)._poles is None
+        assert lazy._poles is None and lazy.with_residue(1, 0, 1)._poles is None
         assert eval_g(lazy, 5) == eval_g(rat, 5)
         assert lazy._poles == rat.poles
 
@@ -176,17 +176,16 @@ class TestResidueRecoveryContour:
         cfg = make_schedule(0.5, 3, "factorial")
         rat = residues_from_f(cfg)
         tol = mpf(10) ** (-rat.cfg.dps // 4)
-        for i in range(len(rat.poles)):
-            got = recover_residue(rat, i)
-            assert rel_err(got, rat.residues[i]) < tol
+        for k, block in enumerate(rat.residues, start=1):
+            for m, u in enumerate(block):
+                assert rel_err(recover_residue(rat, k, m), u) < tol
 
     def test_tiny_block4_residue_recovered(self, factorial_k4_rat):
         """Around zero (4, 17) the contour integrates block 4's closed form
         from the config: its residue there is the stored residue."""
         rat = factorial_k4_rat
-        i = rat.pole_index(4, 17)
-        got = recover_residue(rat, i)
-        assert rel_err(got, rat.residues[i]) < mpf(10) ** (-rat.cfg.dps // 4)
+        got = recover_residue(rat, 4, 17)
+        assert rel_err(got, rat.residues[3][17]) < mpf(10) ** (-rat.cfg.dps // 4)
 
 
 class TestSummability:
@@ -221,8 +220,7 @@ class TestSummability:
         """A finite but wrong residue: sum |u/z| stays finite, the block-4
         residue bound does not hold."""
         rat = factorial_k4_rat
-        i = rat.pole_index(4, 1234)
-        bad = check_summability(rat.with_residue(i, 1000 * rat.residues[i]))
+        bad = check_summability(rat.with_residue(4, 1234, 1000 * rat.residues[3][1234]))
         assert bad.total < mpf("inf")
         assert bad.per_block_max[4] > bad.per_block_bound[4]
         assert not bad.passed
@@ -305,7 +303,7 @@ class TestBlockResidues:
                 for m in sorted({*range(0, n, 1 if n <= 64 else 37), n - 1}):
                     f1, f2 = derivs_at_zero(cfg, k, m)
                     want = -f2 / (f1 * f1)
-                    got = rat.residues[rat.pole_index(k, m)]
+                    got = rat.residues[k - 1][m]
                     assert abs(got - want) <= tol * abs(want), (k, m)
 
     @pytest.mark.parametrize("dps", [100, 200])
@@ -329,9 +327,8 @@ class TestBlockResidues:
         closed form run on every zero of the same poles (tests/helpers.py)."""
         rat = residue_rats(name, dps)
         for k, (_, n) in enumerate(rat.cfg.blocks, start=1):
-            start = rat.pole_index(k, 0)
-            got = rat.residues[start : start + n]
-            want = block_residues_per_zero(rat.cfg, k, rat.poles[start : start + n])
+            got = rat.residues[k - 1]
+            want = block_residues_per_zero(rat.cfg, k, rat.poles[k - 1])
             assert [m for m in range(n) if got[m] != want[m]] == [], k
 
     def test_every_factor_is_screened(self, monkeypatch):
@@ -415,14 +412,13 @@ class TestTopBlockClosedForm:
         by (u' - u)/(z - xi), and the original keeps its value.  Block 4's
         part comes from the config, so only blocks 1..K-1 are reached."""
         rat = factorial_k4_rat
-        i = rat.pole_index(3, 5)
         z = 100 * rat.cfg.blocks[3][0] * mp.expjpi(mpf("0.71"))
         before = _g_sum(rat, z)
         delta = mpf("1e-40")
-        bad = rat.with_residue(i, rat.residues[i] + delta)
+        bad = rat.with_residue(3, 5, rat.residues[2][5] + delta)
         assert _top_block(bad, z) is not None
         after = _g_sum(bad, z)
-        change = delta / (z - rat.poles[i])
+        change = delta / (z - rat.poles[2][5])
         assert abs(after - before - change) <= mpf("1e-90") * abs(after)
         assert _g_sum(rat, z) == before
 
@@ -511,7 +507,7 @@ class TestProximityCertificate:
         residues are about 10^-64)."""
         rat = rats[name]
         for k in range(1, rat.cfg.K + 1):
-            z = rat.poles[rat.pole_index(k, 0)] * (1 + mpf("1e-6"))
+            z = rat.poles[k - 1][0] * (1 + mpf("1e-6"))
             assert abs(eval_g(rat, z)) <= _sup_bound(rat, abs(z)), k
 
     def test_quadrature_where_bound_reaches_one(self):
@@ -532,7 +528,7 @@ class TestProximityCertificate:
         (1 + 8 eps) lifts B above 1, and the quadrature decides: m = 0,
         since |g| <= 2/3 on that circle."""
         cfg = config_from_blocks([[4, 2]])
-        rat = config_interpolant(cfg, zeros(cfg, 1), [2 - 4 * mp.eps] * 2)
+        rat = config_interpolant(cfg, [zeros(cfg, 1)], [[2 - 4 * mp.eps] * 2])
         assert rat.block_sums[0] == 1 - 2 * mp.eps
         calls = []
         quadrature = interpolation.proximity_m

@@ -17,6 +17,8 @@ from mpmath import mp, mpc, mpf
 from lacunary import CancellationError, ConfigError, TailError, config_from_blocks, make_schedule
 from lacunary import product
 from lacunary.product import (
+    config_from_dict,
+    config_to_dict,
     derivs_at_zero,
     eval_f,
     eval_f_scan,
@@ -527,3 +529,26 @@ def test_schedule_invariants_hold_or_config_rejected(rho, K, rule):
         assert 2 * sum(ns[:k]) <= ns[k]
     assert cfg.sigma_certificate.total < mpf("inf")
     assert all(abs(n - mp.power(r, rho)) <= mpf("1.5") for r, n in cfg.blocks)
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(min_value=2, max_value=2**200), min_size=1, max_size=4),
+        st.lists(st.floats(min_value=1, max_value=1e60), min_size=1, max_size=4),
+    ),
+    st.sampled_from([30, 100, 200]),
+)
+@settings(max_examples=60, deadline=None)
+def test_config_dict_round_trips_explicit_radii(radii, dps):
+    """config_from_dict reads back from config_to_dict the blocks of an
+    explicit config, bit for bit, for integer radii up to 2^200 and float
+    radii.  The radii kept are each at least 16 times the one before, with
+    n = round(r^0.5), which the schedule's validation accepts."""
+    kept = []
+    for r in sorted(radii):
+        if not kept or r >= 16 * kept[-1]:
+            kept.append(r)
+    with mp.workdps(dps):
+        blocks = [(r, product._round_power(mpf(r), 0.5)) for r in kept]
+    cfg = config_from_blocks(blocks, dps=dps)
+    assert config_from_dict(config_to_dict(cfg)).blocks == cfg.blocks
