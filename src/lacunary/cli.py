@@ -1,16 +1,17 @@
 """Command-line front end: construct, verify, scan, report.
 
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 a
-ConfigError: bad configuration, a --checks list that names no check,
---points or --angles below 1, or unreadable input (a config, an
-artifact, or a file ``report`` reads), 3 a NumericalError (insufficient
-precision, non-convergent quadrature, a point off the certified domain),
-with a suggested precision printed when one can be computed.  ``main``
-alone loads the config, enters its precision and maps errors to these
-codes.  ``construct``, ``verify`` and ``scan`` first delete the files
-they write, so a run that exits 2 or 3 leaves none of them behind; only a
-``config.json`` that is the --config being read is kept.  Every JSON
-output is streamed to its file with ``json.dump``.
+ConfigError: bad configuration, a --checks list that names no check or
+one check twice, --points or --angles below 1, or unreadable input (a
+config, an artifact, or a file ``report`` reads), 3 a NumericalError
+(insufficient precision, non-convergent quadrature, a point off the
+certified domain), with a suggested precision printed when one can be
+computed.  ``main`` alone loads the config, enters its precision and
+maps errors to these codes.  ``construct``, ``verify`` and ``scan``
+first delete the files they write, so a run that exits 2 or 3 leaves
+none of them behind; only a ``config.json`` that is the --config being
+read is kept.  Every JSON output is streamed to its file with
+``json.dump``.
 
 Config schema (JSON object):
 
@@ -253,11 +254,13 @@ def _parse_checks(raw: str | None):
     names = tuple(s.strip() for s in raw.split(",") if s.strip())
     if not names:
         raise ConfigError(f"--checks {raw!r} names no check")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in checks_mod.CHECK_NAMES:
             raise ConfigError(
                 f"unknown check {name!r}; available: {', '.join(checks_mod.CHECK_NAMES)}"
             )
+        if name in names[:i]:
+            raise ConfigError(f"--checks {raw!r} names {name!r} twice")
     return names
 
 

@@ -266,10 +266,10 @@ def interpolation_identity_residuals(sys: CoefficientSystem) -> list[tuple[int, 
     residue, while f' and f'' are recomputed fresh by ``derivs_at_zero``,
     so a corrupted residue shows up directly.  The stored residues come
     from another route, the block pass of ``residues_from_f`` (closed
-    form, no ``derivs_at_zero`` call), so a wrong f' or f'' shows up too;
-    both routes still share ``product._block_terms`` and the product over
-    the other blocks.  Blocks larger than IDENTITY_ZEROS_PER_BLOCK are
-    strided down to that many zeros.
+    form from exact root indices, no ``derivs_at_zero`` call), so a wrong
+    f' or f'' shows up too, and so does a wrong block-pass kernel: the
+    routes share only ``product._block_terms``.  Blocks larger than
+    IDENTITY_ZEROS_PER_BLOCK are strided down to that many zeros.
     """
     cap = IDENTITY_ZEROS_PER_BLOCK
     out = []

@@ -165,12 +165,12 @@ def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
 
     Each block's zeros are formed once, and ``product._block_residues``
     takes every residue of the block from them in closed form, with the
-    other blocks' real powers formed once per block; the zeros become the
-    interpolant's poles.  This route shares its per-block kernel
-    ``_block_terms`` (factor, cancellation screen, terms) with
-    ``derivs_at_zero``, but not the derivatives themselves:
-    the interpolation check compares the stored residues with the f' and
-    f'' of ``derivs_at_zero``.
+    other blocks' real powers formed once per block and each root of unity
+    taken from the block's zeros; the zeros become the interpolant's poles.
+    ``derivs_at_zero`` runs f's one-pass kernel over the other blocks
+    instead, so the two routes share only ``_block_terms`` (factor,
+    cancellation screen, terms), and the interpolation check, which holds
+    the stored residues against its f' and f'', compares two routes.
     """
     with mp.workdps(cfg.dps):
         poles, residues = [], []

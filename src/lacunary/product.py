@@ -20,19 +20,18 @@ errors, so block exponents up to 2^60 and radii up to 2^5040 stay exact;
 an exact zero stays ``mpc(0)``.
 At the zeros, f' and f'' come from factor extraction: write f = q*P with
 q the vanishing factor; P' comes from the logarithmic derivative of the
-remaining (nonvanishing) product, where every other block's power is a
-real power times an exact root of unity.  Two routes reach the zeros.
-``derivs_at_zero`` serves one zero and returns (f', f'').
+remaining (nonvanishing) product.  Two routes reach the zeros.
+``derivs_at_zero`` serves one zero and returns (f', f''): it runs the
+one-pass kernel over the other blocks at the rounded zero.
 ``_block_residues`` serves a whole block and returns only the residues
 u = -f''/f'^2, in closed form: it forms the other blocks' real powers
-once per block and takes each root from the block's zeros.  They share
-the real powers (``_other_blocks``) and the product over the other
-blocks with its log-derivative sum (``_extracted``), but not the step
-from there to the derivatives, so the interpolation check, which holds
-the stored residues against the f' and f'' of ``derivs_at_zero``,
-compares two routes.  All passes hand each power w to one kernel,
-``_block_terms``, for the factor 1 - w, its cancellation screen and its
-terms in the log-derivative sums.
+once per block (``_other_blocks``), takes each exact root of unity from
+the block's zeros, and forms each factor once per distinct root index
+(``_extracted``).  The routes share only ``_block_terms``, the kernel
+that turns each power w into the factor 1 - w, its cancellation screen
+and its terms in the log-derivative sums, so the interpolation check,
+which holds the stored residues against the f' and f'' of
+``derivs_at_zero``, compares two routes.
 f has real Taylor coefficients, so zero and residue n_k - m are the
 conjugates of zero and residue m: for index m > n_k/2 ``zero_point``,
 ``zeros`` and ``_block_residues`` take the exact conjugate.
@@ -180,17 +179,28 @@ def _validate_blocks(rho, blocks, dps) -> None:
         n_sum += n
 
 
-def make_schedule(rho_f, K: int, rule: str = "factorial", dps: int = DEFAULT_DPS) -> LacunaryConfig:
-    """Build a rule-based config: factorial r_k = 2^(k!), doubly_exp r_k = 2^(2^k)."""
-    rho = mpf(rho_f)
+def _rho(rho_f, dps: int) -> mpf:
+    """rho_f read at the config's precision, so that a string such as
+    "0.45" keeps all of its digits; ConfigError unless it lies in (0, 1)."""
+    if dps < MIN_DPS:
+        raise ConfigError(f"precision must be at least {MIN_DPS} digits, got {dps}")
+    with mp.workdps(dps):
+        try:
+            rho = mpf(rho_f)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
     if not (0 < rho < 1):
         raise ConfigError(f"rho_f must lie in (0,1), got {rho}")
+    return rho
+
+
+def make_schedule(rho_f, K: int, rule: str = "factorial", dps: int = DEFAULT_DPS) -> LacunaryConfig:
+    """Build a rule-based config: factorial r_k = 2^(k!), doubly_exp r_k = 2^(2^k)."""
+    rho = _rho(rho_f, dps)
     if K < 1:
         raise ConfigError(f"K must be >= 1, got {K}")
     if rule not in SCHEDULE_RULES:
         raise ConfigError(f"rule must be one of {SCHEDULE_RULES}, got {rule!r}")
-    if dps < MIN_DPS:
-        raise ConfigError(f"precision must be at least {MIN_DPS} digits, got {dps}")
     with mp.workdps(dps):
         blocks = tuple(_rule_block(rule, rho, k) for k in range(1, K + 1))
         _validate_blocks(rho, blocks, dps)
@@ -200,11 +210,7 @@ def make_schedule(rho_f, K: int, rule: str = "factorial", dps: int = DEFAULT_DPS
 
 def config_from_blocks(blocks, rho_f=mpf("0.5"), dps: int = DEFAULT_DPS) -> LacunaryConfig:
     """Explicit block list [(r_1, n_1), ...]; defines f as the finite product."""
-    rho = mpf(rho_f)
-    if not (0 < rho < 1):
-        raise ConfigError(f"rho_f must lie in (0,1), got {rho}")
-    if dps < MIN_DPS:
-        raise ConfigError(f"precision must be at least {MIN_DPS} digits, got {dps}")
+    rho = _rho(rho_f, dps)
     with mp.workdps(dps):
         try:
             blks = tuple((mpf(r), n) for r, n in blocks)
@@ -232,28 +238,28 @@ def config_from_dict(d: dict) -> LacunaryConfig:
         raise ConfigError("config must be a JSON object")
     try:
         dps = _integer(d.get("precision_digits", DEFAULT_DPS), "precision_digits")
-        rho = mpf(str(d.get("rho_f", "0.5")))
         rule, K = (None, None) if "blocks" in d else (d["rule"], _integer(d["K"], "K"))
     except KeyError as exc:
         raise ConfigError(f"config missing required key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
+    # the decimal string, which _rho reads at the config's precision
+    rho = str(d.get("rho_f", "0.5"))
     if "blocks" in d:
         return config_from_blocks(d["blocks"], rho_f=rho, dps=dps)
     return make_schedule(rho, K, rule=rule, dps=dps)
 
 
 def config_to_dict(cfg: LacunaryConfig) -> dict:
+    """The JSON config schema; every number reads back to the same value at
+    the config's precision, which dps + 3 digits ensure.  rho_f is the
+    float (0.5, 0.45) when that already does."""
+    rho = float(cfg.rho_f)
+    with mp.workdps(cfg.dps):
+        if mpf(str(rho)) != cfg.rho_f:
+            rho = mp.nstr(cfg.rho_f, cfg.dps + 3)
     if cfg.rule is not None:
-        return {
-            "rho_f": float(cfg.rho_f),
-            "rule": cfg.rule,
-            "K": cfg.K,
-            "precision_digits": cfg.dps,
-        }
-    # dps + 3 digits read back to the same radius at the config's precision
+        return {"rho_f": rho, "rule": cfg.rule, "K": cfg.K, "precision_digits": cfg.dps}
     return {
-        "rho_f": float(cfg.rho_f),
+        "rho_f": rho,
         "blocks": [[mp.nstr(r, cfg.dps + 3), n] for r, n in cfg.blocks],
         "precision_digits": cfg.dps,
     }
@@ -601,16 +607,17 @@ def _other_blocks(cfg: LacunaryConfig, k: int) -> list[tuple[int, mpf]]:
 
 
 def _extracted(
-    others, m: int, n: int, root, lossy: mpf, memo: dict, last: int
+    others, m: int, n: int, poles, r: mpf, lossy: mpf, memo: dict, last: int
 ) -> tuple[mpc, mpc]:
-    """(P, S1): P is the product of the other blocks at the zero
-    xi = r_k omega^m of a block with n zeros, and S1 = xi P'/P the sum
-    of its log-derivative terms.
+    """(P, S1) for the block pass of :func:`_block_residues`: P is the
+    product of the other blocks at the zero xi = r omega^m of a block with
+    n zeros, and S1 = xi P'/P the sum of its log-derivative terms.
 
-    ``others`` comes from :func:`_other_blocks`, and ``root(i)`` returns
-    omega^i: block j's power is (r_k/r_j)^{n_j} omega^{(m n_j) mod n_k},
-    its index reduced in integers, so the angle is exact for any n_j.
-    Every factor passes the cancellation screen of :func:`_block_terms`.
+    ``others`` comes from :func:`_other_blocks`, and omega^i is the
+    block's zero ``poles[i]`` over r: block j's power is
+    (r/r_j)^{n_j} omega^{(m n_j) mod n}, its index reduced in integers,
+    so the angle is exact for any n_j.  Every factor passes the
+    cancellation screen of :func:`_block_terms`.
 
     A pass m = 0, 1, ..., ``last`` over one block's zeros forms each
     distinct factor once: block j's index recurs every n/gcd(n_j, n) zeros,
@@ -623,7 +630,7 @@ def _extracted(
         index = m * nj % n
         terms = memo.pop((j, index), None)
         if terms is None:
-            rt = root(index) if index else mpc(1)
+            rt = poles[index] / r if index else mpc(1)
             v = mp.conj(rt) / a if a > 1 else None
             terms = _block_terms(a * rt, a, v, 1, lossy)
         if m + n // math.gcd(nj, n) <= last:
@@ -645,7 +652,7 @@ def _block_residues(cfg: LacunaryConfig, k: int, poles) -> list[mpc]:
 
     free of xi.  The other blocks' real powers are formed once for the
     block, and each other block's factor and terms once per distinct root
-    index (m n_j) mod n_k; omega^i is the stored pole of index i over r_k.
+    index (m n_j) mod n_k (:func:`_extracted`).
     Pole m > n_k/2 is the exact conjugate of pole n_k - m, and every step
     commutes with conjugation: its residue is the conjugate, bit for bit.
     """
@@ -653,45 +660,29 @@ def _block_residues(cfg: LacunaryConfig, k: int, poles) -> list[mpc]:
     with mp.workdps(cfg.dps):
         others = _other_blocks(cfg, k)
         lossy = mpf(10) ** (5 - cfg.dps)
-
-        def root(i):
-            return poles[i] / r
-
         residues, memo = [], {}
         for m in range(n // 2 + 1):
-            P, S1 = _extracted(others, m, n, root, lossy, memo, n // 2)
+            P, S1 = _extracted(others, m, n, poles, r, lossy, memo, n // 2)
             residues.append((n - 1 + 2 * S1) / (n * P))
         return residues + [mp.conj(residues[n - m]) for m in range(n // 2 + 1, n)]
 
 
 def derivs_at_zero(cfg: LacunaryConfig, k: int, m: int) -> tuple[mpc, mpc]:
-    """(f'(xi), f''(xi)) at the zero xi by factor extraction.
+    """(f'(xi), f''(xi)) at the zero xi = :func:`zero_point` by factor
+    extraction.
 
     f = q*P with q = 1-(z/r_k)^{n_k}; at xi the power is exactly 1, so
-    q'(xi) = -n/xi and q''(xi) = -n(n-1)/xi^2, and P' = P L1 comes from
-    the log-derivative sum L1 of the remaining product, which cannot
-    vanish at xi (distinct block moduli).
-
-    Each other block's power is formed from exact roots of unity: with
-    xi = r_k omega^m, omega = exp(2 pi i/n_k),
-
-        (xi/r_j)^{n_j} = (r_k/r_j)^{n_j} * omega^{(m n_j) mod n_k},
-
-    a real power times one root whose index is reduced in integers, so
-    the angle is exact for any n_j (2^60 included).
+    q'(xi) = -n/xi and q''(xi) = -n(n-1)/xi^2, and f' = q' P,
+    f'' = q'' P + 2 q' P'.  P and L = P'/P, which cannot vanish at xi
+    (distinct block moduli), come from f's one-pass kernel :func:`_jet`
+    over the other blocks at the rounded xi, so the residue pass, which
+    forms the powers from exact roots of unity, is a second route.
     """
-    _, n = _check_enumerable(cfg, k)
     with mp.workdps(cfg.dps):
-        inv_xi = 1 / zero_point(cfg, k, m)
-        fall = mpf(n)
-        q1 = -fall * inv_xi
-        q2 = -(fall * (n - 1)) * inv_xi**2
-        lossy = mpf(10) ** (5 - cfg.dps)
-
-        def root(i):
-            return mp.expjpi(2 * mpf(i) / n)
-
-        P, S1 = _extracted(_other_blocks(cfg, k), m, n, root, lossy, {}, m)
-        # S1 carries the factor 1/xi outside
-        P1 = P * (S1 * inv_xi)
-        return q1 * P, q2 * P + 2 * q1 * P1
+        xi = zero_point(cfg, k, m)
+        n = cfg.blocks[k - 1][1]
+        inv_xi = 1 / xi
+        q1 = -mpf(n) * inv_xi
+        q2 = -(mpf(n) * (n - 1)) * inv_xi**2
+        P, L, _ = _jet(cfg.blocks[: k - 1] + cfg.blocks[k:], xi, 1, True)
+        return q1 * P, q2 * P + 2 * q1 * (P * L)

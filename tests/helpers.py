@@ -75,7 +75,7 @@ def block_residues_per_zero(cfg, k, poles):
         lossy = mpmath.mpf(10) ** (5 - cfg.dps)
         residues = []
         for m in range(n):
-            P, S1 = _extracted(others, m, n, lambda i: poles[i] / r, lossy, {}, m)
+            P, S1 = _extracted(others, m, n, poles, r, lossy, {}, m)
             residues.append((n - 1 + 2 * S1) / (n * P))
         return residues
 

@@ -233,6 +233,20 @@ def test_one_cancellation_screen():
     assert sites == ["coefficients._direct", "product._block_terms"]
 
 
+def test_root_index_kernel_serves_the_block_pass_alone():
+    """``_extracted`` is called by the residue pass and nowhere else, and
+    ``derivs_at_zero`` reaches neither it nor ``_other_blocks``: the f' and
+    f'' that 3f holds the stored residues against come from f's one-pass
+    kernel, so a fault in the block pass shows."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
+    assert [site for tree in trees for site in _call_sites(tree, "_extracted")] == [
+        "_block_residues"
+    ]
+    assert "derivs_at_zero" not in [
+        site for tree in trees for site in _call_sites(tree, "_other_blocks")
+    ]
+
+
 def _benchmark_layers():
     """The LAYERS tuple of the benchmark runner, read with ast (the runner
     is not imported)."""

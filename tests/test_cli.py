@@ -208,6 +208,18 @@ class TestVerify:
             assert "names no check" in capsys.readouterr().err
         assert not (tmp_path / "v" / "verify_summary.json").exists()
 
+    def test_check_list_naming_a_check_twice_exit_2(self, tmp_path, capsys):
+        """A repeated name would run its check twice, and report would count
+        each of its records twice."""
+        cfg = write_config(tmp_path, ANCHOR)
+        for raw in ("summability,summability", "summability, interpolation,summability "):
+            code = main(
+                ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--checks", raw]
+            )
+            assert code == 2
+            assert "names 'summability' twice" in capsys.readouterr().err
+        assert not (tmp_path / "v" / "verify_summary.json").exists()
+
     def test_failed_run_leaves_no_stale_outputs(self, tmp_path, capsys):
         """A verify that exits 3 and a scan that exits 2 delete the outputs of
         the passing run before them, so ``report`` sees neither."""
@@ -620,6 +632,22 @@ def _residue_2_1_times_1e12(monkeypatch, art):
     path.write_text(json.dumps(entries))
 
 
+def _kernel_s1_off_by_1e30(monkeypatch, art):
+    """``product._extracted``, the block pass's kernel, returns S1 scaled by
+    1 + 1e-30, and construct rebuilds residues.json under that fault: every
+    stored residue takes it, while 3f's f' and f'' come from a route that
+    does not run the kernel, so all 75 records fail."""
+    real = product._extracted
+
+    def wrong(*args):
+        P, S1 = real(*args)
+        return P, S1 * (1 + mpf(10) ** -30)
+
+    monkeypatch.setattr(product, "_extracted", wrong)
+    cfg = write_config(art.parent, {**HEADLINE, "rho_H": 0.4}, name="kernel.json")
+    assert main(["construct", "--config", cfg, "--out", str(art)]) == 0
+
+
 @pytest.fixture(scope="module")
 def headline_artifacts(tmp_path_factory):
     """The headline config with H, and its construct output, made once."""
@@ -719,6 +747,13 @@ class TestFaultMatrix:
         "check, eq, extra, fault",
         [
             pytest.param("asymptotics", "2c", (), _off_by_one_n3, id="asymptotics-wrong-n3"),
+            pytest.param(
+                "interpolation",
+                "3f",
+                (),
+                _kernel_s1_off_by_1e30,
+                id="interpolation-extraction-kernel",
+            ),
             pytest.param(
                 "summability", "3x", (), _residue_4_1234_times_10, id="summability-large-residue"
             ),

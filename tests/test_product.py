@@ -467,8 +467,9 @@ class TestDerivsAtZero:
     def test_against_contour_integrals_of_f(self):
         """Second route (Trefethen & Weideman, SIAM Review 56, 2014): the
         64-node trapezoid rule for f^(p)(xi)/p! = (1/2 pi i) oint f/(z-xi)^(p+1)
-        on |z - xi| = r_k/(4 n_k), sampling the log-domain eval_f, which
-        shares no code with the root-of-unity factor extraction."""
+        on |z - xi| = r_k/(4 n_k), sampling eval_f around the zero: it
+        integrates the whole product, where derivs_at_zero extracts the
+        vanishing factor and runs the one-pass kernel over the others."""
         cfg = make_schedule(0.5, 4, "factorial")
         nodes = 64
         tol = mpf(10) ** (10 - cfg.dps)
@@ -489,8 +490,8 @@ class TestDerivsAtZero:
     def test_extreme_exponent_block_matches_truncation(self):
         """With n_5 = 2^60 in the product, block 5 contributes
         (r_k/r_5)^{2^60}, far below the last digit: the derivatives equal
-        the K=4 ones.  Guards the kernel at that exponent (the reduction
-        (m n_5) mod n_k and the real power stay exact and finite); the
+        the K=4 ones.  Guards the kernel at that exponent (the one-pass
+        power (xi/r_5)^{2^60} stays finite and below the last digit); the
         angle accuracy itself is checked by the contour route above."""
         k5 = make_schedule(0.5, 5, "factorial")
         k4 = make_schedule(0.5, 4, "factorial")
@@ -552,3 +553,26 @@ def test_config_dict_round_trips_explicit_radii(radii, dps):
         blocks = [(r, product._round_power(mpf(r), 0.5)) for r in kept]
     cfg = config_from_blocks(blocks, dps=dps)
     assert config_from_dict(config_to_dict(cfg)).blocks == cfg.blocks
+
+
+def test_rho_f_keeps_the_config_precision():
+    """rho_f is read at the config's precision by each entry point, not at
+    mpmath's 15 digits, and config_to_dict writes it back to the same value;
+    0.5 and 0.45 keep their short float form."""
+    rho = "0.50000000000000000001"
+    rule = {"rho_f": rho, "rule": "factorial", "K": 2, "precision_digits": 100}
+    explicit = {"blocks": [[4, 2], [16, 4]], "rho_f": rho, "precision_digits": 100}
+    for cfg in (
+        config_from_dict(rule),
+        config_from_dict(explicit),
+        make_schedule(rho, 2),
+        config_from_blocks([(4, 2), (16, 4)], rho_f=rho),
+    ):
+        assert cfg.rho_f > mpf("0.5")
+        assert config_from_dict(config_to_dict(cfg)).rho_f == cfg.rho_f
+    for short in (0.5, 0.45):
+        cfg = config_from_dict({**rule, "rho_f": short})
+        with mp.workdps(100):
+            assert cfg.rho_f == mpf(str(short))
+        written = config_to_dict(cfg)["rho_f"]
+        assert type(written) is float and written == short
