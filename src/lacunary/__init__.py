@@ -49,7 +49,6 @@ from .growth import (
 )
 from .interpolation import (
     RationalInterpolant,
-    check_summability,
     eval_g,
     proximity_m,
     residues_from_f,
@@ -95,7 +94,6 @@ __all__ = [
     "RationalInterpolant",
     "residues_from_f",
     "eval_g",
-    "check_summability",
     "proximity_m",
     "CoefficientSystem",
     "HProduct",

@@ -3,15 +3,15 @@
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 a
 ConfigError: bad configuration, a --checks list that names no check or
 one check twice, --points or --angles below 1, or unreadable input (a
-config, an artifact, or a file ``report`` reads), 3 a NumericalError
-(insufficient precision, non-convergent quadrature, a point off the
-certified domain), with a suggested precision printed when one can be
-computed.  ``main`` alone loads the config, enters its precision and
-maps errors to these codes.  ``construct``, ``verify`` and ``scan``
-first delete the files they write, so a run that exits 2 or 3 leaves
-none of them behind; only a ``config.json`` that is the --config being
-read is kept.  Every JSON output is streamed to its file with
-``json.dump``.
+config, an artifact, or the directory or a file ``report`` reads), 3 a
+NumericalError (insufficient precision, non-convergent quadrature, a
+point off the certified domain), with a suggested precision printed
+when one can be computed.  ``main`` alone loads the config, enters its
+precision and maps errors to these codes.  ``construct``, ``verify``
+and ``scan`` first delete the files they write, so a run that exits 2
+or 3 leaves none of them behind; only a ``config.json`` that is the
+--config being read is kept.  Every JSON output is streamed to its
+file with ``json.dump``.
 
 Config schema (JSON object):
 
@@ -19,8 +19,8 @@ Config schema (JSON object):
     {"blocks": [[4, 2], [16, 4]], "rho_f": 0.5, "precision_digits": 100}
 
 optionally extended with "rho_H" (H then has H_TRUNCATION = 64 factors).
-The keys "H_truncation", "c_scale" and "near_zero_delta" are no longer
-read; a config that sets one is rejected (exit 2).  With a fixed
+A key outside the schema (``product.CONFIG_KEYS``), or "rule" or "K"
+next to "blocks", is rejected by name (exit 2).  With a fixed
 (config, seed, precision) triple every output file is byte-identical
 across runs.
 """
@@ -46,7 +46,7 @@ from .growth import (
     indicator_scan,
     order_scan,
 )
-from .interpolation import RationalInterpolant, check_summability, config_interpolant
+from .interpolation import RationalInterpolant, config_interpolant
 from .product import (
     LacunaryConfig,
     _integer,
@@ -55,8 +55,6 @@ from .product import (
     eval_f_scan,
     zero_count,
 )
-
-REMOVED_CONFIG_KEYS = ("H_truncation", "c_scale", "near_zero_delta")
 
 
 def _nstr(x, digits: int = 25) -> str:
@@ -81,9 +79,6 @@ def _load(args) -> tuple[LacunaryConfig, dict, Path]:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    for key in REMOVED_CONFIG_KEYS:
-        if key in data:
-            raise ConfigError(f"config key {key!r} is no longer supported; remove it")
     if args.precision is not None:
         data = {**data, "precision_digits": args.precision}
     cfg = config_from_dict(data)
@@ -132,7 +127,6 @@ def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
         ],
     )
 
-    summ = check_summability(rat)
     cert = cfg.sigma_certificate
     _write_json(
         out / "system.json",
@@ -143,10 +137,10 @@ def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
             "zero_count": zero_count(cfg),
             "c_bound": _nstr(rat.c_bound),
             "summability": {
-                "included": _nstr(summ.included),
-                "tail": _nstr(summ.tail),
-                "total": _nstr(summ.total),
-                "passed": summ.passed,
+                "included": _nstr(rat.sum_included),
+                "tail": _nstr(rat.tail_sum_bound),
+                "total": _nstr(rat.sum_included + rat.tail_sum_bound),
+                "passed": rat.summable,
             },
             "sigma_certificate": {
                 "s": _nstr(cert.s),
@@ -175,9 +169,9 @@ def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
 def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpolant:
     """Residues written by ``construct``, on the zeros of the config.
 
-    Entries must come in the config's (block, index) order; the poles are
-    the config's zeros, which the interpolant forms only if a check sums
-    g, and any key of an entry besides k, m and residue is ignored.  Each
+    Entries must come in the config's (block, index) order, the order of
+    the config's zeros, which fix the poles; no zero is formed here, and
+    any key of an entry besides k, m and residue is ignored.  Each
     residue is a list of two strings, its real and imaginary parts.  Their
     values are not validated: catching a wrong residue is the checks' job.
     """
@@ -199,7 +193,7 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
         ]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed residue entry in {path}: {exc!r}") from exc
-    return config_interpolant(cfg, None, residues)
+    return config_interpolant(cfg, residues)
 
 
 def _entry_residue(e, k: int, m: int) -> mpc:
@@ -394,6 +388,8 @@ def _reading(path: Path):
 
 
 def cmd_report(out: Path) -> int:
+    if not out.is_dir():
+        raise ConfigError(f"cannot read outputs: {out} is no directory")
     report = {"verify": None, "scans": {}, "passed": True}
     records_path = out / "records.jsonl"
     if records_path.exists():

@@ -5,13 +5,11 @@ From the product f we build the meromorphic function
     g(z) = sum_k u_k / (z - z_k),        u_k = -f''(z_k) / f'(z_k)^2,
 
 with one simple pole at every zero of f, so that A0 = f g is entire.
-Every interpolant belongs to a configuration: its poles are the zeros of
-that configuration's product, kept with their residues one tuple per
-block: residue (k, m) is ``residues[k - 1][m]``.  An interpolant is built
-from its residues alone: ``residues_from_f`` also hands over the zeros it
-forms for its roots, and otherwise (the CLI's artifact loader) the poles
-are formed from the config on first read of ``poles``, which only the
-sum over g (:func:`_g_sum`) does.
+Every interpolant belongs to a configuration, which fixes its poles: the
+zeros of that configuration's product.  The interpolant holds only the
+residues, one tuple per block (residue (k, m) is ``residues[k - 1][m]``,
+at the pole ``zero_point(cfg, k, m)``), and their certificates; whoever
+needs a pole forms it from the config with ``zero_point`` or ``zeros``.
 
 The residues are produced by factor extraction (never by numerically
 dividing near the zeros), one block at a time, and the interpolant
@@ -19,7 +17,8 @@ carries two certificates:
 
 - summability: sum |u_k / z_k| over the included poles (also per block)
   plus an analytic tail bound derived from the residue-ratio bound at
-  block K+1 and the geometric radius growth of the schedule;
+  block K+1 and the geometric radius growth of the schedule, with the
+  verdict ``summable``;
 - C_bound: max |u_k|, finite by construction.
 
 g is summed block by block: blocks 1..K-1 directly, and the top block K
@@ -45,8 +44,8 @@ integrand vanishes and m is exactly 0 without a sample of g; elsewhere
 it runs the quadrature.
 
 Interpolants are immutable and evaluation is pure: quadrature nodes can
-be evaluated concurrently, and sums run in stored pole order so results
-are deterministic.
+be evaluated concurrently, and sums run in the config's zero order so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -70,18 +69,16 @@ from .product import (
 
 @dataclass(frozen=True)
 class RationalInterpolant:
-    """The zeros of ``cfg`` as poles, their residues, and certificates.
+    """Residues at the zeros of ``cfg``, and their certificates.
 
-    ``residues`` and ``poles`` hold one tuple per block, in block order:
-    residue (k, m) is ``residues[k - 1][m]``.  ``block_sums`` holds the
-    included sum |u/z| of each block, ``block_max`` its largest |u|, and
-    ``tail_sum_bound`` bounds the uncomputed part of sum |u/z| (0 for
-    finite explicit products).  ``_poles`` holds the poles once formed
-    (None until then).  Build with ``residues_from_f`` or
-    ``config_interpolant``.
+    ``residues`` holds one tuple per block, in block order: residue
+    (k, m) is ``residues[k - 1][m]``, at the zero ``zero_point(cfg, k, m)``.
+    ``block_sums`` holds the included sum |u/z| of each block,
+    ``block_max`` its largest |u|, and ``tail_sum_bound`` bounds the
+    uncomputed part of sum |u/z| (0 for finite explicit products).
+    Build with ``residues_from_f`` or ``config_interpolant``.
     """
 
-    _poles: tuple[tuple[mpc, ...], ...] | None
     residues: tuple[tuple[mpc, ...], ...]
     sum_included: mpf
     block_sums: tuple[mpf, ...]
@@ -94,14 +91,18 @@ class RationalInterpolant:
         return max(self.block_max)
 
     @property
-    def poles(self) -> tuple[tuple[mpc, ...], ...]:
-        """The zeros of ``cfg``, one tuple per block, formed on first read
-        unless ``config_interpolant`` was handed them.  Keeping them
-        changes no value: the config fixes every zero."""
-        if self._poles is None:
-            formed = tuple(tuple(zeros(self.cfg, k)) for k in range(1, self.cfg.K + 1))
-            object.__setattr__(self, "_poles", formed)
-        return self._poles
+    def residue_bounds(self) -> tuple[mpf, ...]:
+        """``derivative_ratio_bound(cfg, k)`` of each block k: the bound
+        that ``summable`` holds its largest |u| to."""
+        return tuple(derivative_ratio_bound(self.cfg, k) for k in range(1, self.cfg.K + 1))
+
+    @property
+    def summable(self) -> bool:
+        """The summability verdict: sum |u/z|, included part plus tail, is
+        finite, and in every block the largest |u| is within its residue
+        bound."""
+        finite = self.sum_included + self.tail_sum_bound < mpf("inf")
+        return bool(finite) and all(top <= b for top, b in zip(self.block_max, self.residue_bounds))
 
     def with_residue(self, k: int, m: int, value) -> "RationalInterpolant":
         """Copy with residue (k, m) replaced and the certificates
@@ -110,7 +111,7 @@ class RationalInterpolant:
             raise ValueError(f"no zero ({k}, {m}) in the config")
         residues = [list(block) for block in self.residues]
         residues[k - 1][m] = mpc(value)
-        return config_interpolant(self.cfg, self._poles, residues)
+        return config_interpolant(self.cfg, residues)
 
 
 def _schedule_tail_sum(cfg: LacunaryConfig) -> mpf:
@@ -121,11 +122,9 @@ def _schedule_tail_sum(cfg: LacunaryConfig) -> mpf:
     return derivative_ratio_bound(cfg, cfg.K + 1) * _schedule_tail(cfg.rho_f, cfg.next_radius(), 1)
 
 
-def config_interpolant(cfg: LacunaryConfig, poles, residues) -> RationalInterpolant:
+def config_interpolant(cfg: LacunaryConfig, residues) -> RationalInterpolant:
     """Interpolant for the zeros of ``cfg`` with their residues, one list
-    per block in block order, certified.  ``poles`` is those zeros,
-    already formed, or None, and the interpolant then forms them on
-    first read.
+    per block in block order, certified.
 
     One pass over the residues, block by block, forms the largest |u|
     per block and the included sum |u/z|, in total and per block, with
@@ -149,7 +148,6 @@ def config_interpolant(cfg: LacunaryConfig, poles, residues) -> RationalInterpol
             block_sums.append(block_sum)
             block_max.append(top)
         return RationalInterpolant(
-            _poles=None if poles is None else tuple(map(tuple, poles)),
             residues=tuple(map(tuple, residues)),
             sum_included=total,
             block_sums=tuple(block_sums),
@@ -166,18 +164,15 @@ def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
     Each block's zeros are formed once, and ``product._block_residues``
     takes every residue of the block from them in closed form, with the
     other blocks' real powers formed once per block and each root of unity
-    taken from the block's zeros; the zeros become the interpolant's poles.
+    taken from the block's zeros; the zeros are then dropped.
     ``derivs_at_zero`` runs f's one-pass kernel over the other blocks
     instead, so the two routes share only ``_block_terms`` (factor,
     cancellation screen, terms), and the interpolation check, which holds
     the stored residues against its f' and f'', compares two routes.
     """
     with mp.workdps(cfg.dps):
-        poles, residues = [], []
-        for k in range(1, cfg.K + 1):
-            poles.append(zeros(cfg, k))
-            residues.append(_block_residues(cfg, k, poles[-1]))
-        return config_interpolant(cfg, poles, residues)
+        residues = [_block_residues(cfg, k, zeros(cfg, k)) for k in range(1, cfg.K + 1)]
+        return config_interpolant(cfg, residues)
 
 
 def g_tail_bound(rat: RationalInterpolant, radius) -> mpf:
@@ -204,13 +199,14 @@ def eval_g(rat: RationalInterpolant, z) -> mpc:
 
 def _g_sum(rat: RationalInterpolant, z: mpc) -> mpc:
     """:func:`eval_g` without its guards, at the working precision: blocks
-    1..K-1 by their direct sum, block K by its closed form where
-    :func:`_top_block` takes it and by its direct sum elsewhere."""
+    1..K-1 by their direct sum over the zeros of the config, formed here,
+    block K by its closed form where :func:`_top_block` takes it and by
+    its direct sum elsewhere."""
     top = _top_block(rat, z)
     direct = rat.cfg.K if top is None else rat.cfg.K - 1
     total = mpc(0)
-    for poles, residues in zip(rat.poles[:direct], rat.residues[:direct]):
-        for p, u in zip(poles, residues):
+    for k in range(1, direct + 1):
+        for p, u in zip(zeros(rat.cfg, k), rat.residues[k - 1]):
             total += u / (z - p)
     return total if top is None else total + top
 
@@ -271,41 +267,6 @@ def _aliasing_bound(blocks, x, size) -> mpf:
         bound = n * rn * M / (r * (1 - rn) * abs(x - rho))
         best = min(best, bound + size if x < rho else bound)
     return best
-
-
-@dataclass(frozen=True)
-class SummabilityReport:
-    per_block: dict
-    per_block_max: dict
-    per_block_bound: dict
-    included: mpf
-    tail: mpf
-    passed: bool
-
-    @property
-    def total(self) -> mpf:
-        return self.included + self.tail
-
-
-def check_summability(rat: RationalInterpolant) -> SummabilityReport:
-    """Certificate report for sum |u_k / z_k|: included partial sums per
-    block plus the analytic tail.  Passes when the total is finite and,
-    in every block k, the largest |u| stays within the residue-ratio
-    bound ``derivative_ratio_bound(cfg, k)``."""
-    cfg = rat.cfg
-    with mp.workdps(cfg.dps):
-        per_block = dict(enumerate(rat.block_sums, start=1))
-        per_block_max = dict(enumerate(rat.block_max, start=1))
-        per_block_bound = {k: derivative_ratio_bound(cfg, k) for k in per_block_max}
-        within = all(per_block_max[k] <= per_block_bound[k] for k in per_block_max)
-        return SummabilityReport(
-            per_block=per_block,
-            per_block_max=per_block_max,
-            per_block_bound=per_block_bound,
-            included=rat.sum_included,
-            tail=rat.tail_sum_bound,
-            passed=bool(rat.sum_included + rat.tail_sum_bound < mpf("inf")) and within,
-        )
 
 
 def _log_plus(value) -> mpf:

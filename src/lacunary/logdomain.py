@@ -68,16 +68,15 @@ class LogComplex:
     arg: mpf
 
     def __post_init__(self):
-        lm = mpf(self.logmag)
-        ar = mpf(self.arg)
+        """Checks the fields, which every caller forms as mpf: the exact
+        zero is (-inf, 0), and every other field is finite."""
+        lm, ar = self.logmag, self.arg
         if mp.isnan(lm) or mp.isnan(ar) or mp.isinf(ar):
             raise PrecisionError(f"non-finite LogComplex fields ({lm}, {ar})")
         if lm == mpf("+inf"):
             raise PrecisionError("infinite magnitude is not representable")
-        if lm == _NEG_INF:
-            ar = mpf(0)
-        object.__setattr__(self, "logmag", lm)
-        object.__setattr__(self, "arg", ar)
+        if lm == _NEG_INF and ar != 0:
+            raise PrecisionError(f"the exact zero has arg 0, got {ar}")
 
     @property
     def is_zero(self) -> bool:

@@ -181,12 +181,14 @@ def _validate_blocks(rho, blocks, dps) -> None:
 
 def _rho(rho_f, dps: int) -> mpf:
     """rho_f read at the config's precision, so that a string such as
-    "0.45" keeps all of its digits; ConfigError unless it lies in (0, 1)."""
+    "0.45" keeps all of its digits, and a float through its shortest
+    decimal form: 0.45 reads as "0.45", not as its binary value.
+    ConfigError unless it lies in (0, 1)."""
     if dps < MIN_DPS:
         raise ConfigError(f"precision must be at least {MIN_DPS} digits, got {dps}")
     with mp.workdps(dps):
         try:
-            rho = mpf(rho_f)
+            rho = mpf(repr(rho_f) if isinstance(rho_f, float) else rho_f)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
     if not (0 < rho < 1):
@@ -228,21 +230,32 @@ def _integer(value, key: str) -> int:
     return value
 
 
+# The keys of the JSON config schema.  rho_H, the order of the perturbation
+# H, is read by the CLI alone.  An explicit config sets blocks, never rule
+# or K.
+CONFIG_KEYS = ("rho_f", "precision_digits", "rho_H", "rule", "K", "blocks")
+
+
 def config_from_dict(d: dict) -> LacunaryConfig:
-    """Parse the JSON config schema.
+    """Parse the JSON config schema; ConfigError names any key outside it.
 
     Rule-based: {"rho_f": 0.5, "rule": "factorial", "K": 4, "precision_digits": 100}
     Explicit:   {"blocks": [[4, 2], [16, 4]], "rho_f": 0.5, "precision_digits": 100}
     """
     if not isinstance(d, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = [key for key in d if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
+    clash = [key for key in ("rule", "K") if "blocks" in d and key in d]
+    if clash:
+        raise ConfigError(f"config key {', '.join(map(repr, clash))} cannot go with 'blocks'")
     try:
         dps = _integer(d.get("precision_digits", DEFAULT_DPS), "precision_digits")
         rule, K = (None, None) if "blocks" in d else (d["rule"], _integer(d["K"], "K"))
     except KeyError as exc:
         raise ConfigError(f"config missing required key {exc}") from exc
-    # the decimal string, which _rho reads at the config's precision
-    rho = str(d.get("rho_f", "0.5"))
+    rho = d.get("rho_f", "0.5")
     if "blocks" in d:
         return config_from_blocks(d["blocks"], rho_f=rho, dps=dps)
     return make_schedule(rho, K, rule=rule, dps=dps)

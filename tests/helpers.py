@@ -2,7 +2,7 @@ import mpmath
 
 from lacunary.growth import _logmag
 from lacunary.interpolation import eval_g
-from lacunary.product import _extracted, _other_blocks
+from lacunary.product import _extracted, _other_blocks, zeros
 
 
 def rel_err(a, b):
@@ -14,12 +14,12 @@ def rel_err(a, b):
 
 def direct_g(rat, z):
     """g(z) as the plain partial-fraction sum over every pole, block by
-    block in stored order: the second route for the library's closed form
-    of the top block."""
+    block in the config's zero order: the second route for the library's
+    closed form of the top block."""
     z = mpmath.mpc(z)
     total = mpmath.mpc(0)
-    for poles, residues in zip(rat.poles, rat.residues):
-        for p, u in zip(poles, residues):
+    for k, residues in enumerate(rat.residues, start=1):
+        for p, u in zip(zeros(rat.cfg, k), residues):
             total += u / (z - p)
     return total
 
@@ -82,7 +82,7 @@ def block_residues_per_zero(cfg, k, poles):
 
 def recover_residue(rat, k, m):
     """(1/2pi i) of g around pole (k, m): residue recovery independent
-    of factor extraction where g is the direct sum over the stored poles.
+    of factor extraction where g is the direct sum over the poles.
     Around a zero of the top block, where ``_g_sum`` takes the closed form
     from the config, the contour integrates that closed form, so the
     stored residue is held against the closed form's own residue there.
@@ -94,11 +94,12 @@ def recover_residue(rat, k, m):
     """
     mp = mpmath.mp
     with mp.workdps(rat.cfg.dps):
-        xi = rat.poles[k - 1][m]
+        poles = [zeros(rat.cfg, j) for j in range(1, rat.cfg.K + 1)]
+        xi = poles[k - 1][m]
         dist = min(
             (
                 abs(xi - p)
-                for j, block in enumerate(rat.poles, start=1)
+                for j, block in enumerate(poles, start=1)
                 for i, p in enumerate(block)
                 if (j, i) != (k, m)
             ),

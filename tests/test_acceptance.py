@@ -31,7 +31,7 @@ from lacunary.growth import (
     verify_thm2_asymptotics,
 )
 from lacunary.interpolation import eval_g, proximity_m, residues_from_f
-from lacunary.product import derivative_ratio_bound
+from lacunary.product import derivative_ratio_bound, zeros
 
 
 def report(number: int, name: str, passed: bool, details: str, elapsed: float):
@@ -130,13 +130,14 @@ def test_criterion_5_proximity_and_characteristic():
     start = time.perf_counter()
     cfg = make_schedule(0.5, 3, "factorial")
     rat = residues_from_f(cfg)
-    moduli = sorted({abs(p) for block in rat.poles for p in block})
+    poles = [p for k in range(1, cfg.K + 1) for p in zeros(cfg, k)]
+    moduli = sorted({abs(p) for p in poles})
     g = lambda z: eval_g(rat, z)
     r3 = cfg.blocks[-1][0]
     values = [proximity_m(g, scale * r3, avoid_moduli=moduli) for scale in (10, 100, 1000)]
     monotone = values[0] >= values[1] >= values[2]
     final_ok = values[2] < mpf("0.01")
-    m, n, t = nevanlinna(g, [abs(p) for block in rat.poles for p in block], 100 * r3)
+    m, n, t = nevanlinna(g, [abs(p) for p in poles], 100 * r3)
     char_ok = abs(t - n) < mpf("0.05")
     elapsed = time.perf_counter() - start
     passed = monotone and final_ok and char_ok

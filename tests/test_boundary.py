@@ -12,6 +12,7 @@ rather than assembling them from ``log_derivative``.
 """
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from lacunary import CancellationError, TailError, config_from_blocks, make_sche
 from lacunary import product
 import lacunary.logdomain
 from lacunary.coefficients import build_H
-from lacunary.interpolation import eval_g, g_tail_bound, residues_from_f
+from lacunary.interpolation import RationalInterpolant, eval_g, g_tail_bound, residues_from_f
 from lacunary.product import (
     derivs_at_zero,
     eval_f,
@@ -245,6 +246,21 @@ def test_root_index_kernel_serves_the_block_pass_alone():
     assert "derivs_at_zero" not in [
         site for tree in trees for site in _call_sites(tree, "_other_blocks")
     ]
+
+
+def test_interpolant_holds_residues_and_certificates_alone():
+    """The config fixes every pole, so the interpolant keeps no copy of
+    them: its fields are the residues, their certificates and the config,
+    and no module writes to a frozen dataclass behind its back."""
+    names = [field.name for field in dataclasses.fields(RationalInterpolant)]
+    assert sorted(names) == sorted(
+        ["residues", "sum_included", "block_sums", "block_max", "tail_sum_bound", "cfg"]
+    )
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__":
+                value = node.value
+                assert not (isinstance(value, ast.Name) and value.id == "object"), path.name
 
 
 def _benchmark_layers():

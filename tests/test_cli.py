@@ -269,6 +269,29 @@ class TestVerify:
             assert code == 2
             assert key in capsys.readouterr().err
 
+    def test_misspelt_key_exit_2(self, tmp_path, capsys):
+        """rho_h for rho_H would drop H and its 1d records without a word:
+        the key is refused by name."""
+        cfg = write_config(tmp_path, {**HEADLINE, "rho_h": 0.4})
+        out = tmp_path / "v"
+        code = main(
+            ["verify", "--config", cfg, "--out", str(out), "--checks", "residual", "--points", "2"]
+        )
+        assert code == 2
+        assert "'rho_h'" in capsys.readouterr().err
+        assert not (out / "records.jsonl").exists()
+
+    def test_rule_and_k_with_blocks_exit_2(self, tmp_path, capsys):
+        """An explicit config that also sets rule and K is refused, naming
+        both, rather than built from its blocks with rule and K dropped."""
+        payload = {"blocks": [[4, 2], [16, 4]], "rule": "factorial", "K": 4, "rho_f": 0.5}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "c"
+        assert main(["construct", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'rule'" in err and "'K'" in err
+        assert not (out / "config.json").exists()
+
     def test_count_below_one_exit_2(self, tmp_path, capsys):
         """A residual check over no points would pass with no records, and an
         indicator scan over no angles would judge nothing: both exit 2."""
@@ -501,6 +524,14 @@ class TestReport:
         assert json.loads((out / "report.json").read_text())["passed"] is False
 
 
+    def test_missing_directory_exit_2(self, tmp_path, capsys):
+        """--out naming no directory is unreadable input: exit 2 with a
+        message that names it, and no directory is made."""
+        out = tmp_path / "missing"
+        assert main(["report", "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truncated_records_exit_2(self, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()
@@ -695,8 +726,8 @@ class TestArtifactRoundTrip:
 
     def test_top_block_zeros_formed_once(self, monkeypatch, tmp_path, headline_artifacts):
         """construct and a plain verify that sums g form the 4096 zeros of
-        block 4 once each: the interpolant keeps the ones its residues
-        came from."""
+        block 4 once each: the residue pass forms them, and g takes block
+        4 in closed form."""
         calls = []
         real = product.zeros
 
@@ -716,6 +747,30 @@ class TestArtifactRoundTrip:
              "--checks", "interpolation,residual"]
         )
         assert code == 0 and calls.count(4) == 2
+
+    def test_artifact_residual_forms_no_top_block_zero(
+        self, monkeypatch, tmp_path, headline_artifacts
+    ):
+        """Verifying the residual from the artifacts sums g, and block 4's
+        part of g comes in closed form from the config at every sample
+        point, so none of the 4096 zeros of block 4 is formed."""
+        calls = []
+        real = product.zeros
+
+        def counting(cfg, k):
+            calls.append(k)
+            return real(cfg, k)
+
+        for module in (product, interpolation, cli):
+            if hasattr(module, "zeros"):
+                monkeypatch.setattr(module, "zeros", counting)
+        cfg, built = headline_artifacts
+        code = main(
+            ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--artifacts", str(built),
+             "--checks", "residual", "--points", "2"]
+        )
+        assert code == 0
+        assert calls and 4 not in calls
 
 
     @pytest.mark.parametrize(

@@ -111,7 +111,7 @@ class TestNevanlinna:
         """|T(r,g) - N(r,g)| = m(r,g) < 0.05 at r = 100 r_3 for K=3."""
         cfg = make_schedule(0.5, 3, "factorial")
         rat = residues_from_f(cfg)
-        moduli = [abs(p) for block in rat.poles for p in block]
+        moduli = [abs(p) for k in range(1, cfg.K + 1) for p in product.zeros(cfg, k)]
         r = 100 * cfg.blocks[-1][0]
         m, n, t = nevanlinna(lambda z: eval_g(rat, z), moduli, r)
         assert n > 0

@@ -17,7 +17,6 @@ from lacunary.interpolation import (
     _g_sum,
     _sup_bound,
     _top_block,
-    check_summability,
     config_interpolant,
     eval_g,
     g_proximity,
@@ -39,7 +38,7 @@ class TestResidues:
     def test_one_minus_z_squared(self):
         """f = 1 - z^2: u = 1/(2 z^2) at z = +-1, i.e. 0.5 at both poles."""
         rat = one_minus_z_squared()
-        assert len(rat.poles[0]) == 2
+        assert len(rat.residues[0]) == 2
         for u in rat.residues[0]:
             assert rel_err(u, mpf("0.5")) < mpf("1e-95")
 
@@ -52,13 +51,13 @@ class TestResidues:
     def test_two_block_value(self):
         """xi = 16 in [[4,2],[16,4]]: u = -f''/f'^2 = -1.703125/14.0625."""
         rat = residues_from_f(config_from_blocks([(4, 2), (16, 4)]))
-        assert rel_err(rat.poles[1][0], 16) < mpf("1e-95")
+        assert rel_err(zero_point(rat.cfg, 2, 0), 16) < mpf("1e-95")
         assert rel_err(rat.residues[1][0], mpf("-1.703125") / mpf("14.0625")) < mpf("1e-90")
 
     def test_conjugate_zero_pairs_have_conjugate_residues(self):
         cfg = make_schedule(0.5, 3, "factorial")
         rat = residues_from_f(cfg)
-        poles, residues = rat.poles[2], rat.residues[2]
+        poles, residues = zeros(cfg, 3), rat.residues[2]
         # index 7 is the conjugate of index 1 in an 8-block
         assert abs(poles[1] - mp.conj(poles[7])) < mpf("1e-90")
         assert abs(residues[1] - mp.conj(residues[7])) < mpf("1e-85")
@@ -89,7 +88,7 @@ class TestResidues:
         """A replaced residue carries the certificates a fresh build gives it."""
         rat = residues_from_f(make_schedule(0.5, 3, "factorial"))
         bad = rat.with_residue(2, 0, rat.residues[1][0] + mpf("1e-3"))
-        fresh = config_interpolant(rat.cfg, rat.poles, bad.residues)
+        fresh = config_interpolant(rat.cfg, bad.residues)
         assert bad.sum_included == fresh.sum_included != rat.sum_included
         assert bad.c_bound == fresh.c_bound
         assert bad.tail_sum_bound == fresh.tail_sum_bound
@@ -100,16 +99,14 @@ class TestResidues:
             with pytest.raises(ValueError):
                 rat.with_residue(k, m, 1)
 
-    def test_poles_formed_from_the_config_on_first_read(self):
-        """An interpolant built from residues alone forms no pole until one
-        is read; then it forms the zeros that ``residues_from_f`` handed
-        over, bit for bit.  ``with_residue`` forms none either."""
+    def test_interpolant_from_residues_alone_is_the_same(self):
+        """An interpolant built from the residues of ``residues_from_f``
+        alone is equal to it, and so is every value of g."""
         cfg = make_schedule(0.5, 3, "factorial")
         rat = residues_from_f(cfg)
-        lazy = config_interpolant(cfg, None, rat.residues)
-        assert lazy._poles is None and lazy.with_residue(1, 0, 1)._poles is None
-        assert eval_g(lazy, 5) == eval_g(rat, 5)
-        assert lazy._poles == rat.poles
+        rebuilt = config_interpolant(cfg, rat.residues)
+        assert rebuilt == rat
+        assert eval_g(rebuilt, 5) == eval_g(rat, 5)
 
 
 class TestEvalG:
@@ -166,7 +163,7 @@ class TestEvalG:
         geo = 1 / (1 - mp.power(2, cfg.rho_f - 1))
         harmonic = mp.power(r, cfg.rho_f - 1) * geo + 3 / r
         expected = derivative_ratio_bound(cfg, cfg.K + 1) * harmonic
-        assert config_interpolant(cfg, [], []).tail_sum_bound == expected
+        assert config_interpolant(cfg, []).tail_sum_bound == expected
 
 
 class TestResidueRecoveryContour:
@@ -190,13 +187,13 @@ class TestResidueRecoveryContour:
 
 class TestSummability:
     def test_single_pole(self):
-        rep = check_summability(one_minus_z_squared())
-        assert rel_err(rep.included, 1) < mpf("1e-95")
-        assert rep.passed
+        rat = one_minus_z_squared()
+        assert rel_err(rat.sum_included, 1) < mpf("1e-95")
+        assert rat.summable
 
     def test_factorial_certificate_finite_and_first_block_dominated(self, factorial_k4_rat):
-        rep = check_summability(factorial_k4_rat)
-        assert rep.passed
+        rat = factorial_k4_rat
+        assert rat.summable
         # frozen from exact-fraction differentiation of the 3-block truncation
         # (the block-4 factor shifts these below 10^-10000):
         #   u(2)  = -238800161901575072120832/134325091068047794605625
@@ -205,30 +202,32 @@ class TestSummability:
         u2 = mpf("1.777777777798797210885455549525705531271")
         u4 = mpf("2.499999998719431459171880574316541355562")
         u4m = mpf("0.3888888883585524225203691969752262313266")
-        assert rel_err(rep.per_block[1], u2 / 2) < mpf("1e-35")
-        assert rel_err(rep.per_block[2], (u4 + u4m) / 4) < mpf("1e-35")
+        per_block = rat.block_sums
+        assert rel_err(per_block[0], u2 / 2) < mpf("1e-35")
+        assert rel_err(per_block[1], (u4 + u4m) / 4) < mpf("1e-35")
         # blocks 3, 4 and the analytic tail add a sliver on top of ~29/18
-        assert 0 < rep.total - (u2 / 2 + (u4 + u4m) / 4) < mpf("1e-4")
-        assert set(rep.per_block) == {1, 2, 3, 4}
+        total = rat.sum_included + rat.tail_sum_bound
+        assert 0 < total - (u2 / 2 + (u4 + u4m) / 4) < mpf("1e-4")
+        assert len(per_block) == 4
         # dominated by the first blocks
-        assert rep.per_block[1] + rep.per_block[2] > rep.per_block[3] + rep.per_block[4]
+        assert per_block[0] + per_block[1] > per_block[2] + per_block[3]
         for k in (1, 2, 3, 4):
-            assert rep.per_block_bound[k] == derivative_ratio_bound(factorial_k4_rat.cfg, k)
-            assert rep.per_block_max[k] <= rep.per_block_bound[k]
+            assert rat.residue_bounds[k - 1] == derivative_ratio_bound(rat.cfg, k)
+            assert rat.block_max[k - 1] <= rat.residue_bounds[k - 1]
 
     def test_finite_residue_beyond_block_bound_fails(self, factorial_k4_rat):
         """A finite but wrong residue: sum |u/z| stays finite, the block-4
         residue bound does not hold."""
         rat = factorial_k4_rat
-        bad = check_summability(rat.with_residue(4, 1234, 1000 * rat.residues[3][1234]))
-        assert bad.total < mpf("inf")
-        assert bad.per_block_max[4] > bad.per_block_bound[4]
-        assert not bad.passed
+        bad = rat.with_residue(4, 1234, 1000 * rat.residues[3][1234])
+        assert bad.sum_included + bad.tail_sum_bound < mpf("inf")
+        assert bad.block_max[3] > bad.residue_bounds[3]
+        assert not bad.summable
 
 
 def _agrees_with_direct(rat, z):
     """_g_sum(z) within 10^(10-P) of the plain partial-fraction sum over the
-    stored poles and residues, summed at 2P digits."""
+    config's zeros and the stored residues, summed at 2P digits."""
     with mp.workdps(rat.cfg.dps):
         z = mpc(z)
         got = _g_sum(rat, z)
@@ -328,7 +327,7 @@ class TestBlockResidues:
         rat = residue_rats(name, dps)
         for k, (_, n) in enumerate(rat.cfg.blocks, start=1):
             got = rat.residues[k - 1]
-            want = block_residues_per_zero(rat.cfg, k, rat.poles[k - 1])
+            want = block_residues_per_zero(rat.cfg, k, zeros(rat.cfg, k))
             assert [m for m in range(n) if got[m] != want[m]] == [], k
 
     def test_every_factor_is_screened(self, monkeypatch):
@@ -418,7 +417,7 @@ class TestTopBlockClosedForm:
         bad = rat.with_residue(3, 5, rat.residues[2][5] + delta)
         assert _top_block(bad, z) is not None
         after = _g_sum(bad, z)
-        change = delta / (z - rat.poles[2][5])
+        change = delta / (z - zero_point(rat.cfg, 3, 5))
         assert abs(after - before - change) <= mpf("1e-90") * abs(after)
         assert _g_sum(rat, z) == before
 
@@ -507,7 +506,7 @@ class TestProximityCertificate:
         residues are about 10^-64)."""
         rat = rats[name]
         for k in range(1, rat.cfg.K + 1):
-            z = rat.poles[k - 1][0] * (1 + mpf("1e-6"))
+            z = zero_point(rat.cfg, k, 0) * (1 + mpf("1e-6"))
             assert abs(eval_g(rat, z)) <= _sup_bound(rat, abs(z)), k
 
     def test_quadrature_where_bound_reaches_one(self):
@@ -528,7 +527,7 @@ class TestProximityCertificate:
         (1 + 8 eps) lifts B above 1, and the quadrature decides: m = 0,
         since |g| <= 2/3 on that circle."""
         cfg = config_from_blocks([[4, 2]])
-        rat = config_interpolant(cfg, [zeros(cfg, 1)], [[2 - 4 * mp.eps] * 2])
+        rat = config_interpolant(cfg, [[2 - 4 * mp.eps] * 2])
         assert rat.block_sums[0] == 1 - 2 * mp.eps
         calls = []
         quadrature = interpolation.proximity_m

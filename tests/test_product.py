@@ -529,7 +529,10 @@ def test_schedule_invariants_hold_or_config_rejected(rho, K, rule):
     for k in range(1, K):
         assert 2 * sum(ns[:k]) <= ns[k]
     assert cfg.sigma_certificate.total < mpf("inf")
-    assert all(abs(n - mp.power(r, rho)) <= mpf("1.5") for r, n in cfg.blocks)
+    # a float rho is read through its shortest decimal form, not its binary value
+    with mp.workdps(cfg.dps):
+        assert cfg.rho_f == mpf(repr(rho))
+    assert all(abs(n - mp.power(r, cfg.rho_f)) <= mpf("1.5") for r, n in cfg.blocks)
 
 
 @given(
@@ -553,6 +556,17 @@ def test_config_dict_round_trips_explicit_radii(radii, dps):
         blocks = [(r, product._round_power(mpf(r), 0.5)) for r in kept]
     cfg = config_from_blocks(blocks, dps=dps)
     assert config_from_dict(config_to_dict(cfg)).blocks == cfg.blocks
+
+
+def test_float_rho_f_reads_as_the_json_config_does():
+    """make_schedule(0.45, 4) is the config {"rho_f": 0.45, ...}: the same
+    rho_f, and the same blocks past K, where n_k = round(r_k^rho) is
+    large enough to tell 0.45 from its binary value."""
+    built = make_schedule(0.45, 4, "factorial")
+    parsed = config_from_dict({"rho_f": 0.45, "rule": "factorial", "K": 4})
+    assert built.rho_f == parsed.rho_f
+    for k in (5, 6):
+        assert built.block(k) == parsed.block(k), k
 
 
 def test_rho_f_keeps_the_config_precision():
