@@ -283,16 +283,11 @@ def check_asymptotics(sys: CoefficientSystem, seed: int):
                 extra={"property": "disk free of zeros of f'", **extra},
             )
         )
-    records.append(
-        record(
-            "asymptotics",
-            "2c",
-            None,
-            None,
-            rep.disks_pass,
-            extra={"property": "zero-free disk confirmed for every applicable block"},
-        )
-    )
+    summary = {"property": "zero-free disk confirmed for every applicable block"}
+    if not any(disk.applicable for disk in rep.disks):
+        reasons = "; ".join(f"block {disk.block}: {disk.reason}" for disk in rep.disks)
+        summary.update(applicable=False, reason=f"no block's disk applies ({reasons})")
+    records.append(record("asymptotics", "2c", None, None, rep.disks_pass, extra=summary))
     return records
 
 

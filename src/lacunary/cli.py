@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys as _sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -65,9 +66,30 @@ def _nstr(x, digits: int = 25) -> str:
     return mp.nstr(x, digits)
 
 
-def _cstr(z, digits: int = 25) -> list[str]:
-    z = mpc(z)
-    return [_nstr(z.real, digits), _nstr(z.imag, digits)]
+# residues.json holds each part of a residue exactly, in float.hex syntax
+# with an integer mantissa; float.fromhex reads it to the nearest double
+_HEX = re.compile(r"(-?)0x([0-9a-f]+)p(-?[0-9]+)")
+
+
+def _hex(x: mpf) -> str:
+    """x exactly as ``[-]0x<hex mantissa>p<binary exponent>``; zero is
+    ``0x0p0`` and a non-finite x its float name."""
+    if not mp.isfinite(x):
+        return repr(float(x))
+    man, exp = x.man_exp  # man is unsigned: the sign is x's
+    return f"{'-' if x < 0 else ''}0x{man:x}p{exp}"
+
+
+def _unhex(s: str) -> mpf:
+    """The number :func:`_hex` wrote, at the working precision: exact when
+    it was written at no more, else rounded once."""
+    if s in ("nan", "inf", "-inf"):
+        return mpf(s)
+    match = _HEX.fullmatch(s)
+    if match is None:
+        raise ValueError(f"{s!r} is not of the form [-]0x<hex mantissa>p<binary exponent>")
+    sign, man, exp = match.groups()
+    return mpf((int(sign + man, 16), int(exp)))
 
 
 def _load(args) -> tuple[LacunaryConfig, dict, Path]:
@@ -111,8 +133,8 @@ def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
     extras = {"rho_H": data["rho_H"]} if "rho_H" in data else {}
     _write_json(out / "config.json", {**config_to_dict(cfg), **extras})
 
-    # full-precision serialization: the verify-from-artifact path must
-    # round-trip residues without disturbing the interpolation identity.
+    # exact serialization: the verify-from-artifact path reads back the
+    # residues it would compute, so the interpolation identity is undisturbed.
     # The config fixes every zero: zeros.json holds each block's r and n,
     # and residues.json only the (k, m) label of each residue's pole
     rat = system.rat
@@ -121,7 +143,7 @@ def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
     _write_json(
         out / "residues.json",
         [
-            {"k": k, "m": m, "residue": _cstr(u, cfg.dps + 5)}
+            {"k": k, "m": m, "residue": [_hex(u.real), _hex(u.imag)]}
             for k, block in enumerate(rat.residues, start=1)
             for m, u in enumerate(block)
         ],
@@ -172,8 +194,9 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
     Entries must come in the config's (block, index) order, the order of
     the config's zeros, which fix the poles; no zero is formed here, and
     any key of an entry besides k, m and residue is ignored.  Each
-    residue is a list of two strings, its real and imaginary parts.  Their
-    values are not validated: catching a wrong residue is the checks' job.
+    residue is a list of two strings, its real and imaginary parts in the
+    form :func:`_hex` writes, or nan, inf or -inf.  Their values are not
+    validated: catching a wrong residue is the checks' job.
     """
     try:
         entries = json.loads((path / "residues.json").read_text(encoding="utf-8"))
@@ -206,7 +229,7 @@ def _entry_residue(e, k: int, m: int) -> mpc:
         raise ConfigError(
             f"artifact entry ({k}, {m}): residue must be a list of two strings, got {re_im!r}"
         )
-    return mpc(mpf(re_im[0]), mpf(re_im[1]))
+    return mpc(_unhex(re_im[0]), _unhex(re_im[1]))
 
 
 def cmd_verify(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:

@@ -391,7 +391,8 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
     (iv)  for every block whose disk sits strictly between the
           neighbouring circles, the argument-principle winding of f'
           confirms the disk holds no zero of f' (``sample_winding``); on
-          block k's circle it starts from the nodes of (iii).
+          block k's circle it starts from the nodes of (iii).  With no
+          such block, (iv) holds vacuously.
     """
     if not 1 <= k <= cfg.K:
         raise ConfigError(f"k must be within 1..{cfg.K}")
@@ -457,8 +458,7 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
                 _, w = sample_winding(cfg, (j, 0), r_j / mpf(n_j), CONTOUR_NODES, samples)
             zero_free = None if w is None else w == 0
             disks.append(DiskCheck(j, applicable, reason, w, zero_free))
-        checked = [d.zero_free for d in disks if d.applicable]
-        disks_pass = bool(checked and all(checked))
+        disks_pass = all(d.zero_free for d in disks if d.applicable)
 
         return AsymptoticsReport(
             k=k,

@@ -1,5 +1,6 @@
 import mpmath
 
+from lacunary.cli import _entry_residue, _hex
 from lacunary.growth import _logmag
 from lacunary.interpolation import eval_g
 from lacunary.product import _extracted, _other_blocks, zeros
@@ -10,6 +11,19 @@ def rel_err(a, b):
     a = mpmath.mpc(a)
     b = mpmath.mpc(b)
     return abs(a - b) / abs(b)
+
+
+def read_residue(entry):
+    """The residue of a residues.json entry, exactly: read as ``verify
+    --artifacts`` reads it, at a precision that holds its mantissas."""
+    with mpmath.workprec(4 * max(map(len, entry["residue"]))):
+        return _entry_residue(entry, entry["k"], entry["m"])
+
+
+def write_residue(entry, u):
+    """Store u in a residues.json entry, exactly, as ``construct`` writes it."""
+    u = mpmath.mpc(u)
+    entry["residue"] = [_hex(u.real), _hex(u.imag)]
 
 
 def direct_g(rat, z):

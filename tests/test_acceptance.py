@@ -33,6 +33,8 @@ from lacunary.growth import (
 from lacunary.interpolation import eval_g, proximity_m, residues_from_f
 from lacunary.product import derivative_ratio_bound, zeros
 
+from helpers import read_residue, write_residue
+
 
 def report(number: int, name: str, passed: bool, details: str, elapsed: float):
     state = "PASS" if passed else "FAIL"
@@ -220,7 +222,7 @@ def test_criterion_9_fault_injection(tmp_path):
 
     entries = json.loads((art / "residues.json").read_text())
     victim = next(i for i, e in enumerate(entries) if e["k"] == 2 and e["m"] == 0)
-    entries[victim]["residue"][0] = str(float(entries[victim]["residue"][0][:20]) + 1e-3)
+    write_residue(entries[victim], read_residue(entries[victim]) + mpf("1e-3"))
     (art / "residues.json").write_text(json.dumps(entries))
 
     code = cli_main(

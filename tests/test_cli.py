@@ -9,7 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from mpmath import mp, mpf
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpc, mpf
 
 import lacunary
 from lacunary import (
@@ -23,6 +25,8 @@ from lacunary import (
     product,
 )
 from lacunary.cli import main
+
+from helpers import read_residue, write_residue
 
 ANCHOR = {"blocks": [[1, 2]], "rho_f": 0.5, "precision_digits": 100, "rho_H": 0.25}
 FACT3 = {"rho_f": 0.5, "rule": "factorial", "K": 3, "precision_digits": 100, "rho_H": 0.4}
@@ -77,7 +81,7 @@ class TestConstruct:
         residues = json.loads((out / "residues.json").read_text())
         assert len(residues) == 2
         for entry in residues:
-            assert abs(float(entry["residue"][0]) - 0.5) < 1e-15
+            assert abs(read_residue(entry) - 0.5) < 1e-15
 
     def test_system_certificates_present(self, tmp_path):
         cfg = write_config(tmp_path, FACT3)
@@ -159,15 +163,26 @@ class TestVerify:
                 ],
                 id="theorem",
             ),
+            pytest.param(
+                {"rho_f": 0.5, "rule": "factorial", "K": 3}, 233, [CAUCHY_2F], id="factorial-K3"
+            ),
+            pytest.param(
+                {"blocks": [[4, 2], [16, 4]], "rho_f": 0.5},
+                224,
+                [("asymptotics", "2c", None, None, None)],
+                id="readme-blocks",
+            ),
         ],
     )
     def test_all_checks_fail_only_the_known_records(self, tmp_path, payload, count, failing):
-        """``verify --checks all`` exits 1 on the headline and theorem
-        configs, failing exactly the records that ROADMAP.md item 2 leaves
-        open: the blockwise-ratio record of 2(a) (the step from block 1 to
-        block 2) and, on the theorem config, the zero-free disk of block 3
-        (winding 1) and its summary, 2(b).  When item 2 lands both runs exit
-        0 and this test changes with it."""
+        """``verify --checks all`` exits 1 on these configs, failing exactly
+        the records that ROADMAP.md items 2 and 11 leave open: the
+        blockwise-ratio record of 2(a) (the step from block 1 to block 2);
+        on the theorem config, the zero-free disk of block 3 (winding 1)
+        and its summary, 2(b); and on the README's explicit config the
+        log-derivative record of 2c, whose bound omits block 2, 11(a).
+        When those items land the runs exit 0 and this test changes with
+        them."""
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "v"
         assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "all"]) == 1
@@ -175,11 +190,26 @@ class TestVerify:
         records = [json.loads(line) for line in lines]
         assert len(records) == count
         failed = [
-            (r["check"], r["eq"], r["zero"], r["property"], r.get("winding"))
+            (r["check"], r["eq"], r["zero"], r.get("property"), r.get("winding"))
             for r in records
             if not r["pass"]
         ]
         assert failed == failing
+
+    def test_disk_summary_without_applicable_disk(self, tmp_path):
+        """On factorial K=3 neither disk sits between its neighbouring
+        circles, so the summary of the zero-free disks passes as not
+        applicable, with the reason of each block."""
+        cfg = write_config(tmp_path, {"rho_f": 0.5, "rule": "factorial", "K": 3})
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "asymptotics"]) == 0
+        summary = json.loads((out / "records.jsonl").read_text().splitlines()[-1])
+        assert summary["property"] == "zero-free disk confirmed for every applicable block"
+        assert summary["pass"] is True and summary["applicable"] is False
+        assert summary["reason"] == (
+            "no block's disk applies (block 1: disk reaches the next circle; "
+            "block 2: disk reaches the previous circle)"
+        )
 
     def test_low_precision_exit_3_with_suggestion(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FACT3)
@@ -345,7 +375,7 @@ class TestVerify:
         )
         assert clean == 0
         entries = json.loads((art / "residues.json").read_text())
-        entries[3]["residue"][0] = str(float(entries[3]["residue"][0][:20]) + 1e-3)
+        write_residue(entries[3], read_residue(entries[3]) + mpf("1e-3"))
         (art / "residues.json").write_text(json.dumps(entries))
         code = main(
             [
@@ -372,7 +402,7 @@ class TestVerify:
         entries = json.loads((art / "residues.json").read_text())
         i = next(i for i, e in enumerate(entries) if (e["k"], e["m"]) == (4, 1234))
         with mp.workdps(110):
-            entries[i]["residue"] = [mp.nstr(1000 * mpf(x), 105) for x in entries[i]["residue"]]
+            write_residue(entries[i], 1000 * read_residue(entries[i]))
         (art / "residues.json").write_text(json.dumps(entries))
         assert main([*verify, "--out", str(tmp_path / "v1")]) == 1
         (rec,) = [
@@ -412,6 +442,53 @@ class TestVerify:
             )
             assert code == 2, i
             assert "config error" in capsys.readouterr().err, i
+
+    def test_residue_not_in_hex_exit_2(self, tmp_path, capsys):
+        """A residue part must be written as construct writes it,
+        [-]0x<hex mantissa>p<binary exponent>: a decimal from an earlier
+        artifact is refused, and so is hex without its 0x prefix, which
+        float.fromhex would read ("0.5" as 0.3125), or with no digits."""
+        cfg = write_config(tmp_path, FACT3)
+        art = tmp_path / "art"
+        assert main(["construct", "--config", cfg, "--out", str(art)]) == 0
+        entries = json.loads((art / "residues.json").read_text())
+        for part in ("0.5", "12", "0x", "0x1p"):
+            tampered = [{**entries[0], "residue": [part, "0x0p0"]}] + entries[1:]
+            (art / "residues.json").write_text(json.dumps(tampered))
+            code = main(
+                ["verify", "--config", cfg, "--out", str(tmp_path / "v"),
+                 "--artifacts", str(art), "--checks", "interpolation"]
+            )
+            assert code == 2, part
+            err = capsys.readouterr().err
+            assert f"{part!r} is not of the form [-]0x<hex mantissa>p<binary exponent>" in err, err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([15, 100, 200, 400]),
+    st.integers(min_value=0, max_value=2**1400),
+    st.integers(min_value=-1200, max_value=1200),
+    st.booleans(),
+)
+def test_residue_hex_round_trip(dps, man, exp, negative):
+    """A residue part written at dps digits reads back exactly at dps,
+    rounded once at fewer digits, and as the nearest double by
+    float.fromhex."""
+    with mp.workdps(dps):
+        x = mpf((-man if negative else man, exp))
+        text = cli._hex(x)
+        assert cli._unhex(text) == x
+    for lower in (d for d in (15, 100, 200) if d < dps):
+        with mp.workdps(lower):
+            assert cli._unhex(text) == +x
+    if sys.float_info.min <= abs(float(x)) <= sys.float_info.max:
+        assert float.fromhex(text) == float(x)
+
+
+def test_residue_hex_of_zero_and_nonfinite():
+    assert [cli._hex(mpf(x)) for x in (0, "nan", "inf", "-inf")] == ["0x0p0", "nan", "inf", "-inf"]
+    assert cli._unhex("0x0p0") == 0 and mp.isnan(cli._unhex("nan"))
 
 
 class TestScan:
@@ -505,7 +582,7 @@ class TestReport:
         art = tmp_path / "art"
         main(["construct", "--config", cfg, "--out", str(art)])
         entries = json.loads((art / "residues.json").read_text())
-        entries[0]["residue"][0] = str(float(entries[0]["residue"][0][:20]) + 1e-3)
+        write_residue(entries[0], read_residue(entries[0]) + mpf("1e-3"))
         (art / "residues.json").write_text(json.dumps(entries))
         out = tmp_path / "run"
         main(["verify", "--config", cfg, "--out", str(out), "--artifacts", str(art),
@@ -619,8 +696,7 @@ def _residues_off_by_1e30(monkeypatch, art):
     for e in entries:
         if (e["k"], e["m"]) in ((2, 1), (3, 5), (4, 1234)):
             with mp.workdps(110):
-                scale = 1 + mpf(10) ** -30
-                e["residue"] = [mp.nstr(scale * mpf(x), 105) for x in e["residue"]]
+                write_residue(e, (1 + mpf(10) ** -30) * read_residue(e))
     path.write_text(json.dumps(entries))
 
 
@@ -631,7 +707,7 @@ def _residue_4_1234_times_10(monkeypatch, art):
     entries = json.loads(path.read_text())
     (e,) = [e for e in entries if (e["k"], e["m"]) == (4, 1234)]
     with mp.workdps(110):
-        e["residue"] = [mp.nstr(10 * mpf(x), 105) for x in e["residue"]]
+        write_residue(e, 10 * read_residue(e))
     path.write_text(json.dumps(entries))
 
 
@@ -641,7 +717,7 @@ def _residue_4_1234_nan(monkeypatch, art):
     path = art / "residues.json"
     entries = json.loads(path.read_text())
     (e,) = [e for e in entries if (e["k"], e["m"]) == (4, 1234)]
-    e["residue"] = ["nan", "0"]
+    write_residue(e, mpc(mp.nan, 0))
     path.write_text(json.dumps(entries))
 
 
@@ -659,7 +735,7 @@ def _residue_2_1_times_1e12(monkeypatch, art):
     entries = json.loads(path.read_text())
     (e,) = [e for e in entries if (e["k"], e["m"]) == (2, 1)]
     with mp.workdps(110):
-        e["residue"] = [mp.nstr(mpf(10) ** 12 * mpf(x), 105) for x in e["residue"]]
+        write_residue(e, mpf(10) ** 12 * read_residue(e))
     path.write_text(json.dumps(entries))
 
 
@@ -692,21 +768,24 @@ class TestArtifactRoundTrip:
     def test_residues_only_and_records_unchanged(self, tmp_path, headline_artifacts):
         """residues.json holds (k, m) and the residue of each zero, nothing
         else, and verifying from it writes the records that verifying from
-        a fresh construction writes, byte for byte."""
+        a fresh construction writes, byte for byte, at 100 and 200 digits."""
         cfg, built = headline_artifacts
-        entries = json.loads((built / "residues.json").read_text())
-        assert len(entries) == 4107
-        assert all(sorted(e) == ["k", "m", "residue"] for e in entries)
-        outs = []
-        for name, extra in (("fresh", ()), ("artifact", ("--artifacts", str(built)))):
-            out = tmp_path / name
-            code = main(
-                ["verify", "--config", cfg, "--out", str(out), "--points", "5",
-                 "--checks", "interpolation,summability,residual", *extra]
-            )
-            assert code == 0
-            outs.append((out / "records.jsonl").read_bytes())
-        assert outs[0] == outs[1]
+        built_200 = tmp_path / "art200"
+        assert main(["construct", "--config", cfg, "--out", str(built_200), "--precision", "200"]) == 0
+        for art, dps in ((built, "100"), (built_200, "200")):
+            entries = json.loads((art / "residues.json").read_text())
+            assert len(entries) == 4107
+            assert all(sorted(e) == ["k", "m", "residue"] for e in entries)
+            outs = []
+            for name, extra in (("fresh", ()), ("artifact", ("--artifacts", str(art)))):
+                out = tmp_path / f"{name}{dps}"
+                code = main(
+                    ["verify", "--config", cfg, "--out", str(out), "--points", "5",
+                     "--precision", dps, "--checks", "interpolation,summability,residual", *extra]
+                )
+                assert code == 0
+                outs.append((out / "records.jsonl").read_bytes())
+            assert outs[0] == outs[1], dps
 
     def test_artifact_checks_form_no_pole(self, monkeypatch, tmp_path, headline_artifacts):
         """No check of the contour route sums g, so verifying from the
