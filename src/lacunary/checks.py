@@ -10,8 +10,8 @@ where "eq" is the label of the identity or bound being verified:
     3f  interpolation identity  A0(z_k) f'(z_k) + f''(z_k) = 0
     1c  base equation           f'' + A0 f' + B0 f = 0
     1d  perturbed equation      f'' + A f' + B f = 0
-    3x  residue summability     sum |u_k / z_k| finite, and max |u| per
-        block within the 1b bound
+    3x  residue summability     sum |u_k / z_k| finite, max |u| per block
+        within the 1b bound, and block K's within its closed form
     1b  derivative-ratio bound  |f''(z_k)/f'(z_k)^2| <= C (and its
         finite-difference route through -(1/f')')
     2f  contour recovery        f''/f'^2 from the Cauchy integral of 1/f'
@@ -174,8 +174,9 @@ def check_residual(sys: CoefficientSystem, seed: int, n_points: int):
 
 def check_summability(sys: CoefficientSystem, seed: int):
     """One 3x record of the interpolant's summability verdict and the
-    per-block numbers it rests on."""
+    per-block numbers it rests on; a failing one also names its reason."""
     rat = sys.rat
+    reason = rat.unsummable
 
     def per_block(values):
         return {str(k): _num(v) for k, v in enumerate(values, start=1)}
@@ -186,13 +187,14 @@ def check_summability(sys: CoefficientSystem, seed: int):
             "3x",
             rat.sum_included + rat.tail_sum_bound,
             None,
-            rat.summable,
+            reason is None,
             extra={
                 "included": _num(rat.sum_included),
                 "tail": _num(rat.tail_sum_bound),
                 "per_block": per_block(rat.block_sums),
                 "per_block_max_residue": per_block(rat.block_max),
                 "per_block_residue_bound": per_block(rat.residue_bounds),
+                **({} if reason is None else {"reason": reason}),
             },
         )
     ]

@@ -189,7 +189,8 @@ def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
 
 
 def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpolant:
-    """Residues written by ``construct``, on the zeros of the config.
+    """Residues written by ``construct``, on the zeros of the config, at
+    no lower precision than the config's (the artifact's ``config.json``).
 
     Entries must come in the config's (block, index) order, the order of
     the config's zeros, which fix the poles; no zero is formed here, and
@@ -200,10 +201,14 @@ def _load_artifact_residues(cfg: LacunaryConfig, path: Path) -> RationalInterpol
     """
     try:
         entries = json.loads((path / "residues.json").read_text(encoding="utf-8"))
+        written = json.loads((path / "config.json").read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read residues from {path}: {exc}") from exc
     if not isinstance(entries, list):
         raise ConfigError(f"residues in {path} must be a JSON list")
+    digits = written.get("precision_digits") if isinstance(written, dict) else None
+    if _integer(digits, f"precision_digits of {path / 'config.json'}") < cfg.dps:
+        raise ConfigError(f"residues in {path} were written at {digits} digits, below {cfg.dps}")
     if len(entries) != zero_count(cfg):
         raise ConfigError(
             f"artifact holds {len(entries)} residues, config has {zero_count(cfg)} zeros"

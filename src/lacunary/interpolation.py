@@ -21,6 +21,9 @@ carries two certificates:
   verdict ``summable``;
 - C_bound: max |u_k|, finite by construction.
 
+Block K is certified by its closed form U below: M_K = |U(1)| is its
+largest |u| and n_K M_K / r_K bounds its sum |u/z| (``_top_bound``).
+
 g is summed block by block: blocks 1..K-1 directly, and the top block K
 in closed form where that is certified.  Every residue of block K is one
 function sampled at the roots of unity, u_m = U(omega^m): the closed form
@@ -61,6 +64,7 @@ from .product import (
     _check_domain,
     _jet,
     _near_zero_guard,
+    _other_blocks,
     _schedule_tail,
     derivative_ratio_bound,
     zeros,
@@ -98,11 +102,23 @@ class RationalInterpolant:
 
     @property
     def summable(self) -> bool:
-        """The summability verdict: sum |u/z|, included part plus tail, is
-        finite, and in every block the largest |u| is within its residue
-        bound."""
-        finite = self.sum_included + self.tail_sum_bound < mpf("inf")
-        return bool(finite) and all(top <= b for top, b in zip(self.block_max, self.residue_bounds))
+        """The summability verdict: no :attr:`unsummable` reason."""
+        return self.unsummable is None
+
+    @property
+    def unsummable(self) -> str | None:
+        """Why the verdict fails, or None: sum |u/z| with its tail must be
+        finite, every block's largest |u| within its residue bound, and
+        block K's within M_K (1 + delta) of :func:`_top_bound`."""
+        if not self.sum_included + self.tail_sum_bound < mpf("inf"):
+            return "sum |u/z| is not finite"
+        M, delta = _top_bound(self.cfg)
+        limits = [(k, b, "its residue bound") for k, b in enumerate(self.residue_bounds, 1)]
+        for k, b, name in [*limits, (self.cfg.K, M * (1 + delta), "M_K (1 + delta)")]:
+            top = self.block_max[k - 1]
+            if not top <= b:
+                return f"block {k}: largest |u| {mp.nstr(top, 8)} exceeds {name} {mp.nstr(b, 8)}"
+        return None
 
     def with_residue(self, k: int, m: int, value) -> "RationalInterpolant":
         """Copy with residue (k, m) replaced and the certificates
@@ -129,27 +145,37 @@ def config_interpolant(cfg: LacunaryConfig, residues) -> RationalInterpolant:
     One pass over the residues, block by block, forms the largest |u|
     per block and the included sum |u/z|, in total and per block, with
     |z| = r_k for every pole of block k; the tail bound comes from the
-    schedule.  ``residues_from_f``, ``with_residue`` and the CLI's
-    artifact loader all build their interpolant here, so every
-    interpolant carries certificates for the residues it holds.
+    schedule.  Block K reports the closed form of :func:`_top_bound`, as
+    :func:`residues_from_f` does, unless a held |u| exceeds M_K (1 + delta)
+    or is no number.  ``with_residue`` and the CLI's artifact loader build
+    their interpolant here, so it certifies the residues it holds.
     """
+    return _certified(cfg, residues, True)
+
+
+def _certified(cfg: LacunaryConfig, residues, held: bool) -> RationalInterpolant:
+    """:func:`config_interpolant`; ``held`` False takes block K's
+    closed form without a look at its residues."""
     with mp.workdps(cfg.dps):
-        total = mpf(0)
+        M, delta = _top_bound(cfg)
+        limit = M * (1 + delta)
         block_sums, block_max = [], []
-        for (r, _), block in zip(cfg.blocks, residues):
-            # a running max from 0 skips a NaN |u|; the total keeps it
-            top = block_sum = mpf(0)
-            for u in block:
-                size = abs(u)
-                top = max(top, size)
-                term = size / r
-                total += term
-                block_sum += term
+        for k, ((r, n), block) in enumerate(zip(cfg.blocks, residues), start=1):
+            # a NaN |u| fails the <= and takes the pass below
+            if k == cfg.K and (not held or all(abs(u) <= limit for u in block)):
+                top, block_sum = M, n * M / r
+            else:
+                # a running max from 0 skips a NaN |u|; the sum keeps it
+                top = block_sum = mpf(0)
+                for u in block:
+                    size = abs(u)
+                    top = max(top, size)
+                    block_sum += size / r
             block_sums.append(block_sum)
             block_max.append(top)
         return RationalInterpolant(
             residues=tuple(map(tuple, residues)),
-            sum_included=total,
+            sum_included=mp.fsum(block_sums),
             block_sums=tuple(block_sums),
             block_max=tuple(block_max),
             tail_sum_bound=_schedule_tail_sum(cfg),
@@ -157,9 +183,21 @@ def config_interpolant(cfg: LacunaryConfig, residues) -> RationalInterpolant:
         )
 
 
+def _top_bound(cfg: LacunaryConfig) -> tuple[mpf, mpf]:
+    """(M_K, delta): block K's largest |u|, |U(1)| of :func:`_closed_form_max`
+    at a_j = (r_K/r_j)^{n_j}, and twice the relative rounding of a residue
+    or of M_K.  Each factor 1 - w_j loses up to log10 q_j digits,
+    q_j = a_j/(a_j - 1), each s_j up to 2 log10 q_j against the numerator
+    (real part >= n_K - 1 + sum n_j): 32 K eps max q_j^2 in all."""
+    with mp.workdps(cfg.dps):
+        powers = _other_blocks(cfg, cfg.K)
+        q = max((a / (a - 1) for _, a in powers), default=mpf(1))
+        return _closed_form_max(cfg.blocks[-1][1], powers), 64 * cfg.K * mp.eps * q * q
+
+
 def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
     """u = -f''/f'^2 at every zero up to level K, by factor extraction,
-    one block at a time.
+    one block at a time; block K is certified by its closed form alone.
 
     Each block's zeros are formed once, and ``product._block_residues``
     takes every residue of the block from them in closed form, with the
@@ -172,7 +210,7 @@ def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
     """
     with mp.workdps(cfg.dps):
         residues = [_block_residues(cfg, k, zeros(cfg, k)) for k in range(1, cfg.K + 1)]
-        return config_interpolant(cfg, residues)
+        return _certified(cfg, residues, False)
 
 
 def g_tail_bound(rat: RationalInterpolant, radius) -> mpf:
@@ -248,8 +286,8 @@ def _aliasing_bound(blocks, x, size) -> mpf:
         |G_K - C| <= n rho^n M / (r_K (1 - rho^n) |x - rho|),
 
     plus |C| when x < rho (the pole of C at zeta = x then lies inside),
-    where M = (n - 1 + 2 sum n_j a_j/(a_j - 1)) / (n prod (a_j - 1)) bounds
-    |U| there, a_j = (rho r_K/r_j)^{n_j} > 1.  rho is 2 and 4 times
+    where M of :func:`_closed_form_max` bounds |U| there, with
+    a_j = (rho r_K/r_j)^{n_j} > 1.  rho is 2 and 4 times
     r_(K-1)/r_K, and the smaller bound counts (inf when neither rho is
     below 1 and apart from x); for K = 1, U is constant and C exact."""
     (r, n), lower = blocks[-1], blocks[:-1]
@@ -260,13 +298,19 @@ def _aliasing_bound(blocks, x, size) -> mpf:
         rho = c * lower[-1][0] / r
         if rho >= 1 or rho == x:
             continue
-        powers = [(nj, mp.power(rho * r / rj, nj)) for rj, nj in lower]
-        numerator = n - 1 + 2 * mp.fsum(nj * aj / (aj - 1) for nj, aj in powers)
-        M = numerator / (n * mp.fprod(aj - 1 for _, aj in powers))
+        M = _closed_form_max(n, [(nj, mp.power(rho * r / rj, nj)) for rj, nj in lower])
         rn = mp.power(rho, n)
         bound = n * rn * M / (r * (1 - rn) * abs(x - rho))
         best = min(best, bound + size if x < rho else bound)
     return best
+
+
+def _closed_form_max(n: int, powers) -> mpf:
+    """M = (n - 1 + 2 sum n_j a_j/(a_j - 1)) / (n prod (a_j - 1)) >= |U| on
+    a circle where block j's power has modulus a_j > 1, (n_j, a_j) in
+    ``powers``: there |1 - w_j| >= a_j - 1 and |s_j| <= a_j/(a_j - 1)."""
+    numerator = n - 1 + 2 * mp.fsum(nj * aj / (aj - 1) for nj, aj in powers)
+    return numerator / (n * mp.fprod(aj - 1 for _, aj in powers))
 
 
 def _log_plus(value) -> mpf:

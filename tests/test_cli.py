@@ -167,22 +167,17 @@ class TestVerify:
                 {"rho_f": 0.5, "rule": "factorial", "K": 3}, 233, [CAUCHY_2F], id="factorial-K3"
             ),
             pytest.param(
-                {"blocks": [[4, 2], [16, 4]], "rho_f": 0.5},
-                224,
-                [("asymptotics", "2c", None, None, None)],
-                id="readme-blocks",
+                {"rho_f": 0.5, "rule": "factorial", "K": 4}, 301, [CAUCHY_2F], id="readme-rule"
             ),
         ],
     )
     def test_all_checks_fail_only_the_known_records(self, tmp_path, payload, count, failing):
         """``verify --checks all`` exits 1 on these configs, failing exactly
-        the records that ROADMAP.md items 2 and 11 leave open: the
-        blockwise-ratio record of 2(a) (the step from block 1 to block 2);
-        on the theorem config, the zero-free disk of block 3 (winding 1)
-        and its summary, 2(b); and on the README's explicit config the
-        log-derivative record of 2c, whose bound omits block 2, 11(a).
-        When those items land the runs exit 0 and this test changes with
-        them."""
+        the records that ROADMAP.md item 2 leaves open: the blockwise-ratio
+        record of 2(a) (the step from block 1 to block 2), also on the
+        README's rule config without rho_H; and on the theorem config, the
+        zero-free disk of block 3 (winding 1) and its summary, 2(b).  When
+        those items land the runs exit 0 and this test changes with them."""
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "v"
         assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "all"]) == 1
@@ -195,6 +190,18 @@ class TestVerify:
             if not r["pass"]
         ]
         assert failed == failing
+
+    def test_readme_explicit_config_passes(self, tmp_path):
+        """The README's explicit config passes every check: 2c's bound on
+        z f'/f at block 1 counts block 2's term, 4 a/(1 - a) / 2 with
+        a = (4.4/16)^4, 0.01150, over a deviation of 0.01109."""
+        cfg = write_config(tmp_path, {"blocks": [[4, 2], [16, 4]], "rho_f": 0.5})
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "all"]) == 0
+        records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        assert len(records) == 224
+        (rec,) = [r for r in records if r["eq"] == "2c" and "property" not in r]
+        assert 0.0110 < rec["value"] < rec["bound"] < 0.0116
 
     def test_disk_summary_without_applicable_disk(self, tmp_path):
         """On factorial K=3 neither disk sits between its neighbouring
@@ -412,8 +419,20 @@ class TestVerify:
         assert rec["eq"] == "3x" and rec["pass"] is False
         assert rec["value"] < float("inf")
         assert rec["per_block_max_residue"]["4"] > rec["per_block_residue_bound"]["4"]
+        assert rec["reason"].startswith("block 4: largest |u| 3.05416")
         for k in "123":
             assert rec["per_block_max_residue"][k] <= rec["per_block_residue_bound"][k]
+
+    def test_artifacts_below_the_run_precision_exit_2(self, tmp_path, capsys, headline_artifacts):
+        """Residues written at 100 digits hold 100 digits: a 200-digit run
+        refuses them rather than vouch for them at 200."""
+        cfg, built = headline_artifacts
+        code = main(
+            ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--artifacts", str(built),
+             "--precision", "200", "--checks", "interpolation,summability"]
+        )
+        assert code == 2
+        assert "were written at 100 digits, below 200" in capsys.readouterr().err
 
     def test_artifact_count_mismatch_exit_2(self, tmp_path, capsys):
         """An artifact that does not hold the config's zeros, in the config's
@@ -711,6 +730,17 @@ def _residue_4_1234_times_10(monkeypatch, art):
     path.write_text(json.dumps(entries))
 
 
+def _residue_4_1234_doubled(monkeypatch, art):
+    """The stored residue (4, 1234) doubled: 6.1e-64, inside the residue-ratio
+    bound 1.65e-63 but twice block 4's closed-form bound M_4 = 3.05e-64."""
+    path = art / "residues.json"
+    entries = json.loads(path.read_text())
+    (e,) = [e for e in entries if (e["k"], e["m"]) == (4, 1234)]
+    with mp.workdps(110):
+        write_residue(e, 2 * read_residue(e))
+    path.write_text(json.dumps(entries))
+
+
 def _residue_4_1234_nan(monkeypatch, art):
     """The stored residue (4, 1234) read as NaN: sum |u/z| is then no
     finite number."""
@@ -892,6 +922,9 @@ class TestFaultMatrix:
                 "summability", "3x", (), _residue_4_1234_times_10, id="summability-large-residue"
             ),
             pytest.param(
+                "summability", "3x", (), _residue_4_1234_doubled, id="summability-doubled-residue"
+            ),
+            pytest.param(
                 "summability", "3x", (), _residue_4_1234_nan, id="summability-nonfinite-residue"
             ),
             pytest.param(
@@ -925,7 +958,8 @@ class TestFaultMatrix:
         cfg, built = headline_artifacts
         art = tmp_path / "art"
         art.mkdir()
-        shutil.copy(built / "residues.json", art / "residues.json")
+        for name in ("residues.json", "config.json"):
+            shutil.copy(built / name, art / name)
 
         def verify(name):
             out = tmp_path / name

@@ -339,6 +339,26 @@ class TestThm2Asymptotics:
             assert by_block[j].winding == 0
         assert rep.disks_pass
 
+    def test_logderiv_bound_counts_the_blocks_above_k(self):
+        """On [[4,2],[16,4]] at k = 1 no block lies below, and block 2 adds
+        4 w/(w - 1) to z f'/f, |w| <= a = (4.4/16)^4 on the annulus: the
+        bound is 4 a/(1 - a) / 2 over the rounding floor, and holds."""
+        cfg = config_from_blocks([(4, 2), (16, 4)])
+        rep = verify_thm2_asymptotics(cfg, 1, seed=0)
+        a = (mpf("4.4") / 16) ** 4
+        assert rel_err(rep.logderiv_bound, 4 * a / (1 - a) / 2) < mpf("1e-85")
+        assert mpf("0.011") < rep.logderiv_dev_max <= rep.logderiv_bound
+        assert rep.logderiv_pass
+
+    def test_logderiv_fails_where_a_block_above_reaches_the_annulus(self):
+        """On [[4,1],[4.3,2]] block 2's zeros lie inside 1.1 r_1, so no
+        two-term form holds at k = 1: block 2 adds nothing to the bound,
+        which stays at the rounding floor, and the record fails."""
+        cfg = config_from_blocks([(4, 1), (mpf("4.3"), 2)], rho_f=mpf("0.47"))
+        rep = verify_thm2_asymptotics(cfg, 1, seed=0)
+        assert rep.logderiv_bound == mp.power(10, -90)
+        assert not rep.logderiv_pass
+
     def test_anchor_config_passes(self):
         rep = verify_thm2_asymptotics(config_from_blocks([(1, 2)]), 1, seed=0)
         assert rep.passed

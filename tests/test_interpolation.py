@@ -17,6 +17,7 @@ from lacunary.interpolation import (
     _g_sum,
     _sup_bound,
     _top_block,
+    _top_bound,
     config_interpolant,
     eval_g,
     g_proximity,
@@ -215,6 +216,20 @@ class TestSummability:
             assert rat.residue_bounds[k - 1] == derivative_ratio_bound(rat.cfg, k)
             assert rat.block_max[k - 1] <= rat.residue_bounds[k - 1]
 
+    def test_top_block_residue_beyond_closed_form_fails(self, factorial_k4_rat):
+        """Residue (4, 1234) doubled is within block 4's residue-ratio
+        bound, but not within M_4: the verdict fails and says why, and
+        block 4 reports the stored numbers instead of the closed form."""
+        rat = factorial_k4_rat
+        bad = rat.with_residue(4, 1234, 2 * rat.residues[3][1234])
+        assert bad.block_max[3] <= bad.residue_bounds[3]
+        assert bad.block_max[3] == 2 * abs(rat.residues[3][1234]) > rat.block_max[3]
+        assert not bad.summable
+        assert bad.unsummable == (
+            "block 4: largest |u| 6.1083205e-64 exceeds M_K (1 + delta) 3.0541607e-64"
+        )
+        assert rat.summable and rat.unsummable is None
+
     def test_finite_residue_beyond_block_bound_fails(self, factorial_k4_rat):
         """A finite but wrong residue: sum |u/z| stays finite, the block-4
         residue bound does not hold."""
@@ -282,6 +297,62 @@ def residue_rats(factorial_k4_rat, factorial_k4_rat_200):
         return built[name, dps]
 
     return get
+
+
+class TestTopBlockCertificate:
+    """Block K's certificates come from its closed form: M_K = |U_K(1)|
+    and n_K M_K / r_K, which every enumerated residue and their sum
+    respect to within the rounding delta of ``_top_bound``."""
+
+    @pytest.mark.parametrize("dps", [100, 200])
+    @pytest.mark.parametrize(
+        "name",
+        ["factorial-0.5-K4", "factorial-0.45-K4", "doubly_exp-0.55-K3", "readme-blocks"],
+    )
+    def test_enumerated_residues_within_the_closed_form(self, residue_rats, name, dps):
+        if name == "readme-blocks":
+            with mp.workdps(dps):
+                rat = residues_from_f(config_from_blocks([[4, 2], [16, 4]], dps=dps))
+        else:
+            rat = residue_rats(name, dps)
+        cfg = rat.cfg
+        r, n = cfg.blocks[-1]
+        with mp.workdps(dps):
+            M, delta = _top_bound(cfg)
+            assert 0 < delta < mp.power(10, 3 - dps)
+            assert rat.block_max[-1] == M and rat.block_sums[-1] == n * M / r
+            sizes = [abs(u) for u in rat.residues[-1]]
+            # the bound is reached at m = 0 (and, on [[4,2],[16,4]], at m = 2)
+            tops = [m for m, size in enumerate(sizes) if size >= M * (1 - delta)]
+            assert tops == ([0, 2] if name == "readme-blocks" else [0])
+            assert max(sizes) <= M * (1 + delta)
+            assert mp.fsum(sizes) / r <= rat.block_sums[-1] * (1 + delta)
+            assert rat.summable
+            assert config_interpolant(cfg, rat.residues) == rat
+
+    def test_residue_pass_takes_no_abs_of_the_top_block(self, monkeypatch):
+        """``residues_from_f`` certifies block K without |u| of any of its
+        residues; the probe, residues whose abs raises, does fail
+        ``config_interpolant``, which holds the residues it is given."""
+
+        class Untouchable(mpc):
+            def __abs__(self):
+                raise AssertionError("|u| of a block-K residue taken")
+
+        real = interpolation._block_residues
+
+        def probed(cfg, k, poles):
+            residues = real(cfg, k, poles)
+            if k < cfg.K:
+                return residues
+            return [Untouchable(u.real, u.imag) for u in residues]
+
+        monkeypatch.setattr(interpolation, "_block_residues", probed)
+        cfg = make_schedule(0.5, 4, "factorial")
+        rat = residues_from_f(cfg)
+        assert rat.block_max[-1] == _top_bound(cfg)[0]
+        with pytest.raises(AssertionError, match="block-K residue"):
+            config_interpolant(cfg, rat.residues)
 
 
 class TestBlockResidues:
