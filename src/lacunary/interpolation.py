@@ -18,11 +18,9 @@ carries two certificates:
 - summability: sum |u_k / z_k| over the included poles (also per block)
   plus an analytic tail bound derived from the residue-ratio bound at
   block K+1 and the geometric radius growth of the schedule, with the
-  verdict ``summable``;
+  verdict ``summable``; block K's part is M_K = |U(1)|, its largest |u|
+  for U below, times n_K/r_K (``_top_bound``);
 - C_bound: max |u_k|, finite by construction.
-
-Block K is certified by its closed form U below: M_K = |U(1)| is its
-largest |u| and n_K M_K / r_K bounds its sum |u/z| (``_top_bound``).
 
 g is summed block by block: blocks 1..K-1 directly, and the top block K
 in closed form where that is certified.  Every residue of block K is one
@@ -112,9 +110,8 @@ class RationalInterpolant:
         block K's within M_K (1 + delta) of :func:`_top_bound`."""
         if not self.sum_included + self.tail_sum_bound < mpf("inf"):
             return "sum |u/z| is not finite"
-        M, delta = _top_bound(self.cfg)
         limits = [(k, b, "its residue bound") for k, b in enumerate(self.residue_bounds, 1)]
-        for k, b, name in [*limits, (self.cfg.K, M * (1 + delta), "M_K (1 + delta)")]:
+        for k, b, name in [*limits, (self.cfg.K, _top_bound(self.cfg)[1], "M_K (1 + delta)")]:
             top = self.block_max[k - 1]
             if not top <= b:
                 return f"block {k}: largest |u| {mp.nstr(top, 8)} exceeds {name} {mp.nstr(b, 8)}"
@@ -154,11 +151,9 @@ def config_interpolant(cfg: LacunaryConfig, residues) -> RationalInterpolant:
 
 
 def _certified(cfg: LacunaryConfig, residues, held: bool) -> RationalInterpolant:
-    """:func:`config_interpolant`; ``held`` False takes block K's
-    closed form without a look at its residues."""
+    """:func:`config_interpolant`; ``held`` False takes block K's closed form unseen."""
     with mp.workdps(cfg.dps):
-        M, delta = _top_bound(cfg)
-        limit = M * (1 + delta)
+        M, limit = _top_bound(cfg)
         block_sums, block_max = [], []
         for k, ((r, n), block) in enumerate(zip(cfg.blocks, residues), start=1):
             # a NaN |u| fails the <= and takes the pass below
@@ -184,15 +179,15 @@ def _certified(cfg: LacunaryConfig, residues, held: bool) -> RationalInterpolant
 
 
 def _top_bound(cfg: LacunaryConfig) -> tuple[mpf, mpf]:
-    """(M_K, delta): block K's largest |u|, |U(1)| of :func:`_closed_form_max`
-    at a_j = (r_K/r_j)^{n_j}, and twice the relative rounding of a residue
-    or of M_K.  Each factor 1 - w_j loses up to log10 q_j digits,
-    q_j = a_j/(a_j - 1), each s_j up to 2 log10 q_j against the numerator
-    (real part >= n_K - 1 + sum n_j): 32 K eps max q_j^2 in all."""
+    """(M_K, M_K (1 + delta)) at the config's precision: block K's largest
+    |u| by :func:`_closed_form_max` at a_j = (r_K/r_j)^{n_j}, and the most
+    a computed one may reach, delta = 64 K eps max_j (a_j/(a_j - 1))^2
+    (derived in CHANGES.md)."""
     with mp.workdps(cfg.dps):
         powers = _other_blocks(cfg, cfg.K)
         q = max((a / (a - 1) for _, a in powers), default=mpf(1))
-        return _closed_form_max(cfg.blocks[-1][1], powers), 64 * cfg.K * mp.eps * q * q
+        M = _closed_form_max(cfg.blocks[-1][1], powers)
+        return M, M * (1 + 64 * cfg.K * mp.eps * q * q)
 
 
 def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:

@@ -203,6 +203,19 @@ class TestVerify:
         (rec,) = [r for r in records if r["eq"] == "2c" and "property" not in r]
         assert 0.0110 < rec["value"] < rec["bound"] < 0.0116
 
+    def test_logderiv_record_not_applicable_near_the_next_block(self, tmp_path):
+        """On [[4,1],[4.6,2]] block 2's term can move z f'/f at block 1 by
+        21.5 n_1, so the 2c record of z f'/f passes as not applicable, with
+        its deviation and a reason but no bound."""
+        cfg = write_config(tmp_path, {"blocks": [[4, 1], [4.6, 2]], "rho_f": 0.47})
+        out = tmp_path / "v"
+        main(["verify", "--config", cfg, "--out", str(out), "--checks", "asymptotics"])
+        records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        (rec,) = [r for r in records if r["eq"] == "2c" and r["zero"] is None and "property" not in r]
+        assert rec["pass"] is True and rec["applicable"] is False and rec["bound"] is None
+        assert rec["reason"] == "blocks above 1 can move z f'/f by n_k or more"
+        assert 1 < rec["value"] < 2
+
     def test_disk_summary_without_applicable_disk(self, tmp_path):
         """On factorial K=3 neither disk sits between its neighbouring
         circles, so the summary of the zero-free disks passes as not

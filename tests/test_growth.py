@@ -348,16 +348,24 @@ class TestThm2Asymptotics:
         a = (mpf("4.4") / 16) ** 4
         assert rel_err(rep.logderiv_bound, 4 * a / (1 - a) / 2) < mpf("1e-85")
         assert mpf("0.011") < rep.logderiv_dev_max <= rep.logderiv_bound
-        assert rep.logderiv_pass
+        assert rep.logderiv_pass and rep.logderiv_reason == ""
 
-    def test_logderiv_fails_where_a_block_above_reaches_the_annulus(self):
-        """On [[4,1],[4.3,2]] block 2's zeros lie inside 1.1 r_1, so no
-        two-term form holds at k = 1: block 2 adds nothing to the bound,
-        which stays at the rounding floor, and the record fails."""
-        cfg = config_from_blocks([(4, 1), (mpf("4.3"), 2)], rho_f=mpf("0.47"))
+    @pytest.mark.parametrize("r_2", ["4.3", "4.6"])
+    def test_logderiv_not_applicable_where_a_block_above_is_close(self, r_2):
+        """On [[4,1],[r_2,2]] block 2 lies close above block 1: at 4.3 its
+        zeros are inside 1.1 r_1 (a >= 1), at 4.6 its term can reach
+        2 a/(1 - a) = 21.5, over n_1 = 1.  Either way the two-term form
+        at k = 1 cannot resolve block 1's term, so (ii) does not apply."""
+        cfg = config_from_blocks([(4, 1), (mpf(r_2), 2)], rho_f=mpf("0.47"))
         rep = verify_thm2_asymptotics(cfg, 1, seed=0)
-        assert rep.logderiv_bound == mp.power(10, -90)
-        assert not rep.logderiv_pass
+        a = (mpf("4.4") / mpf(r_2)) ** 2
+        if a >= 1:
+            assert rep.logderiv_bound == mp.inf
+        else:
+            assert rel_err(rep.logderiv_bound, 2 * a / (1 - a)) < mpf("1e-85")
+            assert 21 < rep.logderiv_bound < 22
+        assert rep.logderiv_reason == "blocks above 1 can move z f'/f by n_k or more"
+        assert rep.logderiv_pass
 
     def test_anchor_config_passes(self):
         rep = verify_thm2_asymptotics(config_from_blocks([(1, 2)]), 1, seed=0)

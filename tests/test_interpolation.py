@@ -318,17 +318,32 @@ class TestTopBlockCertificate:
         cfg = rat.cfg
         r, n = cfg.blocks[-1]
         with mp.workdps(dps):
-            M, delta = _top_bound(cfg)
+            M, limit = _top_bound(cfg)
+            delta = limit / M - 1
             assert 0 < delta < mp.power(10, 3 - dps)
             assert rat.block_max[-1] == M and rat.block_sums[-1] == n * M / r
             sizes = [abs(u) for u in rat.residues[-1]]
             # the bound is reached at m = 0 (and, on [[4,2],[16,4]], at m = 2)
             tops = [m for m, size in enumerate(sizes) if size >= M * (1 - delta)]
             assert tops == ([0, 2] if name == "readme-blocks" else [0])
-            assert max(sizes) <= M * (1 + delta)
+            assert max(sizes) <= limit
             assert mp.fsum(sizes) / r <= rat.block_sums[-1] * (1 + delta)
             assert rat.summable
             assert config_interpolant(cfg, rat.residues) == rat
+
+    @pytest.mark.parametrize("name", ["factorial-0.5-K4", "factorial-0.45-K4", "doubly_exp-0.55-K3"])
+    def test_verdict_does_not_depend_on_the_ambient_precision(self, residue_rats, name):
+        """Block K's limit is formed at the config's precision, so the
+        verdict holds whatever precision reads it: an interpolant built
+        and read at 15 digits, and a 200-digit one read at 15, 30 and
+        100 digits (each of these cases failed when the limit was formed
+        at the reader's precision)."""
+        with mp.workdps(15):
+            assert residues_from_f(RESIDUE_CONFIGS[name](100)).summable
+        rat = residue_rats(name, 200)
+        for dps in (15, 30, 100):
+            with mp.workdps(dps):
+                assert rat.summable and rat.unsummable is None
 
     def test_residue_pass_takes_no_abs_of_the_top_block(self, monkeypatch):
         """``residues_from_f`` certifies block K without |u| of any of its
