@@ -32,6 +32,7 @@ R/(R/32) = 32, about 1.5 digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from mpmath import mp, mpc, mpf
 
@@ -49,9 +50,9 @@ from .product import (
     LacunaryConfig,
     _block_terms,
     _check_domain,
+    _circle_levels,
     _f_jet,
     _fprime_on_circle,
-    _half_step_directions,
     derivs_at_zero,
     f_jet,
     f_tail_log_bound,
@@ -332,31 +333,19 @@ class CauchyRatio:
         return abs(self.direct - self.contour_half) / abs(self.direct)
 
 
-def _grid_samples(cfg: LacunaryConfig, zero, radius, n: int, samples: dict) -> list:
-    """[(direction, f')] at every (MAX_NODES/n)-th half-step node of MAX_NODES
-    on the circle of ``radius`` around ``zero``.  ``samples`` maps grid index
-    -> (direction, f'); only nodes not yet in it are sampled, then added."""
-    grid = range(0, MAX_NODES, MAX_NODES // n)
-    fresh = [i for i in grid if i not in samples]
-    dirs = _half_step_directions(MAX_NODES, fresh)
-    samples.update(zip(fresh, zip(dirs, _fprime_on_circle(cfg, zero, radius, dirs))))
-    return [samples[i] for i in grid]
-
-
 def sample_winding(
     cfg: LacunaryConfig, zero: tuple[int, int], radius, n: int, samples: dict
 ) -> tuple[int, int]:
     """(n, winding of f') on the circle of ``radius`` around ``zero`` = (k, m)
-    from n nodes of :func:`_grid_samples`, keeping every node in ``samples``;
-    n doubles, up to MAX_NODES, while consecutive arguments jump by > pi/2."""
-    while True:
-        vals = [fp for _, fp in _grid_samples(cfg, zero, radius, n, samples)]
-        steps = [mp.arg(b / a) for a, b in zip(vals, vals[1:] + vals[:1])]
+    from n half-step nodes of :func:`_circle_levels`, keeping every node in
+    ``samples``; n doubles, up to MAX_NODES, while arguments jump by > pi/2."""
+    fprime = partial(_fprime_on_circle, cfg, zero, radius)
+    for n, vals in _circle_levels(fprime, samples, n, MAX_NODES, 1):
+        fps = [fp for _, fp in vals]
+        steps = [mp.arg(b / a) for a, b in zip(fps, fps[1:] + fps[:1])]
         if all(abs(d) <= mp.pi / 2 for d in steps):
             return n, int(mp.nint(mp.fsum(steps) / (2 * mp.pi)))
-        if n == MAX_NODES:
-            raise QuadratureError("winding nodes too sparse: argument jumped by more than pi/2")
-        n *= 2
+    raise QuadratureError("winding nodes too sparse: argument jumped by more than pi/2")
 
 
 def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> CauchyRatio:
@@ -378,8 +367,6 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> Cauchy
     terms 1/(rho w f') grow by R/rho = 32 against the winding circle, so
     rounding grows by about 1.5 digits.
     """
-    if nodes < 2 or MAX_NODES % nodes:
-        raise ConfigError(f"nodes must divide {MAX_NODES} and exceed 1, got {nodes}")
     with mp.workdps(cfg.dps):
         r_k, n_k = cfg.block(k)
         f1, f2 = derivs_at_zero(cfg, k, m)
@@ -401,15 +388,13 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> Cauchy
                 )
             radius = radius / 2
         quad_radius = radius / 32
-        n, quad = nodes, {}
-        while True:
-            vals = _grid_samples(cfg, (k, m), quad_radius, n, quad)
+        fprime = partial(_fprime_on_circle, cfg, (k, m), quad_radius)
+        for n, vals in _circle_levels(fprime, {}, nodes, MAX_NODES, 1):
             terms = [1 / (quad_radius * w_j * fp) for w_j, fp in vals]
             integral = mp.fsum(terms) / n
             integral_half = mp.fsum(terms[::2]) * 2 / n
-            if abs(integral - integral_half) < tol or n == MAX_NODES:
+            if abs(integral - integral_half) < tol:
                 break
-            n *= 2
         return CauchyRatio(
             direct=direct,
             contour=-integral,

@@ -33,15 +33,18 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 from mpmath import mp, mpc, mpf
 
-from .coefficients import HProduct, _grid_samples, sample_winding
+from .coefficients import MAX_NODES, HProduct, sample_winding
 from .errors import CancellationError, ConfigError, DivergenceError
 from .interpolation import proximity_m
 from .product import (
     LacunaryConfig,
     _check_domain,
+    _circle_levels,
+    _fprime_on_circle,
     _jet,
     _nearest_in,
     _scan_blocks,
@@ -299,9 +302,9 @@ def indicator_scan(fn, rho, thetas, radii, exclusion) -> IndicatorScan:
 # ---------------------------------------------------------------------------
 # finite-level asymptotics of the product near its k-th circle
 
-# points near the circle in (i)-(ii); nodes on it in (iii), from the nested
-# grid of ``coefficients._grid_samples``, and the first nodes of every
-# winding in (iv), which on block k's circle are (iii)'s own
+# points near the circle in (i)-(ii); nodes on it in (iii), the first level
+# of the f' windings' grid (``product._circle_levels``), and the first nodes
+# of every winding in (iv), which on block k's circle are (iii)'s own
 ANNULUS_POINTS = 32
 CONTOUR_NODES = 32
 
@@ -386,9 +389,9 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
           a_j = (1.1 r_k/r_j)^{n_j} (deviation measured relative to n_k);
           not applicable, with a reason, where that sum over j > k can
           reach n_k (any a_j >= 1 among them);
-    (iii) |f'| at CONTOUR_NODES nodes of :func:`_grid_samples` on the
-          boundary of the zero-centered disk of radius r_k/n_k, at the
-          unit direction zeta, matches
+    (iii) |f'| at the first CONTOUR_NODES nodes of the windings' grid
+          (:func:`_circle_levels`) on the boundary of the zero-centered
+          disk of radius r_k/n_k, at the unit direction zeta, matches
           (n_k/r_k) prod_{j<k} (r_k/r_j)^{n_j} |e^zeta|
           within 5*(sum n_j/n_k + sum (r_j/r_k)^{n_j} + 1/n_k), the
           finite-level error scale of that product form;
@@ -437,8 +440,8 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
 
         # (iii) |f'| on the disk boundary against the product form, on the
         # nodes that (iv) then extends on the same circle
-        circle = {}
-        vals = _grid_samples(cfg, (k, 0), r_k / mpf(n_k), CONTOUR_NODES, circle)
+        circle, fprime = {}, partial(_fprime_on_circle, cfg, (k, 0), r_k / mpf(n_k))
+        _, vals = next(_circle_levels(fprime, circle, CONTOUR_NODES, MAX_NODES, 1))
         log_prefactor = sum(
             (mpf(n_j) * (mp.log(r_k) - mp.log(r_j)) for r_j, n_j in cfg.blocks[: k - 1]),
             mpf(0),

@@ -36,13 +36,14 @@ has: on the headline schedule, block 4 (4096 poles) away from the zeros
 of blocks 1-3.  There block K's part of g comes from the config, not
 from the stored residues.
 
-``proximity_m`` is the (1/2pi) integral of log+ |fn| over a circle,
-computed by node-doubling trapezoid quadrature (spectrally accurate for
-the periodic integrand away from poles).  ``g_proximity`` gives m(r, g)
-for an interpolant: the per-block sums bound |g| on |z| = r by
-B(r) = sum_k r_k S_k (1 + 4 n_k eps)/|r - r_k|, and where B < 1 the
-integrand vanishes and m is exactly 0 without a sample of g; elsewhere
-it runs the quadrature.
+``proximity_m`` is the (1/2pi) integral of log+ |fn| over a circle by
+the nested trapezoid rule of ``product._circle_levels`` (spectrally
+accurate for the periodic integrand away from poles) at the nodes j/n of
+the turn, n doubling from 32 up to 2^14, each node sampled once.
+``g_proximity`` gives m(r, g) for an interpolant: the per-block sums
+bound |g| on |z| = r by B(r) = sum_k r_k S_k (1 + 4 n_k eps)/|r - r_k|,
+and where B < 1 the integrand vanishes and m is exactly 0 without a
+sample of g; elsewhere it runs the quadrature.
 
 Interpolants are immutable and evaluation is pure: quadrature nodes can
 be evaluated concurrently, and sums run in the config's zero order so
@@ -60,6 +61,7 @@ from .product import (
     LacunaryConfig,
     _block_residues,
     _check_domain,
+    _circle_levels,
     _jet,
     _near_zero_guard,
     _other_blocks,
@@ -320,7 +322,7 @@ def proximity_m(fn, r, avoid_moduli=None) -> mpf:
 
     Starts at 32 nodes; converged when two successive estimates differ by
     less than 10^-6; raises QuadratureError (carrying the last two
-    estimates) past 2^14 nodes.  ``avoid_moduli``: quadrature is refused
+    estimates) at 2^14 nodes.  ``avoid_moduli``: quadrature is refused
     within relative 10^-3 of a pole modulus, where log+ spikes void the rule.
     """
     with mp.extraprec(10):
@@ -336,20 +338,16 @@ def proximity_m(fn, r, avoid_moduli=None) -> mpf:
         abs_tol = mpf("1e-6")
         max_nodes = 1 << 14
         estimates = []
-        # log+ at the nodes j/n of the turn, in angle order: each doubling
-        # evaluates only the n/2 new odd-index nodes and interleaves them
-        n, nodes, samples = 32, range(32), []
-        while n <= max_nodes:
-            fresh = [_log_plus(fn(r * mp.expjpi(2 * mpf(j) / n))) for j in nodes]
-            samples = [v for pair in zip(samples, fresh) for v in pair] if samples else fresh
+        # log+ at the nodes j/n of the turn; the += sum in angle order fixes m's bits
+        for n, vals in _circle_levels(
+            lambda ws: [_log_plus(fn(r * w)) for w in ws], {}, 32, max_nodes, 0
+        ):
             total = mpf(0)
-            for v in samples:
+            for _, v in vals:
                 total += v
             estimates.append(total / n)
             if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < abs_tol:
                 return estimates[-1]
-            n *= 2
-            nodes = range(1, n, 2)
         raise QuadratureError(
             f"proximity quadrature did not converge below {abs_tol} within "
             f"{max_nodes} nodes",

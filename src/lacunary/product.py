@@ -539,10 +539,23 @@ def f_jet(cfg: LacunaryConfig, z, order: int) -> tuple[mpc, ...]:
         return _f_jet(cfg, _guarded(cfg, z, order), order)
 
 
-def _half_step_directions(n: int, indices) -> list[mpc]:
-    """e^{i pi (2j+1)/n} for j in ``indices``; the half-step offset keeps nodes
-    off the real zeros that neighbouring blocks may place on the circle."""
-    return [mp.expjpi(mpf(2 * j + 1) / n) for j in indices]
+def _circle_levels(batch, samples: dict, n: int, cap: int, offset: int):
+    """The nested trapezoid rule on the unit circle: node i of ``cap`` lies in
+    the direction e^{i pi (2i + offset)/cap} (offset 1 keeps f' circles off
+    the real zeros neighbouring blocks may place there), and level n takes
+    every (cap/n)-th node, in angle order.  Yields (n, [(direction, value)])
+    as n doubles up to ``cap``; ``batch`` maps directions to values and sees
+    only the nodes missing from ``samples`` (grid index -> pair), which
+    keeps them.  ConfigError unless n >= 2 divides ``cap``."""
+    if n < 2 or cap % n:
+        raise ConfigError(f"nodes must divide {cap} and exceed 1, got {n}")
+    while n <= cap:
+        grid = range(0, cap, cap // n)
+        fresh = [i for i in grid if i not in samples]
+        dirs = [mp.expjpi(mpf(2 * i + offset) / cap) for i in fresh]
+        samples.update(zip(fresh, zip(dirs, batch(dirs))))
+        yield n, [samples[i] for i in grid]
+        n *= 2
 
 
 def _fprime_on_circle(cfg: LacunaryConfig, zero: tuple[int, int], radius, directions) -> list[mpc]:

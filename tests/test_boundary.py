@@ -234,6 +234,18 @@ def test_one_cancellation_screen():
     assert sites == ["coefficients._direct", "product._block_terms"]
 
 
+def test_one_home_for_circle_nodes():
+    """Directions on a circle are formed by ``zero_point`` for the zeros and
+    by ``_circle_levels`` for the nested trapezoid rule that the f'
+    windings, the 2f quadrature and ``proximity_m`` share, nowhere else."""
+    sites = sorted(
+        f"{path.stem}.{site}"
+        for path in PACKAGE.glob("*.py")
+        for site in _call_sites(ast.parse(path.read_text(encoding="utf-8")), "expjpi")
+    )
+    assert sites == ["product._circle_levels", "product.zero_point"]
+
+
 def test_root_index_kernel_serves_the_block_pass_alone():
     """``_extracted`` is called by the residue pass and nowhere else, and
     ``derivs_at_zero`` reaches neither it nor ``_other_blocks``: the f' and

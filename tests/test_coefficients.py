@@ -10,6 +10,7 @@ from lacunary import (
     CancellationError,
     ConfigError,
     NearZeroError,
+    QuadratureError,
     TailError,
     config_from_blocks,
     make_schedule,
@@ -462,6 +463,34 @@ class TestContourNodeDoubling:
         for nodes in (1, 100, 2 * coefficients.MAX_NODES):
             with pytest.raises(ConfigError):
                 cauchy_ratio(cfg, 1, 0, nodes=nodes)
+
+    def test_winding_rejects_a_count_off_the_grid(self):
+        """100 does not divide 4096: the winding refuses it before sampling,
+        rather than sample the 103 nodes of a stride of 40 and report 100."""
+        cfg = make_schedule(0.5, 4, "factorial")
+        r_3, n_3 = cfg.block(3)
+        samples = {}
+        with pytest.raises(ConfigError):
+            coefficients.sample_winding(cfg, (3, 0), r_3 / n_3, 100, samples)
+        assert samples == {}
+
+    def test_winding_raises_at_the_cap_sampling_each_node_once(self, monkeypatch):
+        """f' = w^1365 turns by 1/3 or 2/3 of a circle per step at every level
+        from 32 to 4096 nodes: the winding raises at the cap, having sampled
+        f' once at each of the 4096 nodes."""
+        count = [0]
+
+        def turning(cfg, zero, radius, directions):
+            count[0] += len(directions)
+            return [w**1365 for w in directions]
+
+        monkeypatch.setattr(coefficients, "_fprime_on_circle", turning)
+        cfg = make_schedule(0.5, 4, "factorial")
+        r_3, n_3 = cfg.block(3)
+        samples = {}
+        with pytest.raises(QuadratureError):
+            coefficients.sample_winding(cfg, (3, 0), r_3 / n_3, 32, samples)
+        assert count[0] == len(samples) == coefficients.MAX_NODES
 
     def test_winding_doubles_on_an_argument_jump(self):
         """From 8 nodes the argument of f' around block 2 of doubly_exp

@@ -22,7 +22,6 @@ from lacunary import product
 from lacunary.errors import CancellationError, ZeroOnContourError
 from lacunary.product import (
     _fprime_on_circle,
-    _half_step_directions,
     _jet,
     _scan_blocks,
     eval_f,
@@ -298,7 +297,7 @@ class TestThm2Asymptotics:
 
         monkeypatch.setattr(product, "_f_jet", vanishing_at_node_2)
         r_3, n_3 = factorial_cfg.block(3)
-        directions = _half_step_directions(8, range(8))
+        directions = [mp.expjpi(mpf(2 * j + 1) / 8) for j in range(8)]
         with pytest.raises(ZeroOnContourError, match="at node 2"):
             _fprime_on_circle(factorial_cfg, (3, 0), r_3 / n_3, directions)
         assert len(nodes) == 3

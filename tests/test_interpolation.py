@@ -545,6 +545,21 @@ class TestProximity:
         with pytest.raises(QuadratureError):
             proximity_m(lambda z: z, 1, avoid_moduli=[mpf("1.0000001")])
 
+    def test_raises_at_the_cap_sampling_each_node_once(self):
+        """A pole 1e-7 outside |z| = 1 leaves the rule unconverged at 2^14
+        nodes: it raises after one call of fn per node, carrying the last two
+        estimates."""
+        calls = [0]
+
+        def fn(z):
+            calls[0] += 1
+            return 1 / (z - mpf("1.0000001"))
+
+        with mp.workdps(15), pytest.raises(QuadratureError) as info:
+            proximity_m(fn, 1)
+        assert calls[0] == 1 << 14
+        assert len(info.value.estimates) == 2
+
     def test_nonincreasing_along_decades_and_final_small(self):
         cfg = make_schedule(0.5, 3, "factorial")
         rat = residues_from_f(cfg)
