@@ -107,7 +107,7 @@ class HProduct:
             for a in self.moduli[: self.truncation]:
                 w = -z / a
                 try:
-                    factor = _block_terms(w, abs(w), None, 0, lossy)[0]
+                    factor = _block_terms(w, abs(w), 0, lossy)[0]
                 except CancellationError as exc:
                     error, lossy, factor = exc, None, exc.result
                 acc *= factor
@@ -269,8 +269,9 @@ def interpolation_identity_residuals(sys: CoefficientSystem) -> list[tuple[int, 
     from another route, the block pass of ``residues_from_f`` (closed
     form from exact root indices, no ``derivs_at_zero`` call), so a wrong
     f' or f'' shows up too, and so does a wrong block-pass kernel: the
-    routes share only ``product._block_terms``.  Blocks larger than
-    IDENTITY_ZEROS_PER_BLOCK are strided down to that many zeros.
+    routes share only the cancellation screen of ``product._block_terms``.
+    Blocks larger than IDENTITY_ZEROS_PER_BLOCK are strided down to that
+    many zeros.
     """
     cap = IDENTITY_ZEROS_PER_BLOCK
     out = []

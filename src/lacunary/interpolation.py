@@ -196,17 +196,18 @@ def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
     """u = -f''/f'^2 at every zero up to level K, by factor extraction,
     one block at a time; block K is certified by its closed form alone.
 
-    Each block's zeros are formed once, and ``product._block_residues``
-    takes every residue of the block from them in closed form, with the
-    other blocks' real powers formed once per block and each root of unity
-    taken from the block's zeros; the zeros are then dropped.
-    ``derivs_at_zero`` runs f's one-pass kernel over the other blocks
-    instead, so the two routes share only ``_block_terms`` (factor,
-    cancellation screen, terms), and the interpolation check, which holds
-    the stored residues against its f' and f'', compares two routes.
+    ``product._block_residues`` takes every residue of a block in closed
+    form from the unit roots alone, forming no zero: the other blocks'
+    real powers once per block, each factor once per distinct root index,
+    all on mpmath's raw tuples with the bits of plain mpc arithmetic.
+    ``derivs_at_zero`` runs f's one-pass kernel over the other blocks at
+    the rounded zero instead, so the two routes share only the
+    cancellation screen of ``_block_terms``, and the interpolation check,
+    which holds the stored residues against its f' and f'', compares two
+    routes.
     """
     with mp.workdps(cfg.dps):
-        residues = [_block_residues(cfg, k, zeros(cfg, k)) for k in range(1, cfg.K + 1)]
+        residues = [_block_residues(cfg, k) for k in range(1, cfg.K + 1)]
         return _certified(cfg, residues, False)
 
 

@@ -25,15 +25,19 @@ remaining (nonvanishing) product.  Two routes reach the zeros.
 one-pass kernel over the other blocks at the rounded zero.
 ``_block_residues`` serves a whole block and returns only the residues
 u = -f''/f'^2, in closed form: it forms the other blocks' real powers
-once per block (``_other_blocks``), takes each exact root of unity from
-the block's zeros, and forms each factor once per distinct root index
-(``_extracted``).  The routes share only ``_block_terms``, the kernel
-that turns each power w into the factor 1 - w, its cancellation screen
-and its terms in the log-derivative sums, so the interpolation check,
-which holds the stored residues against the f' and f'' of
-``derivs_at_zero``, compares two routes.
+once per block (``_other_blocks``), takes each root of unity from
+``_unit_root``, the helper behind ``zero_point``, and forms each factor
+once per distinct root index (``_extracted_raw``).  That pass runs on
+mpmath's raw libmp tuples, making the calls that the mpc operators of
+``_block_terms`` would make, in the same order, so it gives the same
+bits; only this module imports ``mpmath.libmp``.  The routes share the
+cancellation screen of ``_block_terms`` and nothing else: the pass tests
+the screen's first clause (``_lossy_modulus``) once per other block and
+sends a block's factors through ``_block_terms`` only where it holds.  So
+the interpolation check, which holds the stored residues against the f'
+and f'' of ``derivs_at_zero``, compares two routes.
 f has real Taylor coefficients, so zero and residue n_k - m are the
-conjugates of zero and residue m: for index m > n_k/2 ``zero_point``,
+conjugates of zero and residue m: for index m > n_k/2 ``_unit_root``,
 ``zeros`` and ``_block_residues`` take the exact conjugate.
 
 Configs and zero sets are immutable; every evaluation is a pure
@@ -46,6 +50,22 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (
+    fone,
+    from_int,
+    fzero,
+    mpc_add,
+    mpc_add_mpf,
+    mpc_conjugate,
+    mpc_div,
+    mpc_div_mpf,
+    mpc_mpf_div,
+    mpc_mul,
+    mpc_mul_int,
+    mpc_mul_mpf,
+    mpc_sub,
+    round_nearest,
+)
 
 from .errors import (
     CancellationError, ConfigError, NearPoleError, NearZeroError, TailError, ZeroOnContourError
@@ -316,27 +336,33 @@ def _check_domain(cfg: LacunaryConfig, z: mpc) -> None:
 # with s = w/(w-1), t = w/(w-1)^2.
 
 
-def _block_terms(w: mpc, a: mpf, v: mpc | None, terms: int, lossy: mpf | None) -> tuple:
+def _lossy_modulus(a: mpf, lossy: mpf | None) -> bool:
+    """The cancellation screen's first clause for a power of modulus a:
+    |1 - a| < max(1, a) ``lossy``.  |1 - w| >= |1 - a| for every w with
+    |w| = a, so where it fails no such factor 1 - w is lossy, and the
+    screen needs no complex abs."""
+    return bool(lossy) and abs(1 - a) < max(1, a) * lossy
+
+
+def _block_terms(w: mpc, a: mpf, terms: int, lossy: mpf | None) -> tuple:
     """(1 - w, s, t) for one block's power w with a = |w|: its factor of f
     and its first ``terms`` terms in the log-derivative sums (the rest None).
 
     A factor below ``lossy`` = 10^(5-P) times max(1, a) (more than P-5
     digits lost) raises CancellationError carrying it; with ``lossy`` None
     it is kept, and an exact zero always is.  When a > 1 the terms go
-    through v = 1/w (``v``, or formed here when None) so that huge powers
-    never meet subtraction head-on.
+    through v = 1/w so that huge powers never meet subtraction head-on.
     """
     factor = 1 - w
     scale = max(1, a)
-    # |1 - w| >= |1 - a|: the screen needs no complex abs
-    if lossy and factor and abs(1 - a) < scale * lossy and abs(factor) < scale * lossy:
+    if factor and _lossy_modulus(a, lossy) and abs(factor) < scale * lossy:
         digits_lost = float(mp.log(scale / abs(factor), 10))
         message = f"factor cancelled {digits_lost:.1f} of {mp.dps} digits"
         raise CancellationError(message, result=factor, digits_lost=digits_lost)
     if not terms:
         return factor, None, None
     if a > 1:
-        v = 1 / w if v is None else v
+        v = 1 / w
         inv = 1 / (1 - v)
         s = inv
     else:
@@ -364,7 +390,7 @@ def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
         with mp.extraprec(n.bit_length() + 20):
             w = mp.power(z / r, n)
         try:
-            factor, s, t = _block_terms(w, abs(w), None, terms, lossy)
+            factor, s, t = _block_terms(w, abs(w), terms, lossy)
         except CancellationError as exc:
             error, lossy, terms, factor = exc, None, 0, exc.result
         f *= factor
@@ -437,18 +463,24 @@ def _check_enumerable(cfg: LacunaryConfig, k: int) -> tuple[mpf, int]:
     return r, n
 
 
+def _unit_root(m: int, n: int) -> mpc:
+    """omega^m with omega = exp(2 pi i / n), at the working precision; for
+    m > n/2 the exact conjugate of omega^(n - m)."""
+    if m == 0:
+        return mpc(1)
+    if 2 * m > n:
+        return mp.conj(_unit_root(n - m, n))
+    return mp.expjpi(2 * mpf(m) / n)
+
+
 def zero_point(cfg: LacunaryConfig, k: int, m: int) -> mpc:
-    """The zero omega * r_k with omega = exp(2 pi i m / n_k); for m > n_k/2 it
-    is the exact conjugate of the zero of index n_k - m."""
+    """The zero r_k omega^m of :func:`_unit_root`: for m > n_k/2 the exact
+    conjugate of the zero of index n_k - m."""
     r, n = _check_enumerable(cfg, k)
     if not 0 <= m < n:
         raise ConfigError(f"zero index {m} outside 0..{n - 1}")
     with mp.workdps(cfg.dps):
-        if m == 0:
-            return mpc(r)
-        if 2 * m > n:
-            return mp.conj(zero_point(cfg, k, n - m))
-        return r * mp.expjpi(2 * mpf(m) / n)
+        return r * _unit_root(m, n)
 
 
 def zeros(cfg: LacunaryConfig, k: int) -> list[mpc]:
@@ -632,65 +664,96 @@ def _other_blocks(cfg: LacunaryConfig, k: int) -> list[tuple[int, mpf]]:
     return others
 
 
-def _extracted(
-    others, m: int, n: int, poles, r: mpf, lossy: mpf, memo: dict, last: int
-) -> tuple[mpc, mpc]:
-    """(P, S1) for the block pass of :func:`_block_residues`: P is the
-    product of the other blocks at the zero xi = r omega^m of a block with
-    n zeros, and S1 = xi P'/P the sum of its log-derivative terms.
+# The residue pass runs on mpmath's raw libmp tuples: it makes the libmp
+# calls that the mpc operators of _block_terms and of the closed form
+# make, in the same order, at the working precision and round-nearest,
+# so every bit is the same without an mpc object per step.
+_ONE = (fone, fzero)
+_ZERO = (fzero, fzero)
+_MINUS_ONE = from_int(-1)
+_RND = round_nearest
 
-    ``others`` comes from :func:`_other_blocks`, and omega^i is the
-    block's zero ``poles[i]`` over r: block j's power is
-    (r/r_j)^{n_j} omega^{(m n_j) mod n}, its index reduced in integers,
-    so the angle is exact for any n_j.  Every factor passes the
-    cancellation screen of :func:`_block_terms`.
+
+def _extracted_raw(others, m: int, n: int, roots, memo: dict, last: int, prec: int) -> tuple:
+    """(P, S1) as libmp tuples for the block pass of :func:`_block_residues`:
+    P is the product of the other blocks at the zero xi = r omega^m of a
+    block with n zeros, and S1 = xi P'/P the sum of its log-derivative
+    terms.
+
+    ``others`` holds (n_j, a_j, a_j > 1) with a_j = (r/r_j)^{n_j} of
+    :func:`_other_blocks` as a tuple, and ``roots[i]`` is omega^i: block
+    j's power is a_j omega^{(m n_j) mod n}, its index reduced in integers,
+    so the angle is exact for any n_j.  Its factor 1 - w and term s are
+    those of :func:`_block_terms`, through v = conj(omega^i)/a_j when
+    a_j > 1.
 
     A pass m = 0, 1, ..., ``last`` over one block's zeros forms each
     distinct factor once: block j's index recurs every n/gcd(n_j, n) zeros,
-    and ``memo`` keeps the kernel's output under (j, index) only while a
-    zero up to ``last`` still needs it.
+    and ``memo`` keeps the factor and term under (j, index) only while a
+    zero up to ``last`` still needs them.
     """
-    P = mpc(1)
-    S1 = mpc(0)
-    for j, (nj, a) in enumerate(others):
+    P, S1 = _ONE, _ZERO
+    for j, (nj, a, big) in enumerate(others):
         index = m * nj % n
         terms = memo.pop((j, index), None)
         if terms is None:
-            rt = poles[index] / r if index else mpc(1)
-            v = mp.conj(rt) / a if a > 1 else None
-            terms = _block_terms(a * rt, a, v, 1, lossy)
+            rt = roots[index]
+            w = mpc_mul_mpf(rt, a, prec, _RND)
+            factor = mpc_sub(_ONE, w, prec, _RND)
+            if big:
+                v = mpc_div_mpf(mpc_conjugate(rt, prec, _RND), a, prec, _RND)
+                s = mpc_mpf_div(fone, mpc_sub(_ONE, v, prec, _RND), prec, _RND)
+            else:
+                s = mpc_mul(w, mpc_mpf_div(_MINUS_ONE, factor, prec, _RND), prec, _RND)
+            terms = factor, s
         if m + n // math.gcd(nj, n) <= last:
             memo[j, index] = terms
-        factor, s, _ = terms
-        P *= factor
-        S1 += nj * s
+        factor, s = terms
+        P = mpc_mul(P, factor, prec, _RND)
+        S1 = mpc_add(S1, mpc_mul_int(s, nj, prec, _RND), prec, _RND)
     return P, S1
 
 
-def _block_residues(cfg: LacunaryConfig, k: int, poles) -> list[mpc]:
-    """u = -f''/f'^2 at every zero of block k, in the order of ``poles``,
-    the block's zeros as :func:`zeros` forms them.
+def _block_residues(cfg: LacunaryConfig, k: int) -> list[mpc]:
+    """u = -f''/f'^2 at every zero of block k, in zero order.
 
     With f = q P as in :func:`derivs_at_zero`, q' = -n/xi,
     q'' = -n(n-1)/xi^2 and xi P'/P = S1 = sum_j n_j s_j, the residue is
 
         u = (n_k - 1 + 2 S1) / (n_k P),
 
-    free of xi.  The other blocks' real powers are formed once for the
-    block, and each other block's factor and terms once per distinct root
-    index (m n_j) mod n_k (:func:`_extracted`).
-    Pole m > n_k/2 is the exact conjugate of pole n_k - m, and every step
-    commutes with conjugation: its residue is the conjugate, bit for bit.
+    free of xi, so the pass needs only the unit roots of
+    :func:`_unit_root`, not the zeros.  The other blocks' real powers are
+    formed once for the block, and each other block's factor and terms
+    once per distinct root index (m n_j) mod n_k (:func:`_extracted_raw`).
+    Every power of block j has modulus a_j, so the first clause of the
+    cancellation screen (:func:`_lossy_modulus`) is tested once per block;
+    only where it holds do that block's distinct factors go through
+    :func:`_block_terms`, which raises CancellationError on a lossy one.
+    Root and residue m > n_k/2 are the exact conjugates of those of
+    n_k - m, and every step commutes with conjugation: the residue is
+    bit for bit the closed form at that root.
     """
-    r, n = _check_enumerable(cfg, k)
+    _, n = _check_enumerable(cfg, k)
+    half = n // 2 + 1
     with mp.workdps(cfg.dps):
-        others = _other_blocks(cfg, k)
+        prec = mp.prec
         lossy = mpf(10) ** (5 - cfg.dps)
+        others = []
+        for nj, a in _other_blocks(cfg, k):
+            if _lossy_modulus(a, lossy):
+                for index in sorted({m * nj % n for m in range(half)}):
+                    _block_terms(a * _unit_root(index, n), a, 0, lossy)
+            others.append((nj, a._mpf_, a > 1))
+        roots = [_unit_root(i, n)._mpc_ for i in range(half)]
+        roots += [mpc_conjugate(roots[n - i], prec, _RND) for i in range(half, n)]
         residues, memo = [], {}
-        for m in range(n // 2 + 1):
-            P, S1 = _extracted(others, m, n, poles, r, lossy, memo, n // 2)
-            residues.append((n - 1 + 2 * S1) / (n * P))
-        return residues + [mp.conj(residues[n - m]) for m in range(n // 2 + 1, n)]
+        for m in range(half):
+            P, S1 = _extracted_raw(others, m, n, roots, memo, n // 2, prec)
+            top = mpc_add_mpf(mpc_mul_int(S1, 2, prec, _RND), from_int(n - 1), prec, _RND)
+            residues.append(mpc_div(top, mpc_mul_int(P, n, prec, _RND), prec, _RND))
+        residues += [mpc_conjugate(residues[n - m], prec, _RND) for m in range(half, n)]
+        return [mp.make_mpc(u) for u in residues]
 
 
 def derivs_at_zero(cfg: LacunaryConfig, k: int, m: int) -> tuple[mpc, mpc]:

@@ -3,7 +3,7 @@ import mpmath
 from lacunary.cli import _entry_residue, _hex
 from lacunary.growth import _logmag
 from lacunary.interpolation import eval_g
-from lacunary.product import _extracted, _other_blocks, zeros
+from lacunary.product import _unit_root, zeros
 
 
 def rel_err(a, b):
@@ -77,19 +77,35 @@ def log_max_modulus(fn, r, n_theta: int = 64):
     return max(best, f1, f2), theta_star
 
 
-def block_residues_per_zero(cfg, k, poles):
+def block_residues_per_zero(cfg, k):
     """u = -f''/f'^2 at every zero of block k by the closed form of
-    ``product._block_residues``, run on every index m of ``poles`` with
-    no use of conjugate symmetry and each factor formed afresh: the second
-    route for the mirrored half and for the shared factors."""
+    ``product._block_residues``, u = (n - 1 + 2 S1)/(n P), in plain mpc
+    arithmetic: every zero m on its own, at the unit root omega^i of
+    ``product._unit_root`` for each other block's index i = (m n_j) mod n,
+    with no conjugate symmetry, no shared factor and no library kernel.
+    The second route for the block pass on raw tuples."""
     mp = mpmath.mp
     r, n = cfg.blocks[k - 1]
     with mp.workdps(cfg.dps):
-        others = _other_blocks(cfg, k)
-        lossy = mpmath.mpf(10) ** (5 - cfg.dps)
+        others = []
+        for j, (rj, nj) in enumerate(cfg.blocks, start=1):
+            if j != k:
+                with mp.extraprec(nj.bit_length() + 10):
+                    others.append((nj, mp.power(r / rj, nj)))
         residues = []
         for m in range(n):
-            P, S1 = _extracted(others, m, n, poles, r, lossy, {}, m)
+            P = mpmath.mpc(1)
+            S1 = mpmath.mpc(0)
+            for nj, a in others:
+                rt = _unit_root(m * nj % n, n)
+                w = a * rt
+                factor = 1 - w
+                if a > 1:
+                    s = 1 / (1 - mp.conj(rt) / a)
+                else:
+                    s = w * (-1 / factor)
+                P *= factor
+                S1 += nj * s
             residues.append((n - 1 + 2 * S1) / (n * P))
         return residues
 

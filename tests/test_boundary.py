@@ -235,29 +235,47 @@ def test_one_cancellation_screen():
 
 
 def test_one_home_for_circle_nodes():
-    """Directions on a circle are formed by ``zero_point`` for the zeros and
-    by ``_circle_levels`` for the nested trapezoid rule that the f'
-    windings, the 2f quadrature and ``proximity_m`` share, nowhere else."""
+    """Directions on a circle are formed by ``_unit_root`` for the roots of
+    unity that the zeros and the residue pass share, and by
+    ``_circle_levels`` for the nested trapezoid rule that the f' windings,
+    the 2f quadrature and ``proximity_m`` share, nowhere else."""
     sites = sorted(
         f"{path.stem}.{site}"
         for path in PACKAGE.glob("*.py")
         for site in _call_sites(ast.parse(path.read_text(encoding="utf-8")), "expjpi")
     )
-    assert sites == ["product._circle_levels", "product.zero_point"]
+    assert sites == ["product._circle_levels", "product._unit_root"]
 
 
 def test_root_index_kernel_serves_the_block_pass_alone():
-    """``_extracted`` is called by the residue pass and nowhere else, and
-    ``derivs_at_zero`` reaches neither it nor ``_other_blocks``: the f' and
-    f'' that 3f holds the stored residues against come from f's one-pass
-    kernel, so a fault in the block pass shows."""
+    """``_extracted_raw`` is called by the residue pass and nowhere else,
+    and ``derivs_at_zero`` reaches neither it nor ``_other_blocks``: the f'
+    and f'' that 3f holds the stored residues against come from f's
+    one-pass kernel, so a fault in the block pass shows."""
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
-    assert [site for tree in trees for site in _call_sites(tree, "_extracted")] == [
+    assert [site for tree in trees for site in _call_sites(tree, "_extracted_raw")] == [
         "_block_residues"
     ]
     assert "derivs_at_zero" not in [
         site for tree in trees for site in _call_sites(tree, "_other_blocks")
     ]
+
+
+def test_only_product_imports_libmp():
+    """mpmath's raw tuples stay inside ``product.py``, the residue pass's
+    home: no other module imports ``mpmath.libmp``."""
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name == "mpmath.libmp" or name.startswith("mpmath.libmp.") for name in names):
+                importers.add(path.name)
+    assert importers == {"product.py"}
 
 
 def test_interpolant_holds_residues_and_certificates_alone():

@@ -783,17 +783,17 @@ def _residue_2_1_times_1e12(monkeypatch, art):
 
 
 def _kernel_s1_off_by_1e30(monkeypatch, art):
-    """``product._extracted``, the block pass's kernel, returns S1 scaled by
-    1 + 1e-30, and construct rebuilds residues.json under that fault: every
-    stored residue takes it, while 3f's f' and f'' come from a route that
-    does not run the kernel, so all 75 records fail."""
-    real = product._extracted
+    """``product._extracted_raw``, the block pass's kernel, returns S1 scaled
+    by 1 + 1e-30, and construct rebuilds residues.json under that fault:
+    every stored residue takes it, while 3f's f' and f'' come from a route
+    that does not run the kernel, so all 75 records fail."""
+    real = product._extracted_raw
 
     def wrong(*args):
         P, S1 = real(*args)
-        return P, S1 * (1 + mpf(10) ** -30)
+        return P, (mp.make_mpc(S1) * (1 + mpf(10) ** -30))._mpc_
 
-    monkeypatch.setattr(product, "_extracted", wrong)
+    monkeypatch.setattr(product, "_extracted_raw", wrong)
     cfg = write_config(art.parent, {**HEADLINE, "rho_H": 0.4}, name="kernel.json")
     assert main(["construct", "--config", cfg, "--out", str(art)]) == 0
 
@@ -846,10 +846,10 @@ class TestArtifactRoundTrip:
         )
         assert code == 1
 
-    def test_top_block_zeros_formed_once(self, monkeypatch, tmp_path, headline_artifacts):
-        """construct and a plain verify that sums g form the 4096 zeros of
-        block 4 once each: the residue pass forms them, and g takes block
-        4 in closed form."""
+    def test_top_block_zeros_never_formed(self, monkeypatch, tmp_path, headline_artifacts):
+        """construct forms no zero, and a plain verify that sums g forms
+        none of the 4096 zeros of block 4: the residue pass works on unit
+        roots alone, and g takes block 4 in closed form."""
         calls = []
         real = product.zeros
 
@@ -863,12 +863,12 @@ class TestArtifactRoundTrip:
         cfg, _ = headline_artifacts
         common = ["--config", cfg]
         assert main(["construct", *common, "--out", str(tmp_path / "art")]) == 0
-        assert calls.count(4) == 1
+        assert calls == []
         code = main(
             ["verify", *common, "--out", str(tmp_path / "v"), "--points", "2",
              "--checks", "interpolation,residual"]
         )
-        assert code == 0 and calls.count(4) == 2
+        assert code == 0 and 4 not in calls and calls
 
     def test_artifact_residual_forms_no_top_block_zero(
         self, monkeypatch, tmp_path, headline_artifacts

@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from lacunary import (
+    CancellationError,
     NearPoleError,
     QuadratureError,
     config_from_blocks,
@@ -356,8 +357,8 @@ class TestTopBlockCertificate:
 
         real = interpolation._block_residues
 
-        def probed(cfg, k, poles):
-            residues = real(cfg, k, poles)
+        def probed(cfg, k):
+            residues = real(cfg, k)
             if k < cfg.K:
                 return residues
             return [Untouchable(u.real, u.imag) for u in residues]
@@ -407,30 +408,41 @@ class TestBlockResidues:
 
     @pytest.mark.parametrize("dps", [100, 200])
     @pytest.mark.parametrize("name", sorted(RESIDUE_CONFIGS))
-    def test_mirrored_half_equals_full_loop(self, residue_rats, name, dps):
-        """Residues of m > n_k/2, taken as conjugates, are bit for bit the
-        closed form run on every zero of the same poles (tests/helpers.py)."""
+    def test_pass_equals_object_level_formula(self, residue_rats, name, dps):
+        """The pass on raw tuples, with its shared factors and its mirrored
+        half, is bit for bit the closed form in plain mpc arithmetic run on
+        every zero of the same unit roots (tests/helpers.py)."""
         rat = residue_rats(name, dps)
         for k, (_, n) in enumerate(rat.cfg.blocks, start=1):
             got = rat.residues[k - 1]
-            want = block_residues_per_zero(rat.cfg, k, zeros(rat.cfg, k))
+            want = block_residues_per_zero(rat.cfg, k)
             assert [m for m in range(n) if got[m] != want[m]] == [], k
 
     def test_every_factor_is_screened(self, monkeypatch):
-        """Each distinct factor 1 - w of the pass goes through
-        ``_block_terms`` once, with the cancellation screen at 10^(5-P):
-        for block k and each other block j, one factor per distinct root
-        index (m n_j) mod n_k over m <= n_k/2, the other residues being
-        conjugates."""
+        """The screen's first clause runs once per other block, at 10^(5-P);
+        where it holds, each distinct factor 1 - w of that block goes
+        through ``_block_terms``: one per distinct root index
+        (m n_j) mod n_k over m <= n_k/2, the other residues being
+        conjugates.  A block of modulus 1 + 10^-99 raises."""
         cfg = RESIDUE_CONFIGS["explicit"](100)
-        real = product._block_terms
-        screens = []
+        real_clause, real_terms = product._lossy_modulus, product._block_terms
+        clauses, screens = [], []
 
-        def screened(w, a, v, terms, lossy):
+        def clause(a, lossy):
+            clauses.append(lossy)
+            return real_clause(a, lossy)
+
+        def screened(w, a, terms, lossy):
             screens.append(lossy)
-            return real(w, a, v, terms, lossy)
+            return real_terms(w, a, terms, lossy)
 
+        monkeypatch.setattr(product, "_lossy_modulus", clause)
         monkeypatch.setattr(product, "_block_terms", screened)
+        residues_from_f(cfg)
+        assert len(clauses) == cfg.K * (cfg.K - 1) and screens == []
+        assert set(clauses) == {mpf(10) ** -95}
+
+        monkeypatch.setattr(product, "_lossy_modulus", lambda a, lossy: True)
         residues_from_f(cfg)
         distinct = sum(
             len({m * nj % n for m in range(n // 2 + 1)})
@@ -440,6 +452,14 @@ class TestBlockResidues:
         )
         assert len(screens) == distinct
         assert set(screens) == {mpf(10) ** -95}
+
+        monkeypatch.setattr(product, "_lossy_modulus", real_clause)
+        near_one = mpf(1) + mpf(10) ** -99
+        monkeypatch.setattr(
+            product, "_other_blocks", lambda cfg, k: [(n, near_one) for _, n in cfg.blocks[1:]]
+        )
+        with pytest.raises(CancellationError):
+            residues_from_f(cfg)
 
 
 # Configs whose top block takes the closed form at every point of
