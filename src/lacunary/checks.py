@@ -54,16 +54,6 @@ from .interpolation import g_proximity
 from .interpolation import eval_g  # noqa: F401
 from .product import derivative_ratio_bound
 
-CHECK_NAMES = (
-    "interpolation",
-    "residual",
-    "summability",
-    "cauchy",
-    "asymptotics",
-    "proximity",
-    "characteristic",
-)
-
 INTERPOLATION_THRESHOLD = mpf("1e-40")
 RESIDUAL_THRESHOLD = mpf("1e-40")
 PROXIMITY_FINAL_THRESHOLD = mpf("0.01")
@@ -367,6 +357,7 @@ CHECK_FUNCTIONS = {
     "proximity": check_proximity,
     "characteristic": check_characteristic,
 }
+CHECK_NAMES = tuple(CHECK_FUNCTIONS)
 
 
 def run_checks(sys: CoefficientSystem, checks, seed: int, residual_points: int):

@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 a
 ConfigError: bad configuration, a --checks list that names no check or
-one check twice, --points or --angles below 1, or unreadable input (a
-config, an artifact, or the directory or a file ``report`` reads), 3 a
+one check twice, --points or --angles below 1, unreadable input (a
+config, an artifact, or the directory or a file ``report`` reads), or
+an --out that is no directory, such as a file or a path under one, 3 a
 NumericalError (insufficient precision, non-convergent quadrature, a
 point off the certified domain), with a suggested precision printed
 when one can be computed.  ``main`` alone loads the config, enters its
@@ -106,8 +107,19 @@ def _load(args) -> tuple[LacunaryConfig, dict, Path]:
     cfg = config_from_dict(data)
     _rho_H(data)  # a malformed rho_H fails here, before any command starts
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     return cfg, data, out
+
+
+@contextmanager
+def _writing(out):
+    """Report an --out that cannot hold the outputs, such as a file or a
+    path under one, as a ConfigError that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write into --out {out}: {exc}") from exc
 
 
 def _rho_H(data: dict):
@@ -522,13 +534,14 @@ def _own_outputs(args) -> tuple[str, ...]:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    # a run that exits 2 or 3 must leave no earlier run's output for
-    # ``report`` to read as its own
-    for name in _own_outputs(args):
-        (Path(args.out) / name).unlink(missing_ok=True)
     try:
         if args.command == "report":
             return cmd_report(Path(args.out))
+        # a run that exits 2 or 3 must leave no earlier run's output for
+        # ``report`` to read as its own
+        with _writing(args.out):
+            for name in _own_outputs(args):
+                (Path(args.out) / name).unlink(missing_ok=True)
         cfg, data, out = _load(args)
         with mp.workdps(cfg.dps):
             return args.func(cfg, data, out, args)

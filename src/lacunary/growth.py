@@ -165,10 +165,6 @@ class WitnessReport:
     verdict: str
     rows: tuple[OrderScanRow, ...]  # the order scan that a and b come from
 
-    @property
-    def violation(self) -> bool:
-        return self.verdict == "violation"
-
 
 def crg_witness(cfg: LacunaryConfig, ks) -> WitnessReport:
     """Dip/peak comparison of ln M(r)/r^rho over ``order_scan(cfg, ks)``.

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .errors import NearPoleError, QuadratureError
+from .errors import ConfigError, NearPoleError, QuadratureError
 from .product import (
     LacunaryConfig,
     _block_residues,
@@ -119,15 +119,6 @@ class RationalInterpolant:
                 return f"block {k}: largest |u| {mp.nstr(top, 8)} exceeds {name} {mp.nstr(b, 8)}"
         return None
 
-    def with_residue(self, k: int, m: int, value) -> "RationalInterpolant":
-        """Copy with residue (k, m) replaced and the certificates
-        recomputed (fault injection / diagnostics)."""
-        if not (1 <= k <= self.cfg.K and 0 <= m < self.cfg.blocks[k - 1][1]):
-            raise ValueError(f"no zero ({k}, {m}) in the config")
-        residues = [list(block) for block in self.residues]
-        residues[k - 1][m] = mpc(value)
-        return config_interpolant(self.cfg, residues)
-
 
 def _schedule_tail_sum(cfg: LacunaryConfig) -> mpf:
     """Bound on sum_{k>K} |u/z| over the poles past K: the residue-ratio
@@ -146,9 +137,15 @@ def config_interpolant(cfg: LacunaryConfig, residues) -> RationalInterpolant:
     |z| = r_k for every pole of block k; the tail bound comes from the
     schedule.  Block K reports the closed form of :func:`_top_bound`, as
     :func:`residues_from_f` does, unless a held |u| exceeds M_K (1 + delta)
-    or is no number.  ``with_residue`` and the CLI's artifact loader build
-    their interpolant here, so it certifies the residues it holds.
+    or is no number.  The CLI's artifact loader builds its interpolant
+    here, so it certifies the residues it holds.  ConfigError unless
+    there is one list per block, of n_k residues for block k.
     """
+    if len(residues) != cfg.K:
+        raise ConfigError(f"{len(residues)} residue lists for {cfg.K} blocks")
+    for k, ((_, n), block) in enumerate(zip(cfg.blocks, residues), start=1):
+        if len(block) != n:
+            raise ConfigError(f"block {k}: {len(block)} residues for its {n} zeros")
     return _certified(cfg, residues, True)
 
 

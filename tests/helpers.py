@@ -1,9 +1,16 @@
+import importlib.util
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+
 import mpmath
 
 from lacunary.cli import _entry_residue, _hex
 from lacunary.growth import _logmag
-from lacunary.interpolation import eval_g
+from lacunary.interpolation import config_interpolant, eval_g
 from lacunary.product import _unit_root, zeros
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def rel_err(a, b):
@@ -24,6 +31,34 @@ def write_residue(entry, u):
     """Store u in a residues.json entry, exactly, as ``construct`` writes it."""
     u = mpmath.mpc(u)
     entry["residue"] = [_hex(u.real), _hex(u.imag)]
+
+
+def with_residue(rat, k, m, value):
+    """Copy of interpolant ``rat`` with residue (k, m) replaced and its
+    certificates recomputed by ``config_interpolant``: the fault injector."""
+    if not (1 <= k <= rat.cfg.K and 0 <= m < rat.cfg.blocks[k - 1][1]):
+        raise ValueError(f"no zero ({k}, {m}) in the config")
+    residues = [list(block) for block in rat.residues]
+    residues[k - 1][m] = mpmath.mpc(value)
+    return config_interpolant(rat.cfg, residues)
+
+
+@contextmanager
+def bench_run():
+    """``benchmarks/run.py`` loaded as a module.  run.py puts its own
+    directory on sys.path and imports spans and speed; both are undone on
+    exit, so import every library module first that must outlive it."""
+    path = list(sys.path)
+    before = set(sys.modules)
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        yield run
+    finally:
+        sys.path[:] = path
+        for name in set(sys.modules) - before:
+            del sys.modules[name]
 
 
 def direct_g(rat, z):

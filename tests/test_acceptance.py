@@ -33,7 +33,7 @@ from lacunary.growth import (
 from lacunary.interpolation import eval_g, proximity_m, residues_from_f
 from lacunary.product import derivative_ratio_bound, zeros
 
-from helpers import read_residue, write_residue
+from helpers import read_residue, with_residue, write_residue
 
 
 def report(number: int, name: str, passed: bool, details: str, elapsed: float):
@@ -253,7 +253,7 @@ def test_criterion_9_library_level_per_block():
     clean = make_system(cfg)
     all_detected = True
     for k in (1, 2, 3):
-        bad = clean.rat.with_residue(k, 0, clean.rat.residues[k - 1][0] + mpf("1e-3"))
+        bad = with_residue(clean.rat, k, 0, clean.rat.residues[k - 1][0] + mpf("1e-3"))
         sys_bad = make_system(cfg, rat=bad)
         rows = interpolation_identity_residuals(sys_bad)
         worst = max(value for _, _, value in rows)

@@ -709,6 +709,24 @@ def test_exit_code_of_each_error(tmp_path, monkeypatch, capsys, cls):
         assert "suggested precision: 321" in err
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize(
+    "command, extra",
+    [("construct", ()), ("verify", ("--checks", "summability")), ("scan", ("--scan", "order"))],
+    ids=["construct", "verify", "scan"],
+)
+def test_out_that_is_no_directory_exits_2(tmp_path, capsys, command, extra, under):
+    """An --out that is a file, or a path under one, cannot hold the
+    outputs: exit 2 with a message that names --out, file untouched."""
+    cfg = write_config(tmp_path, ANCHOR)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker / "out" if under else blocker
+    assert main([command, "--config", cfg, "--out", str(out), *extra]) == 2
+    assert f"--out {out}" in capsys.readouterr().err
+    assert blocker.read_text() == "kept"
+
+
 def _off_by_one_n3(monkeypatch, art):
     """growth.log_derivative evaluates the headline product with n_3 = 9
     instead of 8, a config that still passes the schedule's validation."""
@@ -917,35 +935,43 @@ class TestArtifactRoundTrip:
 
 class TestFaultMatrix:
     """Each row plants one targeted fault in a verify run on the headline
-    config: the target check must pass clean and fail a record of the
-    target identity with the fault in place (exit 1)."""
+    config: the target check must pass clean and, with the fault in place
+    (exit 1), fail as many records of the target identity as the fault
+    reaches: one 2c record of block 3, all 75 3f records, the one 3x
+    record, the final 3a record, the one 3h record, and the 1c record of
+    each of the 20 points."""
 
     @pytest.mark.parametrize(
-        "check, eq, extra, fault",
+        "check, eq, failures, extra, fault",
         [
-            pytest.param("asymptotics", "2c", (), _off_by_one_n3, id="asymptotics-wrong-n3"),
+            pytest.param("asymptotics", "2c", 1, (), _off_by_one_n3, id="asymptotics-wrong-n3"),
             pytest.param(
                 "interpolation",
                 "3f",
+                75,
                 (),
                 _kernel_s1_off_by_1e30,
                 id="interpolation-extraction-kernel",
             ),
             pytest.param(
-                "summability", "3x", (), _residue_4_1234_times_10, id="summability-large-residue"
+                "summability", "3x", 1, (), _residue_4_1234_times_10,
+                id="summability-large-residue",
             ),
             pytest.param(
-                "summability", "3x", (), _residue_4_1234_doubled, id="summability-doubled-residue"
+                "summability", "3x", 1, (), _residue_4_1234_doubled,
+                id="summability-doubled-residue",
             ),
             pytest.param(
-                "summability", "3x", (), _residue_4_1234_nan, id="summability-nonfinite-residue"
+                "summability", "3x", 1, (), _residue_4_1234_nan,
+                id="summability-nonfinite-residue",
             ),
             pytest.param(
-                "proximity", "3a", (), _residue_2_1_times_1e12, id="proximity-large-residue"
+                "proximity", "3a", 1, (), _residue_2_1_times_1e12, id="proximity-large-residue"
             ),
             pytest.param(
                 "characteristic",
                 "3h",
+                1,
                 (),
                 _residue_2_1_times_1e12,
                 id="characteristic-large-residue",
@@ -953,6 +979,7 @@ class TestFaultMatrix:
             pytest.param(
                 "residual",
                 "1c",
+                20,
                 ("--points", "20"),
                 _residues_off_by_1e30,
                 id="residual-wrong-residue",
@@ -966,7 +993,7 @@ class TestFaultMatrix:
         ],
     )
     def test_fault_fails_its_check(
-        self, tmp_path, monkeypatch, headline_artifacts, check, eq, extra, fault
+        self, tmp_path, monkeypatch, headline_artifacts, check, eq, failures, extra, fault
     ):
         cfg, built = headline_artifacts
         art = tmp_path / "art"
@@ -991,7 +1018,7 @@ class TestFaultMatrix:
         code, records = verify("fault")
         assert code == 1
         failed = [r for r in records if r["check"] == check and r["eq"] == eq and not r["pass"]]
-        assert failed
+        assert len(failed) == failures
         # ... and fail a fault through the quadrature
         assert all(r.get("sup_g_bound", 1) >= 1 for r in failed)
 

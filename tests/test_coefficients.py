@@ -37,7 +37,7 @@ from lacunary.product import (
     zero_point,
 )
 
-from helpers import h_tail_log_bound, rel_err
+from helpers import h_tail_log_bound, rel_err, with_residue
 
 
 @pytest.fixture(scope="module")
@@ -328,7 +328,7 @@ class TestInterpolationIdentity:
 
     def test_detects_corrupted_residue(self, factorial_system):
         rat = factorial_system.rat
-        bad = rat.with_residue(2, 0, rat.residues[1][0] + mpf("1e-3"))
+        bad = with_residue(rat, 2, 0, rat.residues[1][0] + mpf("1e-3"))
         sys_bad = make_system(
             factorial_system.cfg, rho_H=mpf("0.4"), rat=bad
         )

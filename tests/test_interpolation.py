@@ -7,6 +7,7 @@ from mpmath import mp, mpc, mpf
 
 from lacunary import (
     CancellationError,
+    ConfigError,
     NearPoleError,
     QuadratureError,
     config_from_blocks,
@@ -28,7 +29,7 @@ from lacunary.interpolation import (
 )
 from lacunary.product import derivative_ratio_bound, derivs_at_zero, zero_point, zeros
 
-from helpers import block_residues_per_zero, direct_g, recover_residue, rel_err
+from helpers import block_residues_per_zero, direct_g, recover_residue, rel_err, with_residue
 
 
 def one_minus_z_squared():
@@ -89,7 +90,7 @@ class TestResidues:
     def test_with_residue_recertifies(self):
         """A replaced residue carries the certificates a fresh build gives it."""
         rat = residues_from_f(make_schedule(0.5, 3, "factorial"))
-        bad = rat.with_residue(2, 0, rat.residues[1][0] + mpf("1e-3"))
+        bad = with_residue(rat, 2, 0, rat.residues[1][0] + mpf("1e-3"))
         fresh = config_interpolant(rat.cfg, bad.residues)
         assert bad.sum_included == fresh.sum_included != rat.sum_included
         assert bad.c_bound == fresh.c_bound
@@ -99,7 +100,7 @@ class TestResidues:
         rat = one_minus_z_squared()
         for k, m in ((0, 0), (2, 0), (1, 2), (1, -1)):
             with pytest.raises(ValueError):
-                rat.with_residue(k, m, 1)
+                with_residue(rat, k, m, 1)
 
     def test_interpolant_from_residues_alone_is_the_same(self):
         """An interpolant built from the residues of ``residues_from_f``
@@ -109,6 +110,21 @@ class TestResidues:
         rebuilt = config_interpolant(cfg, rat.residues)
         assert rebuilt == rat
         assert eval_g(rebuilt, 5) == eval_g(rat, 5)
+
+    def test_residues_that_do_not_fit_the_config_are_refused(self):
+        """One list per block, of n_k residues: a missing pole would drop
+        out of g unseen, and no list at all leaves no verdict."""
+        cfg = config_from_blocks([[4, 2], [16, 4]])
+        residues = [list(block) for block in residues_from_f(cfg).residues]
+        cases = [
+            ([residues[0], residues[1][:3]], "block 2: 3 residues for its 4 zeros"),
+            ([residues[0], residues[1] + [mpc(0)]], "block 2: 5 residues for its 4 zeros"),
+            ([], "0 residue lists for 2 blocks"),
+            ([*residues, []], "3 residue lists for 2 blocks"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ConfigError, match=message):
+                config_interpolant(cfg, bad)
 
 
 class TestEvalG:
@@ -165,7 +181,8 @@ class TestEvalG:
         geo = 1 / (1 - mp.power(2, cfg.rho_f - 1))
         harmonic = mp.power(r, cfg.rho_f - 1) * geo + 3 / r
         expected = derivative_ratio_bound(cfg, cfg.K + 1) * harmonic
-        assert config_interpolant(cfg, []).tail_sum_bound == expected
+        residues = [[mpc(0)] * n for _, n in cfg.blocks]
+        assert config_interpolant(cfg, residues).tail_sum_bound == expected
 
 
 class TestResidueRecoveryContour:
@@ -222,7 +239,7 @@ class TestSummability:
         bound, but not within M_4: the verdict fails and says why, and
         block 4 reports the stored numbers instead of the closed form."""
         rat = factorial_k4_rat
-        bad = rat.with_residue(4, 1234, 2 * rat.residues[3][1234])
+        bad = with_residue(rat, 4, 1234, 2 * rat.residues[3][1234])
         assert bad.block_max[3] <= bad.residue_bounds[3]
         assert bad.block_max[3] == 2 * abs(rat.residues[3][1234]) > rat.block_max[3]
         assert not bad.summable
@@ -235,7 +252,7 @@ class TestSummability:
         """A finite but wrong residue: sum |u/z| stays finite, the block-4
         residue bound does not hold."""
         rat = factorial_k4_rat
-        bad = rat.with_residue(4, 1234, 1000 * rat.residues[3][1234])
+        bad = with_residue(rat, 4, 1234, 1000 * rat.residues[3][1234])
         assert bad.sum_included + bad.tail_sum_bound < mpf("inf")
         assert bad.block_max[3] > bad.residue_bounds[3]
         assert not bad.summable
@@ -520,7 +537,7 @@ class TestTopBlockClosedForm:
         z = 100 * rat.cfg.blocks[3][0] * mp.expjpi(mpf("0.71"))
         before = _g_sum(rat, z)
         delta = mpf("1e-40")
-        bad = rat.with_residue(3, 5, rat.residues[2][5] + delta)
+        bad = with_residue(rat, 3, 5, rat.residues[2][5] + delta)
         assert _top_block(bad, z) is not None
         after = _g_sum(bad, z)
         change = delta / (z - zero_point(rat.cfg, 3, 5))
