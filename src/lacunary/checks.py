@@ -362,12 +362,14 @@ CHECK_NAMES = tuple(CHECK_FUNCTIONS)
 
 def run_checks(sys: CoefficientSystem, checks, seed: int, residual_points: int):
     """Run the named checks, whose precision ``ensure_feasible`` has
-    already admitted; returns (records, all_passed)."""
+    already admitted, at the system's precision, so the records do not
+    depend on the caller's; returns (records, all_passed)."""
     records = []
-    for name in checks:
-        if name == "residual":
-            recs = check_residual(sys, seed, n_points=residual_points)
-        else:
-            recs = CHECK_FUNCTIONS[name](sys, seed)
-        records.extend(recs)
+    with mp.workdps(sys.dps):
+        for name in checks:
+            if name == "residual":
+                recs = check_residual(sys, seed, n_points=residual_points)
+            else:
+                recs = CHECK_FUNCTIONS[name](sys, seed)
+            records.extend(recs)
     return records, all(r["pass"] for r in records)

@@ -302,7 +302,7 @@ def _parse_checks(raw: str | None):
 # scan
 
 
-CSV_HEADER = ("r", "theta", "log_abs_f", "ratio", "excluded", "pass")
+CSV_HEADER = ("r", "theta", "log_abs_f", "ratio", "excluded")
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -332,7 +332,6 @@ def cmd_scan(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
                 _nstr(row.log_max),
                 "" if row.ratio is None else _nstr(row.ratio),
                 False,
-                True,
             )
             for row in scan.rows
         ]
@@ -359,7 +358,7 @@ def cmd_scan(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
         # the order scan's rows alternate dip and peak, as a and b interleave
         normalized = [x for pair in zip(rep.a, rep.b) for x in pair]
         rows = [
-            (_nstr(row.r), "", _nstr(row.log_max), _nstr(x), False, True)
+            (_nstr(row.r), "", _nstr(row.log_max), _nstr(x), False)
             for row, x in zip(rep.rows, normalized)
         ]
         _write_csv(out / "witness.csv", rows)
@@ -393,7 +392,7 @@ def cmd_scan(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
     thetas = [2 * mp.pi * j / args.angles for j in range(args.angles)]
     scan = indicator_scan(fn, rho, thetas, radii, exclusion=exclusion)
     rows = [
-        (_nstr(s.r), _nstr(s.theta), _nstr(s.log_abs), _nstr(s.ratio), s.excluded, True)
+        (_nstr(s.r), _nstr(s.theta), _nstr(s.log_abs), _nstr(s.ratio), s.excluded)
         for s in scan.samples
     ]
     _write_csv(out / "indicator.csv", rows)

@@ -11,7 +11,8 @@ loses about 10^-P/rel^2 at relative distance rel from the nearest zero
 point refuses every z within s = 10^(-P/4) of a zero with NearZeroError.
 
 Perturbed pair:  A = A0 + H*f,  B = B0 - H*f', where H is a product
-with zeros spread along the negative real axis at -m^{1/rho_H}; the
+with zeros spread along the negative real axis at -m^{1/rho_H}, kept as
+degree-1 blocks (-a_m, 1) that f's one-pass kernel evaluates; the
 c*H*f*f' contributions cancel identically in the residual, so the ODE
 survives the perturbation c*H for any scale c.
 
@@ -48,11 +49,11 @@ from .interpolation import RationalInterpolant, _g_sum, g_tail_bound, residues_f
 from .product import (
     DEFAULT_DPS,
     LacunaryConfig,
-    _block_terms,
     _check_domain,
     _circle_levels,
     _f_jet,
     _fprime_on_circle,
+    _jet,
     derivs_at_zero,
     f_jet,
     f_tail_log_bound,
@@ -67,8 +68,9 @@ H_TRUNCATION = 64
 class HProduct:
     """H(z) = prod_{m<=M} (1 + z / a_m) with a_m = m^{1/rho}; zeros at -a_m.
 
-    ``moduli`` holds a_1, ..., a_{M+1} (a_{M+1} for the exclusion disks),
-    formed once by :func:`build_H`.  The truncation is certified on
+    ``moduli`` holds a_1, ..., a_{M+1} (a_{M+1} for the exclusion disks)
+    and ``blocks`` H's factors as f's degree-1 blocks (-a_m, 1), m <= M,
+    both formed once by :func:`build_H`.  The truncation is certified on
     |z| <= a_M/2, where the omitted log-factors sum to at most
     |z| * M^{1-1/rho} / (1/rho - 1).
     """
@@ -77,6 +79,7 @@ class HProduct:
     truncation: int
     dps: int
     moduli: tuple[mpf, ...]
+    blocks: tuple[tuple[mpf, int], ...]
 
     def zero_modulus(self, m: int) -> mpf:
         return self.moduli[m - 1]
@@ -87,13 +90,10 @@ class HProduct:
             return self.moduli[self.truncation - 1] / 2
 
     def eval(self, z) -> mpc:
-        """H(z) as a plain product of the factors 1 + z/a_m, each formed by
-        f's factor kernel ``product._block_terms`` with w = -z/a_m.
-
-        A factor that loses more than P-5 of the P digits of max(1, |z/a_m|)
-        to cancellation raises CancellationError, carrying the product
-        finished with the lossy factor; an exact zero stays 0.
-        """
+        """H(z) as one pass of f's kernel ``product._jet`` over ``blocks``:
+        a factor that loses more than P-5 of the P digits of max(1, |z/a_m|)
+        raises CancellationError, carrying the product finished with the
+        lossy factor; an exact zero stays 0."""
         with mp.workdps(self.dps):
             z = mpc(z)
             if abs(z) > self.max_radius:
@@ -101,20 +101,7 @@ class HProduct:
                     f"|z| = {mp.nstr(abs(z), 8)} outside H validity radius "
                     f"{mp.nstr(self.max_radius, 8)}"
                 )
-            lossy = mp.power(10, 5 - self.dps)
-            acc = mpc(1)
-            error = None
-            for a in self.moduli[: self.truncation]:
-                w = -z / a
-                try:
-                    factor = _block_terms(w, abs(w), 0, lossy)[0]
-                except CancellationError as exc:
-                    error, lossy, factor = exc, None, exc.result
-                acc *= factor
-            if error is not None:
-                error.result = acc
-                raise error
-            return acc
+            return _jet(self.blocks, z, 0, True)[0]
 
 
 def build_H(rho_H, truncation: int, dps: int = None) -> HProduct:
@@ -129,7 +116,8 @@ def build_H(rho_H, truncation: int, dps: int = None) -> HProduct:
     truncation, dps = int(truncation), dps or DEFAULT_DPS
     with mp.workdps(dps):
         moduli = tuple(mp.power(m, 1 / rho) for m in range(1, truncation + 2))
-    return HProduct(rho=rho, truncation=truncation, dps=dps, moduli=moduli)
+        blocks = tuple((-a, 1) for a in moduli[:truncation])
+    return HProduct(rho=rho, truncation=truncation, dps=dps, moduli=moduli, blocks=blocks)
 
 
 @dataclass(frozen=True)

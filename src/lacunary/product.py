@@ -17,7 +17,7 @@ and ``f_jet`` (f, f', f'') wrap one pass over the blocks that forms each
 power (z/r_k)^{n_k} once, as one ``mp.power`` in plain ``mpc`` whose
 n_k.bit_length() + 20 guard bits absorb the n_k-fold growth of rounding
 errors, so block exponents up to 2^60 and radii up to 2^5040 stay exact;
-an exact zero stays ``mpc(0)``.
+an exact zero stays ``mpc(0)``.  It evaluates H too, as degree-1 blocks.
 At the zeros, f' and f'' come from factor extraction: write f = q*P with
 q the vanishing factor; P' comes from the logarithmic derivative of the
 remaining (nonvanishing) product.  Two routes reach the zeros.
@@ -376,10 +376,12 @@ def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
 
     Each power (z/r_k)^{n_k} is one ``mp.power`` with n_k.bit_length() + 20
     guard bits, so the rounding of z/r_k, amplified n_k-fold by the power,
-    stays below the working precision.  The factors and terms come from
-    :func:`_block_terms`; a lossy factor is kept, and when ``strict`` the
-    first one raises once the product is finished, carrying that lossy f.
-    At z = 0 the sums are their termwise limits (n = 1, n <= 2 blocks).
+    stays below the working precision; at n_k = 1 nothing grows, and the
+    power is the quotient z/r_k (H's factor 1 + z/a is the block (-a, 1)).
+    The factors and terms come from :func:`_block_terms`; a lossy factor
+    is kept, and when ``strict`` the first one raises once the product is
+    finished, carrying that lossy f.  At z = 0 the sums are their termwise
+    limits (n = 1, n <= 2 blocks).
     """
     terms = order if z != 0 else 0
     lossy = mpf(10) ** (5 - mp.dps) if strict else None
@@ -387,8 +389,11 @@ def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
     f = mpc(1)
     l1 = l2 = mpc(0)
     for r, n in blocks:
-        with mp.extraprec(n.bit_length() + 20):
-            w = mp.power(z / r, n)
+        if n == 1:
+            w = z / r
+        else:
+            with mp.extraprec(n.bit_length() + 20):
+                w = mp.power(z / r, n)
         try:
             factor, s, t = _block_terms(w, abs(w), terms, lossy)
         except CancellationError as exc:

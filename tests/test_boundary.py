@@ -1,7 +1,7 @@
 """Module boundaries: no library code uses the log-domain number format,
-f and g share one certified domain, one kernel screens factors for
-cancellation, every error but ConfigError is numerical, and the
-benchmark's traced names exist.
+f and g share one certified domain, one kernel forms and screens the
+factors of both canonical products, and every error but ConfigError is
+numerical.
 
 ``logdomain`` is imported only by the package ``__init__.py``, as a
 module that binds none of its names; every evaluator runs with its
@@ -36,7 +36,6 @@ from lacunary.product import (
 )
 
 PACKAGE = Path(lacunary.__file__).resolve().parent
-BENCHMARK_RUNNER = Path(__file__).resolve().parent.parent / "benchmarks" / "run.py"
 
 LOG_DOMAIN_NAMES = (
     "LOG_ONE",
@@ -74,7 +73,7 @@ def _binds_logdomain_names(tree: ast.AST) -> bool:
     return False
 
 
-def test_only_product_imports_logdomain():
+def test_only_init_imports_logdomain():
     """Only __init__.py imports logdomain, as a module, binding none of its
     names (the benchmark's traced run looks the module up)."""
     trees = {
@@ -223,8 +222,8 @@ def _call_sites(tree: ast.AST, name: str) -> list[str]:
 
 def test_one_cancellation_screen():
     """CancellationError is constructed by f's factor kernel, which H's
-    factors pass through too, and by the B0 quotient, nowhere else
-    (``logdomain`` is excepted until it is deleted)."""
+    factors reach through ``_jet`` as f's do, and by the B0 quotient,
+    nowhere else (``logdomain`` is excepted until it is deleted)."""
     sites = sorted(
         f"{path.stem}.{site}"
         for path in PACKAGE.glob("*.py")
@@ -232,6 +231,22 @@ def test_one_cancellation_screen():
         for site in _call_sites(ast.parse(path.read_text(encoding="utf-8")), "CancellationError")
     )
     assert sites == ["coefficients._direct", "product._block_terms"]
+
+
+def test_one_kernel_for_both_canonical_products():
+    """f's factor kernel ``_block_terms`` is called by the one-pass product
+    ``_jet`` and by the residue pass's screen, nowhere else: H is a list of
+    degree-1 blocks that ``HProduct.eval`` hands to ``_jet``."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
+    }
+    sites = sorted(
+        f"{stem}.{site}"
+        for stem, tree in trees.items()
+        for site in _call_sites(tree, "_block_terms")
+    )
+    assert sites == ["product._block_residues", "product._jet"]
+    assert "HProduct.eval" in _call_sites(trees["coefficients"], "_jet")
 
 
 def test_one_home_for_circle_nodes():
@@ -291,30 +306,3 @@ def test_interpolant_holds_residues_and_certificates_alone():
             if isinstance(node, ast.Attribute) and node.attr == "__setattr__":
                 value = node.value
                 assert not (isinstance(value, ast.Name) and value.id == "object"), path.name
-
-
-def _benchmark_layers():
-    """The LAYERS tuple of the benchmark runner, read with ast (the runner
-    is not imported)."""
-    tree = ast.parse(BENCHMARK_RUNNER.read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
-        ):
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"no LAYERS in {BENCHMARK_RUNNER}")
-
-
-def test_benchmark_layers_resolve():
-    """Every traced name, module.function or module.Class.method, is a
-    callable of a lacunary module loaded by importing the CLI."""
-    layers = _benchmark_layers()
-    assert layers
-    for qualname in layers:
-        module, *path = qualname.split(".")
-        owner = sys.modules.get(f"lacunary.{module}")
-        assert owner is not None, qualname
-        for part in path:
-            owner = getattr(owner, part, None)
-            assert owner is not None, qualname
-        assert callable(owner), qualname

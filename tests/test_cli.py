@@ -532,7 +532,7 @@ class TestScan:
         assert summary["verdict"] == "violation"
         assert summary["ks"] == [4, 5, 6, 7]
         header = (out / "witness.csv").read_text().splitlines()[0]
-        assert header == "r,theta,log_abs_f,ratio,excluded,pass"
+        assert header == "r,theta,log_abs_f,ratio,excluded"
 
     def test_witness_no_violation_single_block(self, tmp_path):
         cfg = write_config(tmp_path, SINGLE)
@@ -590,6 +590,7 @@ class TestScan:
         assert summary["excluded_samples"] == 30
         assert summary["budget_ok"] is False
         rows = [row.split(",") for row in (out / "indicator.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 90 and all(len(row) == 5 for row in rows)
         on_zeros = [row for row in rows if float(row[1]) in (0.0, float(mp.pi))]
         assert len(on_zeros) == 2
         assert all(row[4] == "True" for row in on_zeros)

@@ -574,6 +574,20 @@ class TestContourAtThreePrecisions:
             assert count[0] == samples
 
 
+class TestRecordsAtAnyAmbientPrecision:
+    def test_records_identical_at_ambient_15_53_and_200(self, factorial_system):
+        """run_checks enters the system's precision: the headline's records
+        of every check (5 residual points) are the same whatever the
+        caller's precision, the annulus points included."""
+        runs = []
+        for dps in (15, 53, 200):
+            with mp.workdps(dps):
+                runs.append(checks.run_checks(factorial_system, checks.CHECK_NAMES, 0, 5))
+        records, _ = runs[0]
+        assert len(records) == 116 and sum(r["check"] == "residual" for r in records) == 15
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 class TestSystemConstruction:
     def test_hypothesis_flag(self):
         cfg = make_schedule(0.5, 2, "factorial")
