@@ -24,8 +24,10 @@ bound B(r) >= max |g| over the circle as "sup_g_bound": where B < 1,
 m = 0 is certified without sampling g.  3h forms N(r, g) per block,
 n_k ln(r / r_k).
 
-A nonzero value or bound too small for a float reads 0.0, and the record
-also carries its log10 as "log10_value" or "log10_bound", before "pass".
+A finite nonzero value or bound beyond float range reads 0.0 (too small)
+or null (too large), and the record also carries its log10 as
+"log10_value" or "log10_bound", before "pass"; NaN and an infinity read
+null, with no log10, so that every record is strict JSON.
 
 Checks whose pass threshold cannot be certified at the configured
 precision abort the run with a suggested precision instead of reporting
@@ -33,6 +35,8 @@ unearned failures (or unearned passes).
 """
 
 from __future__ import annotations
+
+import math
 
 from mpmath import mp, mpf
 
@@ -61,11 +65,13 @@ CHARACTERISTIC_THRESHOLD = mpf("0.05")
 
 
 def _num(x):
-    """Records hold plain floats; magnitudes beyond float range clamp to
-    0.0 / inf after the pass verdict has already been decided."""
+    """Records hold plain floats and strict JSON: a magnitude below float
+    range reads 0.0, and NaN, an infinity or a magnitude above float range
+    reads null, after the pass verdict has already been decided."""
     if x is None:
         return None
-    return float(x)
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 def record(check, eq, value, bound, passed, zero=None, point=None, extra=None):
@@ -78,7 +84,7 @@ def record(check, eq, value, bound, passed, zero=None, point=None, extra=None):
         "bound": _num(bound),
     }
     for key, x in (("value", value), ("bound", bound)):
-        if x and rec[key] == 0:
+        if x and rec[key] in (0, None) and mp.isfinite(x):
             rec[f"log10_{key}"] = float(mp.log10(abs(x)))
     rec["pass"] = bool(passed)
     if extra:

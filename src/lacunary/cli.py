@@ -265,7 +265,7 @@ def cmd_verify(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
     )
     with open(out / "records.jsonl", "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=False) + "\n")
+            fh.write(json.dumps(rec, sort_keys=False, allow_nan=False) + "\n")
     failed = [r for r in records if not r["pass"]]
     summary = {
         "checks": list(names),

@@ -63,6 +63,7 @@ from .product import (
     _check_domain,
     _circle_levels,
     _jet,
+    _modulus_within,
     _near_zero_guard,
     _other_blocks,
     _schedule_tail,
@@ -136,10 +137,11 @@ def config_interpolant(cfg: LacunaryConfig, residues) -> RationalInterpolant:
     per block and the included sum |u/z|, in total and per block, with
     |z| = r_k for every pole of block k; the tail bound comes from the
     schedule.  Block K reports the closed form of :func:`_top_bound`, as
-    :func:`residues_from_f` does, unless a held |u| exceeds M_K (1 + delta)
-    or is no number.  The CLI's artifact loader builds its interpolant
-    here, so it certifies the residues it holds.  ConfigError unless
-    there is one list per block, of n_k residues for block k.
+    :func:`residues_from_f` does, unless a held |u| exceeds M_K (1 + delta),
+    tested exactly on squared moduli, or is no number.  The CLI's artifact
+    loader builds its interpolant here, so it certifies the residues it
+    holds.  ConfigError unless there is one list per block, of n_k
+    residues for block k.
     """
     if len(residues) != cfg.K:
         raise ConfigError(f"{len(residues)} residue lists for {cfg.K} blocks")
@@ -155,8 +157,8 @@ def _certified(cfg: LacunaryConfig, residues, held: bool) -> RationalInterpolant
         M, limit = _top_bound(cfg)
         block_sums, block_max = [], []
         for k, ((r, n), block) in enumerate(zip(cfg.blocks, residues), start=1):
-            # a NaN |u| fails the <= and takes the pass below
-            if k == cfg.K and (not held or all(abs(u) <= limit for u in block)):
+            # a NaN or infinite u fails the test and takes the pass below
+            if k == cfg.K and (not held or all(_modulus_within(u, limit) for u in block)):
                 top, block_sum = M, n * M / r
             else:
                 # a running max from 0 skips a NaN |u|; the sum keeps it

@@ -13,11 +13,17 @@ of the infinite product, with a certified tail bound on the disk
 |z| < r_{K+1}/2; explicit block lists define f as the finite product.
 
 At an arbitrary point ``eval_f``, ``eval_f_scan``, ``log_derivative``
-and ``f_jet`` (f, f', f'') wrap one pass over the blocks that forms each
-power (z/r_k)^{n_k} once, as one ``mp.power`` in plain ``mpc`` whose
-n_k.bit_length() + 20 guard bits absorb the n_k-fold growth of rounding
-errors, so block exponents up to 2^60 and radii up to 2^5040 stay exact;
-an exact zero stays ``mpc(0)``.  It evaluates H too, as degree-1 blocks.
+and ``f_jet`` (f, f', f'') wrap one pass over the blocks, ``_jet``, that
+forms each power (z/r_k)^{n_k} once, with n_k.bit_length() + 20 guard
+bits that absorb the n_k-fold growth of rounding errors, so block
+exponents up to 2^60 and radii up to 2^5040 stay exact; an exact zero
+stays ``mpc(0)``.  It evaluates H too, as degree-1 blocks.  Like the
+residue pass below, it runs on mpmath's raw libmp tuples, making the
+calls that ``mp.power`` and the mpc operators would make, in the same
+order, so it gives their bits; values enter and leave it as mpc.  The
+near-zero guard of ``f_jet``, ``log_derivative`` and g decides radially
+first and searches for the nearest zero only within 2 10^(-P/2),
+relative, of some circle |z| = r_k.
 At the zeros, f' and f'' come from factor extraction: write f = q*P with
 q the vanishing factor; P' comes from the logarithmic derivative of the
 remaining (nonvanishing) product.  Two routes reach the zeros.
@@ -29,7 +35,7 @@ once per block (``_other_blocks``), takes each root of unity from
 ``_unit_root``, the helper behind ``zero_point``, and forms each factor
 once per distinct root index (``_extracted_raw``).  That pass runs on
 mpmath's raw libmp tuples, making the calls that the mpc operators of
-``_block_terms`` would make, in the same order, so it gives the same
+the closed form would make, in the same order, so it gives the same
 bits; only this module imports ``mpmath.libmp``.  The routes share the
 cancellation screen of ``_block_terms`` and nothing else: the pass tests
 the screen's first clause (``_lossy_modulus``) once per other block and
@@ -51,20 +57,9 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
-    fone,
-    from_int,
-    fzero,
-    mpc_add,
-    mpc_add_mpf,
-    mpc_conjugate,
-    mpc_div,
-    mpc_div_mpf,
-    mpc_mpf_div,
-    mpc_mul,
-    mpc_mul_int,
-    mpc_mul_mpf,
-    mpc_sub,
-    round_nearest,
+    fone, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_conjugate, mpc_div, mpc_div_mpf,
+    mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_pow_int, mpc_sub, mpf_abs, mpf_add,
+    mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_sub, round_nearest
 )
 
 from .errors import (
@@ -334,17 +329,41 @@ def _check_domain(cfg: LacunaryConfig, z: mpc) -> None:
 # For w = (z/r)^n the term in f'/f is T = (n/z) * w/(w-1); differentiating,
 #   T'  = -(n/z^2) (s + n t)
 # with s = w/(w-1), t = w/(w-1)^2.
+#
+# The kernels below run on mpmath's raw libmp tuples: they make the libmp
+# calls that the mpc operators of the same formulas make, in the same
+# order, at the working precision and round-nearest, so every bit is the
+# same without an mpc object per step.  Values cross the module boundary
+# as mpc.
+_ONE = (fone, fzero)
+_ZERO = (fzero, fzero)
+_MINUS_ONE = from_int(-1)
+_RND = round_nearest
 
 
-def _lossy_modulus(a: mpf, lossy: mpf | None) -> bool:
+def _lossy_modulus(a: tuple, lossy: tuple | None, prec: int) -> bool:
     """The cancellation screen's first clause for a power of modulus a:
     |1 - a| < max(1, a) ``lossy``.  |1 - w| >= |1 - a| for every w with
     |w| = a, so where it fails no such factor 1 - w is lossy, and the
     screen needs no complex abs."""
-    return bool(lossy) and abs(1 - a) < max(1, a) * lossy
+    if lossy is None:
+        return False
+    return mpf_lt(mpf_abs(mpf_sub(fone, a, prec, _RND)), _scaled(a, lossy, prec))
 
 
-def _block_terms(w: mpc, a: mpf, terms: int, lossy: mpf | None) -> tuple:
+def _scaled(a: tuple, lossy: tuple, prec: int) -> tuple:
+    """max(1, a) ``lossy``, the screen's threshold."""
+    return mpf_mul(a, lossy, prec, _RND) if mpf_gt(a, fone) else lossy
+
+
+def _modulus_within(u, limit: mpf) -> bool:
+    """|u| <= limit for an mpc or mpf u, decided exactly as
+    re^2 + im^2 <= limit^2 with no square root; NaN and inf fail."""
+    x, y = u._mpc_ if hasattr(u, "_mpc_") else (u._mpf_, fzero)
+    return mpf_le(mpf_add(mpf_mul(x, x), mpf_mul(y, y)), mpf_mul(limit._mpf_, limit._mpf_))
+
+
+def _block_terms(w: tuple, a: tuple, terms: int, lossy: tuple | None, prec: int) -> tuple:
     """(1 - w, s, t) for one block's power w with a = |w|: its factor of f
     and its first ``terms`` terms in the log-derivative sums (the rest None).
 
@@ -353,65 +372,71 @@ def _block_terms(w: mpc, a: mpf, terms: int, lossy: mpf | None) -> tuple:
     it is kept, and an exact zero always is.  When a > 1 the terms go
     through v = 1/w so that huge powers never meet subtraction head-on.
     """
-    factor = 1 - w
-    scale = max(1, a)
-    if factor and _lossy_modulus(a, lossy) and abs(factor) < scale * lossy:
-        digits_lost = float(mp.log(scale / abs(factor), 10))
+    factor = mpc_sub(_ONE, w, prec, _RND)
+    limit = factor != _ZERO and _lossy_modulus(a, lossy, prec) and _scaled(a, lossy, prec)
+    if limit and mpf_lt(mpc_abs(factor, prec, _RND), limit):
+        result = mp.make_mpc(factor)
+        digits_lost = float(mp.log(max(1, mp.make_mpf(a)) / abs(result), 10))
         message = f"factor cancelled {digits_lost:.1f} of {mp.dps} digits"
-        raise CancellationError(message, result=factor, digits_lost=digits_lost)
+        raise CancellationError(message, result=result, digits_lost=digits_lost)
     if not terms:
         return factor, None, None
-    if a > 1:
-        v = 1 / w
-        inv = 1 / (1 - v)
+    if mpf_gt(a, fone):
+        v = mpc_mpf_div(fone, w, prec, _RND)
+        inv = mpc_mpf_div(fone, mpc_sub(_ONE, v, prec, _RND), prec, _RND)
         s = inv
     else:
-        v, inv = w, -1 / factor
-        s = w * inv
-    return factor, s, v * inv * inv if terms == 2 else None
+        v, inv = w, mpc_mpf_div(_MINUS_ONE, factor, prec, _RND)
+        s = mpc_mul(w, inv, prec, _RND)
+    t = mpc_mul(mpc_mul(v, inv, prec, _RND), inv, prec, _RND) if terms == 2 else None
+    return factor, s, t
 
 
 def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
     """(f, f'/f, (f'/f)') over ``blocks`` in one pass, the sums up to ``order``.
 
-    Each power (z/r_k)^{n_k} is one ``mp.power`` with n_k.bit_length() + 20
-    guard bits, so the rounding of z/r_k, amplified n_k-fold by the power,
-    stays below the working precision; at n_k = 1 nothing grows, and the
-    power is the quotient z/r_k (H's factor 1 + z/a is the block (-a, 1)).
-    The factors and terms come from :func:`_block_terms`; a lossy factor
-    is kept, and when ``strict`` the first one raises once the product is
-    finished, carrying that lossy f.  At z = 0 the sums are their termwise
-    limits (n = 1, n <= 2 blocks).
+    Each power (z/r_k)^{n_k} is formed with n_k.bit_length() + 20 guard
+    bits, as ``mp.power`` forms it, so the rounding of z/r_k, amplified
+    n_k-fold by the power, stays below the working precision; at n_k = 1
+    nothing grows, and the power is the quotient z/r_k (H's factor
+    1 + z/a is the block (-a, 1)).  The factors and terms come from
+    :func:`_block_terms`; a lossy factor is kept, and when ``strict`` the
+    first one raises once the product is finished, carrying that lossy f.
+    At z = 0 the sums are their termwise limits (n = 1, n <= 2 blocks).
     """
-    terms = order if z != 0 else 0
-    lossy = mpf(10) ** (5 - mp.dps) if strict else None
+    prec = mp.prec
+    zt = z._mpc_
+    terms = order if zt != _ZERO else 0
+    lossy = (mpf(10) ** (5 - mp.dps))._mpf_ if strict else None
     error = None
-    f = mpc(1)
-    l1 = l2 = mpc(0)
+    f, l1, l2 = _ONE, _ZERO, _ZERO
     for r, n in blocks:
         if n == 1:
-            w = z / r
+            w = mpc_div_mpf(zt, r._mpf_, prec, _RND)
         else:
-            with mp.extraprec(n.bit_length() + 20):
-                w = mp.power(z / r, n)
+            wprec = prec + n.bit_length() + 20
+            w = mpc_pow_int(mpc_div_mpf(zt, r._mpf_, wprec, _RND), n, wprec, _RND)
         try:
-            factor, s, t = _block_terms(w, abs(w), terms, lossy)
+            factor, s, t = _block_terms(w, mpc_abs(w, prec, _RND), terms, lossy, prec)
         except CancellationError as exc:
-            error, lossy, terms, factor = exc, None, 0, exc.result
-        f *= factor
+            error, lossy, terms, factor = exc, None, 0, exc.result._mpc_
+        f = mpc_mul(f, factor, prec, _RND)
         if terms:
-            l1 += n * s
+            l1 = mpc_add(l1, mpc_mul_int(s, n, prec, _RND), prec, _RND)
             if terms == 2:
-                l2 -= n * (s + n * t)
+                t = mpc_add(s, mpc_mul_int(t, n, prec, _RND), prec, _RND)
+                l2 = mpc_sub(l2, mpc_mul_int(t, n, prec, _RND), prec, _RND)
     if error is not None:
-        error.result = f
+        error.result = mp.make_mpc(f)
         raise error
     if terms:
-        l1, l2 = l1 / z, l2 / (z * z)
+        l1 = mpc_div(l1, zt, prec, _RND)
+        l2 = mpc_div(l2, mpc_mul(zt, zt, prec, _RND), prec, _RND)
     elif order:
         l1 = mpc(sum(-1 / r for r, n in blocks if n == 1))
         l2 = mpc(sum(-mpf(n) / (r * r) for r, n in blocks if n <= 2))
-    return f, l1, l2
+        return mp.make_mpc(f), l1, l2
+    return mp.make_mpc(f), mp.make_mpc(l1), mp.make_mpc(l2)
 
 
 def eval_f(cfg: LacunaryConfig, z) -> mpc:
@@ -538,9 +563,21 @@ def _near_zero_margin(cfg: LacunaryConfig) -> mpf:
 def _near_zero_guard(cfg: LacunaryConfig, z: mpc, error: type) -> None:
     """Raise ``error`` within 10^(-P/2), relative, of a zero of f:
     NearZeroError for f's own guards, NearPoleError for g, whose poles
-    they are."""
+    they are.
+
+    The chord to any zero of block k is at least ||z| - r_k|, so the guard
+    decides radially first: where the exact |z|^2 lies outside
+    (r_k (1 -+ 2 10^(-P/2)))^2 for every block, the factor 2 covering
+    rounding, no zero is that near, and only inside such a band does
+    :func:`nearest_zero`, with its trig, pi and square root, decide."""
+    margin = _near_zero_margin(cfg)
+    x, y = z._mpc_
+    size2 = mp.make_mpf(mpf_add(mpf_mul(x, x), mpf_mul(y, y)))
+    inner, outer = (1 - 2 * margin) ** 2, (1 + 2 * margin) ** 2
+    if not any(inner * r * r <= size2 <= outer * r * r for r, _ in cfg.blocks):
+        return
     k, m, _, rel = nearest_zero(cfg, z)
-    if rel < _near_zero_margin(cfg):
+    if rel < margin:
         if error is NearPoleError:
             raise error(f"z within relative 10^-{cfg.dps // 2} of pole {(k, m)}")
         raise error(
@@ -571,7 +608,12 @@ def _f_jet(cfg: LacunaryConfig, z: mpc, order: int) -> tuple[mpc, ...]:
 def f_jet(cfg: LacunaryConfig, z, order: int) -> tuple[mpc, ...]:
     """(f, f') (order 1) or (f, f', f'') (order 2) from one pass:
     f' = f L1 and f'' = f (L1^2 + L1') with L1 = f'/f.  TailError and
-    NearZeroError as log_derivative, CancellationError as eval_f."""
+    NearZeroError as log_derivative, CancellationError as eval_f.
+
+    f'' so formed has no relative accuracy where |f''| << |f'|^2/|f|,
+    since L1^2 and L1' then cancel: on [[3.3,1],[1e30,32]] at |z| = 0.73
+    it reads about 10^-P (8.7e-32 at 30 digits, 2.3e-102 at 100) where
+    the true f'' is below 1e-960."""
     with mp.workdps(cfg.dps):
         return _f_jet(cfg, _guarded(cfg, z, order), order)
 
@@ -669,16 +711,6 @@ def _other_blocks(cfg: LacunaryConfig, k: int) -> list[tuple[int, mpf]]:
     return others
 
 
-# The residue pass runs on mpmath's raw libmp tuples: it makes the libmp
-# calls that the mpc operators of _block_terms and of the closed form
-# make, in the same order, at the working precision and round-nearest,
-# so every bit is the same without an mpc object per step.
-_ONE = (fone, fzero)
-_ZERO = (fzero, fzero)
-_MINUS_ONE = from_int(-1)
-_RND = round_nearest
-
-
 def _extracted_raw(others, m: int, n: int, roots, memo: dict, last: int, prec: int) -> tuple:
     """(P, S1) as libmp tuples for the block pass of :func:`_block_residues`:
     P is the product of the other blocks at the zero xi = r omega^m of a
@@ -743,12 +775,12 @@ def _block_residues(cfg: LacunaryConfig, k: int) -> list[mpc]:
     half = n // 2 + 1
     with mp.workdps(cfg.dps):
         prec = mp.prec
-        lossy = mpf(10) ** (5 - cfg.dps)
+        lossy = (mpf(10) ** (5 - cfg.dps))._mpf_
         others = []
         for nj, a in _other_blocks(cfg, k):
-            if _lossy_modulus(a, lossy):
+            if _lossy_modulus(a._mpf_, lossy, prec):
                 for index in sorted({m * nj % n for m in range(half)}):
-                    _block_terms(a * _unit_root(index, n), a, 0, lossy)
+                    _block_terms((a * _unit_root(index, n))._mpc_, a._mpf_, 0, lossy, prec)
             others.append((nj, a._mpf_, a > 1))
         roots = [_unit_root(i, n)._mpc_ for i in range(half)]
         roots += [mpc_conjugate(roots[n - i], prec, _RND) for i in range(half, n)]

@@ -6,6 +6,7 @@ from pathlib import Path
 import mpmath
 
 from lacunary.cli import _entry_residue, _hex
+from lacunary.errors import CancellationError
 from lacunary.growth import _logmag
 from lacunary.interpolation import config_interpolant, eval_g
 from lacunary.product import _unit_root, zeros
@@ -185,3 +186,71 @@ def h_tail_log_bound(h, radius):
     with mpmath.mp.workdps(h.dps):
         inv = 1 / h.rho
         return mpmath.mpf(radius) * mpmath.mp.power(h.truncation, 1 - inv) / (inv - 1)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass kernel in plain mpc arithmetic, as it stood before
+# ``product._jet`` moved onto raw libmp tuples: the oracle that the raw
+# kernel must match bit for bit
+
+
+def reference_lossy_modulus(a, lossy):
+    """|1 - a| < max(1, a) ``lossy``, the first clause of the screen."""
+    return bool(lossy) and abs(1 - a) < max(1, a) * lossy
+
+
+def reference_block_terms(w, a, terms, lossy):
+    """(1 - w, s, t) for one block's power w with a = |w|, in mpc."""
+    mp = mpmath.mp
+    factor = 1 - w
+    scale = max(1, a)
+    if factor and reference_lossy_modulus(a, lossy) and abs(factor) < scale * lossy:
+        digits_lost = float(mp.log(scale / abs(factor), 10))
+        message = f"factor cancelled {digits_lost:.1f} of {mp.dps} digits"
+        raise CancellationError(message, result=factor, digits_lost=digits_lost)
+    if not terms:
+        return factor, None, None
+    if a > 1:
+        v = 1 / w
+        inv = 1 / (1 - v)
+        s = inv
+    else:
+        v, inv = w, -1 / factor
+        s = w * inv
+    return factor, s, v * inv * inv if terms == 2 else None
+
+
+def reference_jet(blocks, z, order, strict):
+    """(f, f'/f, (f'/f)') over ``blocks`` in one pass of mpc arithmetic,
+    each power one ``mp.power`` with n.bit_length() + 20 guard bits."""
+    mp = mpmath.mp
+    mpc, mpf = mpmath.mpc, mpmath.mpf
+    terms = order if z != 0 else 0
+    lossy = mpf(10) ** (5 - mp.dps) if strict else None
+    error = None
+    f = mpc(1)
+    l1 = l2 = mpc(0)
+    for r, n in blocks:
+        if n == 1:
+            w = z / r
+        else:
+            with mp.extraprec(n.bit_length() + 20):
+                w = mp.power(z / r, n)
+        try:
+            factor, s, t = reference_block_terms(w, abs(w), terms, lossy)
+        except CancellationError as exc:
+            error, lossy, terms, factor = exc, None, 0, exc.result
+        f *= factor
+        if terms:
+            l1 += n * s
+            if terms == 2:
+                l2 -= n * (s + n * t)
+    if error is not None:
+        error.result = f
+        raise error
+    if terms:
+        l1, l2 = l1 / z, l2 / (z * z)
+    elif order:
+        l1 = mpc(sum(-1 / r for r, n in blocks if n == 1))
+        l2 = mpc(sum(-mpf(n) / (r * r) for r, n in blocks if n <= 2))
+    return f, l1, l2

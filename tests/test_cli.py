@@ -36,6 +36,17 @@ HEADLINE = {"rho_f": 0.5, "rule": "factorial", "K": 4, "precision_digits": 100}
 THEOREM = {"rho_f": 0.45, "rule": "factorial", "K": 4, "precision_digits": 100, "rho_H": 0.48}
 
 
+def _not_strict(constant):
+    raise ValueError(f"records.jsonl holds {constant}, which is no strict JSON")
+
+
+def read_records(out):
+    """The records of ``verify``'s records.jsonl in ``out``, parsed as
+    strict JSON: a NaN or an Infinity fails the test."""
+    lines = (out / "records.jsonl").read_text().splitlines()
+    return [json.loads(line, parse_constant=_not_strict) for line in lines]
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -134,14 +145,30 @@ class TestVerify:
         summary = json.loads((out / "verify_summary.json").read_text())
         assert summary["passed"] is True
         assert summary["failed"] == 0
-        records = [
-            json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()
-        ]
+        records = read_records(out)
         assert all("eq" in r for r in records)
         eqs = {r["eq"] for r in records}
         assert {"3f", "1c", "1d", "3x", "1b", "2f", "2a", "2c", "2e", "3a", "3h"} <= eqs
 
     CAUCHY_2F = ("cauchy", "2f", None, "blockwise ratios strictly decreasing", None)
+
+    def test_records_are_strict_json_beyond_float_range(self, tmp_path):
+        """On [[3.3,1],[1e30,32]] the 2f record and the finite-difference 1b
+        record at (1, 0) hold values near 10^841 and 10^906, beyond float
+        range: they read null with their log10, as does 2f's agreement,
+        while the 1b ratio near 10^-942 reads 0.0 with its log10, so every
+        line parses as strict JSON."""
+        cfg = write_config(tmp_path, {"blocks": [[3.3, 1], [1e30, 32]], "rho_f": 0.05})
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "cauchy"]) == 1
+        at_one = [r for r in read_records(out) if r["zero"] == [1, 0]]
+        ratio, contour, fd = at_one
+        expected = [("1b", True), ("2f", False), ("1b", False)]
+        assert [(r["eq"], r["pass"]) for r in at_one] == expected
+        assert ratio["value"] == 0.0 and -943 < ratio["log10_value"] < -941
+        assert contour["value"] is None and 840 < contour["log10_value"] < 842
+        assert fd["value"] is None and 906 < fd["log10_value"] < 907
+        assert contour["agreement_half"] is None
 
     @pytest.mark.parametrize(
         "payload, count, failing",
@@ -181,8 +208,7 @@ class TestVerify:
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "v"
         assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "all"]) == 1
-        lines = (out / "records.jsonl").read_text().splitlines()
-        records = [json.loads(line) for line in lines]
+        records = read_records(out)
         assert len(records) == count
         failed = [
             (r["check"], r["eq"], r["zero"], r.get("property"), r.get("winding"))
@@ -198,7 +224,7 @@ class TestVerify:
         cfg = write_config(tmp_path, {"blocks": [[4, 2], [16, 4]], "rho_f": 0.5})
         out = tmp_path / "v"
         assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "all"]) == 0
-        records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        records = read_records(out)
         assert len(records) == 224
         (rec,) = [r for r in records if r["eq"] == "2c" and "property" not in r]
         assert 0.0110 < rec["value"] < rec["bound"] < 0.0116
@@ -210,7 +236,7 @@ class TestVerify:
         cfg = write_config(tmp_path, {"blocks": [[4, 1], [4.6, 2]], "rho_f": 0.47})
         out = tmp_path / "v"
         main(["verify", "--config", cfg, "--out", str(out), "--checks", "asymptotics"])
-        records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        records = read_records(out)
         (rec,) = [r for r in records if r["eq"] == "2c" and r["zero"] is None and "property" not in r]
         assert rec["pass"] is True and rec["applicable"] is False and rec["bound"] is None
         assert rec["reason"] == "blocks above 1 can move z f'/f by n_k or more"
@@ -223,7 +249,7 @@ class TestVerify:
         cfg = write_config(tmp_path, {"rho_f": 0.5, "rule": "factorial", "K": 3})
         out = tmp_path / "v"
         assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "asymptotics"]) == 0
-        summary = json.loads((out / "records.jsonl").read_text().splitlines()[-1])
+        summary = read_records(out)[-1]
         assert summary["property"] == "zero-free disk confirmed for every applicable block"
         assert summary["pass"] is True and summary["applicable"] is False
         assert summary["reason"] == (
@@ -404,10 +430,7 @@ class TestVerify:
             ]
         )
         assert code == 1
-        records = [
-            json.loads(line)
-            for line in (tmp_path / "v1" / "records.jsonl").read_text().splitlines()
-        ]
+        records = read_records(tmp_path / "v1")
         failed = [r["zero"] for r in records if not r["pass"]]
         assert failed == [[3, 0]]
 
@@ -425,10 +448,7 @@ class TestVerify:
             write_residue(entries[i], 1000 * read_residue(entries[i]))
         (art / "residues.json").write_text(json.dumps(entries))
         assert main([*verify, "--out", str(tmp_path / "v1")]) == 1
-        (rec,) = [
-            json.loads(line)
-            for line in (tmp_path / "v1" / "records.jsonl").read_text().splitlines()
-        ]
+        (rec,) = read_records(tmp_path / "v1")
         assert rec["eq"] == "3x" and rec["pass"] is False
         assert rec["value"] < float("inf")
         assert rec["per_block_max_residue"]["4"] > rec["per_block_residue_bound"]["4"]
@@ -1008,8 +1028,7 @@ class TestFaultMatrix:
                 ["verify", "--config", cfg, "--out", str(out), "--artifacts", str(art),
                  "--checks", check, *extra]
             )
-            lines = (out / "records.jsonl").read_text().splitlines()
-            return code, [json.loads(line) for line in lines]
+            return code, read_records(out)
 
         code, records = verify("clean")
         assert code == 0 and all(r["pass"] for r in records)
@@ -1075,7 +1094,7 @@ class TestDeterminism:
             out = tmp_path / seed
             main(["verify", "--config", cfg, "--out", str(out), "--points", "5",
                   "--seed", seed, "--checks", "residual"])
-            rec[seed] = (out / "records.jsonl").read_text()
+            rec[seed] = read_records(out)
         assert rec["1"] != rec["2"]
 
 

@@ -365,8 +365,10 @@ class TestTopBlockCertificate:
 
     def test_residue_pass_takes_no_abs_of_the_top_block(self, monkeypatch):
         """``residues_from_f`` certifies block K without |u| of any of its
-        residues; the probe, residues whose abs raises, does fail
-        ``config_interpolant``, which holds the residues it is given."""
+        residues: neither abs nor the squared-modulus test
+        ``_modulus_within`` sees one.  ``config_interpolant``, which holds
+        the residues it is given, puts every one of block K's through that
+        test, and takes abs of none."""
 
         class Untouchable(mpc):
             def __abs__(self):
@@ -380,12 +382,21 @@ class TestTopBlockCertificate:
                 return residues
             return [Untouchable(u.real, u.imag) for u in residues]
 
+        tested = []
+        within = interpolation._modulus_within
+
+        def spy(u, limit):
+            tested.append(u)
+            return within(u, limit)
+
         monkeypatch.setattr(interpolation, "_block_residues", probed)
+        monkeypatch.setattr(interpolation, "_modulus_within", spy)
         cfg = make_schedule(0.5, 4, "factorial")
         rat = residues_from_f(cfg)
-        assert rat.block_max[-1] == _top_bound(cfg)[0]
-        with pytest.raises(AssertionError, match="block-K residue"):
-            config_interpolant(cfg, rat.residues)
+        assert rat.block_max[-1] == _top_bound(cfg)[0] and tested == []
+        assert config_interpolant(cfg, rat.residues) == rat
+        assert tested == list(rat.residues[-1]) and len(tested) == cfg.blocks[-1][1]
+        assert all(isinstance(u, Untouchable) for u in tested)
 
 
 class TestBlockResidues:
@@ -445,21 +456,21 @@ class TestBlockResidues:
         real_clause, real_terms = product._lossy_modulus, product._block_terms
         clauses, screens = [], []
 
-        def clause(a, lossy):
+        def clause(a, lossy, prec):
             clauses.append(lossy)
-            return real_clause(a, lossy)
+            return real_clause(a, lossy, prec)
 
-        def screened(w, a, terms, lossy):
+        def screened(w, a, terms, lossy, prec):
             screens.append(lossy)
-            return real_terms(w, a, terms, lossy)
+            return real_terms(w, a, terms, lossy, prec)
 
         monkeypatch.setattr(product, "_lossy_modulus", clause)
         monkeypatch.setattr(product, "_block_terms", screened)
         residues_from_f(cfg)
         assert len(clauses) == cfg.K * (cfg.K - 1) and screens == []
-        assert set(clauses) == {mpf(10) ** -95}
+        assert set(clauses) == {(mpf(10) ** -95)._mpf_}
 
-        monkeypatch.setattr(product, "_lossy_modulus", lambda a, lossy: True)
+        monkeypatch.setattr(product, "_lossy_modulus", lambda a, lossy, prec: True)
         residues_from_f(cfg)
         distinct = sum(
             len({m * nj % n for m in range(n // 2 + 1)})
@@ -468,7 +479,7 @@ class TestBlockResidues:
             if j != k
         )
         assert len(screens) == distinct
-        assert set(screens) == {mpf(10) ** -95}
+        assert set(screens) == {(mpf(10) ** -95)._mpf_}
 
         monkeypatch.setattr(product, "_lossy_modulus", real_clause)
         near_one = mpf(1) + mpf(10) ** -99

@@ -14,8 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from lacunary import CancellationError, ConfigError, TailError, config_from_blocks, make_schedule
+from lacunary import (
+    CancellationError,
+    ConfigError,
+    NearZeroError,
+    TailError,
+    config_from_blocks,
+    make_schedule,
+)
 from lacunary import product
+from lacunary.coefficients import build_H
 from lacunary.product import (
     config_from_dict,
     config_to_dict,
@@ -31,7 +39,7 @@ from lacunary.product import (
     zeros,
 )
 
-from helpers import rel_err
+from helpers import reference_jet, rel_err
 
 
 def horner_eval(coeffs, z):
@@ -371,6 +379,138 @@ class TestFJet:
             f_jet(make_schedule(0.5, 2, "factorial"), 40, 1)
         with pytest.raises(ConfigError):
             f_jet(config_from_blocks([(4, 2)]), 1, 3)
+
+
+def _outcome(jet, blocks, z, order, strict):
+    """What a kernel gives at z: its three values as raw tuples, or the
+    type, message, carried result and digits lost of what it raises."""
+    try:
+        return tuple(x._mpc_ for x in jet(blocks, z, order, strict))
+    except (CancellationError, ZeroDivisionError) as exc:
+        result = getattr(exc, "result", None)
+        carried = None if result is None else result._mpc_
+        return type(exc), str(exc), carried, getattr(exc, "digits_lost", None)
+
+
+def _kernel_points(blocks, zeros_of, count, seed):
+    """z = 0, the points r, -r and i r of every block (exact zeros where
+    the block's degree allows), the rounded zeros in ``zeros_of``, and
+    ``count`` seeded points at uniform angles: a third within 10^-1 to
+    10^(1-P) (relative) of a block's circle, the rest at 0.05 to 3 times
+    its radius."""
+    rng = random.Random(seed)
+    points = [mpc(0)]
+    for r, _ in blocks:
+        points += [mpc(abs(r)), mpc(-abs(r)), mpc(0, abs(r))]
+    points += zeros_of
+    for _ in range(count):
+        r = abs(rng.choice(blocks)[0])
+        if rng.random() < 1 / 3:
+            offset = mpf(rng.uniform(-1, 1)) * mpf(10) ** -rng.randrange(1, mp.dps)
+            modulus = r * (1 + offset)
+        else:
+            modulus = r * mpf(rng.uniform(0.05, 3))
+        points.append(modulus * mp.expjpi(2 * mpf(rng.random())))
+    return points
+
+
+class TestRawKernel:
+    """``product._jet`` on raw libmp tuples gives the bits of the plain mpc
+    kernel of ``helpers.reference_jet``: the same values, and the same
+    CancellationError (message, lossy f, digits lost) or ZeroDivisionError."""
+
+    @pytest.mark.parametrize(
+        "name, count",
+        [("headline", 350), ("readme", 300), ("radius-3.3", 300), ("H", 100)],
+    )
+    def test_bit_identity_with_the_mpc_kernel(self, name, count):
+        """1,050 seeded points over the four block lists; H's first 16
+        degree-1 blocks have exact zeros at -a, and points 10^-97 off the
+        first eight of them stand in for rounded zeros."""
+        if name == "H":
+            blocks = build_H("0.4", 16, dps=100).blocks
+            zeros_of = [mpc(r * (1 + mpf(10) ** -97)) for r, _ in blocks[:8]]
+        else:
+            cfg = {
+                "headline": lambda: make_schedule(0.5, 4, "factorial"),
+                "readme": lambda: config_from_blocks([[4, 2], [16, 4]]),
+                "radius-3.3": lambda: config_from_blocks([[3.3, 1], [1e30, 32]], rho_f=0.05),
+            }[name]()
+            blocks = cfg.blocks
+            zeros_of = [
+                zero_point(cfg, k, m)
+                for k, (_, n) in enumerate(blocks, start=1)
+                for m in sorted({0, 1 % n, n // 3, n // 2, n - 1})
+            ]
+        raised = set()
+        for z in _kernel_points(blocks, zeros_of, count, seed=len(name)):
+            for order in (0, 1, 2):
+                for strict in (True, False):
+                    got = _outcome(product._jet, blocks, z, order, strict)
+                    assert got == _outcome(reference_jet, blocks, z, order, strict), (z, order)
+                    if not isinstance(got[0], tuple):
+                        raised.add(got[0])
+        # an exact zero with a derivative asked for divides by its factor;
+        # [[4,2],[16,4]] has only exact zeros, the others rounded ones
+        assert raised == {ZeroDivisionError} | ({CancellationError} if name != "readme" else set())
+
+    @pytest.mark.parametrize("dps", [30, 200])
+    def test_bit_identity_at_other_precisions(self, dps):
+        with mp.workdps(dps):
+            cfg = make_schedule(0.5, 4, "factorial", dps=dps)
+            zeros_of = [zero_point(cfg, k, 1 % n) for k, (_, n) in enumerate(cfg.blocks, start=1)]
+            for z in _kernel_points(cfg.blocks, zeros_of, 40, seed=dps):
+                for order in (0, 1, 2):
+                    for strict in (True, False):
+                        assert _outcome(product._jet, cfg.blocks, z, order, strict) == _outcome(
+                            reference_jet, cfg.blocks, z, order, strict
+                        ), (z, order)
+
+
+class TestRadialGuard:
+    """The near-zero guard decides radially before it looks for the
+    nearest zero, with the same decisions and messages."""
+
+    def test_near_zero_3_5_raises_the_same_message(self, monkeypatch):
+        """Points within 10^-50 (relative) of zero (3, 5) of the headline,
+        off it radially (up to 0.95 of the margin, inside and out), in
+        angle and in both, reach ``nearest_zero`` and raise as before; so
+        does a point inside the band 2 10^-50 but outside the margin, which
+        then passes."""
+        cfg = make_schedule(0.5, 4, "factorial")
+        xi = zero_point(cfg, 3, 5)
+        lookups, lookup = [], product.nearest_zero
+        monkeypatch.setattr(product, "nearest_zero", lambda *a: lookups.append(a) or lookup(*a))
+        cases = [
+            (xi * (1 + mpf("3e-51")), "3.0e-51"),
+            (xi * (1 + mpf("9.5e-51")), "9.5e-51"),
+            (xi * (1 - mpf("9.5e-51")), "9.5e-51"),
+            (xi * mp.expjpi(mpf("-1e-51")), "3.1416e-51"),
+            (xi + mpc("2e-50", "-3e-50") * 16, "9.0139e-51"),
+        ]
+        for z, rel in cases:
+            message = f"z within relative {rel} of zero (block 3, index 5); threshold 10^-50"
+            for evaluate in (lambda z: f_jet(cfg, z, 2), lambda z: log_derivative(cfg, z)):
+                with pytest.raises(NearZeroError) as info:
+                    evaluate(z)
+                assert str(info.value) == message
+        assert len(lookups) == 2 * len(cases)
+        f_jet(cfg, xi * (1 + mpf("1.5e-50")), 1)
+        assert len(lookups) == 2 * len(cases) + 1
+
+    def test_circle_nodes_outside_every_band_skip_nearest_zero(self, monkeypatch):
+        """On [[2,1],[4,2]] the circle of radius 2 around zero (1, 0)
+        reaches block 2's circle, so every node keeps the guard; no node
+        lies within a band, so none calls ``nearest_zero``."""
+        cfg = config_from_blocks([[2, 1], [4, 2]])
+        guards, lookups = [], []
+        guard, lookup = product._near_zero_guard, product.nearest_zero
+        monkeypatch.setattr(product, "_near_zero_guard", lambda *a: guards.append(a) or guard(*a))
+        monkeypatch.setattr(product, "nearest_zero", lambda *a: lookups.append(a) or lookup(*a))
+        directions = [mp.expjpi(mpf(2 * i + 1) / 16) for i in range(16)]
+        values = product._fprime_on_circle(cfg, (1, 0), 2, directions)
+        assert len(values) == len(guards) == 16 and lookups == []
+        assert values[0] == f_jet(cfg, guards[0][1], 1)[1]
 
 
 class TestZeros:
