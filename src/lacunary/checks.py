@@ -364,6 +364,9 @@ CHECK_FUNCTIONS = {
     "characteristic": check_characteristic,
 }
 CHECK_NAMES = tuple(CHECK_FUNCTIONS)
+# checks that read stored block-K residues (3f's stride, g's direct sum
+# wherever _top_block declines); the rest read only its certificates
+RESIDUE_CHECKS = ("interpolation", "residual")
 
 
 def run_checks(sys: CoefficientSystem, checks, seed: int, residual_points: int):

@@ -258,7 +258,8 @@ def cmd_verify(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
     rat = None
     if args.artifacts:
         rat = _load_artifact_residues(cfg, Path(args.artifacts))
-    system = make_system(cfg, rho_H=_rho_H(data), rat=rat)
+    defer = set(names).isdisjoint(checks_mod.RESIDUE_CHECKS)
+    system = make_system(cfg, rho_H=_rho_H(data), rat=rat, defer_top=defer)
 
     records, all_passed = checks_mod.run_checks(
         system, names, args.seed, residual_points=args.points

@@ -45,7 +45,7 @@ from .errors import (
     TailError,
     ZeroOnContourError,
 )
-from .interpolation import RationalInterpolant, _g_sum, g_tail_bound, residues_from_f
+from .interpolation import RationalInterpolant, _g_sum, _top_deferred, g_tail_bound, residues_from_f
 from .product import (
     DEFAULT_DPS,
     LacunaryConfig,
@@ -136,9 +136,10 @@ class CoefficientSystem:
 
 
 def make_system(
-    cfg: LacunaryConfig, rho_H=None, rat: RationalInterpolant | None = None
+    cfg: LacunaryConfig, rho_H=None, rat: RationalInterpolant | None = None, defer_top=False
 ) -> CoefficientSystem:
-    """The residues of ``cfg`` (or ``rat``), and H when ``rho_H`` is set."""
+    """The residues of ``cfg`` (or ``rat``), and H when ``rho_H`` is set;
+    ``defer_top`` leaves block K's residues to their first read."""
     with mp.workdps(cfg.dps):
         h = None
         hypothesis = None
@@ -146,7 +147,7 @@ def make_system(
             h = build_H(rho_H, H_TRUNCATION, dps=cfg.dps)
             hypothesis = bool(mpf(rho_H) > cfg.rho_f)
         if rat is None:
-            rat = residues_from_f(cfg)
+            rat = _top_deferred(cfg) if defer_top else residues_from_f(cfg)
         return CoefficientSystem(cfg=cfg, rat=rat, h=h, theorem_hypothesis_met=hypothesis)
 
 

@@ -47,12 +47,14 @@ sample of g; elsewhere it runs the quadrature.
 
 Interpolants are immutable and evaluation is pure: quadrature nodes can
 be evaluated concurrently, and sums run in the config's zero order so
-results are deterministic.
+results are deterministic.  A deferred block K (``_TopBlock``) is formed
+once, by its first read; concurrent first reads compute the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from mpmath import mp, mpc, mpf
 
@@ -61,6 +63,7 @@ from .product import (
     LacunaryConfig,
     _block_residues,
     _check_domain,
+    _check_enumerable,
     _circle_levels,
     _jet,
     _modulus_within,
@@ -78,6 +81,7 @@ class RationalInterpolant:
 
     ``residues`` holds one tuple per block, in block order: residue
     (k, m) is ``residues[k - 1][m]``, at the zero ``zero_point(cfg, k, m)``.
+    Block K may be a :class:`_TopBlock` instead, formed on its first read.
     ``block_sums`` holds the included sum |u/z| of each block,
     ``block_max`` its largest |u|, and ``tail_sum_bound`` bounds the
     uncomputed part of sum |u/z| (0 for finite explicit products).
@@ -148,17 +152,18 @@ def config_interpolant(cfg: LacunaryConfig, residues) -> RationalInterpolant:
     for k, ((_, n), block) in enumerate(zip(cfg.blocks, residues), start=1):
         if len(block) != n:
             raise ConfigError(f"block {k}: {len(block)} residues for its {n} zeros")
-    return _certified(cfg, residues, True)
+    return _certified(cfg, [tuple(block) for block in residues])
 
 
-def _certified(cfg: LacunaryConfig, residues, held: bool) -> RationalInterpolant:
-    """:func:`config_interpolant`; ``held`` False takes block K's closed form unseen."""
+def _certified(cfg: LacunaryConfig, residues) -> RationalInterpolant:
+    """:func:`config_interpolant`; a :class:`_TopBlock` takes block K's closed form unseen."""
     with mp.workdps(cfg.dps):
         M, limit = _top_bound(cfg)
         block_sums, block_max = [], []
         for k, ((r, n), block) in enumerate(zip(cfg.blocks, residues), start=1):
+            unseen = isinstance(block, _TopBlock)
             # a NaN or infinite u fails the test and takes the pass below
-            if k == cfg.K and (not held or all(_modulus_within(u, limit) for u in block)):
+            if k == cfg.K and (unseen or all(_modulus_within(u, limit) for u in block)):
                 top, block_sum = M, n * M / r
             else:
                 # a running max from 0 skips a NaN |u|; the sum keeps it
@@ -170,7 +175,7 @@ def _certified(cfg: LacunaryConfig, residues, held: bool) -> RationalInterpolant
             block_sums.append(block_sum)
             block_max.append(top)
         return RationalInterpolant(
-            residues=tuple(map(tuple, residues)),
+            residues=tuple(residues),
             sum_included=mp.fsum(block_sums),
             block_sums=tuple(block_sums),
             block_max=tuple(block_max),
@@ -191,23 +196,43 @@ def _top_bound(cfg: LacunaryConfig) -> tuple[mpf, mpf]:
         return M, M * (1 + 64 * cfg.K * mp.eps * q * q)
 
 
+@dataclass(frozen=True)
+class _TopBlock:
+    """Block K's residues of ``cfg``, formed by ``_block_residues(cfg, K)``
+    on the first read (index, iteration or len) and kept."""
+
+    cfg: LacunaryConfig
+
+    @cached_property
+    def held(self) -> tuple[mpc, ...]:
+        return tuple(_block_residues(self.cfg, self.cfg.K))
+
+    def __getitem__(self, m):
+        return self.held[m]
+
+    def __len__(self) -> int:
+        return len(self.held)
+
+
+def _top_deferred(cfg: LacunaryConfig) -> RationalInterpolant:
+    """:func:`residues_from_f` with block K a :class:`_TopBlock`; its cap is checked now."""
+    with mp.workdps(cfg.dps):
+        residues = [tuple(_block_residues(cfg, k)) for k in range(1, cfg.K)]
+        _check_enumerable(cfg, cfg.K)
+        return _certified(cfg, [*residues, _TopBlock(cfg)])
+
+
 def residues_from_f(cfg: LacunaryConfig) -> RationalInterpolant:
     """u = -f''/f'^2 at every zero up to level K, by factor extraction,
-    one block at a time; block K is certified by its closed form alone.
+    one block at a time, block K included (:func:`_top_deferred` leaves
+    it to its first read); block K is certified by its closed form alone.
 
-    ``product._block_residues`` takes every residue of a block in closed
-    form from the unit roots alone, forming no zero: the other blocks'
-    real powers once per block, each factor once per distinct root index,
-    all on mpmath's raw tuples with the bits of plain mpc arithmetic.
-    ``derivs_at_zero`` runs f's one-pass kernel over the other blocks at
-    the rounded zero instead, so the two routes share only the
-    cancellation screen of ``_block_terms``, and the interpolation check,
-    which holds the stored residues against its f' and f'', compares two
-    routes.
+    ``product._block_residues`` forms each block from the unit roots,
+    forming no zero; ``derivs_at_zero`` is the other route, which the
+    interpolation check holds the stored residues against.
     """
-    with mp.workdps(cfg.dps):
-        residues = [_block_residues(cfg, k) for k in range(1, cfg.K + 1)]
-        return _certified(cfg, residues, False)
+    rat = _top_deferred(cfg)
+    return replace(rat, residues=(*rat.residues[:-1], tuple(rat.residues[-1])))
 
 
 def g_tail_bound(rat: RationalInterpolant, radius) -> mpf:
@@ -241,7 +266,7 @@ def _g_sum(rat: RationalInterpolant, z: mpc) -> mpc:
     direct = rat.cfg.K if top is None else rat.cfg.K - 1
     total = mpc(0)
     for k in range(1, direct + 1):
-        for p, u in zip(zeros(rat.cfg, k), rat.residues[k - 1]):
+        for p, u in zip(zeros(rat.cfg, k), rat.residues[k - 1], strict=True):
             total += u / (z - p)
     return total if top is None else total + top
 

@@ -543,6 +543,59 @@ def test_residue_hex_of_zero_and_nonfinite():
     assert cli._unhex("0x0p0") == 0 and mp.isnan(cli._unhex("nan"))
 
 
+class TestTopBlockDeferral:
+    """``verify`` forms block K's residues only when a check of
+    ``checks.RESIDUE_CHECKS`` is selected, and then inside make_system."""
+
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        """(k, inside make_system) of every residue pass."""
+        calls, inside = [], []
+        real_pass, real_system = interpolation._block_residues, cli.make_system
+
+        def counted(cfg, k):
+            calls.append((k, bool(inside)))
+            return real_pass(cfg, k)
+
+        def system(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_system(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(interpolation, "_block_residues", counted)
+        monkeypatch.setattr(cli, "make_system", system)
+        return calls
+
+    @pytest.mark.parametrize(
+        "names, code",
+        [("characteristic", 0), ("summability", 0), ("proximity", 0), ("cauchy,asymptotics", 1)],
+    )
+    def test_checks_that_read_no_stored_residue_form_no_block_k(
+        self, tmp_path, formed, names, code
+    ):
+        cfg = write_config(tmp_path, {**HEADLINE, "rho_H": 0.4})
+        argv = ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--checks", names]
+        assert main(argv) == code
+        assert formed == [(1, True), (2, True), (3, True)]
+
+    @pytest.mark.parametrize("names", ["interpolation", "residual", "summability,residual"])
+    def test_residue_checks_form_block_k_once_inside_make_system(self, tmp_path, formed, names):
+        cfg = write_config(tmp_path, {**HEADLINE, "rho_H": 0.4})
+        argv = ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--checks", names]
+        assert main([*argv, "--points", "1"]) == 0
+        assert formed == [(1, True), (2, True), (3, True), (4, True)]
+
+    def test_past_the_enumeration_cap_exits_2_before_any_check(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**HEADLINE, "K": 5})
+        argv = ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--checks", "characteristic"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: block 5 has 1152921504606846976 zeros; enumeration capped at 1000000\n"
+        )
+
+
 class TestScan:
     def test_witness_violation_for_factorial(self, tmp_path):
         cfg = write_config(tmp_path, FACT7)

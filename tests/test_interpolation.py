@@ -15,7 +15,9 @@ from lacunary import (
     make_schedule,
     product,
 )
+from lacunary.coefficients import interpolation_identity_residuals, make_system
 from lacunary.interpolation import (
+    RationalInterpolant,
     _g_sum,
     _sup_bound,
     _top_block,
@@ -153,6 +155,22 @@ class TestEvalG:
         with pytest.raises(NearPoleError, match=r"\(4, 17\)"):
             eval_g(rat, xi * (1 + mpf(10) ** -60))
         eval_g(rat, xi * (1 + mpf(10) ** -40))
+
+    def test_a_block_short_of_a_residue_raises(self, factorial_k4_rat):
+        """A hand-built interpolant whose block 2 holds one residue fewer
+        than its zeros makes g's direct sum raise, not drop a pole."""
+        rat = factorial_k4_rat
+        short = RationalInterpolant(
+            residues=(rat.residues[0], rat.residues[1][:-1], *rat.residues[2:]),
+            sum_included=rat.sum_included,
+            block_sums=rat.block_sums,
+            block_max=rat.block_max,
+            tail_sum_bound=rat.tail_sum_bound,
+            cfg=rat.cfg,
+        )
+        eval_g(rat, 30 + 7j)
+        with pytest.raises(ValueError):
+            eval_g(short, 30 + 7j)
 
     def test_conjugate_symmetry(self):
         rat = residues_from_f(make_schedule(0.5, 3, "factorial"))
@@ -397,6 +415,54 @@ class TestTopBlockCertificate:
         assert config_interpolant(cfg, rat.residues) == rat
         assert tested == list(rat.residues[-1]) and len(tested) == cfg.blocks[-1][1]
         assert all(isinstance(u, Untouchable) for u in tested)
+
+
+class TestDeferredTopBlock:
+    """``make_system(cfg, defer_top=True)`` leaves block K unformed: its
+    certificates come from the closed form, and its first read forms it
+    once, bit for bit the block of ``residues_from_f``, whatever the
+    ambient precision."""
+
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        """The block index of every residue pass."""
+        calls = []
+        real = interpolation._block_residues
+
+        def counted(cfg, k):
+            calls.append(k)
+            return real(cfg, k)
+
+        monkeypatch.setattr(interpolation, "_block_residues", counted)
+        return calls
+
+    @pytest.mark.parametrize("ambient", [15, 53, 200])
+    @pytest.mark.parametrize("reader", ["identity", "proximity"])
+    def test_first_read_forms_the_eager_block_once(self, formed, reader, ambient):
+        """factorial K=3: the interpolation identity reads block 3 by index,
+        and g_proximity at r = 6 (B about 1.9) by g's direct sum, which
+        takes every block there."""
+        cfg = make_schedule(0.5, 3, "factorial")
+        eager = make_system(cfg)
+        assert formed == [1, 2, 3]
+        deferred = make_system(cfg, defer_top=True)
+        rat = deferred.rat
+        assert formed == [1, 2, 3, 1, 2]
+        assert (rat.block_sums, rat.block_max) == (eager.rat.block_sums, eager.rat.block_max)
+        assert rat.summable and rat.sum_included == eager.rat.sum_included
+        assert _sup_bound(rat, 6) == _sup_bound(eager.rat, 6) and formed == [1, 2, 3, 1, 2]
+        with mp.workdps(ambient):
+            if reader == "identity":
+                read = [interpolation_identity_residuals(s) for s in (deferred, eager)]
+            else:
+                read = [g_proximity(s.rat, 6) for s in (deferred, eager)]
+                assert read[0][1] >= 1
+        assert read[0] == read[1]
+        assert formed == [1, 2, 3, 1, 2, 3]
+        top = rat.residues[-1]
+        assert [u._mpc_ for u in top] == [u._mpc_ for u in eager.rat.residues[-1]]
+        assert len(top) == 8 and top[5] == eager.rat.residues[-1][5]
+        assert formed == [1, 2, 3, 1, 2, 3]
 
 
 class TestBlockResidues:
