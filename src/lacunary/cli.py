@@ -19,7 +19,8 @@ Config schema (JSON object):
     {"rho_f": 0.5, "rule": "factorial", "K": 4, "precision_digits": 100}
     {"blocks": [[4, 2], [16, 4]], "rho_f": 0.5, "precision_digits": 100}
 
-optionally extended with "rho_H" (H then has H_TRUNCATION = 64 factors).
+optionally extended with "rho_H", which ``coefficients.build_H`` reads as
+``product._rho`` reads rho_f (H then has H_TRUNCATION = 64 factors).
 A key outside the schema (``product.CONFIG_KEYS``), or "rule" or "K"
 next to "blocks", is rejected by name (exit 2).  With a fixed
 (config, seed, precision) triple every output file is byte-identical
@@ -39,7 +40,7 @@ from pathlib import Path
 from mpmath import mp, mpc, mpf
 
 from . import checks as checks_mod
-from .coefficients import H_TRUNCATION, build_H, make_system
+from .coefficients import H_TRUNCATION, RHO_H_BOUND, build_H, make_system
 from .errors import ConfigError, NumericalError, PrecisionInsufficient
 from .growth import (
     HZeroDiskFamily,
@@ -52,6 +53,7 @@ from .interpolation import RationalInterpolant, config_interpolant
 from .product import (
     LacunaryConfig,
     _integer,
+    _rho,
     config_from_dict,
     config_to_dict,
     eval_f_scan,
@@ -105,7 +107,8 @@ def _load(args) -> tuple[LacunaryConfig, dict, Path]:
     if args.precision is not None:
         data = {**data, "precision_digits": args.precision}
     cfg = config_from_dict(data)
-    _rho_H(data)  # a malformed rho_H fails here, before any command starts
+    if data.get("rho_H") is not None:  # a bad rho_H fails here, before any command starts
+        _rho(data["rho_H"], cfg.dps, "rho_H", RHO_H_BOUND)
     out = Path(args.out)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
@@ -122,13 +125,6 @@ def _writing(out):
         raise ConfigError(f"cannot write into --out {out}: {exc}") from exc
 
 
-def _rho_H(data: dict):
-    try:
-        return None if data.get("rho_H") is None else mpf(str(data["rho_H"]))
-    except ValueError as exc:
-        raise ConfigError(f"rho_H must be a number: {exc}") from exc
-
-
 def _write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=1)
@@ -140,7 +136,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
-    system = make_system(cfg, rho_H=_rho_H(data))
+    system = make_system(cfg, rho_H=data.get("rho_H"))
 
     extras = {"rho_H": data["rho_H"]} if "rho_H" in data else {}
     _write_json(out / "config.json", {**config_to_dict(cfg), **extras})
@@ -186,7 +182,7 @@ def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
             if system.h is None
             else {
                 "rho_H": _nstr(system.h.rho),
-                "truncation": system.h.truncation,
+                "truncation": H_TRUNCATION,
                 "max_radius": _nstr(system.h.max_radius),
                 "theorem_hypothesis_met": system.theorem_hypothesis_met,
             },
@@ -259,7 +255,7 @@ def cmd_verify(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
     if args.artifacts:
         rat = _load_artifact_residues(cfg, Path(args.artifacts))
     defer = set(names).isdisjoint(checks_mod.RESIDUE_CHECKS)
-    system = make_system(cfg, rho_H=_rho_H(data), rat=rat, defer_top=defer)
+    system = make_system(cfg, rho_H=data.get("rho_H"), rat=rat, defer_top=defer)
 
     records, all_passed = checks_mod.run_checks(
         system, names, args.seed, residual_points=args.points
@@ -376,9 +372,8 @@ def cmd_scan(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
         return 0
 
     # indicator: argparse admits no other kind
-    rho_H = _rho_H(data)
-    if rho_H is not None:
-        h = build_H(rho_H, H_TRUNCATION, dps=cfg.dps)
+    if data.get("rho_H") is not None:
+        h = build_H(data["rho_H"], dps=cfg.dps)
         target = "H"
         fn = h.eval
         rho = h.rho

@@ -54,6 +54,7 @@ from .product import (
     _f_jet,
     _fprime_on_circle,
     _jet,
+    _rho,
     derivs_at_zero,
     f_jet,
     f_tail_log_bound,
@@ -62,32 +63,26 @@ from .product import (
 )
 
 H_TRUNCATION = 64
+# rho_H lies in (0, 1/2), where H is the constructive positive-indicator product
+RHO_H_BOUND = "1/2"
 
 
 @dataclass(frozen=True)
 class HProduct:
-    """H(z) = prod_{m<=M} (1 + z / a_m) with a_m = m^{1/rho}; zeros at -a_m.
+    """H(z) = prod_{m<=M} (1 + z/a_m), zeros at -a_m = -m^{1/rho}, M = H_TRUNCATION.
 
-    ``moduli`` holds a_1, ..., a_{M+1} (a_{M+1} for the exclusion disks)
-    and ``blocks`` H's factors as f's degree-1 blocks (-a_m, 1), m <= M,
-    both formed once by :func:`build_H`.  The truncation is certified on
-    |z| <= a_M/2, where the omitted log-factors sum to at most
-    |z| * M^{1-1/rho} / (1/rho - 1).
+    ``moduli`` holds a_1, ..., a_{M+1} (a_{M+1} for the exclusion disks),
+    ``blocks`` H's factors as f's degree-1 blocks (-a_m, 1), m <= M, and
+    ``max_radius`` a_M/2, all formed once by :func:`build_H`.  The
+    truncation is certified on |z| <= max_radius, where the omitted
+    log-factors sum to at most |z| * M^{1-1/rho} / (1/rho - 1).
     """
 
     rho: mpf
-    truncation: int
     dps: int
     moduli: tuple[mpf, ...]
     blocks: tuple[tuple[mpf, int], ...]
-
-    def zero_modulus(self, m: int) -> mpf:
-        return self.moduli[m - 1]
-
-    @property
-    def max_radius(self) -> mpf:
-        with mp.workdps(self.dps):
-            return self.moduli[self.truncation - 1] / 2
+    max_radius: mpf
 
     def eval(self, z) -> mpc:
         """H(z) as one pass of f's kernel ``product._jet`` over ``blocks``:
@@ -104,20 +99,18 @@ class HProduct:
             return _jet(self.blocks, z, 0, True)[0]
 
 
-def build_H(rho_H, truncation: int, dps: int = None) -> HProduct:
-    rho = mpf(rho_H)
-    if not (0 < rho < mpf("0.5")):
-        raise ConfigError(
-            f"rho_H must lie in (0, 1/2) for the constructive positive-indicator "
-            f"product, got {rho}"
-        )
-    if truncation < 1:
-        raise ConfigError("H truncation must be >= 1")
-    truncation, dps = int(truncation), dps or DEFAULT_DPS
+def build_H(rho_H, *, dps: int = DEFAULT_DPS) -> HProduct:
+    """H of order rho_H with H_TRUNCATION factors at ``dps`` digits.
+
+    rho_H is read as ``product._rho`` reads rho_f, at ``dps``: the string
+    "0.4" and the float 0.4 give one H, the one the CLI builds from a
+    config's "rho_H"; ConfigError unless it lies in (0, RHO_H_BOUND)."""
+    rho = _rho(rho_H, dps, "rho_H", RHO_H_BOUND)
     with mp.workdps(dps):
-        moduli = tuple(mp.power(m, 1 / rho) for m in range(1, truncation + 2))
-        blocks = tuple((-a, 1) for a in moduli[:truncation])
-    return HProduct(rho=rho, truncation=truncation, dps=dps, moduli=moduli, blocks=blocks)
+        moduli = tuple(mp.power(m, 1 / rho) for m in range(1, H_TRUNCATION + 2))
+        blocks = tuple((-a, 1) for a in moduli[:H_TRUNCATION])
+        max_radius = moduli[H_TRUNCATION - 1] / 2
+    return HProduct(rho=rho, dps=dps, moduli=moduli, blocks=blocks, max_radius=max_radius)
 
 
 @dataclass(frozen=True)
@@ -138,14 +131,15 @@ class CoefficientSystem:
 def make_system(
     cfg: LacunaryConfig, rho_H=None, rat: RationalInterpolant | None = None, defer_top=False
 ) -> CoefficientSystem:
-    """The residues of ``cfg`` (or ``rat``), and H when ``rho_H`` is set;
+    """The residues of ``cfg`` (or ``rat``), and H = ``build_H(rho_H, dps=cfg.dps)``
+    when ``rho_H`` is set (a config's "rho_H" as it stands gives the CLI's H);
     ``defer_top`` leaves block K's residues to their first read."""
     with mp.workdps(cfg.dps):
         h = None
         hypothesis = None
         if rho_H is not None:
-            h = build_H(rho_H, H_TRUNCATION, dps=cfg.dps)
-            hypothesis = bool(mpf(rho_H) > cfg.rho_f)
+            h = build_H(rho_H, dps=cfg.dps)
+            hypothesis = bool(h.rho > cfg.rho_f)
         if rat is None:
             rat = _top_deferred(cfg) if defer_top else residues_from_f(cfg)
         return CoefficientSystem(cfg=cfg, rat=rat, h=h, theorem_hypothesis_met=hypothesis)

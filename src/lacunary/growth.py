@@ -37,7 +37,7 @@ from functools import partial
 
 from mpmath import mp, mpc, mpf
 
-from .coefficients import MAX_NODES, HProduct, sample_winding
+from .coefficients import H_TRUNCATION, MAX_NODES, HProduct, sample_winding
 from .errors import CancellationError, ConfigError, DivergenceError
 from .interpolation import proximity_m
 from .product import (
@@ -222,21 +222,21 @@ class HZeroDiskFamily:
         self.h = h
 
     def _radius(self, m: int) -> mpf:
-        return mpf("0.05") * (self.h.zero_modulus(m + 1) - self.h.zero_modulus(m))
+        return mpf("0.05") * (self.h.moduli[m] - self.h.moduli[m - 1])
 
     def excluded(self, z) -> bool:
         z = mpc(z)
         guess = int(mp.power(abs(z), self.h.rho)) if abs(z) > 0 else 1
-        for m in range(max(1, guess - 2), min(self.h.truncation, guess + 2) + 1):
-            if abs(z + self.h.zero_modulus(m)) <= self._radius(m):
+        for m in range(max(1, guess - 2), min(H_TRUNCATION, guess + 2) + 1):
+            if abs(z + self.h.moduli[m - 1]) <= self._radius(m):
                 return True
         return False
 
     def radii_sum(self, r) -> mpf:
         r = mpf(r)
         total = mpf(0)
-        for m in range(1, self.h.truncation + 1):
-            if self.h.zero_modulus(m) > r:
+        for m, a in enumerate(self.h.moduli[:H_TRUNCATION], start=1):
+            if a > r:
                 break
             total += self._radius(m)
         return total

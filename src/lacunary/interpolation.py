@@ -196,10 +196,12 @@ def _top_bound(cfg: LacunaryConfig) -> tuple[mpf, mpf]:
         return M, M * (1 + 64 * cfg.K * mp.eps * q * q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _TopBlock:
     """Block K's residues of ``cfg``, formed by ``_block_residues(cfg, K)``
-    on the first read (index, iteration or len) and kept."""
+    on the first read (index, iteration, len, == or hash) and kept; it
+    compares and hashes as that tuple, so a deferred interpolant equals
+    the formed one."""
 
     cfg: LacunaryConfig
 
@@ -212,6 +214,12 @@ class _TopBlock:
 
     def __len__(self) -> int:
         return len(self.held)
+
+    def __eq__(self, other) -> bool:
+        return self.held == other
+
+    def __hash__(self) -> int:
+        return hash(self.held)
 
 
 def _top_deferred(cfg: LacunaryConfig) -> RationalInterpolant:

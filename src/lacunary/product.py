@@ -194,26 +194,26 @@ def _validate_blocks(rho, blocks, dps) -> None:
         n_sum += n
 
 
-def _rho(rho_f, dps: int) -> mpf:
-    """rho_f read at the config's precision, so that a string such as
-    "0.45" keeps all of its digits, and a float through its shortest
-    decimal form: 0.45 reads as "0.45", not as its binary value.
-    ConfigError unless it lies in (0, 1)."""
+def _rho(value, dps: int, name: str, bound: str) -> mpf:
+    """The order ``name`` (rho_f, or H's rho_H) read at the config's
+    precision, so that a string such as "0.45" keeps all of its digits,
+    and a float through its shortest decimal form: 0.45 reads as "0.45",
+    not as its binary value.  ConfigError unless it lies in (0, bound)."""
     if dps < MIN_DPS:
         raise ConfigError(f"precision must be at least {MIN_DPS} digits, got {dps}")
     with mp.workdps(dps):
         try:
-            rho = mpf(repr(rho_f) if isinstance(rho_f, float) else rho_f)
+            rho = mpf(repr(value) if isinstance(value, float) else value)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
-    if not (0 < rho < 1):
-        raise ConfigError(f"rho_f must lie in (0,1), got {rho}")
+            raise ConfigError(f"{name} must be a number: {exc}") from exc
+    if not (0 < rho < mpf(bound)):
+        raise ConfigError(f"{name} must lie in (0, {bound}), got {rho}")
     return rho
 
 
 def make_schedule(rho_f, K: int, rule: str = "factorial", dps: int = DEFAULT_DPS) -> LacunaryConfig:
     """Build a rule-based config: factorial r_k = 2^(k!), doubly_exp r_k = 2^(2^k)."""
-    rho = _rho(rho_f, dps)
+    rho = _rho(rho_f, dps, "rho_f", "1")
     if K < 1:
         raise ConfigError(f"K must be >= 1, got {K}")
     if rule not in SCHEDULE_RULES:
@@ -227,7 +227,7 @@ def make_schedule(rho_f, K: int, rule: str = "factorial", dps: int = DEFAULT_DPS
 
 def config_from_blocks(blocks, rho_f=mpf("0.5"), dps: int = DEFAULT_DPS) -> LacunaryConfig:
     """Explicit block list [(r_1, n_1), ...]; defines f as the finite product."""
-    rho = _rho(rho_f, dps)
+    rho = _rho(rho_f, dps, "rho_f", "1")
     with mp.workdps(dps):
         try:
             blks = tuple((mpf(r), n) for r, n in blocks)
@@ -246,8 +246,8 @@ def _integer(value, key: str) -> int:
 
 
 # The keys of the JSON config schema.  rho_H, the order of the perturbation
-# H, is read by the CLI alone.  An explicit config sets blocks, never rule
-# or K.
+# H, is no field of the config: ``coefficients.build_H`` reads it, as
+# ``_rho`` reads rho_f.  An explicit config sets blocks, never rule or K.
 CONFIG_KEYS = ("rho_f", "precision_digits", "rho_H", "rule", "K", "blocks")
 
 

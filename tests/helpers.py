@@ -6,6 +6,7 @@ from pathlib import Path
 import mpmath
 
 from lacunary.cli import _entry_residue, _hex
+from lacunary.coefficients import H_TRUNCATION
 from lacunary.errors import CancellationError
 from lacunary.growth import _logmag
 from lacunary.interpolation import config_interpolant, eval_g
@@ -182,10 +183,18 @@ def recover_residue(rat, k, m):
 
 def h_tail_log_bound(h, radius):
     """Bound on the omitted log-factors of H at |z| = radius:
-    radius * M^{1-1/rho} / (1/rho - 1)."""
+    radius * M^{1-1/rho} / (1/rho - 1), M = H_TRUNCATION."""
     with mpmath.mp.workdps(h.dps):
         inv = 1 / h.rho
-        return mpmath.mpf(radius) * mpmath.mp.power(h.truncation, 1 - inv) / (inv - 1)
+        return mpmath.mpf(radius) * mpmath.mp.power(H_TRUNCATION, 1 - inv) / (inv - 1)
+
+
+def h_product_oracle(h, z, factors):
+    """prod_{m<=factors} (1 + z/m^{1/rho}) at h's order and precision, term
+    by term with ``mp.fprod``: no kernel of the library."""
+    with mpmath.mp.workdps(h.dps):
+        z = mpmath.mpc(z)
+        return mpmath.fprod(1 + z / mpmath.power(m, 1 / h.rho) for m in range(1, factors + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from lacunary import config_from_blocks, make_schedule
 from lacunary.checks import check_residual
 from lacunary.cli import main as cli_main
 from lacunary.coefficients import (
+    H_TRUNCATION,
     build_H,
     cauchy_ratio,
     eval_A0,
@@ -33,7 +34,7 @@ from lacunary.growth import (
 from lacunary.interpolation import eval_g, proximity_m, residues_from_f
 from lacunary.product import derivative_ratio_bound, zeros
 
-from helpers import read_residue, with_residue, write_residue
+from helpers import h_product_oracle, read_residue, with_residue, write_residue
 
 
 def report(number: int, name: str, passed: bool, details: str, elapsed: float):
@@ -196,13 +197,13 @@ def test_criterion_8_h_positivity():
     exclusion handling: every non-excluded sample positive; H(1) = 2.1668
     within 1e-3 of the 10x-truncation oracle value."""
     start = time.perf_counter()
-    h = build_H(mpf("0.25"), 64)
+    h = build_H(mpf("0.25"))
     thetas = [2 * mp.pi * j / 360 for j in range(360)]
     scan = indicator_scan(h.eval, h.rho, thetas, [mpf(10) ** 6], exclusion=HZeroDiskFamily(h))
     nonexcluded = [s for s in scan.samples if not s.excluded]
     positive = all(s.ratio > 0 for s in nonexcluded)
     h1 = h.eval(1).real
-    oracle = build_H(mpf("0.25"), 640).eval(1).real
+    oracle = h_product_oracle(h, 1, 10 * H_TRUNCATION).real
     value_ok = abs(h1 - mpf("2.1668")) < mpf("1e-3") and abs(oracle - mpf("2.1668")) < mpf("1e-3")
     elapsed = time.perf_counter() - start
     passed = positive and value_ok and scan.budget_ok and len(nonexcluded) > 300

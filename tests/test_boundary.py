@@ -105,7 +105,7 @@ def test_public_evaluators_return_mpc():
         eval_f(rule_cfg, mpc(3, 1)),
         eval_f_scan(rule_cfg, mpc(40, 1)),
         *derivs_at_zero(cfg, 2, 1),
-        build_H(0.25, 64).eval(mpc(1, 2)),
+        build_H(0.25).eval(mpc(1, 2)),
     ]
     for value in values:
         assert isinstance(value, mpc), type(value)

@@ -1,5 +1,6 @@
 """Coefficient pair (A0, B0), perturbation H, residuals, contour cross-checks."""
 
+import json
 import random
 import sys
 
@@ -13,11 +14,13 @@ from lacunary import (
     QuadratureError,
     TailError,
     config_from_blocks,
+    config_from_dict,
     make_schedule,
 )
-from lacunary import checks, coefficients, interpolation, product
+from lacunary import checks, cli, coefficients, interpolation, product
 from lacunary.checks import check_cauchy, check_interpolation
 from lacunary.coefficients import (
+    H_TRUNCATION,
     build_H,
     cauchy_ratio,
     eval_A0,
@@ -37,7 +40,7 @@ from lacunary.product import (
     zero_point,
 )
 
-from helpers import h_tail_log_bound, rel_err, with_residue
+from helpers import h_product_oracle, h_tail_log_bound, rel_err, with_residue
 
 
 @pytest.fixture(scope="module")
@@ -151,24 +154,71 @@ class TestNearZeroAccuracy:
             assert all(mp.isfinite(v) for v in values), (k, m)
 
 
+def _bits(h):
+    """H's order, moduli and blocks as raw mpmath tuples."""
+    return h.rho._mpf_, [a._mpf_ for a in h.moduli], [(a._mpf_, n) for a, n in h.blocks]
+
+
+class TestOneHPerConfig:
+    @pytest.mark.parametrize("x", [0.4, "0.4", 0.48], ids=["float", "string", "theorem"])
+    def test_library_builds_the_cli_h(self, x, tmp_path, monkeypatch):
+        """``make_system(cfg, rho_H=x).h`` and ``build_H(x, dps=cfg.dps)``,
+        at ambient 15, 53 and 200 digits, hold the order, moduli and blocks
+        of the H that construct, verify and the indicator scan build from
+        {"rho_H": x}, bit for bit."""
+        payload = {"rho_f": 0.5, "rule": "factorial", "K": 2, "rho_H": x, "precision_digits": 100}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        built = []
+
+        def spy(make):
+            def made(*args, **kwargs):
+                result = make(*args, **kwargs)
+                built.append(getattr(result, "h", result))
+                return result
+
+            return made
+
+        monkeypatch.setattr(cli, "make_system", spy(cli.make_system))
+        monkeypatch.setattr(cli, "build_H", spy(cli.build_H))
+        for argv, codes in (
+            (["construct"], (0,)),
+            (["verify", "--checks", "summability"], (0,)),
+            (["scan", "--scan", "indicator", "--angles", "4"], (0, 3)),
+        ):
+            out = tmp_path / argv[0]
+            assert cli.main([*argv, "--config", str(config), "--out", str(out)]) in codes
+        assert len(built) == 3
+        cfg = config_from_dict(payload)
+        library = []
+        for dps in (15, 53, 200):
+            with mp.workdps(dps):
+                library += [make_system(cfg, rho_H=x).h, build_H(x, dps=cfg.dps)]
+        assert all(_bits(h) == _bits(built[0]) for h in built + library)
+
+    def test_build_H_takes_no_truncation(self):
+        """A leftover positional truncation is refused, never read as dps."""
+        with pytest.raises(TypeError):
+            build_H(0.25, 64)
+
+
 class TestH:
     def test_value_at_origin(self):
-        h = build_H(0.25, 64)
+        h = build_H(0.25)
         v = h.eval(0)
         assert v == 1
 
     def test_real_and_above_one_on_positive_axis(self):
-        h = build_H(0.25, 64)
+        h = build_H(0.25)
         for x in (mpf("0.1"), mpf(1), mpf(100), mpf(10) ** 6):
             v = h.eval(x)
             assert v.imag == 0 and v.real > 0
             assert abs(v) > 1
 
     def test_value_against_ten_fold_truncation_oracle(self):
-        h = build_H(0.25, 64)
-        oracle = build_H(0.25, 640)
+        h = build_H(0.25)
         v = h.eval(1).real
-        v10 = oracle.eval(1).real
+        v10 = h_product_oracle(h, 1, 10 * H_TRUNCATION).real
         assert abs(v - mpf("2.1668")) < mpf("1e-3")
         assert abs(v10 - mpf("2.1668")) < mpf("1e-3")
         # truncation difference itself is far below the acceptance window
@@ -180,24 +230,24 @@ class TestH:
     def test_cancellation_carries_the_whole_product(self):
         """A factor that cancels to 10^-97 raises, carrying H itself: the
         product of all 64 factors, the lossy one included."""
-        h = build_H(0.25, 64)
-        z = -h.zero_modulus(20) * (1 + mpf(10) ** -97)
+        h = build_H(0.25)
+        z = -h.moduli[19] * (1 + mpf(10) ** -97)
         with pytest.raises(CancellationError) as info:
             h.eval(z)
         whole = mpc(1)
-        for a in h.moduli[: h.truncation]:
+        for a in h.moduli[:H_TRUNCATION]:
             whole *= 1 + z / a
         assert info.value.result == whole
         assert abs(whole) < mpf(10) ** -50
 
     def test_rho_range_enforced(self):
         with pytest.raises(ConfigError):
-            build_H(0.5, 64)
+            build_H(0.5)
         with pytest.raises(ConfigError):
-            build_H(-0.1, 64)
+            build_H(-0.1)
 
     def test_validity_domain(self):
-        h = build_H(0.25, 64)
+        h = build_H(0.25)
         with pytest.raises(TailError):
             h.eval(mpf(10) ** 7)
         # tail bound formula: r * M^(1-1/rho) / (1/rho - 1)

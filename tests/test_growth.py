@@ -205,7 +205,7 @@ class TestIndicatorScan:
         assert abs(s1.log_abs - s2.log_abs) < mpf("1e-80") * max(1, abs(s1.log_abs))
 
     def test_h_positivity_at_large_radius(self):
-        h = build_H(0.25, 64)
+        h = build_H(0.25)
         thetas = [2 * mp.pi * j / 72 for j in range(72)]
         scan = indicator_scan(
             h.eval, h.rho, thetas, [mpf(10) ** 6], exclusion=HZeroDiskFamily(h)
@@ -214,8 +214,8 @@ class TestIndicatorScan:
         assert scan.min_ratio() > 0
 
     def test_exclusion_marks_samples_on_zero(self):
-        h = build_H(0.25, 64)
-        r = h.zero_modulus(20)  # circle through the 20th zero
+        h = build_H(0.25)
+        r = h.moduli[19]  # circle through the 20th zero
         scan = indicator_scan(
             h.eval, h.rho, [mp.pi], [r], exclusion=HZeroDiskFamily(h)
         )

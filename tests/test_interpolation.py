@@ -464,6 +464,21 @@ class TestDeferredTopBlock:
         assert len(top) == 8 and top[5] == eager.rat.residues[-1][5]
         assert formed == [1, 2, 3, 1, 2, 3]
 
+    def test_deferred_interpolant_equals_the_formed_one(self, formed):
+        """A deferred block compares and hashes as the tuple it forms:
+        before its first read (== forms it) and after it, the deferred
+        interpolant equals ``residues_from_f``'s, with the same hash."""
+        cfg = make_schedule(0.5, 3, "factorial")
+        eager = residues_from_f(cfg)
+        unread, read = (make_system(cfg, defer_top=True).rat for _ in range(2))
+        read.residues[-1][0]
+        assert formed == [1, 2, 3, 1, 2, 1, 2, 3]
+        assert unread == eager and eager == unread
+        assert formed == [1, 2, 3, 1, 2, 1, 2, 3, 3]
+        assert read == eager and hash(read) == hash(eager) == hash(unread)
+        assert unread.residues[-1] == read.residues[-1] == eager.residues[-1]
+        assert len(formed) == 9
+
 
 class TestBlockResidues:
     """The block-by-block residue pass against the per-zero route, -f''/f'^2
