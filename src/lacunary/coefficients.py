@@ -7,8 +7,8 @@ which makes B0 analytic there; the interpolation check certifies that
 identity at the zeros.  Away from them B0 is the defining quotient
 (``_direct``, which watches f'' + A0 f' for lost digits).  The quotient
 loses about 10^-P/rel^2 at relative distance rel from the nearest zero
-(z is rounded against the stored zero), so one nearest-zero scan per
-point refuses every z within s = 10^(-P/4) of a zero with NearZeroError.
+(z is rounded against the stored zero), so f's near-zero guard, at
+s = 10^(-P/4), refuses every z within s of a zero with NearZeroError.
 
 Perturbed pair:  A = A0 + H*f,  B = B0 - H*f', where H is a product
 with zeros spread along the negative real axis at -m^{1/rho_H}, kept as
@@ -54,11 +54,11 @@ from .product import (
     _f_jet,
     _fprime_on_circle,
     _jet,
+    _near_zero_guard,
     _rho,
     derivs_at_zero,
     f_jet,
     f_tail_log_bound,
-    nearest_zero,
     zero_point,
 )
 
@@ -152,13 +152,11 @@ def make_system(
 def _direct(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc, mpc, mpc]:
     """(f, f', A0, B0, f'') at z, B0 by the defining quotient.
 
-    One nearest-zero scan raises NearZeroError within s = 10^(-P/4)
+    f's near-zero guard at s = 10^(-P/4) raises NearZeroError within s
     (relative) of a zero; z needs no other guard: s exceeds f_jet's
     10^(-P/2), and g's poles are f's zeros.  Raises CancellationError when
     f'' + A0 f' loses more than P/2 digits (s is too small)."""
-    k, m, _, rel = nearest_zero(sys.cfg, z)
-    if rel < mp.power(10, -mpf(sys.dps) / 4):
-        raise NearZeroError(f"z within relative 10^-{sys.dps / 4:g} of zero {(k, m)}")
+    _near_zero_guard(sys.cfg, z, NearZeroError, sys.dps / 4)
     _check_domain(sys.cfg, z)  # f's domain lies inside g's
     f, fp, fpp = _f_jet(sys.cfg, z, 2)
     a0 = f * _g_sum(sys.rat, z)

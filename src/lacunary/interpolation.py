@@ -63,7 +63,6 @@ from .product import (
     LacunaryConfig,
     _block_residues,
     _check_domain,
-    _check_enumerable,
     _circle_levels,
     _jet,
     _modulus_within,
@@ -223,10 +222,10 @@ class _TopBlock:
 
 
 def _top_deferred(cfg: LacunaryConfig) -> RationalInterpolant:
-    """:func:`residues_from_f` with block K a :class:`_TopBlock`; its cap is checked now."""
+    """:func:`residues_from_f` with block K a :class:`_TopBlock`: a block K
+    past the enumeration cap raises ConfigError on its first read."""
     with mp.workdps(cfg.dps):
         residues = [tuple(_block_residues(cfg, k)) for k in range(1, cfg.K)]
-        _check_enumerable(cfg, cfg.K)
         return _certified(cfg, [*residues, _TopBlock(cfg)])
 
 
@@ -261,7 +260,7 @@ def eval_g(rat: RationalInterpolant, z) -> mpc:
     with mp.workdps(cfg.dps):
         z = mpc(z)
         _check_domain(cfg, z)
-        _near_zero_guard(cfg, z, NearPoleError)
+        _near_zero_guard(cfg, z, NearPoleError, cfg.dps / 2)
         return _g_sum(rat, z)
 
 

@@ -21,15 +21,16 @@ stays ``mpc(0)``.  It evaluates H too, as degree-1 blocks.  Like the
 residue pass below, it runs on mpmath's raw libmp tuples, making the
 calls that ``mp.power`` and the mpc operators would make, in the same
 order, so it gives their bits; values enter and leave it as mpc.  The
-near-zero guard of ``f_jet``, ``log_derivative`` and g decides radially
-first and searches for the nearest zero only within 2 10^(-P/2),
-relative, of some circle |z| = r_k.
+near-zero guard of ``f_jet``, ``log_derivative``, g (margin 10^(-P/2))
+and B0 (10^(-P/4)) decides radially first and calls ``nearest_zero`` only
+within twice its margin, relative, of some circle |z| = r_k.
 At the zeros, f' and f'' come from factor extraction: write f = q*P with
 q the vanishing factor; P' comes from the logarithmic derivative of the
 remaining (nonvanishing) product.  Two routes reach the zeros.
-``derivs_at_zero`` serves one zero and returns (f', f''): it runs the
-one-pass kernel over the other blocks at the rounded zero.
-``_block_residues`` serves a whole block and returns only the residues
+``derivs_at_zero`` serves one zero, in a block of any size, and returns
+(f', f''): it runs the one-pass kernel over the other blocks at the
+rounded zero.  ``_block_residues`` serves a whole block, capped like
+``zeros`` at ENUMERABLE_BLOCK_LIMIT zeros, and returns only the residues
 u = -f''/f'^2, in closed form: it forms the other blocks' real powers
 once per block (``_other_blocks``), takes each root of unity from
 ``_unit_root``, the helper behind ``zero_point``, and forms each factor
@@ -63,7 +64,8 @@ from mpmath.libmp import (
 )
 
 from .errors import (
-    CancellationError, ConfigError, NearPoleError, NearZeroError, TailError, ZeroOnContourError
+    CancellationError, ConfigError, NearPoleError, NearZeroError, PrecisionInsufficient, TailError,
+    ZeroOnContourError
 )
 
 DEFAULT_DPS = 100
@@ -71,7 +73,7 @@ MIN_DPS = 30
 
 SCHEDULE_RULES = ("factorial", "doubly_exp")
 
-# Largest block that zero-enumerating operations (zeros, residues) will touch.
+# Largest block that ``zeros`` and the residue pass enumerate; ``zero_point`` takes any.
 ENUMERABLE_BLOCK_LIMIT = 1_000_000
 
 
@@ -198,9 +200,11 @@ def _rho(value, dps: int, name: str, bound: str) -> mpf:
     """The order ``name`` (rho_f, or H's rho_H) read at the config's
     precision, so that a string such as "0.45" keeps all of its digits,
     and a float through its shortest decimal form: 0.45 reads as "0.45",
-    not as its binary value.  ConfigError unless it lies in (0, bound)."""
+    not as its binary value.  ConfigError unless it is a number, not a bool, in (0, bound)."""
     if dps < MIN_DPS:
         raise ConfigError(f"precision must be at least {MIN_DPS} digits, got {dps}")
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     with mp.workdps(dps):
         try:
             rho = mpf(repr(value) if isinstance(value, float) else value)
@@ -482,15 +486,20 @@ def zero_count(cfg: LacunaryConfig) -> int:
     return sum(n for _, n in cfg.blocks)
 
 
-def _check_enumerable(cfg: LacunaryConfig, k: int) -> tuple[mpf, int]:
+def _listed_block(cfg: LacunaryConfig, k: int) -> tuple[mpf, int]:
+    """(r_k, n_k) of block k; ConfigError unless 1 <= k <= K."""
     if not 1 <= k <= cfg.K:
         raise ConfigError(f"block index {k} outside 1..{cfg.K}")
-    r, n = cfg.blocks[k - 1]
+    return cfg.blocks[k - 1]
+
+
+def _check_enumerable(cfg: LacunaryConfig, k: int) -> int:
+    """n_k, for the two functions that enumerate block k, :func:`zeros` and
+    :func:`_block_residues`: ConfigError past ENUMERABLE_BLOCK_LIMIT."""
+    n = _listed_block(cfg, k)[1]
     if n > ENUMERABLE_BLOCK_LIMIT:
-        raise ConfigError(
-            f"block {k} has {n} zeros; enumeration capped at {ENUMERABLE_BLOCK_LIMIT}"
-        )
-    return r, n
+        raise ConfigError(f"block {k} has {n} zeros; enumeration capped at {ENUMERABLE_BLOCK_LIMIT}")
+    return n
 
 
 def _unit_root(m: int, n: int) -> mpc:
@@ -505,8 +514,8 @@ def _unit_root(m: int, n: int) -> mpc:
 
 def zero_point(cfg: LacunaryConfig, k: int, m: int) -> mpc:
     """The zero r_k omega^m of :func:`_unit_root`: for m > n_k/2 the exact
-    conjugate of the zero of index n_k - m."""
-    r, n = _check_enumerable(cfg, k)
+    conjugate of the zero of index n_k - m, in a block of any size."""
+    r, n = _listed_block(cfg, k)
     if not 0 <= m < n:
         raise ConfigError(f"zero index {m} outside 0..{n - 1}")
     with mp.workdps(cfg.dps):
@@ -516,7 +525,7 @@ def zero_point(cfg: LacunaryConfig, k: int, m: int) -> mpc:
 def zeros(cfg: LacunaryConfig, k: int) -> list[mpc]:
     """All n_k zeros of block k, as :func:`zero_point` forms them: indices
     0..n_k/2 directly, each m > n_k/2 as the conjugate of zero n_k - m."""
-    _, n = _check_enumerable(cfg, k)
+    n = _check_enumerable(cfg, k)
     block = [zero_point(cfg, k, m) for m in range(n // 2 + 1)]
     with mp.workdps(cfg.dps):
         return block + [mp.conj(block[n - m]) for m in range(n // 2 + 1, n)]
@@ -555,22 +564,18 @@ def _nearest_in(blocks, z: mpc) -> tuple[int, int, mpf, mpf]:
 # logarithmic derivatives
 
 
-def _near_zero_margin(cfg: LacunaryConfig) -> mpf:
-    """10^(-P/2), the relative distance to a zero that the guards require."""
-    return mp.power(10, -mpf(cfg.dps) / 2)
-
-
-def _near_zero_guard(cfg: LacunaryConfig, z: mpc, error: type) -> None:
-    """Raise ``error`` within 10^(-P/2), relative, of a zero of f:
-    NearZeroError for f's own guards, NearPoleError for g, whose poles
-    they are.
+def _near_zero_guard(cfg: LacunaryConfig, z: mpc, error: type, digits: float) -> None:
+    """Raise ``error`` within 10^-digits, relative, of a zero of f:
+    NearZeroError for f's own guards (digits P/2) and for B0's quotient
+    (P/4, ``coefficients._direct``), NearPoleError for g (P/2), whose
+    poles they are.
 
     The chord to any zero of block k is at least ||z| - r_k|, so the guard
     decides radially first: where the exact |z|^2 lies outside
-    (r_k (1 -+ 2 10^(-P/2)))^2 for every block, the factor 2 covering
+    (r_k (1 -+ 2 10^-digits))^2 for every block, the factor 2 covering
     rounding, no zero is that near, and only inside such a band does
     :func:`nearest_zero`, with its trig, pi and square root, decide."""
-    margin = _near_zero_margin(cfg)
+    margin = mp.power(10, -mpf(digits))
     x, y = z._mpc_
     size2 = mp.make_mpf(mpf_add(mpf_mul(x, x), mpf_mul(y, y)))
     inner, outer = (1 - 2 * margin) ** 2, (1 + 2 * margin) ** 2
@@ -579,10 +584,10 @@ def _near_zero_guard(cfg: LacunaryConfig, z: mpc, error: type) -> None:
     k, m, _, rel = nearest_zero(cfg, z)
     if rel < margin:
         if error is NearPoleError:
-            raise error(f"z within relative 10^-{cfg.dps // 2} of pole {(k, m)}")
+            raise error(f"z within relative 10^-{digits:g} of pole {(k, m)}")
         raise error(
             f"z within relative {mp.nstr(rel, 5)} of zero (block {k}, index {m}); "
-            f"threshold 10^-{cfg.dps // 2}"
+            f"threshold 10^-{digits:g}"
         )
 
 
@@ -592,7 +597,7 @@ def _guarded(cfg: LacunaryConfig, z, order: int) -> mpc:
         raise ConfigError(f"order must be 1 or 2, got {order}")
     z = mpc(z)
     _check_domain(cfg, z)
-    _near_zero_guard(cfg, z, NearZeroError)
+    _near_zero_guard(cfg, z, NearZeroError, cfg.dps / 2)
     return z
 
 
@@ -641,7 +646,8 @@ def _fprime_on_circle(cfg: LacunaryConfig, zero: tuple[int, int], radius, direct
     """f' at xi + radius * w for the zero xi of ``zero`` = (k, m) and each unit
     direction w: the f' of ``f_jet``, with its guards checked once per circle.
 
-    10^(-P/2) r_k <= radius <= r_k/n_k (ConfigError otherwise), and
+    10^(-P/2) r_k <= radius <= r_k/n_k (ConfigError above; PrecisionInsufficient
+    below, suggesting the 2 log10(r_k/radius) digits that resolve it), and
     r_k + radius < r_{K+1}/2 (TailError) bounds every node.  The near-zero
     guard then cannot fire: xi is ``radius`` away, the other zeros of block
     k at least 2 r_k sin(pi/n_k) - radius >= 3 r_k/n_k, and every other
@@ -653,10 +659,13 @@ def _fprime_on_circle(cfg: LacunaryConfig, zero: tuple[int, int], radius, direct
     with mp.workdps(cfg.dps):
         r_k, n_k = cfg.block(k)
         radius = mpf(radius)
-        margin = _near_zero_margin(cfg)
+        margin = mp.power(10, -mpf(cfg.dps) / 2)
         if not margin * r_k <= radius <= r_k / n_k:
             bounds = f"[10^-{cfg.dps // 2} r_{k}, r_{k}/n_{k}]"
-            raise ConfigError(f"contour radius {mp.nstr(radius, 8)} outside {bounds}")
+            message = f"contour radius {mp.nstr(radius, 8)} outside {bounds}"
+            if radius < margin * r_k:
+                raise PrecisionInsufficient(message, int(mp.ceil(2 * mp.log10(r_k / radius))))
+            raise ConfigError(message)
         _check_domain(cfg, mpc(r_k + radius))
         clear = (k == 1 or r_k - radius >= (1 + margin) * cfg.blocks[k - 2][0]) and (
             k == cfg.K or r_k + radius <= (1 - margin) * cfg.blocks[k][0]
@@ -666,7 +675,7 @@ def _fprime_on_circle(cfg: LacunaryConfig, zero: tuple[int, int], radius, direct
         for j, w in enumerate(directions):
             z = xi + radius * w
             if not clear:
-                _near_zero_guard(cfg, z, NearZeroError)
+                _near_zero_guard(cfg, z, NearZeroError, cfg.dps / 2)
             fp = _f_jet(cfg, z, 1)[1]
             if fp == 0:
                 raise ZeroOnContourError(
@@ -771,7 +780,7 @@ def _block_residues(cfg: LacunaryConfig, k: int) -> list[mpc]:
     n_k - m, and every step commutes with conjugation: the residue is
     bit for bit the closed form at that root.
     """
-    _, n = _check_enumerable(cfg, k)
+    n = _check_enumerable(cfg, k)
     half = n // 2 + 1
     with mp.workdps(cfg.dps):
         prec = mp.prec

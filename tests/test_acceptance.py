@@ -84,7 +84,7 @@ def test_criterion_3_ode_residuals():
     runtime < 5 min."""
     start = time.perf_counter()
     cfg = make_schedule(0.5, 4, "factorial", dps=100)
-    sys4 = make_system(cfg, rho_H=mpf("0.4"))
+    sys4 = make_system(cfg, rho_H=0.4)
     records = check_residual(sys4, seed=3, n_points=200)
     base = [r for r in records if r["eq"] == "1c"]
     pert = [r for r in records if r["eq"] == "1d"]

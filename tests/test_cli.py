@@ -135,6 +135,14 @@ class TestConstruct:
             assert code == 2, payload
             assert "config error" in capsys.readouterr().err, payload
 
+    @pytest.mark.parametrize("key", ["rho_f", "rho_H"])
+    def test_boolean_order_is_refused_by_its_type(self, tmp_path, capsys, key):
+        """A JSON true is no order 1.0: the error names its type, as it does
+        for a count."""
+        cfg = write_config(tmp_path, {**HEADLINE, "rho_H": 0.4, key: True})
+        assert main(["construct", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {key} must be a number, got True\n"
+
 
 class TestVerify:
     def test_anchor_all_checks_pass(self, tmp_path):
@@ -587,13 +595,71 @@ class TestTopBlockDeferral:
         assert main([*argv, "--points", "1"]) == 0
         assert formed == [(1, True), (2, True), (3, True), (4, True)]
 
-    def test_past_the_enumeration_cap_exits_2_before_any_check(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {**HEADLINE, "K": 5})
-        argv = ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--checks", "characteristic"]
-        assert main(argv) == 2
+
+class TestPastTheEnumerationCap:
+    """At factorial K = 5 block 5 has n_5 = 2^60 zeros.  Only ``zeros`` and
+    the residue pass meet the enumeration cap, so the five checks that read
+    no stored residue run there; whatever forms block 5 exits 2."""
+
+    UNFORMED = "cauchy,asymptotics,summability,proximity,characteristic"
+    CAP = "config error: block 5 has 1152921504606846976 zeros; enumeration capped at 1000000\n"
+    THEOREM_2C = [
+        ("asymptotics", "2c", [3, 0], "disk free of zeros of f'", 1),
+        ("asymptotics", "2c", None, "zero-free disk confirmed for every applicable block", None),
+    ]
+
+    @pytest.mark.parametrize("precision", ["100", "200"])
+    @pytest.mark.parametrize(
+        "payload, failing",
+        [
+            pytest.param({**HEADLINE, "rho_H": 0.4}, [TestVerify.CAUCHY_2F], id="headline"),
+            pytest.param(THEOREM, [TestVerify.CAUCHY_2F, *THEOREM_2C], id="theorem"),
+        ],
+    )
+    def test_checks_that_form_no_block_5_fail_only_the_k4_records(
+        self, tmp_path, payload, failing, precision
+    ):
+        """The records that fail are those that fail at K = 4 (ROADMAP.md
+        items 2(a) and 2(b)); block 5's own records pass."""
+        cfg = write_config(tmp_path, {**payload, "K": 5})
+        out = tmp_path / "v"
+        argv = ["verify", "--config", cfg, "--out", str(out), "--precision", precision]
+        assert main([*argv, "--checks", self.UNFORMED]) == 1
+        records = read_records(out)
+        failed = [
+            (r["check"], r["eq"], r["zero"], r.get("property"), r.get("winding"))
+            for r in records
+            if not r["pass"]
+        ]
+        assert failed == failing
+        assert any(r["zero"] == [5, 0] for r in records)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--checks", "all"], ["verify", "--checks", "residual"], ["construct"]],
+        ids=["verify-all", "verify-residual", "construct"],
+    )
+    def test_commands_that_form_block_5_exit_2(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, {**HEADLINE, "K": 5, "rho_H": 0.4})
+        assert main([*argv, "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+        assert capsys.readouterr().err == self.CAP
+
+    def test_a_contour_finer_than_the_precision_exits_3_with_a_precision_that_runs(
+        self, tmp_path, capsys
+    ):
+        """On factorial 0.55 K = 5 the quadrature circle of zero (5, 0),
+        radius r_5/(32 n_5), lies below 10^-20 r_5 at 40 digits; the
+        suggested 43 digits resolve it, and the run gets to its records."""
+        cfg = write_config(tmp_path, {"rho_f": 0.55, "rule": "factorial", "K": 5})
+        out = tmp_path / "v"
+        argv = ["verify", "--config", cfg, "--out", str(out), "--checks", "cauchy", "--precision"]
+        assert main([*argv, "40"]) == 3
         assert capsys.readouterr().err == (
-            "config error: block 5 has 1152921504606846976 zeros; enumeration capped at 1000000\n"
+            "precision insufficient: contour radius 5.6294995e+14 outside "
+            "[10^-20 r_5, r_5/n_5] (suggested precision: 43)\n"
         )
+        assert main([*argv, "43"]) == 1
+        assert any(r["zero"] == [5, 0] for r in read_records(out))
 
 
 class TestScan:

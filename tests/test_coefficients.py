@@ -54,7 +54,7 @@ def anchor_system():
 def factorial_system(factorial_k4_rat):
     mp.dps = 100
     cfg = factorial_k4_rat.cfg
-    return make_system(cfg, rho_H=mpf("0.4"), rat=factorial_k4_rat)
+    return make_system(cfg, rho_H=0.4, rat=factorial_k4_rat)
 
 
 class TestA0:
@@ -314,15 +314,16 @@ def call_counts(monkeypatch):
 
 
 class TestOneScanPerPoint:
-    """The route of each point comes from one nearest-zero scan."""
+    """The route of each point comes from at most one nearest-zero scan,
+    and from none where |z| lies outside every block's near-zero band."""
 
     def test_residual_point(self, factorial_system, call_counts):
         residual(factorial_system, mpc(30, 7), (1, 10))
-        assert call_counts["nearest_zero"] == 1
+        assert call_counts["nearest_zero"] == 0
 
     def test_eval_ab_away_from_zeros(self, factorial_system, call_counts):
         eval_AB(factorial_system, mpc(30, 7))
-        assert call_counts["nearest_zero"] == 1
+        assert call_counts["nearest_zero"] == 0
 
     def test_eval_ab_near_a_zero(self, factorial_system, call_counts):
         with pytest.raises(NearZeroError):
@@ -379,9 +380,7 @@ class TestInterpolationIdentity:
     def test_detects_corrupted_residue(self, factorial_system):
         rat = factorial_system.rat
         bad = with_residue(rat, 2, 0, rat.residues[1][0] + mpf("1e-3"))
-        sys_bad = make_system(
-            factorial_system.cfg, rho_H=mpf("0.4"), rat=bad
-        )
+        sys_bad = make_system(factorial_system.cfg, rho_H=0.4, rat=bad)
         rows = interpolation_identity_residuals(sys_bad)
         worst = max(value for _, _, value in rows)
         assert worst > mpf("1e-5")
@@ -404,7 +403,7 @@ class TestInterpolationIdentity:
                 module, "derivs_at_zero"
             ):
                 monkeypatch.setattr(module, "derivs_at_zero", mutated)
-        sys_mut = make_system(make_schedule(0.5, 4, "factorial", dps=100), rho_H=mpf("0.4"))
+        sys_mut = make_system(make_schedule(0.5, 4, "factorial", dps=100), rho_H=0.4)
         assert calls == []
         records = check_interpolation(sys_mut, 0)
         assert len(records) == len(calls) == 75
@@ -607,7 +606,7 @@ class TestContourAtThreePrecisions:
         monkeypatch.setattr(coefficients, "_fprime_on_circle", counting)
         monkeypatch.setattr(checks, "cauchy_ratio", ratio)
         cfg = make_schedule(mpf(rho_f), 4, "factorial", dps=dps)
-        system = make_system(cfg, rho_H=mpf(rho_H))
+        system = make_system(cfg, rho_H=rho_H)
         records = [r for r in check_cauchy(system, 0) if r["eq"] == "2f" and r["zero"]]
         assert len(records) == len(per_block) == cfg.K
         for r in records:
@@ -641,8 +640,19 @@ class TestRecordsAtAnyAmbientPrecision:
 class TestSystemConstruction:
     def test_hypothesis_flag(self):
         cfg = make_schedule(0.5, 2, "factorial")
-        sys = make_system(cfg, rho_H=mpf("0.4"))
+        sys = make_system(cfg, rho_H=0.4)
         assert sys.theorem_hypothesis_met is False
         cfg2 = config_from_blocks([(8, 1)], rho_f=mpf("0.05"))
-        sys2 = make_system(cfg2, rho_H=mpf("0.4"))
+        sys2 = make_system(cfg2, rho_H=0.4)
         assert sys2.theorem_hypothesis_met is True
+
+    def test_block_past_the_enumeration_cap_is_formed_on_its_first_read(self):
+        """At factorial K = 5 a deferred block 5 builds a system, and its first
+        read meets the cap, as ``residues_from_f`` does at once."""
+        cfg = make_schedule(0.5, 5, "factorial")
+        cap = "block 5 has 1152921504606846976 zeros; enumeration capped at 1000000"
+        with pytest.raises(ConfigError, match=cap):
+            interpolation.residues_from_f(cfg)
+        system = make_system(cfg, rho_H=0.4, defer_top=True)
+        with pytest.raises(ConfigError, match=cap):
+            system.rat.residues[4][0]

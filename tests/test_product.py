@@ -558,6 +558,20 @@ class TestZeros:
         with pytest.raises(ConfigError):
             zeros(cfg, 5)
 
+    def test_zero_point_past_the_enumeration_cap(self):
+        """One zero of block 5 enumerates nothing: zero_point forms it for any
+        index, zero n_5 - 1 as the conjugate of zero 1, and refuses only an
+        index outside the block or a block outside 1..K."""
+        cfg = make_schedule(0.5, 5, "factorial")
+        r5, n5 = cfg.blocks[4]
+        assert zero_point(cfg, 5, 0) == r5
+        with mp.workdps(100):
+            assert rel_err(zero_point(cfg, 5, 1), r5 * mp.expjpi(mpf(2) / n5)) < mpf("1e-98")
+            assert zero_point(cfg, 5, n5 - 1) == mp.conj(zero_point(cfg, 5, 1))
+        for k, m in ((5, n5), (5, -1), (6, 0), (0, 0)):
+            with pytest.raises(ConfigError, match="outside"):
+                zero_point(cfg, k, m)
+
 
 class TestDerivsAtZero:
     def test_one_minus_z_squared(self):
