@@ -21,8 +21,9 @@ where "eq" is the label of the identity or bound being verified:
 
 3a and 3h take m(r, g) from ``interpolation.g_proximity`` and carry its
 bound B(r) >= max |g| over the circle as "sup_g_bound": where B < 1,
-m = 0 is certified without sampling g.  3h forms N(r, g) per block,
-n_k ln(r / r_k).
+m = 0 is certified without sampling g.  3a is one verdict record, at
+r = 1000 r_K, whose "per_radius" holds m and sup_g_bound at each radius
+it compares.  3h forms N(r, g) per block, n_k ln(r / r_k).
 
 A finite nonzero value or bound beyond float range reads 0.0 (too small)
 or null (too large), and the record also carries its log10 as
@@ -292,38 +293,19 @@ def check_asymptotics(sys: CoefficientSystem, seed: int):
 
 
 def check_proximity(sys: CoefficientSystem, seed: int):
+    """One 3a record: m(r, g) nonincreasing over r = 10, 100, 1000 r_K and
+    small at the last; its per_radius keeps m and B(r) at each multiple."""
     r_base = sys.cfg.blocks[-1][0]
-    values = []
-    records = []
-    for scale in (10, 100, 1000):
-        m, bound = g_proximity(sys.rat, scale * r_base)
-        values.append(m)
-        records.append(
-            record(
-                "proximity",
-                "3a",
-                m,
-                None,
-                True,
-                extra={"radius_scale": scale, "sup_g_bound": _num(bound)},
-            )
-        )
-    nonincreasing = all(a >= b for a, b in zip(values, values[1:]))
-    final_ok = values[-1] < PROXIMITY_FINAL_THRESHOLD
-    records.append(
-        record(
-            "proximity",
-            "3a",
-            values[-1],
-            PROXIMITY_FINAL_THRESHOLD,
-            nonincreasing and final_ok,
-            extra={
-                "property": "m(r,g) nonincreasing with small final value",
-                "sup_g_bound": _num(bound),
-            },
-        )
-    )
-    return records
+    radii = {str(s): g_proximity(sys.rat, s * r_base) for s in (10, 100, 1000)}
+    values = [m for m, _ in radii.values()]
+    final, bound = radii["1000"]
+    passed = all(a >= b for a, b in zip(values, values[1:])) and final < PROXIMITY_FINAL_THRESHOLD
+    extra = {
+        "property": "m(r,g) nonincreasing with small final value",
+        "sup_g_bound": _num(bound),
+        "per_radius": {s: {"m": _num(m), "sup_g_bound": _num(b)} for s, (m, b) in radii.items()},
+    }
+    return [record("proximity", "3a", final, PROXIMITY_FINAL_THRESHOLD, passed, extra=extra)]
 
 
 def check_characteristic(sys: CoefficientSystem, seed: int):

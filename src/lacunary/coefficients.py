@@ -355,6 +355,8 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> Cauchy
         direct = f2 / (f1 * f1)
         tol = CONTOUR_AGREEMENT_THRESHOLD / 10 * abs(direct)
         radius, halvings = r_k / n_k, 0
+        # guard the quadrature circle first: its precision covers the winding circle's
+        _fprime_on_circle(cfg, (k, m), radius / 32, ())
         while True:
             winding = {}
             winding_nodes, w = sample_winding(cfg, (k, m), radius, nodes, winding)

@@ -176,8 +176,8 @@ def _validate_blocks(rho, blocks, dps) -> None:
     prev_r = mpf(0)
     n_sum = 0
     for k, (r, n) in enumerate(blocks, start=1):
-        if not (r > 0):
-            raise ConfigError(f"block {k}: radius must be positive, got {r}")
+        if isinstance(r, bool) or not (0 < r < mp.inf):
+            raise ConfigError(f"block {k}: radius must be a positive finite number, got {r}")
         if r <= prev_r:
             raise ConfigError(f"block {k}: radii must be strictly increasing")
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -234,7 +234,8 @@ def config_from_blocks(blocks, rho_f=mpf("0.5"), dps: int = DEFAULT_DPS) -> Lacu
     rho = _rho(rho_f, dps, "rho_f", "1")
     with mp.workdps(dps):
         try:
-            blks = tuple((mpf(r), n) for r, n in blocks)
+            # a JSON true stays a bool, which _validate_blocks refuses as it does inf
+            blks = tuple((r if isinstance(r, bool) else mpf(r), n) for r, n in blocks)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"blocks must be a list of [r, n] pairs: {exc}") from exc
         _validate_blocks(rho, blks, dps)

@@ -143,6 +143,23 @@ class TestConstruct:
         assert main(["construct", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"config error: {key} must be a number, got True\n"
 
+    @pytest.mark.parametrize(
+        "radius, message",
+        [
+            ("true", "block 1: radius must be a positive finite number, got True"),
+            ("Infinity", "block 1: radius must be a positive finite number, got +inf"),
+            ("1e400", "block 1: radius must be a positive finite number, got +inf"),
+        ],
+    )
+    def test_radius_is_read_as_strictly_as_rho(self, tmp_path, capsys, radius, message):
+        """A JSON true is no radius 1, and Infinity (or 1e400, which json
+        reads as inf) is no radius at all: each exits 2 naming the block,
+        never a traceback with exit 1."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(f'{{"blocks": [[{radius}, 2]], "rho_f": 0.5}}')
+        assert main(["construct", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 class TestVerify:
     def test_anchor_all_checks_pass(self, tmp_path):
@@ -181,10 +198,10 @@ class TestVerify:
     @pytest.mark.parametrize(
         "payload, count, failing",
         [
-            pytest.param({**HEADLINE, "rho_H": 0.4}, 701, [CAUCHY_2F], id="headline"),
+            pytest.param({**HEADLINE, "rho_H": 0.4}, 698, [CAUCHY_2F], id="headline"),
             pytest.param(
                 THEOREM,
-                699,
+                696,
                 [
                     CAUCHY_2F,
                     ("asymptotics", "2c", [3, 0], "disk free of zeros of f'", 1),
@@ -199,10 +216,10 @@ class TestVerify:
                 id="theorem",
             ),
             pytest.param(
-                {"rho_f": 0.5, "rule": "factorial", "K": 3}, 233, [CAUCHY_2F], id="factorial-K3"
+                {"rho_f": 0.5, "rule": "factorial", "K": 3}, 230, [CAUCHY_2F], id="factorial-K3"
             ),
             pytest.param(
-                {"rho_f": 0.5, "rule": "factorial", "K": 4}, 301, [CAUCHY_2F], id="readme-rule"
+                {"rho_f": 0.5, "rule": "factorial", "K": 4}, 298, [CAUCHY_2F], id="readme-rule"
             ),
         ],
     )
@@ -233,7 +250,7 @@ class TestVerify:
         out = tmp_path / "v"
         assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "all"]) == 0
         records = read_records(out)
-        assert len(records) == 224
+        assert len(records) == 221
         (rec,) = [r for r in records if r["eq"] == "2c" and "property" not in r]
         assert 0.0110 < rec["value"] < rec["bound"] < 0.0116
 
@@ -341,6 +358,35 @@ class TestVerify:
              "--checks", "proximity,characteristic"]
         )
         assert code == 0
+
+    def test_proximity_writes_one_verdict_record(self, tmp_path):
+        """proximity writes one 3a record, the verdict at 1000 r_K; its
+        per_radius holds m and B at each multiple of r_K, the values the
+        per-radius records held when each radius had its own."""
+        cfg = write_config(tmp_path, {**HEADLINE, "rho_H": 0.4})
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "proximity"]) == 0
+        (rec,) = read_records(out)
+        assert (rec["eq"], rec["value"], rec["bound"], rec["pass"]) == ("3a", 0.0, 0.01, True)
+        assert rec["property"] == "m(r,g) nonincreasing with small final value"
+        assert rec["sup_g_bound"] == 2.7824962796159914e-10
+        assert rec["per_radius"] == {
+            "10": {"m": 0.0, "sup_g_bound": 2.7824963331219228e-08},
+            "100": {"m": 0.0, "sup_g_bound": 2.7824962844801668e-09},
+            "1000": {"m": 0.0, "sup_g_bound": 2.7824962796159914e-10},
+        }
+
+    def test_proximity_fails_where_m_grows(self, tmp_path, monkeypatch):
+        """m = 0, 0.001, 0.002 ends below 0.01, so the verdict fails on the
+        nonincreasing clause alone."""
+        ms = iter(mpf(x) for x in ("0", "0.001", "0.002"))
+        monkeypatch.setattr(checks, "g_proximity", lambda rat, r: (next(ms), mpf(2)))
+        cfg = write_config(tmp_path, HEADLINE)
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "proximity"]) == 1
+        (rec,) = read_records(out)
+        assert rec["value"] == 0.002 < rec["bound"] and rec["pass"] is False
+        assert [r["m"] for r in rec["per_radius"].values()] == [0.0, 0.001, 0.002]
 
     def test_removed_config_keys_exit_2(self, tmp_path, capsys):
         """H's truncation, the perturbation scale and the series switch
@@ -1078,7 +1124,7 @@ class TestFaultMatrix:
     config: the target check must pass clean and, with the fault in place
     (exit 1), fail as many records of the target identity as the fault
     reaches: one 2c record of block 3, all 75 3f records, the one 3x
-    record, the final 3a record, the one 3h record, and the 1c record of
+    record, the one 3a record, the one 3h record, and the 1c record of
     each of the 20 points."""
 
     @pytest.mark.parametrize(

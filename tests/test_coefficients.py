@@ -11,6 +11,7 @@ from lacunary import (
     CancellationError,
     ConfigError,
     NearZeroError,
+    PrecisionInsufficient,
     QuadratureError,
     TailError,
     config_from_blocks,
@@ -507,6 +508,16 @@ class TestContourNodeDoubling:
         assert cr.halvings >= 1
         assert evaluations == 32 * cr.halvings + cr.winding_nodes + cr.nodes
 
+    def test_one_precision_suggestion_covers_both_circles(self):
+        """At factorial 0.5 K = 6 the quadrature circle r_6/(32 n_6) needs
+        220 digits and the winding circle r_6/n_6 217: from 100 digits the
+        first suggestion is 220, not 217, and at 220 the ratio is formed."""
+        with pytest.raises(PrecisionInsufficient) as exc:
+            cauchy_ratio(make_schedule(0.5, 6, "factorial", dps=100), 6, 0)
+        assert exc.value.suggested_dps == 220
+        cr = cauchy_ratio(make_schedule(0.5, 6, "factorial", dps=220), 6, 0)
+        assert cr.agreement < mpf("1e-80") and cr.halvings == 0
+
     def test_rejects_node_counts_off_the_grid(self):
         cfg = config_from_blocks([(1, 2)])
         for nodes in (1, 100, 2 * coefficients.MAX_NODES):
@@ -633,7 +644,7 @@ class TestRecordsAtAnyAmbientPrecision:
             with mp.workdps(dps):
                 runs.append(checks.run_checks(factorial_system, checks.CHECK_NAMES, 0, 5))
         records, _ = runs[0]
-        assert len(records) == 116 and sum(r["check"] == "residual" for r in records) == 15
+        assert len(records) == 113 and sum(r["check"] == "residual" for r in records) == 15
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
