@@ -17,7 +17,13 @@ and ``f_jet`` (f, f', f'') wrap one pass over the blocks, ``_jet``, that
 forms each power (z/r_k)^{n_k} once, with n_k.bit_length() + 20 guard
 bits that absorb the n_k-fold growth of rounding errors, so block
 exponents up to 2^60 and radii up to 2^5040 stay exact; an exact zero
-stays ``mpc(0)``.  It evaluates H too, as degree-1 blocks.  Like the
+stays ``mpc(0)``.  The one exception is a trailing run of blocks whose
+powers, bounded from binary exponents alone, lie below 2^-(2 prec + 64):
+where f and the sums already exceed what the run could add by more than
+prec + 4 bits in every component, the run is not formed, since libmp's
+correctly rounded additions would give back the same bits (on f'
+contours around blocks 1..3 of factorial K=4 that is block 4, n = 4096).
+It evaluates H too, as degree-1 blocks.  Like the
 residue pass below, it runs on mpmath's raw libmp tuples, making the
 calls that ``mp.power`` and the mpc operators would make, in the same
 order, so it gives their bits; values enter and leave it as mpc.  The
@@ -397,6 +403,39 @@ def _block_terms(w: tuple, a: tuple, terms: int, lossy: tuple | None, prec: int)
     return factor, s, t
 
 
+def _negligible_tail(blocks, zt: tuple, prec: int) -> tuple[int, int]:
+    """(i, e): ``blocks[i:]`` is the longest trailing run whose powers at z
+    are each below 2^-(2 prec + 64), and 2^e bounds what any block of the
+    run could add to a component of the f'/f or (f'/f)' sum, or to a
+    component of f relative to 2^(bits of |f|).  With no such run,
+    (len(blocks), 0).
+
+    Integer arithmetic on binary exponents, forming no power: |z| is below
+    2^(m + 1/2) for m the larger bit size of its components and |r| at
+    least 2^(bits of r - 1), so (z/r)^n as formed, guard bits and all, is
+    below 2^b with b = n (m - bits of r + 2) + 1.  Such a power w makes
+    the factor 1 - w round to (1, -Im w), |s| < 2^(b+2), |t| < 2^(b+3),
+    and the sums' increments n s and n (s + n t) stay below
+    2^(b + 2 bit_length(n) + 6)."""
+    if not all(x[1] or x == fzero for x in zt) or zt == _ZERO:
+        return len(blocks), 0
+    m = max(x[2] + x[3] for x in zt if x[1])
+    run = []
+    for r, n in reversed(blocks):
+        b = n * (m - r._mpf_[2] - r._mpf_[3] + 2) + 1
+        if b > -(2 * prec + 64):
+            break
+        run.append(b + 2 * n.bit_length() + 6)
+    return len(blocks) - len(run), max(run, default=0)
+
+
+def _absorbs(x: tuple, above: int, prec: int) -> bool:
+    """Each component of the raw mpc x is nonzero and more than prec + 4
+    bits above 2^above, so that adding anything smaller to it, correctly
+    rounded at ``prec``, gives it back bit for bit."""
+    return all(c[1] and c[2] + c[3] - 1 > above + prec + 4 for c in x)
+
+
 def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
     """(f, f'/f, (f'/f)') over ``blocks`` in one pass, the sums up to ``order``.
 
@@ -408,6 +447,17 @@ def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
     :func:`_block_terms`; a lossy factor is kept, and when ``strict`` the
     first one raises once the product is finished, carrying that lossy f.
     At z = 0 the sums are their termwise limits (n = 1, n <= 2 blocks).
+
+    The trailing run of :func:`_negligible_tail`, whose powers lie below
+    2^-(2 prec + 64), is left out when, after the blocks before it, every
+    component of f and of each sum that ``order`` asks for is nonzero and
+    more than prec + 4 bits above what one block of the run could add
+    (:func:`_absorbs`).  ``mpf_add`` and ``mpf_sub`` round correctly and
+    ``mpc_mul`` forms exact products before it rounds, so each of those
+    blocks would give back f and the sums bit for bit, and cannot raise.
+    Otherwise (f still exactly 1, a component exactly 0 on the real axis
+    or at an exact zero, a CancellationError pending) the run goes
+    through the same loop as every other block.
     """
     prec = mp.prec
     zt = z._mpc_
@@ -415,7 +465,12 @@ def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
     lossy = (mpf(10) ** (5 - mp.dps))._mpf_ if strict else None
     error = None
     f, l1, l2 = _ONE, _ZERO, _ZERO
-    for r, n in blocks:
+    tail, above = _negligible_tail(blocks, zt, prec)
+    for i, (r, n) in enumerate(blocks):
+        if i == tail and error is None:
+            scales = (max(x[2] + x[3] for x in f) + 1 + above, above, above)
+            if all(_absorbs(x, e, prec) for x, e in zip((f, l1, l2)[: terms + 1], scales)):
+                break
         if n == 1:
             w = mpc_div_mpf(zt, r._mpf_, prec, _RND)
         else:

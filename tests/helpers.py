@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import sys
 from contextlib import contextmanager
@@ -13,6 +14,41 @@ from lacunary.interpolation import config_interpolant, eval_g
 from lacunary.product import _unit_root, zeros
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
+
+# ``tests/golden.json``: per mpmath version and backend, the sha256 of the
+# CLI outputs below, written by ``tests/write_golden.py``
+GOLDEN = Path(__file__).resolve().parent / "golden.json"
+GOLDEN_CONFIGS = {
+    "headline": {"rho_f": 0.5, "rule": "factorial", "K": 4, "precision_digits": 100, "rho_H": 0.4},
+    "theorem": {"rho_f": 0.45, "rule": "factorial", "K": 4, "precision_digits": 100, "rho_H": 0.48},
+    "readme": {"blocks": [[4, 2], [16, 4]], "rho_f": 0.5},
+}
+# ``verify --checks all`` on each of GOLDEN_CONFIGS, and ``construct
+# --precision 200`` on the headline: its name in golden.json, the files
+GOLDEN_VERIFY_FILES = ("records.jsonl", "verify_summary.json")
+GOLDEN_CONSTRUCT = "construct --precision 200: headline"
+GOLDEN_CONSTRUCT_FILES = ("residues.json", "system.json")
+
+
+def golden_verify(name):
+    return f"verify --checks all: {name}"
+
+
+def golden_key():
+    """The golden.json key of this machine: the bits of every output
+    depend on mpmath's version and on its backend."""
+    return f"mpmath {mpmath.__version__}, backend {mpmath.libmp.BACKEND}"
+
+
+def output_digests(out, names):
+    """The sha256 of each file of ``names`` in ``out``; for records.jsonl also
+    the first 16 hex digits of each line's, so that a mismatch can name the
+    first record that differs."""
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    if "records.jsonl" in names:
+        lines = (out / "records.jsonl").read_bytes().splitlines()
+        digests["record_lines"] = [hashlib.sha256(line).hexdigest()[:16] for line in lines]
+    return digests
 
 
 def rel_err(a, b):

@@ -26,7 +26,10 @@ from lacunary import (
 )
 from lacunary.cli import main
 
-from helpers import read_residue, write_residue
+from helpers import (
+    GOLDEN, GOLDEN_CONFIGS, GOLDEN_CONSTRUCT, GOLDEN_CONSTRUCT_FILES, GOLDEN_VERIFY_FILES,
+    golden_key, golden_verify, output_digests, read_residue, write_residue
+)
 
 ANCHOR = {"blocks": [[1, 2]], "rho_f": 0.5, "precision_digits": 100, "rho_H": 0.25}
 FACT3 = {"rho_f": 0.5, "rule": "factorial", "K": 3, "precision_digits": 100, "rho_H": 0.4}
@@ -51,6 +54,30 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+# the configs that ``verify --checks all`` runs on once per module
+VERIFY_ALL = {
+    **GOLDEN_CONFIGS,
+    "factorial-K3": {"rho_f": 0.5, "rule": "factorial", "K": 3},
+    "readme-rule": {"rho_f": 0.5, "rule": "factorial", "K": 4},
+}
+
+
+@pytest.fixture(scope="module")
+def verify_all(tmp_path_factory):
+    """``verify --checks all`` on the config of VERIFY_ALL by that name, run
+    once per module and shared: (exit code, output directory)."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            root = tmp_path_factory.mktemp(name)
+            cfg = write_config(root, VERIFY_ALL[name])
+            runs[name] = main(["verify", "--config", cfg, "--out", str(root / "v"), "--checks", "all"]), root / "v"
+        return runs[name]
+
+    return run
 
 
 class TestConstruct:
@@ -196,11 +223,11 @@ class TestVerify:
         assert contour["agreement_half"] is None
 
     @pytest.mark.parametrize(
-        "payload, count, failing",
+        "name, count, failing",
         [
-            pytest.param({**HEADLINE, "rho_H": 0.4}, 698, [CAUCHY_2F], id="headline"),
+            pytest.param("headline", 698, [CAUCHY_2F], id="headline"),
             pytest.param(
-                THEOREM,
+                "theorem",
                 696,
                 [
                     CAUCHY_2F,
@@ -215,24 +242,19 @@ class TestVerify:
                 ],
                 id="theorem",
             ),
-            pytest.param(
-                {"rho_f": 0.5, "rule": "factorial", "K": 3}, 230, [CAUCHY_2F], id="factorial-K3"
-            ),
-            pytest.param(
-                {"rho_f": 0.5, "rule": "factorial", "K": 4}, 298, [CAUCHY_2F], id="readme-rule"
-            ),
+            pytest.param("factorial-K3", 230, [CAUCHY_2F], id="factorial-K3"),
+            pytest.param("readme-rule", 298, [CAUCHY_2F], id="readme-rule"),
         ],
     )
-    def test_all_checks_fail_only_the_known_records(self, tmp_path, payload, count, failing):
+    def test_all_checks_fail_only_the_known_records(self, verify_all, name, count, failing):
         """``verify --checks all`` exits 1 on these configs, failing exactly
         the records that ROADMAP.md item 2 leaves open: the blockwise-ratio
         record of 2(a) (the step from block 1 to block 2), also on the
         README's rule config without rho_H; and on the theorem config, the
         zero-free disk of block 3 (winding 1) and its summary, 2(b).  When
         those items land the runs exit 0 and this test changes with them."""
-        cfg = write_config(tmp_path, payload)
-        out = tmp_path / "v"
-        assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "all"]) == 1
+        code, out = verify_all(name)
+        assert code == 1
         records = read_records(out)
         assert len(records) == count
         failed = [
@@ -242,17 +264,31 @@ class TestVerify:
         ]
         assert failed == failing
 
-    def test_readme_explicit_config_passes(self, tmp_path):
+    def test_readme_explicit_config_passes(self, verify_all):
         """The README's explicit config passes every check: 2c's bound on
         z f'/f at block 1 counts block 2's term, 4 a/(1 - a) / 2 with
         a = (4.4/16)^4, 0.01150, over a deviation of 0.01109."""
-        cfg = write_config(tmp_path, {"blocks": [[4, 2], [16, 4]], "rho_f": 0.5})
-        out = tmp_path / "v"
-        assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "all"]) == 0
+        code, out = verify_all("readme")
+        assert code == 0
         records = read_records(out)
         assert len(records) == 221
         (rec,) = [r for r in records if r["eq"] == "2c" and "property" not in r]
         assert 0.0110 < rec["value"] < rec["bound"] < 0.0116
+
+    def test_asymptotics_2a_keeps_block_4s_deviation(self, tmp_path):
+        """2a (i) bounds |f_{>3} - 1| over the product of block 4 alone,
+        whose power near r_3 is about 10^-22026: the kernel's negligible
+        tail must not leave that block out (f is exactly 1 before it), or
+        the deviation reads exactly 0 and loses its log10 while the record
+        still passes."""
+        cfg = write_config(tmp_path, GOLDEN_CONFIGS["headline"])
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "asymptotics"]) == 0
+        (rec,) = [r for r in read_records(out) if r["eq"] == "2a"]
+        assert (rec["value"], rec["bound"], rec["pass"]) == (0.0, 0.0, True)
+        assert "log10_value" in rec, "the deviation read exactly 0"
+        assert abs(rec["log10_value"] + 22026.02) < 0.01
+        assert abs(rec["log10_bound"] + 22024.49) < 0.01
 
     def test_logderiv_record_not_applicable_near_the_next_block(self, tmp_path):
         """On [[4,1],[4.6,2]] block 2's term can move z f'/f at block 1 by
@@ -1011,14 +1047,24 @@ def headline_artifacts(tmp_path_factory):
     return cfg, root / "art"
 
 
+@pytest.fixture(scope="module")
+def headline_artifacts_200(headline_artifacts):
+    """``construct --precision 200`` on the headline config with H, made once."""
+    cfg, built = headline_artifacts
+    art = built.parent / "art200"
+    assert main(["construct", "--config", cfg, "--out", str(art), "--precision", "200"]) == 0
+    return art
+
+
 class TestArtifactRoundTrip:
-    def test_residues_only_and_records_unchanged(self, tmp_path, headline_artifacts):
+    def test_residues_only_and_records_unchanged(
+        self, tmp_path, headline_artifacts, headline_artifacts_200
+    ):
         """residues.json holds (k, m) and the residue of each zero, nothing
         else, and verifying from it writes the records that verifying from
         a fresh construction writes, byte for byte, at 100 and 200 digits."""
         cfg, built = headline_artifacts
-        built_200 = tmp_path / "art200"
-        assert main(["construct", "--config", cfg, "--out", str(built_200), "--precision", "200"]) == 0
+        built_200 = headline_artifacts_200
         for art, dps in ((built, "100"), (built_200, "200")):
             entries = json.loads((art / "residues.json").read_text())
             assert len(entries) == 4107
@@ -1206,6 +1252,50 @@ class TestFaultMatrix:
         assert len(failed) == failures
         # ... and fail a fault through the quadrature
         assert all(r.get("sup_g_bound", 1) >= 1 for r in failed)
+
+
+class TestGolden:
+    """The CLI's outputs are byte for byte those that ``tests/golden.json``
+    holds for this mpmath version and backend (``tests/write_golden.py``
+    writes them): ``verify --checks all`` on the headline, theorem and
+    README explicit configs at 100 digits, from the runs TestVerify reads,
+    and ``construct --precision 200`` on the headline.  A key with no
+    digests fails."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        table = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        key = golden_key()
+        if key not in table:
+            pytest.fail(
+                f"tests/golden.json holds no digests for {key!r} (it has {sorted(table)}); "
+                "write them with tests/write_golden.py on a commit whose outputs are trusted"
+            )
+        return table[key]
+
+    @staticmethod
+    def _compare(expected, out, files):
+        got = output_digests(out, files)
+        assert sorted(got) == sorted(expected), "tests/golden.json pins other files"
+        lines, want = got.get("record_lines", []), expected.get("record_lines", [])
+        if lines != want:
+            i = next((i for i, (a, b) in enumerate(zip(lines, want)) if a != b), min(len(lines), len(want)))
+            if i < len(lines):
+                rec = read_records(out)[i]
+                named = ", ".join(f"{k}={rec.get(k)!r}" for k in ("check", "eq", "zero", "property"))
+            else:
+                named = "none: the run wrote fewer records"
+            pytest.fail(f"records.jsonl differs first at line {i + 1} of {len(lines)} "
+                        f"(golden {len(want)}): {named}")
+        changed = [name for name in got if got[name] != expected[name]]
+        assert not changed, f"{out}: {changed} differ from tests/golden.json"
+
+    @pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))
+    def test_verify_all_outputs(self, golden, verify_all, name):
+        self._compare(golden[golden_verify(name)], verify_all(name)[1], GOLDEN_VERIFY_FILES)
+
+    def test_construct_outputs_at_200_digits(self, golden, headline_artifacts_200):
+        self._compare(golden[GOLDEN_CONSTRUCT], headline_artifacts_200, GOLDEN_CONSTRUCT_FILES)
 
 
 class TestDeterminism:

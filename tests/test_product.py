@@ -466,6 +466,110 @@ class TestRawKernel:
                             reference_jet, cfg.blocks, z, order, strict
                         ), (z, order)
 
+    # The negligible tail: ``_jet`` leaves out a trailing run of blocks whose
+    # powers are below 2^-(2 prec + 64) where f and the sums absorb them, and
+    # runs them where they do not.  Each test checks both the bits, against
+    # the full loop of ``reference_jet``, and which powers were formed.
+
+    @staticmethod
+    def _formed(monkeypatch):
+        """The exponents of the powers that ``product._jet`` forms, in order,
+        as a patched ``mpc_pow_int`` records them."""
+        formed = []
+        pow_int = product.mpc_pow_int
+
+        def recording(w, n, prec, rnd):
+            formed.append(n)
+            return pow_int(w, n, prec, rnd)
+
+        monkeypatch.setattr(product, "mpc_pow_int", recording)
+        return formed
+
+    @staticmethod
+    def _check(formed, blocks, points, expected, stricts=(True, False)):
+        """At every point, order and strictness: the outcome of the full loop,
+        and the powers of ``expected(strict)`` formed."""
+        for z in points:
+            for order in (0, 1, 2):
+                for strict in stricts:
+                    formed.clear()
+                    got = _outcome(product._jet, blocks, z, order, strict)
+                    assert formed == expected(strict), (z, order, strict)
+                    assert got == _outcome(reference_jet, blocks, z, order, strict), (z, order)
+
+    @staticmethod
+    def _circle(center, radius, nodes):
+        return [center + radius * mp.expjpi(mpf(2 * i + 1) / nodes) for i in range(nodes)]
+
+    @pytest.mark.parametrize("dps", [100, 200])
+    def test_tail_left_out_on_the_contours_of_blocks_1_to_3(self, monkeypatch, dps):
+        """On |z - r_k| = r_k/n_k and r_k/(2 n_k) around (k, 0), k = 1..3, of
+        the headline, block 4's power is below 2^-65000: it is not formed,
+        and f, f'/f and (f'/f)' keep the bits of the full loop."""
+        formed = self._formed(monkeypatch)
+        with mp.workdps(dps):
+            cfg = make_schedule(0.5, 4, "factorial", dps=dps)
+            points = [
+                z
+                for r, n in cfg.blocks[:3]
+                for radius in (r / n, r / (2 * n))
+                for z in self._circle(r, radius, 16)
+            ]
+            self._check(formed, cfg.blocks, points, lambda strict: [2, 8])
+
+    def test_tail_left_out_below_r4_at_factorial_k5(self, monkeypatch):
+        """At factorial K = 5 block 5 (n_5 = 2^60) is left out below r_4,
+        and so is block 4 on the contours of blocks 1..3."""
+        formed = self._formed(monkeypatch)
+        cfg = make_schedule(0.5, 5, "factorial")
+        r4, n4 = cfg.blocks[3]
+        self._check(formed, cfg.blocks, self._circle(r4, r4 / n4, 8), lambda strict: [2, 8, 4096])
+        self._check(formed, cfg.blocks, self._circle(mpf(4), mpf(2), 8), lambda strict: [2, 8])
+
+    def test_one_block_list_runs_its_block(self, monkeypatch):
+        """``cfg.blocks[3:]`` holds only block 4: near r_3 its power is
+        negligible, but f is still exactly 1 before it, so the block runs and
+        f - 1 is the power, as asymptotics 2a (i) reads it, not 0."""
+        formed = self._formed(monkeypatch)
+        cfg = make_schedule(0.5, 4, "factorial")
+        points = self._circle(mpf(64), mpf(8), 8)
+        self._check(formed, cfg.blocks[3:], points, lambda strict: [4096])
+        assert 0 < abs(product._jet(cfg.blocks[3:], points[0], 0, True)[0] - 1) < mpf(10) ** -20000
+
+    def test_tail_runs_on_the_real_axis_and_at_zero(self, monkeypatch):
+        """A real z leaves f and the sums with an exact zero imaginary part,
+        and z = 0 has no binary exponent: the tail runs."""
+        formed = self._formed(monkeypatch)
+        cfg = make_schedule(0.5, 4, "factorial")
+        points = [mpc(0)] + [mpc(x) for x in (3, -3, 5, 63, -64.5, 65, 1000)]
+        self._check(formed, cfg.blocks, points, lambda strict: [2, 8, 4096])
+
+    def test_tail_runs_while_a_cancellation_is_pending(self, monkeypatch):
+        """At a rounded zero of block 2 a strict pass holds a
+        CancellationError when it reaches block 4, so block 4 runs and the
+        error carries the lossy f of the full loop; a non-strict pass keeps
+        the factor and leaves block 4 out."""
+        formed = self._formed(monkeypatch)
+        cfg = make_schedule(0.5, 4, "factorial")
+        points = [mpc(4, mpf(10) ** -97), mpc(-4, mpf(10) ** -97)]
+        self._check(formed, cfg.blocks, points, lambda strict: [2, 8, 4096] if strict else [2, 8])
+        for z in points:
+            with pytest.raises(CancellationError) as info:
+                product._jet(cfg.blocks, z, 0, True)
+            assert info.value.result == reference_jet(cfg.blocks, z, 0, False)[0]
+
+    @pytest.mark.parametrize("k, powers", [(3, 64), (4, 96)])
+    def test_contour_forms_block_4_only_near_r4(self, monkeypatch, k, powers):
+        """A 32-node f' contour around (k, 0) forms two powers per node
+        (blocks 2 and 3) around (3, 0), and three around (4, 0), where block
+        4's power is of order 1."""
+        formed = self._formed(monkeypatch)
+        cfg = make_schedule(0.5, 4, "factorial")
+        r, n = cfg.blocks[k - 1]
+        directions = [mp.expjpi(mpf(2 * i + 1) / 32) for i in range(32)]
+        product._fprime_on_circle(cfg, (k, 0), r / n, directions)
+        assert len(formed) == powers
+
 
 class TestRadialGuard:
     """The near-zero guard decides radially before it looks for the
