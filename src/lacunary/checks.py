@@ -225,7 +225,7 @@ def check_cauchy(sys: CoefficientSystem, seed: int):
                 cr.agreement < CONTOUR_AGREEMENT_THRESHOLD,
                 zero=(k, 0),
                 extra={
-                    "full_radius_zero_free": cr.full_radius_zero_free,
+                    "full_radius_zero_free": cr.winding_at_full_radius == 0,
                     "halvings": cr.halvings,
                     "chain_bound_ok": bool(cr.chain_bound >= abs(cr.direct)),
                     "winding_nodes": cr.winding_nodes,
@@ -279,7 +279,7 @@ def check_asymptotics(sys: CoefficientSystem, seed: int):
                 "2c",
                 None,
                 None,
-                disk.zero_free if disk.applicable else True,
+                disk.winding == 0 if disk.applicable else True,
                 zero=(disk.block, 0),
                 extra={"property": "disk free of zeros of f'", **extra},
             )

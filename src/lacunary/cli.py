@@ -61,12 +61,12 @@ from .product import (
 )
 
 
-def _nstr(x, digits: int = 25) -> str:
+def _nstr(x) -> str:
     # never reconstruct an existing mpf: mpf(x) rounds to the ambient
     # precision, which silently truncates serialized artifacts
     if not isinstance(x, mp.mpf):
         x = mpf(x)
-    return mp.nstr(x, digits)
+    return mp.nstr(x, 25)
 
 
 # residues.json holds each part of a residue exactly, in float.hex syntax

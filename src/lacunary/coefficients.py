@@ -299,7 +299,6 @@ class CauchyRatio:
     contour_half: mpc
     radius: mpf
     quad_radius: mpf
-    full_radius_zero_free: bool
     winding_at_full_radius: int
     halvings: int
     chain_bound: mpf
@@ -316,13 +315,13 @@ class CauchyRatio:
 
 
 def sample_winding(
-    cfg: LacunaryConfig, zero: tuple[int, int], radius, n: int, samples: dict
+    cfg: LacunaryConfig, zero: tuple[int, int], radius, samples: dict
 ) -> tuple[int, int]:
     """(n, winding of f') on the circle of ``radius`` around ``zero`` = (k, m)
     from n half-step nodes of :func:`_circle_levels`, keeping every node in
-    ``samples``; n doubles, up to MAX_NODES, while arguments jump by > pi/2."""
+    ``samples``; n doubles from 32 to MAX_NODES while arguments jump by > pi/2."""
     fprime = partial(_fprime_on_circle, cfg, zero, radius)
-    for n, vals in _circle_levels(fprime, samples, n, MAX_NODES, 1):
+    for n, vals in _circle_levels(fprime, samples, MAX_NODES, 1):
         fps = [fp for _, fp in vals]
         steps = [mp.arg(b / a) for a, b in zip(fps, fps[1:] + fps[:1])]
         if all(abs(d) <= mp.pi / 2 for d in steps):
@@ -330,15 +329,15 @@ def sample_winding(
     raise QuadratureError("winding nodes too sparse: argument jumped by more than pi/2")
 
 
-def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> CauchyRatio:
+def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int) -> CauchyRatio:
     """f''/f'^2 at a zero, directly and via the Cauchy integral for (1/f')'.
 
     The winding circle of radius R (the module docstring) is sampled by
-    :func:`sample_winding` from ``nodes`` up.  The quadrature circle of
-    radius R/32 has its own nested grid: n starts at ``nodes`` and doubles
-    until the trapezoid estimates from n and n/2 nodes differ by less than
-    CONTOUR_AGREEMENT_THRESHOLD/10 of the direct value, or n reaches
-    MAX_NODES.  ``chain_bound`` is max 1/|f'| on the winding circle over R.
+    :func:`sample_winding`.  The quadrature circle of radius R/32 has its
+    own nested grid: n doubles from 32 until the trapezoid estimates from n
+    and n/2 nodes differ by less than CONTOUR_AGREEMENT_THRESHOLD/10 of the
+    direct value, or n reaches MAX_NODES.  ``chain_bound`` is max 1/|f'| on
+    the winding circle over R.
 
     Why R/32: 1/f' is analytic on the disk of radius R, so the trapezoid
     rule with n nodes on the circle of radius rho < R errs by about
@@ -359,7 +358,7 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> Cauchy
         _fprime_on_circle(cfg, (k, m), radius / 32, ())
         while True:
             winding = {}
-            winding_nodes, w = sample_winding(cfg, (k, m), radius, nodes, winding)
+            winding_nodes, w = sample_winding(cfg, (k, m), radius, winding)
             if halvings == 0:
                 winding_full = w
             if w == 0:
@@ -373,7 +372,7 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> Cauchy
             radius = radius / 2
         quad_radius = radius / 32
         fprime = partial(_fprime_on_circle, cfg, (k, m), quad_radius)
-        for n, vals in _circle_levels(fprime, {}, nodes, MAX_NODES, 1):
+        for n, vals in _circle_levels(fprime, {}, MAX_NODES, 1):
             terms = [1 / (quad_radius * w_j * fp) for w_j, fp in vals]
             integral = mp.fsum(terms) / n
             integral_half = mp.fsum(terms[::2]) * 2 / n
@@ -385,7 +384,6 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int, nodes: int = 32) -> Cauchy
             contour_half=-integral_half,
             radius=radius,
             quad_radius=quad_radius,
-            full_radius_zero_free=(winding_full == 0),
             winding_at_full_radius=winding_full,
             halvings=halvings,
             chain_bound=max(1 / abs(fp) for _, fp in winding.values()) / radius,

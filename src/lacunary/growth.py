@@ -298,11 +298,10 @@ def indicator_scan(fn, rho, thetas, radii, exclusion) -> IndicatorScan:
 # ---------------------------------------------------------------------------
 # finite-level asymptotics of the product near its k-th circle
 
-# points near the circle in (i)-(ii); nodes on it in (iii), the first level
-# of the f' windings' grid (``product._circle_levels``), and the first nodes
-# of every winding in (iv), which on block k's circle are (iii)'s own
+# points near the circle in (i)-(ii); (iii) reads the first level of the f'
+# windings' grid (``product._circle_levels``), which on block k's circle
+# starts (iv)'s winding
 ANNULUS_POINTS = 32
-CONTOUR_NODES = 32
 
 # draws per requested point before an annulus sampler gives up
 ANNULUS_ATTEMPTS = 500
@@ -314,7 +313,6 @@ class DiskCheck:
     applicable: bool
     reason: str
     winding: int | None
-    zero_free: bool | None
 
 
 @dataclass(frozen=True)
@@ -385,7 +383,7 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
           a_j = (1.1 r_k/r_j)^{n_j} (deviation measured relative to n_k);
           not applicable, with a reason, where that sum over j > k can
           reach n_k (any a_j >= 1 among them);
-    (iii) |f'| at the first CONTOUR_NODES nodes of the windings' grid
+    (iii) |f'| at the 32 nodes of the first level of the windings' grid
           (:func:`_circle_levels`) on the boundary of the zero-centered
           disk of radius r_k/n_k, at the unit direction zeta, matches
           (n_k/r_k) prod_{j<k} (r_k/r_j)^{n_j} |e^zeta|
@@ -437,7 +435,7 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
         # (iii) |f'| on the disk boundary against the product form, on the
         # nodes that (iv) then extends on the same circle
         circle, fprime = {}, partial(_fprime_on_circle, cfg, (k, 0), r_k / mpf(n_k))
-        _, vals = next(_circle_levels(fprime, circle, CONTOUR_NODES, MAX_NODES, 1))
+        _, vals = next(_circle_levels(fprime, circle, MAX_NODES, 1))
         log_prefactor = sum(
             (mpf(n_j) * (mp.log(r_k) - mp.log(r_j)) for r_j, n_j in cfg.blocks[: k - 1]),
             mpf(0),
@@ -463,10 +461,9 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
             if applicable:
                 r_j, n_j = cfg.block(j)
                 samples = circle if j == k else {}
-                _, w = sample_winding(cfg, (j, 0), r_j / mpf(n_j), CONTOUR_NODES, samples)
-            zero_free = None if w is None else w == 0
-            disks.append(DiskCheck(j, applicable, reason, w, zero_free))
-        disks_pass = all(d.zero_free for d in disks if d.applicable)
+                _, w = sample_winding(cfg, (j, 0), r_j / mpf(n_j), samples)
+            disks.append(DiskCheck(j, applicable, reason, w))
+        disks_pass = all(d.winding == 0 for d in disks if d.applicable)
 
         return AsymptoticsReport(
             k=k,

@@ -372,7 +372,7 @@ def proximity_m(fn, r, avoid_moduli=None) -> mpf:
         estimates = []
         # log+ at the nodes j/n of the turn; the += sum in angle order fixes m's bits
         for n, vals in _circle_levels(
-            lambda ws: [_log_plus(fn(r * w)) for w in ws], {}, 32, max_nodes, 0
+            lambda ws: [_log_plus(fn(r * w)) for w in ws], {}, max_nodes, 0
         ):
             total = mpf(0)
             for _, v in vals:

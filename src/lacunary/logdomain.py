@@ -57,7 +57,8 @@ def principal_arg(x) -> mpf:
             r += twopi
         elif r > pi_:
             r -= twopi
-    return +r
+    r = +r  # rounding to the working precision can carry an angle just above -pi onto -pi
+    return r if r > -mp.pi else +mp.pi
 
 
 @dataclass(frozen=True)

@@ -679,16 +679,15 @@ def f_jet(cfg: LacunaryConfig, z, order: int) -> tuple[mpc, ...]:
         return _f_jet(cfg, _guarded(cfg, z, order), order)
 
 
-def _circle_levels(batch, samples: dict, n: int, cap: int, offset: int):
-    """The nested trapezoid rule on the unit circle: node i of ``cap`` lies in
-    the direction e^{i pi (2i + offset)/cap} (offset 1 keeps f' circles off
-    the real zeros neighbouring blocks may place there), and level n takes
-    every (cap/n)-th node, in angle order.  Yields (n, [(direction, value)])
-    as n doubles up to ``cap``; ``batch`` maps directions to values and sees
-    only the nodes missing from ``samples`` (grid index -> pair), which
-    keeps them.  ConfigError unless n >= 2 divides ``cap``."""
-    if n < 2 or cap % n:
-        raise ConfigError(f"nodes must divide {cap} and exceed 1, got {n}")
+def _circle_levels(batch, samples: dict, cap: int, offset: int):
+    """The nested trapezoid rule on the unit circle: node i of ``cap`` (a power
+    of 2 from 32) lies in the direction e^{i pi (2i + offset)/cap} (offset 1
+    keeps f' circles off the real zeros neighbouring blocks may place there),
+    and level n takes every (cap/n)-th node, in angle order.  Yields
+    (n, [(direction, value)]) as n doubles from 32 up to ``cap``; ``batch``
+    maps directions to values and sees only the nodes missing from
+    ``samples`` (grid index -> pair), which keeps them."""
+    n = 32
     while n <= cap:
         grid = range(0, cap, cap // n)
         fresh = [i for i in grid if i not in samples]

@@ -1,12 +1,14 @@
 import hashlib
 import importlib.util
+import json
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 import mpmath
 
-from lacunary.cli import _entry_residue, _hex
+from lacunary.cli import _entry_residue, _hex, main
 from lacunary.coefficients import H_TRUNCATION
 from lacunary.errors import CancellationError
 from lacunary.growth import _logmag
@@ -28,10 +30,49 @@ GOLDEN_CONFIGS = {
 GOLDEN_VERIFY_FILES = ("records.jsonl", "verify_summary.json")
 GOLDEN_CONSTRUCT = "construct --precision 200: headline"
 GOLDEN_CONSTRUCT_FILES = ("residues.json", "system.json")
+# the output of GOLDEN_CONSTRUCT, where a run of GOLDEN_RUNS reads artifacts
+GOLDEN_ARTIFACTS = "{construct}"
 
 
 def golden_verify(name):
     return f"verify --checks all: {name}"
+
+
+def _golden_scan(kind, config="headline"):
+    return config, ("scan", "--scan", kind), (f"{kind}.csv", f"{kind}_summary.json")
+
+
+# the other runs that golden.json pins, by their name there: (config, command
+# and options, files).  "readme-rule" is the README's rule config, without
+# rho_H, so that its indicator scan is of f (the headline's exits 3)
+GOLDEN_RUN_CONFIGS = {
+    **GOLDEN_CONFIGS,
+    "readme-rule": {"rho_f": 0.5, "rule": "factorial", "K": 4, "precision_digits": 100},
+}
+GOLDEN_RUNS = {
+    f"{' '.join(argv)}: {config}": (config, argv, files)
+    for config, argv, files in (
+        ("headline", ("verify", "--precision", "200", "--artifacts", GOLDEN_ARTIFACTS, "--checks",
+                      "interpolation,summability,cauchy,asymptotics"), GOLDEN_VERIFY_FILES),
+        ("headline", ("verify", "--checks", "all", "--precision", "200"), GOLDEN_VERIFY_FILES),
+        ("headline", ("verify", "--checks", "interpolation,residual", "--points", "12",
+                      "--seed", "1"), GOLDEN_VERIFY_FILES),
+        _golden_scan("order"),
+        _golden_scan("witness"),
+        _golden_scan("indicator", "readme-rule"),
+    )
+}
+
+
+def golden_run(root, name, construct):
+    """Run GOLDEN_RUNS[name] in ``root``, reading the artifacts in ``construct``:
+    (exit code, output directory)."""
+    config, argv, _ = GOLDEN_RUNS[name]
+    path = root / f"{config}.json"
+    path.write_text(json.dumps(GOLDEN_RUN_CONFIGS[config]))
+    out = root / re.sub(r"\W+", "_", name)
+    argv = [str(construct) if a == GOLDEN_ARTIFACTS else a for a in argv]
+    return main([argv[0], "--config", str(path), "--out", str(out), *argv[1:]]), out
 
 
 def golden_key():
@@ -41,14 +82,21 @@ def golden_key():
 
 
 def output_digests(out, names):
-    """The sha256 of each file of ``names`` in ``out``; for records.jsonl also
-    the first 16 hex digits of each line's, so that a mismatch can name the
-    first record that differs."""
+    """The sha256 of each file of ``names`` in ``out``; for records.jsonl or a
+    CSV also the first 16 hex digits of each line's, so that a mismatch can
+    name the first record that differs."""
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
-    if "records.jsonl" in names:
-        lines = (out / "records.jsonl").read_bytes().splitlines()
+    lined = golden_lined(names)
+    if lined:
+        lines = (out / lined).read_bytes().splitlines()
         digests["record_lines"] = [hashlib.sha256(line).hexdigest()[:16] for line in lines]
     return digests
+
+
+def golden_lined(names):
+    """The file of ``names`` that holds one record per line (records.jsonl or
+    a scan's CSV), or None."""
+    return next((name for name in names if name.endswith((".jsonl", ".csv"))), None)
 
 
 def rel_err(a, b):

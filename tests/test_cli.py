@@ -27,8 +27,9 @@ from lacunary import (
 from lacunary.cli import main
 
 from helpers import (
-    GOLDEN, GOLDEN_CONFIGS, GOLDEN_CONSTRUCT, GOLDEN_CONSTRUCT_FILES, GOLDEN_VERIFY_FILES,
-    golden_key, golden_verify, output_digests, read_residue, write_residue
+    GOLDEN, GOLDEN_CONFIGS, GOLDEN_CONSTRUCT, GOLDEN_CONSTRUCT_FILES, GOLDEN_RUNS,
+    GOLDEN_VERIFY_FILES, golden_key, golden_lined, golden_run, golden_verify, output_digests,
+    read_residue, write_residue
 )
 
 ANCHOR = {"blocks": [[1, 2]], "rho_f": 0.5, "precision_digits": 100, "rho_H": 0.25}
@@ -1259,8 +1260,10 @@ class TestGolden:
     holds for this mpmath version and backend (``tests/write_golden.py``
     writes them): ``verify --checks all`` on the headline, theorem and
     README explicit configs at 100 digits, from the runs TestVerify reads,
-    and ``construct --precision 200`` on the headline.  A key with no
-    digests fails."""
+    ``construct --precision 200`` on the headline, and the runs of
+    GOLDEN_RUNS: the contour verify from that construct, ``verify --checks
+    all`` at 200 digits, the residual verify, and the order, witness and
+    indicator scans.  A key with no digests fails."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -1280,12 +1283,15 @@ class TestGolden:
         lines, want = got.get("record_lines", []), expected.get("record_lines", [])
         if lines != want:
             i = next((i for i, (a, b) in enumerate(zip(lines, want)) if a != b), min(len(lines), len(want)))
-            if i < len(lines):
+            lined = golden_lined(files)
+            if i >= len(lines):
+                named = "none: the run wrote fewer records"
+            elif lined == "records.jsonl":
                 rec = read_records(out)[i]
                 named = ", ".join(f"{k}={rec.get(k)!r}" for k in ("check", "eq", "zero", "property"))
             else:
-                named = "none: the run wrote fewer records"
-            pytest.fail(f"records.jsonl differs first at line {i + 1} of {len(lines)} "
+                named = (out / lined).read_text().splitlines()[i]
+            pytest.fail(f"{lined} differs first at line {i + 1} of {len(lines)} "
                         f"(golden {len(want)}): {named}")
         changed = [name for name in got if got[name] != expected[name]]
         assert not changed, f"{out}: {changed} differ from tests/golden.json"
@@ -1296,6 +1302,22 @@ class TestGolden:
 
     def test_construct_outputs_at_200_digits(self, golden, headline_artifacts_200):
         self._compare(golden[GOLDEN_CONSTRUCT], headline_artifacts_200, GOLDEN_CONSTRUCT_FILES)
+
+    @pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+    def test_run_outputs(self, golden, tmp_path, headline_artifacts_200, name):
+        code, out = golden_run(tmp_path, name, headline_artifacts_200)
+        assert code in (0, 1), name
+        self._compare(golden[name], out, GOLDEN_RUNS[name][2])
+
+    def test_headline_indicator_scan_exits_3_with_no_outputs(self, tmp_path):
+        """H is certified only to a_64/2 = 16384, below the scan's radius
+        10^6: the headline's indicator scan exits 3 and writes neither of
+        its files."""
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, GOLDEN_CONFIGS["headline"])
+        assert main(["scan", "--config", cfg, "--out", str(out), "--scan", "indicator"]) == 3
+        assert not (out / "indicator.csv").exists()
+        assert not (out / "indicator_summary.json").exists()
 
 
 class TestDeterminism:

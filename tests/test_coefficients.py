@@ -429,7 +429,7 @@ class TestCauchyRatio:
     def test_symbolic_anchor(self):
         cr = cauchy_ratio(config_from_blocks([(1, 2)]), 1, 0)
         assert rel_err(cr.direct, mpf("-0.5")) < mpf("1e-90")
-        assert cr.full_radius_zero_free
+        assert cr.winding_at_full_radius == 0
         assert cr.agreement < mpf("1e-20")
 
     def test_doubly_exp_direct_value_and_bound(self):
@@ -442,9 +442,8 @@ class TestCauchyRatio:
         """The nominal disk contains a zero of f' (winding 1); one halving
         restores the hypothesis and the two routes then agree to 1e-20."""
         cfg = config_from_blocks([(4, 2), (16, 4)])
-        cr = cauchy_ratio(cfg, 2, 0, nodes=256)
+        cr = cauchy_ratio(cfg, 2, 0)
         assert cr.winding_at_full_radius == 1
-        assert not cr.full_radius_zero_free
         assert cr.halvings == 1
         assert cr.agreement < mpf("1e-20")
         assert cr.chain_bound >= abs(cr.direct)
@@ -452,20 +451,19 @@ class TestCauchyRatio:
     def test_factorial_ratios_decreasing_and_bounded(self):
         """The ratios decrease over k = 2..4 and each 2f route agrees: the
         quadrature circle has 1/32 the radius of the zero-free winding
-        circle, so its trapezoid error falls at least like 32^-n from any
-        starting node count."""
+        circle, so its trapezoid error falls at least like 32^-n in the
+        node count n."""
         cfg = make_schedule(0.5, 4, "factorial")
-        ratios = []
-        for k, nodes in ((2, 256), (3, 512), (4, 64)):
-            cr = cauchy_ratio(cfg, k, 0, nodes=nodes)
+        crs = {}
+        for k in (2, 3, 4):
+            cr = cauchy_ratio(cfg, k, 0)
             assert abs(cr.direct) <= derivative_ratio_bound(cfg, k)
             assert cr.agreement < mpf("1e-20")
             assert cr.chain_bound >= abs(cr.direct)
-            ratios.append(abs(cr.direct))
-        assert ratios[0] > ratios[1] > ratios[2]
+            crs[k] = cr
+        assert abs(crs[2].direct) > abs(crs[3].direct) > abs(crs[4].direct)
         # blocks 3 and 4 are far enough apart for the nominal disk itself
-        cr3 = cauchy_ratio(cfg, 3, 0, nodes=64)
-        assert cr3.full_radius_zero_free
+        assert crs[3].winding_at_full_radius == 0
 
 
 @pytest.fixture(scope="module")
@@ -483,7 +481,7 @@ def headline_block1():
 
     coefficients._fprime_on_circle = counting
     try:
-        cr = cauchy_ratio(cfg, 1, 0, nodes=32)
+        cr = cauchy_ratio(cfg, 1, 0)
     finally:
         coefficients._fprime_on_circle = real
     return cr, count[0]
@@ -518,22 +516,6 @@ class TestContourNodeDoubling:
         cr = cauchy_ratio(make_schedule(0.5, 6, "factorial", dps=220), 6, 0)
         assert cr.agreement < mpf("1e-80") and cr.halvings == 0
 
-    def test_rejects_node_counts_off_the_grid(self):
-        cfg = config_from_blocks([(1, 2)])
-        for nodes in (1, 100, 2 * coefficients.MAX_NODES):
-            with pytest.raises(ConfigError):
-                cauchy_ratio(cfg, 1, 0, nodes=nodes)
-
-    def test_winding_rejects_a_count_off_the_grid(self):
-        """100 does not divide 4096: the winding refuses it before sampling,
-        rather than sample the 103 nodes of a stride of 40 and report 100."""
-        cfg = make_schedule(0.5, 4, "factorial")
-        r_3, n_3 = cfg.block(3)
-        samples = {}
-        with pytest.raises(ConfigError):
-            coefficients.sample_winding(cfg, (3, 0), r_3 / n_3, 100, samples)
-        assert samples == {}
-
     def test_winding_raises_at_the_cap_sampling_each_node_once(self, monkeypatch):
         """f' = w^1365 turns by 1/3 or 2/3 of a circle per step at every level
         from 32 to 4096 nodes: the winding raises at the cap, having sampled
@@ -549,18 +531,25 @@ class TestContourNodeDoubling:
         r_3, n_3 = cfg.block(3)
         samples = {}
         with pytest.raises(QuadratureError):
-            coefficients.sample_winding(cfg, (3, 0), r_3 / n_3, 32, samples)
+            coefficients.sample_winding(cfg, (3, 0), r_3 / n_3, samples)
         assert count[0] == len(samples) == coefficients.MAX_NODES
 
-    def test_winding_doubles_on_an_argument_jump(self):
-        """From 8 nodes the argument of f' around block 2 of doubly_exp
-        rho=0.55 K=3 (r=16, n=5) jumps by more than pi/2; the sampler
-        doubles to 16 nodes, sampling none of the first 8 again."""
-        cfg = make_schedule(0.55, 3, "doubly_exp")
-        r, n = cfg.blocks[1]
+    def test_winding_doubles_on_an_argument_jump(self, monkeypatch):
+        """f' = w^12 turns by 3 pi/4 per step at the first 32 nodes, more than
+        pi/2: the sampler doubles to 64 nodes, where it turns by 3 pi/8, and
+        counts 12, sampling none of the first 32 again."""
+        count = [0]
+
+        def turning(cfg, zero, radius, directions):
+            count[0] += len(directions)
+            return [w**12 for w in directions]
+
+        monkeypatch.setattr(coefficients, "_fprime_on_circle", turning)
+        cfg = make_schedule(0.5, 4, "factorial")
+        r_3, n_3 = cfg.block(3)
         samples = {}
-        assert coefficients.sample_winding(cfg, (2, 0), r / n, 8, samples) == (16, 0)
-        assert len(samples) == 16
+        assert coefficients.sample_winding(cfg, (3, 0), r_3 / n_3, samples) == (64, 12)
+        assert count[0] == len(samples) == 64
 
     def test_wrong_second_derivative_fails_every_contour_record(
         self, factorial_system, monkeypatch

@@ -281,8 +281,7 @@ class TestThm2Asymptotics:
         by_block = {d.block: d for d in rep.disks}
         assert not by_block[1].applicable
         assert not by_block[2].applicable
-        assert by_block[3].applicable and by_block[3].zero_free
-        assert by_block[3].winding == 0
+        assert by_block[3].applicable and by_block[3].winding == 0
 
     def test_zero_fprime_on_contour_raises(self, factorial_cfg, monkeypatch):
         """A node where f' is exactly 0 stops the disk check: the winding of
@@ -306,7 +305,7 @@ class TestThm2Asymptotics:
         rep = verify_thm2_asymptotics(factorial_cfg, 4, seed=2)
         assert rep.passed
         by_block = {d.block: d for d in rep.disks}
-        assert by_block[4].applicable and by_block[4].zero_free
+        assert by_block[4].applicable and by_block[4].winding == 0
 
     def test_two_block_exact_partial_product(self):
         cfg = config_from_blocks([(4, 2), (16, 4)])
@@ -320,9 +319,8 @@ class TestThm2Asymptotics:
         cfg = config_from_blocks([(4, 2), (16, 4)])
         rep = verify_thm2_asymptotics(cfg, 2, seed=1)
         by_block = {d.block: d for d in rep.disks}
-        assert by_block[1].applicable and by_block[1].zero_free
-        assert by_block[2].applicable and by_block[2].zero_free is False
-        assert by_block[2].winding == 1
+        assert by_block[1].applicable and by_block[1].winding == 0
+        assert by_block[2].applicable and by_block[2].winding == 1
         assert not rep.disks_pass
 
     def test_doubly_exp_disks_confirmed(self):
@@ -334,8 +332,7 @@ class TestThm2Asymptotics:
         rep = verify_thm2_asymptotics(cfg, 2)
         by_block = {d.block: d for d in rep.disks}
         for j in (1, 2):
-            assert by_block[j].applicable and by_block[j].zero_free, j
-            assert by_block[j].winding == 0
+            assert by_block[j].applicable and by_block[j].winding == 0, j
         assert rep.disks_pass
 
     def test_logderiv_bound_counts_the_blocks_above_k(self):

@@ -4,7 +4,7 @@ and algebraic properties."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -179,6 +179,9 @@ def test_mul_associative_commutative(a, b, c):
 
 
 @given(log_values(), log_values())
+# conjugates whose sum is a negative real: its argument, just above -pi,
+# must not round to -pi at the working precision
+@example(LogComplex(mpf(2.00001), mpf(-2.00001)), LogComplex(mpf(2.00001), mpf(2.00001)))
 @settings(max_examples=200, deadline=None)
 def test_argument_always_principal(a, b):
     for out in (log_mul(a, b), log_neg(a), log_pow_int(a, 7)):

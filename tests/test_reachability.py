@@ -7,6 +7,11 @@ reasons are checked too.  So a new function that only tests call fails
 here, and so does an entry that a run now reaches, one that no longer
 exists, or one whose reason no longer holds: when the benchmark drops a
 layer, this test names the code that goes with it.
+
+The options check reads the same modules: every parameter with a default
+must be passed at some call inside the package, or be on
+``UNSET_OPTIONS`` with a reason that holds.  So an option that only tests
+set fails here too.
 """
 
 import ast
@@ -36,6 +41,8 @@ BENCHMARK = "benchmark"
 PUBLIC = "public"
 # the __init__ of an error class, run only where that error is raised
 ERROR_PATH = "error path"
+# the console script of pyproject.toml, which passes no argument
+ENTRY_POINT = "entry point"
 
 ALLOWLIST = {
     "product.eval_f": BENCHMARK,
@@ -62,6 +69,13 @@ ALLOWLIST = {
     "errors.CancellationError.__init__": ERROR_PATH,
     "errors.QuadratureError.__init__": ERROR_PATH,
     "errors.PrecisionInsufficient.__init__": ERROR_PATH,
+}
+
+
+# "module.def(parameter)": a default that no call inside the package sets
+UNSET_OPTIONS = {
+    "cli.main(argv)": ENTRY_POINT,
+    "logdomain._require_finite(what)": BENCHMARK,
 }
 
 
@@ -263,3 +277,91 @@ def test_allowlist_reason_holds(name):
         cls, method = qualname.split(".")
         assert module == "errors" and method == "__init__", name
         assert issubclass(getattr(errors, cls), errors.LacunaryError), name
+
+
+def _options(defs) -> dict:
+    """{"module.def(parameter)": (parameter, short name a call uses,
+    positional index or None)} for every parameter with a default; a
+    method's index counts from the argument after self, and a call of its
+    class is a call of ``__init__``."""
+    methods = {
+        id(child)
+        for tree in _modules().values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for child in cls.body
+        if isinstance(child, ast.FunctionDef)
+    }
+    options = {}
+    for name, (_, node) in defs.items():
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if id(node) in methods else 0
+        short = name.split(".")[-2] if node.name == "__init__" else node.name
+        defaulted = [
+            (arg, index - skip)
+            for index, arg in enumerate(positional)
+            if index >= len(positional) - len(args.defaults)
+        ]
+        defaulted += [
+            (arg, None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+        for arg, index in defaulted:
+            options[f"{name}({arg.arg})"] = arg.arg, short, index
+    return options
+
+
+def _passed(parameter, short, index, calls) -> bool:
+    """Whether some call of ``calls`` to ``short`` passes ``parameter``, by
+    keyword or at positional ``index`` (None: keyword-only)."""
+    for call in calls:
+        func = call.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != short:
+            continue
+        if any(kw.arg in (parameter, None) for kw in call.keywords):
+            return True
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        if index is not None and (starred or index < len(call.args)):
+            return True
+    return False
+
+
+def _unset_options() -> set:
+    """The defaulted parameters that no call inside the package passes."""
+    calls = [node for tree in _modules().values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    return {
+        key
+        for key, (parameter, short, index) in _options(_defs(_modules())).items()
+        if not _passed(parameter, short, index, calls)
+    }
+
+
+def test_every_option_is_set_inside_the_package():
+    unset = sorted(_unset_options() - set(UNSET_OPTIONS))
+    assert not unset, (
+        f"no call inside the package sets {unset}: write the default into the body, "
+        "or give the parameter a caller"
+    )
+
+
+@pytest.mark.parametrize("option", sorted(UNSET_OPTIONS))
+def test_unset_option_reason_holds(option):
+    assert option in _unset_options(), (
+        f"{option} is set inside the package or no longer a defaulted parameter; "
+        "take it off UNSET_OPTIONS"
+    )
+    name = option.split("(")[0]
+    reason = UNSET_OPTIONS[option]
+    if reason == ENTRY_POINT:
+        module, qualname = name.split(".", 1)
+        pyproject = (PKG.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        assert f'"lacunary.{module}:{qualname}"' in pyproject, f"{name} is no console script"
+    else:
+        assert reason == BENCHMARK, f"{option}: unknown reason {reason!r}"
+        modules = _modules()
+        assert _benchmark_keeps(name, _defs(modules), _layers(), _imported_by_library(modules)), (
+            f"{name}: not in benchmarks/run.py LAYERS, and not kept alive by a name that is"
+        )

@@ -2,9 +2,10 @@
 
     PYTHONPATH=src:tests python tests/write_golden.py
 
-runs ``verify --checks all`` on the configs of ``helpers.GOLDEN_CONFIGS``
-and ``construct --precision 200`` on the headline, in a temporary
-directory, and stores the digests of their outputs under
+runs ``verify --checks all`` on the configs of ``helpers.GOLDEN_CONFIGS``,
+``construct --precision 200`` on the headline and the runs of
+``helpers.GOLDEN_RUNS`` (the ``--artifacts`` verify reads that construct),
+in a temporary directory, and stores the digests of their outputs under
 ``helpers.golden_key()`` (mpmath version and backend), keeping the other
 keys.  ``test_cli.py::TestGolden`` compares every later run with them.
 Run it only where the outputs are meant to change, and say in CHANGES.md
@@ -18,8 +19,8 @@ from pathlib import Path
 from lacunary.cli import main
 
 from helpers import (
-    GOLDEN, GOLDEN_CONFIGS, GOLDEN_CONSTRUCT, GOLDEN_CONSTRUCT_FILES, GOLDEN_VERIFY_FILES,
-    golden_key, golden_verify, output_digests
+    GOLDEN, GOLDEN_CONFIGS, GOLDEN_CONSTRUCT, GOLDEN_CONSTRUCT_FILES, GOLDEN_RUNS,
+    GOLDEN_VERIFY_FILES, golden_key, golden_run, golden_verify, output_digests
 )
 
 
@@ -34,6 +35,8 @@ def digests(root: Path) -> dict:
     out = root / "construct"
     main(["construct", "--config", str(root / "headline.json"), "--out", str(out), "--precision", "200"])
     entry[GOLDEN_CONSTRUCT] = output_digests(out, GOLDEN_CONSTRUCT_FILES)
+    for name, (_, _, files) in GOLDEN_RUNS.items():
+        entry[name] = output_digests(golden_run(root, name, out)[1], files)
     return entry
 
 
