@@ -203,7 +203,7 @@ def check_cauchy(sys: CoefficientSystem, seed: int):
     ratios = []
     fd_tol = mp.power(10, -mpf(sys.dps) / 4)
     for k in range(1, cfg.K + 1):
-        cr = cauchy_ratio(cfg, k, 0)
+        cr = cauchy_ratio(cfg, k)
         ratios.append(abs(cr.direct))
         bound = derivative_ratio_bound(cfg, k)
         records.append(

@@ -297,7 +297,6 @@ class CauchyRatio:
     direct: mpc
     contour: mpc
     contour_half: mpc
-    radius: mpf
     quad_radius: mpf
     winding_at_full_radius: int
     halvings: int
@@ -314,13 +313,11 @@ class CauchyRatio:
         return abs(self.direct - self.contour_half) / abs(self.direct)
 
 
-def sample_winding(
-    cfg: LacunaryConfig, zero: tuple[int, int], radius, samples: dict
-) -> tuple[int, int]:
-    """(n, winding of f') on the circle of ``radius`` around ``zero`` = (k, m)
+def sample_winding(cfg: LacunaryConfig, k: int, radius, samples: dict) -> tuple[int, int]:
+    """(n, winding of f') on the circle of ``radius`` around block k's zero r_k
     from n half-step nodes of :func:`_circle_levels`, keeping every node in
     ``samples``; n doubles from 32 to MAX_NODES while arguments jump by > pi/2."""
-    fprime = partial(_fprime_on_circle, cfg, zero, radius)
+    fprime = partial(_fprime_on_circle, cfg, k, radius)
     for n, vals in _circle_levels(fprime, samples, MAX_NODES, 1):
         fps = [fp for _, fp in vals]
         steps = [mp.arg(b / a) for a, b in zip(fps, fps[1:] + fps[:1])]
@@ -329,15 +326,15 @@ def sample_winding(
     raise QuadratureError("winding nodes too sparse: argument jumped by more than pi/2")
 
 
-def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int) -> CauchyRatio:
-    """f''/f'^2 at a zero, directly and via the Cauchy integral for (1/f')'.
+def cauchy_ratio(cfg: LacunaryConfig, k: int) -> CauchyRatio:
+    """f''/f'^2 at block k's zero r_k, directly and via the Cauchy integral for (1/f')'.
 
     The winding circle of radius R (the module docstring) is sampled by
-    :func:`sample_winding`.  The quadrature circle of radius R/32 has its
-    own nested grid: n doubles from 32 until the trapezoid estimates from n
-    and n/2 nodes differ by less than CONTOUR_AGREEMENT_THRESHOLD/10 of the
-    direct value, or n reaches MAX_NODES.  ``chain_bound`` is max 1/|f'| on
-    the winding circle over R.
+    :func:`sample_winding`, on the disk samples asymptotics shares while
+    R = r_k/n_k.  The quadrature circle of radius R/32 has its own nested
+    grid: n doubles from 32 until the estimates from n and n/2 nodes differ
+    by less than CONTOUR_AGREEMENT_THRESHOLD/10 of the direct value, or n
+    reaches MAX_NODES.  ``chain_bound`` is max 1/|f'| on the winding circle over R.
 
     Why R/32: 1/f' is analytic on the disk of radius R, so the trapezoid
     rule with n nodes on the circle of radius rho < R errs by about
@@ -350,28 +347,25 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int) -> CauchyRatio:
     """
     with mp.workdps(cfg.dps):
         r_k, n_k = cfg.block(k)
-        f1, f2 = derivs_at_zero(cfg, k, m)
+        f1, f2 = derivs_at_zero(cfg, k, 0)
         direct = f2 / (f1 * f1)
         tol = CONTOUR_AGREEMENT_THRESHOLD / 10 * abs(direct)
-        radius, halvings = r_k / n_k, 0
+        radius, winding = r_k / n_k, cfg._disk_samples(k)
         # guard the quadrature circle first: its precision covers the winding circle's
-        _fprime_on_circle(cfg, (k, m), radius / 32, ())
-        while True:
-            winding = {}
-            winding_nodes, w = sample_winding(cfg, (k, m), radius, winding)
-            if halvings == 0:
-                winding_full = w
-            if w == 0:
-                break
+        _fprime_on_circle(cfg, k, radius / 32, ())
+        winding_nodes, winding_full = sample_winding(cfg, k, radius, winding)
+        w, halvings = winding_full, 0
+        while w != 0:
             halvings += 1
             if halvings > MAX_HALVINGS:
                 raise ZeroOnContourError(
-                    f"no zero-free contour found around zero ({k}, {m}) after "
+                    f"no zero-free contour found around zero ({k}, 0) after "
                     f"{MAX_HALVINGS} halvings"
                 )
-            radius = radius / 2
+            radius, winding = radius / 2, {}
+            winding_nodes, w = sample_winding(cfg, k, radius, winding)
         quad_radius = radius / 32
-        fprime = partial(_fprime_on_circle, cfg, (k, m), quad_radius)
+        fprime = partial(_fprime_on_circle, cfg, k, quad_radius)
         for n, vals in _circle_levels(fprime, {}, MAX_NODES, 1):
             terms = [1 / (quad_radius * w_j * fp) for w_j, fp in vals]
             integral = mp.fsum(terms) / n
@@ -382,7 +376,6 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int, m: int) -> CauchyRatio:
             direct=direct,
             contour=-integral,
             contour_half=-integral_half,
-            radius=radius,
             quad_radius=quad_radius,
             winding_at_full_radius=winding_full,
             halvings=halvings,

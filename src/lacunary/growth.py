@@ -299,8 +299,8 @@ def indicator_scan(fn, rho, thetas, radii, exclusion) -> IndicatorScan:
 # finite-level asymptotics of the product near its k-th circle
 
 # points near the circle in (i)-(ii); (iii) reads the first level of the f'
-# windings' grid (``product._circle_levels``), which on block k's circle
-# starts (iv)'s winding
+# windings' grid (``product._circle_levels``) from the config's disk samples
+# (``LacunaryConfig._disk_samples``), which (iv) and the contour check extend
 ANNULUS_POINTS = 32
 
 # draws per requested point before an annulus sampler gives up
@@ -391,9 +391,9 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
           finite-level error scale of that product form;
     (iv)  for every block whose disk sits strictly between the
           neighbouring circles, the argument-principle winding of f'
-          confirms the disk holds no zero of f' (``sample_winding``); on
-          block k's circle it starts from the nodes of (iii).  With no
-          such block, (iv) holds vacuously.
+          confirms the disk holds no zero of f' (``sample_winding``), on
+          the disk samples (``LacunaryConfig._disk_samples``) that (iii) and
+          the contour check share.  With no such block, (iv) holds vacuously.
     """
     if not 1 <= k <= cfg.K:
         raise ConfigError(f"k must be within 1..{cfg.K}")
@@ -433,9 +433,9 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
         pass_ii = bool(reason_ii or dev_ii <= bound_ii)
 
         # (iii) |f'| on the disk boundary against the product form, on the
-        # nodes that (iv) then extends on the same circle
-        circle, fprime = {}, partial(_fprime_on_circle, cfg, (k, 0), r_k / mpf(n_k))
-        _, vals = next(_circle_levels(fprime, circle, MAX_NODES, 1))
+        # first level alone: (iv) may not apply to block k
+        fprime = partial(_fprime_on_circle, cfg, k, r_k / mpf(n_k))
+        _, vals = next(_circle_levels(fprime, cfg._disk_samples(k), MAX_NODES, 1))
         log_prefactor = sum(
             (mpf(n_j) * (mp.log(r_k) - mp.log(r_j)) for r_j, n_j in cfg.blocks[: k - 1]),
             mpf(0),
@@ -460,8 +460,7 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
             w = None
             if applicable:
                 r_j, n_j = cfg.block(j)
-                samples = circle if j == k else {}
-                _, w = sample_winding(cfg, (j, 0), r_j / mpf(n_j), samples)
+                _, w = sample_winding(cfg, j, r_j / mpf(n_j), cfg._disk_samples(j))
             disks.append(DiskCheck(j, applicable, reason, w))
         disks_pass = all(d.winding == 0 for d in disks if d.applicable)
 

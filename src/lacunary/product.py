@@ -53,14 +53,16 @@ f has real Taylor coefficients, so zero and residue n_k - m are the
 conjugates of zero and residue m: for index m > n_k/2 ``_unit_root``,
 ``zeros`` and ``_block_residues`` take the exact conjugate.
 
-Configs and zero sets are immutable; every evaluation is a pure
-function, so points can be evaluated concurrently without locks.
+Configs and zero sets are immutable, but for each config's memo of f' on
+its disk circles (``LacunaryConfig._disk_samples``), whose concurrent fills
+write the same bits; every evaluation is a pure function, so points can be
+evaluated concurrently without locks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
@@ -103,10 +105,15 @@ class LacunaryConfig:
     dps: int
     rule: str | None
     sigma_certificate: SummabilityCertificate
+    _disk: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def K(self) -> int:
         return len(self.blocks)
+
+    def _disk_samples(self, k: int) -> dict:
+        """f' on block k's disk circle |z - r_k| = r_k/n_k, as ``_circle_levels`` keeps it."""
+        return self._disk.setdefault(k, {})
 
     def block(self, k: int) -> tuple[mpf, int]:
         """Block k (1-based); rule-based schedules extend past K on demand."""
@@ -697,20 +704,19 @@ def _circle_levels(batch, samples: dict, cap: int, offset: int):
         n *= 2
 
 
-def _fprime_on_circle(cfg: LacunaryConfig, zero: tuple[int, int], radius, directions) -> list[mpc]:
-    """f' at xi + radius * w for the zero xi of ``zero`` = (k, m) and each unit
+def _fprime_on_circle(cfg: LacunaryConfig, k: int, radius, directions) -> list[mpc]:
+    """f' at r_k + radius * w around block k's real zero r_k, for each unit
     direction w: the f' of ``f_jet``, with its guards checked once per circle.
 
     10^(-P/2) r_k <= radius <= r_k/n_k (ConfigError above; PrecisionInsufficient
     below, suggesting the 2 log10(r_k/radius) digits that resolve it), and
     r_k + radius < r_{K+1}/2 (TailError) bounds every node.  The near-zero
-    guard then cannot fire: xi is ``radius`` away, the other zeros of block
+    guard then cannot fire: r_k is ``radius`` away, the other zeros of block
     k at least 2 r_k sin(pi/n_k) - radius >= 3 r_k/n_k, and every other
     block's circle at least 10^(-P/2) of its radius while the annulus
     ||z| - r_k| <= radius keeps that margin.  A circle that reaches a
     neighbouring one (nominal disks of the smallest blocks) keeps the guard.
     """
-    k, m = zero
     with mp.workdps(cfg.dps):
         r_k, n_k = cfg.block(k)
         radius = mpf(radius)
@@ -725,7 +731,7 @@ def _fprime_on_circle(cfg: LacunaryConfig, zero: tuple[int, int], radius, direct
         clear = (k == 1 or r_k - radius >= (1 + margin) * cfg.blocks[k - 2][0]) and (
             k == cfg.K or r_k + radius <= (1 - margin) * cfg.blocks[k][0]
         )
-        xi = zero_point(cfg, k, m)
+        xi = zero_point(cfg, k, 0)
         vals = []
         for j, w in enumerate(directions):
             z = xi + radius * w

@@ -109,7 +109,7 @@ def test_criterion_4_derivative_ratio_bounds():
     the first 32 nodes."""
     start = time.perf_counter()
     cfg2 = config_from_blocks([(4, 2), (16, 4)])
-    cr = cauchy_ratio(cfg2, 2, 0)
+    cr = cauchy_ratio(cfg2, 2)
     ok = abs(cr.direct - mpf(109) / 900) < mpf("1e-20")
     ok = ok and abs(cr.direct) <= mp.e * (mpf(4) / 16) ** 2
     ok = ok and cr.agreement < mpf("1e-20") and cr.nodes == 32
@@ -117,7 +117,7 @@ def test_criterion_4_derivative_ratio_bounds():
     cfg4 = make_schedule(0.5, 4, "factorial")
     ratios = []
     for k in (2, 3, 4):
-        crk = cauchy_ratio(cfg4, k, 0)
+        crk = cauchy_ratio(cfg4, k)
         ratios.append(abs(crk.direct))
         ok = ok and abs(crk.direct) <= derivative_ratio_bound(cfg4, k)
     ok = ok and ratios[0] > ratios[1] > ratios[2]

@@ -427,14 +427,14 @@ class TestReciprocalDerivativeIdentity:
 
 class TestCauchyRatio:
     def test_symbolic_anchor(self):
-        cr = cauchy_ratio(config_from_blocks([(1, 2)]), 1, 0)
+        cr = cauchy_ratio(config_from_blocks([(1, 2)]), 1)
         assert rel_err(cr.direct, mpf("-0.5")) < mpf("1e-90")
         assert cr.winding_at_full_radius == 0
         assert cr.agreement < mpf("1e-20")
 
     def test_doubly_exp_direct_value_and_bound(self):
         cfg = config_from_blocks([(4, 2), (16, 4)])
-        cr = cauchy_ratio(cfg, 2, 0)
+        cr = cauchy_ratio(cfg, 2)
         assert rel_err(cr.direct, mpf(109) / 900) < mpf("1e-20")
         assert abs(cr.direct) <= mp.e * (mpf(4) / 16) ** 2
 
@@ -442,7 +442,7 @@ class TestCauchyRatio:
         """The nominal disk contains a zero of f' (winding 1); one halving
         restores the hypothesis and the two routes then agree to 1e-20."""
         cfg = config_from_blocks([(4, 2), (16, 4)])
-        cr = cauchy_ratio(cfg, 2, 0)
+        cr = cauchy_ratio(cfg, 2)
         assert cr.winding_at_full_radius == 1
         assert cr.halvings == 1
         assert cr.agreement < mpf("1e-20")
@@ -456,7 +456,7 @@ class TestCauchyRatio:
         cfg = make_schedule(0.5, 4, "factorial")
         crs = {}
         for k in (2, 3, 4):
-            cr = cauchy_ratio(cfg, k, 0)
+            cr = cauchy_ratio(cfg, k)
             assert abs(cr.direct) <= derivative_ratio_bound(cfg, k)
             assert cr.agreement < mpf("1e-20")
             assert cr.chain_bound >= abs(cr.direct)
@@ -475,13 +475,13 @@ def headline_block1():
     real = coefficients._fprime_on_circle
     count = [0]
 
-    def counting(cfg, xi, radius, directions):
+    def counting(cfg, k, radius, directions):
         count[0] += len(directions)
-        return real(cfg, xi, radius, directions)
+        return real(cfg, k, radius, directions)
 
     coefficients._fprime_on_circle = counting
     try:
-        cr = cauchy_ratio(cfg, 1, 0)
+        cr = cauchy_ratio(cfg, 1)
     finally:
         coefficients._fprime_on_circle = real
     return cr, count[0]
@@ -511,9 +511,9 @@ class TestContourNodeDoubling:
         220 digits and the winding circle r_6/n_6 217: from 100 digits the
         first suggestion is 220, not 217, and at 220 the ratio is formed."""
         with pytest.raises(PrecisionInsufficient) as exc:
-            cauchy_ratio(make_schedule(0.5, 6, "factorial", dps=100), 6, 0)
+            cauchy_ratio(make_schedule(0.5, 6, "factorial", dps=100), 6)
         assert exc.value.suggested_dps == 220
-        cr = cauchy_ratio(make_schedule(0.5, 6, "factorial", dps=220), 6, 0)
+        cr = cauchy_ratio(make_schedule(0.5, 6, "factorial", dps=220), 6)
         assert cr.agreement < mpf("1e-80") and cr.halvings == 0
 
     def test_winding_raises_at_the_cap_sampling_each_node_once(self, monkeypatch):
@@ -522,7 +522,7 @@ class TestContourNodeDoubling:
         f' once at each of the 4096 nodes."""
         count = [0]
 
-        def turning(cfg, zero, radius, directions):
+        def turning(cfg, k, radius, directions):
             count[0] += len(directions)
             return [w**1365 for w in directions]
 
@@ -531,7 +531,7 @@ class TestContourNodeDoubling:
         r_3, n_3 = cfg.block(3)
         samples = {}
         with pytest.raises(QuadratureError):
-            coefficients.sample_winding(cfg, (3, 0), r_3 / n_3, samples)
+            coefficients.sample_winding(cfg, 3, r_3 / n_3, samples)
         assert count[0] == len(samples) == coefficients.MAX_NODES
 
     def test_winding_doubles_on_an_argument_jump(self, monkeypatch):
@@ -540,7 +540,7 @@ class TestContourNodeDoubling:
         counts 12, sampling none of the first 32 again."""
         count = [0]
 
-        def turning(cfg, zero, radius, directions):
+        def turning(cfg, k, radius, directions):
             count[0] += len(directions)
             return [w**12 for w in directions]
 
@@ -548,7 +548,7 @@ class TestContourNodeDoubling:
         cfg = make_schedule(0.5, 4, "factorial")
         r_3, n_3 = cfg.block(3)
         samples = {}
-        assert coefficients.sample_winding(cfg, (3, 0), r_3 / n_3, samples) == (64, 12)
+        assert coefficients.sample_winding(cfg, 3, r_3 / n_3, samples) == (64, 12)
         assert count[0] == len(samples) == 64
 
     def test_wrong_second_derivative_fails_every_contour_record(
@@ -597,9 +597,9 @@ class TestContourAtThreePrecisions:
             count[0] += len(directions)
             return real(cfg, xi, radius, directions)
 
-        def ratio(cfg, k, m):
+        def ratio(cfg, k):
             before = count[0]
-            cr = real_ratio(cfg, k, m)
+            cr = real_ratio(cfg, k)
             per_block.append((cr, count[0] - before))
             return cr
 

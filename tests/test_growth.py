@@ -298,7 +298,7 @@ class TestThm2Asymptotics:
         r_3, n_3 = factorial_cfg.block(3)
         directions = [mp.expjpi(mpf(2 * j + 1) / 8) for j in range(8)]
         with pytest.raises(ZeroOnContourError, match="at node 2"):
-            _fprime_on_circle(factorial_cfg, (3, 0), r_3 / n_3, directions)
+            _fprime_on_circle(factorial_cfg, 3, r_3 / n_3, directions)
         assert len(nodes) == 3
 
     def test_factorial_k4_passes(self, factorial_cfg):

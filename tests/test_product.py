@@ -6,6 +6,8 @@ fractions, exact-fraction polynomial differentiation, and central finite
 differences of ln f.
 """
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -21,9 +23,10 @@ from lacunary import (
     TailError,
     config_from_blocks,
     make_schedule,
+    make_system,
 )
 from lacunary import product
-from lacunary.coefficients import build_H
+from lacunary.coefficients import build_H, sample_winding
 from lacunary.product import (
     config_from_dict,
     config_to_dict,
@@ -567,7 +570,7 @@ class TestRawKernel:
         cfg = make_schedule(0.5, 4, "factorial")
         r, n = cfg.blocks[k - 1]
         directions = [mp.expjpi(mpf(2 * i + 1) / 32) for i in range(32)]
-        product._fprime_on_circle(cfg, (k, 0), r / n, directions)
+        product._fprime_on_circle(cfg, k, r / n, directions)
         assert len(formed) == powers
 
 
@@ -612,9 +615,42 @@ class TestRadialGuard:
         monkeypatch.setattr(product, "_near_zero_guard", lambda *a: guards.append(a) or guard(*a))
         monkeypatch.setattr(product, "nearest_zero", lambda *a: lookups.append(a) or lookup(*a))
         directions = [mp.expjpi(mpf(2 * i + 1) / 16) for i in range(16)]
-        values = product._fprime_on_circle(cfg, (1, 0), 2, directions)
+        values = product._fprime_on_circle(cfg, 1, 2, directions)
         assert len(values) == len(guards) == 16 and lookups == []
         assert values[0] == f_jet(cfg, guards[0][1], 1)[1]
+
+
+class TestDiskSamples:
+    """Each config object keeps its own f' samples on the disk circles, which
+    the checks share; they are no part of the config's value."""
+
+    README = '{"blocks": [[4, 2], [16, 4]], "rho_f": 0.5}'
+
+    def _filled(self):
+        """Two configs from one JSON text, the first with block 2's disk
+        circle sampled."""
+        a, b = (config_from_dict(json.loads(self.README)) for _ in range(2))
+        r, n = a.block(2)
+        sample_winding(a, 2, r / n, a._disk_samples(2))
+        return a, b
+
+    def test_each_config_object_holds_its_own(self):
+        a, b = self._filled()
+        assert len(a._disk_samples(2)) >= 32 and b._disk_samples(2) == {}
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+    def test_a_replaced_config_starts_empty(self):
+        a, _ = self._filled()
+        variant = dataclasses.replace(a, blocks=a.blocks)
+        assert variant == a and variant._disk_samples(2) == {}
+        assert len(a._disk_samples(2)) >= 32
+
+    def test_interpolants_compare_and_hash_without_it(self):
+        """The README's ``deferred == rat, hash(deferred) == hash(rat)``
+        reads True True when only one config has sampled its circles."""
+        a, b = self._filled()
+        deferred, rat = make_system(a, defer_top=True).rat, make_system(b).rat
+        assert (deferred == rat, hash(deferred) == hash(rat)) == (True, True)
 
 
 class TestZeros:
