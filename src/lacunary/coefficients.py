@@ -51,7 +51,7 @@ from .product import (
     LacunaryConfig,
     _check_domain,
     _circle_levels,
-    _f_jet,
+    _f_jet_and_head,
     _fprime_on_circle,
     _jet,
     _near_zero_guard,
@@ -154,12 +154,14 @@ def _direct(sys: CoefficientSystem, z: mpc) -> tuple[mpc, mpc, mpc, mpc, mpc]:
 
     f's near-zero guard at s = 10^(-P/4) raises NearZeroError within s
     (relative) of a zero; z needs no other guard: s exceeds f_jet's
-    10^(-P/2), and g's poles are f's zeros.  Raises CancellationError when
-    f'' + A0 f' loses more than P/2 digits (s is too small)."""
+    10^(-P/2), and g's poles are f's zeros.  One pass over f's blocks
+    gives f, f', f'' and the (f, f'/f) over blocks 1..K-1 that g's closed
+    form for block K reads.  Raises CancellationError when f'' + A0 f'
+    loses more than P/2 digits (s is too small)."""
     _near_zero_guard(sys.cfg, z, NearZeroError, sys.dps / 4)
     _check_domain(sys.cfg, z)  # f's domain lies inside g's
-    f, fp, fpp = _f_jet(sys.cfg, z, 2)
-    a0 = f * _g_sum(sys.rat, z)
+    (f, fp, fpp), head = _f_jet_and_head(sys.cfg, z)
+    a0 = f * _g_sum(sys.rat, z, head)
     num = fpp + a0 * fp
     scale = max(abs(fpp), abs(a0 * fp))
     if scale > 0 and num != 0:

@@ -65,12 +65,42 @@ def _softplus(y: mpf) -> mpf:
     return mp.log1p(mp.exp(y))
 
 
+def _absorbs(x: mpf, y: mpf) -> bool:
+    """x is nonzero and any positive t < 4 e^-|y| added to it, correctly
+    rounded at the working precision, gives x back: from binary exponents
+    alone, forming no exp.  With x of binary size X (2^(X-1) <= |x| < 2^X)
+    and |y| >= 2^(Y-1), t < 2^(2 - |y|), which lies 2^5 below half an ulp
+    of x, 2^(X - prec - 1), once |y| >= prec + 8 - X."""
+    if not x or not y:
+        return False
+    need = mp.prec + 8 - (x._mpf_[2] + x._mpf_[3])
+    return need <= 0 or y._mpf_[2] + y._mpf_[3] - 1 >= (need - 1).bit_length()
+
+
+def _far(y: mpf) -> bool:
+    """|y| >= 2^(b + 1) > 2 prec, b the bit length of the working precision:
+    e^-|y| then lies more than 2 prec ulps below e^-|u| for every |u| < 2^(b + 1)."""
+    return bool(y) and y._mpf_[2] + y._mpf_[3] - 1 > mp.prec.bit_length()
+
+
 def log_max_modulus_bound(cfg: LacunaryConfig, r) -> tuple[mpf, mpf]:
     """Term-sum formula for ln M(r) with a two-sided correction bound.
 
     Returns (sum_j ln(1+(r/r_j)^{n_j}), correction) over the blocks of
     ``product._scan_blocks``; the true ln M(r) lies within
     [formula - correction, formula].
+
+    With y_j = n_j ln(r/r_j), each block adds softplus(y_j) to the formula
+    and, but for the dominant block of largest m_j = e^-|y_j|,
+    ln((1 + m_j)/(1 - m_j)) < 4 m_j to the correction.  Far from r_j, |y_j|
+    runs up to 2^20160, and an exp there costs a 20,000-bit division, for
+    a term that rounding absorbs: softplus(y) = y + ln(1 + e^-y) for
+    y > 0 and ln(1 + e^y) < e^y for y < 0.  So where :func:`_absorbs` shows
+    that the small part vanishes against what it joins (y itself, the
+    running formula, the running correction), no exp is formed; the sums
+    keep their bits.  m_j is formed for every block but a far one
+    (:func:`_far`): a far block is dominant only when every block is far,
+    and then it is the block of least |y|.
     """
     with mp.workdps(cfg.dps):
         r = mpf(r)
@@ -78,19 +108,29 @@ def log_max_modulus_bound(cfg: LacunaryConfig, r) -> tuple[mpf, mpf]:
             raise ConfigError("radius must be positive")
         log_r = mp.log(r)
         total = mpf(0)
-        ms = []
+        ys = []
         for r_k, n_k in _scan_blocks(cfg, r):
             y = cfg._multiplicity(n_k) * (log_r - mp.log(r_k))
-            total += _softplus(y)
-            ms.append(mp.exp(-abs(y)) if y != 0 else mpf(1))
+            ys.append(y)
+            if y > 0 and _absorbs(y, y):
+                total += y
+            elif not (y < 0 and _absorbs(total, y)):
+                total += _softplus(y)
+        ms = [None if _far(y) else mp.exp(-abs(y)) if y != 0 else mpf(1) for y in ys]
         # alignment correction: the dominant block can always be rotated to
         # its maximizing angle; every other block then contributes at worst
         # ln((1+m)/(1-m)) of slack around its modulus term
-        dominant = max(range(len(ms)), key=lambda i: ms[i])
+        formed = [i for i, m in enumerate(ms) if m is not None]
+        if formed:
+            dominant = max(formed, key=lambda i: ms[i])
+        else:
+            dominant = min(range(len(ys)), key=lambda i: abs(ys[i]))
         correction = mpf(0)
         for i, m_i in enumerate(ms):
-            if i == dominant:
+            if i == dominant or m_i is None and _absorbs(correction, ys[i]):
                 continue
+            if m_i is None:
+                m_i = mp.exp(-abs(ys[i]))
             if m_i >= 1:
                 raise ConfigError("two blocks at the same modulus scale")
             correction += mp.log1p(m_i) - mp.log1p(-m_i)

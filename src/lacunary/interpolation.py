@@ -6,8 +6,8 @@ From the product f we build the meromorphic function
 
 with one simple pole at every zero of f, so that A0 = f g is entire.
 Every interpolant belongs to a configuration, which fixes its poles: the
-zeros of that configuration's product.  The interpolant holds only the
-residues, one tuple per block (residue (k, m) is ``residues[k - 1][m]``,
+zeros of that configuration's product.  The interpolant's fields are only
+the residues, one tuple per block (residue (k, m) is ``residues[k - 1][m]``,
 at the pole ``zero_point(cfg, k, m)``), and their certificates; whoever
 needs a pole forms it from the config with ``zero_point`` or ``zeros``.
 
@@ -48,7 +48,10 @@ sample of g; elsewhere it runs the quadrature.
 Interpolants are immutable and evaluation is pure: quadrature nodes can
 be evaluated concurrently, and sums run in the config's zero order so
 results are deterministic.  A deferred block K (``_TopBlock``) is formed
-once, by its first read; concurrent first reads compute the same bits.
+once, by its first read, and so are the terms of g that depend on the
+config alone (the zeros of the directly summed blocks, the block masses
+and the aliasing bound's constants); concurrent first reads compute the
+same bits.
 """
 
 from __future__ import annotations
@@ -97,6 +100,46 @@ class RationalInterpolant:
     @property
     def c_bound(self) -> mpf:
         return max(self.block_max)
+
+    # The config-only terms of g's kernel :func:`_g_sum`, formed once per
+    # interpolant at the config's precision, which every caller runs at.
+
+    @cached_property
+    def _poles(self) -> tuple[tuple[mpc, ...], ...]:
+        """The zeros of blocks 1..K-1, which g sums directly at every point."""
+        return tuple(tuple(zeros(self.cfg, k)) for k in range(1, self.cfg.K))
+
+    @cached_property
+    def _top_poles(self) -> tuple[mpc, ...]:
+        """The zeros of block K, formed at the first point where g sums
+        that block directly."""
+        return tuple(zeros(self.cfg, self.cfg.K))
+
+    @cached_property
+    def _masses(self) -> tuple[mpf, ...]:
+        """U_k = r_k S_k (1 + 4 n_k eps) per block: sum |u| over block k's
+        poles, all of modulus r_k, from its certified sum S_k of |u/z|,
+        raised by a rounding allowance for the n_k-term sum."""
+        with mp.workdps(self.cfg.dps):
+            pairs = zip(self.cfg.blocks, self.block_sums)
+            return tuple(rj * s * (1 + 4 * nj * mp.eps) for (rj, nj), s in pairs)
+
+    @cached_property
+    def _contours(self) -> tuple[tuple[mpf, mpf, mpf], ...] | None:
+        """(rho, n rho^n M, r_K (1 - rho^n)) for each contour of
+        :func:`_aliasing_bound` with rho < 1; None for K = 1."""
+        (r, n), lower = self.cfg.blocks[-1], self.cfg.blocks[:-1]
+        if not lower:
+            return None
+        contours = []
+        with mp.workdps(self.cfg.dps):
+            for c in (2, 4):
+                rho = c * lower[-1][0] / r
+                if rho < 1:
+                    M = _closed_form_max(n, [(nj, mp.power(rho * r / rj, nj)) for rj, nj in lower])
+                    rn = mp.power(rho, n)
+                    contours.append((rho, n * rn * M, r * (1 - rn)))
+        return tuple(contours)
 
     @property
     def residue_bounds(self) -> tuple[mpf, ...]:
@@ -261,54 +304,49 @@ def eval_g(rat: RationalInterpolant, z) -> mpc:
         z = mpc(z)
         _check_domain(cfg, z)
         _near_zero_guard(cfg, z, NearPoleError, cfg.dps / 2)
-        return _g_sum(rat, z)
+        return _g_sum(rat, z, _jet(cfg.blocks[:-1], z, 1, False)[:2])
 
 
-def _g_sum(rat: RationalInterpolant, z: mpc) -> mpc:
+def _g_sum(rat: RationalInterpolant, z: mpc, head: tuple[mpc, mpc]) -> mpc:
     """:func:`eval_g` without its guards, at the working precision: blocks
-    1..K-1 by their direct sum over the zeros of the config, formed here,
-    block K by its closed form where :func:`_top_block` takes it and by
-    its direct sum elsewhere."""
-    top = _top_block(rat, z)
-    direct = rat.cfg.K if top is None else rat.cfg.K - 1
+    1..K-1 by their direct sum over the zeros of the config, block K by
+    its closed form where :func:`_top_block` takes it, with ``head`` =
+    (f, f'/f) over blocks 1..K-1 at z, and by its direct sum elsewhere."""
+    top = _top_block(rat, z, head)
+    poles = rat._poles if top is not None else (*rat._poles, rat._top_poles)
     total = mpc(0)
-    for k in range(1, direct + 1):
-        for p, u in zip(zeros(rat.cfg, k), rat.residues[k - 1], strict=True):
+    for block_poles, block in zip(poles, rat.residues):
+        for p, u in zip(block_poles, block, strict=True):
             total += u / (z - p)
     return total if top is None else total + top
 
 
-def _top_block(rat: RationalInterpolant, z: mpc) -> mpc | None:
+def _top_block(rat: RationalInterpolant, z: mpc, head: tuple[mpc, mpc]) -> mpc | None:
     """Block K's part of g at z in closed form,
 
         C(z) = (n - 1 + 2 z L) (w/z) / ((w - 1) P),   w = (z/r_K)^n,
 
-    with (P, L) = (f, f'/f) over blocks 1..K-1: U(z/r_K) (n/z) w/(w - 1)
-    of the module docstring.  None where its aliasing bound is not below
-    eps * sum_j U_j/(|z| + r_j), the rounding level of the direct sum, with
-    U_j the block's sum |u| of :func:`_masses`.  w and w/z = (z/r_K)^(n-1)/r_K
-    take the guard bits of ``product._jet``, so C(0) is the limit."""
+    with ``head`` = (P, L) = (f, f'/f) over blocks 1..K-1, which the caller's
+    pass has formed (``coefficients._direct`` reads it from its pass over
+    all K blocks): U(z/r_K) (n/z) w/(w - 1) of the module docstring.  None
+    where its aliasing bound is not below eps * sum_j U_j/(|z| + r_j), the
+    rounding level of the direct sum, with U_j the block's sum |u| of
+    ``RationalInterpolant._masses``.  w and w/z = (z/r_K)^(n-1)/r_K take
+    the guard bits of ``product._jet``, so C(0) is the limit."""
     blocks = rat.cfg.blocks
     r, n = blocks[-1]
-    P, L, _ = _jet(blocks[:-1], z, 1, False)
+    P, L = head
     with mp.extraprec(n.bit_length() + 20):
         zeta = z / r
-        head = mp.power(zeta, n - 1)
-        w = head * zeta
-    closed = (n - 1 + 2 * z * L) * head / (r * (w - 1) * P)
+        power = mp.power(zeta, n - 1)
+        w = power * zeta
+    closed = (n - 1 + 2 * z * L) * power / (r * (w - 1) * P)
     a = abs(z)
-    target = mp.eps * mp.fsum(mass / (a + rj) for (rj, _), mass in zip(blocks, _masses(rat)))
-    return closed if _aliasing_bound(blocks, a / r, abs(closed)) < target else None
+    target = mp.eps * mp.fsum(mass / (a + rj) for (rj, _), mass in zip(blocks, rat._masses))
+    return closed if _aliasing_bound(rat, a / r, abs(closed)) < target else None
 
 
-def _masses(rat: RationalInterpolant) -> list[mpf]:
-    """U_k = r_k S_k (1 + 4 n_k eps) per block: sum |u| over block k's
-    poles, all of modulus r_k, from its certified sum S_k of |u/z|,
-    raised by a rounding allowance for the n_k-term sum."""
-    return [rj * s * (1 + 4 * nj * mp.eps) for (rj, nj), s in zip(rat.cfg.blocks, rat.block_sums)]
-
-
-def _aliasing_bound(blocks, x, size) -> mpf:
+def _aliasing_bound(rat: RationalInterpolant, x, size) -> mpf:
     """Bound on |G_K - C| at |z| = x r_K, G_K the direct sum over block K
     and |C| = ``size``.  On the contour |zeta| = rho, r_(K-1)/r_K < rho < 1,
 
@@ -318,18 +356,16 @@ def _aliasing_bound(blocks, x, size) -> mpf:
     where M of :func:`_closed_form_max` bounds |U| there, with
     a_j = (rho r_K/r_j)^{n_j} > 1.  rho is 2 and 4 times
     r_(K-1)/r_K, and the smaller bound counts (inf when neither rho is
-    below 1 and apart from x); for K = 1, U is constant and C exact."""
-    (r, n), lower = blocks[-1], blocks[:-1]
-    if not lower:
+    below 1 and apart from x); for K = 1, U is constant and C exact.
+    Everything but |x - rho| is the config's, formed once per interpolant
+    (``RationalInterpolant._contours``)."""
+    if rat._contours is None:
         return mpf(0)
     best = mpf("inf")
-    for c in (2, 4):
-        rho = c * lower[-1][0] / r
-        if rho >= 1 or rho == x:
+    for rho, numerator, denominator in rat._contours:
+        if rho == x:
             continue
-        M = _closed_form_max(n, [(nj, mp.power(rho * r / rj, nj)) for rj, nj in lower])
-        rn = mp.power(rho, n)
-        bound = n * rn * M / (r * (1 - rn) * abs(x - rho))
+        bound = numerator / (denominator * abs(x - rho))
         best = min(best, bound + size if x < rho else bound)
     return best
 
@@ -352,9 +388,11 @@ def _log_plus(value) -> mpf:
 def proximity_m(fn, r, avoid_moduli=None) -> mpf:
     """(1/2pi) integral of log+ |fn(r e^{i theta})| by node-doubling trapezoid rule.
 
-    Starts at 32 nodes; converged when two successive estimates differ by
-    less than 10^-6; raises QuadratureError (carrying the last two
-    estimates) at 2^14 nodes.  ``avoid_moduli``: quadrature is refused
+    Starts at 32 nodes; converged when two successive differences of the
+    estimates, over three levels, are both below 10^-6 (one difference can
+    dip below it by chance: m(6, g) of the headline moves 2.6e-5 past
+    128 nodes after a step below 10^-6 there); raises QuadratureError
+    (carrying the last two estimates) at 2^14 nodes.  ``avoid_moduli``: quadrature is refused
     within relative 10^-3 of a pole modulus, where log+ spikes void the rule.
     """
     with mp.extraprec(10):
@@ -378,7 +416,8 @@ def proximity_m(fn, r, avoid_moduli=None) -> mpf:
             for _, v in vals:
                 total += v
             estimates.append(total / n)
-            if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < abs_tol:
+            last = zip(estimates[-3:], estimates[-2:])
+            if len(estimates) >= 3 and all(abs(b - a) < abs_tol for a, b in last):
                 return estimates[-1]
         raise QuadratureError(
             f"proximity quadrature did not converge below {abs_tol} within "
@@ -406,9 +445,9 @@ def g_proximity(rat: RationalInterpolant, r) -> tuple[mpf, mpf]:
 
 def _sup_bound(rat: RationalInterpolant, r) -> mpf:
     """B(r) = sum_k U_k / |r - r_k| >= max |g| on |z| = r, with U_k the
-    block masses of :func:`_masses`: every pole p of block k has modulus
-    r_k, so |z - p| >= |r - r_k| there (inf on a pole circle)."""
+    block masses ``RationalInterpolant._masses``: every pole p of block k
+    has modulus r_k, so |z - p| >= |r - r_k| there (inf on a pole circle)."""
     return mp.fsum(
         mass / abs(r - rj) if r != rj else mp.inf
-        for (rj, _), mass in zip(rat.cfg.blocks, _masses(rat))
+        for (rj, _), mass in zip(rat.cfg.blocks, rat._masses)
     )

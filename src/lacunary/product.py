@@ -23,10 +23,15 @@ where f and the sums already exceed what the run could add by more than
 prec + 4 bits in every component, the run is not formed, since libmp's
 correctly rounded additions would give back the same bits (on f'
 contours around blocks 1..3 of factorial K=4 that is block 4, n = 4096).
-It evaluates H too, as degree-1 blocks.  Like the
+It evaluates H too, as degree-1 blocks.  Its factors take no square
+root but within a few ulps of |w| = 1 or inside the cancellation
+screen's band (``_block_terms``), and ``coefficients`` reads the product
+over blocks 1..K-1 from the state of the same loop (``_sweep``) after
+block K-1 (``_f_jet_and_head``).  Like the
 residue pass below, it runs on mpmath's raw libmp tuples, making the
 calls that ``mp.power`` and the mpc operators would make, in the same
-order, so it gives their bits; values enter and leave it as mpc.  The
+order (``abs(w)`` only where it can move a bit), so it gives their bits;
+values enter and leave it as mpc.  The
 near-zero guard of ``f_jet``, ``log_derivative``, g (margin 10^(-P/2))
 and B0 (10^(-P/4)) decides radially first and calls ``nearest_zero`` only
 within twice its margin, relative, of some circle |z| = r_k.
@@ -68,7 +73,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
     fone, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_conjugate, mpc_div, mpc_div_mpf,
     mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_pow_int, mpc_sub, mpf_abs, mpf_add,
-    mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_sub, round_nearest
+    mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_shift, mpf_sub, round_nearest
 )
 
 from .errors import (
@@ -400,25 +405,65 @@ def _modulus_within(u, limit: mpf) -> bool:
     return mpf_le(mpf_add(mpf_mul(x, x), mpf_mul(y, y)), mpf_mul(limit._mpf_, limit._mpf_))
 
 
-def _block_terms(w: tuple, a: tuple, terms: int, lossy: tuple | None, prec: int) -> tuple:
-    """(1 - w, s, t) for one block's power w with a = |w|: its factor of f
-    and its first ``terms`` terms in the log-derivative sums (the rest None).
+def _bands(strict: bool, prec: int) -> tuple:
+    """(lossy, low, high, near) for :func:`_block_terms` at ``prec``:
+    lossy = 10^(5-P) and (low, high) = 1 -+ 4 lossy when ``strict``, three
+    Nones otherwise; near = 1 + 2^(4-prec)."""
+    near = mpf_add(fone, mpf_shift(fone, 4 - prec), prec, _RND)
+    if not strict:
+        return None, None, None, near
+    lossy = (mpf(10) ** (5 - mp.dps))._mpf_
+    margin = mpf_shift(lossy, 2)
+    return lossy, mpf_sub(fone, margin, prec, _RND), mpf_add(fone, margin, prec, _RND), near
 
-    A factor below ``lossy`` = 10^(5-P) times max(1, a) (more than P-5
-    digits lost) raises CancellationError carrying it; with ``lossy`` None
-    it is kept, and an exact zero always is.  When a > 1 the terms go
-    through v = 1/w so that huge powers never meet subtraction head-on.
+
+def _block_terms(w: tuple, terms: int, bands: tuple, prec: int) -> tuple:
+    """(1 - w, s, t) for one block's power w: its factor of f and its first
+    ``terms`` terms in the log-derivative sums (the rest None), with
+    ``bands`` from :func:`_bands`.
+
+    The screen: with ``lossy`` set, a factor below ``lossy`` = 10^(5-P)
+    times max(1, a), a = |w| = ``mpc_abs(w)`` (more than P-5 digits lost),
+    raises CancellationError carrying it; an exact zero is kept.  When
+    a > 1 the terms go through v = 1/w so that huge powers never meet
+    subtraction head-on.
+
+    No factor takes a square root but near |w| = 1: the exact
+    q = |w|^2 = re^2 + im^2 (``mpf_mul`` and ``mpf_add`` with no rounding)
+    stands in for a, which ``mpc_abs`` rounds from sqrt(round(q, prec + 4))
+    to ``prec`` bits.
+
+    - q <= 1 gives a <= 1, and q >= near = 1 + 2^(4-prec) gives
+      a >= 1 + 2^(2-prec) > 1 after both roundings; only for q between
+      them, within a few ulps of 1, does the rounded a decide a > 1.
+    - The screen's first clause, |1 - a| < max(1, a) L with L = ``lossy``
+      (:func:`_lossy_modulus`), rounds |1 - a| exactly near 1 and
+      max(1, a) L within 2^-prec, and a lies within 2^(1-prec) a of
+      sqrt(q), far below L (L >= 10^5 10^-P, 2^-prec < 10^-P).  So where
+      it holds, |1 - sqrt(q)| < 1.001 L max(1, sqrt(q)): below 1,
+      q > (1 - 1.001 L)^2 > 1 - 2.1 L; above 1, q < (1 - 1.001 L)^-2
+      < 1 + 2.1 L (L <= 10^-25 at P >= 30).  Outside low < q < high,
+      1 -+ 4 L, the clause fails and no factor is lossy; inside, a is
+      formed and the clause and the test run on it.
     """
     factor = mpc_sub(_ONE, w, prec, _RND)
-    limit = factor != _ZERO and _lossy_modulus(a, lossy, prec) and _scaled(a, lossy, prec)
-    if limit and mpf_lt(mpc_abs(factor, prec, _RND), limit):
-        result = mp.make_mpc(factor)
-        digits_lost = float(mp.log(max(1, mp.make_mpf(a)) / abs(result), 10))
-        message = f"factor cancelled {digits_lost:.1f} of {mp.dps} digits"
-        raise CancellationError(message, result=result, digits_lost=digits_lost)
+    lossy, low, high, near = bands
+    x, y = w
+    q = mpf_add(mpf_mul(x, x), mpf_mul(y, y))
+    a = None
+    if lossy is not None and factor != _ZERO and mpf_lt(low, q) and mpf_lt(q, high):
+        a = mpc_abs(w, prec, _RND)
+        limit = _lossy_modulus(a, lossy, prec) and _scaled(a, lossy, prec)
+        if limit and mpf_lt(mpc_abs(factor, prec, _RND), limit):
+            result = mp.make_mpc(factor)
+            digits_lost = float(mp.log(max(1, mp.make_mpf(a)) / abs(result), 10))
+            message = f"factor cancelled {digits_lost:.1f} of {mp.dps} digits"
+            raise CancellationError(message, result=result, digits_lost=digits_lost)
     if not terms:
         return factor, None, None
-    if mpf_gt(a, fone):
+    if mpf_gt(q, fone) and (
+        not mpf_lt(q, near) or mpf_gt(a if a is not None else mpc_abs(w, prec, _RND), fone)
+    ):
         v = mpc_mpf_div(fone, w, prec, _RND)
         inv = mpc_mpf_div(fone, mpc_sub(_ONE, v, prec, _RND), prec, _RND)
         s = inv
@@ -470,9 +515,11 @@ def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
     n_k-fold by the power, stays below the working precision; at n_k = 1
     nothing grows, and the power is the quotient z/r_k (H's factor
     1 + z/a is the block (-a, 1)).  The factors and terms come from
-    :func:`_block_terms`; a lossy factor is kept, and when ``strict`` the
-    first one raises once the product is finished, carrying that lossy f.
-    At z = 0 the sums are their termwise limits (n = 1, n <= 2 blocks).
+    :func:`_block_terms`, which takes no square root but within a few
+    ulps of |w| = 1 or inside the cancellation screen's band; a lossy
+    factor is kept, and when ``strict`` the first one raises once the
+    product is finished, carrying that lossy f.  At z = 0 the sums are
+    their termwise limits (n = 1, n <= 2 blocks).
 
     The trailing run of :func:`_negligible_tail`, whose powers lie below
     2^-(2 prec + 64), is left out when, after the blocks before it, every
@@ -485,12 +532,22 @@ def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
     or at an exact zero, a CancellationError pending) the run goes
     through the same loop as every other block.
     """
-    prec = mp.prec
     zt = z._mpc_
-    terms = order if zt != _ZERO else 0
-    lossy = (mpf(10) ** (5 - mp.dps))._mpf_ if strict else None
+    *_, state = _sweep(blocks, zt, order if zt != _ZERO else 0, strict, mp.prec)
+    return _finish(blocks, zt, order, state)
+
+
+def _sweep(blocks, zt: tuple, terms: int, strict: bool, prec: int):
+    """The product loop of :func:`_jet` at the raw point zt: yields the raw
+    (f, l1, l2) before the first block and after each block it forms, l1
+    and l2 the sums before :func:`_finish` divides them by z and z^2, and
+    when ``strict`` raises the first CancellationError once the product is
+    finished.  A pass that leaves out the trailing run yields its state
+    at the break, which the run would give back bit for bit."""
+    bands = _bands(strict, prec)
     error = None
     f, l1, l2 = _ONE, _ZERO, _ZERO
+    yield f, l1, l2
     tail, above = _negligible_tail(blocks, zt, prec)
     for i, (r, n) in enumerate(blocks):
         if i == tail and error is None:
@@ -503,21 +560,31 @@ def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
             wprec = prec + n.bit_length() + 20
             w = mpc_pow_int(mpc_div_mpf(zt, r._mpf_, wprec, _RND), n, wprec, _RND)
         try:
-            factor, s, t = _block_terms(w, mpc_abs(w, prec, _RND), terms, lossy, prec)
+            factor, s, t = _block_terms(w, terms, bands, prec)
         except CancellationError as exc:
-            error, lossy, terms, factor = exc, None, 0, exc.result._mpc_
+            error, bands, terms, factor = exc, _bands(False, prec), 0, exc.result._mpc_
         f = mpc_mul(f, factor, prec, _RND)
         if terms:
             l1 = mpc_add(l1, mpc_mul_int(s, n, prec, _RND), prec, _RND)
             if terms == 2:
                 t = mpc_add(s, mpc_mul_int(t, n, prec, _RND), prec, _RND)
                 l2 = mpc_sub(l2, mpc_mul_int(t, n, prec, _RND), prec, _RND)
+        yield f, l1, l2
     if error is not None:
         error.result = mp.make_mpc(f)
         raise error
-    if terms:
+
+
+def _finish(blocks, zt: tuple, order: int, state: tuple) -> tuple[mpc, mpc, mpc]:
+    """(f, f'/f, (f'/f)') from a raw state of :func:`_sweep` over ``blocks``:
+    the sums up to ``order`` divided by z and z^2, or at z = 0 their
+    termwise limits."""
+    f, l1, l2 = state
+    if order and zt != _ZERO:
+        prec = mp.prec
         l1 = mpc_div(l1, zt, prec, _RND)
-        l2 = mpc_div(l2, mpc_mul(zt, zt, prec, _RND), prec, _RND)
+        if order == 2:
+            l2 = mpc_div(l2, mpc_mul(zt, zt, prec, _RND), prec, _RND)
     elif order:
         l1 = mpc(sum(-1 / r for r, n in blocks if n == 1))
         l2 = mpc(sum(-mpf(n) / (r * r) for r, n in blocks if n <= 2))
@@ -695,6 +762,24 @@ def _f_jet(cfg: LacunaryConfig, z: mpc, order: int) -> tuple[mpc, ...]:
     return f, f * l1, f * (l1 * l1 + l2)
 
 
+def _f_jet_and_head(cfg: LacunaryConfig, z: mpc) -> tuple[tuple[mpc, ...], tuple[mpc, mpc]]:
+    """((f, f', f''), (P, P'/P)) at z from one strict pass over the blocks:
+    :func:`_f_jet` of order 2, and P the product over blocks 1..K-1 with
+    its log-derivative, read from the pass's state after block K-1.
+
+    That state is the one ``_jet(cfg.blocks[:-1], z, 1, False)`` ends in,
+    bit for bit: the lossy-factor screen only raises, so a strict pass
+    that does not raise makes the non-strict pass's calls, (f'/f)' does
+    not enter f or f'/f, and a pass that leaves a trailing run out stops
+    on a state that the run would give back unchanged."""
+    zt = z._mpc_
+    states = list(_sweep(cfg.blocks, zt, 2 if zt != _ZERO else 0, True, mp.prec))
+    f, l1, l2 = _finish(cfg.blocks, zt, 2, states[-1])
+    P, S = states[min(cfg.K - 1, len(states) - 1)][:2]
+    head = _finish(cfg.blocks[:-1], zt, 1, (P, S, _ZERO))[:2]
+    return (f, f * l1, f * (l1 * l1 + l2)), head
+
+
 def f_jet(cfg: LacunaryConfig, z, order: int) -> tuple[mpc, ...]:
     """(f, f') (order 1) or (f, f', f'') (order 2) from one pass:
     f' = f L1 and f'' = f (L1^2 + L1') with L1 = f'/f.  TailError and
@@ -867,12 +952,12 @@ def _block_residues(cfg: LacunaryConfig, k: int) -> list[mpc]:
     half = n // 2 + 1
     with mp.workdps(cfg.dps):
         prec = mp.prec
-        lossy = (mpf(10) ** (5 - cfg.dps))._mpf_
+        bands = _bands(True, prec)
         others = []
         for nj, a in _other_blocks(cfg, k):
-            if _lossy_modulus(a._mpf_, lossy, prec):
+            if _lossy_modulus(a._mpf_, bands[0], prec):
                 for index in sorted({m * nj % n for m in range(half)}):
-                    _block_terms((a * _unit_root(index, n))._mpc_, a._mpf_, 0, lossy, prec)
+                    _block_terms((a * _unit_root(index, n))._mpc_, 0, bands, prec)
             others.append((nj, a._mpf_, a > 1))
         roots = [_unit_root(i, n)._mpc_ for i in range(half)]
         roots += [mpc_conjugate(roots[n - i], prec, _RND) for i in range(half, n)]

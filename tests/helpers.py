@@ -13,7 +13,7 @@ from lacunary.coefficients import H_TRUNCATION
 from lacunary.errors import CancellationError
 from lacunary.growth import _logmag
 from lacunary.interpolation import config_interpolant, eval_g
-from lacunary.product import _unit_root, zeros
+from lacunary.product import _jet, _unit_root, zeros
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -229,6 +229,12 @@ def block_residues_per_zero(cfg, k):
                 S1 += nj * s
             residues.append((n - 1 + 2 * S1) / (n * P))
         return residues
+
+
+def lower_jet(rat, z):
+    """(f, f'/f) over blocks 1..K-1 at z, the head that ``_g_sum`` and
+    ``_top_block`` read, from a pass of its own as ``eval_g`` forms it."""
+    return _jet(rat.cfg.blocks[:-1], mpmath.mpc(z), 1, False)[:2]
 
 
 def recover_residue(rat, k, m):

@@ -234,9 +234,10 @@ def test_one_cancellation_screen():
 
 
 def test_one_kernel_for_both_canonical_products():
-    """f's factor kernel ``_block_terms`` is called by the one-pass product
-    ``_jet`` and by the residue pass's screen, nowhere else: H is a list of
-    degree-1 blocks that ``HProduct.eval`` hands to ``_jet``."""
+    """f's factor kernel ``_block_terms`` is called by the product loop
+    ``_sweep`` behind ``_jet`` and by the residue pass's screen, nowhere
+    else: H is a list of degree-1 blocks that ``HProduct.eval`` hands to
+    ``_jet``."""
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
     }
@@ -245,7 +246,7 @@ def test_one_kernel_for_both_canonical_products():
         for stem, tree in trees.items()
         for site in _call_sites(tree, "_block_terms")
     )
-    assert sites == ["product._block_residues", "product._jet"]
+    assert sites == ["product._block_residues", "product._sweep"]
     assert "HProduct.eval" in _call_sites(trees["coefficients"], "_jet")
 
 

@@ -339,6 +339,35 @@ class TestOneScanPerPoint:
         assert call_counts["derivs_at_zero"] == 0
 
 
+class TestOnePassPerPoint:
+    """One residual point runs the product loop ``product._sweep`` twice,
+    once over f's blocks and once over H's: g's closed form for block K
+    reads f and f'/f over blocks 1..K-1 from f's pass.  The zeros that g
+    sums directly are formed once per interpolant."""
+
+    def test_residual_point(self, factorial_system, monkeypatch):
+        residual(factorial_system, mpc(30, 7), (1, 10))
+        swept, roots = [], []
+        sweep, unit_root = product._sweep, product._unit_root
+
+        def counted_sweep(blocks, *args):
+            swept.append(blocks)
+            return sweep(blocks, *args)
+
+        def counted_root(*args):
+            roots.append(args)
+            return unit_root(*args)
+
+        monkeypatch.setattr(product, "_sweep", counted_sweep)
+        monkeypatch.setattr(product, "_unit_root", counted_root)
+        z = mpc(-20, 41)
+        residual(factorial_system, z, (1, 10))
+        assert swept == [factorial_system.cfg.blocks, factorial_system.h.blocks]
+        assert roots == []
+        head = product._jet(factorial_system.cfg.blocks[:-1], z, 1, False)[:2]
+        assert interpolation._top_block(factorial_system.rat, z, head) is not None
+
+
 class TestResidual:
     def test_base_residual_symbolic(self, anchor_system):
         # -2 + (-z)(-2z) + 2(1 - z^2) = 0 identically

@@ -94,6 +94,53 @@ def test_term_sum_runs_over_scan_blocks(cfg):
                 assert formula == term_sum(blocks, r), r
 
 
+def _every_exp_bound(cfg, r):
+    """``log_max_modulus_bound`` as it stood with an exp for every block:
+    the oracle that the absorbed terms must match bit for bit."""
+    with mp.workdps(cfg.dps):
+        r = mpf(r)
+        log_r = mp.log(r)
+        total = mpf(0)
+        ms = []
+        for r_k, n_k in _scan_blocks(cfg, r):
+            y = cfg._multiplicity(n_k) * (log_r - mp.log(r_k))
+            total += _softplus(y)
+            ms.append(mp.exp(-abs(y)) if y != 0 else mpf(1))
+        dominant = max(range(len(ms)), key=lambda i: ms[i])
+        correction = mpf(0)
+        for i, m_i in enumerate(ms):
+            if i != dominant:
+                correction += mp.log1p(m_i) - mp.log1p(-m_i)
+        return total, correction
+
+
+@pytest.mark.parametrize("dps, top", [(30, 7), (100, 7), (200, 6)])
+def test_term_sum_forms_no_exp_that_rounding_absorbs(monkeypatch, dps, top):
+    """At the dip and peak radii of blocks 1..``top`` of factorial K=4,
+    between them, and below r_1, the formula and its correction keep the
+    bits of an exp for every block, while no exp of an exponent beyond 2^20
+    is formed: each such term is absorbed by what it joins.  (At 200
+    digits the oracle's exps past block 6 take minutes.)"""
+    cfg = make_schedule(0.5, 4, "factorial", dps=dps)
+    exp, huge = mp.exp, []
+
+    def watched(x, **kwargs):
+        if abs(x) > 2**20:
+            huge.append(x)
+        return exp(x, **kwargs)
+
+    with mp.workdps(dps):
+        radii = [mpf("0.01"), mpf("0.5"), mpf(1)]
+        for k in range(1, top + 1):
+            r_k = cfg.block(k)[0]
+            radii += [r_k, mp.e * r_k, mp.sqrt(r_k * cfg.block(k + 1)[0])]
+        want = [_every_exp_bound(cfg, r) for r in radii]
+        monkeypatch.setattr(mp, "exp", watched)
+        got = [log_max_modulus_bound(cfg, r) for r in radii]
+    assert [(a._mpf_, b._mpf_) for a, b in got] == [(a._mpf_, b._mpf_) for a, b in want]
+    assert huge == []
+
+
 class TestNevanlinna:
     def test_counting_closed_form(self):
         # N(e, poles at +-1) = 2 ln(e) = 2

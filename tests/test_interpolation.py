@@ -31,7 +31,9 @@ from lacunary.interpolation import (
 )
 from lacunary.product import derivative_ratio_bound, derivs_at_zero, zero_point, zeros
 
-from helpers import block_residues_per_zero, direct_g, recover_residue, rel_err, with_residue
+from helpers import (
+    block_residues_per_zero, direct_g, lower_jet, recover_residue, rel_err, with_residue
+)
 
 
 def one_minus_z_squared():
@@ -281,7 +283,7 @@ def _agrees_with_direct(rat, z):
     config's zeros and the stored residues, summed at 2P digits."""
     with mp.workdps(rat.cfg.dps):
         z = mpc(z)
-        got = _g_sum(rat, z)
+        got = _g_sum(rat, z, lower_jet(rat, z))
         with mp.workdps(2 * rat.cfg.dps):
             ref = direct_g(rat, z)
         return abs(got - ref) <= mp.power(10, 10 - rat.cfg.dps) * abs(ref)
@@ -541,9 +543,9 @@ class TestBlockResidues:
             clauses.append(lossy)
             return real_clause(a, lossy, prec)
 
-        def screened(w, a, terms, lossy, prec):
-            screens.append(lossy)
-            return real_terms(w, a, terms, lossy, prec)
+        def screened(w, terms, bands, prec):
+            screens.append(bands[0])
+            return real_terms(w, terms, bands, prec)
 
         monkeypatch.setattr(product, "_lossy_modulus", clause)
         monkeypatch.setattr(product, "_block_terms", screened)
@@ -590,7 +592,7 @@ class TestTopBlockClosedForm:
     def _check_closed_form(rat):
         with mp.workdps(rat.cfg.dps):
             for z in _top_block_points(rat.cfg):
-                assert _top_block(rat, mpc(z)) is not None, z
+                assert _top_block(rat, mpc(z), lower_jet(rat, z)) is not None, z
                 assert _agrees_with_direct(rat, z), z
 
     def test_agrees_with_direct_sum_at_100_digits(self, residue_rats):
@@ -618,8 +620,26 @@ class TestTopBlockClosedForm:
             with mp.workdps(dps):
                 rat = residues_from_f(make(dps))
                 for z in _top_block_points(rat.cfg)[1:]:
-                    assert _top_block(rat, mpc(z)) is None, (name, z)
+                    assert _top_block(rat, mpc(z), lower_jet(rat, z)) is None, (name, z)
                     assert _agrees_with_direct(rat, z), (name, z)
+
+    def test_directly_summed_zeros_are_formed_once(self, monkeypatch):
+        """Where block K joins the direct sum (doubly_exp 0.55 K=3), the first
+        g call forms the zeros of every block; later calls form none."""
+        rat = residues_from_f(DIRECT_CONFIGS["doubly_exp-0.55-K3"](100))
+        points = [mpc(3, 5), mpc(-7, 20)]
+        first = [eval_g(rat, points[0])]
+        roots, unit_root = [], product._unit_root
+
+        def counted(*args):
+            roots.append(args)
+            return unit_root(*args)
+
+        monkeypatch.setattr(product, "_unit_root", counted)
+        assert [eval_g(rat, z) for z in points[:1]] == first
+        eval_g(rat, points[1])
+        assert roots == []
+        assert all(_top_block(rat, z, lower_jet(rat, z)) is None for z in points)
 
     def test_with_residue_reaches_far_field(self, factorial_k4_rat):
         """A replaced residue of a directly summed block moves g at 100 r_4
@@ -627,14 +647,86 @@ class TestTopBlockClosedForm:
         part comes from the config, so only blocks 1..K-1 are reached."""
         rat = factorial_k4_rat
         z = 100 * rat.cfg.blocks[3][0] * mp.expjpi(mpf("0.71"))
-        before = _g_sum(rat, z)
+        head = lower_jet(rat, z)
+        before = _g_sum(rat, z, head)
         delta = mpf("1e-40")
         bad = with_residue(rat, 3, 5, rat.residues[2][5] + delta)
-        assert _top_block(bad, z) is not None
-        after = _g_sum(bad, z)
+        assert _top_block(bad, z, head) is not None
+        after = _g_sum(bad, z, head)
         change = delta / (z - zero_point(rat.cfg, 3, 5))
         assert abs(after - before - change) <= mpf("1e-90") * abs(after)
-        assert _g_sum(rat, z) == before
+        assert _g_sum(rat, z, head) == before
+
+
+def _closed_form(rat, z):
+    """C(z) = (n - 1 + 2 z L) (w/z) / ((w - 1) P) of ``_top_block``, formed
+    whatever its bound, at the working precision."""
+    r, n = rat.cfg.blocks[-1]
+    P, L = lower_jet(rat, z)
+    zeta = z / r
+    return (n - 1 + 2 * z * L) * zeta ** (n - 1) / (r * (zeta**n - 1) * P)
+
+
+def _formula_bound(blocks, x, size):
+    """``_aliasing_bound`` with every term formed at the point, as the
+    docstring states it: the oracle for the constants held per interpolant."""
+    (r, n), lower = blocks[-1], blocks[:-1]
+    if not lower:
+        return mpf(0)
+    best = mpf("inf")
+    for c in (2, 4):
+        rho = c * lower[-1][0] / r
+        if rho >= 1 or rho == x:
+            continue
+        M = interpolation._closed_form_max(
+            n, [(nj, mp.power(rho * r / rj, nj)) for rj, nj in lower]
+        )
+        rn = mp.power(rho, n)
+        bound = n * rn * M / (r * (1 - rn) * abs(x - rho))
+        best = min(best, bound + size if x < rho else bound)
+    return best
+
+
+ALIASING_RADII = ("0.05", "0.1", "0.3", "0.6", "0.9", "1.5", "3", "10")
+
+
+class TestAliasingBound:
+    """``_aliasing_bound`` against the aliasing error it bounds."""
+
+    @pytest.mark.parametrize("name", list(DIRECT_CONFIGS))
+    def test_bounds_the_measured_error(self, name):
+        """|G_K - C|, block K's direct sum minus its closed form, both at 200
+        digits, on the configs whose bound sits above rounding: the bound
+        at 100 digits holds it at |z| from 0.05 to 10 r_K, inside and
+        outside the contours, and exceeds it by less than 10^7."""
+        make = DIRECT_CONFIGS[name]
+        rat, fine = residues_from_f(make(100)), residues_from_f(make(200))
+        r = rat.cfg.blocks[-1][0]
+        for x in map(mpf, ALIASING_RADII):
+            z = x * r * mp.expjpi(mpf("0.37"))
+            with mp.workdps(200):
+                zf = mpc(z)
+                poles = zeros(fine.cfg, fine.cfg.K)
+                direct = mp.fsum(u / (zf - p) for p, u in zip(poles, fine.residues[-1]))
+                measured = abs(direct - _closed_form(fine, zf))
+            bound = interpolation._aliasing_bound(rat, x, abs(_closed_form(rat, mpc(z))))
+            assert measured <= bound <= mpf(10) ** 7 * measured, (name, x, measured, bound)
+
+    @pytest.mark.parametrize("name", ["headline", *DIRECT_CONFIGS])
+    def test_held_constants_give_the_formula(self, name, factorial_k4_rat):
+        """The bound from the constants each interpolant holds is the formula
+        formed at the point, bit for bit, on both sides of each contour.  On
+        the headline no precision reaches the error itself: the bound is
+        below 10^-19000 at every radius."""
+        rat = factorial_k4_rat if name == "headline" else residues_from_f(DIRECT_CONFIGS[name](100))
+        r = rat.cfg.blocks[-1][0]
+        rhos = [c * rat.cfg.blocks[-2][0] / r for c in (2, 4)]
+        for x in [*map(mpf, ALIASING_RADII), *(rho * mpf(s) for rho in rhos for s in ("0.5", "2"))]:
+            size = abs(_closed_form(rat, x * r * mp.expjpi(mpf("0.37"))))
+            got = interpolation._aliasing_bound(rat, x, size)
+            assert got == _formula_bound(rat.cfg.blocks, x, size), (name, x)
+            if name == "headline":
+                assert got < size + mpf(10) ** -19000
 
 
 class TestProximity:
@@ -688,6 +780,24 @@ class TestProximity:
             proximity_m(fn, 1)
         assert calls[0] == 1 << 14
         assert len(info.value.estimates) == 2
+
+    def test_stops_only_after_two_small_steps(self, factorial_k4_rat):
+        """m(6, g) on the headline: the estimates from 64 and 128 nodes differ
+        by 5.6e-7, yet 256 nodes move the estimate by 3.8e-5.  The rule
+        waits for two successive steps below 10^-6 and lands within 10^-6
+        of the 4096-node trapezoid estimate on the same nodes."""
+        rat, values = factorial_k4_rat, {}
+
+        def g(z):
+            if z not in values:
+                values[z] = eval_g(rat, z)
+            return values[z]
+
+        m = proximity_m(g, 6)
+        with mp.extraprec(10):
+            nodes = [mpf(6) * mp.expjpi(2 * mpf(j) / 4096) for j in range(4096)]
+            reference = mp.fsum(interpolation._log_plus(g(z)) for z in nodes) / 4096
+        assert abs(m - reference) < mpf("1e-6")
 
     def test_nonincreasing_along_decades_and_final_small(self):
         cfg = make_schedule(0.5, 3, "factorial")

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpc, mpf
+from mpmath import libmp, mp, mpc, mpf
 
 from lacunary import (
     CancellationError,
@@ -506,6 +506,86 @@ class TestRawKernel:
                         assert _outcome(product._jet, cfg.blocks, z, order, strict) == _outcome(
                             reference_jet, cfg.blocks, z, order, strict
                         ), (z, order)
+
+    @pytest.mark.parametrize("name", ["headline", "H"])
+    def test_bit_identity_within_ulps_of_the_unit_circle(self, name):
+        """Points where one block's power w has |w| within a few ulps of 1,
+        off the exact zeros (|1 - w| above 0.2), on both sides of 1: there
+        the exact |w|^2 does not decide a = |w| > 1 alone, and the rounded
+        a decides as in the mpc kernel, strict or not.  |w|^2 > 1 with a
+        rounding to 1 occurs, as do |w|^2 < 1 and a > 1."""
+        if name == "H":
+            blocks = build_H("0.4", dps=100).blocks[:16]
+        else:
+            blocks = make_schedule(0.5, 4, "factorial").blocks
+        ulp = mpf(2) ** -mp.prec
+        seen = set()
+        for r, n in blocks:
+            for k in range(-4, 5):
+                for turn in ("0.05", "0.3", "0.55", "0.8"):
+                    zeta = (1 + k * ulp / n) * mp.expjpi(2 * mpf(turn) / n)
+                    z = abs(r) * zeta
+                    with mp.extraprec(n.bit_length() + 20):
+                        w = mp.power(z / r, n)
+                    x, y = w._mpc_
+                    q = mp.make_mpf(libmp.mpf_add(libmp.mpf_mul(x, x), libmp.mpf_mul(y, y)))
+                    seen.add((mp.sign(q - 1), mp.sign(abs(w) - 1)))
+                    for order in (0, 1, 2):
+                        for strict in (True, False):
+                            got = _outcome(product._jet, blocks, z, order, strict)
+                            want = _outcome(reference_jet, blocks, z, order, strict)
+                            assert got == want, (z, order, strict)
+                            assert isinstance(got[0], tuple), (z, got)
+        assert {(-1, -1), (1, 0), (1, 1)} <= seen, seen
+
+    @pytest.mark.parametrize("name", ["headline", "H"])
+    def test_bit_identity_at_the_edge_of_the_screen(self, name):
+        """Points where one block's power is w = (1 + c L) times a rounded
+        root of unity, L = 10^(5-P), for c on both sides of the screen's
+        limit |1 - w| < max(1, |w|) L and well inside it: the exact |w|^2
+        band of ``_block_terms`` sends each lossy factor to the test on the
+        rounded |w|, and the outcome is the mpc kernel's, raised or not."""
+        if name == "H":
+            blocks = build_H("0.4", dps=100).blocks[:8]
+        else:
+            blocks = make_schedule(0.5, 4, "factorial").blocks
+        L = mpf(10) ** (5 - mp.dps)
+        raised = []
+        for r, n in blocks:
+            for m in sorted({0, 1 % n, n // 2}):
+                for c in ("-3", "-1.01", "-0.99", "-0.5", "0.5", "0.99", "1.01", "3"):
+                    z = r * mp.root(1 + mpf(c) * L, n) * mp.expjpi(2 * mpf(m) / n)
+                    for order in (0, 1, 2):
+                        got = _outcome(product._jet, blocks, z, order, True)
+                        assert got == _outcome(reference_jet, blocks, z, order, True), (z, order)
+                        raised.append(not isinstance(got[0], tuple))
+        assert any(raised) and not all(raised)
+
+    @pytest.mark.parametrize("name", ["headline", "readme", "factorial-K1"])
+    def test_strict_pass_reads_the_lower_blocks_of_the_lower_pass(self, name):
+        """``_f_jet_and_head``'s (f, f'/f) over blocks 1..K-1, read from its
+        strict pass over all K blocks, is the non-strict pass over blocks
+        1..K-1 bit for bit, and its f, f', f'' are ``_f_jet``'s, wherever
+        the strict pass does not raise: at z = 0, on the real axis, near
+        the circles, and on f' contours where block 4's power is left out."""
+        cfg = {
+            "headline": lambda: make_schedule(0.5, 4, "factorial"),
+            "readme": lambda: config_from_blocks([[4, 2], [16, 4]]),
+            "factorial-K1": lambda: make_schedule(0.5, 1, "factorial"),
+        }[name]()
+        points = _kernel_points(cfg.blocks, [], 120, seed=7) + [mpc(3), mpc(-5), mpc(0, 70)]
+        points += [r + r / n * mp.expjpi(mpf(2 * i + 1) / 8) for r, n in cfg.blocks for i in range(8)]
+        checked = 0
+        for z in points:
+            try:
+                jet, head = product._f_jet_and_head(cfg, z)
+            except (CancellationError, ZeroDivisionError):
+                continue
+            lower = product._jet(cfg.blocks[:-1], z, 1, False)[:2]
+            assert [x._mpc_ for x in head] == [x._mpc_ for x in lower], z
+            assert [x._mpc_ for x in jet] == [x._mpc_ for x in product._f_jet(cfg, z, 2)], z
+            checked += 1
+        assert checked > 100
 
     # The negligible tail: ``_jet`` leaves out a trailing run of blocks whose
     # powers are below 2^-(2 prec + 64) where f and the sums absorb them, and
