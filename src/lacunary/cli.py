@@ -11,8 +11,9 @@ when one can be computed.  ``main`` alone loads the config, enters its
 precision and maps errors to these codes.  ``construct``, ``verify``
 and ``scan`` first delete the files they write, so a run that exits 2
 or 3 leaves none of them behind; only a ``config.json`` that is the
---config being read is kept.  Every JSON output is streamed to its
-file with ``json.dump``.
+--config being read is kept.  Every JSON output but ``residues.json``
+is streamed to its file with ``json.dump``; ``construct`` writes that
+one entry by entry, in the same layout (``_write_residues``).
 
 Config schema (JSON object):
 
@@ -77,10 +78,10 @@ _HEX = re.compile(r"(-?)0x([0-9a-f]+)p(-?[0-9]+)")
 def _hex(x: mpf) -> str:
     """x exactly as ``[-]0x<hex mantissa>p<binary exponent>``; zero is
     ``0x0p0`` and a non-finite x its float name."""
-    if not mp.isfinite(x):
+    sign, man, exp, _ = x._mpf_  # man is unsigned; only nan and infinities have man 0, exp != 0
+    if not man and exp:
         return repr(float(x))
-    man, exp = x.man_exp  # man is unsigned: the sign is x's
-    return f"{'-' if x < 0 else ''}0x{man:x}p{exp}"
+    return f"{'-' if sign else ''}0x{man:x}p{exp}"
 
 
 def _unhex(s: str) -> mpf:
@@ -131,6 +132,25 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
+# one residues.json entry in the layout of json.dump(..., indent=1); a
+# part that _hex writes needs no JSON escape
+_RESIDUE_ENTRY = ' {{\n  "k": {},\n  "m": {},\n  "residue": [\n   "{}",\n   "{}"\n  ]\n }}'
+
+
+def _write_residues(path: Path, residues) -> None:
+    """residues.json, entry by entry: byte for byte what :func:`_write_json`
+    writes for the list of {"k", "m", "residue": [re, im]} entries, without
+    Python's pure-Python encoder, which ``indent`` selects, or the whole
+    text in memory."""
+    with open(path, "w", encoding="utf-8") as fh:
+        sep = "[\n"
+        for k, block in enumerate(residues, start=1):
+            for m, u in enumerate(block):
+                fh.write(sep + _RESIDUE_ENTRY.format(k, m, _hex(u.real), _hex(u.imag)))
+                sep = ",\n"
+        fh.write("[]\n" if sep == "[\n" else "\n]\n")
+
+
 # ---------------------------------------------------------------------------
 # construct
 
@@ -148,14 +168,7 @@ def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
     rat = system.rat
     blocks = [{"k": k, "r": _nstr(r), "n": n} for k, (r, n) in enumerate(cfg.blocks, start=1)]
     _write_json(out / "zeros.json", {"count": zero_count(cfg), "blocks": blocks})
-    _write_json(
-        out / "residues.json",
-        [
-            {"k": k, "m": m, "residue": [_hex(u.real), _hex(u.imag)]}
-            for k, block in enumerate(rat.residues, start=1)
-            for m, u in enumerate(block)
-        ],
-    )
+    _write_residues(out / "residues.json", rat.residues)
 
     cert = cfg.sigma_certificate
     _write_json(

@@ -332,41 +332,56 @@ def _top_block(rat: RationalInterpolant, z: mpc, head: tuple[mpc, mpc]) -> mpc |
     where its aliasing bound is not below eps * sum_j U_j/(|z| + r_j), the
     rounding level of the direct sum, with U_j the block's sum |u| of
     ``RationalInterpolant._masses``.  w and w/z = (z/r_K)^(n-1)/r_K take
-    the guard bits of ``product._jet``, so C(0) is the limit."""
+    the guard bits of ``product._jet``, so C(0) is the limit.
+
+    The bound adds |C| >= 0 to some contours' terms, and a rounded
+    addition of it never lowers a term, so where no term of
+    :func:`_contour_bounds` is below the target the answer is None
+    before C is formed; each term is formed once either way."""
     blocks = rat.cfg.blocks
     r, n = blocks[-1]
+    a = abs(z)
+    target = mp.eps * mp.fsum(mass / (a + rj) for (rj, _), mass in zip(blocks, rat._masses))
+    bounds = _contour_bounds(rat, a / r)
+    if not any(bound < target for bound, _ in bounds):
+        return None
     P, L = head
     with mp.extraprec(n.bit_length() + 20):
         zeta = z / r
         power = mp.power(zeta, n - 1)
         w = power * zeta
     closed = (n - 1 + 2 * z * L) * power / (r * (w - 1) * P)
-    a = abs(z)
-    target = mp.eps * mp.fsum(mass / (a + rj) for (rj, _), mass in zip(blocks, rat._masses))
-    return closed if _aliasing_bound(rat, a / r, abs(closed)) < target else None
+    return closed if _aliasing_bound(bounds, abs(closed)) < target else None
 
 
-def _aliasing_bound(rat: RationalInterpolant, x, size) -> mpf:
-    """Bound on |G_K - C| at |z| = x r_K, G_K the direct sum over block K
-    and |C| = ``size``.  On the contour |zeta| = rho, r_(K-1)/r_K < rho < 1,
+def _contour_bounds(rat: RationalInterpolant, x) -> list[tuple[mpf, bool]]:
+    """(bound, x < rho) per contour for :func:`_aliasing_bound` at
+    |z| = x r_K.  On the contour |zeta| = rho, r_(K-1)/r_K < rho < 1,
 
         |G_K - C| <= n rho^n M / (r_K (1 - rho^n) |x - rho|),
 
-    plus |C| when x < rho (the pole of C at zeta = x then lies inside),
-    where M of :func:`_closed_form_max` bounds |U| there, with
-    a_j = (rho r_K/r_j)^{n_j} > 1.  rho is 2 and 4 times
-    r_(K-1)/r_K, and the smaller bound counts (inf when neither rho is
-    below 1 and apart from x); for K = 1, U is constant and C exact.
+    G_K the direct sum over block K, plus |C| when x < rho (the pole of C
+    at zeta = x then lies inside), where M of :func:`_closed_form_max`
+    bounds |U| there, with a_j = (rho r_K/r_j)^{n_j} > 1.  rho is 2 and 4
+    times r_(K-1)/r_K; a rho that is not below 1 or equals x gives no
+    term, and for K = 1, U is constant and C exact: one term 0.
     Everything but |x - rho| is the config's, formed once per interpolant
     (``RationalInterpolant._contours``)."""
     if rat._contours is None:
-        return mpf(0)
+        return [(mpf(0), False)]
+    return [
+        (numerator / (denominator * abs(x - rho)), x < rho)
+        for rho, numerator, denominator in rat._contours
+        if rho != x
+    ]
+
+
+def _aliasing_bound(bounds, size) -> mpf:
+    """Bound on |G_K - C| from the terms of :func:`_contour_bounds`, with
+    |C| = ``size``: the smallest term, inf when there is none."""
     best = mpf("inf")
-    for rho, numerator, denominator in rat._contours:
-        if rho == x:
-            continue
-        bound = numerator / (denominator * abs(x - rho))
-        best = min(best, bound + size if x < rho else bound)
+    for bound, inside in bounds:
+        best = min(best, bound + size if inside else bound)
     return best
 
 

@@ -43,12 +43,15 @@ remaining (nonvanishing) product.  Two routes reach the zeros.
 rounded zero.  ``_block_residues`` serves a whole block, capped like
 ``zeros`` at ENUMERABLE_BLOCK_LIMIT zeros, and returns only the residues
 u = -f''/f'^2, in closed form: it forms the other blocks' real powers
-once per block (``_other_blocks``), takes each root of unity from
-``_unit_root``, the helper behind ``zero_point``, and forms each factor
-once per distinct root index (``_extracted_raw``).  That pass runs on
-mpmath's raw libmp tuples, making the calls that the mpc operators of
+once per block (``_other_blocks``), reads each root of unity from the
+table of ``_unit_roots``, which ``zeros`` reads too and which gives the
+bits of ``_unit_root``, the helper behind ``zero_point``, and forms each
+factor once per distinct root index (``_extracted_raw``).  That pass runs
+on mpmath's raw libmp tuples, making the calls that the mpc operators of
 the closed form would make, in the same order, so it gives the same
-bits; only this module imports ``mpmath.libmp``.  The routes share the
+bits, but for operations whose result is known exactly: a product with a
+power of two is an exponent shift, and a product with 1 or a sum with 0
+is not formed.  Only this module imports ``mpmath.libmp``.  The routes share the
 cancellation screen of ``_block_terms`` and nothing else: the pass tests
 the screen's first clause (``_lossy_modulus``) once per other block and
 sends a block's factors through ``_block_terms`` only where it holds.  So
@@ -56,7 +59,7 @@ the interpolation check, which holds the stored residues against the f'
 and f'' of ``derivs_at_zero``, compares two routes.
 f has real Taylor coefficients, so zero and residue n_k - m are the
 conjugates of zero and residue m: for index m > n_k/2 ``_unit_root``,
-``zeros`` and ``_block_residues`` take the exact conjugate.
+``_unit_roots`` and ``_block_residues`` take the exact conjugate.
 
 Configs and zero sets are immutable, but for each config's memo of f' on
 its disk circles (``LacunaryConfig._disk_samples``), whose concurrent fills
@@ -72,8 +75,8 @@ from dataclasses import dataclass, field
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
     fone, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_conjugate, mpc_div, mpc_div_mpf,
-    mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_pow_int, mpc_sub, mpf_abs, mpf_add,
-    mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_shift, mpf_sub, round_nearest
+    mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_pow_int, mpc_shift, mpc_sub, mpf_abs,
+    mpf_add, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest
 )
 
 from .errors import (
@@ -664,6 +667,31 @@ def _unit_root(m: int, n: int) -> mpc:
     return mp.expjpi(2 * mpf(m) / n)
 
 
+def _unit_roots(n: int, prec: int) -> list[tuple]:
+    """omega^i of :func:`_unit_root` at ``prec``, as libmp tuples, for
+    i = 0..n-1: the one table that :func:`zeros` and the residue pass read.
+
+    Bit for bit ``_unit_root(i, n)``, with fewer trig calls.  Index
+    i > n/2 is the exact conjugate of n - i.  When n is a power of two of
+    at least 4, omega^i for n/4 < i <= n/2 is the exact rotation (-Im, Re)
+    of omega^(i - n/4): mpmath's ``mpf_cos_sin(x, pi=True)`` takes out
+    the nearest half-integer and turns the fixed-point pair by that
+    quadrant count before it rounds, and 2(i + n/4)/n = 2i/n + 1/2 is
+    exact there, with the same binary exponent (x = 1/2 is its exact
+    special case), so the reduced argument and the working precision
+    match, and round-to-nearest is symmetric under sign.  For any other
+    n, 2i/n is rounded and the shift moves its ulp, so every root up to
+    n/2 is a trig call."""
+    quarter = n // 4 if n >= 4 and not n & (n - 1) else n // 2
+    with mp.workprec(prec):
+        roots = [_unit_root(i, n)._mpc_ for i in range(quarter + 1)]
+    for i in range(quarter + 1, n // 2 + 1):
+        x, y = roots[i - n // 4]
+        roots.append((mpf_neg(y), x))
+    roots += [mpc_conjugate(roots[n - i], prec, _RND) for i in range(n // 2 + 1, n)]
+    return roots
+
+
 def zero_point(cfg: LacunaryConfig, k: int, m: int) -> mpc:
     """The zero r_k omega^m of :func:`_unit_root`: for m > n_k/2 the exact
     conjugate of the zero of index n_k - m, in a block of any size."""
@@ -675,12 +703,12 @@ def zero_point(cfg: LacunaryConfig, k: int, m: int) -> mpc:
 
 
 def zeros(cfg: LacunaryConfig, k: int) -> list[mpc]:
-    """All n_k zeros of block k, as :func:`zero_point` forms them: indices
-    0..n_k/2 directly, each m > n_k/2 as the conjugate of zero n_k - m."""
+    """All n_k zeros of block k, r_k times each root of :func:`_unit_roots`:
+    bit for bit :func:`zero_point`, as rounding commutes with conjugation."""
     n = _check_enumerable(cfg, k)
-    block = [zero_point(cfg, k, m) for m in range(n // 2 + 1)]
+    r = cfg.blocks[k - 1][0]
     with mp.workdps(cfg.dps):
-        return block + [mp.conj(block[n - m]) for m in range(n // 2 + 1, n)]
+        return [r * mp.make_mpc(root) for root in _unit_roots(n, mp.prec)]
 
 
 def nearest_zero(cfg: LacunaryConfig, z) -> tuple[int, int, mpf, mpf]:
@@ -888,43 +916,62 @@ def _other_blocks(cfg: LacunaryConfig, k: int) -> list[tuple[int, mpf]]:
     return others
 
 
+def _mul_int(x: tuple, n: int, prec: int) -> tuple:
+    """``mpc_mul_int(x, n, prec)`` for a raw x already rounded at ``prec``:
+    where n is a power of two the product is exact, an exponent shift."""
+    if n & (n - 1):
+        return mpc_mul_int(x, n, prec, _RND)
+    return mpc_shift(x, n.bit_length() - 1)
+
+
 def _extracted_raw(others, m: int, n: int, roots, memo: dict, last: int, prec: int) -> tuple:
     """(P, S1) as libmp tuples for the block pass of :func:`_block_residues`:
     P is the product of the other blocks at the zero xi = r omega^m of a
     block with n zeros, and S1 = xi P'/P the sum of its log-derivative
     terms.
 
-    ``others`` holds (n_j, a_j, a_j > 1) with a_j = (r/r_j)^{n_j} of
-    :func:`_other_blocks` as a tuple, and ``roots[i]`` is omega^i: block
-    j's power is a_j omega^{(m n_j) mod n}, its index reduced in integers,
-    so the angle is exact for any n_j.  Its factor 1 - w and term s are
-    those of :func:`_block_terms`, through v = conj(omega^i)/a_j when
-    a_j > 1.
+    ``others`` holds (n_j, a_j, a_j > 1, e_j) with a_j = (r/r_j)^{n_j} of
+    :func:`_other_blocks` as a tuple, e_j its binary exponent where
+    a_j = 2^e_j (every rule schedule) and None elsewhere, and ``roots[i]``
+    is omega^i: block j's power is a_j omega^{(m n_j) mod n}, its index
+    reduced in integers, so the angle is exact for any n_j.  Its factor
+    1 - w and term s are those of :func:`_block_terms`, through
+    v = conj(omega^i)/a_j when a_j > 1.
+
+    Only operations whose result is known exactly are skipped: w = a_j rt
+    and v are exponent shifts when a_j = 2^e_j, so is n_j s when n_j is a
+    power of two (:func:`_mul_int`), and P and S1 start from the first
+    block's factor and term, which a product with 1 and a sum with 0
+    would give back, each already rounded at ``prec``.
 
     A pass m = 0, 1, ..., ``last`` over one block's zeros forms each
     distinct factor once: block j's index recurs every n/gcd(n_j, n) zeros,
-    and ``memo`` keeps the factor and term under (j, index) only while a
+    and ``memo`` keeps the factor and n_j s under (j, index) only while a
     zero up to ``last`` still needs them.
     """
     P, S1 = _ONE, _ZERO
-    for j, (nj, a, big) in enumerate(others):
+    for j, (nj, a, big, e) in enumerate(others):
         index = m * nj % n
         terms = memo.pop((j, index), None)
         if terms is None:
             rt = roots[index]
-            w = mpc_mul_mpf(rt, a, prec, _RND)
+            w = mpc_mul_mpf(rt, a, prec, _RND) if e is None else mpc_shift(rt, e)
             factor = mpc_sub(_ONE, w, prec, _RND)
             if big:
-                v = mpc_div_mpf(mpc_conjugate(rt, prec, _RND), a, prec, _RND)
+                v = mpc_conjugate(rt, prec, _RND)
+                v = mpc_div_mpf(v, a, prec, _RND) if e is None else mpc_shift(v, -e)
                 s = mpc_mpf_div(fone, mpc_sub(_ONE, v, prec, _RND), prec, _RND)
             else:
                 s = mpc_mul(w, mpc_mpf_div(_MINUS_ONE, factor, prec, _RND), prec, _RND)
-            terms = factor, s
+            terms = factor, _mul_int(s, nj, prec)
         if m + n // math.gcd(nj, n) <= last:
             memo[j, index] = terms
-        factor, s = terms
-        P = mpc_mul(P, factor, prec, _RND)
-        S1 = mpc_add(S1, mpc_mul_int(s, nj, prec, _RND), prec, _RND)
+        factor, term = terms
+        if j:
+            P = mpc_mul(P, factor, prec, _RND)
+            S1 = mpc_add(S1, term, prec, _RND)
+        else:
+            P, S1 = terms
     return P, S1
 
 
@@ -937,14 +984,15 @@ def _block_residues(cfg: LacunaryConfig, k: int) -> list[mpc]:
         u = (n_k - 1 + 2 S1) / (n_k P),
 
     free of xi, so the pass needs only the unit roots of
-    :func:`_unit_root`, not the zeros.  The other blocks' real powers are
+    :func:`_unit_roots`, not the zeros.  The other blocks' real powers are
     formed once for the block, and each other block's factor and terms
     once per distinct root index (m n_j) mod n_k (:func:`_extracted_raw`).
     Every power of block j has modulus a_j, so the first clause of the
     cancellation screen (:func:`_lossy_modulus`) is tested once per block;
     only where it holds do that block's distinct factors go through
     :func:`_block_terms`, which raises CancellationError on a lossy one.
-    Root and residue m > n_k/2 are the exact conjugates of those of
+    2 S1 is an exponent shift, and so is n_k P where n_k is a power of
+    two.  Root and residue m > n_k/2 are the exact conjugates of those of
     n_k - m, and every step commutes with conjugation: the residue is
     bit for bit the closed form at that root.
     """
@@ -953,19 +1001,19 @@ def _block_residues(cfg: LacunaryConfig, k: int) -> list[mpc]:
     with mp.workdps(cfg.dps):
         prec = mp.prec
         bands = _bands(True, prec)
+        roots = _unit_roots(n, prec)
         others = []
         for nj, a in _other_blocks(cfg, k):
-            if _lossy_modulus(a._mpf_, bands[0], prec):
+            a = a._mpf_
+            if _lossy_modulus(a, bands[0], prec):
                 for index in sorted({m * nj % n for m in range(half)}):
-                    _block_terms((a * _unit_root(index, n))._mpc_, 0, bands, prec)
-            others.append((nj, a._mpf_, a > 1))
-        roots = [_unit_root(i, n)._mpc_ for i in range(half)]
-        roots += [mpc_conjugate(roots[n - i], prec, _RND) for i in range(half, n)]
+                    _block_terms(mpc_mul_mpf(roots[index], a, prec, _RND), 0, bands, prec)
+            others.append((nj, a, mpf_gt(a, fone), a[2] if a[1] == 1 else None))
         residues, memo = [], {}
         for m in range(half):
             P, S1 = _extracted_raw(others, m, n, roots, memo, n // 2, prec)
-            top = mpc_add_mpf(mpc_mul_int(S1, 2, prec, _RND), from_int(n - 1), prec, _RND)
-            residues.append(mpc_div(top, mpc_mul_int(P, n, prec, _RND), prec, _RND))
+            top = mpc_add_mpf(mpc_shift(S1, 1), from_int(n - 1), prec, _RND)
+            residues.append(mpc_div(top, _mul_int(P, n, prec), prec, _RND))
         residues += [mpc_conjugate(residues[n - m], prec, _RND) for m in range(half, n)]
         return [mp.make_mpc(u) for u in residues]
 

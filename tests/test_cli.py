@@ -113,6 +113,32 @@ class TestConstruct:
         assert main([*construct, str(out / "config.json")]) == 0
         assert all((out / name).exists() for name in names)
 
+    def test_residues_json_is_the_indent_1_dump(self, tmp_path, monkeypatch):
+        """construct writes residues.json entry by entry, byte for byte the
+        ``json.dump(entries, fh, indent=1)`` and newline of every other
+        output, here on a pass patched to return a zero part, negative
+        parts, and nan and infinite parts."""
+        special = [mpc(0, -3), mpc("-0.25", "1e-400"), mpc(mp.nan, mp.inf), mpc(-mp.inf, 7)]
+        real = interpolation._block_residues
+
+        def patched(cfg, k):
+            block = real(cfg, k)
+            return [special[m] if m < len(special) else u for m, u in enumerate(block)]
+
+        monkeypatch.setattr(interpolation, "_block_residues", patched)
+        cfg = write_config(tmp_path, FACT3)
+        out = tmp_path / "out"
+        assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+        config = lacunary.config_from_dict(FACT3)
+        entries = [
+            {"k": k, "m": m, "residue": [cli._hex(u.real), cli._hex(u.imag)]}
+            for k in range(1, config.K + 1)
+            for m, u in enumerate(patched(config, k))
+        ]
+        parts = {x for e in entries for x in e["residue"]}
+        assert {"0x0p0", "-0x3p0", "-0x1p-2", "nan", "inf", "-inf"} <= parts
+        assert (out / "residues.json").read_text() == json.dumps(entries, indent=1) + "\n"
+
     def test_anchor_residues_are_half(self, tmp_path):
         cfg = write_config(tmp_path, {"blocks": [[1, 2]], "precision_digits": 100})
         out = tmp_path / "out"

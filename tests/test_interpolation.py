@@ -623,6 +623,35 @@ class TestTopBlockClosedForm:
                     assert _top_block(rat, mpc(z), lower_jet(rat, z)) is None, (name, z)
                     assert _agrees_with_direct(rat, z), (name, z)
 
+    def test_bound_above_rounding_forms_no_closed_form(self, monkeypatch):
+        """Where no contour term of the aliasing bound is below rounding
+        (doubly_exp 0.55 K=3), ``_top_block`` returns None before it forms
+        (z/r_K)^(n-1) or C, and g's kernel is the direct sum over every
+        block, bit for bit."""
+        rat = residues_from_f(DIRECT_CONFIGS["doubly_exp-0.55-K3"](100))
+        cfg = rat.cfg
+        powers, power = [], mp.power
+
+        def counted(*args):
+            powers.append(args)
+            return power(*args)
+
+        with mp.workdps(cfg.dps):
+            points = [mpc(z) for z in _top_block_points(cfg)[1:]]
+            heads = [lower_jet(rat, z) for z in points]
+            rat._contours  # the bound's per-interpolant constants, formed once
+            with monkeypatch.context() as patch:
+                patch.setattr(mp, "power", counted)
+                tops = [_top_block(rat, z, head) for z, head in zip(points, heads)]
+            assert tops == [None] * len(points) and powers == []
+            poles = [zeros(cfg, k) for k in range(1, cfg.K + 1)]
+            for z, head in zip(points, heads):
+                direct = mpc(0)
+                for block_poles, block in zip(poles, rat.residues):
+                    for p, u in zip(block_poles, block):
+                        direct += u / (z - p)
+                assert _g_sum(rat, z, head) == direct, z
+
     def test_directly_summed_zeros_are_formed_once(self, monkeypatch):
         """Where block K joins the direct sum (doubly_exp 0.55 K=3), the first
         g call forms the zeros of every block; later calls form none."""
@@ -687,6 +716,11 @@ def _formula_bound(blocks, x, size):
     return best
 
 
+def _aliasing_bound_at(rat, x, size):
+    """``_aliasing_bound`` at |z| = x r_K from the interpolant's held terms."""
+    return interpolation._aliasing_bound(interpolation._contour_bounds(rat, x), size)
+
+
 ALIASING_RADII = ("0.05", "0.1", "0.3", "0.6", "0.9", "1.5", "3", "10")
 
 
@@ -709,7 +743,7 @@ class TestAliasingBound:
                 poles = zeros(fine.cfg, fine.cfg.K)
                 direct = mp.fsum(u / (zf - p) for p, u in zip(poles, fine.residues[-1]))
                 measured = abs(direct - _closed_form(fine, zf))
-            bound = interpolation._aliasing_bound(rat, x, abs(_closed_form(rat, mpc(z))))
+            bound = _aliasing_bound_at(rat, x, abs(_closed_form(rat, mpc(z))))
             assert measured <= bound <= mpf(10) ** 7 * measured, (name, x, measured, bound)
 
     @pytest.mark.parametrize("name", ["headline", *DIRECT_CONFIGS])
@@ -723,7 +757,7 @@ class TestAliasingBound:
         rhos = [c * rat.cfg.blocks[-2][0] / r for c in (2, 4)]
         for x in [*map(mpf, ALIASING_RADII), *(rho * mpf(s) for rho in rhos for s in ("0.5", "2"))]:
             size = abs(_closed_form(rat, x * r * mp.expjpi(mpf("0.37"))))
-            got = interpolation._aliasing_bound(rat, x, size)
+            got = _aliasing_bound_at(rat, x, size)
             assert got == _formula_bound(rat.cfg.blocks, x, size), (name, x)
             if name == "headline":
                 assert got < size + mpf(10) ** -19000

@@ -816,6 +816,38 @@ class TestZeros:
         with pytest.raises(ConfigError):
             zeros(cfg, 5)
 
+    @pytest.mark.parametrize("dps", [15, 30, 100, 200])
+    def test_root_table_is_unit_root_bit_for_bit(self, dps):
+        """``_unit_roots`` gives ``_unit_root(i, n)`` at every index, also
+        where it rotates a root of the first quarter (n a power of two from
+        4), which holds only while mpmath reduces pi-multiple arguments by
+        quarter turns before it rounds."""
+        sizes = [1, 2, 3, *(2**e for e in range(2, 13)), 12, 17, 50]
+        with mp.workdps(dps):
+            for n in sizes:
+                want = [product._unit_root(i, n)._mpc_ for i in range(n)]
+                assert product._unit_roots(n, mp.prec) == want, n
+
+    def test_headline_top_block_takes_a_quarter_of_its_roots_from_trig(self, monkeypatch):
+        """The residue pass over the 4096 zeros of the headline's block 4
+        calls ``mp.expjpi`` for omega^1..omega^1024 alone (omega^0 is 1),
+        half of the 2048 roots up to n/2; no factor of that block is lossy,
+        so the screen forms no root of its own."""
+        cfg = make_schedule(0.5, 4, "factorial")
+        calls, expjpi = [], mp.expjpi
+
+        def counted(x):
+            calls.append(x)
+            return expjpi(x)
+
+        def unscreened(*args):
+            raise AssertionError("the headline's screen clause holds")
+
+        monkeypatch.setattr(mp, "expjpi", counted)
+        monkeypatch.setattr(product, "_block_terms", unscreened)
+        product._block_residues(cfg, 4)
+        assert len(calls) == 1024
+
     def test_zero_point_past_the_enumeration_cap(self):
         """One zero of block 5 enumerates nothing: zero_point forms it for any
         index, zero n_5 - 1 as the conjugate of zero 1, and refuses only an
