@@ -216,6 +216,12 @@ def check_cauchy(sys: CoefficientSystem, seed: int):
                 zero=(k, 0),
             )
         )
+        fd_route = {"route": "finite-difference of 1/f'"}
+        if cr.direct == 0:  # f = 1 - z/r_1: no relative error to measure
+            moot = {"applicable": False, "reason": "f''/f'^2 is exactly 0 at the zero"}
+            for eq, extra in (("2f", moot), ("1b", {**fd_route, **moot})):
+                records.append(record("cauchy", eq, None, None, True, zero=(k, 0), extra=extra))
+            continue
         records.append(
             record(
                 "cauchy",
@@ -238,8 +244,7 @@ def check_cauchy(sys: CoefficientSystem, seed: int):
         fd = reciprocal_derivative_fd(sys, k, 0)
         fd_err = abs(fd - cr.direct) / abs(cr.direct)
         records.append(
-            record("cauchy", "1b", fd_err, fd_tol, fd_err < fd_tol, zero=(k, 0),
-                   extra={"route": "finite-difference of 1/f'"})
+            record("cauchy", "1b", fd_err, fd_tol, fd_err < fd_tol, zero=(k, 0), extra=fd_route)
         )
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
     if cfg.K >= 2:

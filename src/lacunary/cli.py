@@ -58,6 +58,7 @@ from .product import (
     config_from_dict,
     config_to_dict,
     eval_f_scan,
+    sigma_certificate,
     zero_count,
 )
 
@@ -170,7 +171,7 @@ def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
     _write_json(out / "zeros.json", {"count": zero_count(cfg), "blocks": blocks})
     _write_residues(out / "residues.json", rat.residues)
 
-    cert = cfg.sigma_certificate
+    cert = sigma_certificate(cfg)
     _write_json(
         out / "system.json",
         {
@@ -197,7 +198,9 @@ def cmd_construct(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
                 "rho_H": _nstr(system.h.rho),
                 "truncation": H_TRUNCATION,
                 "max_radius": _nstr(system.h.max_radius),
-                "theorem_hypothesis_met": system.theorem_hypothesis_met,
+                # H's order above the zeros' convergence exponent is what regular growth
+                # needs; recorded, not enforced (the ODE residual holds either way)
+                "theorem_hypothesis_met": bool(system.h.rho > cfg.rho_f),
             },
         },
     )

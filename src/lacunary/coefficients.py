@@ -118,10 +118,6 @@ class CoefficientSystem:
     cfg: LacunaryConfig
     rat: RationalInterpolant
     h: HProduct | None
-    # Order of H above the convergence exponent of the zeros is what the
-    # regular-growth conclusion needs; recorded, not enforced (the ODE
-    # residual identity holds either way).
-    theorem_hypothesis_met: bool | None
 
     @property
     def dps(self) -> int:
@@ -135,14 +131,10 @@ def make_system(
     when ``rho_H`` is set (a config's "rho_H" as it stands gives the CLI's H);
     ``defer_top`` leaves block K's residues to their first read."""
     with mp.workdps(cfg.dps):
-        h = None
-        hypothesis = None
-        if rho_H is not None:
-            h = build_H(rho_H, dps=cfg.dps)
-            hypothesis = bool(h.rho > cfg.rho_f)
+        h = None if rho_H is None else build_H(rho_H, dps=cfg.dps)
         if rat is None:
             rat = _top_deferred(cfg) if defer_top else residues_from_f(cfg)
-        return CoefficientSystem(cfg=cfg, rat=rat, h=h, theorem_hypothesis_met=hypothesis)
+        return CoefficientSystem(cfg=cfg, rat=rat, h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +210,10 @@ def residual(sys: CoefficientSystem, z, c_scales=()) -> list[mpf]:
                 raise ConfigError("no H configured: build the system with rho_H set")
             hval = sys.h.eval(z)
             pairs += [(a0 + c * hval * f, b0 - c * hval * fp) for c in map(mpf, c_scales)]
-        return [
-            abs(fpp + a * fp + b * f) / (abs(fpp) + abs(a * fp) + abs(b * f)) for a, b in pairs
-        ]
+        sums = [(fpp + a * fp + b * f, abs(fpp) + abs(a * fp) + abs(b * f)) for a, b in pairs]
+        # a zero scale (f = 1 - z/r_1, whose residue is 0, has f'' = A0 = B0 = 0)
+        # makes every term, and so the sum, exactly 0
+        return [abs(num) / scale if scale else mpf(0) for num, scale in sums]
 
 
 def residual_tolerance(sys: CoefficientSystem, radius) -> mpf:
@@ -244,7 +237,9 @@ IDENTITY_ZEROS_PER_BLOCK = 64
 
 
 def interpolation_identity_residuals(sys: CoefficientSystem) -> list[tuple[int, int, mpf]]:
-    """|A0(z_k) f'(z_k) + f''(z_k)| / |f''(z_k)| at every (subsampled) zero.
+    """|A0(z_k) f'(z_k) + f''(z_k)| / |f''(z_k)| at every (subsampled) zero;
+    where f''(z_k) is exactly 0 (a one-block f = 1 - z/r_1), relative to
+    |A0 f'| instead, and 0 where that is exactly 0 too.
 
     A0 at a zero is its removable value u_k f'(z_k) with the *stored*
     residue, while f' and f'' are recomputed fresh by ``derivs_at_zero``,
@@ -264,8 +259,9 @@ def interpolation_identity_residuals(sys: CoefficientSystem) -> list[tuple[int, 
             for m in indices:
                 u = sys.rat.residues[k - 1][m]
                 f1, f2 = derivs_at_zero(sys.cfg, k, m)
-                value = abs(u * f1 * f1 + f2) / abs(f2)
-                out.append((k, m, value))
+                a0f1 = u * f1 * f1
+                scale = abs(f2) or abs(a0f1)
+                out.append((k, m, abs(a0f1 + f2) / scale if scale else mpf(0)))
     return out
 
 

@@ -165,12 +165,10 @@ def nevanlinna(fn, pole_moduli, r) -> tuple[mpf, mpf, mpf]:
 
 @dataclass(frozen=True)
 class OrderScanRow:
-    k: int
     kind: str  # 'dip' (r = r_k) or 'peak' (r = e r_k)
     r: mpf
     log_max: mpf
     ratio: mpf | None  # lnln M / ln r, None when ln M <= 1
-    correction: mpf
 
 
 @dataclass(frozen=True)
@@ -188,11 +186,9 @@ def order_scan(cfg: LacunaryConfig, ks) -> OrderScan:
         for k in ks:
             r_k, _ = cfg.block(k)
             for kind, r in (("dip", mpf(r_k)), ("peak", mp.e * r_k)):
-                log_max, corr = log_max_modulus_bound(cfg, r)
+                log_max, _ = log_max_modulus_bound(cfg, r)
                 ratio = mp.log(log_max) / mp.log(r) if log_max > 1 else None
-                rows.append(
-                    OrderScanRow(k=k, kind=kind, r=r, log_max=log_max, ratio=ratio, correction=corr)
-                )
+                rows.append(OrderScanRow(kind=kind, r=r, log_max=log_max, ratio=ratio))
     return OrderScan(rows=tuple(rows))
 
 
@@ -357,7 +353,6 @@ class DiskCheck:
 
 @dataclass(frozen=True)
 class AsymptoticsReport:
-    k: int
     partial_dev_max: mpf
     partial_bound: mpf
     partial_pass: bool
@@ -505,7 +500,6 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
         disks_pass = all(d.winding == 0 for d in disks if d.applicable)
 
         return AsymptoticsReport(
-            k=k,
             partial_dev_max=dev_i,
             partial_bound=bound_i,
             partial_pass=pass_i,

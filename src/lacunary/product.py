@@ -112,7 +112,6 @@ class LacunaryConfig:
     blocks: tuple[tuple[mpf, int], ...]
     dps: int
     rule: str | None
-    sigma_certificate: SummabilityCertificate
     _disk: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _past_K: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _multiplicities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -192,21 +191,21 @@ def _schedule_tail(rho, r_next, s) -> mpf:
     )
 
 
-def _certificate(rho, blocks, rule, dps) -> SummabilityCertificate:
-    """Convergence-exponent surrogate: bound sum_k n_k/r_k^s at s=(1+rho)/2,
+def sigma_certificate(cfg: LacunaryConfig) -> SummabilityCertificate:
+    """Convergence-exponent surrogate: bound sum_k n_k/r_k^s at s=(1+rho_f)/2,
     the tail past K by :func:`_schedule_tail`.  Explicit lists are
     finite products: zero tail.
     """
-    with mp.workdps(dps):
-        s = (1 + mpf(rho)) / 2
+    with mp.workdps(cfg.dps):
+        s = (1 + cfg.rho_f) / 2
         partial = mpf(0)
-        for r, n in blocks:
+        for r, n in cfg.blocks:
             partial += mpf(n) * mp.power(r, -s)
-        if rule is None:
+        if cfg.rule is None:
             tail = mpf(0)
         else:
-            r_next = _rule_radius(rule, len(blocks) + 1)
-            tail = _schedule_tail(mpf(rho), r_next, s)
+            r_next = _rule_radius(cfg.rule, cfg.K + 1)
+            tail = _schedule_tail(cfg.rho_f, r_next, s)
         return SummabilityCertificate(s=s, partial=partial, tail=tail)
 
 
@@ -265,8 +264,7 @@ def make_schedule(rho_f, K: int, rule: str = "factorial", dps: int = DEFAULT_DPS
     with mp.workdps(dps):
         blocks = tuple(_rule_block(rule, rho, k) for k in range(1, K + 1))
         _validate_blocks(rho, blocks, dps)
-        cert = _certificate(rho, blocks, rule, dps)
-        return LacunaryConfig(rho_f=rho, blocks=blocks, dps=dps, rule=rule, sigma_certificate=cert)
+        return LacunaryConfig(rho_f=rho, blocks=blocks, dps=dps, rule=rule)
 
 
 def config_from_blocks(blocks, rho_f=mpf("0.5"), dps: int = DEFAULT_DPS) -> LacunaryConfig:
@@ -279,8 +277,7 @@ def config_from_blocks(blocks, rho_f=mpf("0.5"), dps: int = DEFAULT_DPS) -> Lacu
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"blocks must be a list of [r, n] pairs: {exc}") from exc
         _validate_blocks(rho, blks, dps)
-        cert = _certificate(rho, blks, None, dps)
-        return LacunaryConfig(rho_f=rho, blocks=blks, dps=dps, rule=None, sigma_certificate=cert)
+        return LacunaryConfig(rho_f=rho, blocks=blks, dps=dps, rule=None)
 
 
 def _integer(value, key: str) -> int:

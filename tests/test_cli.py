@@ -36,6 +36,7 @@ ANCHOR = {"blocks": [[1, 2]], "rho_f": 0.5, "precision_digits": 100, "rho_H": 0.
 FACT3 = {"rho_f": 0.5, "rule": "factorial", "K": 3, "precision_digits": 100, "rho_H": 0.4}
 FACT7 = {"rho_f": 0.5, "rule": "factorial", "K": 7, "precision_digits": 100}
 SINGLE = {"blocks": [[4, 2]], "rho_f": 0.5, "precision_digits": 100}
+ONE_FACTOR = {"blocks": [[2, 1]], "rho_f": 0.5}  # f = 1 - z/2
 HEADLINE = {"rho_f": 0.5, "rule": "factorial", "K": 4, "precision_digits": 100}
 THEOREM = {"rho_f": 0.45, "rule": "factorial", "K": 4, "precision_digits": 100, "rho_H": 0.48}
 
@@ -550,6 +551,53 @@ class TestVerify:
         records = read_records(tmp_path / "v1")
         failed = [r["zero"] for r in records if not r["pass"]]
         assert failed == [[3, 0]]
+
+    def test_exact_zero_reference_one_block(self, tmp_path):
+        """f = 1 - z/2 has f'' exactly 0 at its zero: 3f reads 0, the 2f and
+        finite-difference 1b records are not applicable, and every check
+        passes."""
+        cfg = write_config(tmp_path, ONE_FACTOR)
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--points", "2"]) == 0
+        records = read_records(out)
+        (identity,) = [r for r in records if r["eq"] == "3f"]
+        assert identity["value"] == 0.0 and identity["pass"]
+        cauchy = [r for r in records if r["check"] == "cauchy"]
+        assert [(r["eq"], r.get("route"), r.get("applicable")) for r in cauchy] == [
+            ("1b", None, None),
+            ("2f", None, False),
+            ("1b", "finite-difference of 1/f'", False),
+        ]
+        assert cauchy[0]["value"] == 0.0 and cauchy[0]["pass"]
+        for r in cauchy[1:]:
+            assert r["value"] is None and r["pass"]
+            assert r["reason"] == "f''/f'^2 is exactly 0 at the zero"
+
+    def test_exact_zero_reference_factorial_k1(self, tmp_path, capsys):
+        """Factorial K=1 is f = 1 - z/2 times its tail: the identity passes,
+        and cauchy's quadrature circle leaves |z| < r_2/2 with a named
+        TailError."""
+        cfg = write_config(tmp_path, {"rho_f": 0.5, "rule": "factorial", "K": 1})
+        verify = ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--points", "2"]
+        assert main([*verify, "--checks", "interpolation"]) == 0
+        capsys.readouterr()
+        assert main([*verify, "--checks", "all"]) == 3
+        assert "TailError: |z| = 2.0625 >= r_{K+1}/2 = 2.0" in capsys.readouterr().err
+
+    def test_fault_injection_detected_where_f2_is_zero(self, tmp_path):
+        """With f'' exactly 0 at the zero, a stored residue of 1e-30 is
+        measured against |A0 f'| and fails 3f."""
+        cfg = write_config(tmp_path, ONE_FACTOR)
+        art = tmp_path / "art"
+        assert main(["construct", "--config", cfg, "--out", str(art)]) == 0
+        entries = json.loads((art / "residues.json").read_text())
+        write_residue(entries[0], mpf("1e-30"))
+        (art / "residues.json").write_text(json.dumps(entries))
+        out = tmp_path / "v"
+        verify = ["verify", "--config", cfg, "--out", str(out), "--artifacts", str(art)]
+        assert main([*verify, "--checks", "interpolation"]) == 1
+        (rec,) = read_records(out)
+        assert rec["zero"] == [1, 0] and rec["value"] == 1.0 and rec["pass"] is False
 
     def test_summability_fails_on_finite_residue_beyond_block_bound(self, tmp_path):
         """A block-4 residue scaled by 10^3 keeps sum |u/z| finite, but its

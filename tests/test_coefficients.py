@@ -667,13 +667,19 @@ class TestRecordsAtAnyAmbientPrecision:
 
 
 class TestSystemConstruction:
-    def test_hypothesis_flag(self):
-        cfg = make_schedule(0.5, 2, "factorial")
-        sys = make_system(cfg, rho_H=0.4)
-        assert sys.theorem_hypothesis_met is False
-        cfg2 = config_from_blocks([(8, 1)], rho_f=mpf("0.05"))
-        sys2 = make_system(cfg2, rho_H=0.4)
-        assert sys2.theorem_hypothesis_met is True
+    def test_hypothesis_flag(self, tmp_path):
+        """construct records whether rho_H exceeds rho_f in system.json."""
+        configs = {
+            "factorial": ({"rho_f": 0.5, "rule": "factorial", "K": 2, "rho_H": 0.4}, False),
+            "explicit": ({"blocks": [[8, 1]], "rho_f": 0.05, "rho_H": 0.4}, True),
+        }
+        for name, (payload, met) in configs.items():
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(payload))
+            out = tmp_path / name
+            assert cli.main(["construct", "--config", str(config), "--out", str(out)]) == 0
+            system = json.loads((out / "system.json").read_text())
+            assert system["H"]["theorem_hypothesis_met"] is met, name
 
     def test_block_past_the_enumeration_cap_is_formed_on_its_first_read(self):
         """At factorial K = 5 a deferred block 5 builds a system, and its first

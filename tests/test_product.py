@@ -38,6 +38,7 @@ from lacunary.product import (
     f_tail_log_bound,
     log_derivative,
     nearest_zero,
+    sigma_certificate,
     zero_count,
     zero_point,
     zeros,
@@ -112,7 +113,7 @@ class TestSchedules:
         r7, n7 = cfg.blocks[6]
         assert r7 == mpf(2) ** 5040
         assert n7 == 2**2520
-        assert cfg.sigma_certificate.total < mpf("inf")
+        assert sigma_certificate(cfg).total < mpf("inf")
 
     def test_rule_extension_past_K(self):
         cfg = make_schedule(0.5, 3, "factorial")
@@ -159,9 +160,20 @@ class TestSchedules:
         assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
         assert cfg.next_radius()._mpf_ == fresh.next_radius()._mpf_
 
+    def test_config_is_its_definition(self):
+        """A config compares, hashes and replaces on rho_f, blocks, dps and
+        rule alone: a factorial schedule given an explicit config's blocks
+        and no rule is that config, certificate included."""
+        compared = [f.name for f in dataclasses.fields(product.LacunaryConfig) if f.compare]
+        assert compared == ["rho_f", "blocks", "dps", "rule"]
+        b = config_from_blocks([(4, 2), (16, 4)])
+        a = dataclasses.replace(make_schedule(0.5, 4), blocks=b.blocks, rule=None)
+        assert a == b and hash(a) == hash(b)
+        assert sigma_certificate(a) == sigma_certificate(b)
+
     def test_certificate_partial_sums_bounded(self):
         cfg = make_schedule(0.5, 4, "factorial")
-        cert = cfg.sigma_certificate
+        cert = sigma_certificate(cfg)
         assert cert.s == mpf("0.75")
         assert 0 < cert.tail < cert.partial
         assert cert.total < 2
@@ -176,7 +188,7 @@ class TestSchedules:
         sum, at least its first two terms, and below the bound that let the
         1.5 r^-s term decay only like 2^(rho-s)."""
         cfg = make_schedule(rho, K, rule)
-        cert = cfg.sigma_certificate
+        cert = sigma_certificate(cfg)
         s = cert.s
         first_two = sum(mpf(n) * mp.power(r, -s) for r, n in (cfg.block(K + 1), cfg.block(K + 2)))
         assert 0 < first_two <= cert.tail < cert.partial
@@ -972,7 +984,7 @@ def test_schedule_invariants_hold_or_config_rejected(rho, K, rule):
     assert all(a < b for a, b in zip(rs, rs[1:]))
     for k in range(1, K):
         assert 2 * sum(ns[:k]) <= ns[k]
-    assert cfg.sigma_certificate.total < mpf("inf")
+    assert sigma_certificate(cfg).total < mpf("inf")
     # a float rho is read through its shortest decimal form, not its binary value
     with mp.workdps(cfg.dps):
         assert cfg.rho_f == mpf(repr(rho))

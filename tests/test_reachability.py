@@ -12,6 +12,11 @@ The options check reads the same modules: every parameter with a default
 must be passed at some call inside the package, or be on
 ``UNSET_OPTIONS`` with a reason that holds.  So an option that only tests
 set fails here too.
+
+The fields check reads them once more: every field of every dataclass
+must be read as an attribute somewhere in the package, or be on
+``UNREAD_FIELDS`` with a reason that holds.  So a field that no code
+reads fails here, as a def that no run enters does.
 """
 
 import ast
@@ -77,6 +82,9 @@ UNSET_OPTIONS = {
     "cli.main(argv)": ENTRY_POINT,
     "logdomain._require_finite(what)": BENCHMARK,
 }
+
+# "module.Class.field": a dataclass field that no code of the package reads
+UNREAD_FIELDS = {}
 
 
 def _readme_block(heading: str, lang: str) -> str:
@@ -365,3 +373,54 @@ def test_unset_option_reason_holds(option):
         assert _benchmark_keeps(name, _defs(modules), _layers(), _imported_by_library(modules)), (
             f"{name}: not in benchmarks/run.py LAYERS, and not kept alive by a name that is"
         )
+
+
+def _dataclass_fields(modules) -> dict:
+    """{"module.Class.field": field name} for every annotated field of every
+    class decorated with ``dataclass`` or ``dataclass(...)``."""
+    fields = {}
+    for module, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+            if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                       for d in decorators):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    fields[f"{module}.{cls.name}.{stmt.target.id}"] = stmt.target.id
+    return fields
+
+
+def _unread_fields() -> set:
+    """The dataclass fields whose name no attribute read of the package
+    (``x.name`` in load context) carries.  It matches by name alone, so it
+    misses a field whose name the attribute of another object shares: a
+    read of ``cfg.dps`` keeps every field named ``dps``."""
+    modules = _modules()
+    reads = {
+        node.attr
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return {name for name, attr in _dataclass_fields(modules).items() if attr not in reads}
+
+
+def test_every_dataclass_field_is_read():
+    unread = sorted(_unread_fields() - set(UNREAD_FIELDS))
+    assert not unread, (
+        f"no code of the package reads {unread}: delete the field, or form "
+        "the value where it is read"
+    )
+
+
+def test_unread_field_entries_hold():
+    unread = _unread_fields()
+    for name, reason in UNREAD_FIELDS.items():
+        assert name in unread, f"{name} is read or no longer a field; take it off UNREAD_FIELDS"
+        _, cls, attr = name.split(".")
+        assert reason == PUBLIC, f"{name}: unknown reason {reason!r}"
+        assert cls in lacunary.__all__, f"{name}: {cls} is not in lacunary.__all__"
+        assert f"`{attr}`" in README, f"the README does not name {name}"
