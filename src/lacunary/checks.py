@@ -354,6 +354,8 @@ CHECK_NAMES = tuple(CHECK_FUNCTIONS)
 # checks that read stored block-K residues (3f's stride, g's direct sum
 # wherever _top_block declines); the rest read only its certificates
 RESIDUE_CHECKS = ("interpolation", "residual")
+# checks that read H (residual's 1d records); verify builds H for no other
+H_CHECKS = ("residual",)
 
 
 def run_checks(sys: CoefficientSystem, checks, seed: int, residual_points: int):

@@ -271,7 +271,8 @@ def cmd_verify(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:
     if args.artifacts:
         rat = _load_artifact_residues(cfg, Path(args.artifacts))
     defer = set(names).isdisjoint(checks_mod.RESIDUE_CHECKS)
-    system = make_system(cfg, rho_H=data.get("rho_H"), rat=rat, defer_top=defer)
+    rho_H = None if set(names).isdisjoint(checks_mod.H_CHECKS) else data.get("rho_H")
+    system = make_system(cfg, rho_H=rho_H, rat=rat, defer_top=defer)
 
     records, all_passed = checks_mod.run_checks(
         system, names, args.seed, residual_points=args.points

@@ -332,7 +332,9 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int) -> CauchyRatio:
     R = r_k/n_k.  The quadrature circle of radius R/32 has its own nested
     grid: n doubles from 32 until the estimates from n and n/2 nodes differ
     by less than CONTOUR_AGREEMENT_THRESHOLD/10 of the direct value, or n
-    reaches MAX_NODES.  ``chain_bound`` is max 1/|f'| on the winding circle over R.
+    reaches MAX_NODES; a direct value of exactly 0 leaves no relative
+    agreement to reach, and n stays 32.  ``chain_bound`` is max 1/|f'|
+    on the winding circle over R.
 
     Why R/32: 1/f' is analytic on the disk of radius R, so the trapezoid
     rule with n nodes on the circle of radius rho < R errs by about
@@ -368,7 +370,7 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int) -> CauchyRatio:
             terms = [1 / (quad_radius * w_j * fp) for w_j, fp in vals]
             integral = mp.fsum(terms) / n
             integral_half = mp.fsum(terms[::2]) * 2 / n
-            if abs(integral - integral_half) < tol:
+            if not direct or abs(integral - integral_half) < tol:
                 break
         return CauchyRatio(
             direct=direct,

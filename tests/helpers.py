@@ -13,7 +13,7 @@ from lacunary.coefficients import H_TRUNCATION
 from lacunary.errors import CancellationError
 from lacunary.growth import _logmag
 from lacunary.interpolation import config_interpolant, eval_g
-from lacunary.product import _jet, _unit_root, zeros
+from lacunary.product import _jet, _scan_blocks, _unit_root, zeros
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -196,6 +196,28 @@ def log_max_modulus(fn, r, n_theta: int = 64):
             f1 = h(x1)
     theta_star = (lo + hi) / 2
     return max(best, f1, f2), theta_star
+
+
+def alignment_correction(cfg, r):
+    """The gap between the term sum of ``growth.log_max_modulus_bound`` and
+    a lower bound for ln M(r), with an exp for every block of
+    ``product._scan_blocks``: rotate the block of largest m_j = e^-|y_j|,
+    y_j = n_j ln(r/r_j), to its maximizing angle; every other block then
+    gives up at most ln((1 + m_j)/(1 - m_j)) against its term, by the
+    reverse triangle inequality.  ln M(r) lies in [sum - correction, sum]."""
+    mp = mpmath.mp
+    with mp.workdps(cfg.dps):
+        r = mpmath.mpf(r)
+        ms = []
+        for r_k, n_k in _scan_blocks(cfg, r):
+            y = cfg._multiplicity(n_k) * (mp.log(r) - mp.log(r_k))
+            ms.append(mp.exp(-abs(y)) if y != 0 else mpmath.mpf(1))
+        dominant = max(range(len(ms)), key=lambda i: ms[i])
+        correction = mpmath.mpf(0)
+        for i, m_i in enumerate(ms):
+            if i != dominant:
+                correction += mp.log1p(m_i) - mp.log1p(-m_i)
+        return correction
 
 
 def block_residues_per_zero(cfg, k):

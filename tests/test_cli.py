@@ -753,6 +753,36 @@ class TestTopBlockDeferral:
         assert formed == [(1, True), (2, True), (3, True), (4, True)]
 
 
+class TestHOnlyForResidual:
+    """``verify`` builds H only when a check of ``checks.H_CHECKS`` is
+    selected: ``residual``'s 1d records are the one reader of H."""
+
+    @pytest.mark.parametrize(
+        "names, builds",
+        [
+            ("characteristic", 0),
+            ("summability", 0),
+            ("proximity", 0),
+            ("cauchy,asymptotics", 0),
+            ("residual", 1),
+            ("all", 1),
+        ],
+    )
+    def test_verify_builds_h_only_for_residual(self, tmp_path, monkeypatch, names, builds):
+        built = []
+        real = coefficients.build_H
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coefficients, "build_H", counted)
+        cfg = write_config(tmp_path, {**HEADLINE, "rho_H": 0.4})
+        argv = ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--checks", names]
+        assert main([*argv, "--points", "1"]) in (0, 1)
+        assert len(built) == builds
+
+
 class TestPastTheEnumerationCap:
     """At factorial K = 5 block 5 has n_5 = 2^60 zeros.  Only ``zeros`` and
     the residue pass meet the enumeration cap, so the five checks that read

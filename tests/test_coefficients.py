@@ -184,7 +184,7 @@ class TestOneHPerConfig:
         monkeypatch.setattr(cli, "build_H", spy(cli.build_H))
         for argv, codes in (
             (["construct"], (0,)),
-            (["verify", "--checks", "summability"], (0,)),
+            (["verify", "--checks", "residual", "--points", "1"], (0,)),
             (["scan", "--scan", "indicator", "--angles", "4"], (0, 3)),
         ):
             out = tmp_path / argv[0]
@@ -460,6 +460,14 @@ class TestCauchyRatio:
         assert rel_err(cr.direct, mpf("-0.5")) < mpf("1e-90")
         assert cr.winding_at_full_radius == 0
         assert cr.agreement < mpf("1e-20")
+
+    def test_exact_zero_direct_stops_at_the_first_level(self):
+        """On f = 1 - z/2, f'' = 0, so the direct ratio is exactly 0 and no
+        relative agreement can stop the doubling; check_cauchy writes such
+        a zero's records as not applicable, so 32 nodes are all it forms."""
+        cr = cauchy_ratio(config_from_blocks([(2, 1)]), 1)
+        assert cr.direct == 0
+        assert cr.nodes == 32
 
     def test_doubly_exp_direct_value_and_bound(self):
         cfg = config_from_blocks([(4, 2), (16, 4)])

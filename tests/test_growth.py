@@ -28,7 +28,7 @@ from lacunary.product import (
     eval_f_scan,
 )
 
-from helpers import log_max_modulus, rel_err
+from helpers import alignment_correction, log_max_modulus, rel_err
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +52,13 @@ class TestLogMaxModulus:
 
     def test_term_sum_matches_direct_evaluation(self, factorial_cfg):
         """Formula vs golden-section search at r = e*r_3: inside 1 percent,
-        and inside the formula's own reported correction."""
+        and inside the alignment correction."""
         r = mp.e * 64
-        formula, corr = log_max_modulus_bound(factorial_cfg, r)
+        formula = log_max_modulus_bound(factorial_cfg, r)
         direct, _ = log_max_modulus(lambda z: eval_f(factorial_cfg, z), r, n_theta=128)
         assert abs(formula - direct) / direct < mpf("0.01")
         assert direct <= formula
-        assert formula - direct <= corr
+        assert formula - direct <= alignment_correction(factorial_cfg, r)
 
 
 @pytest.mark.parametrize(
@@ -86,7 +86,7 @@ def test_term_sum_runs_over_scan_blocks(cfg):
     with mp.workdps(cfg.dps):
         for r_k, _ in cfg.blocks:
             for r in (r_k, mp.e * r_k):
-                formula, _ = log_max_modulus_bound(cfg, r)
+                formula = log_max_modulus_bound(cfg, r)
                 assert formula == term_sum(_scan_blocks(cfg, r), r), r
                 blocks = list(cfg.blocks)
                 while cfg.rule is not None and exponent(blocks[-1], r) >= -90 * mp.log(10):
@@ -101,24 +101,16 @@ def _every_exp_bound(cfg, r):
         r = mpf(r)
         log_r = mp.log(r)
         total = mpf(0)
-        ms = []
         for r_k, n_k in _scan_blocks(cfg, r):
-            y = cfg._multiplicity(n_k) * (log_r - mp.log(r_k))
-            total += _softplus(y)
-            ms.append(mp.exp(-abs(y)) if y != 0 else mpf(1))
-        dominant = max(range(len(ms)), key=lambda i: ms[i])
-        correction = mpf(0)
-        for i, m_i in enumerate(ms):
-            if i != dominant:
-                correction += mp.log1p(m_i) - mp.log1p(-m_i)
-        return total, correction
+            total += _softplus(cfg._multiplicity(n_k) * (log_r - mp.log(r_k)))
+        return total
 
 
 @pytest.mark.parametrize("dps, top", [(30, 7), (100, 7), (200, 6)])
 def test_term_sum_forms_no_exp_that_rounding_absorbs(monkeypatch, dps, top):
     """At the dip and peak radii of blocks 1..``top`` of factorial K=4,
-    between them, and below r_1, the formula and its correction keep the
-    bits of an exp for every block, while no exp of an exponent beyond 2^20
+    between them, and below r_1, the formula keeps the bits of an exp for
+    every block, while no exp of an exponent beyond 2^20
     is formed: each such term is absorbed by what it joins.  (At 200
     digits the oracle's exps past block 6 take minutes.)"""
     cfg = make_schedule(0.5, 4, "factorial", dps=dps)
@@ -137,7 +129,7 @@ def test_term_sum_forms_no_exp_that_rounding_absorbs(monkeypatch, dps, top):
         want = [_every_exp_bound(cfg, r) for r in radii]
         monkeypatch.setattr(mp, "exp", watched)
         got = [log_max_modulus_bound(cfg, r) for r in radii]
-    assert [(a._mpf_, b._mpf_) for a, b in got] == [(a._mpf_, b._mpf_) for a, b in want]
+    assert [x._mpf_ for x in got] == [x._mpf_ for x in want]
     assert huge == []
 
 
@@ -193,7 +185,7 @@ class TestOrderScan:
         cfg = config_from_blocks([(4, 2)])
         ratios = []
         for r in (mpf(100), mpf(10) ** 4, mpf(10) ** 8):
-            log_max, _ = log_max_modulus_bound(cfg, r)
+            log_max = log_max_modulus_bound(cfg, r)
             ratios.append(mp.log(log_max) / mp.log(r))
         assert ratios[0] > ratios[1] > ratios[2]
 
@@ -231,6 +223,33 @@ class TestWitness:
         assert rep.verdict == "no violation"
         rep2 = crg_witness(config_from_blocks([(1, 2)]), [1])
         assert rep2.verdict == "no violation"
+
+    @pytest.mark.parametrize(
+        "cfg, ks, verdict",
+        [
+            (make_schedule(0.5, 4, "factorial"), range(4, 8), "violation"),
+            (make_schedule(0.45, 4, "factorial"), range(4, 8), "violation"),
+            (make_schedule(0.5, 4, "doubly_exp"), range(4, 8), "no violation"),
+            (config_from_blocks([(4, 2), (16, 4)]), range(1, 3), "no violation"),
+        ],
+        ids=["factorial-0.5", "factorial-0.45", "doubly_exp-0.5", "explicit"],
+    )
+    def test_verdict_holds_for_ln_m_itself(self, cfg, ks, verdict):
+        """a and b come from the term sum, an upper bound for ln M.  With
+        the side that the verdict needs lowered by the alignment correction
+        (b for a violation, a for none), the comparison still comes out the
+        same way, so the verdict holds for ln M and not only for its bound."""
+        rep = crg_witness(cfg, ks)
+        assert rep.verdict == verdict
+        with mp.workdps(cfg.dps):
+            low = [
+                (row.log_max - alignment_correction(cfg, row.r)) / mp.power(row.r, cfg.rho_f)
+                for row in rep.rows
+            ]
+            if verdict == "violation":
+                assert max(rep.a) < min(low[1::2]) / rep.threshold_factor
+            else:
+                assert max(low[::2]) >= min(rep.b) / rep.threshold_factor
 
     def test_verdict_threshold_recorded(self, factorial_cfg):
         rep = crg_witness(factorial_cfg, range(5, 8))
@@ -315,8 +334,8 @@ class TestIndicatorScan:
         """ln M at r_k vs e r_k differ by a factor > 5 from k = 5 on."""
         for k in (5, 6, 7):
             r_k, _ = factorial_cfg.block(k)
-            dip, _ = log_max_modulus_bound(factorial_cfg, r_k)
-            peak, _ = log_max_modulus_bound(factorial_cfg, mp.e * r_k)
+            dip = log_max_modulus_bound(factorial_cfg, r_k)
+            peak = log_max_modulus_bound(factorial_cfg, mp.e * r_k)
             assert peak / dip > 5
 
 
@@ -421,7 +440,7 @@ class TestMaxModulusAtPeakRadius:
         search and the formula agree far inside 1 percent."""
         cfg = make_schedule(0.5, 4, "factorial")
         r = mp.e * cfg.blocks[3][0]
-        formula, _ = log_max_modulus_bound(cfg, r)
+        formula = log_max_modulus_bound(cfg, r)
         direct, _ = log_max_modulus(lambda z: eval_f(cfg, z), r, n_theta=32)
         assert abs(formula - direct) / direct < mpf("0.01")
         assert mpf("4253") < direct < mpf("4254")
