@@ -258,7 +258,8 @@ def _entry_residue(e, k: int, m: int) -> mpc:
         raise ConfigError(
             f"artifact entry ({k}, {m}): residue must be a list of two strings, got {re_im!r}"
         )
-    return mpc(_unhex(re_im[0]), _unhex(re_im[1]))
+    # _unhex already rounds at the working precision, which mpc() would redo
+    return mp.make_mpc((_unhex(re_im[0])._mpf_, _unhex(re_im[1])._mpf_))
 
 
 def cmd_verify(cfg: LacunaryConfig, data: dict, out: Path, args) -> int:

@@ -314,9 +314,10 @@ class CauchyRatio:
 def sample_winding(cfg: LacunaryConfig, k: int, radius, samples: dict) -> tuple[int, int]:
     """(n, winding of f') on the circle of ``radius`` around block k's zero r_k
     from n half-step nodes of :func:`_circle_levels`, keeping every node in
-    ``samples``; n doubles from 32 to MAX_NODES while arguments jump by > pi/2."""
+    ``samples``; n doubles from 32 to MAX_NODES while arguments jump by > pi/2.
+    The directions come from the config's table (``LacunaryConfig._grid``)."""
     fprime = partial(_fprime_on_circle, cfg, k, radius)
-    for n, vals in _circle_levels(fprime, samples, MAX_NODES, 1):
+    for n, vals in _circle_levels(fprime, samples, MAX_NODES, 1, cfg._grid(MAX_NODES, 1)):
         fps = [fp for _, fp in vals]
         steps = [mp.arg(b / a) for a, b in zip(fps, fps[1:] + fps[:1])]
         if all(abs(d) <= mp.pi / 2 for d in steps):
@@ -324,13 +325,25 @@ def sample_winding(cfg: LacunaryConfig, k: int, radius, samples: dict) -> tuple[
     raise QuadratureError("winding nodes too sparse: argument jumped by more than pi/2")
 
 
+def disk_winding(cfg: LacunaryConfig, k: int) -> tuple[int, int]:
+    """:func:`sample_winding` on block k's disk circle |z - r_k| = r_k/n_k, on
+    the config's disk samples (``LacunaryConfig._disk_samples``), summed once
+    per config: the contour check and asymptotics (iv) read one memo
+    (``LacunaryConfig._windings``), kept apart from the samples."""
+    if k not in cfg._windings:
+        with mp.workdps(cfg.dps):
+            r_k, n_k = cfg.block(k)
+            cfg._windings[k] = sample_winding(cfg, k, r_k / n_k, cfg._disk_samples(k))
+    return cfg._windings[k]
+
+
 def cauchy_ratio(cfg: LacunaryConfig, k: int) -> CauchyRatio:
     """f''/f'^2 at block k's zero r_k, directly and via the Cauchy integral for (1/f')'.
 
     The winding circle of radius R (the module docstring) is sampled by
-    :func:`sample_winding`, on the disk samples asymptotics shares while
-    R = r_k/n_k.  The quadrature circle of radius R/32 has its own nested
-    grid: n doubles from 32 until the estimates from n and n/2 nodes differ
+    :func:`sample_winding`, on the disk samples and winding that
+    asymptotics shares while R = r_k/n_k (:func:`disk_winding`).  The
+    quadrature circle of radius R/32 has its own nested grid: n doubles from 32 until the estimates from n and n/2 nodes differ
     by less than CONTOUR_AGREEMENT_THRESHOLD/10 of the direct value, or n
     reaches MAX_NODES; a direct value of exactly 0 leaves no relative
     agreement to reach, and n stays 32.  ``chain_bound`` is max 1/|f'|
@@ -353,7 +366,7 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int) -> CauchyRatio:
         radius, winding = r_k / n_k, cfg._disk_samples(k)
         # guard the quadrature circle first: its precision covers the winding circle's
         _fprime_on_circle(cfg, k, radius / 32, ())
-        winding_nodes, winding_full = sample_winding(cfg, k, radius, winding)
+        winding_nodes, winding_full = disk_winding(cfg, k)
         w, halvings = winding_full, 0
         while w != 0:
             halvings += 1
@@ -366,7 +379,7 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int) -> CauchyRatio:
             winding_nodes, w = sample_winding(cfg, k, radius, winding)
         quad_radius = radius / 32
         fprime = partial(_fprime_on_circle, cfg, k, quad_radius)
-        for n, vals in _circle_levels(fprime, {}, MAX_NODES, 1):
+        for n, vals in _circle_levels(fprime, {}, MAX_NODES, 1, cfg._grid(MAX_NODES, 1)):
             terms = [1 / (quad_radius * w_j * fp) for w_j, fp in vals]
             integral = mp.fsum(terms) / n
             integral_half = mp.fsum(terms[::2]) * 2 / n

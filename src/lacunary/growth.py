@@ -37,7 +37,7 @@ from functools import partial
 
 from mpmath import mp, mpc, mpf
 
-from .coefficients import H_TRUNCATION, MAX_NODES, HProduct, sample_winding
+from .coefficients import H_TRUNCATION, MAX_NODES, HProduct, disk_winding
 from .errors import CancellationError, ConfigError, DivergenceError
 from .interpolation import proximity_m
 from .product import (
@@ -395,9 +395,10 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
           finite-level error scale of that product form;
     (iv)  for every block whose disk sits strictly between the
           neighbouring circles, the argument-principle winding of f'
-          confirms the disk holds no zero of f' (``sample_winding``), on
+          confirms the disk holds no zero of f' (``disk_winding``), on
           the disk samples (``LacunaryConfig._disk_samples``) that (iii) and
-          the contour check share.  With no such block, (iv) holds vacuously.
+          the contour check share, summed once for both.  With no such
+          block, (iv) holds vacuously.
     """
     if not 1 <= k <= cfg.K:
         raise ConfigError(f"k must be within 1..{cfg.K}")
@@ -439,7 +440,8 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
         # (iii) |f'| on the disk boundary against the product form, on the
         # first level alone: (iv) may not apply to block k
         fprime = partial(_fprime_on_circle, cfg, k, r_k / mpf(n_k))
-        _, vals = next(_circle_levels(fprime, cfg._disk_samples(k), MAX_NODES, 1))
+        grid = cfg._grid(MAX_NODES, 1)
+        _, vals = next(_circle_levels(fprime, cfg._disk_samples(k), MAX_NODES, 1, grid))
         log_prefactor = sum(
             (mpf(n_j) * (mp.log(r_k) - mp.log(r_j)) for r_j, n_j in cfg.blocks[: k - 1]),
             mpf(0),
@@ -463,8 +465,7 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
             applicable, reason = _disk_separation(cfg, j)
             w = None
             if applicable:
-                r_j, n_j = cfg.block(j)
-                _, w = sample_winding(cfg, j, r_j / mpf(n_j), cfg._disk_samples(j))
+                _, w = disk_winding(cfg, j)
             disks.append(DiskCheck(j, applicable, reason, w))
         disks_pass = all(d.winding == 0 for d in disks if d.applicable)
 

@@ -72,6 +72,7 @@ from .product import (
     _near_zero_guard,
     _other_blocks,
     _schedule_tail,
+    _square,
     derivative_ratio_bound,
     zeros,
 )
@@ -201,11 +202,12 @@ def _certified(cfg: LacunaryConfig, residues) -> RationalInterpolant:
     """:func:`config_interpolant`; a :class:`_TopBlock` takes block K's closed form unseen."""
     with mp.workdps(cfg.dps):
         M, limit = _top_bound(cfg)
+        square = _square(limit)
         block_sums, block_max = [], []
         for k, ((r, n), block) in enumerate(zip(cfg.blocks, residues), start=1):
             unseen = isinstance(block, _TopBlock)
             # a NaN or infinite u fails the test and takes the pass below
-            if k == cfg.K and (unseen or all(_modulus_within(u, limit) for u in block)):
+            if k == cfg.K and (unseen or all(_modulus_within(u, square) for u in block)):
                 top, block_sum = M, n * M / r
             else:
                 # a running max from 0 skips a NaN |u|; the sum keeps it
@@ -425,7 +427,7 @@ def proximity_m(fn, r, avoid_moduli=None) -> mpf:
         estimates = []
         # log+ at the nodes j/n of the turn; the += sum in angle order fixes m's bits
         for n, vals in _circle_levels(
-            lambda ws: [_log_plus(fn(r * w)) for w in ws], {}, max_nodes, 0
+            lambda ws: [_log_plus(fn(r * w)) for w in ws], {}, max_nodes, 0, {}
         ):
             total = mpf(0)
             for _, v in vals:

@@ -29,12 +29,18 @@ screen's band (``_block_terms``), and ``coefficients`` reads the product
 over blocks 1..K-1 from the state of the same loop (``_sweep``) after
 block K-1 (``_f_jet_and_head``).  Like the
 residue pass below, it runs on mpmath's raw libmp tuples, making the
-calls that ``mp.power`` and the mpc operators would make, in the same
-order (``abs(w)`` only where it can move a bit), so it gives their bits;
-values enter and leave it as mpc.  The
+calls that the mpc operators would make, in the same order (``abs(w)``
+only where it can move a bit), so it gives their bits; values enter and
+leave it as mpc.  Its powers are not ``mp.power``'s ``mpc_pow_int`` call
+but ``_pow_int``, which takes its routes and forms the same exact
+Gaussian-integer power with no square after the last multiply, so the
+bits are the same.  The cancellation bands of each precision
+(``_bands``) are formed once per process.  The
 near-zero guard of ``f_jet``, ``log_derivative``, g (margin 10^(-P/2))
 and B0 (10^(-P/4)) decides radially first and calls ``nearest_zero`` only
-within twice its margin, relative, of some circle |z| = r_k.
+within twice its margin, relative, of some circle |z| = r_k;
+``nearest_zero`` visits blocks by radial distance and stops where no
+further block can be nearer.
 At the zeros, f' and f'' come from factor extraction: write f = q*P with
 q the vanishing factor; P' comes from the logarithmic derivative of the
 remaining (nonvanishing) product.  Two routes reach the zeros.
@@ -61,10 +67,11 @@ f has real Taylor coefficients, so zero and residue n_k - m are the
 conjugates of zero and residue m: for index m > n_k/2 ``_unit_root``,
 ``_unit_roots`` and ``_block_residues`` take the exact conjugate.
 
-Configs and zero sets are immutable, but for each config's memo of f' on
-its disk circles (``LacunaryConfig._disk_samples``), whose concurrent fills
-write the same bits; every evaluation is a pure function, so points can be
-evaluated concurrently without locks.
+Configs and zero sets are immutable, but for each config's memos: f' on
+its disk circles (``LacunaryConfig._disk_samples``) and their windings,
+and the grid directions of its circles (``LacunaryConfig._grid``), whose
+concurrent fills write the same bits; every evaluation is a pure
+function, so points can be evaluated concurrently without locks.
 """
 
 from __future__ import annotations
@@ -74,9 +81,10 @@ from dataclasses import dataclass, field
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
-    fone, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_conjugate, mpc_div, mpc_div_mpf,
-    mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_pow_int, mpc_shift, mpc_sub, mpf_abs,
-    mpf_add, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest
+    fone, from_int, from_man_exp, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_conjugate, mpc_div,
+    mpc_div_mpf, mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_pow_int, mpc_shift, mpc_sub,
+    mpf_abs, mpf_add, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_pow_int, mpf_shift, mpf_sub,
+    prec_to_dps, round_nearest
 )
 
 from .errors import (
@@ -113,6 +121,8 @@ class LacunaryConfig:
     dps: int
     rule: str | None
     _disk: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _windings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _directions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _past_K: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _multiplicities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -123,6 +133,12 @@ class LacunaryConfig:
     def _disk_samples(self, k: int) -> dict:
         """f' on block k's disk circle |z - r_k| = r_k/n_k, as ``_circle_levels`` keeps it."""
         return self._disk.setdefault(k, {})
+
+    def _grid(self, cap: int, offset: int) -> dict:
+        """The directions of ``_circle_levels`` at the working precision,
+        grid index -> direction: every circle of the config's checks starts
+        at the same 32-node level, so each direction is formed once."""
+        return self._directions.setdefault((cap, offset, mp.prec), {})
 
     def block(self, k: int) -> tuple[mpf, int]:
         """Block k (1-based); ConfigError for k < 1.  Rule-based schedules
@@ -398,23 +414,37 @@ def _scaled(a: tuple, lossy: tuple, prec: int) -> tuple:
     return mpf_mul(a, lossy, prec, _RND) if mpf_gt(a, fone) else lossy
 
 
-def _modulus_within(u, limit: mpf) -> bool:
+def _square(limit: mpf) -> tuple:
+    """limit^2 exactly, the bound that :func:`_modulus_within` takes."""
+    return mpf_mul(limit._mpf_, limit._mpf_)
+
+
+def _modulus_within(u, square: tuple) -> bool:
     """|u| <= limit for an mpc or mpf u, decided exactly as
-    re^2 + im^2 <= limit^2 with no square root; NaN and inf fail."""
+    re^2 + im^2 <= limit^2 = ``square`` (:func:`_square`) with no square
+    root; NaN and inf fail."""
     x, y = u._mpc_ if hasattr(u, "_mpc_") else (u._mpf_, fzero)
-    return mpf_le(mpf_add(mpf_mul(x, x), mpf_mul(y, y)), mpf_mul(limit._mpf_, limit._mpf_))
+    return mpf_le(mpf_add(mpf_mul(x, x), mpf_mul(y, y)), square)
+
+
+# the values of _bands by (strict, prec), formed once per process
+_BANDS: dict = {}
 
 
 def _bands(strict: bool, prec: int) -> tuple:
     """(lossy, low, high, near) for :func:`_block_terms` at ``prec``:
     lossy = 10^(5-P) and (low, high) = 1 -+ 4 lossy when ``strict``, three
-    Nones otherwise; near = 1 + 2^(4-prec)."""
-    near = mpf_add(fone, mpf_shift(fone, 4 - prec), prec, _RND)
-    if not strict:
-        return None, None, None, near
-    lossy = (mpf(10) ** (5 - mp.dps))._mpf_
-    margin = mpf_shift(lossy, 2)
-    return lossy, mpf_sub(fone, margin, prec, _RND), mpf_add(fone, margin, prec, _RND), near
+    Nones otherwise; near = 1 + 2^(4-prec).  P is the mp.dps of ``prec``,
+    so the bands are a function of the arguments, kept in ``_BANDS``."""
+    if (strict, prec) not in _BANDS:
+        near = mpf_add(fone, mpf_shift(fone, 4 - prec), prec, _RND)
+        lossy = low = high = None
+        if strict:
+            lossy = mpf_pow_int(from_int(10), 5 - prec_to_dps(prec), prec, _RND)
+            margin = mpf_shift(lossy, 2)
+            low, high = mpf_sub(fone, margin, prec, _RND), mpf_add(fone, margin, prec, _RND)
+        _BANDS[strict, prec] = lossy, low, high, near
+    return _BANDS[strict, prec]
 
 
 def _block_terms(w: tuple, terms: int, bands: tuple, prec: int) -> tuple:
@@ -507,6 +537,43 @@ def _absorbs(x: tuple, above: int, prec: int) -> bool:
     return all(c[1] and c[2] + c[3] - 1 > above + prec + 4 for c in x)
 
 
+def _pow_int(x: tuple, n: int, prec: int) -> tuple:
+    """``mpc_pow_int(x, n, prec)`` round-nearest, bit for bit, with less
+    work on its exact route.
+
+    Where neither part of x is zero (or not finite), n >= 3 and
+    n (|de| + max bc) < 10000, de the parts' exponent difference and bc
+    their bit sizes, ``mpc_pow_int`` forms the Gaussian integer
+    (a + bi)^n exactly, then rounds each part once with ``from_man_exp``.
+    Its ``complex_int_pow`` squares the base once more after its last
+    multiply, on the largest operands of the loop.  Here the same integer
+    comes from squarings by (a + b)(a - b) and 2ab, the first multiply a
+    copy of the base and no square after the last one, and is rounded by
+    the same calls.  Every other route (n < 3, x on an axis, and the
+    log/exp route past that size) is ``mpc_pow_int``'s own."""
+    (asign, a, aexp, abc), (bsign, b, bexp, bbc) = x
+    de = aexp - bexp
+    if n < 3 or not a or not b or n * (abs(de) + max(abc, bbc)) >= 10000:
+        return mpc_pow_int(x, n, prec, _RND)
+    if asign:
+        a = -a
+    if bsign:
+        b = -b
+    if de > 0:
+        a <<= de
+    else:
+        b <<= -de
+    exp = n * min(aexp, bexp)
+    re = None
+    while True:
+        if n & 1:
+            re, im = (a, b) if re is None else (re * a - im * b, im * a + re * b)
+        n >>= 1
+        if not n:
+            return from_man_exp(re, exp, prec, _RND), from_man_exp(im, exp, prec, _RND)
+        a, b = (a + b) * (a - b), 2 * a * b
+
+
 def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
     """(f, f'/f, (f'/f)') over ``blocks`` in one pass, the sums up to ``order``.
 
@@ -558,7 +625,7 @@ def _sweep(blocks, zt: tuple, terms: int, strict: bool, prec: int):
             w = mpc_div_mpf(zt, r._mpf_, prec, _RND)
         else:
             wprec = prec + n.bit_length() + 20
-            w = mpc_pow_int(mpc_div_mpf(zt, r._mpf_, wprec, _RND), n, wprec, _RND)
+            w = _pow_int(mpc_div_mpf(zt, r._mpf_, wprec, _RND), n, wprec)
         try:
             factor, s, t = _block_terms(w, terms, bands, prec)
         except CancellationError as exc:
@@ -709,11 +776,17 @@ def zeros(cfg: LacunaryConfig, k: int) -> list[mpc]:
 
 
 def nearest_zero(cfg: LacunaryConfig, z) -> tuple[int, int, mpf, mpf]:
-    """(block k, index m, |z - xi|, |z - xi|/r_k) for the closest zero xi.
+    """(block k, index m, |z - xi|, |z - xi|/r_k) for the closest zero xi,
+    the lowest k on a tie.
 
     Works without enumerating blocks: within block k the nearest zero has
     angular index round(theta * n_k / 2pi), and the chordal distance is
-    sqrt((|z|-r_k)^2 + 4 |z| r_k sin^2(dtheta/2)).
+    sqrt((|z|-r_k)^2 + 4 |z| r_k sin^2(dtheta/2)).  Blocks are visited in
+    order of their radial distance d_k = ||z| - r_k|, and the scan stops at
+    the first d_k above the best chord times 1 + 2^(8-prec): the computed
+    chord of block k is at least d_k (1 - 2^(1-prec)), as its sum only adds
+    a square to the rounded d_k^2, so no block left out could reach the
+    best chord, nor tie it.  The tuple keeps the bits of a full scan.
     """
     with mp.workdps(cfg.dps):
         return _nearest_in(cfg.blocks, mpc(z))
@@ -726,13 +799,18 @@ def _nearest_in(blocks, z: mpc) -> tuple[int, int, mpf, mpf]:
         r1, _ = blocks[0]
         return 1, 0, mpf(r1), mpf(1)
     theta = mp.arg(z)
+    radial = [abs(a - r) for r, _ in blocks]
+    slack = 1 + mp.ldexp(1, 8 - mp.prec)
     best = None
-    for k, (r, n) in enumerate(blocks, start=1):
+    for k in sorted(range(1, len(blocks) + 1), key=lambda k: radial[k - 1]):
+        if best is not None and radial[k - 1] > best[2] * slack:
+            break
+        r, n = blocks[k - 1]
         m = int(mp.nint(theta * n / (2 * mp.pi)))
         dtheta = theta - 2 * mp.pi * mpf(m) / n
         chord2 = (a - r) ** 2 + 4 * a * r * mp.sin(dtheta / 2) ** 2
         dist = mp.sqrt(chord2)
-        if best is None or dist < best[2]:
+        if best is None or dist < best[2] or (dist == best[2] and k < best[0]):
             best = (k, m % n, dist, dist / r)
     return best
 
@@ -818,19 +896,25 @@ def f_jet(cfg: LacunaryConfig, z, order: int) -> tuple[mpc, ...]:
         return _f_jet(cfg, _guarded(cfg, z, order), order)
 
 
-def _circle_levels(batch, samples: dict, cap: int, offset: int):
+def _circle_levels(batch, samples: dict, cap: int, offset: int, directions: dict):
     """The nested trapezoid rule on the unit circle: node i of ``cap`` (a power
     of 2 from 32) lies in the direction e^{i pi (2i + offset)/cap} (offset 1
     keeps f' circles off the real zeros neighbouring blocks may place there),
     and level n takes every (cap/n)-th node, in angle order.  Yields
     (n, [(direction, value)]) as n doubles from 32 up to ``cap``; ``batch``
     maps directions to values and sees only the nodes missing from
-    ``samples`` (grid index -> pair), which keeps them."""
+    ``samples`` (grid index -> pair), which keeps them.  Directions come
+    from ``directions`` (grid index -> direction at the working
+    precision), which keeps those it lacks: a config's circles share the
+    table of ``LacunaryConfig._grid``."""
     n = 32
     while n <= cap:
         grid = range(0, cap, cap // n)
         fresh = [i for i in grid if i not in samples]
-        dirs = [mp.expjpi(mpf(2 * i + offset) / cap) for i in fresh]
+        for i in fresh:
+            if i not in directions:
+                directions[i] = mp.expjpi(mpf(2 * i + offset) / cap)
+        dirs = [directions[i] for i in fresh]
         samples.update(zip(fresh, zip(dirs, batch(dirs))))
         yield n, [samples[i] for i in grid]
         n *= 2

@@ -309,6 +309,28 @@ def h_product_oracle(h, z, factors):
         return mpmath.fprod(1 + z / mpmath.power(m, 1 / h.rho) for m in range(1, factors + 1))
 
 
+def nearest_zero_scan(blocks, z):
+    """``product.nearest_zero`` over ``blocks`` at the working precision by a
+    full scan: the chord to every block's nearest zero, in block order, the
+    first of equal chords kept.  The radially pruned scan must give its
+    tuple bit for bit."""
+    mp, mpf = mpmath.mp, mpmath.mpf
+    a = abs(z)
+    if a == 0:
+        r1, _ = blocks[0]
+        return 1, 0, mpf(r1), mpf(1)
+    theta = mp.arg(z)
+    best = None
+    for k, (r, n) in enumerate(blocks, start=1):
+        m = int(mp.nint(theta * n / (2 * mp.pi)))
+        dtheta = theta - 2 * mp.pi * mpf(m) / n
+        chord2 = (a - r) ** 2 + 4 * a * r * mp.sin(dtheta / 2) ** 2
+        dist = mp.sqrt(chord2)
+        if best is None or dist < best[2]:
+            best = (k, m % n, dist, dist / r)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # the one-pass kernel in plain mpc arithmetic, as it stood before
 # ``product._jet`` moved onto raw libmp tuples: the oracle that the raw

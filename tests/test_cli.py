@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -706,6 +707,33 @@ def test_residue_hex_round_trip(dps, man, exp, negative):
 def test_residue_hex_of_zero_and_nonfinite():
     assert [cli._hex(mpf(x)) for x in (0, "nan", "inf", "-inf")] == ["0x0p0", "nan", "inf", "-inf"]
     assert cli._unhex("0x0p0") == 0 and mp.isnan(cli._unhex("nan"))
+
+
+def test_artifact_reader_keeps_the_bits_of_mpc():
+    """``_entry_residue`` builds each residue from its parts' raw tuples,
+    rounded once by ``_unhex``: the bits of ``mpc(_unhex(re), _unhex(im))``
+    for non-finite parts, zero, negative parts and parts written at more
+    bits than the reading precision.  Malformed and out-of-order entries
+    raise the same ConfigError messages."""
+    rng = random.Random(45)
+    with mp.workdps(400):
+        wide = [mpf(rng.random()) * mpf(2) ** rng.randint(-300, 300) for _ in range(4)]
+        parts = ["nan", "inf", "-inf", "0x0p0", cli._hex(-mpf(3) / 7), cli._hex(mpf(5))]
+        parts += [cli._hex(x) for x in wide] + [cli._hex(-x) for x in wide]
+    for dps in (30, 100, 200):
+        with mp.workdps(dps):
+            for re in parts:
+                for im in parts:
+                    got = cli._entry_residue({"k": 2, "m": 3, "residue": [re, im]}, 2, 3)
+                    assert got._mpc_ == mpc(cli._unhex(re), cli._unhex(im))._mpc_, (dps, re, im)
+    with pytest.raises(errors.ConfigError) as info:
+        cli._entry_residue({"k": 2, "m": 0, "residue": ["0x1p0", "0x0p0"]}, 1, 0)
+    assert str(info.value) == "artifact entry is zero (2, 0); config order expects (1, 0)"
+    for residue in ("12", ["1", 2], ["0x1p0"]):
+        with pytest.raises(errors.ConfigError) as info:
+            cli._entry_residue({"k": 1, "m": 0, "residue": residue}, 1, 0)
+        expected = f"artifact entry (1, 0): residue must be a list of two strings, got {residue!r}"
+        assert str(info.value) == expected
 
 
 class TestTopBlockDeferral:
@@ -1470,6 +1498,67 @@ class TestEachDiskCircleOnce:
         for check in ("cauchy", "asymptotics"):
             first, second = ([r for r in records if r["check"] == check] for records in runs)
             assert first == second and first
+
+
+class TestEachConstantOnce:
+    """``verify`` forms once what is fixed for the whole command: the grid
+    directions of its circles (``LacunaryConfig._grid``), the winding of
+    each disk circle (``coefficients.disk_winding``) and the cancellation
+    bands of each precision (``product._bands``).  When each was formed
+    where it was read, ``verify --precision 200 --checks
+    cauchy,asymptotics`` on the headline called ``mp.expjpi`` 352 times for
+    32 grid directions, summed disk 3's winding twice and formed the
+    bands 431 times."""
+
+    @staticmethod
+    def _verify(tmp_path):
+        cfg = write_config(tmp_path, GOLDEN_CONFIGS["headline"])
+        argv = ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--precision", "200",
+                "--checks", "cauchy,asymptotics"]
+        assert main(argv) == 1
+
+    def test_grid_directions_formed_once(self, monkeypatch, tmp_path):
+        """Grid direction e^{i pi (2i + 1)/4096}, whose argument times 4096
+        is odd, unlike the unit roots' 2m/n."""
+        calls, expjpi = [], mp.expjpi
+        monkeypatch.setattr(mp, "expjpi", lambda x: calls.append(x) or expjpi(x))
+        self._verify(tmp_path)
+        grid = [x for x in calls if (x * coefficients.MAX_NODES) % 2 == 1]
+        assert len(grid) == len(set(grid)) == 32
+
+    def test_disk_winding_summed_once(self, monkeypatch, tmp_path):
+        """The sampler counted at every binding: each circle's winding is
+        summed once, disk 3's among them (cauchy and asymptotics (iv))."""
+        sums, real = [], coefficients.sample_winding
+
+        def counting(cfg, k, radius, samples):
+            sums.append((k, radius))
+            return real(cfg, k, radius, samples)
+
+        for module in (coefficients, growth):
+            if hasattr(module, "sample_winding"):
+                monkeypatch.setattr(module, "sample_winding", counting)
+        self._verify(tmp_path)
+        r_3, n_3 = product.make_schedule(0.5, 4, "factorial", dps=200).blocks[2]
+        with mp.workdps(200):
+            assert sums.count((3, r_3 / n_3)) == 1
+        assert len(sums) == len(set(sums))
+
+    def test_bands_formed_once_per_precision(self, monkeypatch, tmp_path):
+        """Every ``_bands(strict, prec)`` call of the run returns one object
+        per argument pair."""
+        formed, real = {}, product._bands
+
+        def recording(strict, prec):
+            bands = real(strict, prec)
+            formed.setdefault((strict, prec), {})[id(bands)] = bands
+            return bands
+
+        monkeypatch.setattr(product, "_bands", recording)
+        self._verify(tmp_path)
+        with mp.workdps(200):
+            assert (True, mp.prec) in formed
+        assert all(len(objects) == 1 for objects in formed.values())
 
 
 class TestEachRuleBlockOnce:

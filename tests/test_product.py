@@ -44,7 +44,7 @@ from lacunary.product import (
     zeros,
 )
 
-from helpers import reference_jet, rel_err
+from helpers import nearest_zero_scan, reference_jet, rel_err
 
 
 def horner_eval(coeffs, z):
@@ -607,15 +607,15 @@ class TestRawKernel:
     @staticmethod
     def _formed(monkeypatch):
         """The exponents of the powers that ``product._jet`` forms, in order,
-        as a patched ``mpc_pow_int`` records them."""
+        as a patched ``_pow_int`` records them."""
         formed = []
-        pow_int = product.mpc_pow_int
+        pow_int = product._pow_int
 
-        def recording(w, n, prec, rnd):
+        def recording(w, n, prec):
             formed.append(n)
-            return pow_int(w, n, prec, rnd)
+            return pow_int(w, n, prec)
 
-        monkeypatch.setattr(product, "mpc_pow_int", recording)
+        monkeypatch.setattr(product, "_pow_int", recording)
         return formed
 
     @staticmethod
@@ -702,6 +702,40 @@ class TestRawKernel:
         directions = [mp.expjpi(mpf(2 * i + 1) / 32) for i in range(32)]
         product._fprime_on_circle(cfg, k, r / n, directions)
         assert len(formed) == powers
+
+
+class TestPowInt:
+    """``product._pow_int`` gives the bits of ``mpc_pow_int`` on both of its
+    routes: the exact Gaussian-integer power and the log/exp route, and
+    the axes, which it hands to ``mpc_pow_int``."""
+
+    EXPONENTS = (3, 4, 5, 7, 8, 9, 12, 16, 27, 64, 4096)
+
+    @staticmethod
+    def _points(rng, dps):
+        """Seeded points of both signs, with parts from far apart to equal
+        binary exponents, at the working precision, and their axis cases."""
+        for _ in range(12):
+            x = mpf(rng.uniform(-4, 4)) * mpf(2) ** rng.randint(-60, 60)
+            y = mpf(rng.uniform(-4, 4)) * mpf(2) ** rng.randint(-60, 60)
+            x += mpf(rng.random()) * mpf(10) ** -rng.randint(0, dps)
+            yield from (mpc(x, y), mpc(-x, y), mpc(x, -y), mpc(-x, -y), mpc(x, 0), mpc(0, y))
+        yield from (mpc(0), mpc(1, 1), mpc(-3, 5) / 7, mpc(0, -2))
+
+    @pytest.mark.parametrize("dps", [30, 100, 200])
+    def test_bit_identity_with_mpc_pow_int(self, dps):
+        rng = random.Random(dps)
+        routes = set()
+        with mp.workdps(dps):
+            for n in self.EXPONENTS:
+                prec = mp.prec + n.bit_length() + 20
+                for z in self._points(rng, dps):
+                    (_, _, aexp, abc), (_, _, bexp, bbc) = z._mpc_
+                    if z.real and z.imag:
+                        routes.add(n * (abs(aexp - bexp) + max(abc, bbc)) < 10000)
+                    want = libmp.mpc_pow_int(z._mpc_, n, prec, libmp.round_nearest)
+                    assert product._pow_int(z._mpc_, n, prec) == want, (z, n)
+        assert routes == {True, False}
 
 
 class TestRadialGuard:
@@ -873,6 +907,63 @@ class TestZeros:
         for k, m in ((5, n5), (5, -1), (6, 0), (0, 0)):
             with pytest.raises(ConfigError, match="outside"):
                 zero_point(cfg, k, m)
+
+
+class TestNearestZeroParity:
+    """``nearest_zero`` visits blocks by radial distance and stops early; its
+    tuple is that of the full scan ``helpers.nearest_zero_scan`` bit for
+    bit, the lowest k on a tie."""
+
+    CONFIGS = {
+        "headline": lambda dps: make_schedule(0.5, 4, "factorial", dps=dps),
+        "readme": lambda dps: config_from_blocks([[4, 2], [16, 4]], dps=dps),
+        "K=7": lambda dps: make_schedule(0.5, 7, "factorial", dps=dps),
+    }
+
+    @staticmethod
+    def _same(cfg, z):
+        got = nearest_zero(cfg, z)
+        with mp.workdps(cfg.dps):
+            want = nearest_zero_scan(cfg.blocks, mpc(z))
+        assert got == want, (z, got, want)
+        return got
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("dps", [30, 100])
+    def test_seeded_points_axes_and_circles(self, name, dps):
+        cfg = self.CONFIGS[name](dps)
+        rng = random.Random(dps + len(name))
+        with mp.workdps(dps):
+            top = cfg.blocks[-1][0]
+            points = [mpc(0)]
+            for _ in range(60):
+                # log-uniform moduli across every block's circle
+                size = mp.exp(mpf(rng.uniform(-2, 1.05)) * mp.log(top))
+                points.append(size * mp.expjpi(2 * mpf(rng.random())))
+            for r, n in cfg.blocks:
+                points += [mpc(r * 1.5), mpc(-r / 3), mpc(0, r), mpc(0, -r * 0.7)]
+                for _ in range(6):
+                    u = mpf(rng.uniform(-1, 1)) * mpf(10) ** (1 - dps)
+                    points.append(r * (1 + u) * mp.expjpi(2 * mpf(rng.random())))
+        for z in points:
+            self._same(cfg, z)
+
+    @pytest.mark.parametrize(
+        "name, z, k, m",
+        [("readme", 10, 1, 0), ("readme", -10, 1, 1), ("headline", 3, 1, 0),
+         ("headline", 34, 2, 0), ("headline", -34, 2, 1)],
+    )
+    def test_equidistant_circles_go_to_the_lower_block(self, name, z, k, m):
+        """Midway between zeros of two blocks on an axis, as between 4 and
+        16 or -4 and -64, the two chords are equal to the last bit: the
+        lower block wins the tie."""
+        cfg = self.CONFIGS[name](100)
+        z = mpc(z)
+        got = self._same(cfg, z)
+        assert got[:2] == (k, m)
+        with mp.workdps(cfg.dps):
+            chords = sorted(nearest_zero_scan([block], z)[2] for block in cfg.blocks)
+        assert chords[0] == chords[1] == got[2]
 
 
 class TestDerivsAtZero:
