@@ -328,13 +328,11 @@ def sample_winding(cfg: LacunaryConfig, k: int, radius, samples: dict) -> tuple[
 def disk_winding(cfg: LacunaryConfig, k: int) -> tuple[int, int]:
     """:func:`sample_winding` on block k's disk circle |z - r_k| = r_k/n_k, on
     the config's disk samples (``LacunaryConfig._disk_samples``), summed once
-    per config: the contour check and asymptotics (iv) read one memo
-    (``LacunaryConfig._windings``), kept apart from the samples."""
-    if k not in cfg._windings:
-        with mp.workdps(cfg.dps):
-            r_k, n_k = cfg.block(k)
-            cfg._windings[k] = sample_winding(cfg, k, r_k / n_k, cfg._disk_samples(k))
-    return cfg._windings[k]
+    per config: the contour check and asymptotics (iv) read one memo kind,
+    ``"winding"`` (``LacunaryConfig._memo_of``), kept apart from the samples."""
+    with mp.workdps(cfg.dps):
+        r_k, n_k = cfg.block(k)
+        return cfg._memo_of("winding", k, sample_winding, cfg, k, r_k / n_k, cfg._disk_samples(k))
 
 
 def cauchy_ratio(cfg: LacunaryConfig, k: int) -> CauchyRatio:

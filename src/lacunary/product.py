@@ -67,11 +67,11 @@ f has real Taylor coefficients, so zero and residue n_k - m are the
 conjugates of zero and residue m: for index m > n_k/2 ``_unit_root``,
 ``_unit_roots`` and ``_block_residues`` take the exact conjugate.
 
-Configs and zero sets are immutable, but for each config's memos: f' on
-its disk circles (``LacunaryConfig._disk_samples``) and their windings,
-and the grid directions of its circles (``LacunaryConfig._grid``), whose
-concurrent fills write the same bits; every evaluation is a pure
-function, so points can be evaluated concurrently without locks.
+Configs and zero sets are immutable, but for each config's memo
+(``LacunaryConfig._memo_of``): f' on its disk circles and their windings,
+its grid directions, blocks past K and multiplicities, whose concurrent
+fills form the same bits; every evaluation is a pure function, so points
+can be evaluated concurrently without locks.
 """
 
 from __future__ import annotations
@@ -120,49 +120,49 @@ class LacunaryConfig:
     blocks: tuple[tuple[mpf, int], ...]
     dps: int
     rule: str | None
-    _disk: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _windings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _directions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _past_K: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _multiplicities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def K(self) -> int:
         return len(self.blocks)
 
+    def _memo_of(self, kind: str, key, build, *args):
+        """The config's memo of ``kind`` at ``key``: ``build(*args)``, formed at
+        the config's precision on the first read; a race keeps one value."""
+        try:
+            return self._memo[kind][key]
+        except KeyError:
+            with mp.workdps(self.dps):
+                value = build(*args)
+            return self._memo.setdefault(kind, {}).setdefault(key, value)
+
     def _disk_samples(self, k: int) -> dict:
         """f' on block k's disk circle |z - r_k| = r_k/n_k, as ``_circle_levels`` keeps it."""
-        return self._disk.setdefault(k, {})
+        return self._memo_of("disk", k, dict)
 
     def _grid(self, cap: int, offset: int) -> dict:
         """The directions of ``_circle_levels`` at the working precision,
         grid index -> direction: every circle of the config's checks starts
         at the same 32-node level, so each direction is formed once."""
-        return self._directions.setdefault((cap, offset, mp.prec), {})
+        return self._memo_of("grid", (cap, offset, mp.prec), dict)
 
     def block(self, k: int) -> tuple[mpf, int]:
         """Block k (1-based); ConfigError for k < 1.  Rule-based schedules
         extend past K on demand: each such block is formed once, at the
-        config's precision, and kept in ``_past_K``."""
+        config's precision, in the memo kind ``"past_K"``."""
         if 1 <= k <= self.K:
             return self.blocks[k - 1]
         if self.rule is None:
             raise ConfigError(f"explicit config has no block {k} (K={self.K})")
         if k < 1:
             raise ConfigError(f"block index {k}: blocks are numbered from 1")
-        if k not in self._past_K:
-            with mp.workdps(self.dps):
-                self._past_K[k] = _rule_block(self.rule, self.rho_f, k)
-        return self._past_K[k]
+        return self._memo_of("past_K", k, _rule_block, self.rule, self.rho_f, k)
 
     def _multiplicity(self, n: int) -> mpf:
         """The multiplicity n as an mpf at the config's precision, converted
         once per config: the growth scans multiply by n_8 = 2^20160 at
         every radius."""
-        if n not in self._multiplicities:
-            with mp.workdps(self.dps):
-                self._multiplicities[n] = mpf(n)
-        return self._multiplicities[n]
+        return self._memo_of("multiplicity", n, mpf, n)
 
     def next_radius(self) -> mpf | None:
         """r_{K+1} for rule-based schedules, None for explicit lists."""
@@ -427,7 +427,8 @@ def _modulus_within(u, square: tuple) -> bool:
     return mpf_le(mpf_add(mpf_mul(x, x), mpf_mul(y, y)), square)
 
 
-# the values of _bands by (strict, prec), formed once per process
+# the values of _bands by (strict, prec), once per process, not in a config's
+# memo: _sweep also runs H's blocks, which have no config; a build takes ~20 us
 _BANDS: dict = {}
 
 

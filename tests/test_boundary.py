@@ -200,9 +200,9 @@ def test_every_error_but_config_is_numerical():
     assert [name for name in others if not numerical(name)] == []
 
 
-def _call_sites(tree: ast.AST, name: str) -> list[str]:
-    """Dotted names of the functions (and classes) whose bodies call
-    ``name``; a call at module level has the empty name."""
+def _sites(tree: ast.AST, match) -> list[str]:
+    """Dotted names of the functions (and classes) whose bodies hold a node
+    that ``match`` accepts, once per node; module level has the empty name."""
     sites = []
 
     def visit(node, scope):
@@ -210,14 +210,42 @@ def _call_sites(tree: ast.AST, name: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
-                    sites.append(".".join(scope))
+            if match(child):
+                sites.append(".".join(scope))
             visit(child, scope)
 
     visit(tree, [])
     return sites
+
+
+def _call_sites(tree: ast.AST, name: str) -> list[str]:
+    """Dotted names of the functions (and classes) whose bodies call
+    ``name``; a call at module level has the empty name."""
+
+    def calls(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and name in (
+            getattr(func, "id", None), getattr(func, "attr", None)
+        )
+
+    return _sites(tree, calls)
+
+
+def test_one_memo_per_config():
+    """A config keeps its memos in one field, ``_memo``, outside ``__init__``,
+    and ``LacunaryConfig._memo_of`` alone gets or builds them: no other code
+    of the package reads, subscripts, assigns or mutates ``._memo``."""
+    fields = [f.name for f in dataclasses.fields(product.LacunaryConfig) if not f.init]
+    assert fields == ["_memo"]
+    sites = {
+        f"{path.stem}.{site}"
+        for path in PACKAGE.glob("*.py")
+        for site in _sites(
+            ast.parse(path.read_text(encoding="utf-8")),
+            lambda node: isinstance(node, ast.Attribute) and node.attr == "_memo",
+        )
+    }
+    assert sites == {"product.LacunaryConfig._memo_of"}
 
 
 def test_one_cancellation_screen():

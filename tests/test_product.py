@@ -27,7 +27,7 @@ from lacunary import (
     make_system,
 )
 from lacunary import product
-from lacunary.coefficients import build_H, sample_winding
+from lacunary.coefficients import MAX_NODES, build_H, disk_winding, sample_winding
 from lacunary.product import (
     config_from_dict,
     config_to_dict,
@@ -129,7 +129,7 @@ class TestSchedules:
         cfg = make_schedule(0.5, K, rule)
         with pytest.raises(ConfigError, match=f"block index {k}"):
             cfg.block(k)
-        assert cfg._past_K == {}
+        assert cfg._memo.get("past_K", {}) == {}
 
     @pytest.mark.parametrize(
         "rho, rule, K",
@@ -156,7 +156,7 @@ class TestSchedules:
             assert cfg._multiplicity(n)._mpf_ == mpf_n._mpf_
             assert cfg._multiplicity(n) is cfg._multiplicity(n)
         fresh = make_schedule(rho, K, rule)
-        assert not fresh._past_K and cfg._past_K
+        assert not fresh._memo.get("past_K") and cfg._memo.get("past_K")
         assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
         assert cfg.next_radius()._mpf_ == fresh.next_radius()._mpf_
 
@@ -784,35 +784,97 @@ class TestRadialGuard:
         assert values[0] == f_jet(cfg, guards[0][1], 1)[1]
 
 
-class TestDiskSamples:
-    """Each config object keeps its own f' samples on the disk circles, which
-    the checks share; they are no part of the config's value."""
+def _sampled_disk(cfg):
+    """Block 2's disk samples, with its circle sampled."""
+    r, n = cfg.block(2)
+    sample_winding(cfg, 2, r / n, cfg._disk_samples(2))
+    return cfg._disk_samples(2)
 
-    README = '{"blocks": [[4, 2], [16, 4]], "rho_f": 0.5}'
 
-    def _filled(self):
-        """Two configs from one JSON text, the first with block 2's disk
-        circle sampled."""
-        a, b = (config_from_dict(json.loads(self.README)) for _ in range(2))
-        r, n = a.block(2)
-        sample_winding(a, 2, r / n, a._disk_samples(2))
-        return a, b
+MEMO_CONFIGS = {
+    "readme": lambda: config_from_dict(json.loads('{"blocks": [[4, 2], [16, 4]], "rho_f": 0.5}')),
+    "factorial": lambda: make_schedule(0.5, 3, "factorial"),
+}
+# one read of each memo kind, which builds one entry of it
+MEMO_READS = {
+    "disk": _sampled_disk,
+    "winding": lambda cfg: disk_winding(cfg, 2),
+    "grid": lambda cfg: cfg._grid(MAX_NODES, 1),
+    "past_K": lambda cfg: cfg.block(cfg.K + 1),
+    "multiplicity": lambda cfg: cfg._multiplicity(cfg.blocks[-1][1]),
+}
+MEMO_CASES = [
+    (name, kind) for name in MEMO_CONFIGS for kind in MEMO_READS
+    if not (name == "readme" and kind == "past_K")  # an explicit list ends at K
+]
 
-    def test_each_config_object_holds_its_own(self):
-        a, b = self._filled()
-        assert len(a._disk_samples(2)) >= 32 and b._disk_samples(2) == {}
+
+class TestConfigMemo:
+    """Each config object keeps one memo of five kinds, which the checks
+    share: f' on its disk circles, their windings, its grid directions,
+    the blocks past K of a rule schedule and its multiplicities as mpf.
+    The memo is no part of the config's value."""
+
+    def _pair(self, name):
+        """Two configs from one definition."""
+        return MEMO_CONFIGS[name](), MEMO_CONFIGS[name]()
+
+    @pytest.mark.parametrize("name, kind", MEMO_CASES)
+    def test_a_second_read_is_the_same_object(self, name, kind):
+        a, _ = self._pair(name)
+        first = MEMO_READS[kind](a)
+        assert MEMO_READS[kind](a) is first and len(a._memo[kind]) == 1
+
+    @pytest.mark.parametrize("name, kind", MEMO_CASES)
+    def test_each_config_object_holds_its_own(self, name, kind):
+        a, b = self._pair(name)
+        read = MEMO_READS[kind]
+        first = read(a)
+        assert kind not in b._memo
+        other = read(b)
+        assert other is not first and other == first
+        assert read(a) is first and read(b) is other
+
+    @pytest.mark.parametrize("name, kind", MEMO_CASES)
+    def test_a_replaced_config_starts_empty(self, name, kind):
+        a, _ = self._pair(name)
+        first = MEMO_READS[kind](a)
+        variant = dataclasses.replace(a, blocks=a.blocks)
+        assert variant == a and variant._memo == {}
+        assert MEMO_READS[kind](variant) is not first and MEMO_READS[kind](a) is first
+
+    @pytest.mark.parametrize("name, kind", MEMO_CASES)
+    def test_fills_leave_equality_hash_and_repr(self, name, kind):
+        a, b = self._pair(name)
+        MEMO_READS[kind](a)
+        assert a._memo and not b._memo
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
-    def test_a_replaced_config_starts_empty(self):
-        a, _ = self._filled()
+    def test_each_entry_is_built_once_at_the_config_precision(self):
+        cfg = make_schedule(0.5, 3, "factorial", dps=30)
+        builds = []
+
+        def build(*args):
+            builds.append((args, mp.dps))
+            return object()
+
+        first = cfg._memo_of("probe", 1, build, "a")
+        assert cfg._memo_of("probe", 1, build, "a") is first and mp.dps == 100
+        assert cfg._memo_of("probe", 2, build, "b") is not first
+        assert builds == [(("a",), 30), (("b",), 30)]
+
+    def test_disk_samples_fill_one_config_alone(self):
+        a, b = self._pair("readme")
+        _sampled_disk(a)
+        assert len(a._disk_samples(2)) >= 32 and b._disk_samples(2) == {}
         variant = dataclasses.replace(a, blocks=a.blocks)
-        assert variant == a and variant._disk_samples(2) == {}
-        assert len(a._disk_samples(2)) >= 32
+        assert variant._disk_samples(2) == {} and len(a._disk_samples(2)) >= 32
 
     def test_interpolants_compare_and_hash_without_it(self):
         """The README's ``deferred == rat, hash(deferred) == hash(rat)``
         reads True True when only one config has sampled its circles."""
-        a, b = self._filled()
+        a, b = self._pair("readme")
+        _sampled_disk(a)
         deferred, rat = make_system(a, defer_top=True).rat, make_system(b).rat
         assert (deferred == rat, hash(deferred) == hash(rat)) == (True, True)
 
