@@ -34,8 +34,10 @@ only where it can move a bit), so it gives their bits; values enter and
 leave it as mpc.  Its powers are not ``mp.power``'s ``mpc_pow_int`` call
 but ``_pow_int``, which takes its routes and forms the same exact
 Gaussian-integer power with no square after the last multiply, so the
-bits are the same.  The cancellation bands of each precision
-(``_bands``) are formed once per process.  The
+bits are the same.  Its 1/x is ``mpc_reciprocal``, the bits of the
+``mpc_mpf_div(fone, x)`` of ``1/x``: that call's product with 1 is
+exact, and round-to-nearest is symmetric under sign.  The cancellation
+bands of each precision (``_bands``) are formed once per process.  The
 near-zero guard of ``f_jet``, ``log_derivative``, g (margin 10^(-P/2))
 and B0 (10^(-P/4)) decides radially first and calls ``nearest_zero`` only
 within twice its margin, relative, of some circle |z| = r_k;
@@ -51,18 +53,21 @@ rounded zero.  ``_block_residues`` serves a whole block, capped like
 u = -f''/f'^2, in closed form: it forms the other blocks' real powers
 once per block (``_other_blocks``), reads each root of unity from the
 table of ``_unit_roots``, which ``zeros`` reads too and which gives the
-bits of ``_unit_root``, the helper behind ``zero_point``, and forms each
-factor once per distinct root index (``_extracted_raw``).  That pass runs
-on mpmath's raw libmp tuples, making the calls that the mpc operators of
-the closed form would make, in the same order, so it gives the same
-bits, but for operations whose result is known exactly: a product with a
-power of two is an exponent shift, and a product with 1 or a sum with 0
-is not formed.  Only this module imports ``mpmath.libmp``.  The routes share the
-cancellation screen of ``_block_terms`` and nothing else: the pass tests
-the screen's first clause (``_lossy_modulus``) once per other block and
-sends a block's factors through ``_block_terms`` only where it holds.  So
-the interpolation check, which holds the stored residues against the f'
-and f'' of ``derivs_at_zero``, compares two routes.
+bits of ``_unit_root``, the helper behind ``zero_point``, from libmp's
+trig call directly, and forms each factor once per conjugate pair of
+root indices (``_extracted_raw``), taking the partner as its exact
+conjugate.  That pass runs on mpmath's raw libmp tuples, making the
+calls that the mpc operators of the closed form would make, in the same
+order, so it gives the same bits, but for operations whose result is
+known exactly: a product with a power of two is an exponent shift, and
+a product with 1 or a sum with 0 is not formed.  Only this module
+imports ``mpmath.libmp``.  The routes share the cancellation screen of
+``_block_terms`` and nothing else: the pass tests the screen's first
+clause (``_lossy_modulus``) once per other block and sends one factor
+of each of a block's conjugate pairs through ``_block_terms`` only
+where it holds.  So the interpolation check, which holds the stored
+residues against the f' and f'' of ``derivs_at_zero``, compares two
+routes.
 f has real Taylor coefficients, so zero and residue n_k - m are the
 conjugates of zero and residue m: for index m > n_k/2 ``_unit_root``,
 ``_unit_roots`` and ``_block_residues`` take the exact conjugate.
@@ -81,10 +86,10 @@ from dataclasses import dataclass, field
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
-    fone, from_int, from_man_exp, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_conjugate, mpc_div,
-    mpc_div_mpf, mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_pow_int, mpc_shift, mpc_sub,
-    mpf_abs, mpf_add, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_pow_int, mpf_shift, mpf_sub,
-    prec_to_dps, round_nearest
+    fone, from_int, from_man_exp, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_div_mpf,
+    mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_pow_int, mpc_reciprocal, mpc_shift,
+    mpc_sub, mpf_abs, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg,
+    mpf_pow_int, mpf_shift, mpf_sub, prec_to_dps, round_nearest
 )
 
 from .errors import (
@@ -495,8 +500,8 @@ def _block_terms(w: tuple, terms: int, bands: tuple, prec: int) -> tuple:
     if mpf_gt(q, fone) and (
         not mpf_lt(q, near) or mpf_gt(a if a is not None else mpc_abs(w, prec, _RND), fone)
     ):
-        v = mpc_mpf_div(fone, w, prec, _RND)
-        inv = mpc_mpf_div(fone, mpc_sub(_ONE, v, prec, _RND), prec, _RND)
+        v = mpc_reciprocal(w, prec, _RND)
+        inv = mpc_reciprocal(mpc_sub(_ONE, v, prec, _RND), prec, _RND)
         s = inv
     else:
         v, inv = w, mpc_mpf_div(_MINUS_ONE, factor, prec, _RND)
@@ -732,28 +737,47 @@ def _unit_root(m: int, n: int) -> mpc:
     return mp.expjpi(2 * mpf(m) / n)
 
 
+def _conjugate(z: tuple) -> tuple:
+    """The exact conjugate of a raw z already rounded at the working
+    precision: ``mpc_conjugate``'s bits with no rounding call."""
+    x, y = z
+    return x, mpf_neg(y)
+
+
 def _unit_roots(n: int, prec: int) -> list[tuple]:
     """omega^i of :func:`_unit_root` at ``prec``, as libmp tuples, for
     i = 0..n-1: the one table that :func:`zeros` and the residue pass read.
 
-    Bit for bit ``_unit_root(i, n)``, with fewer trig calls.  Index
-    i > n/2 is the exact conjugate of n - i.  When n is a power of two of
-    at least 4, omega^i for n/4 < i <= n/2 is the exact rotation (-Im, Re)
-    of omega^(i - n/4): mpmath's ``mpf_cos_sin(x, pi=True)`` takes out
-    the nearest half-integer and turns the fixed-point pair by that
-    quadrant count before it rounds, and 2(i + n/4)/n = 2i/n + 1/2 is
-    exact there, with the same binary exponent (x = 1/2 is its exact
+    Bit for bit ``_unit_root(i, n)``, with fewer trig calls.  Each trig
+    call is the libmp call that ``mp.expjpi`` makes on the real argument
+    2i/n, ``mpf_cos_sin_pi``, on the same quotient (2i is exact), at the
+    same precision and rounding, with no mpf or mpc objects between.
+    Index i > n/2 is the exact conjugate of n - i.  When n is a power of
+    two of at least 4, omega^i for n/4 < i <= n/2 is the exact rotation
+    (-Im, Re) of omega^(i - n/4): mpmath's ``mpf_cos_sin(x, pi=True)``
+    takes out the nearest half-integer and turns the fixed-point pair by
+    that quadrant count before it rounds, and 2(i + n/4)/n = 2i/n + 1/2
+    is exact there, with the same binary exponent (x = 1/2 is its exact
     special case), so the reduced argument and the working precision
     match, and round-to-nearest is symmetric under sign.  For any other
     n, 2i/n is rounded and the shift moves its ulp, so every root up to
-    n/2 is a trig call."""
+    n/2 is a trig call.
+
+    The table takes no eighth-turn swap, omega^i = (Im, Re) of
+    omega^(n/4 - i) for n/8 < i < n/4: there the reduced argument is
+    negative, and mpmath's fixed-point path is not symmetric under its
+    sign.  At n = 4096, 1 of the 512 swapped roots differs from
+    ``expjpi`` at 100 and at 200 digits (none at 30)."""
     quarter = n // 4 if n >= 4 and not n & (n - 1) else n // 2
-    with mp.workprec(prec):
-        roots = [_unit_root(i, n)._mpc_ for i in range(quarter + 1)]
+    whole = from_int(n)
+    roots = [_ONE] + [
+        mpf_cos_sin_pi(mpf_div(from_int(2 * i), whole, prec, _RND), prec, _RND)
+        for i in range(1, quarter + 1)
+    ]
     for i in range(quarter + 1, n // 2 + 1):
         x, y = roots[i - n // 4]
         roots.append((mpf_neg(y), x))
-    roots += [mpc_conjugate(roots[n - i], prec, _RND) for i in range(n // 2 + 1, n)]
+    roots += [_conjugate(roots[n - i]) for i in range(n // 2 + 1, n)]
     return roots
 
 
@@ -1006,52 +1030,68 @@ def _mul_int(x: tuple, n: int, prec: int) -> tuple:
     return mpc_shift(x, n.bit_length() - 1)
 
 
+def _pair_terms(rt: tuple, nj: int, a: tuple, big: bool, e: int | None, prec: int) -> tuple:
+    """(1 - w, n_j s) of one other block at root rt = omega^i, i <= n/2,
+    for :func:`_extracted_raw`: w = a_j rt, its factor 1 - w and term s
+    as in :func:`_block_terms`, through v = conj(rt)/a_j when ``big``,
+    a_j > 1.  a_j = (r/r_j)^{n_j} of :func:`_other_blocks` comes as a
+    tuple, and e_j is its binary exponent where a_j = 2^e_j (every rule
+    schedule), None elsewhere.  Only operations whose result is known
+    exactly are skipped: w and v are exponent shifts when a_j = 2^e_j, and
+    so is n_j s when n_j is a power of two (:func:`_mul_int`).  1/x is
+    ``mpc_reciprocal``, which gives the bits of ``mpc_mpf_div(fone, x)``:
+    that call's product with 1 is exact, and round-to-nearest is
+    symmetric under sign.
+    """
+    w = mpc_mul_mpf(rt, a, prec, _RND) if e is None else mpc_shift(rt, e)
+    factor = mpc_sub(_ONE, w, prec, _RND)
+    if big:
+        v = _conjugate(rt)
+        v = mpc_div_mpf(v, a, prec, _RND) if e is None else mpc_shift(v, -e)
+        s = mpc_reciprocal(mpc_sub(_ONE, v, prec, _RND), prec, _RND)
+    else:
+        s = mpc_mul(w, mpc_mpf_div(_MINUS_ONE, factor, prec, _RND), prec, _RND)
+    return factor, _mul_int(s, nj, prec)
+
+
 def _extracted_raw(others, m: int, n: int, roots, memo: dict, last: int, prec: int) -> tuple:
     """(P, S1) as libmp tuples for the block pass of :func:`_block_residues`:
     P is the product of the other blocks at the zero xi = r omega^m of a
     block with n zeros, and S1 = xi P'/P the sum of its log-derivative
     terms.
 
-    ``others`` holds (n_j, a_j, a_j > 1, e_j) with a_j = (r/r_j)^{n_j} of
-    :func:`_other_blocks` as a tuple, e_j its binary exponent where
-    a_j = 2^e_j (every rule schedule) and None elsewhere, and ``roots[i]``
-    is omega^i: block j's power is a_j omega^{(m n_j) mod n}, its index
-    reduced in integers, so the angle is exact for any n_j.  Its factor
-    1 - w and term s are those of :func:`_block_terms`, through
-    v = conj(omega^i)/a_j when a_j > 1.
-
-    Only operations whose result is known exactly are skipped: w = a_j rt
-    and v are exponent shifts when a_j = 2^e_j, so is n_j s when n_j is a
-    power of two (:func:`_mul_int`), and P and S1 start from the first
-    block's factor and term, which a product with 1 and a sum with 0
-    would give back, each already rounded at ``prec``.
+    ``others`` holds (n_j, a_j, a_j > 1, e_j, p) for :func:`_pair_terms`,
+    with p = n/gcd(n_j, n).  Block j's power is a_j omega^i with
+    i = (m n_j) mod n, its index reduced in integers, so the angle is
+    exact for any n_j; ``roots[i]`` is omega^i.  Roots i and n - i are
+    exact conjugates, and every step of :func:`_pair_terms` commutes with
+    conjugation bit for bit (shifts, products with a real, differences,
+    the reciprocal and complex products round symmetrically under sign),
+    so the factor and term of index i > n/2 are the exact conjugates of
+    those of n - i.  P and S1 start from the first block's factor and
+    term, which a product with 1 and a sum with 0 would give back, each
+    already rounded at ``prec``.
 
     A pass m = 0, 1, ..., ``last`` over one block's zeros forms each
-    distinct factor once: block j's index recurs every n/gcd(n_j, n) zeros,
-    and ``memo`` keeps the factor and n_j s under (j, index) only while a
-    zero up to ``last`` still needs them.
+    conjugate pair once, at the folded index min(i, n - i): that index
+    recurs at every m' = +-m (mod p), and ``memo`` keeps the pair under
+    (j, folded index) only while a zero up to ``last`` still needs it,
+    dropping it at its last use.
     """
     P, S1 = _ONE, _ZERO
-    for j, (nj, a, big, e) in enumerate(others):
+    for j, (nj, a, big, e, period) in enumerate(others):
         index = m * nj % n
-        terms = memo.pop((j, index), None)
+        folded = min(index, n - index)
+        terms = memo.pop((j, folded), None)
         if terms is None:
-            rt = roots[index]
-            w = mpc_mul_mpf(rt, a, prec, _RND) if e is None else mpc_shift(rt, e)
-            factor = mpc_sub(_ONE, w, prec, _RND)
-            if big:
-                v = mpc_conjugate(rt, prec, _RND)
-                v = mpc_div_mpf(v, a, prec, _RND) if e is None else mpc_shift(v, -e)
-                s = mpc_mpf_div(fone, mpc_sub(_ONE, v, prec, _RND), prec, _RND)
-            else:
-                s = mpc_mul(w, mpc_mpf_div(_MINUS_ONE, factor, prec, _RND), prec, _RND)
-            terms = factor, _mul_int(s, nj, prec)
-        if m + n // math.gcd(nj, n) <= last:
-            memo[j, index] = terms
-        factor, term = terms
+            terms = _pair_terms(roots[folded], nj, a, big, e, prec)
+        if m + ((-2 * m) % period or period) <= last:
+            memo[j, folded] = terms
+        if folded != index:
+            terms = _conjugate(terms[0]), _conjugate(terms[1])
         if j:
-            P = mpc_mul(P, factor, prec, _RND)
-            S1 = mpc_add(S1, term, prec, _RND)
+            P = mpc_mul(P, terms[0], prec, _RND)
+            S1 = mpc_add(S1, terms[1], prec, _RND)
         else:
             P, S1 = terms
     return P, S1
@@ -1068,10 +1108,11 @@ def _block_residues(cfg: LacunaryConfig, k: int) -> list[mpc]:
     free of xi, so the pass needs only the unit roots of
     :func:`_unit_roots`, not the zeros.  The other blocks' real powers are
     formed once for the block, and each other block's factor and terms
-    once per distinct root index (m n_j) mod n_k (:func:`_extracted_raw`).
-    Every power of block j has modulus a_j, so the first clause of the
-    cancellation screen (:func:`_lossy_modulus`) is tested once per block;
-    only where it holds do that block's distinct factors go through
+    once per conjugate pair of root indices (m n_j) mod n_k
+    (:func:`_extracted_raw`).  Every power of block j has modulus a_j, so
+    the first clause of the cancellation screen (:func:`_lossy_modulus`)
+    is tested once per block; only where it holds does one factor of each
+    of that block's conjugate pairs (|1 - conj w| = |1 - w|) go through
     :func:`_block_terms`, which raises CancellationError on a lossy one.
     2 S1 is an exponent shift, and so is n_k P where n_k is a power of
     two.  Root and residue m > n_k/2 are the exact conjugates of those of
@@ -1088,15 +1129,17 @@ def _block_residues(cfg: LacunaryConfig, k: int) -> list[mpc]:
         for nj, a in _other_blocks(cfg, k):
             a = a._mpf_
             if _lossy_modulus(a, bands[0], prec):
-                for index in sorted({m * nj % n for m in range(half)}):
+                indices = {m * nj % n for m in range(half)}
+                for index in sorted({min(i, n - i) for i in indices}):
                     _block_terms(mpc_mul_mpf(roots[index], a, prec, _RND), 0, bands, prec)
-            others.append((nj, a, mpf_gt(a, fone), a[2] if a[1] == 1 else None))
-        residues, memo = [], {}
+            e = a[2] if a[1] == 1 else None
+            others.append((nj, a, mpf_gt(a, fone), e, n // math.gcd(nj, n)))
+        residues, memo, n1 = [], {}, from_int(n - 1)
         for m in range(half):
             P, S1 = _extracted_raw(others, m, n, roots, memo, n // 2, prec)
-            top = mpc_add_mpf(mpc_shift(S1, 1), from_int(n - 1), prec, _RND)
+            top = mpc_add_mpf(mpc_shift(S1, 1), n1, prec, _RND)
             residues.append(mpc_div(top, _mul_int(P, n, prec), prec, _RND))
-        residues += [mpc_conjugate(residues[n - m], prec, _RND) for m in range(half, n)]
+        residues += [_conjugate(residues[n - m]) for m in range(half, n)]
         return [mp.make_mpc(u) for u in residues]
 
 

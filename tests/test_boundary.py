@@ -293,12 +293,16 @@ def test_one_home_for_circle_nodes():
 
 def test_root_index_kernel_serves_the_block_pass_alone():
     """``_extracted_raw`` is called by the residue pass and nowhere else,
-    and ``derivs_at_zero`` reaches neither it nor ``_other_blocks``: the f'
-    and f'' that 3f holds the stored residues against come from f's
-    one-pass kernel, so a fault in the block pass shows."""
+    its per-pair helper ``_pair_terms`` by it alone, and ``derivs_at_zero``
+    reaches none of them nor ``_other_blocks``: the f' and f'' that 3f
+    holds the stored residues against come from f's one-pass kernel, so a
+    fault in the block pass shows."""
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
     assert [site for tree in trees for site in _call_sites(tree, "_extracted_raw")] == [
         "_block_residues"
+    ]
+    assert [site for tree in trees for site in _call_sites(tree, "_pair_terms")] == [
+        "_extracted_raw"
     ]
     assert "derivs_at_zero" not in [
         site for tree in trees for site in _call_sites(tree, "_other_blocks")

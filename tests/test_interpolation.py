@@ -482,6 +482,13 @@ class TestDeferredTopBlock:
         assert len(formed) == 9
 
 
+def _folded_indices(n: int, nj: int) -> set[int]:
+    """The folded root indices min(i, n - i), i = (m nj) mod n, that the
+    residue pass reads for an other block of multiplicity nj over the
+    zeros m <= n/2 of a block with n zeros."""
+    return {min(i, n - i) for i in (m * nj % n for m in range(n // 2 + 1))}
+
+
 class TestBlockResidues:
     """The block-by-block residue pass against the per-zero route, -f''/f'^2
     from ``derivs_at_zero`` at each zero, and its conjugate half
@@ -529,12 +536,39 @@ class TestBlockResidues:
             want = block_residues_per_zero(rat.cfg, k)
             assert [m for m in range(n) if got[m] != want[m]] == [], k
 
+    @pytest.mark.parametrize("name", sorted(RESIDUE_CONFIGS))
+    def test_each_conjugate_pair_formed_once(self, monkeypatch, name):
+        """The pass forms block j's factor and term once per conjugate pair
+        of root indices within block k (``_pair_terms``): once per folded
+        index min(i, n_k - i) of i = (m n_j) mod n_k over m <= n_k/2.  On
+        the headline's block 4 that is 2,049 + 1,025 + 257 = 3,331
+        formations; one per distinct index would be 4,609."""
+        cfg = RESIDUE_CONFIGS[name](100)
+        formed, real = [], product._pair_terms
+
+        def counted(rt, nj, *args):
+            formed.append(nj)
+            return real(rt, nj, *args)
+
+        monkeypatch.setattr(product, "_pair_terms", counted)
+        for k, (_, n) in enumerate(cfg.blocks, start=1):
+            formed.clear()
+            product._block_residues(cfg, k)
+            want = sum(
+                len(_folded_indices(n, nj))
+                for j, (_, nj) in enumerate(cfg.blocks, start=1)
+                if j != k
+            )
+            assert len(formed) == want, k
+            if (name, k) == ("factorial-0.5-K4", 4):
+                assert want == 3331
+
     def test_every_factor_is_screened(self, monkeypatch):
         """The screen's first clause runs once per other block, at 10^(5-P);
-        where it holds, each distinct factor 1 - w of that block goes
-        through ``_block_terms``: one per distinct root index
-        (m n_j) mod n_k over m <= n_k/2, the other residues being
-        conjugates.  A block of modulus 1 + 10^-99 raises."""
+        where it holds, one factor 1 - w of each conjugate pair of that
+        block goes through ``_block_terms``: one per folded root index
+        min(i, n_k - i) of i = (m n_j) mod n_k over m <= n_k/2, the other
+        residues being conjugates.  A block of modulus 1 + 10^-99 raises."""
         cfg = RESIDUE_CONFIGS["explicit"](100)
         real_clause, real_terms = product._lossy_modulus, product._block_terms
         clauses, screens = [], []
@@ -555,13 +589,13 @@ class TestBlockResidues:
 
         monkeypatch.setattr(product, "_lossy_modulus", lambda a, lossy, prec: True)
         residues_from_f(cfg)
-        distinct = sum(
-            len({m * nj % n for m in range(n // 2 + 1)})
+        folded = sum(
+            len(_folded_indices(n, nj))
             for k, (_, n) in enumerate(cfg.blocks)
             for j, (_, nj) in enumerate(cfg.blocks)
             if j != k
         )
-        assert len(screens) == distinct
+        assert len(screens) == folded
         assert set(screens) == {(mpf(10) ** -95)._mpf_}
 
         monkeypatch.setattr(product, "_lossy_modulus", real_clause)

@@ -938,20 +938,20 @@ class TestZeros:
 
     def test_headline_top_block_takes_a_quarter_of_its_roots_from_trig(self, monkeypatch):
         """The residue pass over the 4096 zeros of the headline's block 4
-        calls ``mp.expjpi`` for omega^1..omega^1024 alone (omega^0 is 1),
-        half of the 2048 roots up to n/2; no factor of that block is lossy,
-        so the screen forms no root of its own."""
+        calls libmp's ``mpf_cos_sin_pi`` for omega^1..omega^1024 alone
+        (omega^0 is 1), half of the 2048 roots up to n/2; no factor of that
+        block is lossy, so the screen forms no root of its own."""
         cfg = make_schedule(0.5, 4, "factorial")
-        calls, expjpi = [], mp.expjpi
+        calls, cos_sin_pi = [], product.mpf_cos_sin_pi
 
-        def counted(x):
+        def counted(x, *args):
             calls.append(x)
-            return expjpi(x)
+            return cos_sin_pi(x, *args)
 
         def unscreened(*args):
             raise AssertionError("the headline's screen clause holds")
 
-        monkeypatch.setattr(mp, "expjpi", counted)
+        monkeypatch.setattr(product, "mpf_cos_sin_pi", counted)
         monkeypatch.setattr(product, "_block_terms", unscreened)
         product._block_residues(cfg, 4)
         assert len(calls) == 1024
