@@ -11,8 +11,9 @@ Subpackage map:
 - ``checks`` / ``cli``  named verification procedures and the command-line front end
 """
 
-# unused: kept loaded for the benchmark's traced run, which looks the
-# module up in sys.modules; both go once the benchmark drops its layers
+# unused: kept loaded for the benchmark's traced run, which looks its four
+# traced names up in sys.modules; import and module go once the benchmark
+# drops those layers
 from . import logdomain  # noqa: F401
 from .errors import (
     CancellationError,

@@ -127,9 +127,12 @@ class CoefficientSystem:
 def make_system(
     cfg: LacunaryConfig, rho_H=None, rat: RationalInterpolant | None = None, defer_top=False
 ) -> CoefficientSystem:
-    """The residues of ``cfg`` (or ``rat``), and H = ``build_H(rho_H, dps=cfg.dps)``
-    when ``rho_H`` is set (a config's "rho_H" as it stands gives the CLI's H);
-    ``defer_top`` leaves block K's residues to their first read."""
+    """The residues of ``cfg`` (or ``rat``, ConfigError unless built for
+    ``cfg``), and H = ``build_H(rho_H, dps=cfg.dps)`` when ``rho_H`` is set
+    (a config's "rho_H" as it stands gives the CLI's H); ``defer_top``
+    leaves block K's residues to their first read."""
+    if rat is not None and rat.cfg != cfg:
+        raise ConfigError("the interpolant was built for another config")
     with mp.workdps(cfg.dps):
         h = None if rho_H is None else build_H(rho_H, dps=cfg.dps)
         if rat is None:
@@ -317,7 +320,7 @@ def sample_winding(cfg: LacunaryConfig, k: int, radius, samples: dict) -> tuple[
     ``samples``; n doubles from 32 to MAX_NODES while arguments jump by > pi/2.
     The directions come from the config's table (``LacunaryConfig._grid``)."""
     fprime = partial(_fprime_on_circle, cfg, k, radius)
-    for n, vals in _circle_levels(fprime, samples, MAX_NODES, 1, cfg._grid(MAX_NODES, 1)):
+    for n, vals in _circle_levels(fprime, samples, MAX_NODES, 1, cfg._grid()):
         fps = [fp for _, fp in vals]
         steps = [mp.arg(b / a) for a, b in zip(fps, fps[1:] + fps[:1])]
         if all(abs(d) <= mp.pi / 2 for d in steps):
@@ -377,7 +380,7 @@ def cauchy_ratio(cfg: LacunaryConfig, k: int) -> CauchyRatio:
             winding_nodes, w = sample_winding(cfg, k, radius, winding)
         quad_radius = radius / 32
         fprime = partial(_fprime_on_circle, cfg, k, quad_radius)
-        for n, vals in _circle_levels(fprime, {}, MAX_NODES, 1, cfg._grid(MAX_NODES, 1)):
+        for n, vals in _circle_levels(fprime, {}, MAX_NODES, 1, cfg._grid()):
             terms = [1 / (quad_radius * w_j * fp) for w_j, fp in vals]
             integral = mp.fsum(terms) / n
             integral_half = mp.fsum(terms[::2]) * 2 / n

@@ -440,8 +440,7 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
         # (iii) |f'| on the disk boundary against the product form, on the
         # first level alone: (iv) may not apply to block k
         fprime = partial(_fprime_on_circle, cfg, k, r_k / mpf(n_k))
-        grid = cfg._grid(MAX_NODES, 1)
-        _, vals = next(_circle_levels(fprime, cfg._disk_samples(k), MAX_NODES, 1, grid))
+        _, vals = next(_circle_levels(fprime, cfg._disk_samples(k), MAX_NODES, 1, cfg._grid()))
         log_prefactor = sum(
             (mpf(n_j) * (mp.log(r_k) - mp.log(r_j)) for r_j, n_j in cfg.blocks[: k - 1]),
             mpf(0),

@@ -1,21 +1,19 @@
-"""Overflow-safe complex arithmetic in the log domain, internal to ``product``.
+"""Overflow-safe complex arithmetic in the log domain, used by no library code.
 
-Only :mod:`lacunary.product` imports this module; every value it hands
-to the rest of the package is a plain ``mpc``.
+Only the package ``__init__`` imports this module, unused, so that the
+benchmark's traced run finds its four traced names in ``sys.modules``;
+it goes once the benchmark drops them.
 
 A ``LogComplex`` stores a complex number w as ``(logmag, arg)`` with
 ``logmag = ln|w|`` and ``arg`` the principal argument in (-pi, pi].
-Quantities of size exp(+-10^6) and far beyond stay representable, and
-products of huge factors become exact additions of ``logmag`` fields.
+Quantities of size exp(+-10^6) and far beyond stay representable.
 The exact zero is encoded as ``logmag = -inf`` (with ``arg = 0``); it is
 the only way to represent a vanishing value, and converts losslessly to
 and from ``mpc(0)``.
 
 All values are mpmath numbers evaluated at the *current* mpmath working
-precision; higher-level operations wrap themselves in
-``mp.workdps(config.precision)`` so results carry the minimum precision
-of the pipeline that produced them.  Values are immutable and every
-operation is pure, so concurrent use needs no locking.
+precision.  Values are immutable and every operation is pure, so
+concurrent use needs no locking.
 
 The error model is heuristic digit counting, not certified enclosures:
 ``log_add`` raises :class:`CancellationError` when a sum loses more than
@@ -35,17 +33,19 @@ from .errors import CancellationError, PrecisionError
 _NEG_INF = mpf("-inf")
 
 
-def _require_finite(x: mpc, what: str = "value") -> mpc:
+def _require_finite(x: mpc) -> mpc:
     if mp.isnan(x.real) or mp.isnan(x.imag) or mp.isinf(x.real) or mp.isinf(x.imag):
-        raise PrecisionError(f"non-finite {what}: {x}")
+        raise PrecisionError(f"non-finite value: {x}")
     return x
 
 
 def principal_arg(x) -> mpf:
     """Reduce an angle to the principal range (-pi, pi].
 
-    Done with 80 guard bits: arguments arrive as n*arg(z) with n up to
-    ~2^60, so the reduction must survive ~19 digits of cancellation.
+    Done with 80 guard bits: the k turns taken off x carry k times the
+    rounding of 2 pi, so the reduction keeps the working precision for
+    any |x| up to about 2^80, not only for the sums of two principal
+    arguments in (-2 pi, 2 pi] that ``log_add_ex`` reduces.
     """
     x = mpf(x)
     with mp.extraprec(80):
@@ -83,12 +83,8 @@ class LogComplex:
     def is_zero(self) -> bool:
         return self.logmag == _NEG_INF
 
-    def __repr__(self):  # pragma: no cover - cosmetic
-        return f"LogComplex(logmag={mp.nstr(self.logmag, 12)}, arg={mp.nstr(self.arg, 12)})"
-
 
 LOG_ZERO = LogComplex(_NEG_INF, mpf(0))
-LOG_ONE = LogComplex(mpf(0), mpf(0))
 
 
 def log_from_value(w) -> LogComplex:
@@ -104,43 +100,6 @@ def to_value(a: LogComplex) -> mpc:
     if a.is_zero:
         return mpc(0)
     return mp.exp(mpc(a.logmag, a.arg))
-
-
-def log_mul(*factors: LogComplex) -> LogComplex:
-    """Product: logmag fields add exactly, arguments add and reduce to (-pi, pi].
-
-    Zero absorbs.
-    """
-    lm = mpf(0)
-    ar = mpf(0)
-    for f in factors:
-        if f.is_zero:
-            return LOG_ZERO
-        lm = lm + f.logmag
-        ar = ar + f.arg
-    return LogComplex(lm, principal_arg(ar))
-
-
-def log_neg(a: LogComplex) -> LogComplex:
-    if a.is_zero:
-        return LOG_ZERO
-    return LogComplex(a.logmag, principal_arg(a.arg + mp.pi))
-
-
-def log_pow_int(a: LogComplex, n: int) -> LogComplex:
-    """Integer power: n * logmag, n * arg reduced once at full precision.
-
-    This is the only sanctioned way to form (z/r)^n for large n; repeated
-    multiplication would reduce the argument n times and lose the n-fold
-    amplified angular information.
-    """
-    if a.is_zero:
-        if n <= 0:
-            raise ZeroDivisionError("zero to a non-positive power")
-        return LOG_ZERO
-    if n == 0:
-        return LOG_ONE
-    return LogComplex(mpf(n) * a.logmag, principal_arg(mpf(n) * a.arg))
 
 
 def log_add_ex(a: LogComplex, b: LogComplex) -> tuple[LogComplex, str]:

@@ -145,11 +145,12 @@ class LacunaryConfig:
         """f' on block k's disk circle |z - r_k| = r_k/n_k, as ``_circle_levels`` keeps it."""
         return self._memo_of("disk", k, dict)
 
-    def _grid(self, cap: int, offset: int) -> dict:
-        """The directions of ``_circle_levels`` at the working precision,
-        grid index -> direction: every circle of the config's checks starts
-        at the same 32-node level, so each direction is formed once."""
-        return self._memo_of("grid", (cap, offset, mp.prec), dict)
+    def _grid(self) -> dict:
+        """The directions of the f' circles' ``_circle_levels`` grid (cap
+        ``MAX_NODES``, offset 1) at the working precision, grid index ->
+        direction: every f' circle of the config's checks starts at the
+        same 32-node level, so each direction is formed once."""
+        return self._memo_of("grid", mp.prec, dict)
 
     def block(self, k: int) -> tuple[mpf, int]:
         """Block k (1-based); ConfigError for k < 1.  Rule-based schedules
@@ -363,7 +364,7 @@ def config_to_dict(cfg: LacunaryConfig) -> dict:
 def f_tail_log_bound(cfg: LacunaryConfig, radius) -> mpf:
     """ln of the truncation tail bound: sum_{k>K} |z/r_k|^{n_k} <= 2|z/r_{K+1}|^{n_{K+1}}.
 
-    Valid for |z| <= r_{K+1}/2.  Explicit configs are exact: returns -inf.
+    Valid for |z| < r_{K+1}/2.  Explicit configs are exact: returns -inf.
     """
     if cfg.rule is None:
         return mpf("-inf")

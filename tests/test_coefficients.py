@@ -689,6 +689,13 @@ class TestSystemConstruction:
             system = json.loads((out / "system.json").read_text())
             assert system["H"]["theorem_hypothesis_met"] is met, name
 
+    def test_interpolant_of_another_config_is_refused(self):
+        """A system holds one config: residues on the zeros of another
+        config would give a residual of 0 there, a pass."""
+        rat = interpolation.residues_from_f(make_schedule(0.45, 3))
+        with pytest.raises(ConfigError, match="another config"):
+            make_system(make_schedule(0.5, 3), rat=rat)
+
     def test_block_past_the_enumeration_cap_is_formed_on_its_first_read(self):
         """At factorial K = 5 a deferred block 5 builds a system, and its first
         read meets the cap, as ``residues_from_f`` does at once."""

@@ -27,7 +27,7 @@ from lacunary import (
     make_system,
 )
 from lacunary import product
-from lacunary.coefficients import MAX_NODES, build_H, disk_winding, sample_winding
+from lacunary.coefficients import build_H, disk_winding, sample_winding
 from lacunary.product import (
     config_from_dict,
     config_to_dict,
@@ -799,7 +799,7 @@ MEMO_CONFIGS = {
 MEMO_READS = {
     "disk": _sampled_disk,
     "winding": lambda cfg: disk_winding(cfg, 2),
-    "grid": lambda cfg: cfg._grid(MAX_NODES, 1),
+    "grid": lambda cfg: cfg._grid(),
     "past_K": lambda cfg: cfg.block(cfg.K + 1),
     "multiplicity": lambda cfg: cfg._multiplicity(cfg.blocks[-1][1]),
 }

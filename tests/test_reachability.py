@@ -39,8 +39,7 @@ from helpers import bench_run
 PKG = Path(lacunary.__file__).resolve().parent
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
-# benchmarks/run.py traces the name (LAYERS), only such names call it, or
-# it lives in a module that only the benchmark keeps
+# benchmarks/run.py traces the name (LAYERS), or only such names call it
 BENCHMARK = "benchmark"
 # in lacunary.__all__ and named in the README: API for library users
 PUBLIC = "public"
@@ -60,12 +59,8 @@ ALLOWLIST = {
     "logdomain.principal_arg": BENCHMARK,
     "logdomain.LogComplex.__post_init__": BENCHMARK,
     "logdomain.LogComplex.is_zero": BENCHMARK,
-    "logdomain.LogComplex.__repr__": BENCHMARK,
     "logdomain.log_from_value": BENCHMARK,
     "logdomain.to_value": BENCHMARK,
-    "logdomain.log_mul": BENCHMARK,
-    "logdomain.log_neg": BENCHMARK,
-    "logdomain.log_pow_int": BENCHMARK,
     "logdomain.log_add_ex": BENCHMARK,
     "logdomain.log_add": BENCHMARK,
     "coefficients.eval_A0": PUBLIC,
@@ -80,7 +75,6 @@ ALLOWLIST = {
 # "module.def(parameter)": a default that no call inside the package sets
 UNSET_OPTIONS = {
     "cli.main(argv)": ENTRY_POINT,
-    "logdomain._require_finite(what)": BENCHMARK,
 }
 
 # "module.Class.field": a dataclass field that no code of the package reads
@@ -221,22 +215,6 @@ def _layers() -> frozenset:
         return frozenset(run.LAYERS)
 
 
-def _imported_by_library(modules) -> set:
-    """Modules that some module of the package other than ``__init__``
-    imports."""
-    imported = set()
-    for module, tree in modules.items():
-        if module == "__init__":
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                if node.module:
-                    imported.add(node.module)
-                else:
-                    imported.update(alias.name for alias in node.names)
-    return imported
-
-
 def _callers(defs, name) -> set:
     """The defs other than ``name`` whose body names its last component."""
     short = name.rsplit(".", 1)[1]
@@ -252,19 +230,19 @@ def _callers(defs, name) -> set:
     }
 
 
-def _benchmark_keeps(name, defs, layers, library_modules) -> bool:
-    """The ``benchmark`` reason: ``name`` is in ``layers``, its module is
-    one that a layer names and no library module imports, or it has
-    callers and each of them is a ``benchmark`` entry that holds."""
-    module = name.split(".", 1)[0]
+def _benchmark_keeps(name, defs, layers) -> bool:
+    """The ``benchmark`` reason: ``name`` is in ``layers``, or it has
+    callers and each of them is a ``benchmark`` entry that holds.  A
+    method that no def names, such as a dataclass hook, holds through its
+    class: the class's callers count as its own."""
     if name in layers:
         return True
-    if module not in library_modules and any(layer.split(".", 1)[0] == module for layer in layers):
-        return True
     callers = _callers(defs, name)
+    owner = name.rsplit(".", 1)[0]
+    if not callers and owner.count(".") == 1 and owner not in defs:
+        callers = _callers(defs, owner)
     return bool(callers) and all(
-        ALLOWLIST.get(c) == BENCHMARK and _benchmark_keeps(c, defs, layers, library_modules)
-        for c in callers
+        ALLOWLIST.get(c) == BENCHMARK and _benchmark_keeps(c, defs, layers) for c in callers
     )
 
 
@@ -273,8 +251,7 @@ def test_allowlist_reason_holds(name):
     reason = ALLOWLIST[name]
     module, qualname = name.split(".", 1)
     if reason == BENCHMARK:
-        modules = _modules()
-        assert _benchmark_keeps(name, _defs(modules), _layers(), _imported_by_library(modules)), (
+        assert _benchmark_keeps(name, _defs(_modules()), _layers()), (
             f"{name}: not in benchmarks/run.py LAYERS, and not kept alive by a name that is"
         )
     elif reason == PUBLIC:
@@ -369,8 +346,7 @@ def test_unset_option_reason_holds(option):
         assert f'"lacunary.{module}:{qualname}"' in pyproject, f"{name} is no console script"
     else:
         assert reason == BENCHMARK, f"{option}: unknown reason {reason!r}"
-        modules = _modules()
-        assert _benchmark_keeps(name, _defs(modules), _layers(), _imported_by_library(modules)), (
+        assert _benchmark_keeps(name, _defs(_modules()), _layers()), (
             f"{name}: not in benchmarks/run.py LAYERS, and not kept alive by a name that is"
         )
 
