@@ -50,6 +50,26 @@ class TestLogFromValue:
         with pytest.raises(PrecisionError):
             LogComplex(mpf("nan"), mpf(0))
 
+    def test_infinite_value_rejected(self):
+        with pytest.raises(PrecisionError):
+            log_from_value(mpc(mpf("inf"), 0))
+        with pytest.raises(PrecisionError):
+            log_from_value(mpc(0, mpf("-inf")))
+
+
+class TestLogComplexFields:
+    def test_infinite_magnitude_rejected(self):
+        with pytest.raises(PrecisionError, match="infinite magnitude"):
+            LogComplex(mpf("inf"), mpf(0))
+
+    def test_infinite_argument_rejected(self):
+        with pytest.raises(PrecisionError):
+            LogComplex(mpf(0), mpf("inf"))
+
+    def test_zero_with_an_argument_rejected(self):
+        with pytest.raises(PrecisionError, match="exact zero"):
+            LogComplex(mpf("-inf"), mpf("0.5"))
+
 
 class TestLogAdd:
     def test_total_cancellation_returns_exact_zero(self):
@@ -82,6 +102,12 @@ class TestLogAdd:
         assert err.digits_lost > mp.dps - 5
         # the lossy partial result still carries the right magnitude scale
         assert err.result.logmag < -90 * mp.log(10)
+
+    def test_absorption_keeps_the_larger_operand_in_either_order(self):
+        big = LogComplex(mpf(10) ** 6, mpf("0.25"))
+        small = LogComplex(mpf(0), mpf(1))
+        assert log_add_ex(small, big) == (big, "absorbed")
+        assert log_add_ex(big, small) == (big, "absorbed")
 
     def test_moderate_cancellation_is_fine(self):
         a = log_from_value(1)
@@ -133,6 +159,27 @@ def test_argument_always_principal(a, b):
     except CancellationError as exc:
         out = exc.result
     assert -mp.pi < out.arg <= mp.pi
+
+
+@given(log_values(), log_values())
+# 1 + (nearly -1): the sum keeps about 94 of the 100 digits
+@example(LogComplex(mpf(0), mpf(0)), LogComplex(mpf(0), mpf(3.14159)))
+@settings(max_examples=200, deadline=None)
+def test_add_commutative(a, b):
+    """Both orders give one sum, up to rounding of the larger operand: a
+    cancelling sum keeps fewer digits of its own."""
+    try:
+        ab, ba = log_add(a, b), log_add(b, a)
+    except CancellationError:
+        return
+    scale = max(abs(to_value(a)), abs(to_value(b)))
+    assert abs(to_value(ab) - to_value(ba)) < mpf(10) ** (-mp.dps + 3) * scale
+
+
+def test_principal_arg_maps_minus_pi_to_pi():
+    assert principal_arg(-mp.pi) == mp.pi
+    assert principal_arg(mp.pi) == mp.pi
+    assert principal_arg(0) == 0
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))

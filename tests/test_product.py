@@ -843,6 +843,17 @@ class TestConfigMemo:
         assert variant == a and variant._memo == {}
         assert MEMO_READS[kind](variant) is not first and MEMO_READS[kind](a) is first
 
+    def test_the_grid_is_keyed_by_the_working_precision(self):
+        """The grid's directions are formed at the precision of the call,
+        so another precision reads a table of its own."""
+        a, _ = self._pair("factorial")
+        first = a._grid()
+        with mp.workprec(mp.prec + 64):
+            other = a._grid()
+            assert a._grid() is other
+        assert other is not first and a._grid() is first
+        assert len(a._memo["grid"]) == 2
+
     @pytest.mark.parametrize("name, kind", MEMO_CASES)
     def test_fills_leave_equality_hash_and_repr(self, name, kind):
         a, b = self._pair(name)

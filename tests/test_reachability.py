@@ -230,20 +230,65 @@ def _callers(defs, name) -> set:
     }
 
 
-def _benchmark_keeps(name, defs, layers) -> bool:
+def _benchmark_keeps(name, defs, layers, allowlist=ALLOWLIST, path=frozenset()) -> bool:
     """The ``benchmark`` reason: ``name`` is in ``layers``, or it has
-    callers and each of them is a ``benchmark`` entry that holds.  A
-    method that no def names, such as a dataclass hook, holds through its
-    class: the class's callers count as its own."""
+    callers and each of them is a ``benchmark`` entry of ``allowlist``
+    that holds.  A method that no def names, such as a dataclass hook,
+    holds through its class: the class's callers count as its own.  A
+    caller already on the ``path`` of callers being checked closes a loop
+    and is passed over, so a loop holds only through a caller outside it."""
     if name in layers:
         return True
+    path = path | {name}
     callers = _callers(defs, name)
     owner = name.rsplit(".", 1)[0]
     if not callers and owner.count(".") == 1 and owner not in defs:
         callers = _callers(defs, owner)
+    callers -= path
     return bool(callers) and all(
-        ALLOWLIST.get(c) == BENCHMARK and _benchmark_keeps(c, defs, layers) for c in callers
+        allowlist.get(c) == BENCHMARK and _benchmark_keeps(c, defs, layers, allowlist, path)
+        for c in callers
     )
+
+
+# (source of a module "m", its traced names, its benchmark entries, the
+# entry checked, whether the benchmark reason holds for it); a traced name
+# that no run enters is an entry too, as ``logdomain.log_add`` is
+BENCHMARK_RULE_CASES = {
+    "a traced name": ("def t(): pass", {"m.t"}, {"m.t"}, "m.t", True),
+    "called by a traced name": (
+        "def t(): h()\ndef h(): pass", {"m.t"}, {"m.t", "m.h"}, "m.h", True),
+    "called through a chain of entries": (
+        "def t(): g()\ndef g(): h()\ndef h(): pass", {"m.t"}, {"m.t", "m.g", "m.h"}, "m.h", True),
+    "called by nothing": ("def t(): pass\ndef h(): pass", {"m.t"}, {"m.t", "m.h"}, "m.h", False),
+    "called only by an entry that nothing calls": (
+        "def t(): pass\ndef d(): h()\ndef h(): pass", {"m.t"}, {"m.t", "m.d", "m.h"}, "m.h", False),
+    "called also by a dead entry": (
+        "def t(): h()\ndef d(): h()\ndef h(): pass", {"m.t"}, {"m.t", "m.d", "m.h"}, "m.h", False),
+    "called by a def off the allowlist": (
+        "def t(): pass\ndef x(): h()\ndef h(): pass", {"m.t"}, {"m.t", "m.h"}, "m.h", False),
+    "a hook of a class that a traced name builds": (
+        "class C:\n    def hook(self): pass\ndef t(): return C()", {"m.t"}, {"m.t", "m.C.hook"},
+        "m.C.hook", True),
+    "a hook of a class that only a dead entry builds": (
+        "class C:\n    def hook(self): pass\ndef t(): pass\ndef d(): return C()",
+        {"m.t"}, {"m.t", "m.C.hook", "m.d"}, "m.C.hook", False),
+    "in a loop that a traced name enters": (
+        "def t(): a()\ndef a(): b()\ndef b(): a()", {"m.t"}, {"m.t", "m.a", "m.b"}, "m.b", True),
+    "in a loop that nothing enters": (
+        "def t(): pass\ndef a(): b()\ndef b(): a()", {"m.t"}, {"m.t", "m.a", "m.b"}, "m.b", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BENCHMARK_RULE_CASES))
+def test_benchmark_reason_rule(case):
+    """The ``benchmark`` reason holds a def only where a traced name reaches
+    it through entries that hold: a module that a layer names keeps
+    nothing on its own."""
+    source, layers, entries, name, holds = BENCHMARK_RULE_CASES[case]
+    defs = _defs({"m": ast.parse(source)})
+    allowlist = dict.fromkeys(entries, BENCHMARK)
+    assert _benchmark_keeps(name, defs, frozenset(layers), allowlist) is holds
 
 
 @pytest.mark.parametrize("name", sorted(ALLOWLIST))
