@@ -96,7 +96,7 @@ class HProduct:
                     f"|z| = {mp.nstr(abs(z), 8)} outside H validity radius "
                     f"{mp.nstr(self.max_radius, 8)}"
                 )
-            return _jet(self.blocks, z, 0, True)[0]
+            return _jet(self.blocks, z, 0)[0]
 
 
 def build_H(rho_H, *, dps: int = DEFAULT_DPS) -> HProduct:
@@ -115,9 +115,12 @@ def build_H(rho_H, *, dps: int = DEFAULT_DPS) -> HProduct:
 
 @dataclass(frozen=True)
 class CoefficientSystem:
-    cfg: LacunaryConfig
     rat: RationalInterpolant
     h: HProduct | None
+
+    @property
+    def cfg(self) -> LacunaryConfig:
+        return self.rat.cfg
 
     @property
     def dps(self) -> int:
@@ -137,7 +140,7 @@ def make_system(
         h = None if rho_H is None else build_H(rho_H, dps=cfg.dps)
         if rat is None:
             rat = _top_deferred(cfg) if defer_top else residues_from_f(cfg)
-        return CoefficientSystem(cfg=cfg, rat=rat, h=h)
+        return CoefficientSystem(rat=rat, h=h)
 
 
 # ---------------------------------------------------------------------------

@@ -417,7 +417,7 @@ def verify_thm2_asymptotics(cfg: LacunaryConfig, k: int, seed: int = 0) -> Asymp
         dev_i = mpf(0)
         for z in points:
             _check_domain(cfg, z)
-            dev_i = max(dev_i, abs(_jet(cfg.blocks[k:], z, 0, True)[0] - 1))
+            dev_i = max(dev_i, abs(_jet(cfg.blocks[k:], z, 0)[0] - 1))
         pass_i = bool(dev_i <= bound_i)
 
         # (ii) log-derivative two-term form; floored at the rounding level,

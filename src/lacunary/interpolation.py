@@ -173,7 +173,7 @@ def _schedule_tail_sum(cfg: LacunaryConfig) -> mpf:
     bound of block K+1 times the schedule's bound on sum_{k>K} n_k/r_k."""
     if cfg.rule is None:
         return mpf(0)
-    return derivative_ratio_bound(cfg, cfg.K + 1) * _schedule_tail(cfg.rho_f, cfg.next_radius(), 1)
+    return derivative_ratio_bound(cfg, cfg.K + 1) * _schedule_tail(cfg.rho_f, cfg.block(cfg.K + 1)[0], 1)
 
 
 def config_interpolant(cfg: LacunaryConfig, residues) -> RationalInterpolant:
@@ -306,7 +306,7 @@ def eval_g(rat: RationalInterpolant, z) -> mpc:
         z = mpc(z)
         _check_domain(cfg, z)
         _near_zero_guard(cfg, z, NearPoleError, cfg.dps / 2)
-        return _g_sum(rat, z, _jet(cfg.blocks[:-1], z, 1, False)[:2])
+        return _g_sum(rat, z, _jet(cfg.blocks[:-1], z, 1)[:2])
 
 
 def _g_sum(rat: RationalInterpolant, z: mpc, head: tuple[mpc, mpc]) -> mpc:

@@ -23,26 +23,27 @@ where f and the sums already exceed what the run could add by more than
 prec + 4 bits in every component, the run is not formed, since libmp's
 correctly rounded additions would give back the same bits (on f'
 contours around blocks 1..3 of factorial K=4 that is block 4, n = 4096).
-It evaluates H too, as degree-1 blocks.  Its factors take no square
-root but within a few ulps of |w| = 1 or inside the cancellation
-screen's band (``_block_terms``), and ``coefficients`` reads the product
-over blocks 1..K-1 from the state of the same loop (``_sweep``) after
-block K-1 (``_f_jet_and_head``).  Like the
-residue pass below, it runs on mpmath's raw libmp tuples, making the
-calls that the mpc operators would make, in the same order (``abs(w)``
-only where it can move a bit), so it gives their bits; values enter and
-leave it as mpc.  Its powers are not ``mp.power``'s ``mpc_pow_int`` call
-but ``_pow_int``, which takes its routes and forms the same exact
-Gaussian-integer power with no square after the last multiply, so the
-bits are the same.  Its 1/x is ``mpc_reciprocal``, the bits of the
-``mpc_mpf_div(fone, x)`` of ``1/x``: that call's product with 1 is
-exact, and round-to-nearest is symmetric under sign.  The cancellation
-bands of each precision (``_bands``) are formed once per process.  The
-near-zero guard of ``f_jet``, ``log_derivative``, g (margin 10^(-P/2))
-and B0 (10^(-P/4)) decides radially first and calls ``nearest_zero`` only
-within twice its margin, relative, of some circle |z| = r_k;
-``nearest_zero`` visits blocks by radial distance and stops where no
-further block can be nearer.
+It evaluates H too, as degree-1 blocks.  Every pass screens: the first
+factor 1 - w that loses more than P-5 digits raises once the product is
+finished, carrying that lossy f.  No guarded pass (below) reaches it:
+10^(-P/2) from a zero of block k, |1 - w| is about n_k 10^(-P/2).  Its
+factors take no square root but within a few ulps of |w| = 1 or inside
+the screen's band (``_block_terms``), and ``coefficients`` reads the
+product over blocks 1..K-1 from the state of the same loop (``_sweep``)
+after block K-1 (``_f_jet_and_head``).  Like the residue pass below, it
+runs on mpmath's raw libmp tuples, making the calls that the mpc
+operators would make, in the same order (``abs(w)`` only where it can
+move a bit), so it gives their bits; values enter and leave it as mpc.
+Its powers are not ``mp.power``'s ``mpc_pow_int`` call but ``_pow_int``,
+which takes its routes and forms the same exact Gaussian-integer power
+with no square after the last multiply, so the bits are the same.  Its
+1/x is ``mpc_reciprocal``, the bits of the ``mpc_mpf_div(fone, x)`` of
+``1/x``: that call's product with 1 is exact, and round-to-nearest is
+symmetric under sign.  The near-zero guard of ``f_jet``,
+``log_derivative``, g (margin 10^(-P/2)) and B0 (10^(-P/4)) decides
+radially first and calls ``nearest_zero`` only within twice its margin,
+relative, of some circle |z| = r_k; ``nearest_zero`` visits blocks by
+radial distance and stops where no further block can be nearer.
 At the zeros, f' and f'' come from factor extraction: write f = q*P with
 q the vanishing factor; P' comes from the logarithmic derivative of the
 remaining (nonvanishing) product.  Two routes reach the zeros.
@@ -170,12 +171,6 @@ class LacunaryConfig:
         every radius."""
         return self._memo_of("multiplicity", n, mpf, n)
 
-    def next_radius(self) -> mpf | None:
-        """r_{K+1} for rule-based schedules, None for explicit lists."""
-        if self.rule is None:
-            return None
-        return self.block(self.K + 1)[0]
-
 
 def _rule_radius(rule: str, k: int) -> mpf:
     """r_k = 2^(k!) or 2^(2^k), formed exactly from its exponent."""
@@ -226,12 +221,11 @@ def sigma_certificate(cfg: LacunaryConfig) -> SummabilityCertificate:
         if cfg.rule is None:
             tail = mpf(0)
         else:
-            r_next = _rule_radius(cfg.rule, cfg.K + 1)
-            tail = _schedule_tail(cfg.rho_f, r_next, s)
+            tail = _schedule_tail(cfg.rho_f, cfg.block(cfg.K + 1)[0], s)
         return SummabilityCertificate(s=s, partial=partial, tail=tail)
 
 
-def _validate_blocks(rho, blocks, dps) -> None:
+def _validate_blocks(rho, blocks) -> None:
     if not blocks:
         raise ConfigError("config needs at least one block")
     prev_r = mpf(0)
@@ -285,7 +279,7 @@ def make_schedule(rho_f, K: int, rule: str = "factorial", dps: int = DEFAULT_DPS
         raise ConfigError(f"rule must be one of {SCHEDULE_RULES}, got {rule!r}")
     with mp.workdps(dps):
         blocks = tuple(_rule_block(rule, rho, k) for k in range(1, K + 1))
-        _validate_blocks(rho, blocks, dps)
+        _validate_blocks(rho, blocks)
         return LacunaryConfig(rho_f=rho, blocks=blocks, dps=dps, rule=rule)
 
 
@@ -298,7 +292,7 @@ def config_from_blocks(blocks, rho_f=mpf("0.5"), dps: int = DEFAULT_DPS) -> Lacu
             blks = tuple((r if isinstance(r, bool) else mpf(r), n) for r, n in blocks)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"blocks must be a list of [r, n] pairs: {exc}") from exc
-        _validate_blocks(rho, blks, dps)
+        _validate_blocks(rho, blks)
         return LacunaryConfig(rho_f=rho, blocks=blks, dps=dps, rule=None)
 
 
@@ -382,7 +376,7 @@ def _check_domain(cfg: LacunaryConfig, z: mpc) -> None:
     tail bound, g and g's tail bound share (explicit configs: everywhere)."""
     if cfg.rule is None:
         return
-    r_next = cfg.next_radius()
+    r_next = cfg.block(cfg.K + 1)[0]
     if abs(z) >= r_next / 2:
         raise TailError(
             f"|z| = {mp.nstr(abs(z), 8)} >= r_{{K+1}}/2 = {mp.nstr(r_next / 2, 8)}: "
@@ -405,13 +399,11 @@ _MINUS_ONE = from_int(-1)
 _RND = round_nearest
 
 
-def _lossy_modulus(a: tuple, lossy: tuple | None, prec: int) -> bool:
+def _lossy_modulus(a: tuple, lossy: tuple, prec: int) -> bool:
     """The cancellation screen's first clause for a power of modulus a:
     |1 - a| < max(1, a) ``lossy``.  |1 - w| >= |1 - a| for every w with
     |w| = a, so where it fails no such factor 1 - w is lossy, and the
     screen needs no complex abs."""
-    if lossy is None:
-        return False
     return mpf_lt(mpf_abs(mpf_sub(fone, a, prec, _RND)), _scaled(a, lossy, prec))
 
 
@@ -433,25 +425,23 @@ def _modulus_within(u, square: tuple) -> bool:
     return mpf_le(mpf_add(mpf_mul(x, x), mpf_mul(y, y)), square)
 
 
-# the values of _bands by (strict, prec), once per process, not in a config's
-# memo: _sweep also runs H's blocks, which have no config; a build takes ~20 us
+# the values of _bands by prec, once per process, not in a config's memo:
+# _sweep also runs H's blocks, which have no config; a build takes ~20 us
 _BANDS: dict = {}
 
 
-def _bands(strict: bool, prec: int) -> tuple:
-    """(lossy, low, high, near) for :func:`_block_terms` at ``prec``:
-    lossy = 10^(5-P) and (low, high) = 1 -+ 4 lossy when ``strict``, three
-    Nones otherwise; near = 1 + 2^(4-prec).  P is the mp.dps of ``prec``,
-    so the bands are a function of the arguments, kept in ``_BANDS``."""
-    if (strict, prec) not in _BANDS:
-        near = mpf_add(fone, mpf_shift(fone, 4 - prec), prec, _RND)
-        lossy = low = high = None
-        if strict:
-            lossy = mpf_pow_int(from_int(10), 5 - prec_to_dps(prec), prec, _RND)
-            margin = mpf_shift(lossy, 2)
-            low, high = mpf_sub(fone, margin, prec, _RND), mpf_add(fone, margin, prec, _RND)
-        _BANDS[strict, prec] = lossy, low, high, near
-    return _BANDS[strict, prec]
+def _bands(prec: int) -> tuple:
+    """(lossy, low, high, near) for :func:`_block_terms` at ``prec``, P its
+    mp.dps: lossy = 10^(5-P), (low, high) = 1 -+ 4 lossy, near =
+    1 + 2^(4-prec), kept in ``_BANDS``, a dict, not a ``functools.cache``:
+    a cache hit never enters the def, hiding it from a profiler that
+    records the defs a run enters once an earlier run filled the cache."""
+    if prec not in _BANDS:
+        lossy = mpf_pow_int(from_int(10), 5 - prec_to_dps(prec), prec, _RND)
+        margin = mpf_shift(lossy, 2)
+        low, high = mpf_sub(fone, margin, prec, _RND), mpf_add(fone, margin, prec, _RND)
+        _BANDS[prec] = lossy, low, high, mpf_add(fone, mpf_shift(fone, 4 - prec), prec, _RND)
+    return _BANDS[prec]
 
 
 def _block_terms(w: tuple, terms: int, bands: tuple, prec: int) -> tuple:
@@ -459,9 +449,9 @@ def _block_terms(w: tuple, terms: int, bands: tuple, prec: int) -> tuple:
     ``terms`` terms in the log-derivative sums (the rest None), with
     ``bands`` from :func:`_bands`.
 
-    The screen: with ``lossy`` set, a factor below ``lossy`` = 10^(5-P)
-    times max(1, a), a = |w| = ``mpc_abs(w)`` (more than P-5 digits lost),
-    raises CancellationError carrying it; an exact zero is kept.  When
+    The screen: a factor below ``lossy`` = 10^(5-P) times max(1, a),
+    a = |w| = ``mpc_abs(w)`` (more than P-5 digits lost), raises
+    CancellationError carrying it; an exact zero is kept.  When
     a > 1 the terms go through v = 1/w so that huge powers never meet
     subtraction head-on.
 
@@ -488,7 +478,7 @@ def _block_terms(w: tuple, terms: int, bands: tuple, prec: int) -> tuple:
     x, y = w
     q = mpf_add(mpf_mul(x, x), mpf_mul(y, y))
     a = None
-    if lossy is not None and factor != _ZERO and mpf_lt(low, q) and mpf_lt(q, high):
+    if factor != _ZERO and mpf_lt(low, q) and mpf_lt(q, high):
         a = mpc_abs(w, prec, _RND)
         limit = _lossy_modulus(a, lossy, prec) and _scaled(a, lossy, prec)
         if limit and mpf_lt(mpc_abs(factor, prec, _RND), limit):
@@ -581,7 +571,7 @@ def _pow_int(x: tuple, n: int, prec: int) -> tuple:
         a, b = (a + b) * (a - b), 2 * a * b
 
 
-def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
+def _jet(blocks, z: mpc, order: int) -> tuple[mpc, mpc, mpc]:
     """(f, f'/f, (f'/f)') over ``blocks`` in one pass, the sums up to ``order``.
 
     Each power (z/r_k)^{n_k} is formed with n_k.bit_length() + 20 guard
@@ -590,8 +580,8 @@ def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
     nothing grows, and the power is the quotient z/r_k (H's factor
     1 + z/a is the block (-a, 1)).  The factors and terms come from
     :func:`_block_terms`, which takes no square root but within a few
-    ulps of |w| = 1 or inside the cancellation screen's band; a lossy
-    factor is kept, and when ``strict`` the first one raises once the
+    ulps of |w| = 1 or inside the cancellation screen's band.  Every pass
+    screens: a lossy factor is kept, and the first one raises once the
     product is finished, carrying that lossy f.  At z = 0 the sums are
     their termwise limits (n = 1, n <= 2 blocks).
 
@@ -607,18 +597,19 @@ def _jet(blocks, z: mpc, order: int, strict: bool) -> tuple[mpc, mpc, mpc]:
     through the same loop as every other block.
     """
     zt = z._mpc_
-    *_, state = _sweep(blocks, zt, order if zt != _ZERO else 0, strict, mp.prec)
+    *_, state = _sweep(blocks, zt, order if zt != _ZERO else 0, mp.prec)
     return _finish(blocks, zt, order, state)
 
 
-def _sweep(blocks, zt: tuple, terms: int, strict: bool, prec: int):
+def _sweep(blocks, zt: tuple, terms: int, prec: int):
     """The product loop of :func:`_jet` at the raw point zt: yields the raw
     (f, l1, l2) before the first block and after each block it forms, l1
-    and l2 the sums before :func:`_finish` divides them by z and z^2, and
-    when ``strict`` raises the first CancellationError once the product is
-    finished.  A pass that leaves out the trailing run yields its state
-    at the break, which the run would give back bit for bit."""
-    bands = _bands(strict, prec)
+    and l2 the sums before :func:`_finish` divides them by z and z^2.  It
+    raises the first CancellationError once f is finished; past that
+    factor it forms f alone, a later lossy one entering as the 1 - w its
+    error carries.  A pass that leaves out the trailing run yields its
+    state at the break, which the run would give back bit for bit."""
+    bands = _bands(prec)
     error = None
     f, l1, l2 = _ONE, _ZERO, _ZERO
     yield f, l1, l2
@@ -636,7 +627,7 @@ def _sweep(blocks, zt: tuple, terms: int, strict: bool, prec: int):
         try:
             factor, s, t = _block_terms(w, terms, bands, prec)
         except CancellationError as exc:
-            error, bands, terms, factor = exc, _bands(False, prec), 0, exc.result._mpc_
+            error, terms, factor = error or exc, 0, exc.result._mpc_
         f = mpc_mul(f, factor, prec, _RND)
         if terms:
             l1 = mpc_add(l1, mpc_mul_int(s, n, prec, _RND), prec, _RND)
@@ -677,7 +668,7 @@ def eval_f(cfg: LacunaryConfig, z) -> mpc:
     with mp.workdps(cfg.dps):
         z = mpc(z)
         _check_domain(cfg, z)
-        return _jet(cfg.blocks, z, 0, True)[0]
+        return _jet(cfg.blocks, z, 0)[0]
 
 
 def _scan_blocks(cfg: LacunaryConfig, radius) -> list[tuple[mpf, int]]:
@@ -701,7 +692,7 @@ def eval_f_scan(cfg: LacunaryConfig, z) -> mpc:
     """f(z) for growth scans over :func:`_scan_blocks`: no domain restriction."""
     with mp.workdps(cfg.dps):
         z = mpc(z)
-        return _jet(_scan_blocks(cfg, abs(z)), z, 0, True)[0]
+        return _jet(_scan_blocks(cfg, abs(z)), z, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -885,24 +876,23 @@ def _guarded(cfg: LacunaryConfig, z, order: int) -> mpc:
 def _f_jet(cfg: LacunaryConfig, z: mpc, order: int) -> tuple[mpc, ...]:
     """:func:`f_jet` without its guards, for callers that have checked the
     domain and found z at least 10^(-P/2) (relative) from every zero."""
-    f, l1, l2 = _jet(cfg.blocks, z, order, True)
+    f, l1, l2 = _jet(cfg.blocks, z, order)
     if order == 1:
         return f, f * l1
     return f, f * l1, f * (l1 * l1 + l2)
 
 
 def _f_jet_and_head(cfg: LacunaryConfig, z: mpc) -> tuple[tuple[mpc, ...], tuple[mpc, mpc]]:
-    """((f, f', f''), (P, P'/P)) at z from one strict pass over the blocks:
+    """((f, f', f''), (P, P'/P)) at z from one pass over the blocks:
     :func:`_f_jet` of order 2, and P the product over blocks 1..K-1 with
     its log-derivative, read from the pass's state after block K-1.
 
-    That state is the one ``_jet(cfg.blocks[:-1], z, 1, False)`` ends in,
-    bit for bit: the lossy-factor screen only raises, so a strict pass
-    that does not raise makes the non-strict pass's calls, (f'/f)' does
-    not enter f or f'/f, and a pass that leaves a trailing run out stops
-    on a state that the run would give back unchanged."""
+    Where the pass does not raise, that state is the one
+    ``_jet(cfg.blocks[:-1], z, 1)`` ends in, bit for bit: (f'/f)' does not
+    enter f or f'/f, and a pass that leaves a trailing run out stops on a
+    state that the run would give back unchanged."""
     zt = z._mpc_
-    states = list(_sweep(cfg.blocks, zt, 2 if zt != _ZERO else 0, True, mp.prec))
+    states = list(_sweep(cfg.blocks, zt, 2 if zt != _ZERO else 0, mp.prec))
     f, l1, l2 = _finish(cfg.blocks, zt, 2, states[-1])
     P, S = states[min(cfg.K - 1, len(states) - 1)][:2]
     head = _finish(cfg.blocks[:-1], zt, 1, (P, S, _ZERO))[:2]
@@ -991,8 +981,7 @@ def _fprime_on_circle(cfg: LacunaryConfig, k: int, radius, directions) -> list[m
 def log_derivative(cfg: LacunaryConfig, z) -> mpc:
     """f'/f, summed termwise over blocks."""
     with mp.workdps(cfg.dps):
-        # f itself is dropped here, so a lossy factor of it is harmless
-        return _jet(cfg.blocks, _guarded(cfg, z, 1), 1, False)[1]
+        return _jet(cfg.blocks, _guarded(cfg, z, 1), 1)[1]
 
 
 def derivative_ratio_bound(cfg: LacunaryConfig, k: int) -> mpf:
@@ -1124,7 +1113,7 @@ def _block_residues(cfg: LacunaryConfig, k: int) -> list[mpc]:
     half = n // 2 + 1
     with mp.workdps(cfg.dps):
         prec = mp.prec
-        bands = _bands(True, prec)
+        bands = _bands(prec)
         roots = _unit_roots(n, prec)
         others = []
         for nj, a in _other_blocks(cfg, k):
@@ -1161,5 +1150,5 @@ def derivs_at_zero(cfg: LacunaryConfig, k: int, m: int) -> tuple[mpc, mpc]:
         inv_xi = 1 / xi
         q1 = -mpf(n) * inv_xi
         q2 = -(mpf(n) * (n - 1)) * inv_xi**2
-        P, L, _ = _jet(cfg.blocks[: k - 1] + cfg.blocks[k:], xi, 1, True)
+        P, L, _ = _jet(cfg.blocks[: k - 1] + cfg.blocks[k:], xi, 1)
         return q1 * P, q2 * P + 2 * q1 * (P * L)

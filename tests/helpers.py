@@ -256,7 +256,7 @@ def block_residues_per_zero(cfg, k):
 def lower_jet(rat, z):
     """(f, f'/f) over blocks 1..K-1 at z, the head that ``_g_sum`` and
     ``_top_block`` read, from a pass of its own as ``eval_g`` forms it."""
-    return _jet(rat.cfg.blocks[:-1], mpmath.mpc(z), 1, False)[:2]
+    return _jet(rat.cfg.blocks[:-1], mpmath.mpc(z), 1)[:2]
 
 
 def recover_residue(rat, k, m):
@@ -363,13 +363,14 @@ def reference_block_terms(w, a, terms, lossy):
     return factor, s, v * inv * inv if terms == 2 else None
 
 
-def reference_jet(blocks, z, order, strict):
+def reference_jet(blocks, z, order):
     """(f, f'/f, (f'/f)') over ``blocks`` in one pass of mpc arithmetic,
-    each power one ``mp.power`` with n.bit_length() + 20 guard bits."""
+    each power one ``mp.power`` with n.bit_length() + 20 guard bits; the
+    first lossy factor raises once the product is finished."""
     mp = mpmath.mp
     mpc, mpf = mpmath.mpc, mpmath.mpf
     terms = order if z != 0 else 0
-    lossy = mpf(10) ** (5 - mp.dps) if strict else None
+    lossy = mpf(10) ** (5 - mp.dps)
     error = None
     f = mpc(1)
     l1 = l2 = mpc(0)
@@ -382,7 +383,7 @@ def reference_jet(blocks, z, order, strict):
         try:
             factor, s, t = reference_block_terms(w, abs(w), terms, lossy)
         except CancellationError as exc:
-            error, lossy, terms, factor = exc, None, 0, exc.result
+            error, terms, factor = error or exc, 0, exc.result
         f *= factor
         if terms:
             l1 += n * s

@@ -1545,19 +1545,19 @@ class TestEachConstantOnce:
         assert len(sums) == len(set(sums))
 
     def test_bands_formed_once_per_precision(self, monkeypatch, tmp_path):
-        """Every ``_bands(strict, prec)`` call of the run returns one object
-        per argument pair."""
+        """Every ``_bands(prec)`` call of the run returns one object per
+        precision."""
         formed, real = {}, product._bands
 
-        def recording(strict, prec):
-            bands = real(strict, prec)
-            formed.setdefault((strict, prec), {})[id(bands)] = bands
+        def recording(prec):
+            bands = real(prec)
+            formed.setdefault(prec, {})[id(bands)] = bands
             return bands
 
         monkeypatch.setattr(product, "_bands", recording)
         self._verify(tmp_path)
         with mp.workdps(200):
-            assert (True, mp.prec) in formed
+            assert mp.prec in formed
         assert all(len(objects) == 1 for objects in formed.values())
 
 

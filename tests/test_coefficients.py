@@ -364,7 +364,7 @@ class TestOnePassPerPoint:
         residual(factorial_system, z, (1, 10))
         assert swept == [factorial_system.cfg.blocks, factorial_system.h.blocks]
         assert roots == []
-        head = product._jet(factorial_system.cfg.blocks[:-1], z, 1, False)[:2]
+        head = product._jet(factorial_system.cfg.blocks[:-1], z, 1)[:2]
         assert interpolation._top_block(factorial_system.rat, z, head) is not None
 
 
@@ -695,6 +695,21 @@ class TestSystemConstruction:
         rat = interpolation.residues_from_f(make_schedule(0.45, 3))
         with pytest.raises(ConfigError, match="another config"):
             make_system(make_schedule(0.5, 3), rat=rat)
+
+    def test_system_built_directly_holds_its_interpolants_config(self):
+        """A system built without ``make_system`` takes its config from its
+        interpolant: it has no second config to disagree with, and its
+        residual at 30+7j and its interpolation identity read the zeros
+        the residues were formed on."""
+        cfg = make_schedule(0.45, 3)
+        rat = interpolation.residues_from_f(cfg)
+        with pytest.raises(TypeError):
+            coefficients.CoefficientSystem(cfg=make_schedule(0.5, 3), rat=rat, h=None)
+        system = coefficients.CoefficientSystem(rat=rat, h=None)
+        assert system.cfg is cfg and system.dps == cfg.dps
+        assert residual(system, mpc(30, 7)) == residual(make_system(cfg, rat=rat), mpc(30, 7))
+        worst = max(r for _, _, r in interpolation_identity_residuals(system))
+        assert worst < mpf(10) ** (10 - cfg.dps)
 
     def test_block_past_the_enumeration_cap_is_formed_on_its_first_read(self):
         """At factorial K = 5 a deferred block 5 builds a system, and its first

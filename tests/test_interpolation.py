@@ -197,7 +197,7 @@ class TestEvalG:
     def test_tail_sum_keeps_its_arithmetic(self, cfg):
         """The shared schedule tail at s = 1 is geo r^(rho-1) + 3/r, bit for
         bit: r_{K+1} is a power of 2, so 1.5 r^-1 / (1 - 2^-1) is 3/r exactly."""
-        r = cfg.next_radius()
+        r = cfg.block(cfg.K + 1)[0]
         geo = 1 / (1 - mp.power(2, cfg.rho_f - 1))
         harmonic = mp.power(r, cfg.rho_f - 1) * geo + 3 / r
         expected = derivative_ratio_bound(cfg, cfg.K + 1) * harmonic

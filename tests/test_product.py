@@ -158,7 +158,7 @@ class TestSchedules:
         fresh = make_schedule(rho, K, rule)
         assert not fresh._memo.get("past_K") and cfg._memo.get("past_K")
         assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
-        assert cfg.next_radius()._mpf_ == fresh.next_radius()._mpf_
+        assert cfg.block(K + 1)[0]._mpf_ == fresh.block(K + 1)[0]._mpf_
 
     def test_config_is_its_definition(self):
         """A config compares, hashes and replaces on rho_f, blocks, dps and
@@ -192,7 +192,7 @@ class TestSchedules:
         s = cert.s
         first_two = sum(mpf(n) * mp.power(r, -s) for r, n in (cfg.block(K + 1), cfg.block(K + 2)))
         assert 0 < first_two <= cert.tail < cert.partial
-        r = cfg.next_radius()
+        r = cfg.block(K + 1)[0]
         geo = 1 / (1 - mp.power(2, cfg.rho_f - s))
         assert cert.tail < (mp.power(r, cfg.rho_f - s) + mpf("1.5") * mp.power(r, -s)) * geo
 
@@ -253,14 +253,12 @@ class TestEvalF:
             assert abs(log_a - log_b) < mpf("1e-90") * max(1, abs(log_a))
             assert abs(mp.arg(a * b)) < mpf("1e-90")
 
-    def test_near_zero_cancellation_strict_and_lossy(self):
+    def test_near_zero_cancellation_carries_the_lossy_value(self):
         cfg = config_from_blocks([(4, 2), (16, 4)])
         z = mpf(4) * (1 + mpf(10) ** -98)
-        with pytest.raises(CancellationError):
+        with pytest.raises(CancellationError) as info:
             eval_f(cfg, z)
-        with mp.workdps(cfg.dps):
-            lossy = product._jet(cfg.blocks, mpc(z), 0, False)[0]
-        assert abs(lossy) < mpf(10) ** -90
+        assert abs(info.value.result) < mpf(10) ** -90
 
     def test_numerically_zero_at_zeros(self):
         """At an n_k-th root of unity zero, |f| collapses to rounding level
@@ -271,7 +269,10 @@ class TestEvalF:
             for m in range(min(n, 3)):
                 xi = zero_point(cfg, k, m)
                 with mp.workdps(cfg.dps):
-                    out = product._jet(cfg.blocks, xi, 0, False)[0]
+                    try:
+                        out = product._jet(cfg.blocks, xi, 0)[0]  # 0 where xi is exact
+                    except CancellationError as exc:
+                        out = exc.result  # the lossy f where xi is rounded
                 f1 = derivs_at_zero(cfg, k, m)[0]
                 cofactor = abs(f1) * r / n
                 assert abs(out) <= cofactor * mpf(10) ** -(cfg.dps - 10)
@@ -434,11 +435,11 @@ class TestFJet:
             f_jet(config_from_blocks([(4, 2)]), 1, 3)
 
 
-def _outcome(jet, blocks, z, order, strict):
+def _outcome(jet, blocks, z, order):
     """What a kernel gives at z: its three values as raw tuples, or the
     type, message, carried result and digits lost of what it raises."""
     try:
-        return tuple(x._mpc_ for x in jet(blocks, z, order, strict))
+        return tuple(x._mpc_ for x in jet(blocks, z, order))
     except (CancellationError, ZeroDivisionError) as exc:
         result = getattr(exc, "result", None)
         carried = None if result is None else result._mpc_
@@ -498,11 +499,10 @@ class TestRawKernel:
         raised = set()
         for z in _kernel_points(blocks, zeros_of, count, seed=len(name)):
             for order in (0, 1, 2):
-                for strict in (True, False):
-                    got = _outcome(product._jet, blocks, z, order, strict)
-                    assert got == _outcome(reference_jet, blocks, z, order, strict), (z, order)
-                    if not isinstance(got[0], tuple):
-                        raised.add(got[0])
+                got = _outcome(product._jet, blocks, z, order)
+                assert got == _outcome(reference_jet, blocks, z, order), (z, order)
+                if not isinstance(got[0], tuple):
+                    raised.add(got[0])
         # an exact zero with a derivative asked for divides by its factor;
         # [[4,2],[16,4]] has only exact zeros, the others rounded ones
         assert raised == {ZeroDivisionError} | ({CancellationError} if name != "readme" else set())
@@ -514,17 +514,16 @@ class TestRawKernel:
             zeros_of = [zero_point(cfg, k, 1 % n) for k, (_, n) in enumerate(cfg.blocks, start=1)]
             for z in _kernel_points(cfg.blocks, zeros_of, 40, seed=dps):
                 for order in (0, 1, 2):
-                    for strict in (True, False):
-                        assert _outcome(product._jet, cfg.blocks, z, order, strict) == _outcome(
-                            reference_jet, cfg.blocks, z, order, strict
-                        ), (z, order)
+                    assert _outcome(product._jet, cfg.blocks, z, order) == _outcome(
+                        reference_jet, cfg.blocks, z, order
+                    ), (z, order)
 
     @pytest.mark.parametrize("name", ["headline", "H"])
     def test_bit_identity_within_ulps_of_the_unit_circle(self, name):
         """Points where one block's power w has |w| within a few ulps of 1,
         off the exact zeros (|1 - w| above 0.2), on both sides of 1: there
         the exact |w|^2 does not decide a = |w| > 1 alone, and the rounded
-        a decides as in the mpc kernel, strict or not.  |w|^2 > 1 with a
+        a decides as in the mpc kernel.  |w|^2 > 1 with a
         rounding to 1 occurs, as do |w|^2 < 1 and a > 1."""
         if name == "H":
             blocks = build_H("0.4", dps=100).blocks[:16]
@@ -543,11 +542,9 @@ class TestRawKernel:
                     q = mp.make_mpf(libmp.mpf_add(libmp.mpf_mul(x, x), libmp.mpf_mul(y, y)))
                     seen.add((mp.sign(q - 1), mp.sign(abs(w) - 1)))
                     for order in (0, 1, 2):
-                        for strict in (True, False):
-                            got = _outcome(product._jet, blocks, z, order, strict)
-                            want = _outcome(reference_jet, blocks, z, order, strict)
-                            assert got == want, (z, order, strict)
-                            assert isinstance(got[0], tuple), (z, got)
+                        got = _outcome(product._jet, blocks, z, order)
+                        assert got == _outcome(reference_jet, blocks, z, order), (z, order)
+                        assert isinstance(got[0], tuple), (z, got)
         assert {(-1, -1), (1, 0), (1, 1)} <= seen, seen
 
     @pytest.mark.parametrize("name", ["headline", "H"])
@@ -568,18 +565,18 @@ class TestRawKernel:
                 for c in ("-3", "-1.01", "-0.99", "-0.5", "0.5", "0.99", "1.01", "3"):
                     z = r * mp.root(1 + mpf(c) * L, n) * mp.expjpi(2 * mpf(m) / n)
                     for order in (0, 1, 2):
-                        got = _outcome(product._jet, blocks, z, order, True)
-                        assert got == _outcome(reference_jet, blocks, z, order, True), (z, order)
+                        got = _outcome(product._jet, blocks, z, order)
+                        assert got == _outcome(reference_jet, blocks, z, order), (z, order)
                         raised.append(not isinstance(got[0], tuple))
         assert any(raised) and not all(raised)
 
     @pytest.mark.parametrize("name", ["headline", "readme", "factorial-K1"])
-    def test_strict_pass_reads_the_lower_blocks_of_the_lower_pass(self, name):
+    def test_full_pass_reads_the_lower_blocks_of_the_lower_pass(self, name):
         """``_f_jet_and_head``'s (f, f'/f) over blocks 1..K-1, read from its
-        strict pass over all K blocks, is the non-strict pass over blocks
-        1..K-1 bit for bit, and its f, f', f'' are ``_f_jet``'s, wherever
-        the strict pass does not raise: at z = 0, on the real axis, near
-        the circles, and on f' contours where block 4's power is left out."""
+        pass over all K blocks, is the pass over blocks 1..K-1 bit for bit,
+        and its f, f', f'' are ``_f_jet``'s, wherever the full pass does
+        not raise: at z = 0, on the real axis, near the circles, and on f'
+        contours where block 4's power is left out."""
         cfg = {
             "headline": lambda: make_schedule(0.5, 4, "factorial"),
             "readme": lambda: config_from_blocks([[4, 2], [16, 4]]),
@@ -593,7 +590,7 @@ class TestRawKernel:
                 jet, head = product._f_jet_and_head(cfg, z)
             except (CancellationError, ZeroDivisionError):
                 continue
-            lower = product._jet(cfg.blocks[:-1], z, 1, False)[:2]
+            lower = product._jet(cfg.blocks[:-1], z, 1)[:2]
             assert [x._mpc_ for x in head] == [x._mpc_ for x in lower], z
             assert [x._mpc_ for x in jet] == [x._mpc_ for x in product._f_jet(cfg, z, 2)], z
             checked += 1
@@ -619,16 +616,15 @@ class TestRawKernel:
         return formed
 
     @staticmethod
-    def _check(formed, blocks, points, expected, stricts=(True, False)):
-        """At every point, order and strictness: the outcome of the full loop,
-        and the powers of ``expected(strict)`` formed."""
+    def _check(formed, blocks, points, expected):
+        """At every point and order: the outcome of the full loop, and the
+        powers of ``expected`` formed."""
         for z in points:
             for order in (0, 1, 2):
-                for strict in stricts:
-                    formed.clear()
-                    got = _outcome(product._jet, blocks, z, order, strict)
-                    assert formed == expected(strict), (z, order, strict)
-                    assert got == _outcome(reference_jet, blocks, z, order, strict), (z, order)
+                formed.clear()
+                got = _outcome(product._jet, blocks, z, order)
+                assert formed == expected, (z, order)
+                assert got == _outcome(reference_jet, blocks, z, order), (z, order)
 
     @staticmethod
     def _circle(center, radius, nodes):
@@ -648,7 +644,7 @@ class TestRawKernel:
                 for radius in (r / n, r / (2 * n))
                 for z in self._circle(r, radius, 16)
             ]
-            self._check(formed, cfg.blocks, points, lambda strict: [2, 8])
+            self._check(formed, cfg.blocks, points, [2, 8])
 
     def test_tail_left_out_below_r4_at_factorial_k5(self, monkeypatch):
         """At factorial K = 5 block 5 (n_5 = 2^60) is left out below r_4,
@@ -656,8 +652,8 @@ class TestRawKernel:
         formed = self._formed(monkeypatch)
         cfg = make_schedule(0.5, 5, "factorial")
         r4, n4 = cfg.blocks[3]
-        self._check(formed, cfg.blocks, self._circle(r4, r4 / n4, 8), lambda strict: [2, 8, 4096])
-        self._check(formed, cfg.blocks, self._circle(mpf(4), mpf(2), 8), lambda strict: [2, 8])
+        self._check(formed, cfg.blocks, self._circle(r4, r4 / n4, 8), [2, 8, 4096])
+        self._check(formed, cfg.blocks, self._circle(mpf(4), mpf(2), 8), [2, 8])
 
     def test_one_block_list_runs_its_block(self, monkeypatch):
         """``cfg.blocks[3:]`` holds only block 4: near r_3 its power is
@@ -666,8 +662,8 @@ class TestRawKernel:
         formed = self._formed(monkeypatch)
         cfg = make_schedule(0.5, 4, "factorial")
         points = self._circle(mpf(64), mpf(8), 8)
-        self._check(formed, cfg.blocks[3:], points, lambda strict: [4096])
-        assert 0 < abs(product._jet(cfg.blocks[3:], points[0], 0, True)[0] - 1) < mpf(10) ** -20000
+        self._check(formed, cfg.blocks[3:], points, [4096])
+        assert 0 < abs(product._jet(cfg.blocks[3:], points[0], 0)[0] - 1) < mpf(10) ** -20000
 
     def test_tail_runs_on_the_real_axis_and_at_zero(self, monkeypatch):
         """A real z leaves f and the sums with an exact zero imaginary part,
@@ -675,21 +671,25 @@ class TestRawKernel:
         formed = self._formed(monkeypatch)
         cfg = make_schedule(0.5, 4, "factorial")
         points = [mpc(0)] + [mpc(x) for x in (3, -3, 5, 63, -64.5, 65, 1000)]
-        self._check(formed, cfg.blocks, points, lambda strict: [2, 8, 4096])
+        self._check(formed, cfg.blocks, points, [2, 8, 4096])
 
     def test_tail_runs_while_a_cancellation_is_pending(self, monkeypatch):
-        """At a rounded zero of block 2 a strict pass holds a
-        CancellationError when it reaches block 4, so block 4 runs and the
-        error carries the lossy f of the full loop; a non-strict pass keeps
-        the factor and leaves block 4 out."""
+        """At a rounded zero of block 2 the pass holds a CancellationError
+        when it reaches block 4, so block 4 runs and the error carries the
+        lossy f of the full loop, the product of every factor."""
         formed = self._formed(monkeypatch)
         cfg = make_schedule(0.5, 4, "factorial")
         points = [mpc(4, mpf(10) ** -97), mpc(-4, mpf(10) ** -97)]
-        self._check(formed, cfg.blocks, points, lambda strict: [2, 8, 4096] if strict else [2, 8])
+        self._check(formed, cfg.blocks, points, [2, 8, 4096])
         for z in points:
             with pytest.raises(CancellationError) as info:
-                product._jet(cfg.blocks, z, 0, True)
-            assert info.value.result == reference_jet(cfg.blocks, z, 0, False)[0]
+                product._jet(cfg.blocks, z, 0)
+            f = mpc(1)
+            for r, n in cfg.blocks:
+                with mp.extraprec(n.bit_length() + 20):
+                    w = mp.power(z / r, n)
+                f *= 1 - w
+            assert info.value.result == f
 
     @pytest.mark.parametrize("k, powers", [(3, 64), (4, 96)])
     def test_contour_forms_block_4_only_near_r4(self, monkeypatch, k, powers):
