@@ -3,17 +3,19 @@
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 a
 ConfigError: bad configuration, a --checks list that names no check or
 one check twice, --points or --angles below 1, unreadable input (a
-config, an artifact, or the directory or a file ``report`` reads), or
-an --out that is no directory, such as a file or a path under one, 3 a
+config, an artifact, or the directory or a file ``report`` reads, or a
+directory with no records and no scan summary to report), or an --out
+that is no directory, such as a file or a path under one, 3 a
 NumericalError (insufficient precision, non-convergent quadrature, a
 point off the certified domain), with a suggested precision printed
 when one can be computed.  ``main`` alone loads the config, enters its
 precision and maps errors to these codes.  ``construct``, ``verify``
-and ``scan`` first delete the files they write, so a run that exits 2
-or 3 leaves none of them behind; only a ``config.json`` that is the
---config being read is kept.  Every JSON output but ``residues.json``
-is streamed to its file with ``json.dump``; ``construct`` writes that
-one entry by entry, in the same layout (``_write_residues``).
+and ``scan`` first delete the files they write, and ``report`` its
+``report.json``, so a run that exits 2 or 3 leaves none of them behind;
+only a ``config.json`` that is the --config being read is kept.  Every
+JSON output but ``residues.json`` is streamed to its file with
+``json.dump``; ``construct`` writes that one entry by entry, in the same
+layout (``_write_residues``).
 
 Config schema (JSON object):
 
@@ -443,6 +445,8 @@ def _reading(path: Path):
 def cmd_report(out: Path) -> int:
     if not out.is_dir():
         raise ConfigError(f"cannot read outputs: {out} is no directory")
+    with _writing(out):
+        (out / "report.json").unlink(missing_ok=True)
     report = {"verify": None, "scans": {}, "passed": True}
     records_path = out / "records.jsonl"
     if records_path.exists():
@@ -473,6 +477,8 @@ def cmd_report(out: Path) -> int:
                     raise TypeError("not a JSON object")
                 report["scans"][name] = summary
                 report["passed"] = report["passed"] and all(summary[key] for key in keys)
+    if report["verify"] is None and not report["scans"]:
+        raise ConfigError(f"cannot read outputs: {out} holds no records.jsonl or scan summary")
     _write_json(out / "report.json", report)
     if report["verify"] is not None:
         for name, entry in report["verify"]["by_check"].items():

@@ -282,7 +282,7 @@ def reciprocal_derivative_fd(sys: CoefficientSystem, k: int, m: int) -> mpc:
         h = abs(xi) * mp.power(10, -mpf(sys.dps) / 3)
 
         def inv_fp(z):
-            return 1 / f_jet(sys.cfg, z, 1)[1]
+            return 1 / f_jet(sys.cfg, z)[1]
 
         return -(inv_fp(xi + h) - inv_fp(xi - h)) / (2 * h)
 

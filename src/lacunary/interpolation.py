@@ -402,26 +402,25 @@ def _log_plus(value) -> mpf:
     return mp.log(mag)
 
 
-def proximity_m(fn, r, avoid_moduli=None) -> mpf:
+def proximity_m(fn, r, avoid_moduli) -> mpf:
     """(1/2pi) integral of log+ |fn(r e^{i theta})| by node-doubling trapezoid rule.
 
     Starts at 32 nodes; converged when two successive differences of the
     estimates, over three levels, are both below 10^-6 (one difference can
     dip below it by chance: m(6, g) of the headline moves 2.6e-5 past
     128 nodes after a step below 10^-6 there); raises QuadratureError
-    (carrying the last two estimates) at 2^14 nodes.  ``avoid_moduli``: quadrature is refused
-    within relative 10^-3 of a pole modulus, where log+ spikes void the rule.
+    (carrying the last two estimates) at 2^14 nodes.  ``avoid_moduli``, fn's pole moduli: the
+    quadrature is refused within relative 10^-3 of one, where log+ spikes void the rule.
     """
     with mp.extraprec(10):
         r = mpf(r)
-        if avoid_moduli is not None:
-            for m in avoid_moduli:
-                m = mpf(m)
-                if abs(r - m) < mpf("1e-3") * max(m, r):
-                    raise QuadratureError(
-                        f"radius {mp.nstr(r, 8)} within relative 1e-3 of pole modulus "
-                        f"{mp.nstr(m, 8)}"
-                    )
+        for m in avoid_moduli:
+            m = mpf(m)
+            if abs(r - m) < mpf("1e-3") * max(m, r):
+                raise QuadratureError(
+                    f"radius {mp.nstr(r, 8)} within relative 1e-3 of pole modulus "
+                    f"{mp.nstr(m, 8)}"
+                )
         abs_tol = mpf("1e-6")
         max_nodes = 1 << 14
         estimates = []

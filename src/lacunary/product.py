@@ -13,7 +13,7 @@ of the infinite product, with a certified tail bound on the disk
 |z| < r_{K+1}/2; explicit block lists define f as the finite product.
 
 At an arbitrary point ``eval_f``, ``eval_f_scan``, ``log_derivative``
-and ``f_jet`` (f, f', f'') wrap one pass over the blocks, ``_jet``, that
+and ``f_jet`` (f, f') wrap one pass over the blocks, ``_jet``, that
 forms each power (z/r_k)^{n_k} once, with n_k.bit_length() + 20 guard
 bits that absorb the n_k-fold growth of rounding errors, so block
 exponents up to 2^60 and radii up to 2^5040 stay exact; an exact zero
@@ -863,34 +863,36 @@ def _near_zero_guard(cfg: LacunaryConfig, z: mpc, error: type, digits: float) ->
         )
 
 
-def _guarded(cfg: LacunaryConfig, z, order: int) -> mpc:
+def _guarded(cfg: LacunaryConfig, z) -> mpc:
     """z as mpc, past the guards of f_jet and log_derivative."""
-    if order not in (1, 2):
-        raise ConfigError(f"order must be 1 or 2, got {order}")
     z = mpc(z)
     _check_domain(cfg, z)
     _near_zero_guard(cfg, z, NearZeroError, cfg.dps / 2)
     return z
 
 
-def _f_jet(cfg: LacunaryConfig, z: mpc, order: int) -> tuple[mpc, ...]:
+def _f_jet(cfg: LacunaryConfig, z: mpc) -> tuple[mpc, mpc]:
     """:func:`f_jet` without its guards, for callers that have checked the
     domain and found z at least 10^(-P/2) (relative) from every zero."""
-    f, l1, l2 = _jet(cfg.blocks, z, order)
-    if order == 1:
-        return f, f * l1
-    return f, f * l1, f * (l1 * l1 + l2)
+    f, l1, _ = _jet(cfg.blocks, z, 1)
+    return f, f * l1
 
 
 def _f_jet_and_head(cfg: LacunaryConfig, z: mpc) -> tuple[tuple[mpc, ...], tuple[mpc, mpc]]:
     """((f, f', f''), (P, P'/P)) at z from one pass over the blocks:
-    :func:`_f_jet` of order 2, and P the product over blocks 1..K-1 with
-    its log-derivative, read from the pass's state after block K-1.
+    f' = f L1 and f'' = f (L1^2 + L1') with L1 = f'/f, and P the product
+    over blocks 1..K-1 with its log-derivative, read from the pass's state
+    after block K-1.  B0 reads f'' from here alone.
 
     Where the pass does not raise, that state is the one
     ``_jet(cfg.blocks[:-1], z, 1)`` ends in, bit for bit: (f'/f)' does not
     enter f or f'/f, and a pass that leaves a trailing run out stops on a
-    state that the run would give back unchanged."""
+    state that the run would give back unchanged.
+
+    f'' so formed has no relative accuracy where |f''| << |f'|^2/|f|,
+    since L1^2 and L1' then cancel: on [[3.3,1],[1e30,32]] at |z| = 0.73
+    it reads about 10^-P (8.7e-32 at 30 digits, 2.3e-102 at 100) where
+    the true f'' is below 1e-960."""
     zt = z._mpc_
     states = list(_sweep(cfg.blocks, zt, 2 if zt != _ZERO else 0, mp.prec))
     f, l1, l2 = _finish(cfg.blocks, zt, 2, states[-1])
@@ -899,17 +901,11 @@ def _f_jet_and_head(cfg: LacunaryConfig, z: mpc) -> tuple[tuple[mpc, ...], tuple
     return (f, f * l1, f * (l1 * l1 + l2)), head
 
 
-def f_jet(cfg: LacunaryConfig, z, order: int) -> tuple[mpc, ...]:
-    """(f, f') (order 1) or (f, f', f'') (order 2) from one pass:
-    f' = f L1 and f'' = f (L1^2 + L1') with L1 = f'/f.  TailError and
-    NearZeroError as log_derivative, CancellationError as eval_f.
-
-    f'' so formed has no relative accuracy where |f''| << |f'|^2/|f|,
-    since L1^2 and L1' then cancel: on [[3.3,1],[1e30,32]] at |z| = 0.73
-    it reads about 10^-P (8.7e-32 at 30 digits, 2.3e-102 at 100) where
-    the true f'' is below 1e-960."""
+def f_jet(cfg: LacunaryConfig, z) -> tuple[mpc, mpc]:
+    """(f, f') from one pass: f' = f L1 with L1 = f'/f.  TailError and
+    NearZeroError as log_derivative, CancellationError as eval_f."""
     with mp.workdps(cfg.dps):
-        return _f_jet(cfg, _guarded(cfg, z, order), order)
+        return _f_jet(cfg, _guarded(cfg, z))
 
 
 def _circle_levels(batch, samples: dict, cap: int, offset: int, directions: dict):
@@ -969,7 +965,7 @@ def _fprime_on_circle(cfg: LacunaryConfig, k: int, radius, directions) -> list[m
             z = xi + radius * w
             if not clear:
                 _near_zero_guard(cfg, z, NearZeroError, cfg.dps / 2)
-            fp = _f_jet(cfg, z, 1)[1]
+            fp = _f_jet(cfg, z)[1]
             if fp == 0:
                 raise ZeroOnContourError(
                     f"f' vanishes on the contour around {mp.nstr(xi, 8)} at node {j}"
@@ -981,7 +977,7 @@ def _fprime_on_circle(cfg: LacunaryConfig, k: int, radius, directions) -> list[m
 def log_derivative(cfg: LacunaryConfig, z) -> mpc:
     """f'/f, summed termwise over blocks."""
     with mp.workdps(cfg.dps):
-        return _jet(cfg.blocks, _guarded(cfg, z, 1), 1)[1]
+        return _jet(cfg.blocks, _guarded(cfg, z), 1)[1]
 
 
 def derivative_ratio_bound(cfg: LacunaryConfig, k: int) -> mpf:

@@ -13,7 +13,7 @@ from lacunary.coefficients import H_TRUNCATION
 from lacunary.errors import CancellationError
 from lacunary.growth import _logmag
 from lacunary.interpolation import config_interpolant, eval_g
-from lacunary.product import _jet, _scan_blocks, _unit_root, zeros
+from lacunary.product import _f_jet_and_head, _jet, _scan_blocks, _unit_root, zeros
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -257,6 +257,14 @@ def lower_jet(rat, z):
     """(f, f'/f) over blocks 1..K-1 at z, the head that ``_g_sum`` and
     ``_top_block`` read, from a pass of its own as ``eval_g`` forms it."""
     return _jet(rat.cfg.blocks[:-1], mpmath.mpc(z), 1)[:2]
+
+
+def b0_jet(cfg, z):
+    """(f, f', f'') at z at the config's precision, from the one route
+    that forms f'': the pass of ``_f_jet_and_head``, whose f'' B0 reads.
+    Unguarded, as ``coefficients._direct`` calls it past its own guards."""
+    with mpmath.workdps(cfg.dps):
+        return _f_jet_and_head(cfg, mpmath.mpc(z))[0]
 
 
 def recover_residue(rat, k, m):

@@ -8,8 +8,11 @@ numerical.
 module that binds none of its names; every evaluator runs with its
 functions made to raise.  Everything the package hands across a module
 boundary, and everything it exports, is plain mpmath.  Away from the
-zeros, ``coefficients.py`` takes f' and f'' from ``product.f_jet``
-rather than assembling them from ``log_derivative``.
+zeros, ``coefficients.py`` takes f' and f'' for B0 from the one pass of
+``product._f_jet_and_head``, and f' for the finite-difference route from
+``product.f_jet``, rather than assembling them from ``log_derivative``.
+Only that pass forms f'': ``f_jet`` has no order-2 mode, and
+``proximity_m`` no default, that only tests select.
 """
 
 import ast
@@ -144,8 +147,8 @@ def test_factor_extraction_runs_without_the_log_domain(monkeypatch):
     rat = residues_from_f(cfg)
     assert sum(map(len, rat.residues)) == 6
     z = mpc(3, 1)
-    assert eval_f(cfg, z) == f_jet(cfg, z, 2)[0]
-    assert len(f_jet(rule_cfg, z, 2)) == 3
+    assert eval_f(cfg, z) == f_jet(cfg, z)[0]
+    assert len(f_jet(rule_cfg, z)) == 2
     assert log_derivative(rule_cfg, z) != 0
     assert eval_f_scan(rule_cfg, mpc(40, 1)) != 0
 
@@ -181,7 +184,7 @@ def test_f_and_g_share_one_certified_domain():
     for z in (edge, mpc(0, edge)):
         for evaluate in (
             lambda: eval_f(cfg, z),
-            lambda: f_jet(cfg, z, 1),
+            lambda: f_jet(cfg, z),
             lambda: f_tail_log_bound(cfg, abs(z)),
             lambda: eval_g(rat, z),
             lambda: g_tail_bound(rat, abs(z)),
@@ -288,6 +291,44 @@ def test_one_kernel_for_both_canonical_products():
     assert "HProduct.eval" in _call_sites(trees["coefficients"], "_jet")
 
 
+def _squares_plus(node) -> bool:
+    """``x * x + y`` with x and y names: f'' = f (L1^2 + L1')'s bracket."""
+    return (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+        and isinstance(node.right, ast.Name) and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Mult)
+        and all(isinstance(x, ast.Name) for x in (node.left.left, node.left.right))
+        and node.left.left.id == node.left.right.id
+    )
+
+
+def test_one_route_forms_f_second_derivative():
+    """f'' is formed on B0's route alone, ``_f_jet_and_head``: no def of the
+    package takes ``order`` but the kernel's ``_jet`` and ``_finish``, so
+    ``f_jet`` has no order-2 mode that only tests select, and the bracket
+    L1^2 + L1' of f'' = f (L1^2 + L1') is written once.  ``proximity_m``
+    has no parameter with a default: every caller names the pole moduli
+    its quadrature keeps away from."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
+    }
+    takes_order = sorted(
+        f"{stem}.{site}"
+        for stem, tree in trees.items()
+        for site in _sites(tree, lambda node: isinstance(node, ast.arg) and node.arg == "order")
+    )
+    assert takes_order == ["product._finish", "product._jet"]
+    brackets = sorted(
+        f"{stem}.{site}" for stem, tree in trees.items() for site in _sites(tree, _squares_plus)
+    )
+    assert brackets == ["product._f_jet_and_head"]
+    (proximity,) = [
+        node for node in trees["interpolation"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "proximity_m"
+    ]
+    assert proximity.args.defaults == [] and not any(proximity.args.kw_defaults)
+
+
 def test_one_home_for_circle_nodes():
     """Directions on a circle are formed by ``_unit_root`` for the roots of
     unity that the zeros and the residue pass share, and by
@@ -373,7 +414,7 @@ def test_guarded_passes_never_reach_the_cancellation_screen(name):
     rat = make_system(cfg, defer_top=True).rat
     rng = random.Random(name)
     guarded = (
-        (lambda z: f_jet(cfg, z, 2), NearZeroError),
+        (lambda z: f_jet(cfg, z), NearZeroError),
         (lambda z: log_derivative(cfg, z), NearZeroError),
         (lambda z: eval_g(rat, z), NearPoleError),
     )

@@ -388,7 +388,8 @@ class TestVerify:
 
     def test_failed_run_leaves_no_stale_outputs(self, tmp_path, capsys):
         """A verify that exits 3 and a scan that exits 2 delete the outputs of
-        the passing run before them, so ``report`` sees neither."""
+        the passing run before them, so ``report`` sees neither: it finds
+        nothing to report and exits 2, writing no report.json."""
         cfg = write_config(tmp_path, {"rho_f": 0.55, "rule": "doubly_exp", "K": 3})
         out = tmp_path / "run"
         verify = ["verify", "--config", cfg, "--out", str(out), "--checks"]
@@ -402,9 +403,10 @@ class TestVerify:
         for name in ("records.jsonl", "verify_summary.json", "indicator.csv",
                      "indicator_summary.json"):
             assert not (out / name).exists(), name
-        assert main(["report", "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["verify"] is None and report["scans"] == {}
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_g_checks_never_sample_g_where_certified(self, tmp_path, monkeypatch):
         """On the headline, B(r) < 1 at every radius of proximity and
@@ -995,6 +997,33 @@ class TestReport:
         assert main(["report", "--out", str(out)]) == 2
         assert str(out) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_directory_with_nothing_to_report_exit_2(self, tmp_path, capsys):
+        """A directory that holds no records.jsonl and no scan summary, such
+        as the --out of a verify that exited 3, is no passing report: exit 2
+        with a message that names it, and no report.json."""
+        cfg = write_config(tmp_path, {"rho_f": 0.5, "rule": "factorial", "K": 2})
+        out = tmp_path / "run"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--checks", "all"]) == 3
+        assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_failed_report_leaves_no_stale_report(self, tmp_path, capsys):
+        """A report that exits 2 first deletes the report.json of the passing
+        report before it, which would otherwise still say it passed."""
+        out = tmp_path / "run"
+        out.mkdir()
+        records = out / "records.jsonl"
+        records.write_text('{"check": "residual", "pass": true}\n')
+        assert main(["report", "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["passed"] is True
+        records.write_text('{"check": "residual", "pass": true}\n{"check": "res')
+        assert main(["report", "--out", str(out)]) == 2
+        assert "records.jsonl" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_truncated_records_exit_2(self, tmp_path, capsys):
         out = tmp_path / "run"

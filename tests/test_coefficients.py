@@ -276,7 +276,7 @@ class TestEvalAB:
             z = zero_point(cfg, k, m) * (1 + mpf("1e-20"))
             a, _ = eval_AB(factorial_system, z)
             a0 = eval_A0(factorial_system, z)
-            hf = factorial_system.h.eval(z) * f_jet(cfg, z, 1)[0]
+            hf = factorial_system.h.eval(z) * f_jet(cfg, z)[0]
             assert abs(a - a0) <= mpf("1e-10") * max(1, abs(a0)), (k, m)
             assert rel_err(a - a0, hf) < mpf("1e-60"), (k, m)
 
@@ -287,7 +287,7 @@ class TestEvalAB:
         z = mpc(3, 5)
         a, b = eval_AB(sys1, z)
         hval = sys1.h.eval(z)
-        f, fp = f_jet(cfg, z, 1)
+        f, fp = f_jet(cfg, z)
         assert rel_err(a - eval_A0(sys1, z), hval * f) < mpf("1e-95")
         assert rel_err(b - eval_B0(sys1, z), -hval * fp) < mpf("1e-95")
 

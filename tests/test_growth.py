@@ -356,9 +356,9 @@ class TestThm2Asymptotics:
         real = product._f_jet
         nodes = []
 
-        def vanishing_at_node_2(cfg, z, order):
+        def vanishing_at_node_2(cfg, z):
             nodes.append(z)
-            f, fp = real(cfg, z, order)
+            f, fp = real(cfg, z)
             return f, (mpc(0) if len(nodes) == 3 else fp)
 
         monkeypatch.setattr(product, "_f_jet", vanishing_at_node_2)

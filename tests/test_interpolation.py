@@ -800,19 +800,19 @@ class TestAliasingBound:
 class TestProximity:
     def test_bounded_function_gives_zero(self):
         rat = one_minus_z_squared()
-        m = proximity_m(lambda z: eval_g(rat, z), 2)
+        m = proximity_m(lambda z: eval_g(rat, z), 2, ())
         assert m == 0
 
     def test_constant_function(self):
         c = mpc(5, 1)
-        m = proximity_m(lambda z: c, 3)
+        m = proximity_m(lambda z: c, 3, ())
         assert rel_err(m, mp.log(abs(c))) < mpf("1e-12")
-        assert proximity_m(lambda z: mpf("0.25"), 3) == 0
+        assert proximity_m(lambda z: mpf("0.25"), 3, ()) == 0
 
     def test_inside_pole_circle_against_reference_quadrature(self):
         """g = 1/(z-1) at r = 0.5: positive, matches a 4096-node reference."""
         fn = lambda z: 1 / (z - 1)
-        m = proximity_m(fn, mpf("0.5"))
+        m = proximity_m(fn, mpf("0.5"), ())
         ref = mpf(0)
         n = 4096
         for j in range(n):
@@ -826,8 +826,8 @@ class TestProximity:
     def test_mirror_identity(self):
         """For r < 1, m(r, 1/(z-1)) = m(r, z-1): the circle mean of ln|z-1|
         vanishes, so positive and negative parts coincide."""
-        m_inv = proximity_m(lambda z: 1 / (z - 1), mpf("0.5"))
-        m_fwd = proximity_m(lambda z: z - 1, mpf("0.5"))
+        m_inv = proximity_m(lambda z: 1 / (z - 1), mpf("0.5"), ())
+        m_fwd = proximity_m(lambda z: z - 1, mpf("0.5"), ())
         assert abs(m_inv - m_fwd) < mpf("2e-6")
 
     def test_avoided_radius(self):
@@ -845,7 +845,7 @@ class TestProximity:
             return 1 / (z - mpf("1.0000001"))
 
         with mp.workdps(15), pytest.raises(QuadratureError) as info:
-            proximity_m(fn, 1)
+            proximity_m(fn, 1, ())
         assert calls[0] == 1 << 14
         assert len(info.value.estimates) == 2
 
@@ -861,7 +861,7 @@ class TestProximity:
                 values[z] = eval_g(rat, z)
             return values[z]
 
-        m = proximity_m(g, 6)
+        m = proximity_m(g, 6, ())
         with mp.extraprec(10):
             nodes = [mpf(6) * mp.expjpi(2 * mpf(j) / 4096) for j in range(4096)]
             reference = mp.fsum(interpolation._log_plus(g(z)) for z in nodes) / 4096
@@ -872,7 +872,7 @@ class TestProximity:
         rat = residues_from_f(cfg)
         r3 = cfg.blocks[-1][0]
         values = [
-            proximity_m(lambda z: eval_g(rat, z), scale * r3)
+            proximity_m(lambda z: eval_g(rat, z), scale * r3, ())
             for scale in (10, 100, 1000)
         ]
         assert values[0] >= values[1] >= values[2]

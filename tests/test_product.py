@@ -44,7 +44,7 @@ from lacunary.product import (
     zeros,
 )
 
-from helpers import nearest_zero_scan, reference_jet, rel_err
+from helpers import b0_jet, nearest_zero_scan, reference_jet, rel_err
 
 
 def horner_eval(coeffs, z):
@@ -292,7 +292,7 @@ class TestLogDerivative:
         # the limit of (f'/f)' picks up n=1 and n=2 blocks: for (2,1),(4,2)
         # f'' = f ((f'/f)^2 + (f'/f)') = 1/4 - 1/4 - 2/16 = -1/8 at 0
         cfg3 = config_from_blocks([(2, 1), (4, 2)], rho_f=0.5)
-        assert rel_err(f_jet(cfg3, 0, 2)[2], mpf(-1) / 8) < mpf("1e-95")
+        assert rel_err(b0_jet(cfg3, 0)[2], mpf(-1) / 8) < mpf("1e-95")
 
     def _fd_log_derivative(self, cfg, z, h):
         up = eval_f(cfg, z + h)
@@ -326,13 +326,13 @@ class TestLogDerivative:
             count += 1
 
     def test_second_order_vs_fd(self):
-        """(f'/f)' = f''/f - (f'/f)^2 from f_jet against the finite
+        """(f'/f)' = f''/f - (f'/f)^2 from B0's route against the finite
         difference of log_derivative."""
         cfg = config_from_blocks([(4, 2), (16, 4)])
         z = mpc("2.5", "1.25")
         h = abs(z) * mpf(10) ** (-mp.dps // 3)
         fd = (log_derivative(cfg, z + h) - log_derivative(cfg, z - h)) / (2 * h)
-        f, fp, fpp = f_jet(cfg, z, 2)
+        f, fp, fpp = b0_jet(cfg, z)
         assert rel_err(fpp / f - (fp / f) ** 2, fd) < mpf(10) ** (-mp.dps // 4)
 
     def test_near_zero_guard(self):
@@ -344,9 +344,10 @@ class TestLogDerivative:
 
 
 class TestFJet:
-    """(f, f', f'') from the one-pass kernel against routes that share no
-    code with it: exact polynomial coefficients, and Cauchy integrals of
-    eval_f."""
+    """(f, f', f'') from the one-pass kernel, on the route whose f'' B0
+    reads (``helpers.b0_jet``), against routes that share no code with it:
+    exact polynomial coefficients, and Cauchy integrals of eval_f.
+    ``f_jet`` gives the same (f, f')."""
 
     # f as exact coefficients, lowest degree first
     POLYNOMIALS = (
@@ -365,17 +366,17 @@ class TestFJet:
             jets = [coeffs, poly_diff(coeffs), poly_diff(poly_diff(coeffs))]
             # at z = 0 the kernel takes the termwise limits of its sums
             at_zero = tuple(mpf(p[0].numerator) / p[0].denominator for p in jets)
-            assert f_jet(cfg, 0, 2) == at_zero
+            assert b0_jet(cfg, 0) == at_zero
             count = 0
             while count < 10:
                 z = mpc(rng.uniform(-20, 20), rng.uniform(-20, 20))
                 if nearest_zero(cfg, z)[3] < mpf("0.1"):
                     continue
-                got = f_jet(cfg, z, 2)
+                got = b0_jet(cfg, z)
                 for value, poly in zip(got, jets):
                     want = mp.polyval([mpf(c.numerator) / c.denominator for c in reversed(poly)], z)
                     assert rel_err(value, want) < tol, (blocks, z)
-                assert f_jet(cfg, z, 1) == got[:2]
+                assert f_jet(cfg, z) == got[:2]
                 count += 1
 
     def test_against_contour_integrals_of_f(self):
@@ -395,7 +396,7 @@ class TestFJet:
                 c0 += fz
                 c1 += fz / h
                 c2 += fz / (h * h)
-            f, f1, f2 = f_jet(cfg, z0, 2)
+            f, f1, f2 = b0_jet(cfg, z0)
             assert rel_err(f, c0 / nodes) < tol, (k, m)
             assert rel_err(f1, c1 / nodes) < tol, (k, m)
             assert rel_err(f2, 2 * c2 / nodes) < tol, (k, m)
@@ -419,8 +420,8 @@ class TestFJet:
             points += [(K, z) for z in zs]
         tol = mpf(10) ** (10 - mp.dps)
         for K, z in points:
-            got = f_jet(make_schedule(0.5, K, "factorial"), z, 2)
-            want = f_jet(make_schedule(0.5, K, "factorial", dps=2 * mp.dps), z, 2)
+            got = b0_jet(make_schedule(0.5, K, "factorial"), z)
+            want = b0_jet(make_schedule(0.5, K, "factorial", dps=2 * mp.dps), z)
             for a, b in zip(got, want):
                 assert rel_err(a, b) < tol, (K, z)
 
@@ -428,11 +429,9 @@ class TestFJet:
         from lacunary import NearZeroError
 
         with pytest.raises(NearZeroError):
-            f_jet(config_from_blocks([(4, 2)]), mpf(4) + mpf(10) ** -60, 2)
+            f_jet(config_from_blocks([(4, 2)]), mpf(4) + mpf(10) ** -60)
         with pytest.raises(TailError):
-            f_jet(make_schedule(0.5, 2, "factorial"), 40, 1)
-        with pytest.raises(ConfigError):
-            f_jet(config_from_blocks([(4, 2)]), 1, 3)
+            f_jet(make_schedule(0.5, 2, "factorial"), 40)
 
 
 def _outcome(jet, blocks, z, order):
@@ -574,8 +573,9 @@ class TestRawKernel:
     def test_full_pass_reads_the_lower_blocks_of_the_lower_pass(self, name):
         """``_f_jet_and_head``'s (f, f'/f) over blocks 1..K-1, read from its
         pass over all K blocks, is the pass over blocks 1..K-1 bit for bit,
-        and its f, f', f'' are ``_f_jet``'s, wherever the full pass does
-        not raise: at z = 0, on the real axis, near the circles, and on f'
+        and its f, f', f'' are f, f L1 and f (L1^2 + L1') of the order-2
+        pass ``_jet`` over all K blocks, wherever the full pass does not
+        raise: at z = 0, on the real axis, near the circles, and on f'
         contours where block 4's power is left out."""
         cfg = {
             "headline": lambda: make_schedule(0.5, 4, "factorial"),
@@ -592,7 +592,9 @@ class TestRawKernel:
                 continue
             lower = product._jet(cfg.blocks[:-1], z, 1)[:2]
             assert [x._mpc_ for x in head] == [x._mpc_ for x in lower], z
-            assert [x._mpc_ for x in jet] == [x._mpc_ for x in product._f_jet(cfg, z, 2)], z
+            f, l1, l2 = product._jet(cfg.blocks, z, 2)
+            full = (f, f * l1, f * (l1 * l1 + l2))
+            assert [x._mpc_ for x in jet] == [x._mpc_ for x in full], z
             checked += 1
         assert checked > 100
 
@@ -761,12 +763,12 @@ class TestRadialGuard:
         ]
         for z, rel in cases:
             message = f"z within relative {rel} of zero (block 3, index 5); threshold 10^-50"
-            for evaluate in (lambda z: f_jet(cfg, z, 2), lambda z: log_derivative(cfg, z)):
+            for evaluate in (lambda z: f_jet(cfg, z), lambda z: log_derivative(cfg, z)):
                 with pytest.raises(NearZeroError) as info:
                     evaluate(z)
                 assert str(info.value) == message
         assert len(lookups) == 2 * len(cases)
-        f_jet(cfg, xi * (1 + mpf("1.5e-50")), 1)
+        f_jet(cfg, xi * (1 + mpf("1.5e-50")))
         assert len(lookups) == 2 * len(cases) + 1
 
     def test_circle_nodes_outside_every_band_skip_nearest_zero(self, monkeypatch):
@@ -781,7 +783,7 @@ class TestRadialGuard:
         directions = [mp.expjpi(mpf(2 * i + 1) / 16) for i in range(16)]
         values = product._fprime_on_circle(cfg, 1, 2, directions)
         assert len(values) == len(guards) == 16 and lookups == []
-        assert values[0] == f_jet(cfg, guards[0][1], 1)[1]
+        assert values[0] == f_jet(cfg, guards[0][1])[1]
 
 
 def _sampled_disk(cfg):
