@@ -77,12 +77,20 @@ Configs and zero sets are immutable, but for each config's memo
 (``LacunaryConfig._memo_of``): f' on its disk circles and their windings,
 its grid directions, blocks past K and multiplicities, whose concurrent
 fills form the same bits; every evaluation is a pure function, so points
-can be evaluated concurrently without locks.
+can be evaluated concurrently without locks.  Two loops fork on their own,
+the trig calls of ``_unit_roots`` and the zeros of ``_block_residues``:
+``_in_ranges`` runs their index ranges on every CPU, serially where it
+cannot fork or where another thread is alive, with the same bits at any
+CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpc, mpf
@@ -90,7 +98,7 @@ from mpmath.libmp import (
     fone, from_int, from_man_exp, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_div_mpf,
     mpc_mpf_div, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpc_pow_int, mpc_reciprocal, mpc_shift,
     mpc_sub, mpf_abs, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg,
-    mpf_pow_int, mpf_shift, mpf_sub, prec_to_dps, round_nearest
+    mpf_pow_int, mpf_shift, mpf_sub, prec_to_dps, round_ceiling, round_floor, round_nearest
 )
 
 from .errors import (
@@ -420,9 +428,20 @@ def _square(limit: mpf) -> tuple:
 def _modulus_within(u, square: tuple) -> bool:
     """|u| <= limit for an mpc or mpf u, decided exactly as
     re^2 + im^2 <= limit^2 = ``square`` (:func:`_square`) with no square
-    root; NaN and inf fail."""
+    root; NaN and inf fail.
+
+    The exact sum would span the gap between the exponents of the squares
+    (gigabytes for a part like 2^-(2^34)), so the sum is bracketed at 64
+    bits; only inside the bracket, where the larger square lies within a
+    factor 2 of ``square``, is the test exact: smaller <= square - larger."""
     x, y = u._mpc_ if hasattr(u, "_mpc_") else (u._mpf_, fzero)
-    return mpf_le(mpf_add(mpf_mul(x, x), mpf_mul(y, y)), square)
+    x, y = mpf_mul(x, x), mpf_mul(y, y)
+    if mpf_le(mpf_add(x, y, 64, round_ceiling), square):
+        return True
+    if not mpf_le(mpf_add(x, y, 64, round_floor), square):
+        return False
+    small, large = (x, y) if mpf_le(x, y) else (y, x)
+    return mpf_le(small, mpf_sub(square, large))
 
 
 # the values of _bands by prec, once per process, not in a config's memo:
@@ -719,6 +738,91 @@ def _check_enumerable(cfg: LacunaryConfig, k: int) -> int:
     return n
 
 
+# Fewest indices in one range of _in_ranges.  A fork with its pipe, the
+# pickling of its list and its waitpid cost 1.4-1.9 ms per worker in a
+# 25-35 MB process; the cheapest index of the split loops, one trig call of
+# _unit_roots at 100 digits, costs 20-27 us.  256 of them take at least
+# 5 ms, three round trips; 64 would take no more than one.
+_RANGE_MIN = 256
+
+
+def _in_ranges(start: int, stop: int, run) -> list:
+    """``run(start, stop)``, a list of one value per index, computed on
+    every CPU of the affinity mask in contiguous ranges of at least
+    ``_RANGE_MIN`` indices and joined in index order.  This process runs
+    the first range, a forked worker each later one, and ``run`` gives an
+    index the same value in any range, so the list does not depend on the
+    CPU count.  Serial where ``os.fork`` is missing, where another thread
+    is alive (a fork copies only the calling thread) or below two ranges.
+    A worker's exception is raised here with its type, args and
+    attributes; on any failure every worker left is killed and reaped."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    count = min(cpus, (stop - start) // _RANGE_MIN)
+    if count < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return run(start, stop)
+    bounds = [start + (stop - start) * i // count for i in range(count + 1)]
+    workers = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            workers.append(_fork(run, lo, hi))
+        values = run(bounds[0], bounds[1])
+        for worker in list(workers):
+            pid, pipe = worker
+            with pipe:
+                data = pipe.read()
+            os.waitpid(pid, 0)
+            workers.remove(worker)
+            if not data:
+                raise ChildProcessError(f"worker {pid} ended with no result")
+            done, result = pickle.loads(data)
+            if not done:
+                kind, args, state = result
+                error = kind.__new__(kind, *args)
+                error.args = args
+                error.__dict__.update(state)
+                raise error
+            values += result
+        return values
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
+def _fork(run, lo: int, hi: int) -> tuple:
+    """(pid, read end of its pipe) of a worker that writes the pickled
+    ``(True, run(lo, hi))``, or ``(False, (type, args, attributes))`` of
+    its exception, and ends with ``os._exit``."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        try:
+            os.close(read)
+            try:
+                data = pickle.dumps((True, run(lo, hi)), pickle.HIGHEST_PROTOCOL)
+            except BaseException as exc:
+                try:
+                    data = pickle.dumps((False, (type(exc), exc.args, vars(exc))))
+                except Exception:
+                    data = pickle.dumps((False, (RuntimeError, (repr(exc),), {})))
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
 def _unit_root(m: int, n: int) -> mpc:
     """omega^m with omega = exp(2 pi i / n), at the working precision; for
     m > n/2 the exact conjugate of omega^(n - m)."""
@@ -753,7 +857,8 @@ def _unit_roots(n: int, prec: int) -> list[tuple]:
     special case), so the reduced argument and the working precision
     match, and round-to-nearest is symmetric under sign.  For any other
     n, 2i/n is rounded and the shift moves its ulp, so every root up to
-    n/2 is a trig call.
+    n/2 is a trig call.  The trig calls run in index ranges on every CPU
+    (:func:`_in_ranges`).
 
     The table takes no eighth-turn swap, omega^i = (Im, Re) of
     omega^(n/4 - i) for n/8 < i < n/4: there the reduced argument is
@@ -762,10 +867,14 @@ def _unit_roots(n: int, prec: int) -> list[tuple]:
     ``expjpi`` at 100 and at 200 digits (none at 30)."""
     quarter = n // 4 if n >= 4 and not n & (n - 1) else n // 2
     whole = from_int(n)
-    roots = [_ONE] + [
-        mpf_cos_sin_pi(mpf_div(from_int(2 * i), whole, prec, _RND), prec, _RND)
-        for i in range(1, quarter + 1)
-    ]
+
+    def trig(lo: int, hi: int) -> list[tuple]:
+        return [
+            mpf_cos_sin_pi(mpf_div(from_int(2 * i), whole, prec, _RND), prec, _RND)
+            for i in range(lo, hi)
+        ]
+
+    roots = [_ONE] + _in_ranges(1, quarter + 1, trig)
     for i in range(quarter + 1, n // 2 + 1):
         x, y = roots[i - n // 4]
         roots.append((mpf_neg(y), x))
@@ -1058,11 +1167,12 @@ def _extracted_raw(others, m: int, n: int, roots, memo: dict, last: int, prec: i
     term, which a product with 1 and a sum with 0 would give back, each
     already rounded at ``prec``.
 
-    A pass m = 0, 1, ..., ``last`` over one block's zeros forms each
-    conjugate pair once, at the folded index min(i, n - i): that index
-    recurs at every m' = +-m (mod p), and ``memo`` keeps the pair under
-    (j, folded index) only while a zero up to ``last`` still needs it,
-    dropping it at its last use.
+    A pass over a range of one block's zeros, m ascending up to ``last``,
+    forms each conjugate pair once, at the folded index min(i, n - i):
+    that index recurs at every m' = +-m (mod p), and ``memo`` keeps the
+    pair under (j, folded index) only while a zero up to ``last`` still
+    needs it, dropping it at its last use.  A pair that two ranges read
+    is formed in each, with the same bits.
     """
     P, S1 = _ONE, _ZERO
     for j, (nj, a, big, e, period) in enumerate(others):
@@ -1103,7 +1213,9 @@ def _block_residues(cfg: LacunaryConfig, k: int) -> list[mpc]:
     2 S1 is an exponent shift, and so is n_k P where n_k is a power of
     two.  Root and residue m > n_k/2 are the exact conjugates of those of
     n_k - m, and every step commutes with conjugation: the residue is
-    bit for bit the closed form at that root.
+    bit for bit the closed form at that root.  The zeros up to n_k/2 run
+    in index ranges on every CPU (:func:`_in_ranges`), each range with its
+    own memo; the screen and the conjugate half stay in this process.
     """
     n = _check_enumerable(cfg, k)
     half = n // 2 + 1
@@ -1120,11 +1232,17 @@ def _block_residues(cfg: LacunaryConfig, k: int) -> list[mpc]:
                     _block_terms(mpc_mul_mpf(roots[index], a, prec, _RND), 0, bands, prec)
             e = a[2] if a[1] == 1 else None
             others.append((nj, a, mpf_gt(a, fone), e, n // math.gcd(nj, n)))
-        residues, memo, n1 = [], {}, from_int(n - 1)
-        for m in range(half):
-            P, S1 = _extracted_raw(others, m, n, roots, memo, n // 2, prec)
-            top = mpc_add_mpf(mpc_shift(S1, 1), n1, prec, _RND)
-            residues.append(mpc_div(top, _mul_int(P, n, prec), prec, _RND))
+        n1 = from_int(n - 1)
+
+        def closed_form(lo: int, hi: int) -> list[tuple]:
+            residues, memo = [], {}
+            for m in range(lo, hi):
+                P, S1 = _extracted_raw(others, m, n, roots, memo, hi - 1, prec)
+                top = mpc_add_mpf(mpc_shift(S1, 1), n1, prec, _RND)
+                residues.append(mpc_div(top, _mul_int(P, n, prec), prec, _RND))
+            return residues
+
+        residues = _in_ranges(0, half, closed_form)
         residues += [_conjugate(residues[n - m]) for m in range(half, n)]
         return [mp.make_mpc(u) for u in residues]
 

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -32,6 +33,13 @@ GOLDEN_CONSTRUCT = "construct --precision 200: headline"
 GOLDEN_CONSTRUCT_FILES = ("residues.json", "system.json")
 # the output of GOLDEN_CONSTRUCT, where a run of GOLDEN_RUNS reads artifacts
 GOLDEN_ARTIFACTS = "{construct}"
+
+
+def pin_cpus(monkeypatch, count):
+    """Fake an affinity mask of ``count`` CPUs, the worker count that
+    ``product._in_ranges`` reads; 1 keeps every loop in this process, where
+    a monkeypatched counter sees each call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def golden_verify(name):

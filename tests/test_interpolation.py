@@ -1,6 +1,8 @@
 """Residues, the rational series g, summability certificates, proximity quadrature."""
 
+import os
 import random
+import threading
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -32,7 +34,7 @@ from lacunary.interpolation import (
 from lacunary.product import derivative_ratio_bound, derivs_at_zero, zero_point, zeros
 
 from helpers import (
-    block_residues_per_zero, direct_g, lower_jet, recover_residue, rel_err, with_residue
+    block_residues_per_zero, direct_g, lower_jet, pin_cpus, recover_residue, rel_err, with_residue
 )
 
 
@@ -542,9 +544,11 @@ class TestBlockResidues:
         of root indices within block k (``_pair_terms``): once per folded
         index min(i, n_k - i) of i = (m n_j) mod n_k over m <= n_k/2.  On
         the headline's block 4 that is 2,049 + 1,025 + 257 = 3,331
-        formations; one per distinct index would be 4,609."""
+        formations; one per distinct index would be 4,609.  The pass runs
+        on one CPU, so that the counter sees every call."""
         cfg = RESIDUE_CONFIGS[name](100)
         formed, real = [], product._pair_terms
+        pin_cpus(monkeypatch, 1)
 
         def counted(rt, nj, *args):
             formed.append(nj)
@@ -605,6 +609,136 @@ class TestBlockResidues:
         )
         with pytest.raises(CancellationError):
             residues_from_f(cfg)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls of this process, counted (a worker's own copy of
+    the list is dropped with it)."""
+    calls, real = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestForkedRanges:
+    """``product._in_ranges`` runs the residue pass and the trig part of its
+    root table on every CPU of the affinity mask (faked here): the bits do
+    not depend on the CPU count, the workers really run, an error reaches
+    the caller with its type, and no worker outlives a pass."""
+
+    @pytest.mark.parametrize("dps", [30, 100, 200])
+    def test_root_table_does_not_depend_on_cpu_count(self, monkeypatch, forks, dps):
+        sizes = [12, 17, 257, 1000, 2048, 3000, 4096]
+        with mp.workdps(dps):
+            pin_cpus(monkeypatch, 1)
+            want = [product._unit_roots(n, mp.prec) for n in sizes]
+            assert forks == []
+            for cpus in (2, 3):
+                pin_cpus(monkeypatch, cpus)
+                assert [product._unit_roots(n, mp.prec) for n in sizes] == want, cpus
+        # the trig calls of 2048, 3000 and 4096 (512, 1500 and 1024 roots)
+        # fork once each at 2 CPUs; at 3, 512 roots make only two ranges
+        assert len(forks) == 3 + 5
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("dps", [30, 100, 200])
+    @pytest.mark.parametrize("name", sorted(RESIDUE_CONFIGS))
+    def test_residues_do_not_depend_on_cpu_count(self, monkeypatch, forks, name, dps):
+        cfg = RESIDUE_CONFIGS[name](dps)
+
+        def bits():
+            return [[u._mpc_ for u in product._block_residues(cfg, k)] for k in range(1, cfg.K + 1)]
+
+        pin_cpus(monkeypatch, 1)
+        want = bits()
+        assert forks == []
+        for cpus in (2, 3):
+            pin_cpus(monkeypatch, cpus)
+            assert bits() == want, cpus
+        # block 4 of the factorial schedules has 4096 zeros: its root table
+        # and its pass each fork once at 2 CPUs and twice at 3; the other
+        # configs' blocks, 21 zeros at most, stay in this process
+        assert len(forks) == (6 if name.startswith("factorial") else 0)
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("where, m", [("worker", 2000), ("parent", 10)])
+    def test_an_error_reaches_the_caller_and_no_worker_outlives_it(
+        self, monkeypatch, forks, where, m
+    ):
+        """At 2 CPUs this process takes zeros 0..1023 of the headline's
+        block 4 and one worker 1024..2048.  An error raised in the worker
+        comes back with its type and attributes; one raised here kills the
+        running worker.  Either way no child is left."""
+        cfg = RESIDUE_CONFIGS["factorial-0.5-K4"](30)
+        real = product._extracted_raw
+
+        def faulty(others, index, *args):
+            if index == m:
+                raise CancellationError(f"injected in the {where}", result=mpc(1, 2), digits_lost=7.5)
+            return real(others, index, *args)
+
+        pin_cpus(monkeypatch, 2)
+        monkeypatch.setattr(product, "_extracted_raw", faulty)
+        with pytest.raises(CancellationError, match=f"injected in the {where}") as caught:
+            product._block_residues(cfg, 4)
+        assert (caught.value.result, caught.value.digits_lost) == (mpc(1, 2), 7.5)
+        assert len(forks) == 2
+        assert _no_child_left()
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch, forks):
+        cfg = RESIDUE_CONFIGS["factorial-0.5-K4"](30)
+        pin_cpus(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            alone = product._block_residues(cfg, 4)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and forks == []
+        assert [u._mpc_ for u in alone] == [u._mpc_ for u in product._block_residues(cfg, 4)]
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize(
+        "cpus, stop, workers", [(2, 512, 0), (2, 513, 1), (3, 600, 1), (3, 5000, 2), (8, 1025, 3)]
+    )
+    def test_ranges_join_in_index_order(self, monkeypatch, forks, cpus, stop, workers):
+        """Contiguous ranges of at least 256 indices, one per CPU at most,
+        joined in index order; run sees each range once."""
+        pin_cpus(monkeypatch, cpus)
+        got = product._in_ranges(1, stop, lambda lo, hi: [(i, lo, hi) for i in range(lo, hi)])
+        assert [i for i, _, _ in got] == list(range(1, stop))
+        ranges = sorted({(lo, hi) for _, lo, hi in got})
+        assert len(ranges) == workers + 1 and len(forks) == workers
+        assert all(hi - lo >= 256 or len(ranges) == 1 for lo, hi in ranges)
+        assert _no_child_left()
+
+    def test_serial_where_fork_or_affinity_is_missing(self, monkeypatch, forks):
+        def run(lo, hi):
+            return list(range(lo, hi))
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert product._in_ranges(0, 1000, run) == list(range(1000))
+        assert len(forks) == 1
+        monkeypatch.delattr(os, "fork")
+        assert product._in_ranges(0, 1000, run) == list(range(1000))
+        assert len(forks) == 1
 
 
 # Configs whose top block takes the closed form at every point of

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -44,7 +45,7 @@ from lacunary.product import (
     zeros,
 )
 
-from helpers import b0_jet, nearest_zero_scan, reference_jet, rel_err
+from helpers import b0_jet, nearest_zero_scan, pin_cpus, reference_jet, rel_err
 
 
 def horner_eval(coeffs, z):
@@ -953,8 +954,10 @@ class TestZeros:
         """The residue pass over the 4096 zeros of the headline's block 4
         calls libmp's ``mpf_cos_sin_pi`` for omega^1..omega^1024 alone
         (omega^0 is 1), half of the 2048 roots up to n/2; no factor of that
-        block is lossy, so the screen forms no root of its own."""
+        block is lossy, so the screen forms no root of its own.  The pass
+        runs on one CPU, so that the counter sees every call."""
         cfg = make_schedule(0.5, 4, "factorial")
+        pin_cpus(monkeypatch, 1)
         calls, cos_sin_pi = [], product.mpf_cos_sin_pi
 
         def counted(x, *args):
@@ -1212,3 +1215,49 @@ def test_rho_f_keeps_the_config_precision():
             assert cfg.rho_f == mpf(str(short))
         written = config_to_dict(cfg)["rho_f"]
         assert type(written) is float and written == short
+
+
+class TestModulusWithin:
+    """``_modulus_within`` decides |u| <= limit exactly, and a part whose
+    exponent lies far from the limit's costs no more memory than any other
+    (the exact sum of the squares would span the gap: about 50 MB here)."""
+
+    @staticmethod
+    def _decide(u, limit):
+        tracemalloc.start()
+        try:
+            verdict = product._modulus_within(u, product._square(limit))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+        return verdict
+
+    @pytest.mark.parametrize("gap", [-200_000_000, 200_000_000])
+    def test_far_exponents_give_the_exact_verdict_in_little_memory(self, gap):
+        limit = mpf(3) / 7
+        far = mpf((1, gap))
+        if gap < 0:
+            assert self._decide(mpc(limit, far), limit) is False
+            assert self._decide(mpc(far, limit), limit) is False
+            assert self._decide(mpc(limit / 2, far), limit) is True
+            assert self._decide(mpc(far, far), limit) is True
+        else:
+            assert self._decide(mpc(limit / 2, far), limit) is False
+            assert self._decide(mpc(far, 0), limit) is False
+            assert self._decide(far, limit) is False
+
+    def test_equality_passes_and_one_ulp_above_fails(self):
+        limit = mpf(5) / 2**10
+        three, four = mpf(3) / 2**10, mpf(4) / 2**10
+        above = three + mpf(2) ** (mp.mag(three) - mp.prec)
+        assert above != three and above - three == mpf(2) ** (mp.mag(three) - mp.prec)
+        assert self._decide(mpc(three, four), limit) is True
+        assert self._decide(mpc(-four, three), limit) is True
+        assert self._decide(mpc(above, four), limit) is False
+        assert self._decide(mpc(limit, 0), limit) is True
+        assert self._decide(limit, limit) is True
+        assert self._decide(mpc(limit, mpf((1, -200_000_000))), limit) is False
+        assert self._decide(-limit - mpf(2) ** (mp.mag(limit) - mp.prec), limit) is False
+        for bad in (mp.inf, mp.nan, mpc(mp.nan, 0), mpc(0, mp.inf)):
+            assert self._decide(bad, limit) is False
